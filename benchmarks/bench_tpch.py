@@ -20,8 +20,7 @@ from repro.bench.harness import (
     measure,
     save_series_json,
 )
-from repro.sql.config import QueryOptions, SessionConfig
-from repro.sql.executor import Session
+from repro.sql import QueryOptions, Session, SessionConfig
 from repro.tpch.queries import BLOCKED, QUERIES
 from repro.tpch.tables import tpch_catalog
 

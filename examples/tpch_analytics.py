@@ -16,7 +16,7 @@ Run with::
     python examples/tpch_analytics.py
 """
 
-from repro.sql.executor import Session
+from repro.sql import Session
 from repro.tpch import tpch_catalog
 
 ANALYTICS = """

@@ -25,7 +25,7 @@ This package provides that reuse as a first-class subsystem:
 
 The window operator and the SQL executor integrate the cache end-to-end:
 ``WindowOperator(table, cache=...)`` routes every structure build through
-it, and :class:`repro.sql.executor.Session` owns one cache per session.
+it, and :class:`repro.sql.session.Session` owns one cache per session.
 """
 
 from repro.cache.budget import (

@@ -355,6 +355,32 @@ class StructureCache:
                 pinned_entries=pinned,
             )
 
+    def metric_rows(self) -> List[Tuple]:
+        """This cache's Prometheus rows: ``(name, help, kind, label
+        names, [(label values, value), ...])``, from one snapshot."""
+        s = self.stats()
+        lookups = s.hits + s.misses
+        return [
+            ("repro_cache_hits_total", "Structure cache hits.",
+             "counter", (), [((), s.hits)]),
+            ("repro_cache_misses_total", "Structure cache misses.",
+             "counter", (), [((), s.misses)]),
+            ("repro_cache_evictions_total", "Structure cache evictions.",
+             "counter", (), [((), s.evictions)]),
+            ("repro_cache_spills_total", "Structures spilled to disk.",
+             "counter", (), [((), s.spills)]),
+            ("repro_cache_reloads_total", "Structures reloaded from spill.",
+             "counter", (), [((), s.reloads)]),
+            ("repro_cache_bytes_in_use", "Bytes held by cached structures.",
+             "gauge", (), [((), s.bytes_in_use)]),
+            ("repro_cache_entries", "Cached structures, by residence.",
+             "gauge", ("state",),
+             [(("resident",), s.entries - s.spilled_entries),
+              (("spilled",), s.spilled_entries)]),
+            ("repro_cache_hit_ratio", "Lifetime structure-cache hit ratio.",
+             "gauge", (), [((), s.hits / lookups if lookups else 0.0)]),
+        ]
+
     def clear(self) -> None:
         """Drop every entry (including pinned ones) and spill files."""
         with self._lock:

@@ -36,18 +36,6 @@ class ConfigurationError(ReproError, ValueError):
     code = "INVALID_CONFIG"
 
 
-class ReproDeprecationWarning(DeprecationWarning):
-    """Warning category for the legacy keyword-argument shims.
-
-    Emitted when :class:`~repro.sql.executor.Session` is constructed
-    with the 16 loose keyword arguments instead of a
-    :class:`~repro.sql.config.SessionConfig`, or ``execute`` is called
-    with loose options instead of a
-    :class:`~repro.sql.config.QueryOptions`. A dedicated subclass so CI
-    can escalate first-party use to an error while leaving downstream
-    callers on the ordinary deprecation path."""
-
-
 class SchemaError(ReproError):
     """A table or column was used in a way incompatible with its schema."""
 

@@ -2,7 +2,7 @@
 
 Sessions keep one :class:`MetricsRegistry` fed from two directions:
 
-* **push** — :meth:`~repro.sql.executor.Session.execute` observes each
+* **push** — :meth:`~repro.sql.session.Session.execute` observes each
   query's latency and queue wait into histograms and bumps the
   per-outcome query counter as queries finish;
 * **pull** — collector callbacks registered with

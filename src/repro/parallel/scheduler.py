@@ -21,7 +21,7 @@ strategies:
   pre-existing code path and pay zero overhead.
 
 The pool is **session-owned, bounded and reused across queries**: a
-:class:`~repro.sql.executor.Session` creates one scheduler
+:class:`~repro.sql.session.Session` creates one scheduler
 (``Session(workers=...)`` / ``REPRO_WORKERS``) whose single
 ``ThreadPoolExecutor`` is shared by every query the gateway admits.
 Admission may run ``max_concurrent`` queries at once, but their morsels
@@ -53,7 +53,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -567,6 +567,56 @@ class WindowScheduler:
         if arena is not None:
             snapshot.arena = arena.stats()
         return snapshot
+
+    def metric_rows(self) -> List[Tuple]:
+        """Prometheus rows: ``(name, help, kind, label names, [(label
+        values, value), ...])`` for the pool, its workers and the arena."""
+        s = self.stats()
+        w = self.worker_stats()
+        a = s.arena
+        events = ("spawned", "restarts", "crashes", "hangs", "retries",
+                  "quarantined", "spawn_failures")
+        return [
+            ("repro_pool_workers", "Window pool worker threads.",
+             "gauge", (), [((), s.workers)]),
+            ("repro_pool_morsels_total", "Morsel tasks run.",
+             "counter", (), [((), s.morsels_run)]),
+            ("repro_pool_groups_total",
+             "Window groups scheduled, by strategy.",
+             "counter", ("strategy",),
+             [(("serial",), s.serial_groups),
+              (("inter-partition",), s.inter_groups),
+              (("intra-partition",), s.intra_groups)]),
+            ("repro_worker_live", "Live process-pool workers.",
+             "gauge", (), [((), w.get("live", 0))]),
+            ("repro_worker_shm_bytes",
+             "Shared-memory bytes held for worker columns.",
+             "gauge", (), [((), w.get("shm_bytes", 0))]),
+            ("repro_worker_events_total",
+             "Process-pool supervision events, by kind.",
+             "counter", ("kind",),
+             [((kind,), w.get(kind, 0)) for kind in events]),
+            ("repro_worker_groups_total",
+             "Parallel groups by executor outcome.",
+             "counter", ("outcome",),
+             [(("process",), s.process_groups),
+              (("degraded",), s.degraded_groups)]),
+            ("repro_arena_bytes",
+             "Bytes resident in the shared-memory table arena.",
+             "gauge", (), [((), a.bytes if a else 0)]),
+            ("repro_arena_entries",
+             "Entries resident in the shared-memory table arena.",
+             "gauge", (), [((), a.entries if a else 0)]),
+            ("repro_arena_hits_total",
+             "Table-arena hits (zero-copy warm attaches).",
+             "counter", (), [((), a.hits if a else 0)]),
+            ("repro_arena_misses_total",
+             "Table-arena misses (cold materializations).",
+             "counter", (), [((), a.misses if a else 0)]),
+            ("repro_arena_evictions_total",
+             "Table-arena entries evicted under memory pressure.",
+             "counter", (), [((), a.evictions if a else 0)]),
+        ]
 
 
 #: Process-wide default scheduler, sized by ``REPRO_WORKERS`` at first

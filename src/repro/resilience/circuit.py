@@ -27,7 +27,7 @@ State machine (the classic three states):
   ``reset_timeout`` elapses, after which the next caller probes again.
 
 Breakers are shared session-wide (all queries of a
-:class:`~repro.sql.executor.Session` see the same
+:class:`~repro.sql.session.Session` see the same
 :class:`BreakerRegistry` via their
 :class:`~repro.resilience.context.ExecutionContext`), so one query's
 failures protect the next query from the same broken resource. All
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import CircuitOpenError
 
@@ -232,6 +232,21 @@ class BreakerRegistry:
         with self._lock:
             breakers = list(self._breakers.values())
         return [b.snapshot() for b in breakers]
+
+    def metric_rows(self) -> List[Tuple]:
+        """Prometheus rows: ``(name, help, kind, label names, [(label
+        values, value), ...])``, one series per breaker seen so far."""
+        states = {"closed": 0, "open": 1, "half-open": 2}
+        snaps = self.snapshots()
+        return [
+            ("repro_breaker_state",
+             "Breaker state (0 closed, 1 open, 2 half-open).",
+             "gauge", ("resource",),
+             [((s.name,), states.get(s.state, -1)) for s in snaps]),
+            ("repro_breaker_trips_total", "Breaker trips.",
+             "counter", ("resource",),
+             [((s.name,), s.trips) for s in snaps]),
+        ]
 
     def reset_all(self) -> None:
         """Administratively close every breaker (the operator fixed the

@@ -48,12 +48,12 @@ Sites currently wired into the engine:
 * ``shm.attach``     — before every shared-memory segment creation in
   :class:`~repro.parallel.shm.ShmArena`, so shared-memory setup can be
   failed like a full ``/dev/shm``;
-* ``join.build``     — before every hash-join build in the SQL
-  executor, after the build-side reservation is taken, so join memory
-  accounting unwinds cleanly under injected failure;
-* ``cte.materialize`` — before every CTE materialization in
-  ``execute_select``, so half-materialized WITH chains release their
-  reservations.
+* ``join.build``     — before every hash join in the SQL executor
+  (fired by the plan driver as it enters the node), so a join nested
+  under other joins unwinds their reservations under injected failure;
+* ``cte.materialize`` — before every CTE materialization (the plan
+  driver entering a CTE node), so half-materialized WITH chains
+  release their reservations.
 
 The injector is carried by the active
 :class:`~repro.resilience.context.ExecutionContext`; code under test

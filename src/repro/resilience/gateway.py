@@ -4,7 +4,7 @@ Nothing in the engine bounded how many queries could build O(n log n)
 index structures at once; under heavy concurrent traffic that turns
 into memory blow-ups and convoy effects on the structure cache lock.
 The :class:`QueryGateway` is the front door every
-:class:`~repro.sql.executor.Session` query passes through:
+:class:`~repro.sql.session.Session` query passes through:
 
 * a fixed number of **concurrency slots** (``max_concurrent``) bounds
   simultaneously executing queries;
@@ -37,7 +37,7 @@ import threading
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterator, List, Optional
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import QueryRejectedError
 from repro.resilience.context import ExecutionContext, current_context
@@ -300,3 +300,23 @@ class QueryGateway:
                 queued_now={cls: len(q)
                             for cls, q in self._queues.items()})
             return snap
+
+    def metric_rows(self) -> List[Tuple]:
+        """Prometheus rows: ``(name, help, kind, label names, [(label
+        values, value), ...])``, from one snapshot."""
+        s = self.stats()
+
+        def by_class(counts: Dict[str, int]) -> List[Tuple]:
+            return [((cls,), counts.get(cls, 0)) for cls in PRIORITIES]
+
+        return [
+            ("repro_gateway_active", "Queries currently executing.",
+             "gauge", (), [((), s.active)]),
+            ("repro_gateway_queued",
+             "Queries parked in the admission queue.",
+             "gauge", ("priority",), by_class(s.queued_now)),
+            ("repro_gateway_admitted_total", "Queries admitted.",
+             "counter", ("priority",), by_class(s.admitted_by_class)),
+            ("repro_gateway_shed_total", "Queries shed.",
+             "counter", ("priority",), by_class(s.shed_by_class)),
+        ]

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import MemoryPressureError
 
@@ -464,3 +464,39 @@ class MemoryGovernor:
                 partition_spill_bytes=self._stats.partition_spill_bytes,
                 by_tag=dict(self._by_tag),
             )
+
+    def metric_rows(self) -> List[Tuple]:
+        """Prometheus rows: ``(name, help, kind, label names, [(label
+        values, value), ...])``, from one snapshot."""
+        s = self.stats()
+        return [
+            ("repro_memory_budget_bytes",
+             "Session memory budget (0 = unlimited).",
+             "gauge", (), [((), s.budget_bytes or 0)]),
+            ("repro_memory_used_bytes", "Bytes in the session ledger.",
+             "gauge", (), [((), s.used_bytes)]),
+            ("repro_memory_reserved_bytes",
+             "Bytes held by query reservations.",
+             "gauge", (), [((), s.reserved_bytes)]),
+            ("repro_memory_peak_bytes",
+             "High-water mark of the session ledger.",
+             "gauge", (), [((), s.peak_bytes)]),
+            ("repro_memory_reservations_total",
+             "Query byte reservations granted.",
+             "counter", (), [((), s.reservations)]),
+            ("repro_memory_waits_total",
+             "Batch reservations that waited for headroom.",
+             "counter", (), [((), s.waits)]),
+            ("repro_memory_denials_total",
+             "Batch reservations shed under memory pressure.",
+             "counter", (), [((), s.denials)]),
+            ("repro_memory_pressure_events_total",
+             "Soft reservations granted past the budget.",
+             "counter", (), [((), s.pressure_events)]),
+            ("repro_memory_partition_spills_total",
+             "Partition result chunks spilled (out-of-core mode).",
+             "counter", (), [((), s.partition_spills)]),
+            ("repro_memory_partition_reloads_total",
+             "Partition result chunks reloaded (out-of-core mode).",
+             "counter", (), [((), s.partition_reloads)]),
+        ]

@@ -1,7 +1,7 @@
 """The tenant-aware query service the HTTP server fronts.
 
 :class:`QueryService` binds together one engine
-:class:`~repro.sql.executor.Session` (gateway, breakers, caches,
+:class:`~repro.sql.session.Session` (gateway, breakers, caches,
 metrics), a :class:`~repro.serve.tenants.TenantRegistry`, and a
 dedicated :class:`~concurrent.futures.ThreadPoolExecutor`. The engine
 is synchronous, GIL-bound numpy work; every query runs on the executor
@@ -35,8 +35,7 @@ from repro.serve.wire import (
     field_str,
     parse_json_body,
 )
-from repro.sql.config import QueryOptions
-from repro.sql.executor import Session
+from repro.sql import QueryOptions, Session
 from repro.wire import to_jsonable
 
 __all__ = ["QueryService"]

@@ -6,9 +6,10 @@ queries (Sections 1, 2.2, 2.4, 4.4, 6.2, 6.5) exercise:
 
 * SELECT with expressions, aliases, ``*``; WITH (CTEs); derived tables;
 * WHERE / GROUP BY / HAVING / ORDER BY / LIMIT;
-* inner and cross joins with arbitrary ON predicates (executed as
-  nested-loop joins — deliberately, since that O(n^2) plan shape is what
-  every system picked for the Figure 9 traditional formulations);
+* inner, left and cross joins with arbitrary ON predicates: hash joins
+  wherever the ON condition has an equi-key, nested loops otherwise —
+  the O(n^2) plan shape every system picked for the Figure 9
+  traditional formulations;
 * correlated scalar subqueries;
 * aggregate functions incl. ``PERCENTILE_DISC/CONT .. WITHIN GROUP``;
 * window functions with the paper's proposed extensions: DISTINCT
@@ -27,11 +28,12 @@ Usage::
 
 from repro.sql.catalog import Catalog
 from repro.sql.config import QueryOptions, SessionConfig
-from repro.sql.executor import Session, execute
+from repro.sql.executor import execute
 from repro.sql.explain import explain
 from repro.sql.lexer import tokenize
 from repro.sql.parser import parse
 from repro.sql.result import QueryResult, QueryStats
+from repro.sql.session import Session
 
 __all__ = ["Catalog", "QueryOptions", "QueryResult", "QueryStats",
            "Session", "SessionConfig", "execute", "explain", "parse",

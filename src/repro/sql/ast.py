@@ -1,10 +1,17 @@
-"""Abstract syntax tree node types."""
+"""Abstract syntax tree node types and the one traversal over them.
+
+Every node is a frozen dataclass, so :func:`children`,
+:func:`statements` and :func:`map_children` are derived from
+``dataclasses.fields`` — a new node type is traversed without anyone
+remembering to extend an ``isinstance`` ladder.
+"""
 
 from __future__ import annotations
 
-import datetime
+import dataclasses
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple, Union
+from functools import lru_cache
+from typing import Any, Callable, Iterator, List, Optional, Tuple, Union
 
 
 # ----------------------------------------------------------------------
@@ -167,6 +174,8 @@ class Parameter(Expr):
 
 @dataclass(frozen=True)
 class ScalarSubquery(Expr):
+    #: The body as parsed; the planner replaces it (here and in
+    #: InSubquery / ExistsExpr) with its planned ``StatementPlan``.
     select: "SelectStmt"
 
 
@@ -230,3 +239,106 @@ class SelectStmt:
     limit: Optional[int] = None
     distinct: bool = False
     ctes: Tuple[Tuple[str, "SelectStmt"], ...] = ()
+
+
+# ----------------------------------------------------------------------
+# traversal
+# ----------------------------------------------------------------------
+#: Non-expression dataclasses that traversal looks through.
+_CARRIERS = (SortItem, FrameBoundAst, FrameAst, WindowDef, SelectItem,
+             Join, DerivedTable)
+
+
+#: Field annotations that can hold neither an expression nor a
+#: statement; traversal skips such fields without looking at them.
+_PLAIN = frozenset({"str", "bool", "int", "Any", "Optional[int]",
+                    "Optional[str]"})
+
+
+@lru_cache(maxsize=None)
+def _field_names(cls: type) -> Tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls)
+                 if f.type not in _PLAIN)
+
+
+def _scan(value: Any, exprs: List[Expr],
+          stmts: List[SelectStmt]) -> None:
+    if isinstance(value, Expr):
+        exprs.append(value)
+    elif isinstance(value, SelectStmt):
+        stmts.append(value)
+    elif isinstance(value, tuple):
+        for item in value:
+            _scan(item, exprs, stmts)
+    elif isinstance(value, _CARRIERS):
+        for name in _field_names(type(value)):
+            _scan(getattr(value, name), exprs, stmts)
+
+
+def _scan_fields(node: Any) -> Tuple[List[Expr], List[SelectStmt]]:
+    exprs: List[Expr] = []
+    stmts: List[SelectStmt] = []
+    for name in _field_names(type(node)):
+        _scan(getattr(node, name), exprs, stmts)
+    return exprs, stmts
+
+
+def children(node: Any) -> List[Expr]:
+    """The expressions immediately inside ``node``, in field order.
+
+    For an expression these are its sub-expressions (sort items,
+    window definitions and CASE arms looked through); for a
+    :class:`SelectStmt` they are the statement's own top-level
+    expressions, JOIN conditions included. Nested statements are never
+    entered — :func:`statements` returns those."""
+    return _scan_fields(node)[0]
+
+
+def statements(node: Any) -> List[SelectStmt]:
+    """The statements immediately inside ``node``: a subquery
+    expression's body, or a statement's CTE bodies and derived tables."""
+    return _scan_fields(node)[1]
+
+
+def walk(node: Any) -> Iterator[Any]:
+    """``node`` and every expression and statement beneath it,
+    pre-order, nested statements included."""
+    pending = [node]
+    while pending:
+        node = pending.pop()
+        yield node
+        exprs, stmts = _scan_fields(node)
+        pending.extend(reversed(stmts))
+        pending.extend(reversed(exprs))
+
+
+def map_children(node: Any, fn: Callable[[Expr], Expr],
+                 stmt_fn: Optional[Callable[[SelectStmt], SelectStmt]]
+                 = None) -> Any:
+    """A copy of ``node`` with ``fn`` applied to every expression
+    :func:`children` returns (and ``stmt_fn``, when given, to every
+    statement :func:`statements` returns). Returns ``node`` itself when
+    nothing changed."""
+    changes = {}
+    for name in _field_names(type(node)):
+        old = getattr(node, name)
+        new = _rebuild(old, fn, stmt_fn)
+        if new is not old:
+            changes[name] = new
+    return dataclasses.replace(node, **changes) if changes else node
+
+
+def _rebuild(value: Any, fn: Any, stmt_fn: Any) -> Any:
+    if isinstance(value, Expr):
+        return fn(value)
+    if isinstance(value, tuple):
+        items = [_rebuild(item, fn, stmt_fn) for item in value]
+        for new, old in zip(items, value):
+            if new is not old:
+                return tuple(items)
+        return value
+    if isinstance(value, _CARRIERS):
+        return map_children(value, fn, stmt_fn)
+    if stmt_fn is not None and isinstance(value, SelectStmt):
+        return stmt_fn(value)
+    return value

@@ -111,7 +111,7 @@ class Catalog:
 class Scope:
     """An ordered set of ``(qualifier, column)`` bindings.
 
-    Mirrors :class:`repro.sql.executor.Relation`'s binding list — and
+    Mirrors :class:`repro.sql.expr.Relation`'s binding list — and
     its resolution rules (ambiguity raises, qualifiers compare
     lowercased) — without materializing any data, so the planner can
     resolve names at plan time with execution semantics.

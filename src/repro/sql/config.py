@@ -1,7 +1,7 @@
 """Typed, validated session and query configuration.
 
 :class:`SessionConfig` gathers what used to be 16 loose
-:class:`~repro.sql.executor.Session` keyword arguments — cache sizing,
+:class:`~repro.sql.session.Session` keyword arguments — cache sizing,
 guardrail defaults, gateway admission, breaker tuning, verification
 sampling, worker count — plus the observability switches, into one
 frozen dataclass that validates at construction. A bad combination

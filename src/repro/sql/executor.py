@@ -1,184 +1,47 @@
-"""AST interpreter with vectorised expression evaluation.
+"""The plan executor: one driver, one operator per plan node.
 
-The executor walks a parsed :class:`~repro.sql.ast.SelectStmt` and
-evaluates it against a :class:`~repro.sql.catalog.Catalog`:
+:func:`execute` parses a statement, plans it
+(:func:`repro.sql.plan.plan_statement`) and walks the resulting tree.
+Every node runs through :func:`run`, the single place that applies the
+cross-cutting work — deadline/cancellation checkpoint, fault-site
+fire, trace span, row-ceiling guard, governor reservation release —
+so an operator body is only its relational algebra:
 
-* expressions evaluate column-at-a-time (numpy) with SQL NULL semantics;
-* joins run as nested loops with a vectorised inner predicate — the plan
-  shape the paper observes for the Figure 9 traditional formulations;
-* correlated scalar subqueries re-execute per outer row (also Figure 9);
-* window functions are translated to :class:`~repro.window.WindowCall` /
-  :class:`~repro.window.WindowSpec` and evaluated by the window operator,
-  including the paper's extensions (DISTINCT, function-level ORDER BY,
-  FILTER, IGNORE NULLS, arbitrary frame-bound expressions, EXCLUDE).
+* scans, hash joins (nested loops where the planner found no equi-key
+  — the plan shape the paper observes for the Figure 9 traditional
+  formulations), filter, group-by aggregation, projection, DISTINCT,
+  ORDER BY and LIMIT over column vectors;
+* window functions, handed to the window operator
+  (:class:`~repro.window.operator.WindowOperator`) through
+  :class:`~repro.sql.windows.WindowBuilder`.
 """
 
 from __future__ import annotations
 
-import datetime
-import threading
-import warnings
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import replace
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.errors import (
-    ConfigurationError,
-    MemoryPressureError,
-    ParameterBindingError,
-    QueryCancelledError,
-    QueryRejectedError,
-    QueryTimeoutError,
-    ReproDeprecationWarning,
-    ResourceLimitError,
-    SqlAnalysisError,
-)
-from repro.obs import Tracer, trace_enabled_from_env
+from repro.obs import NULL_SPAN, Tracer, trace_enabled_from_env
 from repro.resilience.context import (
-    CancellationToken,
     ExecutionContext,
-    HealthCounters,
-    ResourceLimits,
     activate,
     current_context,
 )
-from repro.resilience.faults import FaultInjector
-from repro.sql import ast
-from repro.sql import plan as logical_plan
-from repro.sql.catalog import Scope, TableSchema
-from repro.sql.config import QueryOptions, SessionConfig
-from repro.sql.result import QueryResult, QueryStats
-from repro.sql.aggregates import compute_aggregate, is_aggregate_name
+from repro.errors import SqlAnalysisError
+from repro.sql import ast, plan
+from repro.sql.aggregates import compute_aggregate
 from repro.sql.catalog import Catalog
+from repro.sql.expr import Context, OuterRow, Relation, evaluate, infer_dtype
 from repro.sql.parser import parse
-from repro.sql.vector import (
-    Vector,
-    arithmetic,
-    cast,
-    comparison,
-    concat,
-    from_column,
-    from_scalar,
-    logical_and,
-    logical_not,
-    logical_or,
-    negate,
-    truthy_rows,
-)
+from repro.sql.vector import Vector, from_column, truthy_rows
+from repro.sql.windows import WindowBuilder
 from repro.sortutil import SortColumn, stable_argsort
 from repro.table.column import Column, DataType
 from repro.table.schema import Field, Schema
 from repro.table.table import Table
-from repro.window.calls import WindowCall
-from repro.window.frame import (
-    FrameBound,
-    FrameExclusion,
-    FrameMode,
-    FrameSpec,
-    OrderItem,
-    WindowSpec,
-    current_row,
-    following,
-    preceding,
-    unbounded_following,
-    unbounded_preceding,
-)
 from repro.window.operator import WindowOperator
-
-
-# ----------------------------------------------------------------------
-# relations
-# ----------------------------------------------------------------------
-class Relation:
-    """A bag of equal-length vectors with (qualifier, name) bindings."""
-
-    def __init__(self, vectors: List[Vector],
-                 bindings: List[Tuple[Optional[str], str]]) -> None:
-        self.vectors = vectors
-        self.bindings = bindings
-
-    @property
-    def n(self) -> int:
-        return len(self.vectors[0]) if self.vectors else 0
-
-    @classmethod
-    def from_table(cls, table: Table, qualifier: Optional[str]) -> "Relation":
-        vectors = [from_column(col) for col in table.columns]
-        bindings = [(qualifier, f.name.lower()) for f in table.schema]
-        return cls(vectors, bindings)
-
-    def requalified(self, qualifier: Optional[str]) -> "Relation":
-        return Relation(list(self.vectors),
-                        [(qualifier, name) for _, name in self.bindings])
-
-    def resolve(self, name: str, qualifier: Optional[str]) -> Optional[int]:
-        name = name.lower()
-        matches = []
-        for index, (qual, col) in enumerate(self.bindings):
-            if col != name:
-                continue
-            if qualifier is not None and qual != qualifier.lower():
-                continue
-            matches.append(index)
-        if not matches:
-            return None
-        if len(matches) > 1:
-            where = f"{qualifier}.{name}" if qualifier else name
-            raise SqlAnalysisError(f"ambiguous column reference {where!r}")
-        return matches[0]
-
-    def add(self, vector: Vector, name: str,
-            qualifier: Optional[str] = None) -> None:
-        self.vectors.append(vector)
-        self.bindings.append((qualifier, name.lower()))
-
-    def take(self, rows: np.ndarray) -> "Relation":
-        return Relation([v.take(rows) for v in self.vectors],
-                        list(self.bindings))
-
-    def concat_columns(self, other: "Relation") -> "Relation":
-        return Relation(self.vectors + other.vectors,
-                        self.bindings + other.bindings)
-
-
-class OuterRow:
-    """One row of an enclosing query, visible to correlated subqueries."""
-
-    def __init__(self, relation: Relation, row: int,
-                 parent: Optional["OuterRow"] = None,
-                 usage: Optional[List[bool]] = None) -> None:
-        self.relation = relation
-        self.row = row
-        self.parent = parent
-        self.usage = usage
-
-    def lookup(self, name: str,
-               qualifier: Optional[str]) -> Optional[Tuple[Vector, int]]:
-        index = self.relation.resolve(name, qualifier)
-        if index is not None:
-            if self.usage is not None:
-                self.usage[0] = True
-            return self.relation.vectors[index], self.row
-        if self.parent is not None:
-            return self.parent.lookup(name, qualifier)
-        return None
-
-
-@dataclass
-class Context:
-    catalog: Catalog
-    ctes: Dict[str, Tuple[Relation, List[str]]] = field(default_factory=dict)
-    outer: Optional[OuterRow] = None
-    cache: Any = None  # optional repro.cache.StructureCache
-    parallel: Any = None  # optional repro.parallel.scheduler.WindowScheduler
-
-    def child(self, **overrides: Any) -> "Context":
-        values = {"catalog": self.catalog, "ctes": dict(self.ctes),
-                  "outer": self.outer, "cache": self.cache,
-                  "parallel": self.parallel}
-        values.update(overrides)
-        return Context(**values)
 
 
 # ----------------------------------------------------------------------
@@ -192,7 +55,8 @@ def execute(sql_or_ast: Union[str, ast.SelectStmt], catalog: Catalog,
 
     ``cache`` is an optional :class:`repro.cache.StructureCache`; window
     index structures are acquired through it so repeated queries over
-    unchanged data reuse their trees (see :class:`Session`).
+    unchanged data reuse their trees (see
+    :class:`~repro.sql.session.Session`).
 
     ``parallel`` is an optional
     :class:`~repro.parallel.scheduler.WindowScheduler` governing
@@ -203,11 +67,21 @@ def execute(sql_or_ast: Union[str, ast.SelectStmt], catalog: Catalog,
     :class:`~repro.resilience.context.ExecutionContext` carrying the
     query's deadline, cancellation token, resource limits and fault
     injector. It is installed as the calling thread's active context for
-    the duration of the query, so every layer below — pipeline stages,
+    the duration of the query, so every layer below — the plan driver,
     the window operator, evaluator loops, thread-pool workers —
     checkpoints against it without parameter plumbing. Without one, the
     query runs under the current (usually ambient, unarmed) context.
     """
+    return execute_plan(sql_or_ast, catalog, cache, context, parallel)[0]
+
+
+def execute_plan(sql_or_ast: Union[str, ast.SelectStmt], catalog: Catalog,
+                 cache: Any = None,
+                 context: Optional[ExecutionContext] = None,
+                 parallel: Any = None
+                 ) -> Tuple[Table, plan.StatementPlan, Dict[int, Any]]:
+    """:func:`execute`, also returning the plan that ran and, when the
+    query was traced, each plan node's span (keyed by ``id(node)``)."""
     own_tracer = None
     if context is None and trace_enabled_from_env():
         # The REPRO_TRACE CI leg exercises tracing even through bare
@@ -217,21 +91,26 @@ def execute(sql_or_ast: Union[str, ast.SelectStmt], catalog: Catalog,
         context = ExecutionContext(tracer=own_tracer)
     try:
         if context is None:
-            stmt = _parse_traced(sql_or_ast, current_context())
-            relation, names = execute_select(
-                stmt,
-                Context(catalog=catalog, cache=cache, parallel=parallel))
-            return _relation_to_table(relation, names)
+            return _plan_and_run(sql_or_ast, catalog, cache,
+                                 current_context(), parallel)
         with activate(context):
             context.checkpoint()
-            stmt = _parse_traced(sql_or_ast, context)
-            relation, names = execute_select(
-                stmt,
-                Context(catalog=catalog, cache=cache, parallel=parallel))
-            return _relation_to_table(relation, names)
+            return _plan_and_run(sql_or_ast, catalog, cache, context,
+                                 parallel)
     finally:
         if own_tracer is not None:
             own_tracer.finish()
+
+
+def _plan_and_run(sql_or_ast: Union[str, ast.SelectStmt], catalog: Catalog,
+                  cache: Any, exec_ctx: ExecutionContext, parallel: Any
+                  ) -> Tuple[Table, plan.StatementPlan, Dict[int, Any]]:
+    stmt = _parse_traced(sql_or_ast, exec_ctx)
+    statement = plan.plan_statement(stmt, catalog)
+    ctx = Context(catalog, exec_ctx, cache, parallel)
+    relation = run_statement(statement, ctx)
+    return (_relation_to_table(relation, statement.names), statement,
+            ctx.actuals)
 
 
 def _parse_traced(sql_or_ast: Union[str, ast.SelectStmt],
@@ -240,780 +119,11 @@ def _parse_traced(sql_or_ast: Union[str, ast.SelectStmt],
     straight through — they were parsed, and possibly traced, earlier)."""
     if not isinstance(sql_or_ast, str):
         return sql_or_ast
-    tracer = exec_ctx.tracer
-    if tracer.enabled:
-        with tracer.span("parse", chars=len(sql_or_ast)):
-            return parse(sql_or_ast)
-    return parse(sql_or_ast)
+    with exec_ctx.tracer.span("parse", chars=len(sql_or_ast)):
+        return parse(sql_or_ast)
 
 
-#: Fixed per-query overhead charged on top of scanned-table bytes:
-#: sort permutations, partition boundaries, small intermediates.
-_QUERY_OVERHEAD_BYTES = 64 << 10
-
-
-def _collect_table_names(stmt: ast.SelectStmt, out: set) -> None:
-    """All catalog table names a statement scans (CTEs, derived tables
-    and WHERE/HAVING/SELECT subqueries recursed)."""
-    for _name, cte in stmt.ctes:
-        _collect_table_names(cte, out)
-
-    def walk(node: Any) -> None:
-        if node is None:
-            return
-        if isinstance(node, ast.NamedTable):
-            out.add(node.name.lower())
-        elif isinstance(node, ast.DerivedTable):
-            _collect_table_names(node.select, out)
-        elif isinstance(node, ast.Join):
-            walk(node.left)
-            walk(node.right)
-            if node.condition is not None:
-                visit(node.condition)
-
-    def visit(expr: ast.Expr) -> None:
-        if isinstance(expr, (ast.ScalarSubquery, ast.ExistsExpr,
-                             ast.InSubquery)):
-            _collect_table_names(expr.select, out)
-            if isinstance(expr, ast.InSubquery):
-                visit(expr.expr)
-            return
-        for child in _children(expr):
-            visit(child)
-
-    walk(stmt.from_)
-    for item in stmt.items:
-        visit(item.expr)
-    for expr in (stmt.where, stmt.having):
-        if expr is not None:
-            visit(expr)
-
-
-def _estimate_query_bytes(stmt: ast.SelectStmt, catalog: Catalog) -> int:
-    """An admission-time working-set estimate for one statement.
-
-    Sums the resident bytes of every catalog table the statement scans
-    (CTE names that shadow nothing in the catalog contribute nothing —
-    their inputs are already counted through their own scans), doubled
-    for materialised intermediates and window output columns, plus a
-    fixed overhead. Deliberately coarse: the governor needs a
-    consistent admission signal, not an exact footprint — actual
-    structure bytes are charged precisely as they are built."""
-    from repro.resilience.memory import table_bytes
-
-    names: set = set()
-    _collect_table_names(stmt, names)
-    total = 0
-    for name in names:
-        if name in catalog:
-            total += table_bytes(catalog.lookup(name))
-    return total * 2 + _QUERY_OVERHEAD_BYTES
-
-
-class Session:
-    """A query session owning one window-structure cache.
-
-    The serving pattern the cache targets: one long-lived session, many
-    queries against slowly-changing tables. Every structure built by a
-    window evaluator is kept (up to ``budget_bytes``, with LRU spill to
-    disk beyond it) and reused whenever a later query needs the same
-    structure over the same data.
-
-    Each query runs under its own
-    :class:`~repro.resilience.context.ExecutionContext`. ``timeout`` and
-    ``limits`` given here are session-wide defaults; per-call arguments
-    to :meth:`execute` override them. ``clock``/``faults`` exist for
-    deterministic testing (simulated deadlines, injected I/O failures).
-    Guardrail telemetry accumulates across queries in
-    :meth:`health_stats` and renders in :meth:`explain` — a query that
-    timed out, retried spill I/O or degraded to a baseline evaluator
-    leaves a visible trace.
-
-    Concurrency is governed by a session-wide
-    :class:`~repro.resilience.gateway.QueryGateway`: at most
-    ``max_concurrent`` queries execute at once, waiters park in
-    per-priority FIFO queues (``execute(priority=...)``,
-    ``interactive`` before ``batch``) bounded at ``max_queue``, and
-    arrivals beyond that are shed with a typed
-    :class:`~repro.errors.QueryRejectedError`. A session-wide
-    :class:`~repro.resilience.circuit.BreakerRegistry` protects
-    structure builds and spill I/O: after ``breaker_threshold``
-    consecutive failures the resource fails fast for ``breaker_reset``
-    seconds (degrading to the naive evaluators / drops / rebuilds)
-    before a half-open probe tests recovery. ``verify_rate`` enables
-    sampled shadow verification: that fraction of (call, partition)
-    evaluations is re-answered by the naive oracle and any divergence
-    raises :class:`~repro.errors.VerificationError`.
-
-    ``workers`` sizes the session's shared window thread pool (default:
-    the ``REPRO_WORKERS`` environment variable, serial when unset). All
-    admitted queries share one
-    :class:`~repro.parallel.scheduler.WindowScheduler`, so the total
-    number of worker threads stays at ``workers`` even with
-    ``max_concurrent`` queries in flight — concurrency and parallelism
-    compose without oversubscribing the machine. ``executor`` selects
-    what backs the scheduler: ``"process"`` (supervised child
-    processes over shared-memory columns — true multicore),
-    ``"thread"`` (the default GIL-bound pool) or ``"serial"``.
-
-    Observability: every query can run under a per-query span tracer
-    (``SessionConfig.trace`` / ``QueryOptions.trace`` /
-    ``REPRO_TRACE``), the session keeps a
-    :class:`~repro.obs.metrics.MetricsRegistry` scrapeable as
-    Prometheus text via :meth:`metrics_text`, and
-    ``explain(sql, analyze=True)`` executes the query under tracing
-    and annotates the plan with actual per-phase timings.
-
-    ::
-
-        config = SessionConfig(budget_bytes=64 << 20, timeout=5.0,
-                               max_concurrent=8, workers=4,
-                               verify_rate=0.05)
-        session = Session(catalog, config=config)
-        session.execute(sql)   # cold: builds trees
-        session.execute(sql, options=QueryOptions(priority="batch"))
-        print(session.explain(sql, analyze=True))  # actual timings
-        print(session.metrics_text())              # Prometheus scrape
-
-    The pre-1.1 loose keyword form — ``Session(catalog, timeout=5.0,
-    workers=4, ...)`` and ``execute(sql, timeout=..., priority=...)`` —
-    keeps working through a shim that maps onto the dataclasses and
-    emits :class:`~repro.errors.ReproDeprecationWarning`.
-    """
-
-    #: The pre-SessionConfig constructor keywords, accepted via the
-    #: deprecation shim and mapped 1:1 onto SessionConfig fields.
-    _LEGACY_KWARGS = (
-        "budget_bytes", "spill_dir", "spill", "timeout", "limits",
-        "faults", "clock", "max_concurrent", "max_queue",
-        "queue_timeout", "breaker_threshold", "breaker_reset",
-        "verify_rate", "verify_seed", "verify_reload", "workers")
-
-    def __init__(self, catalog: Catalog,
-                 config: Optional[SessionConfig] = None,
-                 **legacy: Any) -> None:
-        from repro.cache.store import StructureCache
-        from repro.parallel.scheduler import WindowScheduler
-        from repro.resilience.circuit import BreakerRegistry
-        from repro.resilience.gateway import QueryGateway
-
-        if legacy:
-            unknown = sorted(set(legacy) - set(self._LEGACY_KWARGS))
-            if unknown:
-                raise TypeError(
-                    f"Session() got unexpected keyword argument(s) "
-                    f"{unknown}; see SessionConfig for the supported "
-                    f"fields")
-            if config is not None:
-                raise ConfigurationError(
-                    "pass either config=SessionConfig(...) or the legacy "
-                    "keyword arguments, not both")
-            warnings.warn(
-                "passing loose keyword arguments to Session() is "
-                "deprecated; pass Session(catalog, "
-                "config=SessionConfig(...)) instead",
-                ReproDeprecationWarning, stacklevel=2)
-            config = SessionConfig(**legacy)
-        elif config is None:
-            config = SessionConfig()
-        self.config = config
-        self.catalog = catalog
-        #: Session-wide byte ledger (see repro.resilience.memory):
-        #: query reservations, structure-cache and plan-cache bytes all
-        #: charge one budget, and pressure triggers eviction, spill
-        #: execution or typed shedding instead of unbounded growth.
-        from repro.resilience.memory import MemoryGovernor
-        from repro.sql.config import resolve_memory_settings
-        mem_budget, out_of_core = resolve_memory_settings(config)
-        self.memory = MemoryGovernor(mem_budget, out_of_core=out_of_core,
-                                     clock=config.clock)
-        self.cache = StructureCache(budget_bytes=config.budget_bytes,
-                                    spill_dir=config.spill_dir,
-                                    spill=config.spill,
-                                    verify_reload=config.verify_reload,
-                                    governor=self.memory)
-        self.default_timeout = config.timeout
-        self.default_limits = config.limits
-        self.faults = config.faults
-        self.clock = config.clock
-        self.gateway = QueryGateway(max_concurrent=config.max_concurrent,
-                                    max_queue=config.max_queue,
-                                    queue_timeout=config.queue_timeout,
-                                    clock=config.clock)
-        self.breakers = BreakerRegistry(
-            failure_threshold=config.breaker_threshold,
-            reset_timeout=config.breaker_reset,
-            clock=config.clock)
-        self.verify_rate = config.verify_rate
-        self.verify_seed = config.verify_seed
-        #: Prepared-statement cache: normalized-SQL fingerprint →
-        #: parsed AST, shared by execute/explain whenever SQL text (not
-        #: a pre-parsed AST) is submitted. ``plan_cache_bytes=0``
-        #: disables it.
-        from repro.sql.plancache import PlanCache
-        self.plan_cache = PlanCache(budget_bytes=config.plan_cache_bytes,
-                                    governor=self.memory)
-        #: One scheduler (and thread pool) per session: every admitted
-        #: query shares it, so total worker threads stay bounded at
-        #: ``workers`` no matter how large ``max_concurrent`` is.
-        self.parallel = WindowScheduler(workers=config.workers,
-                                        executor=config.executor,
-                                        arena_bytes=config.arena_bytes,
-                                        governor=self.memory)
-        self.health = HealthCounters()
-        self._health_lock = threading.Lock()
-        #: Tracing default for queries that don't override it per call:
-        #: the config switch, falling back to ``REPRO_TRACE``.
-        self.trace_default = (config.trace if config.trace is not None
-                              else trace_enabled_from_env())
-        self.metrics = None
-        if config.metrics:
-            from repro.obs import MetricsRegistry
-            self.metrics = MetricsRegistry()
-            self._init_metrics()
-
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
-    def execute(self, sql_or_ast: Union[str, ast.SelectStmt],
-                options: Optional[QueryOptions] = None,
-                timeout: Optional[float] = None,
-                token: Optional[CancellationToken] = None,
-                limits: Optional[ResourceLimits] = None,
-                priority: Optional[str] = None,
-                trace: Optional[bool] = None) -> QueryResult:
-        """Run one query under this session's guardrails.
-
-        Pass a :class:`~repro.sql.config.QueryOptions` as ``options``;
-        the loose ``timeout``/``token``/``limits``/``priority`` keywords
-        are the pre-1.1 form and keep working (``timeout``/``limits``
-        default to the session-wide settings; ``token`` allows another
-        thread to cancel this query cooperatively; ``priority`` selects
-        the gateway admission class, ``interactive`` before ``batch``).
-
-        Returns a :class:`~repro.sql.result.QueryResult`: the result
-        table (transparently iterable/comparable like a bare ``Table``)
-        plus per-query ``.stats``, the span tree in ``.trace`` when the
-        query ran under tracing, and ``.explain()``. The query's health
-        counters merge into the session totals whether it succeeds, is
-        shed, or fails."""
-        if options is None:
-            options = QueryOptions(
-                timeout=timeout, token=token, limits=limits,
-                priority="interactive" if priority is None else priority,
-                trace=trace)
-        elif (timeout is not None or token is not None
-              or limits is not None or priority is not None
-              or trace is not None):
-            raise ConfigurationError(
-                "pass either options=QueryOptions(...) or the loose "
-                "keyword arguments, not both")
-        return self._run(sql_or_ast, options)
-
-    def _run(self, sql_or_ast: Union[str, ast.SelectStmt],
-             options: QueryOptions,
-             params: Optional[Dict[Any, Any]] = None) -> QueryResult:
-        trace_on = (options.trace if options.trace is not None
-                    else self.trace_default)
-        tracer = Tracer(clock=self.clock,
-                        max_spans=self.config.trace_max_spans) \
-            if trace_on else None
-        context = ExecutionContext(
-            timeout=(options.timeout if options.timeout is not None
-                     else self.default_timeout),
-            token=options.token,
-            limits=(options.limits if options.limits is not None
-                    else self.default_limits),
-            faults=self.faults,
-            clock=self.clock,
-            breakers=self.breakers,
-            verify_rate=self.verify_rate,
-            verify_seed=self.verify_seed,
-            tracer=tracer,
-            memory=self.memory)
-        clock = context.clock
-        started = clock.monotonic()
-        outcome = "error"
-        table: Optional[Table] = None
-        stmt: Optional[ast.SelectStmt] = None
-        reservation = None
-        try:
-            stmt = self._parse(sql_or_ast, context)
-            if params is not None:
-                # Prepared execution: the plan cache holds the
-                # parameterized AST (so re-execution with new literals
-                # is a cache hit); binding produces a fresh literal
-                # tree per call without touching the cached one.
-                stmt = logical_plan.bind_parameters(stmt, params)
-            # Admission-time memory reservation: estimate the query's
-            # working set from its scanned tables and reserve it before
-            # taking a gateway slot. Interactive queries always run
-            # (soft reservation, pressure recorded); batch queries wait
-            # for headroom and are shed with a typed 503 when none
-            # appears within the queue timeout.
-            reservation = self.memory.reserve(
-                _estimate_query_bytes(stmt, self.catalog),
-                tag="query",
-                hard=(options.priority == "batch"),
-                wait_timeout=self.config.queue_timeout,
-                ctx=context)
-            with self.gateway.admit(context, priority=options.priority):
-                table = execute(stmt, self.catalog, cache=self.cache,
-                                context=context, parallel=self.parallel)
-            outcome = "ok"
-        except QueryRejectedError:
-            outcome = "shed"
-            raise
-        except QueryTimeoutError:
-            outcome = "timeout"
-            raise
-        except QueryCancelledError:
-            outcome = "cancelled"
-            raise
-        except MemoryPressureError:
-            # Must precede ResourceLimitError (its base class): a
-            # governor shed is backpressure, not a per-query limit.
-            outcome = "shed"
-            raise
-        except ResourceLimitError:
-            outcome = "limit"
-            raise
-        finally:
-            if reservation is not None:
-                reservation.release()
-            if tracer is not None:
-                tracer.finish()
-            elapsed = clock.monotonic() - started
-            with self._health_lock:
-                self.health.merge(context.health)
-            self._observe_query(outcome, elapsed, context)
-        stats = QueryStats(elapsed, options.priority, context.health,
-                           context.telemetry.snapshot(), outcome)
-        result = QueryResult(table, stats,
-                             trace=tracer.root if tracer else None)
-        result._explainer = lambda: self._explain_text(stmt,
-                                                       analysis=result)
-        return result
-
-    def _parse(self, sql_or_ast: Union[str, ast.SelectStmt],
-               exec_ctx: ExecutionContext) -> ast.SelectStmt:
-        """Parse through the plan cache (pre-parsed ASTs pass through).
-
-        A hit skips parsing entirely and shares the cached immutable
-        AST; the ``parse`` span records which happened. Parse errors
-        propagate and cache nothing."""
-        if not isinstance(sql_or_ast, str):
-            return sql_or_ast
-        tracer = exec_ctx.tracer
-        if tracer.enabled:
-            with tracer.span("parse", chars=len(sql_or_ast)) as span:
-                stmt, hit = self.plan_cache.get_or_parse(sql_or_ast, parse)
-                span.annotate(plan_cache="hit" if hit else "miss")
-            return stmt
-        return self.plan_cache.get_or_parse(sql_or_ast, parse)[0]
-
-    def _observe_query(self, outcome: str, elapsed: float,
-                       context: ExecutionContext) -> None:
-        if self.metrics is None:
-            return
-        self._m_queries.inc(outcome=outcome)
-        self._m_latency.observe(elapsed)
-        self._m_queue_wait.observe(context.telemetry.queue_wait_seconds)
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    def explain(self, sql_or_ast: Union[str, ast.SelectStmt],
-                analyze: bool = False,
-                options: Optional[QueryOptions] = None) -> str:
-        """The query plan, with session-lifetime counters.
-
-        With ``analyze=True`` the query actually executes under tracing
-        (through normal gateway admission) and each plan node / EXPLAIN
-        section is annotated with this execution's wall times and
-        build/reuse/spill counts.
-
-        Plain ``explain`` also runs through execute-style admission —
-        under its own :class:`ExecutionContext` with the session
-        deadline, inside a gateway slot — so a hostile plan cannot use
-        it to bypass ``max_concurrent``. Fault injection stays out of
-        it: injected faults target execution, not introspection."""
-        if analyze:
-            base = options if options is not None else QueryOptions()
-            return self._run(sql_or_ast, base.replace(trace=True)).explain()
-        priority = options.priority if options is not None else "interactive"
-        context = ExecutionContext(
-            timeout=self.default_timeout,
-            limits=self.default_limits,
-            clock=self.clock,
-            breakers=self.breakers,
-            memory=self.memory)
-        try:
-            with self.gateway.admit(context, priority=priority):
-                with activate(context):
-                    return self._explain_text(
-                        self._parse(sql_or_ast, context))
-        finally:
-            with self._health_lock:
-                self.health.merge(context.health)
-
-    def _explain_text(self, sql_or_ast: Union[str, ast.SelectStmt],
-                      analysis: Optional[QueryResult] = None) -> str:
-        from repro.sql.explain import explain as _explain
-        return _explain(sql_or_ast, cache=self.cache, health=self.health,
-                        gateway=self.gateway, breakers=self.breakers,
-                        parallel=self.parallel, analysis=analysis,
-                        plan_cache=self.plan_cache, memory=self.memory,
-                        catalog=self.catalog)
-
-    # ------------------------------------------------------------------
-    # metrics
-    # ------------------------------------------------------------------
-    def _init_metrics(self) -> None:
-        m = self.metrics
-        self._m_queries = m.counter(
-            "repro_queries_total", "Queries finished, by outcome.",
-            ["outcome"])
-        self._m_latency = m.histogram(
-            "repro_query_seconds", "Query wall-clock latency in seconds.")
-        self._m_queue_wait = m.histogram(
-            "repro_queue_wait_seconds",
-            "Gateway admission queue wait in seconds.")
-        cache_hits = m.counter("repro_cache_hits_total",
-                               "Structure cache hits.")
-        cache_misses = m.counter("repro_cache_misses_total",
-                                 "Structure cache misses.")
-        cache_evictions = m.counter("repro_cache_evictions_total",
-                                    "Structure cache evictions.")
-        cache_spills = m.counter("repro_cache_spills_total",
-                                 "Structures spilled to disk.")
-        cache_reloads = m.counter("repro_cache_reloads_total",
-                                  "Structures reloaded from spill.")
-        cache_bytes = m.gauge("repro_cache_bytes_in_use",
-                              "Bytes held by cached structures.")
-        cache_entries = m.gauge("repro_cache_entries",
-                                "Cached structures, by residence.",
-                                ["state"])
-        hit_ratio = m.gauge("repro_cache_hit_ratio",
-                            "Lifetime structure-cache hit ratio.")
-        plan_hits = m.counter("repro_plan_cache_hits_total",
-                              "Plan cache hits (parse skipped).")
-        plan_misses = m.counter("repro_plan_cache_misses_total",
-                                "Plan cache misses (statement parsed).")
-        plan_evictions = m.counter("repro_plan_cache_evictions_total",
-                                   "Plans evicted by the byte budget.")
-        plan_entries = m.gauge("repro_plan_cache_entries",
-                               "Cached parsed statements.")
-        plan_bytes = m.gauge("repro_plan_cache_bytes_in_use",
-                             "Bytes held by cached plans.")
-        plan_ratio = m.gauge("repro_plan_cache_hit_ratio",
-                             "Lifetime plan-cache hit ratio.")
-        g_active = m.gauge("repro_gateway_active",
-                           "Queries currently executing.")
-        g_queued = m.gauge("repro_gateway_queued",
-                           "Queries parked in the admission queue.",
-                           ["priority"])
-        g_admitted = m.counter("repro_gateway_admitted_total",
-                               "Queries admitted.", ["priority"])
-        g_shed = m.counter("repro_gateway_shed_total",
-                           "Queries shed.", ["priority"])
-        b_state = m.gauge(
-            "repro_breaker_state",
-            "Breaker state (0 closed, 1 open, 2 half-open).",
-            ["resource"])
-        b_trips = m.counter("repro_breaker_trips_total",
-                            "Breaker trips.", ["resource"])
-        mem_budget = m.gauge("repro_memory_budget_bytes",
-                             "Session memory budget (0 = unlimited).")
-        mem_used = m.gauge("repro_memory_used_bytes",
-                           "Bytes in the session ledger.")
-        mem_reserved = m.gauge("repro_memory_reserved_bytes",
-                               "Bytes held by query reservations.")
-        mem_peak = m.gauge("repro_memory_peak_bytes",
-                           "High-water mark of the session ledger.")
-        mem_reservations = m.counter(
-            "repro_memory_reservations_total",
-            "Query byte reservations granted.")
-        mem_waits = m.counter(
-            "repro_memory_waits_total",
-            "Batch reservations that waited for headroom.")
-        mem_denials = m.counter(
-            "repro_memory_denials_total",
-            "Batch reservations shed under memory pressure.")
-        mem_pressure = m.counter(
-            "repro_memory_pressure_events_total",
-            "Soft reservations granted past the budget.")
-        mem_part_spills = m.counter(
-            "repro_memory_partition_spills_total",
-            "Partition result chunks spilled (out-of-core mode).")
-        mem_part_reloads = m.counter(
-            "repro_memory_partition_reloads_total",
-            "Partition result chunks reloaded (out-of-core mode).")
-        p_workers = m.gauge("repro_pool_workers",
-                            "Window pool worker threads.")
-        p_morsels = m.counter("repro_pool_morsels_total",
-                              "Morsel tasks run.")
-        p_groups = m.counter("repro_pool_groups_total",
-                             "Window groups scheduled, by strategy.",
-                             ["strategy"])
-        w_live = m.gauge("repro_worker_live",
-                         "Live process-pool workers.")
-        w_shm = m.gauge("repro_worker_shm_bytes",
-                        "Shared-memory bytes held for worker columns.")
-        w_events = m.counter(
-            "repro_worker_events_total",
-            "Process-pool supervision events, by kind.", ["kind"])
-        w_groups = m.counter(
-            "repro_worker_groups_total",
-            "Parallel groups by executor outcome.", ["outcome"])
-        a_bytes = m.gauge(
-            "repro_arena_bytes",
-            "Bytes resident in the shared-memory table arena.")
-        a_entries = m.gauge(
-            "repro_arena_entries",
-            "Entries resident in the shared-memory table arena.")
-        a_hits = m.counter(
-            "repro_arena_hits_total",
-            "Table-arena hits (zero-copy warm attaches).")
-        a_misses = m.counter(
-            "repro_arena_misses_total",
-            "Table-arena misses (cold materializations).")
-        a_evictions = m.counter(
-            "repro_arena_evictions_total",
-            "Table-arena entries evicted under memory pressure.")
-        breaker_states = {"closed": 0, "open": 1, "half-open": 2}
-
-        def collect() -> None:
-            from repro.resilience.gateway import PRIORITIES
-            cs = self.cache.stats()
-            cache_hits.set_total(cs.hits)
-            cache_misses.set_total(cs.misses)
-            cache_evictions.set_total(cs.evictions)
-            cache_spills.set_total(cs.spills)
-            cache_reloads.set_total(cs.reloads)
-            cache_bytes.set(cs.bytes_in_use)
-            cache_entries.set(cs.entries - cs.spilled_entries,
-                              state="resident")
-            cache_entries.set(cs.spilled_entries, state="spilled")
-            lookups = cs.hits + cs.misses
-            hit_ratio.set(cs.hits / lookups if lookups else 0.0)
-            ps_plan = self.plan_cache.stats()
-            plan_hits.set_total(ps_plan.hits)
-            plan_misses.set_total(ps_plan.misses)
-            plan_evictions.set_total(ps_plan.evictions)
-            plan_entries.set(ps_plan.entries)
-            plan_bytes.set(ps_plan.bytes_in_use)
-            plan_ratio.set(ps_plan.hit_ratio)
-            gs = self.gateway.stats()
-            g_active.set(gs.active)
-            for cls in PRIORITIES:
-                g_queued.set(gs.queued_now.get(cls, 0), priority=cls)
-                g_admitted.set_total(gs.admitted_by_class.get(cls, 0),
-                                     priority=cls)
-                g_shed.set_total(gs.shed_by_class.get(cls, 0),
-                                 priority=cls)
-            for snap in self.breakers.snapshots():
-                b_state.set(breaker_states.get(snap.state, -1),
-                            resource=snap.name)
-                b_trips.set_total(snap.trips, resource=snap.name)
-            ms = self.memory.stats()
-            mem_budget.set(ms.budget_bytes or 0)
-            mem_used.set(ms.used_bytes)
-            mem_reserved.set(ms.reserved_bytes)
-            mem_peak.set(ms.peak_bytes)
-            mem_reservations.set_total(ms.reservations)
-            mem_waits.set_total(ms.waits)
-            mem_denials.set_total(ms.denials)
-            mem_pressure.set_total(ms.pressure_events)
-            mem_part_spills.set_total(ms.partition_spills)
-            mem_part_reloads.set_total(ms.partition_reloads)
-            ps = self.parallel.stats()
-            p_workers.set(ps.workers)
-            p_morsels.set_total(ps.morsels_run)
-            p_groups.set_total(ps.serial_groups, strategy="serial")
-            p_groups.set_total(ps.inter_groups,
-                               strategy="inter-partition")
-            p_groups.set_total(ps.intra_groups,
-                               strategy="intra-partition")
-            ws = self.parallel.worker_stats()
-            w_live.set(ws.get("live", 0))
-            w_shm.set(ws.get("shm_bytes", 0))
-            for kind in ("spawned", "restarts", "crashes", "hangs",
-                         "retries", "quarantined", "spawn_failures"):
-                w_events.set_total(ws.get(kind, 0), kind=kind)
-            w_groups.set_total(ps.process_groups, outcome="process")
-            w_groups.set_total(ps.degraded_groups, outcome="degraded")
-            ar = self.parallel.arena_stats()
-            a_bytes.set(ar.bytes if ar else 0)
-            a_entries.set(ar.entries if ar else 0)
-            a_hits.set_total(ar.hits if ar else 0)
-            a_misses.set_total(ar.misses if ar else 0)
-            a_evictions.set_total(ar.evictions if ar else 0)
-
-        m.add_collector(collect)
-
-    def metrics_text(self) -> str:
-        """The session's metrics in Prometheus text exposition format
-        ('' when metrics are disabled)."""
-        return self.metrics.expose() if self.metrics is not None else ""
-
-    def metrics_snapshot(self) -> Dict[str, Any]:
-        """The session's metrics as a JSON-able dict ({} when metrics
-        are disabled)."""
-        return self.metrics.snapshot() if self.metrics is not None else {}
-
-    def register_table(self, name: str, table: Table) -> None:
-        """Register (or replace) a catalog table for this session.
-
-        Arena entries are content-keyed, so a replaced table can never
-        produce a stale hit — but its shared-memory entries would
-        linger until LRU eviction. This drops the old contents' column
-        entries eagerly, so a mutation frees arena bytes right away."""
-        replaced = (self.catalog.lookup(name)
-                    if name in self.catalog else None)
-        self.catalog.register(name, table)
-        if replaced is None or replaced is table:
-            return
-        from repro.cache.fingerprint import column_fingerprint
-        for column_name in replaced.schema.names():
-            self.parallel.invalidate_arena(
-                column_fingerprint(replaced.column(column_name)))
-
-    # ------------------------------------------------------------------
-    # prepared statements and catalog introspection
-    # ------------------------------------------------------------------
-    def prepare(self, sql: str) -> "PreparedStatement":
-        """Parse and validate a parameterized statement once.
-
-        The SQL may use ``$1``-style positional or ``:name``-style
-        named placeholders (one style per statement, positional
-        numbering contiguous from ``$1``). Parameter types are
-        inferred from the columns each placeholder is compared
-        against; :meth:`PreparedStatement.execute` type-checks bound
-        values against them. Parsing goes through the plan cache, so
-        every later execution of the statement is a cache hit."""
-        if not isinstance(sql, str):
-            raise ConfigurationError("prepare() expects SQL text")
-        stmt = self.plan_cache.get_or_parse(sql, parse)[0]
-        specs = logical_plan.validate_parameters(stmt)
-        types = logical_plan.infer_parameter_types(stmt, self.catalog)
-        return PreparedStatement(self, sql, stmt, specs, types)
-
-    def tables(self) -> Tuple[TableSchema, ...]:
-        """Frozen schemas of every registered table, sorted by name."""
-        return self.catalog.tables()
-
-    def describe(self, name: str) -> TableSchema:
-        """The frozen schema of one registered table."""
-        return self.catalog.describe(name)
-
-    def cache_stats(self):
-        return self.cache.stats()
-
-    def health_stats(self) -> HealthCounters:
-        """Accumulated guardrail telemetry across this session's queries."""
-        return self.health
-
-    def close(self) -> None:
-        self.cache.close()
-        self.parallel.close()
-
-    def __enter__(self) -> "Session":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class PreparedStatement:
-    """A parsed, parameter-validated statement bound to a session.
-
-    Created by :meth:`Session.prepare`. ``execute`` binds values to
-    the placeholders (arity- and type-checked against the inferred
-    parameter types), then runs through the normal session path —
-    admission, guardrails, tracing — with the *text* keyed into the
-    plan cache, so every re-execution with fresh literals is a plan
-    cache hit."""
-
-    def __init__(self, session: Session, sql: str, stmt: ast.SelectStmt,
-                 parameters: List[ast.Parameter],
-                 types: Dict[Any, Optional[str]]) -> None:
-        self._session = session
-        self._sql = sql
-        self._stmt = stmt
-        self._parameters = list(parameters)
-        self._types = dict(types)
-
-    @property
-    def parameter_keys(self) -> List[Any]:
-        """Placeholder keys in first-appearance order (ints for ``$n``,
-        strings for ``:name``)."""
-        return [p.key for p in self._parameters]
-
-    @property
-    def parameter_types(self) -> Dict[Any, Optional[str]]:
-        """Inferred type per placeholder (None = unchecked)."""
-        return dict(self._types)
-
-    def bind(self, params: Any) -> Dict[Any, Any]:
-        """Validate and coerce one set of bound values.
-
-        Positional statements take a sequence (length must equal the
-        parameter count); named statements take a mapping with exactly
-        the declared names. Raises
-        :class:`~repro.errors.ParameterBindingError` on arity, name or
-        type mismatches."""
-        positional = [p for p in self._parameters if p.index is not None]
-        if positional:
-            if params is None:
-                params = ()
-            if isinstance(params, (str, bytes)) \
-                    or not isinstance(params, Sequence):
-                raise ParameterBindingError(
-                    f"statement takes {len(positional)} positional "
-                    f"parameter(s); pass a sequence")
-            if len(params) != len(positional):
-                raise ParameterBindingError(
-                    f"statement takes {len(positional)} parameter(s), "
-                    f"got {len(params)}")
-            return {
-                i + 1: logical_plan.coerce_parameter(
-                    i + 1, value, self._types.get(i + 1))
-                for i, value in enumerate(params)}
-        declared = {p.name for p in self._parameters}
-        if params is None:
-            params = {}
-        if not isinstance(params, dict):
-            raise ParameterBindingError(
-                "statement uses named parameters; pass a mapping")
-        given = {str(k).lower() for k in params}
-        missing = sorted(declared - given)
-        extra = sorted(given - declared)
-        if missing:
-            raise ParameterBindingError(
-                f"missing parameter(s): "
-                f"{', '.join(':' + m for m in missing)}")
-        if extra:
-            raise ParameterBindingError(
-                f"unknown parameter(s): "
-                f"{', '.join(':' + e for e in extra)}")
-        return {
-            str(key).lower(): logical_plan.coerce_parameter(
-                str(key).lower(), value,
-                self._types.get(str(key).lower()))
-            for key, value in params.items()}
-
-    def execute(self, params: Any = None,
-                options: Optional[QueryOptions] = None) -> QueryResult:
-        """Run the statement with ``params`` bound to its placeholders."""
-        values = self.bind(params)
-        return self._session._run(self._sql,
-                                  options if options is not None
-                                  else QueryOptions(),
-                                  params=values)
-
-
-def _relation_to_table(relation: Relation, names: List[str]) -> Table:
+def _relation_to_table(relation: Relation, names: Tuple[str, ...]) -> Table:
     used: Dict[str, int] = {}
     fields = []
     columns = []
@@ -1031,42 +141,79 @@ def _relation_to_table(relation: Relation, names: List[str]) -> Table:
 
 
 # ----------------------------------------------------------------------
-# SELECT pipeline
+# the driver
 # ----------------------------------------------------------------------
-def execute_select(stmt: ast.SelectStmt,
-                   ctx: Context) -> Tuple[Relation, List[str]]:
-    exec_ctx = current_context()
-    exec_ctx.checkpoint()
-    if not stmt.ctes:
-        return _execute_select_body(stmt, ctx, exec_ctx)
-    # Materialize WITH chains eagerly, each under its own trace span
-    # and a soft governor reservation sized from the materialized
-    # relation — held until the statement finishes so memory pressure
-    # sees CTE results as resident bytes, not free lunch.
-    ctx = ctx.child()
-    tracer = exec_ctx.tracer
-    governor = exec_ctx.memory
-    reservations: List[Any] = []
+def run_statement(statement: plan.StatementPlan, ctx: Context) -> Relation:
+    """Materialize the statement's WITH chain, then run its root.
+
+    CTE results stay charged to the governor (ledger tag ``cte``) until
+    the statement finishes, so memory pressure sees them as resident
+    bytes, not free lunch."""
+    if not statement.ctes:
+        return run(statement.root, ctx)
+    ctx = replace(ctx, ctes=dict(ctx.ctes))
+    mark = len(ctx.reservations)
     try:
-        for name, select in stmt.ctes:
-            exec_ctx.fire("cte.materialize")
-            span = tracer.span("cte.materialize", cte=name.lower()) \
-                if tracer.enabled else None
-            try:
-                relation, names = execute_select(select, ctx)
-                if span is not None:
-                    span.annotate(rows=relation.n)
-            finally:
-                if span is not None:
-                    span.__exit__(None, None, None)
-            if governor is not None:
-                reservations.append(governor.reserve(
-                    _relation_bytes(relation), tag="cte", ctx=exec_ctx))
-            ctx.ctes[name.lower()] = (relation, names)
-        return _execute_select_body(stmt, ctx, exec_ctx)
+        for cte in statement.ctes:
+            ctx.ctes[cte.name.lower()] = run(cte, ctx)
+        return run(statement.root, ctx)
     finally:
-        for reservation in reservations:
-            reservation.release()
+        ctx.release(mark)
+
+
+def run(node: plan.PlanNode, ctx: Context) -> Relation:
+    """Run one plan node (its inputs included) and return its output.
+
+    Plan nodes are the executor's batch boundaries, and this is the
+    one place their guardrails live: checkpoint the deadline and the
+    cancellation token, fire the node's fault site, open the node's
+    span (annotated with the output row count, recorded in
+    ``ctx.actuals`` for EXPLAIN ANALYZE), hold the materialised output
+    to the row ceiling, and release the governor reservations the
+    operator took unless the node's result outlives it."""
+    exec_ctx = ctx.exec
+    exec_ctx.checkpoint()
+    if node.fault_site is not None:
+        exec_ctx.fire(node.fault_site)
+    mark = len(ctx.reservations)
+    try:
+        with exec_ctx.tracer.span(node.span, **node.span_attrs()) as span:
+            if span is not NULL_SPAN:
+                ctx.actuals[id(node)] = span
+            relation = _OPERATORS[type(node)](node, ctx)
+            exec_ctx.guard_rows(relation.n)
+            span.annotate(rows=relation.n)
+            return relation
+    finally:
+        if not node.keeps_reservation:
+            ctx.release(mark)
+
+
+# ----------------------------------------------------------------------
+# scans and joins
+# ----------------------------------------------------------------------
+def _scan(node: plan.ScanNode, ctx: Context) -> Relation:
+    if node.source == "cte":
+        return ctx.ctes[node.table.lower()].requalified(node.qualifier)
+    return Relation.from_table(ctx.catalog.lookup(node.table),
+                               node.qualifier)
+
+
+def _values(node: plan.ValuesNode, ctx: Context) -> Relation:
+    # A single pseudo-row so expressions like SELECT 1+1 work.
+    return Relation([Vector(np.zeros(1, dtype=np.int64),
+                            np.ones(1, dtype=np.bool_), DataType.INT64)],
+                    [(None, "__dual")])
+
+
+def _subquery(node: plan.SubqueryNode, ctx: Context) -> Relation:
+    return run_statement(node.plan, ctx).requalified(node.alias.lower())
+
+
+def _cte(node: plan.CTENode, ctx: Context) -> Relation:
+    relation = run_statement(node.plan, ctx)
+    ctx.reserve(_relation_bytes(relation), "cte")
+    return relation
 
 
 def _relation_bytes(relation: Relation) -> int:
@@ -1083,145 +230,46 @@ def _relation_bytes(relation: Relation) -> int:
     return total
 
 
-def _execute_select_body(stmt: ast.SelectStmt, ctx: Context,
-                         exec_ctx: ExecutionContext
-                         ) -> Tuple[Relation, List[str]]:
-    relation = _execute_from(stmt.from_, ctx)
-    # Pipeline stages are the executor's batch boundaries: check the
-    # guardrails between FROM, WHERE, aggregation/windows and projection
-    # and hold every materialised relation to the row ceiling.
-    exec_ctx.guard_rows(relation.n)
-    exec_ctx.checkpoint()
-
-    if stmt.where is not None:
-        mask = truthy_rows(_eval(stmt.where, relation, ctx))
-        relation = relation.take(np.flatnonzero(mask))
-
-    windows = dict(stmt.windows)
-    select_exprs = [item.expr for item in stmt.items]
-
-    has_aggregates = bool(stmt.group_by) or any(
-        _contains_aggregate(e) for e in select_exprs) or (
-            stmt.having is not None and _contains_aggregate(stmt.having))
-
-    exec_ctx.checkpoint()
-    rewritten_items: List[ast.Expr] = select_exprs
-    if has_aggregates:
-        if any(_contains_window(e) for e in select_exprs):
-            raise SqlAnalysisError(
-                "window functions combined with GROUP BY are not supported")
-        relation, mapping = _execute_aggregation(stmt, relation, ctx)
-        rewritten_items = [_replace(e, mapping) for e in select_exprs]
-        stmt = replace(stmt, order_by=tuple(
-            ast.SortItem(_replace(s.expr, mapping), s.descending,
-                         s.nulls_last) for s in stmt.order_by))
-        if stmt.having is not None:
-            having = _replace(stmt.having, mapping)
-            mask = truthy_rows(_eval(having, relation, ctx))
-            relation = relation.take(np.flatnonzero(mask))
-    elif any(_contains_window(e) for e in select_exprs) or any(
-            _contains_window(s.expr) for s in stmt.order_by):
-        relation, mapping = _execute_windows(
-            select_exprs + [s.expr for s in stmt.order_by], windows,
-            relation, ctx)
-        rewritten_items = [_replace(e, mapping) for e in select_exprs]
-        stmt = replace(stmt, order_by=tuple(
-            ast.SortItem(_replace(s.expr, mapping), s.descending,
-                         s.nulls_last) for s in stmt.order_by))
-
-    # Projection.
-    exec_ctx.checkpoint()
-    out_vectors: List[Vector] = []
-    out_names: List[str] = []
-    for item, expr in zip(stmt.items, rewritten_items):
-        if isinstance(expr, ast.Star):
-            for index, (qual, name) in enumerate(relation.bindings):
-                if name.startswith("__"):
-                    continue
-                if expr.table is not None and qual != expr.table.lower():
-                    continue
-                out_vectors.append(relation.vectors[index])
-                out_names.append(name)
-            continue
-        out_vectors.append(_eval(expr, relation, ctx))
-        out_names.append(item.alias or _derive_name(item.expr))
-    output = Relation(out_vectors,
-                      [(None, n.lower()) for n in out_names])
-
-    if stmt.distinct:
-        output = _distinct_rows(output)
-
-    if stmt.order_by:
-        output = _order_output(stmt, output, relation, ctx)
-
-    if stmt.limit is not None:
-        output = output.take(np.arange(min(stmt.limit, output.n)))
-
-    return output, out_names
-
-
-def _execute_from(from_: Optional[ast.TableExpr], ctx: Context) -> Relation:
-    if from_ is None:
-        # A single pseudo-row so expressions like SELECT 1+1 work.
-        return Relation(
-            [Vector(np.zeros(1, dtype=np.int64),
-                    np.ones(1, dtype=np.bool_), DataType.INT64)],
-            [(None, "__dual")])
-    if isinstance(from_, ast.NamedTable):
-        qualifier = (from_.alias or from_.name).lower()
-        key = from_.name.lower()
-        if key in ctx.ctes:
-            relation, _ = ctx.ctes[key]
-            return relation.requalified(qualifier)
-        table = ctx.catalog.lookup(from_.name)
-        tracer = current_context().tracer
-        if tracer.enabled:
-            tracer.event("scan", table=from_.name.lower(),
-                         rows=table.num_rows)
-        return Relation.from_table(table, qualifier)
-    if isinstance(from_, ast.DerivedTable):
-        relation, _ = execute_select(from_.select, ctx)
-        return relation.requalified(from_.alias.lower())
-    if isinstance(from_, ast.Join):
-        return _execute_join(from_, ctx)
-    raise SqlAnalysisError(f"unsupported FROM item {type(from_).__name__}")
-
-
-def _execute_join(join: ast.Join, ctx: Context) -> Relation:
-    left = _execute_from(join.left, ctx)
-    right = _execute_from(join.right, ctx)
+def _nested_loop_join(node: plan.NestedLoopJoinNode,
+                      ctx: Context) -> Relation:
+    left = run(node.left, ctx)
+    right = run(node.right, ctx)
     left_rows: List[np.ndarray] = []
     right_rows: List[np.ndarray] = []
-    if join.kind == "cross" and join.condition is None:
-        for i in range(left.n):
+    for i in range(left.n):
+        if node.condition is None:
             left_rows.append(np.full(right.n, i, dtype=np.int64))
             right_rows.append(np.arange(right.n, dtype=np.int64))
-    else:
-        # The logical plan layer classifies the ON condition against
-        # the two inputs' scopes; equi-keyed inner/left joins take the
-        # hash path, everything else stays on the nested loop.
-        jplan = logical_plan.classify_join(
-            join, Scope(left.bindings), Scope(right.bindings))
-        if jplan.strategy == "hash":
-            return _execute_hash_join(join, jplan, left, right, ctx)
-        # Nested-loop join: vectorised predicate per left row. This is
-        # the O(n^2) plan the Figure 9 baselines are stuck with — which
-        # is exactly why its outer loop must stay interruptible.
-        exec_ctx = current_context()
-        for i in range(left.n):
-            exec_ctx.checkpoint()
-            outer = OuterRow(left, i, parent=ctx.outer)
-            inner_ctx = ctx.child(outer=outer)
-            mask = truthy_rows(_eval(join.condition, right, inner_ctx))
-            matches = np.flatnonzero(mask)
-            if len(matches) == 0:
-                if join.kind == "left":
-                    left_rows.append(np.array([i], dtype=np.int64))
-                    right_rows.append(np.array([-1], dtype=np.int64))
-                continue
-            left_rows.append(np.full(len(matches), i, dtype=np.int64))
-            right_rows.append(matches)
+            continue
+        # Vectorised predicate per left row. This is the O(n^2) plan
+        # the Figure 9 baselines are stuck with — which is exactly why
+        # its outer loop must stay interruptible.
+        ctx.exec.checkpoint()
+        matches = _matching(node.condition, left, i, right, ctx)
+        _emit_matches(node.kind, i, matches, left_rows, right_rows)
     return _assemble_join(left, right, left_rows, right_rows)
+
+
+def _matching(predicate: ast.Expr, left: Relation, row: int,
+              candidates: Relation, ctx: Context) -> np.ndarray:
+    """Indices of the ``candidates`` rows the predicate accepts, with
+    left row ``row`` visible as the enclosing (outer) row."""
+    inner_ctx = replace(ctx, outer=OuterRow(left, row, parent=ctx.outer))
+    return np.flatnonzero(
+        truthy_rows(evaluate(predicate, candidates, inner_ctx)))
+
+
+def _emit_matches(kind: str, row: int, matches: np.ndarray,
+                  left_rows: List[np.ndarray],
+                  right_rows: List[np.ndarray]) -> int:
+    """Append one left row's join output; returns the rows emitted."""
+    if len(matches) == 0:
+        if kind != "left":
+            return 0
+        matches = np.array([-1], dtype=np.int64)  # NULL-extended
+    left_rows.append(np.full(len(matches), row, dtype=np.int64))
+    right_rows.append(matches)
+    return len(matches)
 
 
 def _assemble_join(left: Relation, right: Relation,
@@ -1246,7 +294,7 @@ def _assemble_join(left: Relation, right: Relation,
 #: tuple, the bucket list entry and dict overhead amortised.
 _HASH_ENTRY_BYTES = 120
 
-_NO_MATCHES: Tuple[int, ...] = ()
+_NO_MATCHES = np.empty(0, dtype=np.int64)
 
 
 def _join_key_column(expr: ast.Expr, relation: Relation,
@@ -1254,15 +302,13 @@ def _join_key_column(expr: ast.Expr, relation: Relation,
     """One key expression as (raw values list, validity). Raw storage
     values (day ordinals for dates) — equality on them matches SQL
     ``=`` for every type the nested loop would accept."""
-    vector = _eval(expr, relation, ctx)
+    vector = evaluate(expr, relation, ctx)
     if vector.is_numpy:
         return vector.values.tolist(), vector.validity
     return list(vector.values), vector.validity
 
 
-def _execute_hash_join(join: ast.Join, jplan: "logical_plan.JoinPlan",
-                       left: Relation, right: Relation,
-                       ctx: Context) -> Relation:
+def _hash_join(node: plan.HashJoinNode, ctx: Context) -> Relation:
     """Equi-keyed inner/left join via a build-side hash table.
 
     Reproduces the nested-loop output contract bit for bit: one pass
@@ -1270,73 +316,48 @@ def _execute_hash_join(join: ast.Join, jplan: "logical_plan.JoinPlan",
     append ascending indices), NULL keys never match, the residual
     predicate is evaluated per probe row against the matched build
     rows with the same OuterRow chain the nested loop uses."""
-    exec_ctx = current_context()
+    left = run(node.left, ctx)
+    right = run(node.right, ctx)
+    exec_ctx = ctx.exec
     tracer = exec_ctx.tracer
-    governor = exec_ctx.memory
-    reservation = None
-    if governor is not None:
-        reservation = governor.reserve(
-            _HASH_ENTRY_BYTES * (right.n + 1), tag="join", ctx=exec_ctx)
-    try:
-        exec_ctx.fire("join.build")
-        table: Dict[Tuple[Any, ...], List[int]] = {}
-        span = tracer.span("join.build", rows=right.n,
-                           keys=len(jplan.keys)) if tracer.enabled else None
-        try:
-            build_cols = [_join_key_column(expr, right, ctx)
-                          for _l, expr in jplan.keys]
-            for i in range(right.n):
-                if i % 8192 == 0:
-                    exec_ctx.checkpoint()
-                key = _row_key(build_cols, i)
-                if key is None:
-                    continue
+    ctx.reserve(_HASH_ENTRY_BYTES * (right.n + 1), "join")
+    table: Dict[Tuple[Any, ...], List[int]] = {}
+    with tracer.span("join.build", rows=right.n,
+                     keys=len(node.keys)) as span:
+        build_cols = [_join_key_column(expr, right, ctx)
+                      for _l, expr in node.keys]
+        for i in range(right.n):
+            if i % 8192 == 0:
+                exec_ctx.checkpoint()
+            key = _row_key(build_cols, i)
+            if key is not None:
                 table.setdefault(key, []).append(i)
-        finally:
-            if span is not None:
-                span.annotate(buckets=len(table))
-                span.__exit__(None, None, None)
+        span.annotate(buckets=len(table))
 
-        span = tracer.span("join.probe", rows=left.n) \
-            if tracer.enabled else None
-        emitted = 0
-        left_rows: List[np.ndarray] = []
-        right_rows: List[np.ndarray] = []
-        try:
-            probe_cols = [_join_key_column(expr, left, ctx)
-                          for expr, _r in jplan.keys]
-            residual = jplan.residual
-            left_outer = join.kind == "left"
-            for i in range(left.n):
-                if i % 4096 == 0:
-                    exec_ctx.checkpoint()
-                key = _row_key(probe_cols, i)
-                matches: Any = _NO_MATCHES if key is None \
-                    else table.get(key, _NO_MATCHES)
-                if matches and residual is not None:
-                    index = np.asarray(matches, dtype=np.int64)
-                    subset = right.take(index)
-                    outer = OuterRow(left, i, parent=ctx.outer)
-                    inner_ctx = ctx.child(outer=outer)
-                    mask = truthy_rows(_eval(residual, subset, inner_ctx))
-                    matches = index[mask]
-                if len(matches) == 0:
-                    if left_outer:
-                        left_rows.append(np.array([i], dtype=np.int64))
-                        right_rows.append(np.array([-1], dtype=np.int64))
-                        emitted += 1
-                    continue
-                left_rows.append(np.full(len(matches), i, dtype=np.int64))
-                right_rows.append(np.asarray(matches, dtype=np.int64))
-                emitted += len(matches)
-        finally:
-            if span is not None:
-                span.annotate(matches=emitted)
-                span.__exit__(None, None, None)
-        return _assemble_join(left, right, left_rows, right_rows)
-    finally:
-        if reservation is not None:
-            reservation.release()
+    emitted = 0
+    left_rows: List[np.ndarray] = []
+    right_rows: List[np.ndarray] = []
+    with tracer.span("join.probe", rows=left.n) as span:
+        probe_cols = [_join_key_column(expr, left, ctx)
+                      for expr, _r in node.keys]
+        for i in range(left.n):
+            if i % 4096 == 0:
+                exec_ctx.checkpoint()
+            key = _row_key(probe_cols, i)
+            bucket = None if key is None else table.get(key)
+            if bucket is not None:
+                matches = np.asarray(bucket, dtype=np.int64)
+                if node.residual is not None:
+                    matches = matches[_matching(
+                        node.residual, left, i, right.take(matches), ctx)]
+            elif node.kind == "left":
+                matches = _NO_MATCHES
+            else:
+                continue
+            emitted += _emit_matches(node.kind, i, matches,
+                                     left_rows, right_rows)
+        span.annotate(matches=emitted)
+    return _assemble_join(left, right, left_rows, right_rows)
 
 
 def _row_key(columns: List[Tuple[List[Any], np.ndarray]],
@@ -1352,152 +373,21 @@ def _row_key(columns: List[Tuple[List[Any], np.ndarray]],
 
 
 # ----------------------------------------------------------------------
-# aggregation
+# filter, aggregation, windows
 # ----------------------------------------------------------------------
-def _contains_aggregate(expr: ast.Expr) -> bool:
-    found = [False]
-
-    def visit(node: ast.Expr) -> None:
-        if isinstance(node, ast.WindowFunc):
-            return  # window functions are not plain aggregates
-        if isinstance(node, ast.FuncCall) and is_aggregate_name(node.name):
-            found[0] = True
-        for child in _children(node):
-            visit(child)
-
-    visit(expr)
-    return found[0]
+def _filter(node: plan.FilterNode, ctx: Context) -> Relation:
+    relation = run(node.input, ctx)
+    mask = truthy_rows(evaluate(node.predicate, relation, ctx))
+    return relation.take(np.flatnonzero(mask))
 
 
-def _contains_window(expr: ast.Expr) -> bool:
-    found = [False]
-
-    def visit(node: ast.Expr) -> None:
-        if isinstance(node, ast.WindowFunc):
-            found[0] = True
-        for child in _children(node):
-            visit(child)
-
-    visit(expr)
-    return found[0]
-
-
-def _children(node: ast.Expr) -> List[ast.Expr]:
-    if isinstance(node, ast.BinaryOp):
-        return [node.left, node.right]
-    if isinstance(node, ast.UnaryOp):
-        return [node.operand]
-    if isinstance(node, ast.BetweenExpr):
-        return [node.expr, node.low, node.high]
-    if isinstance(node, ast.InExpr):
-        return [node.expr, *node.items]
-    if isinstance(node, ast.InSubquery):
-        return [node.expr]  # the subquery body is a separate statement
-    if isinstance(node, ast.IsNullExpr):
-        return [node.expr]
-    if isinstance(node, ast.LikeExpr):
-        return [node.expr, node.pattern]
-    if isinstance(node, ast.CaseExpr):
-        out: List[ast.Expr] = []
-        for cond, result in node.whens:
-            out.extend([cond, result])
-        if node.else_ is not None:
-            out.append(node.else_)
-        return out
-    if isinstance(node, ast.CastExpr):
-        return [node.expr]
-    if isinstance(node, ast.FuncCall):
-        out = list(node.args)
-        out.extend(s.expr for s in node.order_by)
-        out.extend(s.expr for s in node.within_group)
-        if node.filter_where is not None:
-            out.append(node.filter_where)
-        return out
-    if isinstance(node, ast.WindowFunc):
-        return []  # handled separately
-    return []
-
-
-def _collect(expr: ast.Expr, predicate) -> List[ast.Expr]:
-    out: List[ast.Expr] = []
-
-    def visit(node: ast.Expr) -> None:
-        if predicate(node):
-            out.append(node)
-            return
-        for child in _children(node):
-            visit(child)
-
-    visit(expr)
-    return out
-
-
-def _replace(expr: ast.Expr,
-             mapping: Dict[ast.Expr, ast.Expr]) -> ast.Expr:
-    if expr in mapping:
-        return mapping[expr]
-    if isinstance(expr, ast.BinaryOp):
-        return ast.BinaryOp(expr.op, _replace(expr.left, mapping),
-                            _replace(expr.right, mapping))
-    if isinstance(expr, ast.UnaryOp):
-        return ast.UnaryOp(expr.op, _replace(expr.operand, mapping))
-    if isinstance(expr, ast.BetweenExpr):
-        return ast.BetweenExpr(_replace(expr.expr, mapping),
-                               _replace(expr.low, mapping),
-                               _replace(expr.high, mapping), expr.negated)
-    if isinstance(expr, ast.InExpr):
-        return ast.InExpr(_replace(expr.expr, mapping),
-                          tuple(_replace(e, mapping) for e in expr.items),
-                          expr.negated)
-    if isinstance(expr, ast.InSubquery):
-        return ast.InSubquery(_replace(expr.expr, mapping), expr.select,
-                              expr.negated)
-    if isinstance(expr, ast.IsNullExpr):
-        return ast.IsNullExpr(_replace(expr.expr, mapping), expr.negated)
-    if isinstance(expr, ast.LikeExpr):
-        return ast.LikeExpr(_replace(expr.expr, mapping),
-                            _replace(expr.pattern, mapping), expr.negated)
-    if isinstance(expr, ast.CaseExpr):
-        return ast.CaseExpr(
-            tuple((_replace(c, mapping), _replace(r, mapping))
-                  for c, r in expr.whens),
-            None if expr.else_ is None else _replace(expr.else_, mapping))
-    if isinstance(expr, ast.CastExpr):
-        return ast.CastExpr(_replace(expr.expr, mapping), expr.type_name)
-    if isinstance(expr, ast.FuncCall):
-        return ast.FuncCall(
-            expr.name,
-            tuple(_replace(a, mapping) for a in expr.args),
-            expr.distinct,
-            tuple(ast.SortItem(_replace(s.expr, mapping), s.descending,
-                               s.nulls_last) for s in expr.order_by),
-            tuple(ast.SortItem(_replace(s.expr, mapping), s.descending,
-                               s.nulls_last) for s in expr.within_group),
-            None if expr.filter_where is None
-            else _replace(expr.filter_where, mapping),
-            expr.ignore_nulls, expr.from_last, expr.star)
-    return expr
-
-
-def _execute_aggregation(stmt: ast.SelectStmt, relation: Relation,
-                         ctx: Context) -> Tuple[Relation,
-                                                Dict[ast.Expr, ast.Expr]]:
-    sources: List[ast.Expr] = [item.expr for item in stmt.items]
-    if stmt.having is not None:
-        sources.append(stmt.having)
-    sources.extend(s.expr for s in stmt.order_by)
-    aggregates: List[ast.FuncCall] = []
-    for expr in sources:
-        for node in _collect(expr, lambda e: isinstance(e, ast.FuncCall)
-                             and is_aggregate_name(e.name)):
-            if node not in aggregates:
-                aggregates.append(node)
-
+def _aggregate(node: plan.AggregateNode, ctx: Context) -> Relation:
+    relation = run(node.input, ctx)
     # Group assignment.
-    group_vectors = [_eval(e, relation, ctx) for e in stmt.group_by]
+    group_vectors = [evaluate(e, relation, ctx) for e in node.group_by]
     groups: Dict[Tuple, List[int]] = {}
     order: List[Tuple] = []
-    if stmt.group_by:
+    if node.group_by:
         for row in range(relation.n):
             key = tuple(v.python_value(row) for v in group_vectors)
             if key not in groups:
@@ -1508,20 +398,18 @@ def _execute_aggregation(stmt: ast.SelectStmt, relation: Relation,
         groups[()] = list(range(relation.n))
         order.append(())
 
-    mapping: Dict[ast.Expr, ast.Expr] = {}
     out = Relation([], [])
-    for i, (expr, vector) in enumerate(zip(stmt.group_by, group_vectors)):
-        name = f"__group_{i}"
-        rows = np.array([groups[key][0] for key in order], dtype=np.int64)
-        out.add(vector.take(rows), name)
-        mapping[expr] = ast.ColumnRef(name)
-
-    for i, agg in enumerate(aggregates):
-        name = f"__agg_{i}"
+    if group_vectors:
+        firsts = np.array([groups[key][0] for key in order], dtype=np.int64)
+        for i, vector in enumerate(group_vectors):
+            out.add(vector.take(firsts), f"__group_{i}")
+    for i, agg in enumerate(node.aggregates):
         out.add(_compute_aggregate_vector(agg, relation, groups, order, ctx),
-                name)
-        mapping[agg] = ast.ColumnRef(name)
-    return out, mapping
+                f"__agg_{i}")
+    if node.having_filter is not None:
+        mask = truthy_rows(evaluate(node.having_filter, out, ctx))
+        out = out.take(np.flatnonzero(mask))
+    return out
 
 
 def _compute_aggregate_vector(agg: ast.FuncCall, relation: Relation,
@@ -1529,14 +417,14 @@ def _compute_aggregate_vector(agg: ast.FuncCall, relation: Relation,
                               order: List[Tuple], ctx: Context) -> Vector:
     arg = None
     if agg.args:
-        arg = _eval(agg.args[0], relation, ctx)
+        arg = evaluate(agg.args[0], relation, ctx)
     order_values = None
     order_descending = False
     if agg.within_group:
-        order_values = _eval(agg.within_group[0].expr, relation, ctx)
+        order_values = evaluate(agg.within_group[0].expr, relation, ctx)
         order_descending = agg.within_group[0].descending
     elif agg.order_by:
-        order_values = _eval(agg.order_by[0].expr, relation, ctx)
+        order_values = evaluate(agg.order_by[0].expr, relation, ctx)
         order_descending = agg.order_by[0].descending
     fraction = None
     if agg.name.lower() in ("percentile_disc", "percentile_cont"):
@@ -1547,7 +435,7 @@ def _compute_aggregate_vector(agg: ast.FuncCall, relation: Relation,
         arg = None
     filter_mask = None
     if agg.filter_where is not None:
-        filter_mask = truthy_rows(_eval(agg.filter_where, relation, ctx))
+        filter_mask = truthy_rows(evaluate(agg.filter_where, relation, ctx))
     results = []
     for key in order:
         rows = groups[key]
@@ -1557,269 +445,65 @@ def _compute_aggregate_vector(agg: ast.FuncCall, relation: Relation,
             agg.name, rows=rows, star=agg.star, distinct=agg.distinct,
             arg=arg, order_values=order_values,
             order_descending=order_descending, fraction=fraction))
-    column = Column(_infer_dtype_from_values(results), results)
+    column = Column(infer_dtype(results), results)
     return from_column(column)
 
 
-# ----------------------------------------------------------------------
-# window functions
-# ----------------------------------------------------------------------
-_WINDOW_AGGREGATES = frozenset({"count", "sum", "avg", "min", "max"})
-_WINDOW_FUNCTIONS = frozenset({
-    "rank", "dense_rank", "percent_rank", "cume_dist", "row_number",
-    "ntile", "percentile_disc", "percentile_cont", "median", "mode",
-    "first_value", "last_value", "nth_value", "lead", "lag",
-}) | _WINDOW_AGGREGATES
-
-
-def _execute_windows(exprs: Sequence[ast.Expr],
-                     windows: Dict[str, ast.WindowDef], relation: Relation,
-                     ctx: Context) -> Tuple[Relation,
-                                            Dict[ast.Expr, ast.Expr]]:
-    nodes: List[ast.WindowFunc] = []
-    for expr in exprs:
-        for node in _collect(expr,
-                             lambda e: isinstance(e, ast.WindowFunc)):
-            if node not in nodes:
-                nodes.append(node)
-
-    tracer = current_context().tracer
-    plan_span = tracer.span("plan", calls=len(nodes), rows=relation.n) \
-        if tracer.enabled else None
-    try:
-        builder = _WindowBuilder(relation, ctx)
-        plan: List[Tuple[WindowCall, WindowSpec]] = []
-        for node in nodes:
-            window = node.window
-            if isinstance(window, str):
-                try:
-                    window = windows[window.lower()]
-                except KeyError:
-                    raise SqlAnalysisError(
-                        f"unknown window name {node.window!r}") from None
-            call = builder.translate_call(node.func)
-            spec = builder.translate_spec(window)
-            plan.append((call, spec))
-
-        table, name_map = builder.build_table()
-    finally:
-        if plan_span is not None:
-            plan_span.__exit__(None, None, None)
+def _window(node: plan.WindowNode, ctx: Context) -> Relation:
+    relation = run(node.input, ctx)
+    with ctx.exec.tracer.span("plan", calls=len(node.calls),
+                              rows=relation.n):
+        builder = WindowBuilder(relation, ctx)
+        calls = [(builder.translate_call(call.func, f"__win_{i}"),
+                  builder.translate_spec(window))
+                 for i, (call, window) in enumerate(node.calls)]
+        table = builder.build_table()
     operator = WindowOperator(table, cache=ctx.cache, parallel=ctx.parallel)
-    outputs = []
-    for index, (call, spec) in enumerate(plan):
-        named = WindowCall(call.function, call.args, **{
-            "distinct": call.distinct, "order_by": call.order_by,
-            "filter_where": call.filter_where,
-            "ignore_nulls": call.ignore_nulls, "fraction": call.fraction,
-            "offset": call.offset, "default": call.default,
-            "nth": call.nth, "from_last": call.from_last,
-            "buckets": call.buckets, "udaf": call.udaf,
-            "output": f"__win_{index}", "algorithm": call.algorithm})
-        operator.add(named, spec)
-        outputs.append(f"__win_{index}")
+    for call, spec in calls:
+        operator.add(call, spec)
     result = operator.run()
 
-    mapping: Dict[ast.Expr, ast.Expr] = {}
     extended = Relation(list(relation.vectors), list(relation.bindings))
-    for node, output in zip(nodes, outputs):
-        vector = from_column(result.column(output))
-        hidden = f"__wout_{len(extended.vectors)}"
-        extended.add(vector, hidden)
-        mapping[node] = ast.ColumnRef(hidden)
-    return extended, mapping
-
-
-class _WindowBuilder:
-    """Materialises window-function inputs as hidden columns and
-    translates AST windows to engine specs."""
-
-    def __init__(self, relation: Relation, ctx: Context) -> None:
-        self.relation = relation
-        self.ctx = ctx
-        self.columns: List[Tuple[str, Vector]] = []
-        self._cache: Dict[ast.Expr, str] = {}
-
-    def _column_for(self, expr: ast.Expr) -> str:
-        if expr in self._cache:
-            return self._cache[expr]
-        if isinstance(expr, ast.ColumnRef):
-            index = self.relation.resolve(expr.name, expr.table)
-            if index is not None:
-                # reuse the physical column directly
-                name = f"__in_{len(self.columns)}"
-                self.columns.append((name,
-                                     self.relation.vectors[index]))
-                self._cache[expr] = name
-                return name
-        vector = _eval(expr, self.relation, self.ctx)
-        name = f"__in_{len(self.columns)}"
-        self.columns.append((name, vector))
-        self._cache[expr] = name
-        return name
-
-    def _order_items(self,
-                     items: Sequence[ast.SortItem]) -> Tuple[OrderItem, ...]:
-        out = []
-        for item in items:
-            out.append(OrderItem(self._column_for(item.expr),
-                                 item.descending, item.nulls_last))
-        return tuple(out)
-
-    # ------------------------------------------------------------------
-    def translate_call(self, func: ast.FuncCall) -> WindowCall:
-        name = func.name.lower()
-        if name not in _WINDOW_FUNCTIONS:
-            raise SqlAnalysisError(
-                f"{func.name!r} is not a supported window function")
-        kwargs: Dict[str, Any] = {}
-        args: List[str] = []
-        order_items = func.order_by or func.within_group
-
-        if name in _WINDOW_AGGREGATES:
-            if func.star or not func.args:
-                name = "count_star" if name == "count" else name
-                if name != "count_star":
-                    raise SqlAnalysisError(f"{func.name} needs an argument")
-            else:
-                args.append(self._column_for(func.args[0]))
-            kwargs["distinct"] = func.distinct
-        elif name in ("percentile_disc", "percentile_cont"):
-            if not func.args or not isinstance(func.args[0], ast.Literal):
-                raise SqlAnalysisError(
-                    f"{func.name} requires a constant fraction")
-            kwargs["fraction"] = float(func.args[0].value)
-            if not order_items:
-                raise SqlAnalysisError(
-                    f"{func.name} requires an ORDER BY clause")
-            args.append(self._column_for(order_items[0].expr))
-            kwargs["order_by"] = self._order_items(order_items)
-        elif name == "median":
-            if not func.args:
-                raise SqlAnalysisError("median requires an argument")
-            args.append(self._column_for(func.args[0]))
-            if order_items:
-                kwargs["order_by"] = self._order_items(order_items)
-        elif name == "mode":
-            # mode(x) or PostgreSQL-style mode() within group (order by x)
-            if func.args:
-                args.append(self._column_for(func.args[0]))
-            elif order_items:
-                args.append(self._column_for(order_items[0].expr))
-            else:
-                raise SqlAnalysisError(
-                    "mode requires an argument or WITHIN GROUP clause")
-        elif name == "ntile":
-            if not func.args or not isinstance(func.args[0], ast.Literal):
-                raise SqlAnalysisError("ntile requires a constant bucket count")
-            kwargs["buckets"] = int(func.args[0].value)
-            if order_items:
-                kwargs["order_by"] = self._order_items(order_items)
-        elif name in ("rank", "dense_rank", "percent_rank", "cume_dist",
-                      "row_number"):
-            if order_items:
-                kwargs["order_by"] = self._order_items(order_items)
-        elif name in ("first_value", "last_value", "nth_value"):
-            args.append(self._column_for(func.args[0]))
-            if name == "nth_value":
-                if len(func.args) < 2 or not isinstance(func.args[1],
-                                                        ast.Literal):
-                    raise SqlAnalysisError(
-                        "nth_value requires a constant position")
-                kwargs["nth"] = int(func.args[1].value)
-                kwargs["from_last"] = func.from_last
-            kwargs["ignore_nulls"] = func.ignore_nulls
-            if order_items:
-                kwargs["order_by"] = self._order_items(order_items)
-        elif name in ("lead", "lag"):
-            args.append(self._column_for(func.args[0]))
-            if len(func.args) >= 2:
-                if not isinstance(func.args[1], ast.Literal):
-                    raise SqlAnalysisError(
-                        f"{func.name} offset must be constant")
-                kwargs["offset"] = int(func.args[1].value)
-            if len(func.args) >= 3:
-                if not isinstance(func.args[2], ast.Literal):
-                    raise SqlAnalysisError(
-                        f"{func.name} default must be constant")
-                kwargs["default"] = func.args[2].value
-            kwargs["ignore_nulls"] = func.ignore_nulls
-            if order_items:
-                kwargs["order_by"] = self._order_items(order_items)
-        if func.filter_where is not None:
-            kwargs["filter_where"] = self._column_for(func.filter_where)
-        return WindowCall(name, args, **kwargs)
-
-    def translate_spec(self, window: ast.WindowDef) -> WindowSpec:
-        partition = tuple(self._column_for(e) for e in window.partition_by)
-        order = self._order_items(window.order_by)
-        frame = None
-        if window.frame is not None:
-            frame = self._translate_frame(window.frame)
-        return WindowSpec(partition_by=partition, order_by=order,
-                          frame=frame)
-
-    def _translate_frame(self, frame: ast.FrameAst) -> FrameSpec:
-        mode = {"rows": FrameMode.ROWS, "range": FrameMode.RANGE,
-                "groups": FrameMode.GROUPS}[frame.mode]
-        exclusion = {"no_others": FrameExclusion.NO_OTHERS,
-                     "current_row": FrameExclusion.CURRENT_ROW,
-                     "group": FrameExclusion.GROUP,
-                     "ties": FrameExclusion.TIES}[frame.exclusion]
-        return FrameSpec(mode, self._translate_bound(frame.start, False),
-                         self._translate_bound(frame.end, True), exclusion)
-
-    def _translate_bound(self, bound: ast.FrameBoundAst,
-                         is_end: bool) -> FrameBound:
-        if bound.kind == "unbounded_preceding":
-            return unbounded_preceding()
-        if bound.kind == "unbounded_following":
-            return unbounded_following()
-        if bound.kind == "current_row":
-            return current_row()
-        offset = self._bound_offset(bound.offset)
-        return preceding(offset) if bound.kind == "preceding" \
-            else following(offset)
-
-    def _bound_offset(self, expr: ast.Expr) -> Any:
-        if isinstance(expr, ast.Literal) and isinstance(
-                expr.value, (int, float)):
-            return expr.value
-        if isinstance(expr, ast.IntervalLiteral):
-            return expr.days
-        vector = _eval(expr, self.relation, self.ctx)
-        if not vector.validity.all():
-            raise SqlAnalysisError("frame offsets must not be NULL")
-        return np.asarray(vector.values)
-
-    def build_table(self) -> Tuple[Table, Dict[str, int]]:
-        fields = []
-        columns = []
-        name_map: Dict[str, int] = {}
-        for index, (name, vector) in enumerate(self.columns):
-            column = vector.to_column()
-            fields.append(Field(name, column.dtype))
-            columns.append(column)
-            name_map[name] = index
-        if not columns:
-            # A window over an empty spec still needs a table of the
-            # right cardinality.
-            n = self.relation.n
-            columns = [Column.from_numpy(DataType.INT64,
-                                         np.zeros(n, dtype=np.int64))]
-            fields = [Field("__pad", DataType.INT64)]
-        return Table.from_columns(Schema(fields), columns), name_map
+    for i, (call, _spec) in enumerate(calls):
+        extended.add(from_column(result.column(call.output)), f"__wout_{i}")
+    return extended
 
 
 # ----------------------------------------------------------------------
-# ORDER BY / DISTINCT on the output
+# projection, DISTINCT, ORDER BY, LIMIT
 # ----------------------------------------------------------------------
-def _order_output(stmt: ast.SelectStmt, output: Relation,
-                  source: Relation, ctx: Context) -> Relation:
-    combined = Relation(source.vectors + output.vectors,
-                        source.bindings + output.bindings)
+def _project(node: plan.ProjectNode, ctx: Context) -> Relation:
+    relation = run(node.input, ctx)
+    vectors = [relation.vectors[column] if isinstance(column, int)
+               else evaluate(column, relation, ctx)
+               for column in node.columns]
+    return Relation(vectors, [(None, name.lower()) for name in node.names],
+                    source=relation)
+
+
+def _distinct(node: plan.DistinctNode, ctx: Context) -> Relation:
+    output = run(node.input, ctx)
+    seen = set()
+    keep = []
+    for row in range(output.n):
+        key = tuple(v.python_value(row) for v in output.vectors)
+        if key not in seen:
+            seen.add(key)
+            keep.append(row)
+    rows = np.asarray(keep, dtype=np.int64)
+    distinct = output.take(rows)
+    if output.source is not None:  # stay row-aligned for ORDER BY
+        distinct.source = output.source.take(rows)
+    return distinct
+
+
+def _sort(node: plan.SortNode, ctx: Context) -> Relation:
+    output = run(node.input, ctx)
+    source = output.source
+    combined = output if source is None else Relation(
+        source.vectors + output.vectors, source.bindings + output.bindings)
     sort_columns = []
-    for item in stmt.order_by:
+    for item in node.keys:
         expr = item.expr
         if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
             position = expr.value - 1
@@ -1833,7 +517,7 @@ def _order_output(stmt: ast.SelectStmt, output: Relation,
             # first, then against the input columns.
             vector = output.vectors[output.resolve(expr.name, None)]
         else:
-            vector = _eval(expr, combined, ctx)
+            vector = evaluate(expr, combined, ctx)
         nulls_last = item.nulls_last if item.nulls_last is not None \
             else not item.descending
         sort_columns.append(SortColumn(vector.values, item.descending,
@@ -1842,381 +526,23 @@ def _order_output(stmt: ast.SelectStmt, output: Relation,
     return output.take(order)
 
 
-def _distinct_rows(output: Relation) -> Relation:
-    seen = set()
-    keep = []
-    for row in range(output.n):
-        key = tuple(v.python_value(row) for v in output.vectors)
-        if key not in seen:
-            seen.add(key)
-            keep.append(row)
-    return output.take(np.asarray(keep, dtype=np.int64))
+def _limit(node: plan.LimitNode, ctx: Context) -> Relation:
+    output = run(node.input, ctx)
+    return output.take(np.arange(min(node.count, output.n)))
 
 
-# ----------------------------------------------------------------------
-# expression evaluation
-# ----------------------------------------------------------------------
-def _eval(expr: ast.Expr, relation: Relation, ctx: Context) -> Vector:
-    n = relation.n
-    if isinstance(expr, ast.Literal):
-        return from_scalar(expr.value, n)
-    if isinstance(expr, ast.IntervalLiteral):
-        return from_scalar(expr.days, n)
-    if isinstance(expr, ast.ColumnRef):
-        index = relation.resolve(expr.name, expr.table)
-        if index is not None:
-            return relation.vectors[index]
-        if ctx.outer is not None:
-            hit = ctx.outer.lookup(expr.name, expr.table)
-            if hit is not None:
-                vector, row = hit
-                return _broadcast(vector, row, n)
-        raise SqlAnalysisError(f"unknown column {expr.display()!r}")
-    if isinstance(expr, ast.BinaryOp):
-        return _eval_binary(expr, relation, ctx)
-    if isinstance(expr, ast.UnaryOp):
-        operand = _eval(expr.operand, relation, ctx)
-        return logical_not(operand) if expr.op == "not" else negate(operand)
-    if isinstance(expr, ast.BetweenExpr):
-        value = _eval(expr.expr, relation, ctx)
-        low = _eval(expr.low, relation, ctx)
-        high = _eval(expr.high, relation, ctx)
-        result = logical_and(comparison(">=", value, low),
-                             comparison("<=", value, high))
-        return logical_not(result) if expr.negated else result
-    if isinstance(expr, ast.InExpr):
-        value = _eval(expr.expr, relation, ctx)
-        result = None
-        for item in expr.items:
-            candidate = comparison("=", value, _eval(item, relation, ctx))
-            result = candidate if result is None \
-                else logical_or(result, candidate)
-        if expr.negated:
-            result = logical_not(result)
-        return result
-    if isinstance(expr, ast.IsNullExpr):
-        inner = _eval(expr.expr, relation, ctx)
-        result = ~inner.validity if not expr.negated else inner.validity
-        return Vector(result.copy(), np.ones(n, dtype=np.bool_),
-                      DataType.BOOL)
-    if isinstance(expr, ast.LikeExpr):
-        return _eval_like(expr, relation, ctx)
-    if isinstance(expr, ast.CaseExpr):
-        return _eval_case(expr, relation, ctx)
-    if isinstance(expr, ast.CastExpr):
-        return cast(_eval(expr.expr, relation, ctx), expr.type_name)
-    if isinstance(expr, ast.FuncCall):
-        return _eval_scalar_function(expr, relation, ctx)
-    if isinstance(expr, ast.ScalarSubquery):
-        return _eval_scalar_subquery(expr, relation, ctx)
-    if isinstance(expr, ast.InSubquery):
-        return _eval_in_subquery(expr, relation, ctx)
-    if isinstance(expr, ast.ExistsExpr):
-        return _eval_exists(expr, relation, ctx)
-    if isinstance(expr, ast.Parameter):
-        raise ParameterBindingError(
-            f"statement has an unbound parameter {expr.display()}; "
-            f"prepare it with Session.prepare() and execute with "
-            f"bound values")
-    if isinstance(expr, ast.WindowFunc):
-        raise SqlAnalysisError(
-            "window functions are only allowed in the SELECT list "
-            "and ORDER BY")
-    if isinstance(expr, ast.Star):
-        raise SqlAnalysisError("'*' is only allowed in the SELECT list")
-    raise SqlAnalysisError(f"unsupported expression {type(expr).__name__}")
-
-
-def _broadcast(vector: Vector, row: int, n: int) -> Vector:
-    valid = bool(vector.validity[row])
-    if vector.is_numpy:
-        values = np.full(n, vector.values[row])
-        return Vector(values, np.full(n, valid, dtype=np.bool_),
-                      vector.dtype)
-    return Vector([vector.values[row]] * n,
-                  np.full(n, valid, dtype=np.bool_), vector.dtype)
-
-
-def _eval_binary(expr: ast.BinaryOp, relation: Relation,
-                 ctx: Context) -> Vector:
-    if expr.op == "and":
-        return logical_and(_eval(expr.left, relation, ctx),
-                           _eval(expr.right, relation, ctx))
-    if expr.op == "or":
-        return logical_or(_eval(expr.left, relation, ctx),
-                          _eval(expr.right, relation, ctx))
-    left = _eval(expr.left, relation, ctx)
-    right = _eval(expr.right, relation, ctx)
-    if expr.op in ("+", "-", "*", "/", "%"):
-        return arithmetic(expr.op, left, right)
-    if expr.op == "||":
-        return concat(left, right)
-    return comparison(expr.op, left, right)
-
-
-def _eval_like(expr: ast.LikeExpr, relation: Relation,
-               ctx: Context) -> Vector:
-    """SQL LIKE: '%' matches any run, '_' any single character."""
-    import re as _re
-    value = _eval(expr.expr, relation, ctx)
-    pattern = _eval(expr.pattern, relation, ctx)
-    if value.dtype is not DataType.STRING \
-            or pattern.dtype is not DataType.STRING:
-        raise SqlAnalysisError("LIKE expects string operands")
-    n = len(value)
-    result = np.zeros(n, dtype=np.bool_)
-    validity = value.validity & pattern.validity
-    compiled = {}
-    for i in range(n):
-        if not validity[i]:
-            continue
-        raw = pattern.values[i]
-        regex = compiled.get(raw)
-        if regex is None:
-            # translate: escape regex chars, then map SQL wildcards
-            parts = []
-            for ch in raw:
-                if ch == "%":
-                    parts.append(".*")
-                elif ch == "_":
-                    parts.append(".")
-                else:
-                    parts.append(_re.escape(ch))
-            regex = _re.compile("^" + "".join(parts) + "$", _re.DOTALL)
-            compiled[raw] = regex
-        result[i] = regex.match(value.values[i]) is not None
-    if expr.negated:
-        result = ~result & validity
-    return Vector(result, validity, DataType.BOOL)
-
-
-def _eval_case(expr: ast.CaseExpr, relation: Relation,
-               ctx: Context) -> Vector:
-    n = relation.n
-    decided = np.zeros(n, dtype=np.bool_)
-    branches: List[Tuple[np.ndarray, Vector]] = []
-    for cond, branch in expr.whens:
-        mask = truthy_rows(_eval(cond, relation, ctx)) & ~decided
-        branches.append((mask, _eval(branch, relation, ctx)))
-        decided |= mask
-    result = _eval(expr.else_, relation, ctx) if expr.else_ is not None \
-        else from_scalar(None, n)
-    for mask, vector in branches:
-        result = _merge_vectors(result, vector, mask)
-    return result
-
-
-def _merge_vectors(base: Vector, update: Vector,
-                   mask: np.ndarray) -> Vector:
-    """Rows where ``mask`` holds take ``update``, others keep ``base``."""
-    if base.is_numpy and update.is_numpy:
-        values = np.where(mask, np.asarray(update.values),
-                          np.asarray(base.values))
-    else:
-        values = [update.values[i] if mask[i] else base.values[i]
-                  for i in range(len(base))]
-    validity = np.where(mask, update.validity, base.validity)
-    dtype = base.dtype if base.dtype == update.dtype else (
-        DataType.FLOAT64 if base.dtype.is_numeric and update.dtype.is_numeric
-        else base.dtype)
-    return Vector(values, validity, dtype)
-
-
-def _eval_scalar_subquery(expr: ast.ScalarSubquery, relation: Relation,
-                          ctx: Context) -> Vector:
-    n = relation.n
-    usage = [False]
-    if n == 0:
-        return from_scalar(None, 0)
-    # Probe with row 0: if no outer column is touched, the subquery is
-    # uncorrelated and one execution serves every row.
-    probe_outer = OuterRow(relation, 0, parent=ctx.outer, usage=usage)
-    sub_ctx = ctx.child(outer=probe_outer)
-    sub_rel, _ = execute_select(expr.select, sub_ctx)
-    first = _scalar_from(sub_rel)
-    if not usage[0]:
-        return _broadcast_scalar(first, n)
-    values: List[Any] = [first]
-    exec_ctx = current_context()
-    for row in range(1, n):
-        exec_ctx.checkpoint()
-        outer = OuterRow(relation, row, parent=ctx.outer)
-        sub_rel, _ = execute_select(expr.select, ctx.child(outer=outer))
-        values.append(_scalar_from(sub_rel))
-    column = Column(_infer_dtype_from_values(values), values)
-    return from_column(column)
-
-
-def _scalar_from(relation: Relation) -> Any:
-    if relation.n == 0:
-        return None
-    if relation.n > 1:
-        raise SqlAnalysisError("scalar subquery returned more than one row")
-    if len(relation.vectors) != 1:
-        raise SqlAnalysisError(
-            "scalar subquery must return exactly one column")
-    return relation.vectors[0].python_value(0)
-
-
-def _broadcast_scalar(value: Any, n: int) -> Vector:
-    return from_scalar(value, n)
-
-
-def _eval_in_subquery(expr: ast.InSubquery, relation: Relation,
-                      ctx: Context) -> Vector:
-    """``expr [NOT] IN (SELECT ...)``: one subquery execution, then a
-    hash-set membership probe with SQL three-valued logic.
-
-    The plan layer rejects correlated bodies up front (they would need
-    per-row re-execution; rewrite as a join or EXISTS), so the
-    subquery runs exactly once regardless of the outer row count."""
-    logical_plan.check_in_subquery(
-        expr, ctx.catalog,
-        {name: names for name, (_rel, names) in ctx.ctes.items()})
-    sub_rel, _ = execute_select(expr.select, ctx.child(outer=None))
-    if len(sub_rel.vectors) != 1:
-        raise SqlAnalysisError(
-            "IN subquery must return exactly one column")
-    vector = sub_rel.vectors[0]
-    raw = vector.values.tolist() if vector.is_numpy else list(vector.values)
-    members = set()
-    has_null = False
-    for value, valid in zip(raw, vector.validity.tolist()):
-        if valid:
-            members.add(value)
-        else:
-            has_null = True
-
-    probe = _eval(expr.expr, relation, ctx)
-    n = relation.n
-    probe_raw = probe.values.tolist() if probe.is_numpy \
-        else list(probe.values)
-    result = np.zeros(n, dtype=np.bool_)
-    validity = np.ones(n, dtype=np.bool_)
-    for i in range(n):
-        if not probe.validity[i]:
-            validity[i] = False  # NULL IN (...) is NULL
-        elif probe_raw[i] in members:
-            result[i] = True
-        elif has_null:
-            validity[i] = False  # x IN (..., NULL) without a hit: NULL
-    out = Vector(result, validity, DataType.BOOL)
-    return logical_not(out) if expr.negated else out
-
-
-def _eval_exists(expr: ast.ExistsExpr, relation: Relation,
-                 ctx: Context) -> Vector:
-    n = relation.n
-    result = np.zeros(n, dtype=np.bool_)
-    exec_ctx = current_context()
-    for row in range(n):
-        exec_ctx.checkpoint()
-        outer = OuterRow(relation, row, parent=ctx.outer)
-        sub_rel, _ = execute_select(expr.select, ctx.child(outer=outer))
-        result[row] = sub_rel.n > 0
-    if expr.negated:
-        result = ~result
-    return Vector(result, np.ones(n, dtype=np.bool_), DataType.BOOL)
-
-
-def _eval_scalar_function(expr: ast.FuncCall, relation: Relation,
-                          ctx: Context) -> Vector:
-    name = expr.name.lower()
-    if is_aggregate_name(name):
-        raise SqlAnalysisError(
-            f"aggregate {expr.name!r} is not allowed here")
-    args = [_eval(a, relation, ctx) for a in expr.args]
-    if name == "mod":
-        _expect_args(expr, args, 2)
-        return arithmetic("%", args[0], args[1])
-    if name == "abs":
-        _expect_args(expr, args, 1)
-        return Vector(np.abs(np.asarray(args[0].values)),
-                      args[0].validity.copy(), args[0].dtype)
-    if name in ("floor", "ceil", "ceiling"):
-        _expect_args(expr, args, 1)
-        fn = np.floor if name == "floor" else np.ceil
-        return Vector(fn(np.asarray(args[0].values, dtype=np.float64))
-                      .astype(np.int64), args[0].validity.copy(),
-                      DataType.INT64)
-    if name == "round":
-        values = np.asarray(args[0].values, dtype=np.float64)
-        digits = 0
-        if len(args) > 1:
-            digits = int(np.asarray(args[1].values)[0])
-        return Vector(np.round(values, digits), args[0].validity.copy(),
-                      DataType.FLOAT64)
-    if name == "coalesce":
-        result = args[0]
-        for candidate in args[1:]:
-            result = _merge_vectors(candidate, result, result.validity)
-        return result
-    if name in ("least", "greatest"):
-        op = np.fmin if name == "least" else np.fmax
-        values = np.asarray(args[0].values, dtype=np.float64)
-        validity = args[0].validity.copy()
-        for candidate in args[1:]:
-            values = op(values, np.asarray(candidate.values,
-                                           dtype=np.float64))
-            validity &= candidate.validity
-        return Vector(values, validity, DataType.FLOAT64)
-    if name == "length":
-        _expect_args(expr, args, 1)
-        values = np.array([len(v) for v in args[0].values], dtype=np.int64)
-        return Vector(values, args[0].validity.copy(), DataType.INT64)
-    if name in ("lower", "upper"):
-        _expect_args(expr, args, 1)
-        transform = str.lower if name == "lower" else str.upper
-        return Vector([transform(v) for v in args[0].values],
-                      args[0].validity.copy(), DataType.STRING)
-    if name == "year":
-        _expect_args(expr, args, 1)
-        days = np.asarray(args[0].values, dtype="timedelta64[D]")
-        dates = np.datetime64("1970-01-01") + days
-        years = dates.astype("datetime64[Y]").astype(np.int64) + 1970
-        return Vector(years, args[0].validity.copy(), DataType.INT64)
-    raise SqlAnalysisError(f"unknown function {expr.name!r}")
-
-
-def _expect_args(expr: ast.FuncCall, args: List[Vector], count: int) -> None:
-    if len(args) != count:
-        raise SqlAnalysisError(
-            f"{expr.name} expects {count} argument(s), got {len(args)}")
-
-
-def _derive_name(expr: ast.Expr) -> str:
-    if isinstance(expr, ast.ColumnRef):
-        return expr.name
-    if isinstance(expr, ast.FuncCall):
-        return expr.name.lower()
-    if isinstance(expr, ast.WindowFunc):
-        return expr.func.name.lower()
-    return "col"
-
-
-def _infer_dtype_from_values(values: Sequence[Any]) -> DataType:
-    has_float = has_int = has_str = has_date = has_bool = False
-    for value in values:
-        if value is None:
-            continue
-        if isinstance(value, bool):
-            has_bool = True
-        elif isinstance(value, (int, np.integer)):
-            has_int = True
-        elif isinstance(value, (float, np.floating)):
-            has_float = True
-        elif isinstance(value, str):
-            has_str = True
-        elif isinstance(value, datetime.date):
-            has_date = True
-    if has_str:
-        return DataType.STRING
-    if has_date:
-        return DataType.DATE
-    if has_float:
-        return DataType.FLOAT64
-    if has_int:
-        return DataType.INT64
-    if has_bool:
-        return DataType.BOOL
-    return DataType.FLOAT64
+_OPERATORS: Dict[type, Callable[[Any, Context], Relation]] = {
+    plan.ScanNode: _scan,
+    plan.ValuesNode: _values,
+    plan.SubqueryNode: _subquery,
+    plan.CTENode: _cte,
+    plan.HashJoinNode: _hash_join,
+    plan.NestedLoopJoinNode: _nested_loop_join,
+    plan.FilterNode: _filter,
+    plan.AggregateNode: _aggregate,
+    plan.WindowNode: _window,
+    plan.ProjectNode: _project,
+    plan.DistinctNode: _distinct,
+    plan.SortNode: _sort,
+    plan.LimitNode: _limit,
+}

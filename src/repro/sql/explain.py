@@ -1,19 +1,21 @@
-"""EXPLAIN: a human-readable plan rendering for the SQL executor.
+"""EXPLAIN: a human-readable rendering of the logical plan.
 
-The executor interprets the AST directly, so the "plan" is derived from
-the statement structure — which is still exactly what executes: scans,
-nested-loop joins, filters, aggregations, window evaluations, sorts.
-Useful for confirming that the Figure 9 formulations really run as the
-O(n^2) nested-loop / correlated-subquery shapes the paper describes.
+:func:`render` prints the tree :func:`repro.sql.plan.plan_statement`
+builds — the same tree the executor walks — so what EXPLAIN shows is
+what runs: scans, hash or nested-loop joins, filters, aggregations,
+window evaluations, sorts. Useful for confirming that the Figure 9
+formulations really run as the O(n^2) nested-loop / correlated-subquery
+shapes the paper describes. EXPLAIN ANALYZE annotates each node from
+the span the executor's driver opened for that very node.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Union
+from typing import Any, Dict, List, Union
 
+from repro.errors import SqlAnalysisError
 from repro.sql import ast
 from repro.sql import plan as logical_plan
-from repro.sql.aggregates import is_aggregate_name
 from repro.sql.parser import parse
 
 
@@ -26,7 +28,7 @@ def explain(sql_or_ast: Union[str, ast.SelectStmt],
     """Render the execution plan of a SELECT statement as a tree.
 
     With a :class:`repro.cache.StructureCache` (or via
-    :meth:`repro.sql.executor.Session.explain`) the rendering appends
+    :meth:`repro.sql.session.Session.explain`) the rendering appends
     the session's structure-cache counters, so warm-serving behaviour
     is observable the same way the plan shape is.
 
@@ -60,17 +62,24 @@ def explain(sql_or_ast: Union[str, ast.SelectStmt],
     per-phase timings, cache build/reuse counts, spill traffic, and
     scheduler decisions recorded by the query's trace.
 
-    ``catalog`` (a :class:`~repro.sql.catalog.Catalog`) enables the
-    logical plan layer: joins are classified against real table
-    scopes, so equi-keyed inner/left joins render as ``HashJoin``
-    nodes — the same decision the executor takes. Without a catalog
-    the rendering stays purely syntactic (every join a
-    ``NestedLoopJoin``), preserving the static utility form."""
-    stmt = parse(sql_or_ast) if isinstance(sql_or_ast, str) else sql_or_ast
-    lines: List[str] = []
-    _render_select(stmt, lines, 0, catalog, {})
-    if analysis is not None:
-        _annotate_plan(lines, analysis)
+    ``catalog`` (a :class:`~repro.sql.catalog.Catalog`) plans the
+    statement against real table scopes, so equi-keyed inner/left
+    joins render as ``HashJoin`` nodes — the plan the executor runs.
+    Without a catalog (or when the statement names an unknown table,
+    which fails properly at execution) the same planner produces a
+    purely syntactic tree: every join a ``NestedLoopJoin``.
+
+    The first argument may also be an already-built
+    :class:`~repro.sql.plan.StatementPlan` (how ``QueryResult.explain``
+    renders the plan that actually ran)."""
+    plan = sql_or_ast
+    if not isinstance(plan, logical_plan.StatementPlan):
+        stmt = parse(plan) if isinstance(plan, str) else plan
+        try:
+            plan = logical_plan.plan_statement(stmt, catalog)
+        except SqlAnalysisError:
+            plan = logical_plan.plan_statement(stmt, None)
+    lines = render(plan, analysis).split("\n")
     if plan_cache is not None:
         stats = plan_cache.stats()
         # Quiet until it has seen traffic, like the Gateway section.
@@ -126,67 +135,6 @@ def _ms(seconds: float) -> str:
     return f"{seconds * 1000.0:.3f}ms"
 
 
-def _annotate_plan(lines: List[str], analysis: Any) -> None:
-    """Append ``(actual: ...)`` suffixes to plan nodes in place.
-
-    The executor interprets the statement as a whole, so actual
-    figures attach at the granularity the trace records them: the
-    query total on the first ``Project``, window-group timings and
-    structure build/reuse counts on the first ``Window``, and scanned
-    row counts on each ``Scan`` (matched by table name, in order)."""
-    root = getattr(analysis, "trace", None)
-    stats = getattr(analysis, "stats", None)
-    if root is None:
-        return
-    scans = list(root.find_all("scan"))
-    groups = root.find_all("window.group")
-    builds = list(root.find_all("join.build"))
-    probes = list(root.find_all("join.probe"))
-    ctes = list(root.find_all("cte.materialize"))
-    annotated_project = False
-    annotated_window = False
-    for i, line in enumerate(lines):
-        text = line.lstrip()
-        if text.startswith("HashJoin (") and builds:
-            build = builds.pop(0)
-            parts = [f"build_rows={build.attrs.get('rows', '?')}",
-                     f"build={_ms(build.duration)}"]
-            if probes:
-                probe = probes.pop(0)
-                parts.append(f"matches={probe.attrs.get('matches', '?')}")
-                parts.append(f"probe={_ms(probe.duration)}")
-            lines[i] = f"{line} (actual: {', '.join(parts)})"
-        elif text.startswith("CTE "):
-            name = text.split()[1].rstrip(":").lower()
-            for j, span in enumerate(ctes):
-                if span.attrs.get("cte") == name:
-                    lines[i] = (f"{line[:-1]} (actual: "
-                                f"rows={span.attrs.get('rows', '?')}, "
-                                f"time={_ms(span.duration)}):")
-                    ctes.pop(j)
-                    break
-        elif text.startswith("Project (") and not annotated_project:
-            annotated_project = True
-            lines[i] = (f"{line} (actual: rows={len(analysis)}, "
-                        f"total={_ms(root.duration)})")
-        elif text.startswith("Window (") and not annotated_window:
-            annotated_window = True
-            group_time = sum(span.duration for span in groups)
-            parts = [f"groups={len(groups)}", f"time={_ms(group_time)}"]
-            if stats is not None:
-                parts.append(f"builds={stats.structure_builds}")
-                parts.append(f"reuses={stats.structure_reuses}")
-            lines[i] = f"{line} (actual: {', '.join(parts)})"
-        elif text.startswith("Scan "):
-            name = text.split()[1].lower()
-            for j, event in enumerate(scans):
-                if event.attrs.get("table") == name:
-                    rows = event.attrs.get("rows", "?")
-                    lines[i] = f"{line} (actual: rows={rows})"
-                    scans.pop(j)
-                    break
-
-
 def _execution_section(analysis: Any) -> List[str]:
     """The ``Execution (actual)`` EXPLAIN section for one execution."""
     lines = ["Execution (actual)"]
@@ -223,136 +171,121 @@ def _execution_section(analysis: Any) -> List[str]:
     return lines
 
 
-def _emit(lines: List[str], depth: int, text: str) -> None:
-    lines.append("  " * depth + text)
+def render(plan: logical_plan.StatementPlan, analysis: Any = None) -> str:
+    """The plan tree as indented text, one line per node.
 
+    ``analysis`` (a traced :class:`~repro.sql.result.QueryResult`)
+    appends ``(actual: ...)`` to every node that ran, read from that
+    node's own span: output rows and wall time (inputs included), each
+    hash join's own build/probe figures, each window's own group
+    timings. The statement's ``Project`` also carries the query total;
+    structure build/reuse counts are the whole query's."""
+    lines: List[str] = []
+    actuals: Dict[int, Any] = getattr(analysis, "actuals", None) or {}
 
-def _render_select(stmt: ast.SelectStmt, lines: List[str],
-                   depth: int, catalog: Any = None,
-                   ctes: Any = None) -> None:
-    ctes = dict(ctes) if ctes else {}
-    for name, cte in stmt.ctes:
-        _emit(lines, depth, f"CTE {name}:")
-        _render_select(cte, lines, depth + 1, catalog, ctes)
-        if catalog is not None:
-            try:
-                ctes[name.lower()] = logical_plan.output_names(
-                    cte, catalog, ctes)
-            except Exception:
-                catalog = None  # unknown table etc.: render statically
-    if stmt.limit is not None:
-        _emit(lines, depth, f"Limit ({stmt.limit})")
-        depth += 1
-    if stmt.order_by:
-        keys = ", ".join(_expr(s.expr) + (" DESC" if s.descending else "")
-                         for s in stmt.order_by)
-        _emit(lines, depth, f"Sort ({keys})")
-        depth += 1
-    if stmt.distinct:
-        _emit(lines, depth, "Distinct")
-        depth += 1
-    projections = ", ".join(
-        _expr(item.expr) + (f" AS {item.alias}" if item.alias else "")
-        for item in stmt.items)
-    _emit(lines, depth, f"Project ({projections})")
-    depth += 1
-
-    window_nodes: List[ast.WindowFunc] = []
-    for item in stmt.items:
-        _collect_windows(item.expr, window_nodes)
-    has_aggregate = bool(stmt.group_by) or any(
-        _has_aggregate(item.expr) for item in stmt.items)
-    if has_aggregate:
-        keys = ", ".join(_expr(e) for e in stmt.group_by) or "()"
-        _emit(lines, depth, f"Aggregate (group by {keys})")
-        depth += 1
-        if stmt.having is not None:
-            _emit(lines, depth, f"Having ({_expr(stmt.having)})")
-            depth += 1
-    elif window_nodes:
-        calls = ", ".join(f"{w.func.name}(...) OVER "
-                          f"{w.window if isinstance(w.window, str) else '(...)'}"
-                          for w in window_nodes)
-        shared = logical_plan.shared_window_groups(stmt)
-        suffix = ""
-        if shared:
-            groups = "; ".join("=".join(names) for names in shared)
-            suffix = f" [shared sort: {groups}]"
-        _emit(lines, depth, f"Window ({calls}){suffix}")
-        depth += 1
-    if stmt.where is not None:
-        _emit(lines, depth, f"Filter ({_expr(stmt.where)})")
-        depth += 1
-    _render_from(stmt.from_, lines, depth, catalog, ctes)
-
-
-def _render_from(from_: ast.TableExpr, lines: List[str],
-                 depth: int, catalog: Any = None,
-                 ctes: Any = None) -> None:
-    ctes = ctes or {}
-    if from_ is None:
-        _emit(lines, depth, "Values (1 row)")
-        return
-    if isinstance(from_, ast.NamedTable):
-        alias = f" AS {from_.alias}" if from_.alias else ""
-        cte = " (cte)" if from_.name.lower() in ctes else ""
-        _emit(lines, depth, f"Scan {from_.name}{alias}{cte}")
-        return
-    if isinstance(from_, ast.DerivedTable):
-        _emit(lines, depth, f"Subquery AS {from_.alias}:")
-        _render_select(from_.select, lines, depth + 1, catalog, ctes)
-        return
-    if isinstance(from_, ast.Join):
-        jplan = _classify(from_, catalog, ctes)
-        if jplan is not None and jplan.strategy == "hash":
-            keys = ", ".join(f"{_expr(l)} = {_expr(r)}"
-                             for l, r in jplan.keys)
-            residual = (f", residual: {_expr(jplan.residual)}"
-                        if jplan.residual is not None else "")
-            _emit(lines, depth,
-                  f"HashJoin ({jplan.kind}, keys: {keys}{residual})")
-        elif from_.kind == "cross" and from_.condition is None:
-            _emit(lines, depth, "NestedLoopJoin (cross)")
+    def suffix(node: Any) -> str:
+        span = actuals.get(id(node))
+        if span is None:
+            return ""
+        rows = span.attrs.get("rows", "?")
+        if isinstance(node, logical_plan.ScanNode):
+            parts = [f"rows={rows}"]
+        elif node is plan.project:
+            parts = [f"rows={rows}", f"total={_ms(analysis.trace.duration)}"]
+        elif isinstance(node, logical_plan.HashJoinNode):
+            phases = {child.name: child for child in span.children}
+            build = phases.get("join.build")
+            probe = phases.get("join.probe")
+            parts = []
+            if build is not None:
+                parts += [f"build_rows={build.attrs.get('rows', '?')}",
+                          f"build={_ms(build.duration)}"]
+            if probe is not None:
+                parts += [f"matches={probe.attrs.get('matches', '?')}",
+                          f"probe={_ms(probe.duration)}"]
+        elif isinstance(node, logical_plan.WindowNode):
+            groups = span.find_all("window.group")
+            parts = [f"groups={len(groups)}",
+                     f"time={_ms(sum(g.duration for g in groups))}",
+                     f"builds={analysis.stats.structure_builds}",
+                     f"reuses={analysis.stats.structure_reuses}"]
         else:
-            condition = _expr(from_.condition) if from_.condition else ""
-            _emit(lines, depth,
-                  f"NestedLoopJoin ({from_.kind}, on {condition})")
-        _render_from(from_.left, lines, depth + 1, catalog, ctes)
-        _render_from(from_.right, lines, depth + 1, catalog, ctes)
-        return
-    _emit(lines, depth, f"<{type(from_).__name__}>")
+            parts = [f"rows={rows}", f"time={_ms(span.duration)}"]
+        return f" (actual: {', '.join(parts)})"
+
+    def statement(sub: logical_plan.StatementPlan, depth: int) -> None:
+        for cte in sub.ctes:
+            emit(depth, f"CTE {cte.name}{suffix(cte)}:")
+            statement(cte.plan, depth + 1)
+        visit(sub.root, depth)
+
+    def emit(depth: int, text: str) -> None:
+        lines.append("  " * depth + text)
+
+    def visit(node: Any, depth: int) -> None:
+        if isinstance(node, logical_plan.SubqueryNode):
+            emit(depth, f"Subquery AS {node.alias}{suffix(node)}:")
+            statement(node.plan, depth + 1)
+            return
+        emit(depth, _label(node) + suffix(node))
+        if isinstance(node, logical_plan.AggregateNode) \
+                and node.having is not None:
+            depth += 1
+            emit(depth, f"Having ({_expr(node.having)})")
+        for child in node.inputs:
+            visit(child, depth + 1)
+
+    statement(plan, 0)
+    return "\n".join(lines)
 
 
-def _classify(join: ast.Join, catalog: Any, ctes: Any):
-    """The plan layer's strategy for one join, or None when no catalog
-    is available (or scope analysis fails — unknown tables render
-    statically and fail properly at execution)."""
-    if catalog is None:
-        return None
-    try:
-        left = logical_plan.from_scope(join.left, catalog, ctes)
-        right = logical_plan.from_scope(join.right, catalog, ctes)
-        return logical_plan.classify_join(join, left, right)
-    except Exception:
-        return None
-
-
-def _collect_windows(expr: ast.Expr, out: List[ast.WindowFunc]) -> None:
-    if isinstance(expr, ast.WindowFunc):
-        out.append(expr)
-        return
-    from repro.sql.executor import _children
-    for child in _children(expr):
-        _collect_windows(child, out)
-
-
-def _has_aggregate(expr: ast.Expr) -> bool:
-    if isinstance(expr, ast.WindowFunc):
-        return False
-    if isinstance(expr, ast.FuncCall) and is_aggregate_name(expr.name):
-        return True
-    from repro.sql.executor import _children
-    return any(_has_aggregate(child) for child in _children(expr))
+def _label(node: Any) -> str:
+    """One plan node's EXPLAIN line."""
+    if isinstance(node, logical_plan.LimitNode):
+        return f"Limit ({node.count})"
+    if isinstance(node, logical_plan.SortNode):
+        keys = ", ".join(_expr(s.expr) + (" DESC" if s.descending else "")
+                         for s in node.order_by)
+        return f"Sort ({keys})"
+    if isinstance(node, logical_plan.DistinctNode):
+        return "Distinct"
+    if isinstance(node, logical_plan.ProjectNode):
+        projections = ", ".join(
+            _expr(item.expr) + (f" AS {item.alias}" if item.alias else "")
+            for item in node.items)
+        return f"Project ({projections})"
+    if isinstance(node, logical_plan.AggregateNode):
+        keys = ", ".join(_expr(e) for e in node.group_by) or "()"
+        return f"Aggregate (group by {keys})"
+    if isinstance(node, logical_plan.WindowNode):
+        calls = ", ".join(
+            f"{w.func.name}(...) OVER "
+            f"{w.window if isinstance(w.window, str) else '(...)'}"
+            for w, _resolved in node.calls)
+        suffix = ""
+        if node.shared:
+            groups = "; ".join("=".join(names) for names in node.shared)
+            suffix = f" [shared sort: {groups}]"
+        return f"Window ({calls}){suffix}"
+    if isinstance(node, logical_plan.FilterNode):
+        return f"Filter ({_expr(node.predicate)})"
+    if isinstance(node, logical_plan.ValuesNode):
+        return "Values (1 row)"
+    if isinstance(node, logical_plan.ScanNode):
+        alias = f" AS {node.alias}" if node.alias else ""
+        cte = " (cte)" if node.source == "cte" else ""
+        return f"Scan {node.table}{alias}{cte}"
+    if isinstance(node, logical_plan.HashJoinNode):
+        keys = ", ".join(f"{_expr(l)} = {_expr(r)}" for l, r in node.keys)
+        residual = (f", residual: {_expr(node.residual)}"
+                    if node.residual is not None else "")
+        return f"HashJoin ({node.kind}, keys: {keys}{residual})"
+    if isinstance(node, logical_plan.NestedLoopJoinNode):
+        if node.kind == "cross" and node.condition is None:
+            return "NestedLoopJoin (cross)"
+        condition = _expr(node.condition) if node.condition else ""
+        return f"NestedLoopJoin ({node.kind}, on {condition})"
+    return f"<{type(node).__name__}>"
 
 
 def _expr(node: ast.Expr) -> str:

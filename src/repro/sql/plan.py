@@ -1,25 +1,31 @@
-"""The logical plan layer between the AST and the executor.
+"""The logical plan: the one tree that is planned, executed and
+explained.
 
-The executor used to interpret the AST directly; every FROM-clause
-join ran as the O(n²) nested loop the paper's Figure 9 baselines are
-stuck with. This module is the thin planning pass that now sits in
-between:
+:func:`plan_statement` turns a parsed statement into a tree of
+operator nodes — scans, joins, ``Filter``, ``Aggregate``, ``Window``,
+``Project``, ``Distinct``, ``Sort``, ``Limit``, with CTE and
+derived-table plans nested inside — and that tree is the single
+derivation of a query's shape: the executor walks it
+(:func:`repro.sql.executor.run`), EXPLAIN renders it
+(:func:`repro.sql.explain.render`) and EXPLAIN ANALYZE annotates each
+node from the span the executor opened for it. Every nested statement
+(CTE, derived table, scalar / IN / EXISTS subquery) is planned once,
+with its parent; a correlated body re-*runs* per outer row but is never
+re-planned. The module holds:
 
-* **scope analysis** — :func:`from_scope` / :func:`statement_scope`
+* **scope analysis** — :func:`from_scope` / :func:`output_names`
   compute alias-aware :class:`~repro.sql.catalog.Scope` bindings for
-  any table expression *without executing it*, with the same
-  resolution semantics (lowercasing, ambiguity) the executor applies
-  at runtime;
+  any table expression *without executing it*, with the resolution
+  semantics (lowercasing, ambiguity) the executor applies at runtime;
 * **join classification** — :func:`classify_join` splits an ``ON``
   condition into equi-join key pairs (side-classified against the two
   scopes) plus a residual predicate, and picks the ``hash`` strategy
   whenever at least one key pair exists for an inner/left join.  The
-  executor's hash path and EXPLAIN's rendering both consult this one
-  decision procedure, so what EXPLAIN prints is what runs;
-* **statement plans** — :func:`plan_statement` builds a small
-  operator tree (:class:`ScanNode`, :class:`HashJoinNode`,
-  :class:`NestedLoopJoinNode`, :class:`SubqueryNode`,
-  :class:`CTENode`) for EXPLAIN and tests;
+  planner is its only caller;
+* **the plan tree** — the ``*Node`` classes and :func:`plan_statement`.
+  Planned without a catalog (``catalog=None``) the tree is a purely
+  syntactic rendering aid: no scopes, every join a nested loop, not
+  executable;
 * **named-window dedup** — :func:`shared_window_groups` reports which
   named ``WINDOW`` clauses share a PARTITION BY / ORDER BY spec.  The
   window operator already shares one sort permutation (and one arena
@@ -27,19 +33,14 @@ between:
   decidable and observable before execution;
 * **subquery correlation checks** — :func:`check_in_subquery` rejects
   correlated ``IN (SELECT ...)`` subqueries at plan time with a clear
-  typed error instead of a deep runtime resolution failure;
-* **prepared statements** — :func:`collect_parameters`,
-  :func:`infer_parameter_types`, :func:`bind_parameters` and
-  :func:`coerce_parameter` implement the ``$1`` / ``:name``
-  placeholder machinery behind ``Session.prepare``.
+  typed error instead of a deep runtime resolution failure.
 
-The module deliberately imports nothing from the executor, so the
-dependency points one way: AST → plan → executor.
+The module imports nothing from the executor, so the dependency points
+one way: AST → plan → executor.
 """
 
 from __future__ import annotations
 
-import datetime
 from dataclasses import dataclass, replace
 from typing import (
     Any,
@@ -53,20 +54,19 @@ from typing import (
     Union,
 )
 
-from repro.errors import ParameterBindingError, SqlAnalysisError
+from repro.errors import SqlAnalysisError
 from repro.sql import ast
+from repro.sql.aggregates import is_aggregate_name
 from repro.sql.catalog import Catalog, Scope
 
 __all__ = [
-    "JoinPlan", "ScanNode", "SubqueryNode", "HashJoinNode",
-    "NestedLoopJoinNode", "CTENode", "StatementPlan",
-    "from_scope", "statement_scope", "output_names", "split_conjuncts",
-    "classify_join", "plan_statement", "shared_window_groups",
-    "check_in_subquery", "collect_parameters", "parameter_keys",
-    "infer_parameter_types", "bind_parameters", "coerce_parameter",
+    "JoinPlan", "PlanNode", "ScanNode", "ValuesNode", "SubqueryNode",
+    "HashJoinNode", "NestedLoopJoinNode", "FilterNode", "AggregateNode",
+    "WindowNode", "ProjectNode", "DistinctNode", "SortNode", "LimitNode",
+    "CTENode", "StatementPlan", "from_scope", "output_names",
+    "split_conjuncts", "classify_join", "plan_statement",
+    "shared_window_groups", "check_in_subquery",
 ]
-
-ParamKey = Union[int, str]
 
 
 # ----------------------------------------------------------------------
@@ -77,10 +77,9 @@ def from_scope(from_: Optional[ast.TableExpr], catalog: Catalog,
     """The (qualifier, column) bindings a FROM clause exposes.
 
     ``ctes`` maps lowercased CTE names to their output column names.
-    Mirrors the executor's ``_execute_from`` name handling: CTE names
-    shadow catalog tables, the alias (or table name) becomes the
-    qualifier, derived tables expose their select list under the
-    alias."""
+    Mirrors the executor's scan operators: CTE names shadow catalog
+    tables, the alias (or table name) becomes the qualifier, derived
+    tables expose their select list under the alias."""
     if from_ is None:
         return Scope([(None, "__dual")])
     if isinstance(from_, ast.NamedTable):
@@ -111,22 +110,20 @@ def output_names(stmt: ast.SelectStmt, catalog: Catalog,
         if isinstance(item.expr, ast.Star):
             if source is None:
                 source = from_scope(stmt.from_, catalog, local_ctes)
-            for qual, col in source.bindings:
-                if col.startswith("__"):
-                    continue
-                if item.expr.table is not None \
-                        and qual != item.expr.table.lower():
-                    continue
-                out.append(col)
+            out.extend(source.bindings[i][1]
+                       for i in _star_positions(item.expr, source))
             continue
         out.append((item.alias or _derive_name(item.expr)).lower())
     return out
 
 
-def statement_scope(stmt: ast.SelectStmt, catalog: Catalog,
-                    ctes: Mapping[str, Sequence[str]]) -> Scope:
-    """The unqualified scope a statement's output exposes."""
-    return Scope.for_columns(output_names(stmt, catalog, ctes), None)
+def _star_positions(star: ast.Star, scope: Scope) -> List[int]:
+    """Which input columns ``*`` / ``t.*`` selects (hidden ``__``
+    columns never surface)."""
+    qualifier = star.table.lower() if star.table is not None else None
+    return [i for i, (qual, col) in enumerate(scope.bindings)
+            if not col.startswith("__")
+            and (qualifier is None or qual == qualifier)]
 
 
 def _derive_name(expr: ast.Expr) -> str:
@@ -137,6 +134,13 @@ def _derive_name(expr: ast.Expr) -> str:
     if isinstance(expr, ast.WindowFunc):
         return expr.func.name.lower()
     return "col"
+
+
+def derived_tables(stmt: ast.SelectStmt) -> List[ast.SelectStmt]:
+    """The bodies of the derived tables in a statement's FROM clause."""
+    if isinstance(stmt.from_, (ast.Join, ast.DerivedTable)):
+        return ast.statements(stmt.from_)
+    return []
 
 
 # ----------------------------------------------------------------------
@@ -204,7 +208,7 @@ def _side_of(expr: ast.Expr, left: Scope, right: Scope) -> str:
             else:
                 complex_[0] = True  # outer/unknown reference
             return
-        for child in _expr_children(node):
+        for child in ast.children(node):
             visit(child)
 
     visit(expr)
@@ -248,101 +252,344 @@ def classify_join(join: ast.Join, left: Scope, right: Scope) -> JoinPlan:
                     residual=join.condition)
 
 
+
 # ----------------------------------------------------------------------
-# statement plans (EXPLAIN / tests)
+# the plan tree
 # ----------------------------------------------------------------------
+class PlanNode:
+    """One operator of the plan tree.
+
+    ``span`` names the trace span the executor's driver opens around
+    the node (EXPLAIN ANALYZE reads the node's actuals from it),
+    ``fault_site`` the chaos hook the driver fires before running it,
+    and ``keeps_reservation`` marks a node whose governor reservations
+    outlive it (released when the enclosing statement finishes)."""
+
+    span = ""
+    fault_site: Optional[str] = None
+    keeps_reservation = False
+    inputs: Tuple["PlanNode", ...] = ()
+
+    def span_attrs(self) -> Dict[str, Any]:
+        return {}
+
+
 @dataclass(frozen=True)
-class ScanNode:
-    table: str
+class ScanNode(PlanNode):
+    table: str                    # as written
     alias: Optional[str] = None
-    source: str = "table"  # table | cte
+    source: str = "table"         # table | cte
+    span = "scan"
+
+    @property
+    def qualifier(self) -> str:
+        return (self.alias or self.table).lower()
+
+    def span_attrs(self) -> Dict[str, Any]:
+        return {"table": self.table.lower()}
 
 
 @dataclass(frozen=True)
-class SubqueryNode:
+class ValuesNode(PlanNode):
+    """The single pseudo-row a FROM-less SELECT evaluates over."""
+
+    span = "values"
+
+
+@dataclass(frozen=True)
+class SubqueryNode(PlanNode):
+    """A derived table: its own statement plan under an alias."""
+
     alias: str
     plan: "StatementPlan"
+    span = "subquery"
 
 
 @dataclass(frozen=True)
-class HashJoinNode:
-    kind: str
+class _JoinNode(PlanNode):
+    kind: str                     # inner | left | cross
+    left: PlanNode
+    right: PlanNode
+    span = "join"
+
+    @property
+    def inputs(self) -> Tuple[PlanNode, ...]:
+        return (self.left, self.right)
+
+
+@dataclass(frozen=True)
+class HashJoinNode(_JoinNode):
     keys: Tuple[Tuple[ast.Expr, ast.Expr], ...]
     residual: Optional[ast.Expr]
-    left: Any
-    right: Any
+    fault_site = "join.build"
 
 
 @dataclass(frozen=True)
-class NestedLoopJoinNode:
-    kind: str
-    condition: Optional[ast.Expr]
-    left: Any
-    right: Any
+class NestedLoopJoinNode(_JoinNode):
+    condition: Optional[ast.Expr]  # None: cross product
 
 
 @dataclass(frozen=True)
-class CTENode:
-    name: str
+class _UnaryNode(PlanNode):
+    input: PlanNode
+
+    @property
+    def inputs(self) -> Tuple[PlanNode, ...]:
+        return (self.input,)
+
+
+@dataclass(frozen=True)
+class FilterNode(_UnaryNode):
+    predicate: ast.Expr
+    span = "filter"
+
+
+@dataclass(frozen=True)
+class AggregateNode(_UnaryNode):
+    """Output columns: ``__group_i`` per key, ``__agg_i`` per aggregate;
+    ``having_filter`` is ``having`` rewritten over them."""
+
+    group_by: Tuple[ast.Expr, ...]
+    aggregates: Tuple[ast.FuncCall, ...]
+    having: Optional[ast.Expr]          # as written
+    having_filter: Optional[ast.Expr]
+    span = "aggregate"
+
+
+@dataclass(frozen=True)
+class WindowNode(_UnaryNode):
+    """Appends one hidden ``__wout_i`` column per distinct call."""
+
+    calls: Tuple[Tuple[ast.WindowFunc, ast.WindowDef], ...]
+    shared: Tuple[Tuple[str, ...], ...]  # named windows sharing a sort
+    span = "window"
+
+
+@dataclass(frozen=True)
+class ProjectNode(_UnaryNode):
+    """``columns`` holds, per output column, an input position (an
+    expanded ``*``) or an expression over the input; ``None`` when
+    planned without a catalog."""
+
+    items: Tuple[ast.SelectItem, ...]   # as written
+    names: Optional[Tuple[str, ...]]
+    columns: Optional[Tuple[Union[int, ast.Expr], ...]]
+    span = "project"
+
+
+@dataclass(frozen=True)
+class DistinctNode(_UnaryNode):
+    span = "distinct"
+
+
+@dataclass(frozen=True)
+class SortNode(_UnaryNode):
+    order_by: Tuple[ast.SortItem, ...]  # as written
+    keys: Tuple[ast.SortItem, ...]      # over the aggregate/window output
+    span = "sort"
+
+
+@dataclass(frozen=True)
+class LimitNode(_UnaryNode):
+    count: int
+    span = "limit"
+
+
+@dataclass(frozen=True)
+class CTENode(PlanNode):
+    name: str                     # as written
     plan: "StatementPlan"
+    span = "cte.materialize"
+    fault_site = "cte.materialize"
+    keeps_reservation = True
+
+    def span_attrs(self) -> Dict[str, Any]:
+        return {"cte": self.name.lower()}
 
 
 @dataclass(frozen=True)
 class StatementPlan:
-    """The logical plan of one statement: materialized CTEs, the FROM
-    operator tree, named-window sort sharing, parameter slots."""
+    """One statement: its CTEs, materialized in order, then ``root``."""
 
     ctes: Tuple[CTENode, ...]
-    root: Optional[Any]
-    shared_windows: Tuple[Tuple[str, ...], ...]
-    parameters: Tuple[ParamKey, ...]
+    root: PlanNode
+
+    @property
+    def project(self) -> ProjectNode:
+        node = self.root
+        while not isinstance(node, ProjectNode):
+            node = node.input
+        return node
+
+    @property
+    def names(self) -> Optional[Tuple[str, ...]]:
+        """Output column names as written (``None`` without a catalog)."""
+        return self.project.names
 
 
-def plan_statement(stmt: ast.SelectStmt, catalog: Catalog,
+def _is_aggregate(expr: ast.Expr) -> bool:
+    return isinstance(expr, ast.FuncCall) and is_aggregate_name(expr.name)
+
+
+def _is_window(expr: ast.Expr) -> bool:
+    return isinstance(expr, ast.WindowFunc)
+
+
+def _find(exprs: Sequence[ast.Expr],
+          wanted: Callable[[ast.Expr], bool]) -> List[ast.Expr]:
+    """The distinct outermost sub-expressions satisfying ``wanted``, in
+    first-appearance order. Window functions are not looked into (their
+    arguments belong to the window operator), subquery bodies are
+    separate statements."""
+    out: List[ast.Expr] = []
+
+    def visit(node: ast.Expr) -> None:
+        if wanted(node):
+            if node not in out:
+                out.append(node)
+        elif not isinstance(node, ast.WindowFunc):
+            for child in ast.children(node):
+                visit(child)
+
+    for expr in exprs:
+        visit(expr)
+    return out
+
+
+def _substitute(expr: ast.Expr,
+                mapping: Mapping[ast.Expr, ast.Expr]) -> ast.Expr:
+    if not mapping:
+        return expr
+    if expr in mapping:
+        return mapping[expr]
+    return ast.map_children(expr, lambda e: _substitute(e, mapping))
+
+
+def plan_statement(stmt: ast.SelectStmt, catalog: Optional[Catalog],
                    ctes: Optional[Mapping[str, Sequence[str]]] = None
                    ) -> StatementPlan:
-    """Build the logical plan for one statement (recursing into CTEs
-    and derived tables).  The join strategies in the returned tree are
-    exactly the ones the executor will take."""
-    local_ctes: Dict[str, Sequence[str]] = dict(ctes or {})
+    """Build the plan for one statement, nested statements included.
+
+    ``ctes`` maps the lowercased names of the enclosing statements'
+    CTEs to their output columns. With ``catalog=None`` the result is
+    the syntactic rendering described in the module docstring."""
+    ctes = dict(ctes or {})
     cte_nodes: List[CTENode] = []
     for name, sub in stmt.ctes:
-        cte_nodes.append(CTENode(name.lower(),
-                                 plan_statement(sub, catalog, local_ctes)))
-        local_ctes[name.lower()] = output_names(sub, catalog, local_ctes)
-    root, _scope = _plan_from(stmt.from_, catalog, local_ctes)
-    return StatementPlan(
-        ctes=tuple(cte_nodes), root=root,
-        shared_windows=tuple(tuple(g) for g in shared_window_groups(stmt)),
-        parameters=tuple(parameter_keys(stmt)))
+        cte_nodes.append(CTENode(name, plan_statement(sub, catalog, ctes)))
+        ctes[name.lower()] = cte_nodes[-1].plan.names or ()
+
+    def planned(expr: Optional[ast.Expr]) -> Optional[ast.Expr]:
+        return None if expr is None else _plan_expr(expr, catalog, ctes)
+
+    node, scope = _plan_from(stmt.from_, catalog, ctes)
+    if stmt.where is not None:
+        node = FilterNode(node, planned(stmt.where))
+
+    exprs = [item.expr for item in stmt.items]
+    order = [s.expr for s in stmt.order_by]
+    mapping: Dict[ast.Expr, ast.Expr] = {}
+    having = [] if stmt.having is None else [stmt.having]
+    calls = _find(exprs + order, _is_window)
+    if stmt.group_by or _find(exprs + having, _is_aggregate):
+        if calls and _find(exprs, _is_window):
+            raise SqlAnalysisError(
+                "window functions combined with GROUP BY are not supported")
+        aggregates = _find(exprs + having + order, _is_aggregate)
+        for i, key in enumerate(stmt.group_by):
+            mapping[key] = ast.ColumnRef(f"__group_{i}")
+        mapping.update((agg, ast.ColumnRef(f"__agg_{i}"))
+                       for i, agg in enumerate(aggregates))
+        node = AggregateNode(
+            node, tuple(planned(e) for e in stmt.group_by),
+            tuple(planned(a) for a in aggregates), planned(stmt.having),
+            planned(stmt.having and _substitute(stmt.having, mapping)))
+        scope = Scope([])  # only hidden columns: ``*`` selects nothing
+    elif calls:
+        named = {name.lower(): window for name, window in stmt.windows}
+        resolved = []
+        for i, call in enumerate(calls):
+            window = call.window
+            if isinstance(window, str):
+                if window.lower() not in named:
+                    raise SqlAnalysisError(
+                        f"unknown window name {window!r}")
+                window = named[window.lower()]
+            mapping[call] = ast.ColumnRef(f"__wout_{i}")
+            resolved.append((replace(call, func=planned(call.func)),
+                             ast.map_children(window, planned)))
+        node = WindowNode(node, tuple(resolved), tuple(
+            tuple(group) for group in shared_window_groups(stmt)))
+
+    names = columns = None
+    if scope is not None:
+        names, columns = [], []
+        for item in stmt.items:
+            if isinstance(item.expr, ast.Star):
+                positions = _star_positions(item.expr, scope)
+                columns.extend(positions)
+                names.extend(scope.bindings[i][1] for i in positions)
+            else:
+                columns.append(planned(_substitute(item.expr, mapping)))
+                names.append(item.alias or _derive_name(item.expr))
+        names, columns = tuple(names), tuple(columns)
+    node = ProjectNode(node, stmt.items, names, columns)
+    if stmt.distinct:
+        node = DistinctNode(node)
+    if stmt.order_by:
+        node = SortNode(node, stmt.order_by, tuple(
+            replace(s, expr=planned(_substitute(s.expr, mapping)))
+            for s in stmt.order_by))
+    if stmt.limit is not None:
+        node = LimitNode(node, stmt.limit)
+    return StatementPlan(tuple(cte_nodes), node)
 
 
-def _plan_from(from_: Optional[ast.TableExpr], catalog: Catalog,
+def _plan_from(from_: Optional[ast.TableExpr], catalog: Optional[Catalog],
                ctes: Mapping[str, Sequence[str]]
-               ) -> Tuple[Optional[Any], Scope]:
+               ) -> Tuple[PlanNode, Optional[Scope]]:
+    """A FROM clause's operator tree and, given a catalog, its scope."""
     if from_ is None:
-        return None, Scope([(None, "__dual")])
+        return ValuesNode(), from_scope(None, catalog, ctes)
     if isinstance(from_, ast.NamedTable):
-        qualifier = (from_.alias or from_.name).lower()
         source = "cte" if from_.name.lower() in ctes else "table"
-        scope = from_scope(from_, catalog, ctes)
-        return ScanNode(from_.name.lower(), from_.alias,
-                        source=source), scope
+        scope = None if catalog is None \
+            else from_scope(from_, catalog, ctes)
+        return ScanNode(from_.name, from_.alias, source), scope
     if isinstance(from_, ast.DerivedTable):
         plan = plan_statement(from_.select, catalog, ctes)
-        scope = from_scope(from_, catalog, ctes)
-        return SubqueryNode(from_.alias.lower(), plan), scope
+        scope = None if catalog is None \
+            else Scope.for_columns(plan.names, from_.alias.lower())
+        return SubqueryNode(from_.alias, plan), scope
     if isinstance(from_, ast.Join):
-        left_node, left_scope = _plan_from(from_.left, catalog, ctes)
-        right_node, right_scope = _plan_from(from_.right, catalog, ctes)
+        left, left_scope = _plan_from(from_.left, catalog, ctes)
+        right, right_scope = _plan_from(from_.right, catalog, ctes)
+        condition = from_.condition and _plan_expr(from_.condition,
+                                                   catalog, ctes)
+        if catalog is None:
+            return NestedLoopJoinNode(from_.kind, left, right,
+                                      condition), None
         jplan = classify_join(from_, left_scope, right_scope)
         scope = left_scope.concat(right_scope)
         if jplan.strategy == "hash":
-            return HashJoinNode(jplan.kind, jplan.keys, jplan.residual,
-                                left_node, right_node), scope
-        return NestedLoopJoinNode(from_.kind, from_.condition,
-                                  left_node, right_node), scope
+            residual = jplan.residual and _plan_expr(jplan.residual,
+                                                     catalog, ctes)
+            return HashJoinNode(from_.kind, left, right, jplan.keys,
+                                residual), scope
+        return NestedLoopJoinNode(from_.kind, left, right, condition), scope
     raise SqlAnalysisError(f"unsupported FROM item {type(from_).__name__}")
+
+
+def _plan_expr(expr: ast.Expr, catalog: Optional[Catalog],
+               ctes: Mapping[str, Sequence[str]]) -> ast.Expr:
+    """``expr`` with every subquery body replaced by its plan."""
+    if isinstance(expr, (ast.ScalarSubquery, ast.InSubquery,
+                         ast.ExistsExpr)):
+        if isinstance(expr, ast.InSubquery) and catalog is not None:
+            check_in_subquery(expr, catalog, ctes)
+        expr = replace(expr,
+                       select=plan_statement(expr.select, catalog, ctes))
+    return ast.map_children(expr, lambda e: _plan_expr(e, catalog, ctes))
 
 
 # ----------------------------------------------------------------------
@@ -359,141 +606,6 @@ def shared_window_groups(stmt: ast.SelectStmt) -> List[List[str]]:
         key = (window.partition_by, window.order_by)
         groups.setdefault(key, []).append(name.lower())
     return [names for names in groups.values() if len(names) > 1]
-
-
-# ----------------------------------------------------------------------
-# expression walking (statement-aware)
-# ----------------------------------------------------------------------
-def _expr_children(node: ast.Expr) -> List[ast.Expr]:
-    """Immediate sub-expressions (subquery bodies NOT included)."""
-    if isinstance(node, ast.BinaryOp):
-        return [node.left, node.right]
-    if isinstance(node, ast.UnaryOp):
-        return [node.operand]
-    if isinstance(node, ast.BetweenExpr):
-        return [node.expr, node.low, node.high]
-    if isinstance(node, ast.InExpr):
-        return [node.expr, *node.items]
-    if isinstance(node, ast.InSubquery):
-        return [node.expr]
-    if isinstance(node, ast.IsNullExpr):
-        return [node.expr]
-    if isinstance(node, ast.LikeExpr):
-        return [node.expr, node.pattern]
-    if isinstance(node, ast.CaseExpr):
-        out: List[ast.Expr] = []
-        for cond, result in node.whens:
-            out.extend([cond, result])
-        if node.else_ is not None:
-            out.append(node.else_)
-        return out
-    if isinstance(node, ast.CastExpr):
-        return [node.expr]
-    if isinstance(node, ast.FuncCall):
-        out = list(node.args)
-        out.extend(s.expr for s in node.order_by)
-        out.extend(s.expr for s in node.within_group)
-        if node.filter_where is not None:
-            out.append(node.filter_where)
-        return out
-    if isinstance(node, ast.WindowFunc):
-        out = _expr_children(node.func)
-        if isinstance(node.window, ast.WindowDef):
-            out.extend(_window_def_exprs(node.window))
-        return out
-    return []
-
-
-def _window_def_exprs(window: ast.WindowDef) -> List[ast.Expr]:
-    out = list(window.partition_by)
-    out.extend(s.expr for s in window.order_by)
-    if window.frame is not None:
-        for bound in (window.frame.start, window.frame.end):
-            if bound.offset is not None:
-                out.append(bound.offset)
-    return out
-
-
-def _stmt_exprs(stmt: ast.SelectStmt) -> List[ast.Expr]:
-    """The statement's own top-level expressions (CTE bodies and
-    derived-table selects excluded — they are separate statements)."""
-    out: List[ast.Expr] = [item.expr for item in stmt.items]
-    if stmt.where is not None:
-        out.append(stmt.where)
-    out.extend(stmt.group_by)
-    if stmt.having is not None:
-        out.append(stmt.having)
-    for _name, window in stmt.windows:
-        out.extend(_window_def_exprs(window))
-    out.extend(s.expr for s in stmt.order_by)
-
-    def from_conditions(node: Optional[ast.TableExpr]) -> None:
-        if isinstance(node, ast.Join):
-            from_conditions(node.left)
-            from_conditions(node.right)
-            if node.condition is not None:
-                out.append(node.condition)
-
-    from_conditions(stmt.from_)
-    return out
-
-
-def _sub_statements(stmt: ast.SelectStmt) -> List[ast.SelectStmt]:
-    """Every nested statement: CTE bodies, derived tables, subqueries."""
-    out: List[ast.SelectStmt] = [sub for _n, sub in stmt.ctes]
-
-    def from_tables(node: Optional[ast.TableExpr]) -> None:
-        if isinstance(node, ast.DerivedTable):
-            out.append(node.select)
-        elif isinstance(node, ast.Join):
-            from_tables(node.left)
-            from_tables(node.right)
-
-    from_tables(stmt.from_)
-
-    def visit(node: ast.Expr) -> None:
-        if isinstance(node, (ast.ScalarSubquery, ast.ExistsExpr,
-                             ast.InSubquery)):
-            out.append(node.select)
-        for child in _expr_children(node):
-            visit(child)
-
-    for expr in _stmt_exprs(stmt):
-        visit(expr)
-    return out
-
-
-def walk_expressions(stmt: ast.SelectStmt) -> List[ast.Expr]:
-    """Every expression node in a statement, nested statements included."""
-    out: List[ast.Expr] = []
-
-    def visit(node: ast.Expr) -> None:
-        out.append(node)
-        for child in _expr_children(node):
-            visit(child)
-        if isinstance(node, (ast.ScalarSubquery, ast.ExistsExpr,
-                             ast.InSubquery)):
-            for expr in _all_exprs(node.select):
-                visit(expr)
-
-    def _all_exprs(sub: ast.SelectStmt) -> List[ast.Expr]:
-        exprs = _stmt_exprs(sub)
-        for nested in [s for _n, s in sub.ctes]:
-            exprs.extend(_all_exprs(nested))
-
-        def from_tables(node: Optional[ast.TableExpr]) -> None:
-            if isinstance(node, ast.DerivedTable):
-                exprs.extend(_all_exprs(node.select))
-            elif isinstance(node, ast.Join):
-                from_tables(node.left)
-                from_tables(node.right)
-
-        from_tables(sub.from_)
-        return exprs
-
-    for expr in _all_exprs(stmt):
-        visit(expr)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -520,7 +632,7 @@ def _free_refs(stmt: ast.SelectStmt, catalog: Catalog,
     try:
         local = from_scope(stmt.from_, catalog, local_ctes)
     except SqlAnalysisError:
-        # Unknown table: execution will raise the precise error; scope
+        # Unknown table: planning will raise the precise error; scope
         # analysis has nothing more to add.
         return
     chain = [local] + enclosing
@@ -531,27 +643,15 @@ def _free_refs(stmt: ast.SelectStmt, catalog: Catalog,
                        for scope in chain):
                 out.append(node)
             return
-        if isinstance(node, (ast.ScalarSubquery, ast.ExistsExpr,
-                             ast.InSubquery)):
-            if isinstance(node, ast.InSubquery):
-                visit(node.expr)
-            _free_refs(node.select, catalog, dict(local_ctes), chain, out)
-            return
-        for child in _expr_children(node):
+        for child in ast.children(node):
             visit(child)
+        for sub in ast.statements(node):
+            _free_refs(sub, catalog, local_ctes, chain, out)
 
-    for expr in _stmt_exprs(stmt):
+    for expr in ast.children(stmt):
         visit(expr)
-
-    def derived(node: Optional[ast.TableExpr]) -> None:
-        if isinstance(node, ast.DerivedTable):
-            _free_refs(node.select, catalog, dict(local_ctes), enclosing,
-                       out)
-        elif isinstance(node, ast.Join):
-            derived(node.left)
-            derived(node.right)
-
-    derived(stmt.from_)
+    for sub in derived_tables(stmt):
+        _free_refs(sub, catalog, local_ctes, enclosing, out)
 
 
 def check_in_subquery(node: ast.InSubquery, catalog: Catalog,
@@ -569,362 +669,3 @@ def check_in_subquery(node: ast.InSubquery, catalog: Catalog,
             f"{free[0].display()!r} is not resolvable inside the "
             f"subquery; rewrite the query as a join or EXISTS")
 
-
-# ----------------------------------------------------------------------
-# prepared-statement parameters
-# ----------------------------------------------------------------------
-def collect_parameters(stmt: ast.SelectStmt) -> List[ast.Parameter]:
-    """Every distinct parameter placeholder, in first-appearance order."""
-    seen: Dict[ParamKey, ast.Parameter] = {}
-    for node in walk_expressions(stmt):
-        if isinstance(node, ast.Parameter) and node.key not in seen:
-            seen[node.key] = node
-    return list(seen.values())
-
-
-def parameter_keys(stmt: ast.SelectStmt) -> List[ParamKey]:
-    return [p.key for p in collect_parameters(stmt)]
-
-
-def validate_parameters(stmt: ast.SelectStmt) -> List[ast.Parameter]:
-    """Prepare-time shape checks: no mixing of ``$n`` and ``:name``
-    styles, positional numbering contiguous from ``$1``."""
-    params = collect_parameters(stmt)
-    positional = [p for p in params if p.index is not None]
-    named = [p for p in params if p.name is not None]
-    if positional and named:
-        raise ParameterBindingError(
-            "cannot mix positional ($1) and named (:name) parameters "
-            "in one statement")
-    if positional:
-        indices = sorted(p.index for p in positional)
-        if indices != list(range(1, len(indices) + 1)):
-            raise ParameterBindingError(
-                f"positional parameters must be numbered contiguously "
-                f"from $1; statement uses {['$%d' % i for i in indices]}")
-    return params
-
-
-_TYPE_OF_PYTHON = (
-    (bool, "bool"),
-    (int, "int64"),
-    (float, "float64"),
-    (str, "string"),
-    (datetime.date, "date"),
-)
-
-
-def _literal_type(value: Any) -> Optional[str]:
-    for pytype, name in _TYPE_OF_PYTHON:
-        if isinstance(value, pytype):
-            return name
-    return None
-
-
-_CAST_TYPES = {
-    "int": "int64", "integer": "int64", "bigint": "int64",
-    "int64": "int64", "float": "float64", "double": "float64",
-    "real": "float64", "float64": "float64", "varchar": "string",
-    "text": "string", "string": "string",
-}
-
-
-def infer_parameter_types(stmt: ast.SelectStmt, catalog: Catalog
-                          ) -> Dict[ParamKey, Optional[str]]:
-    """Best-effort type inference for each parameter slot.
-
-    A parameter compared (``=``, ``<``, ``BETWEEN``, ``IN``, arithmetic)
-    against a column of known type adopts that column's type;
-    ``LIKE`` patterns are strings.  Slots that stay ``None`` are
-    accepted unchecked at bind time."""
-    out: Dict[ParamKey, Optional[str]] = {
-        p.key: None for p in collect_parameters(stmt)}
-    _infer_stmt(stmt, catalog, {}, out)
-    return out
-
-
-def _infer_stmt(stmt: ast.SelectStmt, catalog: Catalog,
-                ctes: Dict[str, Sequence[str]],
-                out: Dict[ParamKey, Optional[str]]) -> None:
-    local_ctes = dict(ctes)
-    for name, sub in stmt.ctes:
-        _infer_stmt(sub, catalog, local_ctes, out)
-        local_ctes[name.lower()] = output_names(sub, catalog, local_ctes)
-    try:
-        types = _typed_bindings(stmt.from_, catalog, local_ctes)
-    except SqlAnalysisError:
-        types = []
-
-    def type_of(expr: ast.Expr) -> Optional[str]:
-        if isinstance(expr, ast.ColumnRef):
-            name = expr.name.lower()
-            qualifier = expr.table.lower() if expr.table else None
-            found = None
-            for qual, col, dtype in types:
-                if col != name:
-                    continue
-                if qualifier is not None and qual != qualifier:
-                    continue
-                if found is not None and found != dtype:
-                    return None
-                found = dtype
-            return found
-        if isinstance(expr, ast.Literal):
-            return _literal_type(expr.value)
-        if isinstance(expr, ast.IntervalLiteral):
-            return "int64"
-        if isinstance(expr, ast.CastExpr):
-            return _CAST_TYPES.get(expr.type_name.lower())
-        return None
-
-    def record(param: ast.Parameter, dtype: Optional[str]) -> None:
-        if dtype is not None and out.get(param.key) is None:
-            out[param.key] = dtype
-
-    def visit(node: ast.Expr) -> None:
-        if isinstance(node, ast.BinaryOp) and node.op in (
-                "=", "<>", "<", "<=", ">", ">=", "+", "-", "*", "/", "%"):
-            if isinstance(node.left, ast.Parameter):
-                record(node.left, type_of(node.right))
-            if isinstance(node.right, ast.Parameter):
-                record(node.right, type_of(node.left))
-        elif isinstance(node, ast.BetweenExpr):
-            anchor = type_of(node.expr)
-            for side in (node.low, node.high):
-                if isinstance(side, ast.Parameter):
-                    record(side, anchor)
-            if isinstance(node.expr, ast.Parameter):
-                low = type_of(node.low)
-                record(node.expr, low if low is not None
-                       else type_of(node.high))
-        elif isinstance(node, ast.InExpr):
-            anchor = type_of(node.expr)
-            for item in node.items:
-                if isinstance(item, ast.Parameter):
-                    record(item, anchor)
-        elif isinstance(node, ast.LikeExpr):
-            if isinstance(node.pattern, ast.Parameter):
-                record(node.pattern, "string")
-            if isinstance(node.expr, ast.Parameter):
-                record(node.expr, "string")
-        for child in _expr_children(node):
-            visit(child)
-        if isinstance(node, (ast.ScalarSubquery, ast.ExistsExpr,
-                             ast.InSubquery)):
-            _infer_stmt(node.select, catalog, local_ctes, out)
-
-    for expr in _stmt_exprs(stmt):
-        visit(expr)
-
-    def derived(node: Optional[ast.TableExpr]) -> None:
-        if isinstance(node, ast.DerivedTable):
-            _infer_stmt(node.select, catalog, local_ctes, out)
-        elif isinstance(node, ast.Join):
-            derived(node.left)
-            derived(node.right)
-
-    derived(stmt.from_)
-
-
-def _typed_bindings(from_: Optional[ast.TableExpr], catalog: Catalog,
-                    ctes: Mapping[str, Sequence[str]]
-                    ) -> List[Tuple[Optional[str], str, Optional[str]]]:
-    """(qualifier, column, dtype-or-None) triples for a FROM clause."""
-    if from_ is None:
-        return []
-    if isinstance(from_, ast.NamedTable):
-        qualifier = (from_.alias or from_.name).lower()
-        key = from_.name.lower()
-        if key in ctes:
-            return [(qualifier, col.lower(), None) for col in ctes[key]]
-        table = catalog.lookup(from_.name)
-        return [(qualifier, field.name.lower(), field.dtype.value)
-                for field in table.schema]
-    if isinstance(from_, ast.DerivedTable):
-        names = output_names(from_.select, catalog, ctes)
-        return [(from_.alias.lower(), col, None) for col in names]
-    if isinstance(from_, ast.Join):
-        return (_typed_bindings(from_.left, catalog, ctes)
-                + _typed_bindings(from_.right, catalog, ctes))
-    return []
-
-
-_BIND_ACCEPTS: Dict[str, Tuple[type, ...]] = {
-    "bool": (bool,),
-    "int64": (bool, int),
-    "float64": (bool, int, float),
-    "string": (str,),
-    "date": (datetime.date, str),
-}
-
-
-def coerce_parameter(key: ParamKey, value: Any,
-                     dtype: Optional[str]) -> Any:
-    """Type-check (and lightly coerce) one bound value.
-
-    ``None`` always binds (SQL NULL).  A ``date`` slot accepts
-    :class:`datetime.date` or an ISO string (the JSON wire form).
-    Slots with no inferred type accept any supported scalar."""
-    label = f"${key}" if isinstance(key, int) else f":{key}"
-    if value is None:
-        return None
-    if dtype is None:
-        if _literal_type(value) is None:
-            raise ParameterBindingError(
-                f"parameter {label} has unsupported type "
-                f"{type(value).__name__}")
-        return value
-    accepts = _BIND_ACCEPTS[dtype]
-    if isinstance(value, bool) and dtype not in ("bool", "int64",
-                                                 "float64"):
-        raise ParameterBindingError(
-            f"parameter {label} expects {dtype}, got bool")
-    if not isinstance(value, accepts):
-        raise ParameterBindingError(
-            f"parameter {label} expects {dtype}, got "
-            f"{type(value).__name__} ({value!r})")
-    if dtype == "date":
-        if isinstance(value, str):
-            try:
-                return datetime.date.fromisoformat(value.strip())
-            except ValueError:
-                raise ParameterBindingError(
-                    f"parameter {label} expects an ISO date, got "
-                    f"{value!r}") from None
-        if isinstance(value, datetime.datetime):
-            return value.date()
-    return value
-
-
-def bind_parameters(stmt: ast.SelectStmt,
-                    values: Mapping[ParamKey, Any]) -> ast.SelectStmt:
-    """A copy of the statement with every placeholder replaced by a
-    literal.  Unknown keys in ``values`` are ignored (callers validate
-    arity); an unbound placeholder is left in place and rejected by
-    the executor."""
-
-    def leaf(node: ast.Expr) -> ast.Expr:
-        if isinstance(node, ast.Parameter) and node.key in values:
-            return ast.Literal(values[node.key])
-        return node
-
-    return _transform_stmt(stmt, leaf)
-
-
-# ----------------------------------------------------------------------
-# structural transformation
-# ----------------------------------------------------------------------
-def _transform_stmt(stmt: ast.SelectStmt,
-                    leaf: Callable[[ast.Expr], ast.Expr]
-                    ) -> ast.SelectStmt:
-    def tx(node: Optional[ast.Expr]) -> Optional[ast.Expr]:
-        if node is None:
-            return None
-        replaced = leaf(node)
-        if replaced is not node:
-            return replaced
-        return _transform_expr(node, tx, tx_stmt)
-
-    def tx_sort(item: ast.SortItem) -> ast.SortItem:
-        return ast.SortItem(tx(item.expr), item.descending,
-                            item.nulls_last)
-
-    def tx_window(window: ast.WindowDef) -> ast.WindowDef:
-        frame = window.frame
-        if frame is not None:
-            frame = ast.FrameAst(
-                frame.mode,
-                ast.FrameBoundAst(frame.start.kind, tx(frame.start.offset)),
-                ast.FrameBoundAst(frame.end.kind, tx(frame.end.offset)),
-                frame.exclusion)
-        return ast.WindowDef(
-            tuple(tx(e) for e in window.partition_by),
-            tuple(tx_sort(s) for s in window.order_by), frame)
-
-    def tx_from(node: Optional[ast.TableExpr]) -> Optional[ast.TableExpr]:
-        if node is None or isinstance(node, ast.NamedTable):
-            return node
-        if isinstance(node, ast.DerivedTable):
-            return ast.DerivedTable(tx_stmt(node.select), node.alias)
-        if isinstance(node, ast.Join):
-            return ast.Join(tx_from(node.left), tx_from(node.right),
-                            node.kind, tx(node.condition))
-        return node
-
-    def tx_stmt(sub: ast.SelectStmt) -> ast.SelectStmt:
-        return replace(
-            sub,
-            items=tuple(ast.SelectItem(tx(i.expr), i.alias)
-                        for i in sub.items),
-            from_=tx_from(sub.from_),
-            where=tx(sub.where),
-            group_by=tuple(tx(e) for e in sub.group_by),
-            having=tx(sub.having),
-            windows=tuple((name, tx_window(w)) for name, w in sub.windows),
-            order_by=tuple(tx_sort(s) for s in sub.order_by),
-            ctes=tuple((name, tx_stmt(s)) for name, s in sub.ctes))
-
-    globals_tx = tx  # keep closure names readable
-    del globals_tx
-    return tx_stmt(stmt)
-
-
-def _transform_expr(node: ast.Expr,
-                    tx: Callable[[Optional[ast.Expr]],
-                                 Optional[ast.Expr]],
-                    tx_stmt: Callable[[ast.SelectStmt], ast.SelectStmt]
-                    ) -> ast.Expr:
-    if isinstance(node, ast.BinaryOp):
-        return ast.BinaryOp(node.op, tx(node.left), tx(node.right))
-    if isinstance(node, ast.UnaryOp):
-        return ast.UnaryOp(node.op, tx(node.operand))
-    if isinstance(node, ast.BetweenExpr):
-        return ast.BetweenExpr(tx(node.expr), tx(node.low),
-                               tx(node.high), node.negated)
-    if isinstance(node, ast.InExpr):
-        return ast.InExpr(tx(node.expr),
-                          tuple(tx(i) for i in node.items), node.negated)
-    if isinstance(node, ast.InSubquery):
-        return ast.InSubquery(tx(node.expr), tx_stmt(node.select),
-                              node.negated)
-    if isinstance(node, ast.IsNullExpr):
-        return ast.IsNullExpr(tx(node.expr), node.negated)
-    if isinstance(node, ast.LikeExpr):
-        return ast.LikeExpr(tx(node.expr), tx(node.pattern), node.negated)
-    if isinstance(node, ast.CaseExpr):
-        return ast.CaseExpr(
-            tuple((tx(c), tx(r)) for c, r in node.whens), tx(node.else_))
-    if isinstance(node, ast.CastExpr):
-        return ast.CastExpr(tx(node.expr), node.type_name)
-    if isinstance(node, ast.FuncCall):
-        return ast.FuncCall(
-            node.name, tuple(tx(a) for a in node.args), node.distinct,
-            tuple(ast.SortItem(tx(s.expr), s.descending, s.nulls_last)
-                  for s in node.order_by),
-            tuple(ast.SortItem(tx(s.expr), s.descending, s.nulls_last)
-                  for s in node.within_group),
-            tx(node.filter_where), node.ignore_nulls, node.from_last,
-            node.star)
-    if isinstance(node, ast.WindowFunc):
-        window = node.window
-        if isinstance(window, ast.WindowDef):
-            frame = window.frame
-            if frame is not None:
-                frame = ast.FrameAst(
-                    frame.mode,
-                    ast.FrameBoundAst(frame.start.kind,
-                                      tx(frame.start.offset)),
-                    ast.FrameBoundAst(frame.end.kind,
-                                      tx(frame.end.offset)),
-                    frame.exclusion)
-            window = ast.WindowDef(
-                tuple(tx(e) for e in window.partition_by),
-                tuple(ast.SortItem(tx(s.expr), s.descending, s.nulls_last)
-                      for s in window.order_by), frame)
-        return ast.WindowFunc(_transform_expr(node.func, tx, tx_stmt),
-                              window)
-    if isinstance(node, ast.ScalarSubquery):
-        return ast.ScalarSubquery(tx_stmt(node.select))
-    if isinstance(node, ast.ExistsExpr):
-        return ast.ExistsExpr(tx_stmt(node.select), node.negated)
-    return node

@@ -1,6 +1,6 @@
 """A prepared-statement/plan cache: parse once, execute many.
 
-The serving tier (and any long-lived :class:`~repro.sql.executor.
+The serving tier (and any long-lived :class:`~repro.sql.session.
 Session`) sees the same statements over and over — dashboards refresh,
 clients page, load generators loop. Parsing is pure CPU on the hot
 path, and the parsed :class:`~repro.sql.ast.SelectStmt` is an immutable
@@ -288,3 +288,24 @@ class PlanCache:
                 hits=self._hits, misses=self._misses,
                 evictions=self._evictions, entries=len(self._entries),
                 bytes_in_use=self._bytes, budget_bytes=self._budget)
+
+    def metric_rows(self) -> List[Tuple]:
+        """Prometheus rows in :meth:`StructureCache.metric_rows` form."""
+        s = self.stats()
+        return [
+            ("repro_plan_cache_hits_total",
+             "Plan cache hits (parse skipped).",
+             "counter", (), [((), s.hits)]),
+            ("repro_plan_cache_misses_total",
+             "Plan cache misses (statement parsed).",
+             "counter", (), [((), s.misses)]),
+            ("repro_plan_cache_evictions_total",
+             "Plans evicted by the byte budget.",
+             "counter", (), [((), s.evictions)]),
+            ("repro_plan_cache_entries", "Cached parsed statements.",
+             "gauge", (), [((), s.entries)]),
+            ("repro_plan_cache_bytes_in_use", "Bytes held by cached plans.",
+             "gauge", (), [((), s.bytes_in_use)]),
+            ("repro_plan_cache_hit_ratio", "Lifetime plan-cache hit ratio.",
+             "gauge", (), [((), s.hit_ratio)]),
+        ]

@@ -117,12 +117,19 @@ class QueryResult:
 
     def __init__(self, table: Any, stats: QueryStats,
                  trace: Optional[Any] = None,
-                 explainer: Optional[Any] = None) -> None:
+                 explainer: Optional[Any] = None,
+                 plan: Optional[Any] = None,
+                 actuals: Optional[Dict[int, Any]] = None) -> None:
         self.table = table
         self.stats = stats
         #: Root :class:`~repro.obs.trace.Span` when the query ran under
         #: tracing, else ``None``.
         self.trace = trace
+        #: The :class:`~repro.sql.plan.StatementPlan` that ran, and per
+        #: plan node (keyed by ``id(node)``) the span the executor
+        #: opened for it — empty when the query ran untraced.
+        self.plan = plan
+        self.actuals = actuals or {}
         self._explainer = explainer
 
     # ------------------------------------------------------------------

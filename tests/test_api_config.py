@@ -1,10 +1,10 @@
-"""SessionConfig / QueryOptions: validation, env, the legacy shim."""
+"""SessionConfig / QueryOptions: validation and env."""
 
 import warnings
 
 import pytest
 
-from repro.errors import ConfigurationError, ReproDeprecationWarning
+from repro.errors import ConfigurationError
 from repro.resilience.context import ResourceLimits
 from repro.sql import Catalog, QueryOptions, Session, SessionConfig
 from repro.table import DataType, Table
@@ -132,25 +132,9 @@ class TestSessionConstruction:
                          config=SessionConfig(workers=2)) as session:
                 assert session.config.workers == 2
 
-    def test_legacy_kwargs_warn_and_still_work(self):
-        with pytest.warns(ReproDeprecationWarning,
-                          match="SessionConfig"):
-            session = Session(_catalog(), budget_bytes=4096,
-                              max_concurrent=2)
-        with session:
-            assert session.config.budget_bytes == 4096
-            assert session.config.max_concurrent == 2
-            out = session.execute("SELECT v FROM t ORDER BY v")
-            assert out.column("v").to_list() == [10, 20, 30]
-
-    def test_legacy_kwargs_are_validated_like_the_config(self):
-        with pytest.warns(ReproDeprecationWarning):
-            with pytest.raises(ConfigurationError, match="workers"):
-                Session(_catalog(), workers=0)
-
-    def test_config_plus_legacy_kwargs_is_an_error(self):
-        with pytest.raises(ConfigurationError, match="both"):
-            Session(_catalog(), config=SessionConfig(), workers=2)
+    def test_loose_kwargs_are_a_type_error(self):
+        with pytest.raises(TypeError, match="workers"):
+            Session(_catalog(), workers=2)
 
     def test_unknown_kwarg_is_a_type_error(self):
         with pytest.raises(TypeError, match="num_threads"):

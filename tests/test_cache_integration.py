@@ -11,7 +11,7 @@ import threading
 import numpy as np
 
 from conftest import make_window_table
-from repro import Catalog, Session, execute
+from repro import Catalog, Session, SessionConfig, execute
 from repro.cache.store import StructureCache
 from repro.window.calls import WindowCall
 from repro.window.frame import (
@@ -138,7 +138,7 @@ def test_window_query_cold_warm_direct_api():
 def test_tiny_budget_spills_and_reloads_identically():
     catalog = Catalog({"t": make_window_table(200)})
     uncached = execute(SQL, catalog)
-    with Session(catalog, budget_bytes=2048) as session:
+    with Session(catalog, config=SessionConfig(budget_bytes=2048)) as session:
         first = session.execute(SQL)
         second = session.execute(SQL)
         stats = session.cache_stats()
@@ -152,7 +152,8 @@ def test_tiny_budget_spills_and_reloads_identically():
 def test_tiny_budget_without_spill_still_correct():
     catalog = Catalog({"t": make_window_table(120)})
     uncached = execute(SQL, catalog)
-    with Session(catalog, budget_bytes=0, spill=False) as session:
+    with Session(catalog, config=SessionConfig(
+                 budget_bytes=0, spill=False)) as session:
         result = session.execute(SQL)
         stats = session.cache_stats()
         assert stats.evictions > 0 and stats.spills == 0

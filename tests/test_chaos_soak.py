@@ -22,7 +22,7 @@ import time
 import pytest
 
 from conftest import make_window_table
-from repro import Catalog, Session
+from repro import Catalog, Session, SessionConfig
 from repro.errors import ResilienceError
 from repro.resilience import CLOSED, FaultInjector
 
@@ -126,10 +126,10 @@ def test_soak_under_seeded_fault_storm_returns_no_wrong_results():
     catalog = Catalog({"t": make_window_table(n=200, seed=5)})
     expected = _expected(catalog)
     faults = _schedule(SEED)
-    with Session(catalog, faults=faults, budget_bytes=200_000,
-                 max_concurrent=4, max_queue=64,
-                 breaker_threshold=3, breaker_reset=0.05,
-                 verify_rate=0.1, verify_seed=SEED) as session:
+    with Session(catalog, config=SessionConfig(
+                 faults=faults, budget_bytes=200_000, max_concurrent=4,
+                 max_queue=64, breaker_threshold=3, breaker_reset=0.05,
+                 verify_rate=0.1, verify_seed=SEED)) as session:
         problems = _soak(session, expected, workers=WORKERS, rounds=3)
         assert problems == []
 
@@ -171,9 +171,10 @@ def test_soak_with_saturation_sheds_typed_and_stays_correct():
     catalog = Catalog({"t": make_window_table(n=120, seed=6)})
     expected = _expected(catalog)
     faults = _schedule(SEED + 1)
-    with Session(catalog, faults=faults, max_concurrent=1, max_queue=1,
-                 breaker_threshold=3, breaker_reset=0.05,
-                 verify_rate=0.05, verify_seed=SEED) as session:
+    with Session(catalog, config=SessionConfig(
+                 faults=faults, max_concurrent=1, max_queue=1,
+                 breaker_threshold=3, breaker_reset=0.05, verify_rate=0.05,
+                 verify_seed=SEED)) as session:
         problems = _soak(session, expected, workers=6, rounds=2)
         assert problems == []
         stats = session.gateway.stats()

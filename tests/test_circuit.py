@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_columns_equal, make_window_table
-from repro import Catalog, Session
+from repro import Catalog, Session, SessionConfig
 from repro.cache.spill import SpillManager
 from repro.cache.store import StructureCache
 from repro.errors import CircuitOpenError, StructureBuildError
@@ -244,8 +244,8 @@ def test_open_build_breaker_degrades_query_to_naive():
     with Session(catalog) as healthy:
         expected = healthy.execute(sql)
     faults = FaultInjector().plan("structure.build", times=-1)
-    with Session(catalog, faults=faults,
-                 breaker_threshold=2) as session:
+    with Session(catalog, config=SessionConfig(
+                 faults=faults, breaker_threshold=2)) as session:
         degraded = session.execute(sql)
         assert_columns_equal(degraded.column("uniq").to_list(),
                              expected.column("uniq").to_list())

@@ -86,6 +86,73 @@ class TestExplainAnalyze:
             assert session.gateway.stats().admitted == before + 1
 
 
+def _join_catalog():
+    lineitem = Table.from_dict({
+        "l_orderkey": (DataType.INT64, [1, 2, 3, 4]),
+        "l_quantity": (DataType.INT64, [10, 10, 10, 10]),
+    })
+    big = Table.from_dict({
+        "k": (DataType.INT64, [1, 1, 2, 3, 3, 3]),
+        "q": (DataType.INT64, [5, 20, 20, 20, 20, 5]),
+    })
+    return Catalog({"lineitem": lineitem, "big": big})
+
+
+def _plan_line(text, prefix):
+    (line,) = [line.strip() for line in text.splitlines()
+               if line.strip().startswith(prefix)]
+    return line
+
+
+class TestPerNodeActuals:
+    """Each plan node is annotated from its own span — regression tests
+    for actuals that used to be paired with plan lines by text prefix
+    and trace order."""
+
+    def test_each_hash_join_reports_its_own_build_and_probe(self):
+        sql = ("SELECT l.l_orderkey FROM lineitem l "
+               "JOIN big ON l.l_orderkey = big.k AND l.l_quantity < big.q "
+               "JOIN big b2 ON l.l_orderkey = b2.k")
+        with Session(_join_catalog()) as session:
+            result = session.execute(sql, trace=True)
+        assert len(result) == 9
+        text = result.explain()
+        # The inner join runs first but renders second: 4 residual-
+        # filtered matches feed the outer join, which emits 9.
+        inner = _plan_line(text, "HashJoin (inner, keys: l.l_orderkey = big.k")
+        outer = _plan_line(text, "HashJoin (inner, keys: l.l_orderkey = b2.k")
+        assert "build_rows=6" in inner and "matches=4," in inner
+        assert "build_rows=6" in outer and "matches=9," in outer
+        probes = {span.attrs["matches"]: span.attrs["rows"]
+                  for span in result.trace.find_all("join.probe")}
+        assert probes == {4: 4, 9: 4}
+
+    def test_query_total_lands_on_the_outer_project(self):
+        sql = ("WITH c AS (SELECT k FROM big WHERE q > 5) "
+               "SELECT l.l_orderkey FROM lineitem l "
+               "JOIN c ON l.l_orderkey = c.k WHERE l.l_orderkey < 3")
+        with Session(_join_catalog()) as session:
+            text = session.explain(sql, analyze=True)
+        assert "CTE c (actual: rows=4, time=" in text
+        inner = _plan_line(text, "Project (k)")
+        outer = _plan_line(text, "Project (l.l_orderkey)")
+        assert "(actual: rows=4, time=" in inner and "total=" not in inner
+        assert "(actual: rows=2, total=" in outer
+        assert text.index(inner) < text.index(outer)
+
+    def test_every_node_kind_is_annotated(self):
+        sql = ("SELECT DISTINCT k, count(*) AS n FROM big WHERE q > 5 "
+               "GROUP BY k HAVING count(*) > 0 ORDER BY k LIMIT 2")
+        with Session(_join_catalog()) as session:
+            text = session.explain(sql, analyze=True)
+        plan_lines = text[:text.index("PlanCache")].splitlines()
+        assert [line.split("(")[0].strip() for line in plan_lines] == [
+            "Limit", "Sort", "Distinct", "Project", "Aggregate", "Having",
+            "Filter", "Scan big"]
+        for line in plan_lines:
+            assert ("(actual: rows=" in line) == ("Having" not in line), line
+
+
 class TestTraceDeterminism:
     def test_results_identical_with_tracing_on_and_off(self):
         """Tracing must be observation only: bit-identical results under

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from conftest import make_window_table
-from repro import Catalog, Session
+from repro import Catalog, Session, SessionConfig
 from repro.errors import (
     QueryCancelledError,
     QueryRejectedError,
@@ -299,7 +299,7 @@ SQL = """
 
 def test_session_routes_queries_through_the_gateway():
     catalog = Catalog({"t": make_window_table(120)})
-    with Session(catalog, max_concurrent=2) as session:
+    with Session(catalog, config=SessionConfig(max_concurrent=2)) as session:
         session.execute(SQL)
         session.execute(SQL, priority="batch")
         stats = session.gateway.stats()
@@ -315,7 +315,8 @@ def test_session_routes_queries_through_the_gateway():
 
 def test_session_sheds_when_saturated():
     catalog = Catalog({"t": make_window_table(120)})
-    with Session(catalog, max_concurrent=1, max_queue=0) as session:
+    with Session(catalog, config=SessionConfig(
+                 max_concurrent=1, max_queue=0)) as session:
         occupant_in = threading.Event()
         release = threading.Event()
 
@@ -338,7 +339,8 @@ def test_session_sheds_when_saturated():
 
 def test_concurrent_sessions_all_complete():
     catalog = Catalog({"t": make_window_table(200)})
-    with Session(catalog, max_concurrent=2, max_queue=16) as session:
+    with Session(catalog, config=SessionConfig(
+                 max_concurrent=2, max_queue=16)) as session:
         expected = session.execute(SQL).column("uniq").to_list()
         errors = []
         results = []

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import make_window_table
-from repro import Catalog, Session
+from repro import Catalog, Session, SessionConfig
 from repro.cache.store import StructureCache
 from repro.errors import (
     ParallelExecutionError,
@@ -370,7 +370,7 @@ def test_session_workers_and_explain_parallelism():
     catalog = Catalog({"t": make_table(1200, 60, seed=31)})
     with Session(catalog) as serial_session:
         want = serial_session.execute(SQL).column("v").to_list()
-    with Session(catalog, workers=2) as session:
+    with Session(catalog, config=SessionConfig(workers=2)) as session:
         # Lower the thresholds so this small table actually fans out.
         session.parallel = forced(2)
         try:
@@ -387,7 +387,7 @@ def test_session_workers_and_explain_parallelism():
 
 def test_explain_reports_serial_reason_under_real_thresholds():
     catalog = Catalog({"t": make_window_table(n=60, seed=8)})
-    with Session(catalog, workers=4) as session:
+    with Session(catalog, config=SessionConfig(workers=4)) as session:
         session.execute(SQL)
         text = session.explain(SQL)
     assert "Parallelism" in text
@@ -414,7 +414,7 @@ def test_concurrent_queries_share_one_bounded_pool():
     catalog = Catalog({"t": make_table(1200, 60, seed=33)})
     with Session(catalog) as serial_session:
         want = serial_session.execute(SQL).column("v").to_list()
-    with Session(catalog, max_concurrent=4) as session:
+    with Session(catalog, config=SessionConfig(max_concurrent=4)) as session:
         session.parallel = forced(2)
         try:
             problems = []

@@ -13,7 +13,7 @@ import threading
 import pytest
 
 from conftest import make_window_table
-from repro import Catalog, Session
+from repro import Catalog, Session, SessionConfig
 from repro.errors import (
     ParallelExecutionError,
     QueryCancelledError,
@@ -317,7 +317,8 @@ def test_parallel_success_keeps_order():
 # Session integration
 # ----------------------------------------------------------------------
 def test_session_timeout_raises_within_deadline():
-    with Session(_catalog(), timeout=5.0, clock=ExpiringClock()) as session:
+    with Session(_catalog(), config=SessionConfig(
+                 timeout=5.0, clock=ExpiringClock())) as session:
         with pytest.raises(QueryTimeoutError):
             session.execute(SQL)
         assert session.health_stats().timeouts == 1
@@ -331,7 +332,8 @@ def test_session_timeout_raises_within_deadline():
 
 
 def test_session_per_query_timeout_overrides_default():
-    with Session(_catalog(), clock=ExpiringClock()) as session:
+    with Session(_catalog(), config=SessionConfig(
+                 clock=ExpiringClock())) as session:
         session.execute(SQL)  # no default timeout: runs fine
         with pytest.raises(QueryTimeoutError):
             session.execute(SQL, timeout=3.0)
@@ -349,7 +351,8 @@ def test_session_cancellation_token():
 
 
 def test_session_max_rows_limit():
-    with Session(_catalog(), limits=ResourceLimits(max_rows=10)) as session:
+    with Session(_catalog(), config=SessionConfig(
+                 limits=ResourceLimits(max_rows=10))) as session:
         with pytest.raises(ResourceLimitError):
             session.execute(SQL)
         assert session.health_stats().limit_hits == 1
@@ -376,7 +379,7 @@ def test_explain_has_no_resilience_section_when_healthy():
 
 def test_explain_reports_resilience_after_fallback():
     faults = FaultInjector().plan("structure.build", times=-1)
-    with Session(_catalog(), faults=faults) as session:
+    with Session(_catalog(), config=SessionConfig(faults=faults)) as session:
         session.execute(SQL)
         text = session.explain(SQL)
         assert "Resilience" in text

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from conftest import assert_columns_equal, make_window_table
-from repro import Catalog, Session
+from repro import Catalog, Session, SessionConfig
 from repro.resilience import (
     ExecutionContext,
     FaultInjector,
@@ -105,7 +105,8 @@ def test_session_survives_fault_storm_and_recovers():
     # timeout lets the healed session recover within the test instead
     # of failing fast for the default 30s window.
     faults = FaultInjector().plan("structure.build", times=-1)
-    with Session(catalog, faults=faults, breaker_reset=0.001) as session:
+    with Session(catalog, config=SessionConfig(
+                 faults=faults, breaker_reset=0.001)) as session:
         degraded = session.execute(sql)
         for name in expected.schema.names():
             assert_columns_equal(degraded.column(name).to_list(),

@@ -33,6 +33,20 @@ def test_aggregate_and_having():
     assert "Having" in plan
 
 
+def test_having_only_aggregate_renders_aggregate():
+    # The executor aggregates when only HAVING holds an aggregate;
+    # EXPLAIN used to test the select list alone and print no node.
+    plan = explain("select 1 from t having count(*) > 0")
+    assert "Aggregate (group by ())" in plan
+    assert "Having ((count(*) > 0))" in plan
+
+
+def test_window_only_in_order_by_renders_window():
+    plan = explain("select a from t order by rank() over (order by a)")
+    assert "Window (rank(...) OVER (...))" in plan
+    assert plan.index("Sort") < plan.index("Window") < plan.index("Scan")
+
+
 def test_window_node():
     plan = explain("select rank(order by v desc) over w from t "
                    "window w as (order by o)")

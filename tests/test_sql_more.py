@@ -117,13 +117,13 @@ class TestSubqueryBehaviour:
         execution for uncorrelated subqueries."""
         import repro.sql.executor as executor_module
         calls = {"n": 0}
-        original = executor_module.execute_select
+        original = executor_module.run_statement
 
-        def counting(stmt, ctx):
+        def counting(statement, ctx):
             calls["n"] += 1
-            return original(stmt, ctx)
+            return original(statement, ctx)
 
-        monkeypatch.setattr(executor_module, "execute_select", counting)
+        monkeypatch.setattr(executor_module, "run_statement", counting)
         execute("select i, (select max(f) from t) from t", catalog)
         # 1 outer + 1 probe for the subquery (not one per row)
         assert calls["n"] == 2

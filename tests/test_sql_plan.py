@@ -1,0 +1,233 @@
+"""The logical plan: tree shapes, the plan/EXPLAIN/executor identity,
+per-node spans, plan-once subqueries, and the generic AST traversal."""
+
+import dataclasses
+import typing
+
+import pytest
+
+from repro.sql import (
+    Catalog,
+    QueryOptions,
+    Session,
+    ast,
+    execute,
+    explain,
+    parse,
+    plan,
+)
+from repro.sql.explain import render
+from repro.table import DataType, Table
+from repro.tpch import QUERIES, tpch_catalog
+
+
+@pytest.fixture(scope="module")
+def catalog():
+    return tpch_catalog(0.001)
+
+
+def _chain(node, *kinds):
+    """Follow ``.input`` through the expected node kinds; returns the
+    node under the last one."""
+    for kind in kinds:
+        assert isinstance(node, kind), (type(node).__name__, kind.__name__)
+        node = node.input
+    return node
+
+
+def _left_deep_joins(node):
+    joins = []
+    while isinstance(node, plan.HashJoinNode):
+        joins.append(node)
+        node = node.left
+    return joins, node
+
+
+def _key_text(join):
+    return [(left.display(), right.display()) for left, right in join.keys]
+
+
+def _rendered_nodes(statement):
+    """Every node EXPLAIN prints: CTE bodies, derived tables, the root."""
+    for cte in statement.ctes:
+        yield cte
+        yield from _rendered_nodes(cte.plan)
+    pending = [statement.root]
+    while pending:
+        node = pending.pop()
+        yield node
+        if isinstance(node, plan.SubqueryNode):
+            yield from _rendered_nodes(node.plan)
+        pending.extend(node.inputs)
+
+
+class TestTreeShape:
+    def test_q5_is_a_left_deep_hash_join_pipeline(self, catalog):
+        statement = plan.plan_statement(parse(QUERIES["q5"]), catalog)
+        assert statement.ctes == ()
+        assert statement.names == ("n_name", "revenue")
+        source = _chain(statement.root, plan.SortNode, plan.ProjectNode,
+                        plan.AggregateNode, plan.FilterNode)
+        joins, leaf = _left_deep_joins(source)
+        assert isinstance(leaf, plan.ScanNode) and leaf.table == "customer"
+        assert [j.right.qualifier for j in joins] == ["r", "n", "s", "l", "o"]
+        assert all(j.kind == "inner" and j.residual is None for j in joins)
+        # Key pairs are oriented (left input, right input) whichever
+        # way round the ON clause wrote them.
+        assert [_key_text(j) for j in joins] == [
+            [("n.n_regionkey", "r.r_regionkey")],
+            [("s.s_nationkey", "n.n_nationkey")],
+            [("l.l_suppkey", "s.s_suppkey")],
+            [("o.o_orderkey", "l.l_orderkey")],
+            [("c.c_custkey", "o.o_custkey")]]
+
+    def test_q8_plans_its_cte_once_and_scans_it(self, catalog):
+        statement = plan.plan_statement(parse(QUERIES["q8"]), catalog)
+        (cte,) = statement.ctes
+        assert cte.name == "all_nations"
+        assert cte.plan.names == ("o_year", "volume", "nation")
+        source = _chain(cte.plan.root, plan.ProjectNode, plan.FilterNode)
+        joins, leaf = _left_deep_joins(source)
+        assert len(joins) == 7 and leaf.table == "part"
+        assert _key_text(joins[0]) == [("s.s_nationkey", "n2.n_nationkey")]
+        scan = _chain(statement.root, plan.SortNode, plan.ProjectNode,
+                      plan.AggregateNode)
+        assert scan == plan.ScanNode("all_nations", None, "cte")
+
+    def test_left_join_keeps_its_residual(self, catalog):
+        statement = plan.plan_statement(parse(QUERIES["q13"]), catalog)
+        joins = [n for n in _rendered_nodes(statement)
+                 if isinstance(n, plan.HashJoinNode)]
+        assert [j.kind for j in joins] == ["left"]
+        assert joins[0].residual is not None
+
+    def test_without_a_catalog_every_join_is_a_nested_loop(self):
+        statement = plan.plan_statement(parse(QUERIES["q5"]), None)
+        kinds = {type(n) for n in _rendered_nodes(statement)}
+        assert plan.NestedLoopJoinNode in kinds
+        assert plan.HashJoinNode not in kinds
+        # ... and a ``*`` cannot be expanded, so the tree only renders.
+        star = plan.plan_statement(
+            parse("select * from a join b on a.x = b.x"), None)
+        assert star.names is None and star.project.columns is None
+
+
+class TestOneTree:
+    @pytest.mark.parametrize("name", sorted(QUERIES))
+    def test_explain_is_the_rendered_plan(self, catalog, name):
+        sql = QUERIES[name]
+        assert explain(sql, catalog=catalog) == render(
+            plan.plan_statement(parse(sql), catalog))
+
+    def test_every_plan_node_owns_one_span_with_rows(self, catalog):
+        with Session(catalog) as session:
+            for name, sql in sorted(QUERIES.items()):
+                result = session.execute(
+                    sql, options=QueryOptions(trace=True))
+                nodes = list(_rendered_nodes(result.plan))
+                spans = [result.actuals.get(id(node)) for node in nodes]
+                for node, span in zip(nodes, spans):
+                    assert span is not None, (name, node)
+                    assert span.name == node.span, (name, node)
+                    assert "rows" in span.attrs, (name, node)
+                assert len({id(span) for span in spans}) == len(nodes), name
+                in_trace = {id(span) for span in result.trace.walk()}
+                assert all(id(span) in in_trace for span in spans), name
+                assert result.actuals[id(result.plan.project)] \
+                    .attrs["rows"] >= len(result)
+
+    def test_untraced_queries_record_no_actuals(self, catalog):
+        with Session(catalog) as session:
+            result = session.execute(
+                QUERIES["q6"], options=QueryOptions(trace=False))
+            assert result.plan is not None and result.actuals == {}
+
+
+class TestPlanOnce:
+    def test_correlated_subquery_body_is_planned_once(self, monkeypatch):
+        table = Table.from_dict({"i": (DataType.INT64, list(range(25)))})
+        calls = []
+        original = plan.plan_statement
+
+        def counting(stmt, catalog, ctes=None):
+            calls.append(stmt)
+            return original(stmt, catalog, ctes)
+
+        monkeypatch.setattr(plan, "plan_statement", counting)
+        out = execute(
+            "select i, (select count(*) from t t2 where t2.i < t1.i) below "
+            "from t t1 order by i", Catalog({"t": table}))
+        assert out.column("below").to_list() == list(range(25))
+        # The outer statement and the subquery body: not one per row.
+        assert len(calls) == 2
+
+
+# ----------------------------------------------------------------------
+# ast.children / ast.map_children cover every expression node type
+# ----------------------------------------------------------------------
+def _build(tp, immediate):
+    """A value of annotated type ``tp``; every expression placed where
+    ``ast.children`` must find it is appended to ``immediate``."""
+    if tp is typing.Any or tp is int:
+        return 1
+    if tp is str:
+        return "x"
+    if tp is bool:
+        return False
+    if tp is type(None):
+        return None
+    if tp is ast.SelectStmt:  # a nested statement: not a child
+        return ast.SelectStmt((ast.SelectItem(ast.ColumnRef("inner")),))
+    if tp is ast.Expr:
+        immediate.append(ast.ColumnRef(f"c{len(immediate)}"))
+        return immediate[-1]
+    if isinstance(tp, type) and issubclass(tp, ast.Expr):
+        immediate.append(_make(tp, []))
+        return immediate[-1]
+    if dataclasses.is_dataclass(tp):
+        return _make(tp, immediate)
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:
+        if args[-1] is Ellipsis:
+            return (_build(args[0], immediate), _build(args[0], immediate))
+        return tuple(_build(arg, immediate) for arg in args)
+    assert typing.get_origin(tp) is typing.Union, tp
+    return _build(args[0], immediate)
+
+
+def _make(cls, immediate):
+    hints = typing.get_type_hints(cls, vars(ast))
+    return cls(**{field.name: _build(hints[field.name], immediate)
+                  for field in dataclasses.fields(cls)})
+
+
+@pytest.mark.parametrize("cls", ast.Expr.__subclasses__(),
+                         ids=lambda cls: cls.__name__)
+def test_traversal_reaches_every_expression_field(cls):
+    immediate = []
+    node = _make(cls, immediate)
+    assert ast.children(node) == immediate
+    assert ast.map_children(node, lambda e: e) is node
+
+    def rename(expr):
+        return ast.Literal(repr(expr))
+
+    mapped = ast.map_children(node, rename)
+    assert ast.children(mapped) == [rename(e) for e in immediate]
+    assert (mapped == node) == (not immediate)
+
+
+def test_statement_traversal_stops_at_nested_statements():
+    stmt = parse("""
+        with c as (select a from t where a > 1)
+        select x, (select max(b) from u) from (select y from v) d
+        join c on d.y = c.a where x in (select z from w)
+        order by x""")
+    top = ast.children(stmt)
+    assert ast.ColumnRef("y", "d") in [
+        e.left for e in top if isinstance(e, ast.BinaryOp)]
+    assert len(ast.statements(stmt)) == 2          # derived table + CTE
+    tables = {node.from_.name for node in ast.walk(stmt)
+              if isinstance(node, ast.SelectStmt)
+              and isinstance(node.from_, ast.NamedTable)}
+    assert tables == {"t", "u", "v", "w"}

@@ -12,8 +12,7 @@ sort stability all at once.
 
 import pytest
 
-from repro.sql.config import QueryOptions, SessionConfig
-from repro.sql.executor import Session
+from repro.sql import QueryOptions, Session, SessionConfig
 from repro.tpch.queries import BLOCKED, QUERIES
 from repro.tpch.reference import REFERENCE
 from repro.tpch.tables import tpch_catalog, tpch_tables

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import make_window_table
-from repro import Catalog, Session
+from repro import Catalog, Session, SessionConfig
 from repro.cache.store import StructureCache
 from repro.errors import VerificationError
 from repro.mst.aggregates import SUM
@@ -300,7 +300,7 @@ def test_session_level_shadow_verification():
         window w as (partition by g order by o
                      rows between 10 preceding and current row)
     """
-    with Session(catalog, verify_rate=1.0) as session:
+    with Session(catalog, config=SessionConfig(verify_rate=1.0)) as session:
         session.execute(sql)
         health = session.health_stats()
         assert health.verifications > 0
