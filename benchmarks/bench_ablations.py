@@ -8,9 +8,7 @@ the individual design decisions:
 * index width selection (Section 5.1) — int32 vs int64 levels;
 * the two build paths (faithful multiway merge vs numpy lexsort);
 * vectorised (batched) vs per-row scalar probing — the CPython-specific
-  choice that stands in for Hyper's compiled probes;
-* thread-pool probing of the shared read-only tree (Section 5.2),
-  reported honestly under the GIL.
+  choice that stands in for Hyper's compiled probes.
 """
 
 import numpy as np
@@ -21,7 +19,6 @@ from repro.bench.harness import BenchSeries, measure, scaled
 from repro.mst.build import build_levels_numpy, build_levels_scalar
 from repro.mst.tree import MergeSortTree
 from repro.mst.vectorized import batched_count
-from repro.parallel.threads import threaded_batched_count
 
 
 @pytest.fixture(scope="module")
@@ -123,32 +120,3 @@ def test_vectorized_vs_scalar_probe(benchmark, keys, queries):
     emit(series)
     assert t_vec < t_scalar
     benchmark.pedantic(vectorized, rounds=3, iterations=1)
-
-
-def test_threaded_probe(benchmark, keys, queries):
-    """Thread-pool probing of the shared tree: correct by construction;
-    the measured speedup documents what the GIL leaves on the table."""
-    lo, hi, thr = queries
-    tree = MergeSortTree(keys, fanout=2)
-    serial = measure(
-        lambda: batched_count(tree.levels, lo, hi, thr), repeats=2)
-    rows = []
-    for workers in (1, 2, 4):
-        t = measure(lambda w=workers: threaded_batched_count(
-            tree.levels, lo, hi, thr, workers=w, task_size=2_000),
-            repeats=2)
-        rows.append((workers, t, serial / t))
-    series = BenchSeries(
-        "Ablation — thread-pool probe (GIL-bound; the scalability story "
-        "lives in the cost model)",
-        ["workers", "seconds", "speedup_vs_serial"])
-    for row in rows:
-        series.add(*row)
-    emit(series)
-    out = threaded_batched_count(tree.levels, lo, hi, thr, workers=4,
-                                 task_size=2_000)
-    assert np.array_equal(out, batched_count(tree.levels, lo, hi, thr))
-    benchmark.pedantic(
-        lambda: threaded_batched_count(tree.levels, lo, hi, thr,
-                                       workers=4, task_size=2_000),
-        rounds=3, iterations=1)

@@ -6,8 +6,8 @@ Each function reproduces one experiment and returns a
 * **measured** — wall-clock times of the actual implementations in this
   package (single-threaded CPython, scaled-down inputs);
 * **simulated** — multi-core throughput from the calibrated task-parallel
-  cost model (:mod:`repro.parallel`), which reproduces the parallel
-  effects Python threads cannot (see DESIGN.md).
+  cost model (:mod:`repro.bench.scalability`), which reproduces the
+  paper's 20-core effects on any box (see DESIGN.md).
 
 Absolute values differ from the paper's C++-on-40-threads numbers by
 construction; the *shapes* — who wins, crossover locations, flatness of
@@ -25,9 +25,9 @@ import numpy as np
 from repro.baselines.tableau import tableau_window_percentile
 from repro.bench.harness import BenchSeries, measure, scaled
 from repro.bench.profiling import distinct_count_phases
+from repro.bench.scalability import MachineModel, WindowWorkload, simulate
 from repro.mst.stats import MemoryModel
 from repro.mst.tree import MergeSortTree
-from repro.parallel import MachineModel, WindowWorkload, simulate
 from repro.sql import Catalog, execute
 from repro.tpch import lineitem, lineitem_arrays
 from repro.window import (

@@ -18,7 +18,7 @@ This package provides that reuse as a first-class subsystem:
   configurable global memory budget;
 * :mod:`repro.cache.store` — a thread-safe LRU :class:`StructureCache`
   with pinning and hit/miss/eviction counters, so cached trees can be
-  shared read-only by :mod:`repro.parallel.threads` probes;
+  shared read-only by concurrent queries;
 * :mod:`repro.cache.spill` — on eviction, structures spool to disk in
   the :mod:`repro.mst.persist` format and transparently reload on the
   next hit.

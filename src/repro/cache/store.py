@@ -10,10 +10,9 @@ them, dropped otherwise. A spilled entry keeps its slot (with a
 near-zero charge) and transparently reloads on the next acquire.
 
 Pinning exists because the window operator probes a partition's
-structures many times between acquire and release — possibly from
-several :mod:`repro.parallel.threads` workers sharing the tree
-read-only — and an eviction mid-probe would pull the structure out from
-under them. All mutation happens under one re-entrant lock; builds also
+structures many times between acquire and release — possibly while
+other client threads of the session share the tree read-only — and an
+eviction mid-probe would pull the structure out from under them. All mutation happens under one re-entrant lock; builds also
 run under the lock so two threads asking for the same key never build
 twice (builds are GIL-bound numpy work, so serialising them costs
 little and guarantees the "built exactly once" invariant).

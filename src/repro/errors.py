@@ -106,7 +106,7 @@ class ExecutionError(ReproError):
 
 
 class ParallelExecutionError(ExecutionError):
-    """A worker task failed on a thread pool.
+    """A worker task failed on the worker pool.
 
     Carries the failing ``[lo, hi)`` task slice and chains the original
     worker exception as ``__cause__``. When several workers failed before
@@ -293,7 +293,7 @@ class WorkerPoolError(ResilienceError):
     restart-with-backoff can replace them), or when a closed pool is
     asked to run. The window operator treats it as a degradation
     signal — record against the ``worker.pool`` circuit breaker, fall
-    back to the thread executor — not a query failure."""
+    back to the serial kernels — not a query failure."""
 
     code = "WORKER_POOL"
 

@@ -1,34 +1,20 @@
-"""Task-based parallel execution cost model (Sections 3.2, 5.2, 5.5).
+"""Parallel window execution (paper Sections 3.2, 5.2, 5.5).
 
-The paper's parallelisation results hinge on *task-based* (morsel-driven
-[26]) parallelism: work is cut into fixed-size tasks (Hyper uses 20 000
-tuples) executed by a worker pool. Algorithms that carry aggregation
-state across rows must rebuild that state at every task boundary, which
-is what pushes incremental algorithms to O(n^2) under parallel execution
-while merge sort trees stay embarrassingly parallel after an O(n log n)
-build.
+The paper's parallelism is *task-based* (morsel-driven [26]): build the
+merge sort tree once, share it read-only, fan fixed-size probe tasks
+out to a worker pool. This package is the runtime for that:
 
-Pure-Python threads cannot demonstrate real multi-core speedups (GIL),
-so this package *models* the machine instead: per-algorithm operation
-counts are decomposed into parallel build phases and per-task probe
-costs, and a list scheduler computes the makespan on a configurable
-worker pool. The model is calibrated so the merge sort tree's simulated
-peak matches the paper's ~9.5 M tuples/s on the 20-core machine, making
-relative shapes (crossovers, plateaus) directly comparable to Figures
-10-12. DESIGN.md documents this substitution.
+* :mod:`repro.parallel.scheduler` — per-group strategy choice
+  (serial / inter-partition morsels / intra-partition probe fan) and
+  the session's one worker pool;
+* :mod:`repro.parallel.procpool` / :mod:`repro.parallel.procworker` —
+  the supervised process pool and its child side;
+* :mod:`repro.parallel.probes` — the probe-kernel handle evaluators
+  call through (serial, or fanned to the pool);
+* :mod:`repro.parallel.shm` / :mod:`repro.parallel.arena` — per-group
+  and session-lifetime shared-memory segments.
+
+The calibrated cost model that draws the paper's 20-core scalability
+figures on any box lives with the benchmarks, in
+:mod:`repro.bench.scalability`.
 """
-
-from repro.parallel.model import MachineModel, SimulationResult, makespan
-from repro.parallel.costs import ALGORITHMS, WindowWorkload, algorithm_tasks
-from repro.parallel.simulate import simulate, throughput_series
-
-__all__ = [
-    "ALGORITHMS",
-    "MachineModel",
-    "SimulationResult",
-    "WindowWorkload",
-    "algorithm_tasks",
-    "makespan",
-    "simulate",
-    "throughput_series",
-]

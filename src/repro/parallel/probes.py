@@ -1,28 +1,25 @@
-"""Probe-kernel indirection: serial vs thread-fanned batched probes.
+"""Probe-kernel indirection: serial vs process-fanned batched probes.
 
 The paper's intra-partition strategy (Section 5.2) shares one read-only
-merge sort tree between threads and fans the per-row probe arrays out as
-morsels. Evaluators reach the vectorised probe kernels
+merge sort tree between workers and fans the per-row probe arrays out
+as morsels. Evaluators reach the vectorised probe kernels
 (:mod:`repro.mst.vectorized`) through the :class:`ProbeKernels` handle
 on their :class:`~repro.window.partition.PartitionView` instead of
 calling them directly, so the scheduler can swap the serial kernels for
-:class:`ThreadedProbes` without the evaluators knowing: same arrays in,
-same arrays out, the only difference is which threads ran the binary
-searches.
+:class:`ProcessProbes` without the evaluators knowing: same arrays in,
+same arrays out, the only difference is where the binary searches ran.
 
 Serial is the default (:data:`SERIAL_PROBES`) and is a zero-overhead
-pass-through; :class:`ThreadedProbes` carries the session's shared
-thread pool so probe fan-out never creates executors of its own.
+pass-through.
 
-:class:`ProcessProbes` is the multicore variant (ROADMAP item 1's
-probe-fan follow-on): the tree levels are serialized once into the
-session's shared-memory table arena (workers attach and cache them by
-token), the per-row probe arrays travel through transient shm
-segments, and row ranges run on the supervised process pool with the
-same retry/quarantine ladder as inter-partition morsels — a lost range
-is recomputed serially by the parent on exactly its rows, so results
-stay bit-identical. Trees that cannot be shared (object-typed prefix
-aggregates) degrade the group to :class:`ThreadedProbes` with a
+:class:`ProcessProbes` is the multicore variant: the tree levels are
+serialized once into the session's shared-memory table arena (workers
+attach and cache them by token), the per-row probe arrays travel
+through transient shm segments, and row ranges run on the supervised
+process pool with the same retry/quarantine ladder as inter-partition
+morsels — a lost range is recomputed serially by the parent on exactly
+its rows, so results stay bit-identical. Trees that cannot be shared
+(object-typed prefix aggregates) run the serial kernels with a
 recorded reason, as does a broken worker pool mid-group.
 """
 
@@ -44,7 +41,7 @@ from repro.mst.vectorized import (
 class ProbeKernels:
     """Serial pass-through to the vectorised probe kernels."""
 
-    #: Whether probes fan out to a thread pool (EXPLAIN reporting).
+    #: Whether probes fan out to the worker pool (EXPLAIN reporting).
     parallel = False
 
     def count(self, levels: TreeLevels, lo: np.ndarray, hi: np.ndarray,
@@ -63,56 +60,6 @@ class ProbeKernels:
 
 #: Shared serial kernel set; stateless, safe to share between threads.
 SERIAL_PROBES = ProbeKernels()
-
-
-class ThreadedProbes(ProbeKernels):
-    """Fan per-row probe arrays out over a shared thread pool.
-
-    ``pool`` is the session's bounded executor (owned by the
-    :class:`~repro.parallel.scheduler.WindowScheduler`); probes shorter
-    than ``min_rows`` stay serial so small follow-up queries against a
-    big cached tree pay no fan-out overhead.
-    """
-
-    parallel = True
-
-    def __init__(self, pool, workers: int, task_size: int = 20_000,
-                 min_rows: int = 8_192) -> None:
-        self._pool = pool
-        self._workers = max(int(workers), 1)
-        self._task_size = max(int(task_size), 1)
-        self._min_rows = min_rows
-
-    def _serial(self, n: int) -> bool:
-        return self._workers <= 1 or n < self._min_rows
-
-    def count(self, levels: TreeLevels, lo: np.ndarray, hi: np.ndarray,
-              key_hi: np.ndarray,
-              key_lo: Optional[np.ndarray] = None) -> np.ndarray:
-        if self._serial(len(lo)):
-            return batched_count(levels, lo, hi, key_hi, key_lo=key_lo)
-        from repro.parallel.threads import threaded_batched_count
-        return threaded_batched_count(
-            levels, lo, hi, key_hi, key_lo=key_lo, workers=self._workers,
-            task_size=self._task_size, pool=self._pool)
-
-    def select(self, levels: TreeLevels, k: np.ndarray, key_lo: np.ndarray,
-               key_hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        if self._serial(len(k)):
-            return batched_select(levels, k, key_lo, key_hi)
-        from repro.parallel.threads import threaded_batched_select
-        return threaded_batched_select(
-            levels, k, key_lo, key_hi, workers=self._workers,
-            task_size=self._task_size, pool=self._pool)
-
-    def aggregate(self, levels: TreeLevels, lo: np.ndarray, hi: np.ndarray,
-                  key_hi: np.ndarray, kind: str) -> np.ndarray:
-        if self._serial(len(lo)):
-            return batched_aggregate(levels, lo, hi, key_hi, kind)
-        from repro.parallel.threads import threaded_batched_aggregate
-        return threaded_batched_aggregate(
-            levels, lo, hi, key_hi, kind, workers=self._workers,
-            task_size=self._task_size, pool=self._pool)
 
 
 def _shareable_levels(levels: TreeLevels) -> bool:
@@ -150,7 +97,6 @@ class ProcessProbes(ProbeKernels):
         self._task_size = max(int(task_size), 1)
         self._min_rows = max(int(min_rows), 1)
         self._governor = governor
-        self._threaded: Optional[ThreadedProbes] = None
         self._seq = 0
         self.partition = 0
         self.fanned = 0
@@ -158,13 +104,6 @@ class ProcessProbes(ProbeKernels):
         self.broken_reason: Optional[str] = None
 
     # -- degradation ---------------------------------------------------
-    def _fallback(self) -> ThreadedProbes:
-        if self._threaded is None:
-            self._threaded = ThreadedProbes(
-                self._scheduler.pool(), self._scheduler.workers,
-                task_size=self._task_size, min_rows=self._min_rows)
-        return self._threaded
-
     def _note_unshareable(self) -> None:
         if self.fallback_reason is None:
             self.fallback_reason = ("tree levels not shm-shareable "
@@ -277,51 +216,47 @@ class ProcessProbes(ProbeKernels):
             views[1][sl] = values
 
     # -- kernel interface ----------------------------------------------
+    def _fans(self, rows: int) -> bool:
+        """Whether a batch of ``rows`` probes goes to the pool; short
+        batches and everything after a pool/shm failure stay on the
+        serial kernels."""
+        return rows >= self._min_rows and self.broken_reason is None
+
     def count(self, levels: TreeLevels, lo: np.ndarray, hi: np.ndarray,
               key_hi: np.ndarray,
               key_lo: Optional[np.ndarray] = None) -> np.ndarray:
-        rows = len(lo)
-        if rows < self._min_rows or self._scheduler.workers <= 1:
-            return batched_count(levels, lo, hi, key_hi, key_lo=key_lo)
-        if self.broken_reason is None:
+        if self._fans(len(lo)):
             inputs = {"lo": np.asarray(lo), "hi": np.asarray(hi),
                       "key_hi": np.asarray(key_hi)}
             if key_lo is not None:
                 inputs["key_lo"] = np.asarray(key_lo)
             result = self._fan(levels, "count", inputs,
-                               [np.int64], rows)
+                               [np.int64], len(lo))
             if result is not None:
                 return result[0]
-        return self._fallback().count(levels, lo, hi, key_hi,
-                                      key_lo=key_lo)
+        return batched_count(levels, lo, hi, key_hi, key_lo=key_lo)
 
     def select(self, levels: TreeLevels, k: np.ndarray,
                key_lo: np.ndarray, key_hi: np.ndarray
                ) -> Tuple[np.ndarray, np.ndarray]:
-        rows = len(k)
-        if rows < self._min_rows or self._scheduler.workers <= 1:
-            return batched_select(levels, k, key_lo, key_hi)
-        if self.broken_reason is None:
+        if self._fans(len(k)):
             inputs = {"k": np.asarray(k), "key_lo": np.asarray(key_lo),
                       "key_hi": np.asarray(key_hi)}
             result = self._fan(levels, "select", inputs,
-                               [np.int64, np.int64], rows)
+                               [np.int64, np.int64], len(k))
             if result is not None:
                 return result[0], result[1]
-        return self._fallback().select(levels, k, key_lo, key_hi)
+        return batched_select(levels, k, key_lo, key_hi)
 
     def aggregate(self, levels: TreeLevels, lo: np.ndarray,
                   hi: np.ndarray, key_hi: np.ndarray,
                   kind: str) -> np.ndarray:
-        rows = len(lo)
-        if rows < self._min_rows or self._scheduler.workers <= 1:
-            return batched_aggregate(levels, lo, hi, key_hi, kind)
-        if self.broken_reason is None:
+        if self._fans(len(lo)):
             out_dtype = np.int64 if kind == "count" else np.float64
             inputs = {"lo": np.asarray(lo), "hi": np.asarray(hi),
                       "key_hi": np.asarray(key_hi)}
             result = self._fan(levels, "aggregate", inputs,
-                               [out_dtype], rows, agg_kind=kind)
+                               [out_dtype], len(lo), agg_kind=kind)
             if result is not None:
                 return result[0]
-        return self._fallback().aggregate(levels, lo, hi, key_hi, kind)
+        return batched_aggregate(levels, lo, hi, key_hi, kind)

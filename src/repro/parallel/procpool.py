@@ -27,19 +27,18 @@ Supervision (policy in :mod:`repro.resilience.supervisor`):
 * when the spawn budget is exhausted and no workers remain, the pool
   raises :class:`~repro.errors.WorkerPoolError` — the window operator
   records the failure against the ``worker.pool`` circuit breaker and
-  degrades the group to the thread executor;
+  degrades the group to the serial kernels;
 * a query abort (deadline, cancellation) kills busy workers rather
   than letting them scribble into shared buffers the parent is about
   to unlink; an injected ``parallel.morsel`` fault fails just its task
   and the collected failures raise once, aggregated, after the rest of
-  the group drains — the thread pool's semantics exactly.
+  the group drains.
 
 Fault sites: ``worker.spawn`` (before each spawn attempt),
 ``worker.heartbeat`` (each watchdog check of a busy worker — an
 injected fault is treated as a dead heartbeat), ``worker.retry``
 (before a lost morsel is re-queued — an injected fault quarantines it
-instead), and ``parallel.morsel`` (before each dispatch, mirroring the
-thread path).
+instead), and ``parallel.morsel`` (before each dispatch).
 """
 
 from __future__ import annotations
@@ -67,10 +66,7 @@ from repro.resilience.supervisor import (
 )
 
 #: Environment override for the multiprocessing start method.
-START_ENV = "REPRO_PROC_START"
-
-#: Accepted alias (the CI spawn leg sets this spelling).
-START_ENV_ALIAS = "REPRO_MP_START"
+START_ENV = "REPRO_MP_START"
 
 #: Seconds the parent parks in ``connection.wait`` per loop iteration.
 _WAIT_TICK = 0.05
@@ -81,15 +77,12 @@ _sweep_lock = threading.Lock()
 
 
 def _resolve_start_method(start_method: Optional[str]) -> str:
-    """Explicit argument > ``REPRO_PROC_START`` > ``REPRO_MP_START`` >
-    fork where available.
+    """Explicit argument > ``REPRO_MP_START`` > fork where available.
 
     ``fork`` shares the parent's pages (cheap spawn, env inherited);
     platforms without it fall back to ``spawn``."""
     if start_method is None:
-        start_method = (os.environ.get(START_ENV)
-                        or os.environ.get(START_ENV_ALIAS)
-                        or "").strip().lower()
+        start_method = (os.environ.get(START_ENV) or "").strip().lower()
     available = multiprocessing.get_all_start_methods()
     if start_method in available:
         return start_method
@@ -123,7 +116,7 @@ class ProcessPool:
     """A supervised pool of ``workers`` child processes.
 
     Created lazily by the :class:`~repro.parallel.scheduler.
-    WindowScheduler` when the session's executor is ``"process"``;
+    WindowScheduler` of a ``workers >= 2`` session;
     reused across queries and closed with the session. ``run_group``
     serialises callers on an internal lock: the pipes and worker task
     slots are single-owner state, so concurrent queries queue for the
@@ -291,9 +284,9 @@ class ProcessPool:
                     self._retire(worker, kill=True)
             raise
         if failures:
-            # Thread-path semantics: every task still ran (consuming
-            # any remaining planned faults); the collected per-task
-            # failures raise once, aggregated and sorted.
+            # Every task still ran (consuming any remaining planned
+            # faults); the collected per-task failures raise once,
+            # aggregated and sorted.
             primary = failures[0]
             raise ParallelExecutionError(
                 primary.lo, primary.hi,
@@ -315,12 +308,10 @@ class ProcessPool:
             except (ResilienceError, ParallelExecutionError):
                 raise
             except Exception as exc:
-                # Same wrapping the thread path's task runner applies,
-                # so chaos suites see one error shape per site. The
-                # failed task is consumed, not dispatched; remaining
-                # tasks keep running and the aggregate raises at the
-                # end of the group, exactly like the drained thread
-                # pool.
+                # Wrapped so chaos suites see one error shape per site.
+                # The failed task is consumed, not dispatched;
+                # remaining tasks keep running and the aggregate raises
+                # at the end of the group.
                 pending.popleft()
                 failure = ParallelExecutionError(
                     task.task_id, task.task_id + 1, exc)

@@ -296,8 +296,8 @@ def run_probe_task(state: _ProbeState, task: ProcProbeTask) -> list:
     """Run one row range of a probe batch against the shared tree.
 
     Results go straight into the shared output buffers; rows outside
-    ``[task.lo, task.hi)`` are untouched, so ranges compose exactly like
-    the threaded fan — and a retried range deterministically rewrites
+    ``[task.lo, task.hi)`` are untouched, so ranges
+    compose — and a retried range deterministically rewrites
     the same values. The ack payload is empty."""
     from repro.mst.vectorized import (
         batched_aggregate,

@@ -1,49 +1,40 @@
 """Morsel-driven parallel window execution (paper Section 5).
 
 The window operator hands each group's partition layout to a
-:class:`WindowScheduler`, which classifies the workload with the
-:mod:`repro.parallel.costs` operation model and picks one of three
-strategies:
+:class:`WindowScheduler`, which estimates the group's cost and picks
+one of three strategies:
 
 * **inter-partition** — many partitions: bin-pack them into morsels
   (LPT, largest processing time first) and run build + evaluate for
-  whole partitions on the shared pool. Structures stay partition-local,
+  whole partitions on the worker pool. Structures stay partition-local,
   so tasks share nothing but the output buffers — and those are written
   at precomputed disjoint global positions, never by completion order,
   so results are bit-identical to serial execution.
 * **intra-partition** — one partition dominates: build its structures
-  once on the query thread, then fan the per-row probe arrays out
-  through the threaded batched kernels
-  (:class:`~repro.parallel.probes.ThreadedProbes` over
+  once on the query thread, then fan the per-row probe arrays out to
+  the workers (:class:`~repro.parallel.probes.ProcessProbes` over
   ``batched_count`` / ``batched_select`` / ``batched_aggregate``),
   sharing the tree read-only exactly as Section 5.2 describes.
 * **serial** — below a cost threshold: tiny inputs take the exact
   pre-existing code path and pay zero overhead.
 
-The pool is **session-owned, bounded and reused across queries**: a
-:class:`~repro.sql.session.Session` creates one scheduler
-(``Session(workers=...)`` / ``REPRO_WORKERS``) whose single
-``ThreadPoolExecutor`` is shared by every query the gateway admits.
-Admission may run ``max_concurrent`` queries at once, but their morsels
-all queue on the same ``workers`` threads — total worker threads never
-exceed ``workers``, so ``workers x max_concurrent`` oversubscription
-cannot happen by construction.
+``workers`` is the only parallelism setting (argument >
+``REPRO_WORKERS`` > 1): 1 is serial, 2 or more is the supervised
+*process* pool of :mod:`repro.parallel.procpool` — child processes
+reading columns through shared memory. The pool is **session-owned,
+bounded and reused across queries**: a
+:class:`~repro.sql.session.Session` creates one scheduler whose single
+pool is shared by every query the gateway admits. Admission may run
+``max_concurrent`` queries at once, but the pool runs one group at a
+time on its ``workers`` children, so ``workers x max_concurrent``
+oversubscription cannot happen by construction.
 
-Every morsel task re-activates the submitting query's
-:class:`~repro.resilience.context.ExecutionContext`, checkpoints between
-morsels (deadlines and cancellation surface within one morsel) and fires
-the ``parallel.morsel`` fault site; failures are collected fail-fast and
-flattened into one :class:`~repro.errors.ParallelExecutionError`.
-
-**Executor choice** (ROADMAP item 1): the thread pool is GIL-bound, so
-the scheduler also fronts the supervised *process* pool of
-:mod:`repro.parallel.procpool`. ``executor`` resolves argument >
-``REPRO_EXECUTOR`` > ``"thread"``; with ``"process"``, parallel group
-decisions are tagged for the process executor and the window operator
-ships columns through shared memory, degrading per group back to the
-thread pool (and ultimately serial) when shared-memory setup fails or
-the pool breaks. ``"serial"`` pins every group to the serial path
-regardless of ``workers``.
+Degradation is per group and has one rung: when shared-memory setup
+fails, the ``worker.pool`` breaker is open, the columns cannot ship
+(strings, UDAFs) or the pool breaks, the group runs the serial kernels
+on the query thread — the same code ``workers=1`` runs — and the
+decision records why. A broken pool stays broken for the session:
+later groups get a serial decision up front.
 """
 
 from __future__ import annotations
@@ -51,15 +42,11 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.parallel.costs import WindowWorkload, algorithm_tasks
-from repro.parallel.probes import SERIAL_PROBES, ProbeKernels, ThreadedProbes
-from repro.parallel.threads import _run_tasks
 from repro.resilience.context import current_context
 
 #: Strategy names (also what EXPLAIN's Parallelism section prints).
@@ -67,9 +54,9 @@ SERIAL = "serial"
 INTER_PARTITION = "inter-partition"
 INTRA_PARTITION = "intra-partition"
 
-#: Abstract operations (repro.parallel.costs units) below which a window
-#: group runs serially. Calibrated so sub-~5k-row groups — where Python
-#: partition bookkeeping dwarfs any numpy win — never pay fan-out.
+#: Abstract operations (:func:`estimated_group_ops` units) below which a
+#: window group runs serially. Calibrated so sub-~5k-row groups — where
+#: Python partition bookkeeping dwarfs any numpy win — never pay fan-out.
 DEFAULT_MIN_PARALLEL_OPS = 150_000.0
 
 #: Smallest dominant partition worth intra-partition probe fan-out.
@@ -91,10 +78,6 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return max(int(workers), 1)
 
 
-#: Executor kinds a scheduler can run parallel groups on.
-EXECUTORS = ("process", "thread", "serial")
-
-
 def resolve_arena_bytes(arena_bytes: Optional[int] = None
                         ) -> Optional[int]:
     """Explicit argument, else ``REPRO_ARENA_BYTES``, else unlimited."""
@@ -109,18 +92,6 @@ def resolve_arena_bytes(arena_bytes: Optional[int] = None
         return None
 
 
-def resolve_executor(executor: Optional[str] = None) -> str:
-    """Explicit argument, else ``REPRO_EXECUTOR``, else ``"thread"``.
-
-    Lenient on the environment path (an unknown value falls back to
-    the thread executor — the env var reaches bare ``window_query``
-    calls with no config layer to validate it);
-    :class:`~repro.sql.config.SessionConfig` validates strictly."""
-    if executor is None:
-        executor = (os.environ.get("REPRO_EXECUTOR") or "").strip().lower()
-    return executor if executor in EXECUTORS else "thread"
-
-
 @dataclass
 class GroupDecision:
     """One window group's scheduling outcome (shown by EXPLAIN)."""
@@ -131,10 +102,10 @@ class GroupDecision:
     partitions: int = 0
     rows: int = 0
     reason: str = ""
-    #: which pool runs the group: "thread" or "process". The operator
-    #: may downgrade process -> thread in place when shared-memory
+    #: where the group runs: "process" for a parallel strategy, which
+    #: the operator downgrades to "serial" in place when shared-memory
     #: setup fails or the group is ineligible (non-numeric columns).
-    executor: str = "thread"
+    executor: str = SERIAL
     #: inter-partition only: morsel -> partition indices (ascending).
     plan: Optional[List[np.ndarray]] = None
 
@@ -155,14 +126,14 @@ class ParallelStats:
     """Scheduler counters plus the most recent group decisions."""
 
     workers: int = 1
-    executor: str = "thread"
+    executor: str = SERIAL
     groups: int = 0
     serial_groups: int = 0
     inter_groups: int = 0
     intra_groups: int = 0
     morsels_run: int = 0
     process_groups: int = 0   # groups that completed on the process pool
-    degraded_groups: int = 0  # process groups downgraded to threads
+    degraded_groups: int = 0  # process groups downgraded to serial
     pool_started: bool = False
     #: supervisor + live-worker snapshot when a process pool exists.
     worker_pool: Optional[dict] = None
@@ -226,19 +197,17 @@ def bin_pack(sizes: np.ndarray, bins: int) -> List[np.ndarray]:
 def estimated_group_ops(sizes: np.ndarray, n_calls: int) -> float:
     """Rough abstract-operation count for one window group.
 
-    Uses the merge-sort-tree model of :mod:`repro.parallel.costs` (the
-    default evaluation strategy): an O(n log n) build plus per-row
-    probes, scaled by the call count. Frame size is approximated as half
-    the mean partition — the threshold decision only needs the order of
-    magnitude, not the exact constant."""
+    The merge-sort-tree model (the default evaluation strategy): per
+    row and tree level, 1.0 for the sort, 0.8 for the tree merge and
+    1.6 for the probes — ``3.4 * n * log2(n)`` — scaled by the call
+    count. The threshold decision only needs the order of magnitude,
+    not the exact constant."""
     n = int(np.sum(sizes))
     if n <= 0:
         return 0.0
-    frame = max(float(np.mean(sizes)) / 2.0, 1.0)
-    build, probes = algorithm_tasks(
-        "mst", WindowWorkload(n=n, frame_size=frame),
-        task_size=max(n, 1), serial=True)
-    return (build + sum(probes)) * max(int(n_calls), 1)
+    level_ops = n * math.log2(max(n, 2))
+    return ((1.0 * level_ops + 0.8 * level_ops + 1.6 * level_ops)
+            * max(int(n_calls), 1))
 
 
 class WindowScheduler:
@@ -247,8 +216,8 @@ class WindowScheduler:
     ``workers`` resolves through :func:`resolve_workers` (argument >
     ``REPRO_WORKERS`` env > 1). With ``workers == 1`` every decision is
     serial and no pool is ever created, so the scheduler costs nothing
-    when parallelism is off. The pool is created lazily on the first
-    parallel group and reused until :meth:`close`.
+    when parallelism is off. With more, the process pool is created
+    lazily on the first parallel group and reused until :meth:`close`.
     """
 
     def __init__(self, workers: Optional[int] = None,
@@ -258,11 +227,11 @@ class WindowScheduler:
                  dominance: float = DEFAULT_DOMINANCE,
                  task_size: int = 20_000,
                  max_recorded: int = 8,
-                 executor: Optional[str] = None,
                  arena_bytes: Optional[int] = None,
                  governor: Any = None) -> None:
         self.workers = resolve_workers(workers)
-        self.executor = resolve_executor(executor)
+        #: Derived, never set: two or more workers are processes.
+        self.executor = "process" if self.workers > 1 else SERIAL
         self.morsels_per_worker = max(int(morsels_per_worker), 1)
         self.min_parallel_ops = float(min_parallel_ops)
         self.min_intra_rows = int(min_intra_rows)
@@ -272,11 +241,10 @@ class WindowScheduler:
         self.arena_bytes = resolve_arena_bytes(arena_bytes)
         self.governor = governor
         self._lock = threading.Lock()
-        self._pool: Optional[ThreadPoolExecutor] = None
         self._procpool = None
         self._arena = None
         #: One WorkerPoolError marks the pool broken for the session;
-        #: later groups go straight to threads without re-spawning.
+        #: later groups go straight to serial without re-spawning.
         self._process_broken = False
         self._stats = ParallelStats(workers=self.workers,
                                     executor=self.executor)
@@ -284,16 +252,6 @@ class WindowScheduler:
     # ------------------------------------------------------------------
     # pool lifecycle
     # ------------------------------------------------------------------
-    def pool(self) -> ThreadPoolExecutor:
-        """The shared bounded executor (created on first use)."""
-        with self._lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix="repro-window")
-                self._stats.pool_started = True
-            return self._pool
-
     def process_pool(self):
         """The supervised process pool (created on first use).
 
@@ -310,9 +268,10 @@ class WindowScheduler:
     def table_arena(self):
         """The session-lifetime shared-memory table arena (lazy).
 
-        Created on the first process-executor group; persists — with
-        its column, permutation and tree-level entries — until
-        :meth:`close`, which is what makes repeat queries warm."""
+        Created on the first group of a ``workers >= 2`` session;
+        persists — with its column, permutation and tree-level entries
+        — until :meth:`close`, which is what makes repeat queries
+        warm."""
         with self._lock:
             if self._arena is None:
                 from repro.parallel.arena import TableArena
@@ -343,16 +302,12 @@ class WindowScheduler:
     @property
     def process_enabled(self) -> bool:
         with self._lock:
-            return (self.executor == "process"
-                    and not self._process_broken)
+            return self.workers > 1 and not self._process_broken
 
     def close(self) -> None:
         with self._lock:
-            pool, self._pool = self._pool, None
             procpool, self._procpool = self._procpool, None
             arena, self._arena = self._arena, None
-        if pool is not None:
-            pool.shutdown(wait=True)
         if procpool is not None:
             procpool.close()
         if arena is not None:
@@ -377,10 +332,10 @@ class WindowScheduler:
             return self._record(GroupDecision(
                 SERIAL, workers=1, partitions=partitions, rows=rows,
                 reason="workers=1"))
-        if self.executor == SERIAL:
+        if not self.process_enabled:
             return self._record(GroupDecision(
                 SERIAL, workers=self.workers, partitions=partitions,
-                rows=rows, reason="executor=serial"))
+                rows=rows, reason="process pool broken"))
         ops = estimated_group_ops(sizes, n_calls)
         if ops < self.min_parallel_ops:
             return self._record(GroupDecision(
@@ -400,32 +355,20 @@ class WindowScheduler:
             morsels = math.ceil(largest / self._intra_task_size(largest))
             return self._record(GroupDecision(
                 INTRA_PARTITION, workers=self.workers, morsels=morsels,
-                partitions=partitions, rows=rows,
-                executor=self._parallel_executor(),
+                partitions=partitions, rows=rows, executor=self.executor,
                 reason=f"largest partition holds "
                        f"{largest * 100 // max(rows, 1)}% of rows"))
         plan = bin_pack(sizes, self.workers * self.morsels_per_worker)
         return self._record(GroupDecision(
             INTER_PARTITION, workers=self.workers, morsels=len(plan),
             partitions=partitions, rows=rows,
-            executor=self._parallel_executor(), plan=plan))
-
-    def _parallel_executor(self) -> str:
-        return "process" if self.process_enabled else "thread"
+            executor=self.executor, plan=plan))
 
     def _intra_task_size(self, rows: int) -> int:
         """Probe task size that gives every worker a few morsels even
         when the partition is smaller than the default 20k morsel."""
         target = math.ceil(rows / (self.workers * self.morsels_per_worker))
         return max(min(self.task_size, target), 4_096)
-
-    def intra_probes(self, decision: GroupDecision) -> ProbeKernels:
-        """Threaded probe kernels for an intra-partition group."""
-        if decision.strategy != INTRA_PARTITION:
-            return SERIAL_PROBES
-        return ThreadedProbes(
-            self.pool(), self.workers,
-            task_size=self._intra_task_size(decision.rows))
 
     def process_probes(self, decision: GroupDecision, lease):
         """Process-pool probe kernels for one intra-partition group.
@@ -443,38 +386,6 @@ class WindowScheduler:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def run_morsels(self, run_one: Callable[[int], None],
-                    count: int) -> None:
-        """Run morsels ``0..count`` on the shared pool, fail-fast.
-
-        Delegates to the same task runner the probe kernels use: every
-        morsel re-activates the caller's execution context, checkpoints
-        (an expired deadline or cancellation mid-fan-out stops the
-        remaining morsels), and fires the ``parallel.morsel`` fault
-        site. Worker failures are flattened into one
-        :class:`~repro.errors.ParallelExecutionError`."""
-        slices = [(m, m + 1) for m in range(count)]
-        pool = self.pool() if self.workers > 1 and count > 1 else None
-        ctx = current_context()
-        tracer = ctx.tracer
-        task = run_one
-        if tracer.enabled:
-            # Pool workers start with an empty span stack, so anchor
-            # each morsel span to the span open on the submitting
-            # thread — morsels nest under their window group.
-            anchor = tracer.current()
-
-            def task(m: int) -> None:
-                with tracer.span("parallel.morsel", parent=anchor,
-                                 morsel=m):
-                    run_one(m)
-
-        _run_tasks(lambda lo, hi: task(lo), slices, self.workers,
-                   pool=pool, fault_site="parallel.morsel")
-        ctx.telemetry.add_morsels(count)
-        with self._lock:
-            self._stats.morsels_run += count
-
     def run_process_tasks(self, job, tasks):
         """Run one group's tasks on the supervised process pool.
 
@@ -577,7 +488,7 @@ class WindowScheduler:
         events = ("spawned", "restarts", "crashes", "hangs", "retries",
                   "quarantined", "spawn_failures")
         return [
-            ("repro_pool_workers", "Window pool worker threads.",
+            ("repro_pool_workers", "Window pool workers.",
              "gauge", (), [((), s.workers)]),
             ("repro_pool_morsels_total", "Morsel tasks run.",
              "counter", (), [((), s.morsels_run)]),

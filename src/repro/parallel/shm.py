@@ -30,7 +30,7 @@ Robustness mirrors the spill-file discipline of
 
 The ``shm.attach`` fault site fires once per parent-side segment
 create, so tests can fail shared-memory setup deterministically and
-assert the degradation to the thread executor.
+assert the degradation to the serial kernels.
 """
 
 from __future__ import annotations

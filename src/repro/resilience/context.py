@@ -12,11 +12,10 @@ deadline or a set token surfaces as a typed
 :class:`~repro.errors.QueryCancelledError` within one batch.
 
 The active context travels in thread-local storage (``activate`` /
-``current_context``) so deep evaluator code needs no extra parameters;
-:mod:`repro.parallel.threads` re-activates the spawning query's context
-inside its pool workers. With no deadline, token, limits or faults the
-ambient context's checkpoint is a single attribute test — the guardrails
-cost nothing when unused.
+``current_context``) so deep evaluator code needs no extra parameters.
+With no deadline, token, limits or faults the ambient context's
+checkpoint is a single attribute test — the guardrails cost nothing
+when unused.
 """
 
 from __future__ import annotations

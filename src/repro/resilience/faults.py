@@ -16,10 +16,8 @@ Sites currently wired into the engine:
   once per read attempt;
 * ``structure.build`` — around every index-structure build routed
   through :meth:`repro.window.evaluators.common.CallInput.structure`;
-* ``parallel.worker`` — at the start of every thread-pool probe task in
-  :mod:`repro.parallel.threads`;
-* ``parallel.morsel`` — at the start of every partition-morsel task the
-  :class:`~repro.parallel.scheduler.WindowScheduler` fans out;
+* ``parallel.morsel`` — before every morsel or probe-range task the
+  :class:`~repro.parallel.procpool.ProcessPool` dispatches;
 * ``cache.evict``    — at the start of every structure-cache eviction
   (:meth:`repro.cache.store.StructureCache._evict`), before the spill
   write;
@@ -169,7 +167,7 @@ NO_FAULTS = FaultInjector()
 
 _KNOWN_SITES = frozenset({
     "spill.write", "spill.read", "structure.build",
-    "parallel.worker", "parallel.morsel", "cache.evict",
+    "parallel.morsel", "cache.evict",
     "cache.reload", "gateway.admit", "circuit.probe",
     "memory.reserve", "partition.spill", "partition.reload",
     "worker.spawn", "worker.heartbeat", "worker.retry", "shm.attach",
@@ -185,12 +183,3 @@ def known_fault_sites() -> List[str]:
     ``fire(...)`` call sites actually present in the source tree."""
     return sorted(_KNOWN_SITES)
 
-
-def sites() -> List[str]:
-    """The site names wired into the engine (for docs and validation)."""
-    return ["spill.write", "spill.read", "structure.build",
-            "parallel.worker", "parallel.morsel", "cache.evict",
-            "cache.reload", "gateway.admit", "circuit.probe",
-            "memory.reserve", "partition.spill", "partition.reload",
-            "worker.spawn", "worker.heartbeat", "worker.retry",
-            "shm.attach", "join.build", "cte.materialize"]

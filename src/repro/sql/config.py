@@ -94,13 +94,12 @@ class SessionConfig:
     * gateway: ``max_concurrent``, ``max_queue``, ``queue_timeout``;
     * breakers: ``breaker_threshold``, ``breaker_reset``;
     * verification: ``verify_rate``, ``verify_seed``;
-    * parallelism: ``workers`` (``None`` → ``REPRO_WORKERS``, serial
-      when unset) and ``executor`` (``"process"`` | ``"thread"`` |
-      ``"serial"``; ``None`` → ``REPRO_EXECUTOR``, thread pool when
-      unset — the process executor runs morsels in supervised child
-      processes over shared-memory columns) and ``arena_bytes``
-      (byte budget of the session-lifetime shared-memory table arena
-      that warm-starts repeat process-executor queries; ``None`` →
+    * parallelism: ``workers`` (``None`` → ``REPRO_WORKERS``, 1 when
+      unset; 1 is serial, 2 or more run morsels in that many supervised
+      child processes over shared-memory columns, degrading per group
+      to serial) and ``arena_bytes`` (byte budget of the
+      session-lifetime shared-memory table arena that warm-starts
+      repeat queries on the worker processes; ``None`` →
       ``REPRO_ARENA_BYTES``, unlimited when unset, ``0`` caches
       nothing);
     * testing: ``faults``, ``clock``;
@@ -127,7 +126,6 @@ class SessionConfig:
     verify_seed: int = 0
     verify_reload: bool = True
     workers: Optional[int] = None
-    executor: Optional[str] = None
     arena_bytes: Optional[int] = None
     trace: Optional[bool] = None
     metrics: bool = True
@@ -166,9 +164,6 @@ class SessionConfig:
                  f"got {self.verify_rate}")
         _require(self.workers is None or self.workers >= 1,
                  f"workers must be >= 1, got {self.workers}")
-        _require(self.executor in (None, "process", "thread", "serial"),
-                 f"executor must be one of 'process', 'thread', "
-                 f"'serial', got {self.executor!r}")
         _require(self.arena_bytes is None or self.arena_bytes >= 0,
                  f"arena_bytes must be >= 0, got {self.arena_bytes}")
         _require(self.trace_max_spans >= 1,
@@ -187,9 +182,9 @@ class SessionConfig:
         ``REPRO_MAX_QUEUE``, ``REPRO_QUEUE_TIMEOUT``,
         ``REPRO_BREAKER_THRESHOLD``, ``REPRO_BREAKER_RESET``,
         ``REPRO_VERIFY_RATE``, ``REPRO_VERIFY_SEED``, ``REPRO_WORKERS``,
-        ``REPRO_EXECUTOR``, ``REPRO_ARENA_BYTES``, ``REPRO_TRACE``,
-        ``REPRO_METRICS``. Unset variables keep their
-        defaults; explicit ``**overrides`` win over the environment.
+        ``REPRO_ARENA_BYTES``, ``REPRO_TRACE``, ``REPRO_METRICS``. Unset
+        variables keep their defaults; explicit ``**overrides`` win
+        over the environment.
         """
         env = os.environ if env is None else env
         values: dict = {}
@@ -213,8 +208,6 @@ class SessionConfig:
         put("verify_rate", _env_float(env, "REPRO_VERIFY_RATE"))
         put("verify_seed", _env_int(env, "REPRO_VERIFY_SEED"))
         put("workers", _env_int(env, "REPRO_WORKERS"))
-        put("executor",
-            (env.get("REPRO_EXECUTOR") or "").strip().lower() or None)
         put("arena_bytes", _env_int(env, "REPRO_ARENA_BYTES"))
         put("trace", _env_bool(env, "REPRO_TRACE"))
         put("metrics", _env_bool(env, "REPRO_METRICS"))

@@ -148,7 +148,7 @@ def _execution_section(analysis: Any) -> List[str]:
     phase_order = ["gateway.wait", "parse", "plan", "cte.materialize",
                    "join.build", "join.probe", "partition",
                    "window.group", "structure.build", "probe",
-                   "spill.write", "spill.read", "parallel.morsel"]
+                   "spill.write", "spill.read"]
     totals = {name: [0, 0.0] for name in phase_order}
     for span in root.walk():
         bucket = totals.get(span.name)

@@ -114,16 +114,14 @@ class Session:
     evaluations is re-answered by the naive oracle and any divergence
     raises :class:`~repro.errors.VerificationError`.
 
-    ``workers`` sizes the session's shared window thread pool (default:
-    the ``REPRO_WORKERS`` environment variable, serial when unset). All
-    admitted queries share one
+    ``workers`` sizes the session's window worker pool (default: the
+    ``REPRO_WORKERS`` environment variable, serial when unset): 1 is
+    serial, 2 or more are supervised child processes over shared-memory
+    columns. All admitted queries share one
     :class:`~repro.parallel.scheduler.WindowScheduler`, so the total
-    number of worker threads stays at ``workers`` even with
-    ``max_concurrent`` queries in flight — concurrency and parallelism
-    compose without oversubscribing the machine. ``executor`` selects
-    what backs the scheduler: ``"process"`` (supervised child
-    processes over shared-memory columns — true multicore),
-    ``"thread"`` (the default GIL-bound pool) or ``"serial"``.
+    number of workers stays at ``workers`` even with ``max_concurrent``
+    queries in flight — concurrency and parallelism compose without
+    oversubscribing the machine.
 
     Observability: every query can run under a per-query span tracer
     (``SessionConfig.trace`` / ``QueryOptions.trace`` /
@@ -191,11 +189,10 @@ class Session:
         from repro.sql.plancache import PlanCache
         self.plan_cache = PlanCache(budget_bytes=config.plan_cache_bytes,
                                     governor=self.memory)
-        #: One scheduler (and thread pool) per session: every admitted
-        #: query shares it, so total worker threads stay bounded at
+        #: One scheduler (and worker pool) per session: every admitted
+        #: query shares it, so total workers stay bounded at
         #: ``workers`` no matter how large ``max_concurrent`` is.
         self.parallel = WindowScheduler(workers=config.workers,
-                                        executor=config.executor,
                                         arena_bytes=config.arena_bytes,
                                         governor=self.memory)
         self.health = HealthCounters()

@@ -8,25 +8,24 @@ are scattered back to the original row order as new columns.
 Partition evaluation is scheduled by a
 :class:`~repro.parallel.scheduler.WindowScheduler` (Section 5): many
 small partitions are bin-packed into morsels that run whole on the
-session's shared thread pool (inter-partition), a dominant partition
-builds once and fans its probe arrays out over the pool
-(intra-partition), and small groups stay on the pre-existing serial
-path. Whatever the strategy, each partition scatters its values into
-precomputed global row positions, so results are bit-identical to
-serial execution regardless of completion order.
+session's worker pool (inter-partition), a dominant partition builds
+once and fans its probe arrays out over the pool (intra-partition), and
+small groups stay on the pre-existing serial path. Whatever the
+strategy, each partition scatters its values into precomputed global
+row positions, so results are bit-identical to serial execution
+regardless of completion order.
 
-When the session's executor is ``"process"`` (ROADMAP item 1), a
-parallel group first attempts the supervised process pool: input
+The pool is the supervised process pool (``workers >= 2``): input
 columns, the sort permutation and per-call scatter buffers are shared
 with child processes through :mod:`repro.parallel.shm`, and workers
 run the same partition-build/evaluate code against zero-copy views.
-The degradation ladder is per group — shared-memory setup failure, an
-open ``worker.pool`` breaker, a non-numeric (process-ineligible)
-column set, or a broken pool each downgrade the group to the thread
-executor in place, and quarantined morsels re-run on the in-thread
-path — so a dying worker fleet costs throughput, never answers.
+Degradation is per group — shared-memory setup failure, an open
+``worker.pool`` breaker, a non-numeric (process-ineligible) column set,
+or a broken pool each downgrade the group in place to the serial
+kernels on the query thread, and quarantined morsels re-run there too
+— so a dying worker fleet costs throughput, never answers.
 
-Two refinements amortize the process executor's per-query setup:
+Two refinements amortize the pool's per-query setup:
 
 * Input columns and the sort permutation live in the session-lifetime
   :class:`~repro.parallel.arena.TableArena` rather than per-group
@@ -62,8 +61,8 @@ from repro.errors import (
 from repro.obs import NULL_SPAN
 from repro.parallel.probes import SERIAL_PROBES, ProbeKernels
 from repro.parallel.scheduler import (
-    INTER_PARTITION,
     INTRA_PARTITION,
+    SERIAL,
     WindowScheduler,
     default_scheduler,
 )
@@ -162,9 +161,8 @@ class _ResultBuffer:
     buffer demotes array -> list on first non-array input: rows already
     scattered keep their values, rows not yet scattered are still owned
     by exactly one future partition, so the placeholder never survives
-    to :meth:`finish`. Scatters may arrive from concurrent morsel
-    tasks; each targets disjoint global positions, and the short lock
-    only guards the buffer-representation switch."""
+    to :meth:`finish`. Each scatter targets disjoint global positions;
+    the short lock guards the buffer-representation switch."""
 
     __slots__ = ("n", "_array", "_list", "_lock")
 
@@ -230,7 +228,7 @@ def _resolve_order(lease: Any, table: Table, spec: WindowSpec,
                    ) -> Tuple[np.ndarray, Optional[Any], bool]:
     """The group's sort permutation, arena-cached when possible.
 
-    With a process-executor lease and at least one sort key the
+    With a process-pool lease and at least one sort key the
     permutation lives in the table arena, keyed by the content
     fingerprint of the sort columns plus the spec's ordering signature:
     a warm repeat query skips the argsort *and* the copy, and the
@@ -310,9 +308,8 @@ def _evaluate_group_inner(table: Table, spec: WindowSpec,
         """Build, evaluate and scatter one whole partition.
 
         Cache pins are acquired under the store lock inside the
-        builder and released in this task's ``finally`` — the thread
-        that built (or another worker probing the same cached tree)
-        never leaves a pin behind on failure or cancellation.
+        builder and released in this call's ``finally``, so failure or
+        cancellation never leaves a pin behind.
 
         ``emit(call_index, rows, values)`` overrides the default
         scatter into the result buffers — the out-of-core path uses it
@@ -364,22 +361,19 @@ def _evaluate_group_inner(table: Table, spec: WindowSpec,
         partitions=len(sizes), rows=n, calls=len(calls),
         morsels=decision.morsels) if tracer.enabled else NULL_SPAN
     with group_span:
-        if decision.executor == "process":
-            handled = False
+        if decision.strategy != SERIAL:
             if order_shm_failed:
                 # The permutation's arena materialization already hit
                 # the shared-memory failure — same rung of the ladder
                 # as a column-share failure inside the group helpers.
                 breaker_failure(ctx, ctx.breaker("worker.pool"))
-                _downgrade(ctx, scheduler, decision,
-                           "shared-memory setup failed -> thread "
-                           "executor")
-            elif decision.strategy == INTRA_PARTITION \
-                    and lease is not None:
+                handled = _downgrade(ctx, scheduler, decision,
+                                     "shared-memory setup failed")
+            elif decision.strategy == INTRA_PARTITION:
                 handled = _run_group_probe_fan(
                     ctx, scheduler, decision, lease,
                     evaluate_partition, len(sizes))
-            elif decision.strategy == INTER_PARTITION:
+            else:
                 handled = _run_group_process(
                     ctx, scheduler, decision, spec, calls, table,
                     all_column_data, order, order_spec, starts, sizes,
@@ -387,39 +381,20 @@ def _evaluate_group_inner(table: Table, spec: WindowSpec,
                     lease)
             if handled:
                 return [buffer.finish() for buffer in buffers]
-            # The helper downgraded decision.executor in place; the
-            # group continues on the thread/serial machinery below.
-        if decision.strategy == INTER_PARTITION:
-            plan = decision.plan
-
-            def run_morsel(m: int) -> None:
-                # Morsel tasks run partitions whole with serial probe
-                # kernels: nested fan-out into the same bounded pool
-                # from a pool thread could deadlock, and
-                # whole-partition tasks are already the unit of
-                # parallelism here.
-                morsel_ctx = current_context()
-                for p in plan[m]:
-                    morsel_ctx.checkpoint()
-                    evaluate_partition(int(p), SERIAL_PROBES)
-
-            scheduler.run_morsels(run_morsel, len(plan))
-        else:
-            probes = (scheduler.intra_probes(decision)
-                      if decision.strategy == INTRA_PARTITION
-                      else SERIAL_PROBES)
-            for p in range(len(sizes)):
-                # Partition boundaries are the operator's batch
-                # boundaries: an expired deadline or cancellation
-                # surfaces here rather than hanging through the
-                # remaining partitions.
-                ctx.checkpoint()
-                evaluate_partition(p, probes)
+            # The helper downgraded the decision in place; the group
+            # continues on the serial path below.
+        for p in range(len(sizes)):
+            # Partition boundaries are the operator's batch
+            # boundaries: an expired deadline or cancellation
+            # surfaces here rather than hanging through the
+            # remaining partitions.
+            ctx.checkpoint()
+            evaluate_partition(p, SERIAL_PROBES)
     return [buffer.finish() for buffer in buffers]
 
 
 # ----------------------------------------------------------------------
-# process executor (shared-memory columns, supervised worker pool)
+# process pool (shared-memory columns, supervised workers)
 # ----------------------------------------------------------------------
 #: Deterministic group ids for worker-side state caching.
 _GROUP_SEQ = itertools.count()
@@ -458,13 +433,12 @@ def _process_eligible(spec: WindowSpec, calls: Sequence[WindowCall],
 
 def _downgrade(ctx: Any, scheduler: WindowScheduler, decision: Any,
                reason: str, fallback: bool = True) -> bool:
-    """Downgrade one group to the thread executor in place. Returns
+    """Downgrade one group to the serial kernels in place. Returns
     False so callers can ``return _downgrade(...)`` from the process
-    helpers (False = the thread/serial machinery below runs the
-    group)."""
+    helpers (False = the serial loop of the caller runs the group)."""
     if fallback:
         ctx.record_fallback(reason)
-    decision.executor = "thread"
+    decision.executor = SERIAL
     decision.reason = (f"{decision.reason}; {reason}"
                        if decision.reason else reason)
     scheduler.note_degraded_group()
@@ -493,17 +467,16 @@ def _run_group_probe_fan(ctx: Any, scheduler: WindowScheduler,
     thread: each partition builds (or cache-attaches) its structures
     once, the tree levels are serialized into the arena, and only the
     per-row probe batches ship to workers. Returns True when the group
-    evaluated — possibly with mid-group degradation to the threaded or
-    serial kernels, which the probes object records — and False only
-    when the ``worker.pool`` breaker was already open, after
-    downgrading ``decision.executor`` in place like
-    :func:`_run_group_process`."""
+    evaluated — possibly with mid-group degradation to the serial
+    kernels, which the probes object records — and False only when the
+    ``worker.pool`` breaker was already open, after downgrading
+    ``decision.executor`` in place like :func:`_run_group_process`."""
     breaker = ctx.breaker("worker.pool")
     try:
         breaker_allow(ctx, breaker)
     except CircuitOpenError:
         return _downgrade(ctx, scheduler, decision,
-                          "worker.pool breaker open -> thread executor")
+                          "worker.pool breaker open")
 
     probes = scheduler.process_probes(decision, lease)
     for p in range(num_partitions):
@@ -514,7 +487,7 @@ def _run_group_probe_fan(ctx: Any, scheduler: WindowScheduler,
     notes = []
     if probes.broken_reason is not None:
         # Mid-group pool loss: batches fanned before the failure kept
-        # their results, the rest ran on the threaded fallback — the
+        # their results, the rest ran on the serial kernels — the
         # output is whole either way, so record the degradation rather
         # than re-running anything.
         breaker_failure(ctx, breaker)
@@ -549,17 +522,17 @@ def _run_group_process(ctx: Any, scheduler: WindowScheduler,
                        sizes: np.ndarray, buffers: List[_ResultBuffer],
                        date_columns: frozenset,
                        evaluate_partition: Any, n: int,
-                       lease: Any = None) -> bool:
+                       lease: Any) -> bool:
     """Try to run one parallel group on the supervised process pool.
 
     Returns True when the group's buffers are fully scattered (the
     caller finishes them); False after downgrading
-    ``decision.executor`` to ``"thread"`` in place, leaving the buffers
-    untouched for the thread/serial machinery. Quarantined or
+    ``decision.executor`` to ``"serial"`` in place, leaving the buffers
+    untouched for the caller's serial loop. Quarantined or
     child-errored morsels re-run here on the in-thread degraded path —
     a partial pool failure never downgrades the already-acked work.
 
-    With an arena ``lease``, input columns come from the
+    Input columns come through the arena ``lease`` from the
     session-lifetime table arena (content-keyed; copied at most once
     per session) and ``order_spec`` — the permutation's arena handle
     from :func:`_resolve_order` — ships directly; only the result
@@ -581,13 +554,12 @@ def _run_group_process(ctx: Any, scheduler: WindowScheduler,
     try:
         breaker_allow(ctx, breaker)
     except CircuitOpenError:
-        return downgrade("worker.pool breaker open -> thread executor")
+        return downgrade("worker.pool breaker open")
 
     if not _process_eligible(spec, calls, all_column_data):
         # Static ineligibility is routine (any string column), not a
         # degradation event: skip the fallback health counter.
-        return downgrade("process-ineligible columns -> thread executor",
-                         fallback=False)
+        return downgrade("process-ineligible columns", fallback=False)
 
     arena = ShmArena(governor=getattr(ctx, "memory", None))
     try:
@@ -595,20 +567,15 @@ def _run_group_process(ctx: Any, scheduler: WindowScheduler,
         for name in sorted(_process_needed_columns(
                 spec, calls, all_column_data)):
             values, validity = all_column_data[name]
-            if lease is not None:
-                entry = lease.get(
-                    ("col", column_fingerprint(table.column(name))),
-                    lambda v=values, m=validity: [v, m])
-                columns[name] = (entry.specs[0], entry.specs[1])
-            else:
-                columns[name] = (arena.share(values),
-                                 arena.share(validity))
+            entry = lease.get(
+                ("col", column_fingerprint(table.column(name))),
+                lambda v=values, m=validity: [v, m])
+            columns[name] = (entry.specs[0], entry.specs[1])
         job = ProcGroupJob(
             group_id=f"p{os.getpid()}-g{next(_GROUP_SEQ)}",
             table_rows=n,
             columns=columns,
-            order=(order_spec if order_spec is not None
-                   else arena.share(order)),
+            order=order_spec,
             starts=np.asarray(starts, dtype=np.int64),
             spec=spec,
             calls=tuple(calls),
@@ -619,8 +586,7 @@ def _run_group_process(ctx: Any, scheduler: WindowScheduler,
     except OSError:
         arena.close()
         breaker_failure(ctx, breaker)
-        return downgrade(
-            "shared-memory setup failed -> thread executor")
+        return downgrade("shared-memory setup failed")
 
     tasks = _process_tasks(decision, len(calls))
     try:
@@ -629,7 +595,7 @@ def _run_group_process(ctx: Any, scheduler: WindowScheduler,
         breaker_failure(ctx, breaker)
         scheduler.mark_process_broken()
         arena.close()
-        return downgrade("process pool broken -> thread executor")
+        return downgrade("process pool broken")
     except BaseException:
         arena.close()
         raise

@@ -28,7 +28,7 @@ def arrays(seed: int, n: int = 1024):
 
 
 def ambient_segments():
-    # Under REPRO_EXECUTOR=process earlier tests in the same process
+    # Under REPRO_WORKERS=2 earlier tests in the same process
     # may have warmed the (never-closed) default scheduler's arena;
     # hygiene assertions are relative to that ambient set.
     return set(arena_segments())

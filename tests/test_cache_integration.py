@@ -8,8 +8,6 @@ producing results identical to the uncached path.
 
 import threading
 
-import numpy as np
-
 from conftest import make_window_table
 from repro import Catalog, Session, SessionConfig, execute
 from repro.cache.store import StructureCache
@@ -178,51 +176,6 @@ def test_explain_exposes_cache_stats():
 # ----------------------------------------------------------------------
 # threaded sharing
 # ----------------------------------------------------------------------
-def test_threaded_probes_share_one_cached_tree(rng):
-    """Several repro.parallel.threads workers probe one cached tree
-    read-only while other threads run the same acquire concurrently."""
-    from repro.mst.tree import MergeSortTree
-    from repro.mst.vectorized import batched_count
-    from repro.parallel.threads import threaded_batched_count
-
-    n = 4_000
-    keys = rng.integers(0, n, size=n)
-    lo = rng.integers(0, n // 2, size=n)
-    hi = np.minimum(lo + rng.integers(1, n // 2, size=n), n)
-    thr = rng.integers(0, n, size=n)
-
-    builds = []
-
-    def builder():
-        builds.append(1)
-        return MergeSortTree(keys, fanout=4)
-
-    serial = batched_count(MergeSortTree(keys, fanout=4).levels, lo, hi,
-                           thr)
-    outputs = []
-    with StructureCache() as cache:
-        def session_thread():
-            tree = cache.acquire(("shared",), builder)
-            try:
-                outputs.append(threaded_batched_count(
-                    tree.levels, lo, hi, thr, workers=4, task_size=512))
-            finally:
-                cache.release(("shared",))
-
-        threads = [threading.Thread(target=session_thread)
-                   for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(builds) == 1  # built once, shared by all threads
-        stats = cache.stats()
-        assert stats.misses == 1 and stats.hits == 3
-    assert len(outputs) == 4
-    for out in outputs:
-        assert np.array_equal(out, serial)
-
-
 def test_concurrent_sessions_one_cache_consistent_results():
     table = make_window_table(150)
     catalog = Catalog({"t": table})

@@ -2,16 +2,17 @@
 
 import pytest
 
-from repro.parallel import (
+from repro.bench.scalability import (
     ALGORITHMS,
     MachineModel,
     WindowWorkload,
     algorithm_tasks,
+    crossover_point,
     makespan,
     simulate,
+    summary_row,
     throughput_series,
 )
-from repro.parallel.simulate import crossover_point, summary_row
 
 
 class TestMakespan:

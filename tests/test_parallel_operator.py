@@ -2,7 +2,8 @@
 
 The contract of :mod:`repro.parallel.scheduler` is that parallelism is
 *invisible* in results: whatever strategy the scheduler picks
-(inter-partition morsels, intra-partition probe fan-out, serial), every
+(inter-partition morsels, intra-partition probe fan-out, serial — with
+``workers >= 2`` meaning the supervised process pool), every
 output column is bit-identical to serial evaluation, because each
 partition scatters into precomputed global row positions rather than by
 completion order. This suite pins that down over partition-count
@@ -29,6 +30,7 @@ from repro.parallel.scheduler import (
     SERIAL,
     WindowScheduler,
     bin_pack,
+    estimated_group_ops,
     resolve_workers,
 )
 from repro.resilience import (
@@ -159,15 +161,16 @@ def test_unpartitioned_group_is_intra_and_identical():
 
 
 def test_parallel_with_cache_matches_and_unpins(tmp_path):
-    table = make_table(1000, 50, seed=11)
+    # One dominant partition: cache hit/pin accounting belongs to the
+    # probe-fan path, where the query thread builds (or attaches) the
+    # structures (inter-partition workers build fresh in-child and
+    # never touch the parent's cache).
+    table = make_table(1000, 1, seed=11)
     spec = WindowSpec(partition_by=("g",), order_by=(OrderItem("o"),),
                       frame=FrameSpec.rows(preceding(6), current_row()))
     want = run(table, spec)
     with StructureCache(spill_dir=str(tmp_path)) as cache:
-        # Pinned to the thread executor: cache hit/pin accounting is a
-        # thread-path property (process workers build structures fresh
-        # in-child and never touch the parent's cache).
-        with forced(4, executor="thread") as scheduler:
+        with forced(4) as scheduler:
             assert run(table, spec, scheduler=scheduler, cache=cache) == want
             # Warm second run: same answer from cached structures.
             assert run(table, spec, scheduler=scheduler, cache=cache) == want
@@ -199,12 +202,36 @@ def test_bin_pack_degenerate_shapes():
     assert bin_pack(np.asarray([], dtype=np.int64), 4)[0].tolist() == []
 
 
+def test_estimated_group_ops_keeps_its_pre_closed_form_values():
+    # Literal outputs of the cost-model implementation this replaced
+    # (3.4 * n * log2(n) * calls): the serial/parallel threshold must
+    # not move by a bit.
+    for sizes, calls, want in [
+            ([10, 12, 9], 1, 522.1722911147767),
+            ([1], 1, 3.4000000000000004),
+            ([60000], 2, 6476051.3511504065),
+            ([100000] * 8, 4, 213352888.36187252),
+            ([1500], 4, 215235.23442181817),
+            ([500] * 120, 1, 3238025.6755752033),
+            ([0], 3, 0.0)]:
+        assert estimated_group_ops(np.asarray(sizes), calls) == want
+
+
 def test_choose_serial_below_threshold_and_reports_reason():
     scheduler = WindowScheduler(workers=4)  # real thresholds
     decision = scheduler.choose([10, 12, 9], n_calls=1)
     assert decision.strategy == SERIAL
     assert "threshold" in decision.reason
     assert not scheduler.stats().pool_started  # decision alone is free
+
+
+def test_choose_after_broken_pool_is_serial_with_reason():
+    scheduler = forced(4)
+    scheduler.mark_process_broken()
+    decision = scheduler.choose([90_000, 10, 10, 10], n_calls=1)
+    assert decision.strategy == SERIAL
+    assert decision.executor == SERIAL
+    assert decision.reason == "process pool broken"
 
 
 def test_choose_workers_one_never_parallel():
@@ -282,9 +309,10 @@ def test_morsel_fault_leaves_no_pinned_cache_entries(tmp_path):
 
 
 def test_cancellation_mid_fanout_leaves_no_pins(tmp_path):
-    # The injected exception cancels the token from inside a morsel
-    # task, so the *other* in-flight morsels see the cancellation at
-    # their next checkpoint — a genuine mid-fan-out cancel.
+    # The injected exception cancels the token as a morsel is
+    # dispatched, so the pool sees the cancellation at its next
+    # checkpoint with other morsels in flight — a genuine mid-fan-out
+    # cancel (busy workers are killed, nothing is left pinned).
     table = make_table(1000, 100, seed=23)
     spec = WindowSpec(partition_by=("g",), order_by=(OrderItem("o"),),
                       frame=FrameSpec.rows(preceding(5), current_row()))
@@ -336,8 +364,7 @@ def test_flatten_dedups_shared_leaves_and_keeps_first_seen_order():
 
 
 def test_nested_pool_error_reports_flat_failures():
-    # A wrapper-of-wrappers (morsel pool over probe pool) constructed
-    # the way _run_tasks does: the resulting error's failures list has
+    # A wrapper-of-wrappers: the resulting error's failures list has
     # no wrapper entries left in it.
     probe_failures = [_leaf(0, 256), _leaf(256, 512)]
     morsel_error = ParallelExecutionError(
@@ -408,7 +435,7 @@ def test_session_without_workers_stays_serial_and_quiet(monkeypatch):
 
 def test_concurrent_queries_share_one_bounded_pool():
     # max_concurrent x workers must not oversubscribe: every admitted
-    # query funnels into the same 2-thread pool.
+    # query funnels into the same 2-process pool.
     import threading
 
     catalog = Catalog({"t": make_table(1200, 60, seed=33)})
@@ -433,7 +460,8 @@ def test_concurrent_queries_share_one_bounded_pool():
             for t in threads:
                 t.join(timeout=60)
             assert problems == []
-            pool = session.parallel.pool()
-            assert pool._max_workers == 2
+            worker_stats = session.parallel.worker_stats()
+            assert worker_stats["live"] == 2
+            assert worker_stats["spawned"] == 2
         finally:
             session.parallel.close()

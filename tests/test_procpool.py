@@ -22,7 +22,7 @@ from repro.cache.store import StructureCache
 from repro.errors import WorkerPoolError
 from repro.parallel.procpool import _resolve_start_method
 from repro.parallel.procworker import CHAOS_ENV
-from repro.parallel.scheduler import WindowScheduler, resolve_executor
+from repro.parallel.scheduler import SERIAL, WindowScheduler
 from repro.parallel.shm import owned_segments
 from repro.resilience import ExecutionContext, FaultInjector, activate
 from repro.resilience.supervisor import SupervisorPolicy
@@ -64,9 +64,8 @@ def make_table(n_rows: int, n_partitions: int, seed: int) -> Table:
 
 
 def forced(workers: int, **overrides) -> WindowScheduler:
-    options = dict(workers=workers, executor="process",
-                   min_parallel_ops=0.0, min_intra_rows=64,
-                   task_size=256)
+    options = dict(workers=workers, min_parallel_ops=0.0,
+                   min_intra_rows=64, task_size=256)
     options.update(overrides)
     return WindowScheduler(**options)
 
@@ -106,10 +105,11 @@ def test_null_heavy_and_string_adjacent_results_roundtrip():
         assert run(table, scheduler=scheduler) == want
 
 
-def test_non_numeric_column_degrades_not_fails():
+def test_non_numeric_column_runs_serial_not_fails():
     # A call over a string column is process-ineligible (object dtype
-    # cannot ship through shared memory); the group runs on the thread
-    # path instead and the decision says why.
+    # cannot ship through shared memory); the group runs the serial
+    # kernels instead and the decision says why. Routine, so it is not
+    # a fallback in the health counters.
     rng = np.random.default_rng(11)
     n = 800
     table = Table.from_dict({
@@ -119,14 +119,18 @@ def test_non_numeric_column_degrades_not_fails():
               [str(v) for v in rng.integers(0, 9, n)]),
     }, name="t")
     calls = [WindowCall("count", ["s"], distinct=True)]
-    with activate(ExecutionContext()):
+    ctx = ExecutionContext()
+    with activate(ctx):
         serial = window_query(table, calls, SPEC)
         with forced(2) as scheduler:
             got = window_query(table, calls, SPEC, parallel=scheduler)
             decision = scheduler.stats().decisions[-1]
             assert scheduler.stats().degraded_groups == 1
+            assert not scheduler.stats().pool_started
     assert got.columns[-1].to_list() == serial.columns[-1].to_list()
+    assert decision.executor == SERIAL
     assert "process-ineligible" in decision.reason
+    assert ctx.health.fallbacks == 0
 
 
 # ----------------------------------------------------------------------
@@ -178,9 +182,9 @@ def test_killed_worker_leaves_no_cache_pins(tmp_path, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# degradation ladder: process -> thread -> serial
+# degradation: process -> serial
 # ----------------------------------------------------------------------
-def test_spawn_storm_breaks_pool_and_degrades_to_thread():
+def test_spawn_storm_breaks_pool_and_degrades_to_serial():
     table = make_table(1200, 60, seed=31)
     want = run(table)
     faults = FaultInjector().plan("worker.spawn", times=-1)
@@ -199,7 +203,7 @@ def test_spawn_storm_breaks_pool_and_degrades_to_thread():
     assert ctx.health.fallbacks >= 1
 
 
-def test_shm_failure_degrades_group_to_thread():
+def test_shm_failure_degrades_group_to_serial():
     table = make_table(1200, 60, seed=32)
     want = run(table)
     faults = FaultInjector().plan("shm.attach", times=1)
@@ -254,46 +258,28 @@ def test_closed_pool_raises_typed_worker_pool_error():
 
 
 # ----------------------------------------------------------------------
-# executor selection and configuration
+# configuration: workers is the only parallelism setting
 # ----------------------------------------------------------------------
-def test_resolve_executor_precedence(monkeypatch):
-    monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-    assert resolve_executor(None) == "thread"
-    assert resolve_executor("process") == "process"
-    monkeypatch.setenv("REPRO_EXECUTOR", "process")
-    assert resolve_executor(None) == "process"
-    assert resolve_executor("serial") == "serial"  # arg wins
-    monkeypatch.setenv("REPRO_EXECUTOR", "bogus")
-    assert resolve_executor(None) == "thread"  # lenient env fallback
-
-
-def test_executor_serial_forces_serial_decisions():
-    table = make_table(1200, 60, seed=41)
-    want = run(table)
-    with forced(4, executor="serial") as scheduler:
-        assert run(table, scheduler=scheduler) == want
-        decision = scheduler.stats().decisions[-1]
-    assert decision.strategy == "serial"
-    assert "executor=serial" in decision.reason
-
-
 def test_resolve_start_method_fallbacks(monkeypatch):
-    monkeypatch.delenv("REPRO_PROC_START", raising=False)
+    monkeypatch.delenv("REPRO_MP_START", raising=False)
     assert _resolve_start_method("nonsense") in ("fork", "spawn")
-    monkeypatch.setenv("REPRO_PROC_START", "spawn")
+    monkeypatch.setenv("REPRO_MP_START", "spawn")
     assert _resolve_start_method(None) == "spawn"
 
 
-def test_session_config_executor_validation():
-    from repro.errors import ConfigurationError
-
-    assert SessionConfig(executor="process").executor == "process"
-    assert SessionConfig().executor is None
-    with pytest.raises(ConfigurationError):
-        SessionConfig(executor="gpu")
-    config = SessionConfig.from_env(env={"REPRO_EXECUTOR": "Process"})
-    assert config.executor == "process"
-    assert SessionConfig.from_env(env={}).executor is None
+def test_executor_option_is_gone_and_stale_env_is_ignored(monkeypatch):
+    with pytest.raises(TypeError):
+        SessionConfig(executor="process")
+    with pytest.raises(TypeError):
+        WindowScheduler(workers=2, executor="thread")
+    monkeypatch.setenv("REPRO_EXECUTOR", "thread")
+    config = SessionConfig.from_env(env={"REPRO_EXECUTOR": "thread",
+                                         "REPRO_WORKERS": "2"})
+    assert config.workers == 2
+    with WindowScheduler(workers=2) as scheduler:
+        assert scheduler.executor == "process"
+    with WindowScheduler(workers=1) as scheduler:
+        assert scheduler.executor == SERIAL
 
 
 # ----------------------------------------------------------------------
@@ -311,7 +297,7 @@ def test_session_process_executor_end_to_end():
     catalog = Catalog({"t": make_table(1500, 60, seed=51)})
     with Session(catalog) as serial_session:
         want = serial_session.execute(SQL)
-    config = SessionConfig(workers=2, executor="process")
+    config = SessionConfig(workers=2)
     with Session(catalog, config=config) as session:
         session.parallel = forced(2)
         try:
@@ -356,7 +342,7 @@ def test_warm_repeat_bit_identical_across_evaluator_families():
 
     table = make_table(1500, 8, seed=61)
     want = run_calls(table, FAMILY_CALLS)
-    # Under REPRO_EXECUTOR=process the serial-baseline queries above go
+    # Under REPRO_WORKERS=2 the serial-baseline queries above go
     # through the (never-closed) default scheduler, whose session arena
     # legitimately persists — judge this scheduler's hygiene relative
     # to that ambient set.
@@ -479,16 +465,7 @@ def test_worker_probe_input_views_are_read_only():
             state.close()
 
 
-def test_mp_start_env_alias(monkeypatch):
-    monkeypatch.delenv("REPRO_PROC_START", raising=False)
-    monkeypatch.setenv("REPRO_MP_START", "spawn")
-    assert _resolve_start_method(None) == "spawn"
-    monkeypatch.setenv("REPRO_PROC_START", "fork")  # primary wins
-    assert _resolve_start_method(None) == "fork"
-
-
 def test_spawn_start_method_roundtrip(monkeypatch):
-    monkeypatch.delenv("REPRO_PROC_START", raising=False)
     monkeypatch.setenv("REPRO_MP_START", "spawn")
     table = make_table(1200, 8, seed=66)
     want = run(table)
@@ -507,7 +484,7 @@ def test_session_survives_kill_storm_with_typed_errors_only(
     with Session(catalog) as serial_session:
         want = serial_session.execute(SQL).column("v").to_list()
     monkeypatch.setenv(CHAOS_ENV, f"kill:7:3:{tmp_path}")
-    config = SessionConfig(workers=2, executor="process")
+    config = SessionConfig(workers=2)
     with Session(catalog, config=config) as session:
         session.parallel = forced(2)
         try:

@@ -187,7 +187,10 @@ class TestWireSerialization:
         assert "trace" not in result.to_dict(include_trace=False)
 
     def test_untraced_trace_field_is_null(self):
-        with Session(self._wire_catalog()) as session:
+        # Pinned off: REPRO_TRACE=1 (a CI leg) must not turn the
+        # "untraced" case into a traced one.
+        config = SessionConfig(trace=False)
+        with Session(self._wire_catalog(), config=config) as session:
             result = session.execute("SELECT g FROM w")
         assert result.to_dict()["trace"] is None
 

@@ -15,13 +15,11 @@ import pytest
 from conftest import make_window_table
 from repro import Catalog, Session, SessionConfig
 from repro.errors import (
-    ParallelExecutionError,
     QueryCancelledError,
     QueryTimeoutError,
     ResourceLimitError,
     StructureBuildError,
 )
-from repro.parallel.threads import _run_tasks, task_slices
 from repro.resilience import (
     AMBIENT,
     CancellationToken,
@@ -187,10 +185,10 @@ def test_fault_plan_forever_and_clear():
 
 
 def test_fault_custom_exception_and_no_faults_singleton():
-    faults = FaultInjector().plan("parallel.worker",
+    faults = FaultInjector().plan("parallel.morsel",
                                   exception=lambda: ValueError("boom"))
     with pytest.raises(ValueError):
-        faults.fire("parallel.worker")
+        faults.fire("parallel.morsel")
     NO_FAULTS.fire("anything")  # the shared disabled injector never fires
 
 
@@ -243,74 +241,6 @@ def test_fallback_call_maps_to_naive_once():
     assert fallback.function == call.function
     assert fallback.distinct == call.distinct
     assert fallback_call(fallback) is None  # no second fallback level
-
-
-# ----------------------------------------------------------------------
-# parallel fail-fast
-# ----------------------------------------------------------------------
-def test_parallel_failure_carries_slice_and_all_failures():
-    def worker(lo, hi):
-        if lo >= 20:
-            raise ValueError(f"bad slice {lo}")
-        return hi - lo
-
-    slices = task_slices(40, 10)  # 4 slices, one per worker
-    with pytest.raises(ParallelExecutionError) as info:
-        _run_tasks(worker, slices, workers=4)
-    err = info.value
-    assert (err.lo, err.hi) in {(20, 30), (30, 40)}
-    assert 1 <= len(err.failures) <= 2
-    assert all(isinstance(f, ParallelExecutionError) for f in err.failures)
-
-
-def test_parallel_cancels_pending_tasks_on_first_failure():
-    started = []
-    gate = threading.Event()
-
-    def worker(lo, hi):
-        started.append(lo)
-        if lo == 0:
-            raise RuntimeError("first task fails")
-        gate.wait(0.2)
-        return hi - lo
-
-    # 1 worker, many slices: task 0 fails while the rest are queued, so
-    # fail-fast must cancel them before they ever start.
-    with pytest.raises(ParallelExecutionError):
-        _run_tasks(worker, task_slices(100, 10), workers=1)
-    # The serial path is taken for workers<=1; force the pool with 2.
-    started.clear()
-    with pytest.raises(ParallelExecutionError):
-        _run_tasks(worker, task_slices(100, 10), workers=2)
-    assert len(started) < 10  # pending tasks were cancelled, not run
-
-
-def test_parallel_propagates_cancellation_unwrapped():
-    token = CancellationToken()
-    token.cancel()
-    ctx = ExecutionContext(token=token)
-
-    with activate(ctx):
-        with pytest.raises(QueryCancelledError):
-            _run_tasks(lambda lo, hi: hi - lo, task_slices(40, 10),
-                       workers=4)
-
-
-def test_parallel_workers_inherit_context_and_fire_fault_site():
-    faults = FaultInjector().plan("parallel.worker", times=1)
-    ctx = ExecutionContext(faults=faults)
-
-    with activate(ctx):
-        with pytest.raises(ParallelExecutionError) as info:
-            _run_tasks(lambda lo, hi: hi - lo, task_slices(40, 10),
-                       workers=4)
-    assert isinstance(info.value.__cause__, RuntimeError)
-    assert ctx.health.faults == 1
-
-
-def test_parallel_success_keeps_order():
-    out = _run_tasks(lambda lo, hi: (lo, hi), task_slices(45, 10), workers=3)
-    assert out == task_slices(45, 10)
 
 
 # ----------------------------------------------------------------------

@@ -59,7 +59,7 @@ def test_create_is_zeroed_and_writable_through_attach():
 
 
 def test_close_unlinks_and_leaves_no_owned_segments():
-    # Relative to ambient bytes: under REPRO_EXECUTOR=process the
+    # Relative to ambient bytes: under REPRO_WORKERS=2 the
     # default scheduler's session arena legitimately persists.
     ambient = current_shm_bytes()
     arena = ShmArena()
