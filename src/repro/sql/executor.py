@@ -7,10 +7,13 @@ cross-cutting work — deadline/cancellation checkpoint, fault-site
 fire, trace span, row-ceiling guard, governor reservation release —
 so an operator body is only its relational algebra:
 
-* scans, hash joins (nested loops where the planner found no equi-key
+* scans, equi-joins (nested loops where the planner found no equi-key
   — the plan shape the paper observes for the Figure 9 traditional
   formulations), filter, group-by aggregation, projection, DISTINCT,
-  ORDER BY and LIMIT over column vectors;
+  ORDER BY and LIMIT over column vectors. Whatever compares key
+  tuples — join, GROUP BY, DISTINCT, string ORDER BY — does so on the
+  dense integer codes of :func:`repro.sql.keys.key_codes`, with numpy
+  sorting, searching and scattering in place of per-row loops;
 * window functions, handed to the window operator
   (:class:`~repro.window.operator.WindowOperator`) through
   :class:`~repro.sql.windows.WindowBuilder`.
@@ -31,14 +34,21 @@ from repro.resilience.context import (
 )
 from repro.errors import SqlAnalysisError
 from repro.sql import ast, plan
-from repro.sql.aggregates import compute_aggregate
+from repro.sql.aggregates import grouped_aggregate
 from repro.sql.catalog import Catalog
-from repro.sql.expr import Context, OuterRow, Relation, evaluate, infer_dtype
+from repro.sql.expr import Context, OuterRow, Relation, evaluate
+from repro.sql.keys import first_occurrence, key_codes
 from repro.sql.parser import parse
-from repro.sql.vector import Vector, from_column, truthy_rows
+from repro.sql.vector import (
+    Vector,
+    from_column,
+    null_values,
+    stacked,
+    truthy_rows,
+)
 from repro.sql.windows import WindowBuilder
 from repro.sortutil import SortColumn, stable_argsort
-from repro.table.column import Column, DataType
+from repro.table.column import DataType
 from repro.table.schema import Field, Schema
 from repro.table.table import Table
 from repro.window.operator import WindowOperator
@@ -221,12 +231,9 @@ def _relation_bytes(relation: Relation) -> int:
     approximated; exactness is not the governor's contract)."""
     total = 0
     for vector in relation.vectors:
-        if vector.is_numpy:
-            total += vector.values.nbytes
-        else:
-            total += sum(56 + len(value) if isinstance(value, str) else 56
-                         for value in vector.values)
-        total += vector.validity.nbytes
+        total += vector.values.nbytes + vector.validity.nbytes
+        if vector.values.dtype == object:
+            total += sum(56 + len(value) for value in vector.values.tolist())
     return total
 
 
@@ -236,18 +243,20 @@ def _nested_loop_join(node: plan.NestedLoopJoinNode,
     right = run(node.right, ctx)
     left_rows: List[np.ndarray] = []
     right_rows: List[np.ndarray] = []
+    everything = np.arange(right.n, dtype=np.int64)
     for i in range(left.n):
-        if node.condition is None:
-            left_rows.append(np.full(right.n, i, dtype=np.int64))
-            right_rows.append(np.arange(right.n, dtype=np.int64))
-            continue
-        # Vectorised predicate per left row. This is the O(n^2) plan
-        # the Figure 9 baselines are stuck with — which is exactly why
-        # its outer loop must stay interruptible.
-        ctx.exec.checkpoint()
-        matches = _matching(node.condition, left, i, right, ctx)
+        matches = everything
+        if node.condition is not None:
+            # Vectorised predicate per left row. This is the O(n^2)
+            # plan the Figure 9 baselines are stuck with — which is
+            # exactly why its outer loop must stay interruptible.
+            ctx.exec.checkpoint()
+            matches = _matching(node.condition, left, i, right, ctx)
         _emit_matches(node.kind, i, matches, left_rows, right_rows)
-    return _assemble_join(left, right, left_rows, right_rows)
+    if not left_rows:
+        left_rows = right_rows = [np.empty(0, dtype=np.int64)]
+    return _assemble_join(left, right, np.concatenate(left_rows),
+                          np.concatenate(right_rows))
 
 
 def _matching(predicate: ast.Expr, left: Relation, row: int,
@@ -261,115 +270,94 @@ def _matching(predicate: ast.Expr, left: Relation, row: int,
 
 def _emit_matches(kind: str, row: int, matches: np.ndarray,
                   left_rows: List[np.ndarray],
-                  right_rows: List[np.ndarray]) -> int:
-    """Append one left row's join output; returns the rows emitted."""
+                  right_rows: List[np.ndarray]) -> None:
+    """Append one left row's join output."""
     if len(matches) == 0:
         if kind != "left":
-            return 0
+            return
         matches = np.array([-1], dtype=np.int64)  # NULL-extended
     left_rows.append(np.full(len(matches), row, dtype=np.int64))
     right_rows.append(matches)
-    return len(matches)
 
 
 def _assemble_join(left: Relation, right: Relation,
-                   left_rows: List[np.ndarray],
-                   right_rows: List[np.ndarray]) -> Relation:
-    if left_rows:
-        left_index = np.concatenate(left_rows)
-        right_index = np.concatenate(right_rows)
-    else:
-        left_index = np.empty(0, dtype=np.int64)
-        right_index = np.empty(0, dtype=np.int64)
-    left_part = left.take(left_index)
+                   left_index: np.ndarray,
+                   right_index: np.ndarray) -> Relation:
+    """The joined relation for row pairs ``(left_index[k],
+    right_index[k])``; a right index of -1 NULL-extends the left row."""
     unmatched = right_index < 0
-    right_part = right.take(np.where(unmatched, 0, right_index))
+    if right.n:
+        right_part = right.take(np.where(unmatched, 0, right_index))
+    else:  # nothing to gather from: every pair is NULL-extended
+        right_part = Relation(
+            [Vector(null_values(v.dtype, len(unmatched)), ~unmatched, v.dtype)
+             for v in right.vectors], list(right.bindings))
     if unmatched.any():
         for vector in right_part.vectors:
             vector.validity = vector.validity & ~unmatched
-    return left_part.concat_columns(right_part)
-
-
-#: Rough per-row hash-table cost charged for the build side: the key
-#: tuple, the bucket list entry and dict overhead amortised.
-_HASH_ENTRY_BYTES = 120
-
-_NO_MATCHES = np.empty(0, dtype=np.int64)
-
-
-def _join_key_column(expr: ast.Expr, relation: Relation,
-                     ctx: Context) -> Tuple[List[Any], np.ndarray]:
-    """One key expression as (raw values list, validity). Raw storage
-    values (day ordinals for dates) — equality on them matches SQL
-    ``=`` for every type the nested loop would accept."""
-    vector = evaluate(expr, relation, ctx)
-    if vector.is_numpy:
-        return vector.values.tolist(), vector.validity
-    return list(vector.values), vector.validity
+    return left.take(left_index).concat_columns(right_part)
 
 
 def _hash_join(node: plan.HashJoinNode, ctx: Context) -> Relation:
-    """Equi-keyed inner/left join via a build-side hash table.
+    """Equi-keyed inner/left join on key codes.
 
-    Reproduces the nested-loop output contract bit for bit: one pass
-    over left rows in order, matches in right-scan order (bucket lists
-    append ascending indices), NULL keys never match, the residual
-    predicate is evaluated per probe row against the matched build
-    rows with the same OuterRow chain the nested loop uses."""
+    Reproduces the nested-loop output contract bit for bit: left rows
+    in order, each one's matches in ascending right-row order (a
+    stable sort of the build codes keeps equal keys in scan order, so
+    a probe key's matches are one contiguous, ascending range), NULL
+    keys never match, and the residual predicate sees exactly the
+    key-matched pairs — all of them at once."""
     left = run(node.left, ctx)
     right = run(node.right, ctx)
     exec_ctx = ctx.exec
     tracer = exec_ctx.tracer
-    ctx.reserve(_HASH_ENTRY_BYTES * (right.n + 1), "join")
-    table: Dict[Tuple[Any, ...], List[int]] = {}
+    # Every index array is charged before it is allocated, at 8 bytes
+    # an entry: here both sides' codes, the build order and its codes.
+    ctx.reserve(8 * (left.n + 3 * right.n), "join")
     with tracer.span("join.build", rows=right.n,
                      keys=len(node.keys)) as span:
-        build_cols = [_join_key_column(expr, right, ctx)
-                      for _l, expr in node.keys]
-        for i in range(right.n):
-            if i % 8192 == 0:
-                exec_ctx.checkpoint()
-            key = _row_key(build_cols, i)
-            if key is not None:
-                table.setdefault(key, []).append(i)
-        span.annotate(buckets=len(table))
+        codes = key_codes(
+            [stacked(evaluate(left_key, left, ctx),
+                     evaluate(right_key, right, ctx))
+             for left_key, right_key in node.keys], sql_equal=True)
+        probe, build = codes[:left.n], codes[left.n:]
+        build_rows = np.flatnonzero(build >= 0)
+        build_rows = build_rows[np.argsort(build[build_rows], kind="stable")]
+        build = build[build_rows]
+        span.annotate(buckets=int(np.count_nonzero(build[1:] != build[:-1]))
+                      + (len(build) > 0))
 
-    emitted = 0
-    left_rows: List[np.ndarray] = []
-    right_rows: List[np.ndarray] = []
+    exec_ctx.checkpoint()
     with tracer.span("join.probe", rows=left.n) as span:
-        probe_cols = [_join_key_column(expr, left, ctx)
-                      for expr, _r in node.keys]
-        for i in range(left.n):
-            if i % 4096 == 0:
-                exec_ctx.checkpoint()
-            key = _row_key(probe_cols, i)
-            bucket = None if key is None else table.get(key)
-            if bucket is not None:
-                matches = np.asarray(bucket, dtype=np.int64)
-                if node.residual is not None:
-                    matches = matches[_matching(
-                        node.residual, left, i, right.take(matches), ctx)]
-            elif node.kind == "left":
-                matches = _NO_MATCHES
-            else:
-                continue
-            emitted += _emit_matches(node.kind, i, matches,
-                                     left_rows, right_rows)
-        span.annotate(matches=emitted)
-    return _assemble_join(left, right, left_rows, right_rows)
-
-
-def _row_key(columns: List[Tuple[List[Any], np.ndarray]],
-             row: int) -> Optional[Tuple[Any, ...]]:
-    """The hash key for one row, or None when any key part is NULL
-    (SQL equality with NULL is never true, so the row cannot match)."""
-    key = []
-    for values, validity in columns:
-        if not validity[row]:
-            return None
-        key.append(values[row])
-    return tuple(key)
+        ctx.reserve(8 * 2 * left.n, "join")  # first, counts
+        first = np.searchsorted(build, probe, side="left")
+        counts = np.searchsorted(build, probe, side="right") - first
+        pairs = int(counts.sum())
+        exec_ctx.guard_rows(pairs)
+        ctx.reserve(8 * 3 * pairs, "join")  # left/right index, within
+        left_index = np.repeat(np.arange(left.n, dtype=np.int64), counts)
+        # Pair k of left row i is the (k - offset_i)-th of i's range.
+        within = np.arange(pairs, dtype=np.int64) \
+            - np.repeat(np.cumsum(counts) - counts, counts)
+        right_index = build_rows[np.repeat(first, counts) + within]
+        if node.residual is not None:
+            candidates = left.take(left_index).concat_columns(
+                right.take(right_index))
+            keep = truthy_rows(evaluate(node.residual, candidates, ctx))
+            left_index, right_index = left_index[keep], right_index[keep]
+        if node.kind == "left":
+            matched = np.zeros(left.n, dtype=np.bool_)
+            matched[left_index] = True
+            lonely = np.flatnonzero(~matched)
+            left_index = np.concatenate([left_index, lonely])
+            right_index = np.concatenate(
+                [right_index, np.full(len(lonely), -1, dtype=np.int64)])
+            # Stable on the left index: the NULL-extended rows fall
+            # into left-row order, matched rows keep theirs.
+            order = np.argsort(left_index, kind="stable")
+            left_index, right_index = left_index[order], right_index[order]
+        span.annotate(matches=len(left_index))
+    return _assemble_join(left, right, left_index, right_index)
 
 
 # ----------------------------------------------------------------------
@@ -383,28 +371,19 @@ def _filter(node: plan.FilterNode, ctx: Context) -> Relation:
 
 def _aggregate(node: plan.AggregateNode, ctx: Context) -> Relation:
     relation = run(node.input, ctx)
-    # Group assignment.
-    group_vectors = [evaluate(e, relation, ctx) for e in node.group_by]
-    groups: Dict[Tuple, List[int]] = {}
-    order: List[Tuple] = []
-    if node.group_by:
-        for row in range(relation.n):
-            key = tuple(v.python_value(row) for v in group_vectors)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(row)
-    else:
-        groups[()] = list(range(relation.n))
-        order.append(())
-
     out = Relation([], [])
-    if group_vectors:
-        firsts = np.array([groups[key][0] for key in order], dtype=np.int64)
-        for i, vector in enumerate(group_vectors):
+    if node.group_by:
+        # Groups are numbered in first-seen order; rows keep relation
+        # order within their group.
+        keys = [evaluate(e, relation, ctx) for e in node.group_by]
+        groups, firsts = first_occurrence(key_codes(keys))
+        for i, vector in enumerate(keys):
             out.add(vector.take(firsts), f"__group_{i}")
+        n_groups = len(firsts)
+    else:
+        groups, n_groups = np.zeros(relation.n, dtype=np.int64), 1
     for i, agg in enumerate(node.aggregates):
-        out.add(_compute_aggregate_vector(agg, relation, groups, order, ctx),
+        out.add(_aggregate_vector(agg, relation, groups, n_groups, ctx),
                 f"__agg_{i}")
     if node.having_filter is not None:
         mask = truthy_rows(evaluate(node.having_filter, out, ctx))
@@ -412,9 +391,9 @@ def _aggregate(node: plan.AggregateNode, ctx: Context) -> Relation:
     return out
 
 
-def _compute_aggregate_vector(agg: ast.FuncCall, relation: Relation,
-                              groups: Dict[Tuple, List[int]],
-                              order: List[Tuple], ctx: Context) -> Vector:
+def _aggregate_vector(agg: ast.FuncCall, relation: Relation,
+                      groups: np.ndarray, n_groups: int,
+                      ctx: Context) -> Vector:
     arg = None
     if agg.args:
         arg = evaluate(agg.args[0], relation, ctx)
@@ -433,20 +412,13 @@ def _compute_aggregate_vector(agg: ast.FuncCall, relation: Relation,
                 f"{agg.name} requires a constant fraction")
         fraction = float(agg.args[0].value)
         arg = None
-    filter_mask = None
+    selected = None
     if agg.filter_where is not None:
-        filter_mask = truthy_rows(evaluate(agg.filter_where, relation, ctx))
-    results = []
-    for key in order:
-        rows = groups[key]
-        if filter_mask is not None:
-            rows = [r for r in rows if filter_mask[r]]
-        results.append(compute_aggregate(
-            agg.name, rows=rows, star=agg.star, distinct=agg.distinct,
-            arg=arg, order_values=order_values,
-            order_descending=order_descending, fraction=fraction))
-    column = Column(infer_dtype(results), results)
-    return from_column(column)
+        selected = truthy_rows(evaluate(agg.filter_where, relation, ctx))
+    return grouped_aggregate(
+        agg.name, groups, n_groups, star=agg.star, distinct=agg.distinct,
+        arg=arg, selected=selected, order_values=order_values,
+        order_descending=order_descending, fraction=fraction)
 
 
 def _window(node: plan.WindowNode, ctx: Context) -> Relation:
@@ -483,14 +455,7 @@ def _project(node: plan.ProjectNode, ctx: Context) -> Relation:
 
 def _distinct(node: plan.DistinctNode, ctx: Context) -> Relation:
     output = run(node.input, ctx)
-    seen = set()
-    keep = []
-    for row in range(output.n):
-        key = tuple(v.python_value(row) for v in output.vectors)
-        if key not in seen:
-            seen.add(key)
-            keep.append(row)
-    rows = np.asarray(keep, dtype=np.int64)
+    _groups, rows = first_occurrence(key_codes(output.vectors))
     distinct = output.take(rows)
     if output.source is not None:  # stay row-aligned for ORDER BY
         distinct.source = output.source.take(rows)
@@ -520,7 +485,10 @@ def _sort(node: plan.SortNode, ctx: Context) -> Relation:
             vector = evaluate(expr, combined, ctx)
         nulls_last = item.nulls_last if item.nulls_last is not None \
             else not item.descending
-        sort_columns.append(SortColumn(vector.values, item.descending,
+        values = vector.values
+        if vector.dtype is DataType.STRING:
+            values = key_codes([vector])  # sort ranks: np.lexsort below
+        sort_columns.append(SortColumn(values, item.descending,
                                        nulls_last, vector.validity))
     order = stable_argsort(sort_columns, output.n)
     return output.take(order)

@@ -281,10 +281,9 @@ def _label(node: Any) -> str:
                     if node.residual is not None else "")
         return f"HashJoin ({node.kind}, keys: {keys}{residual})"
     if isinstance(node, logical_plan.NestedLoopJoinNode):
-        if node.kind == "cross" and node.condition is None:
-            return "NestedLoopJoin (cross)"
-        condition = _expr(node.condition) if node.condition else ""
-        return f"NestedLoopJoin ({node.kind}, on {condition})"
+        if node.condition is None:  # written so, or every conjunct sank
+            return f"NestedLoopJoin ({node.kind})"
+        return f"NestedLoopJoin ({node.kind}, on {_expr(node.condition)})"
     return f"<{type(node).__name__}>"
 
 

@@ -24,6 +24,7 @@ from repro.resilience.context import ExecutionContext
 from repro.sql import ast
 from repro.sql.aggregates import is_aggregate_name
 from repro.sql.catalog import Catalog
+from repro.sql.keys import key_codes
 from repro.sql.vector import (
     Vector,
     arithmetic,
@@ -36,6 +37,8 @@ from repro.sql.vector import (
     logical_not,
     logical_or,
     negate,
+    repeated,
+    stacked,
     truthy_rows,
 )
 from repro.table.column import Column, DataType
@@ -232,13 +235,9 @@ def evaluate(expr: ast.Expr, relation: Relation, ctx: Context) -> Vector:
 
 
 def _broadcast(vector: Vector, row: int, n: int) -> Vector:
-    valid = bool(vector.validity[row])
-    if vector.is_numpy:
-        values = np.full(n, vector.values[row])
-        return Vector(values, np.full(n, valid, dtype=np.bool_),
-                      vector.dtype)
-    return Vector([vector.values[row]] * n,
-                  np.full(n, valid, dtype=np.bool_), vector.dtype)
+    return Vector(repeated(vector.values[row], n, vector.values.dtype),
+                  np.full(n, vector.validity[row], dtype=np.bool_),
+                  vector.dtype)
 
 
 def _eval_binary(expr: ast.BinaryOp, relation: Relation,
@@ -313,12 +312,7 @@ def _eval_case(expr: ast.CaseExpr, relation: Relation,
 def _merge_vectors(base: Vector, update: Vector,
                    mask: np.ndarray) -> Vector:
     """Rows where ``mask`` holds take ``update``, others keep ``base``."""
-    if base.is_numpy and update.is_numpy:
-        values = np.where(mask, np.asarray(update.values),
-                          np.asarray(base.values))
-    else:
-        values = [update.values[i] if mask[i] else base.values[i]
-                  for i in range(len(base))]
+    values = np.where(mask, update.values, base.values)
     validity = np.where(mask, update.validity, base.validity)
     dtype = base.dtype if base.dtype == update.dtype else (
         DataType.FLOAT64 if base.dtype.is_numeric and update.dtype.is_numeric
@@ -369,7 +363,7 @@ def _scalar_from(relation: Relation) -> Any:
 def _eval_in_subquery(expr: ast.InSubquery, relation: Relation,
                       ctx: Context) -> Vector:
     """``expr [NOT] IN (SELECT ...)``: one subquery execution, then a
-    hash-set membership probe with SQL three-valued logic.
+    membership probe on key codes with SQL three-valued logic.
 
     The plan layer rejects correlated bodies up front (they would need
     per-row re-execution; rewrite as a join or EXISTS), so the
@@ -378,30 +372,15 @@ def _eval_in_subquery(expr: ast.InSubquery, relation: Relation,
     if len(sub_rel.vectors) != 1:
         raise SqlAnalysisError(
             "IN subquery must return exactly one column")
-    vector = sub_rel.vectors[0]
-    raw = vector.values.tolist() if vector.is_numpy else list(vector.values)
-    members = set()
-    has_null = False
-    for value, valid in zip(raw, vector.validity.tolist()):
-        if valid:
-            members.add(value)
-        else:
-            has_null = True
-
+    members = sub_rel.vectors[0]
     probe = evaluate(expr.expr, relation, ctx)
-    n = relation.n
-    probe_raw = probe.values.tolist() if probe.is_numpy \
-        else list(probe.values)
-    result = np.zeros(n, dtype=np.bool_)
-    validity = np.ones(n, dtype=np.bool_)
-    for i in range(n):
-        if not probe.validity[i]:
-            validity[i] = False  # NULL IN (...) is NULL
-        elif probe_raw[i] in members:
-            result[i] = True
-        elif has_null:
-            validity[i] = False  # x IN (..., NULL) without a hit: NULL
-    out = Vector(result, validity, DataType.BOOL)
+    # One code space for both sides; -1 (NULL, NaN) equals nothing.
+    codes = key_codes([stacked(probe, members)], sql_equal=True)
+    probe_codes, member_codes = codes[:relation.n], codes[relation.n:]
+    found = (probe_codes >= 0) & np.isin(probe_codes, member_codes)
+    # NULL IN (...) is NULL; so is a miss against a set holding a NULL.
+    validity = probe.validity & (found | members.validity.all())
+    out = Vector(found, validity, DataType.BOOL)
     return logical_not(out) if expr.negated else out
 
 
@@ -466,8 +445,9 @@ def _eval_scalar_function(expr: ast.FuncCall, relation: Relation,
     if name in ("lower", "upper"):
         _expect_args(expr, args, 1)
         transform = str.lower if name == "lower" else str.upper
-        return Vector([transform(v) for v in args[0].values],
-                      args[0].validity.copy(), DataType.STRING)
+        values = np.array([transform(v) for v in args[0].values],
+                          dtype=object)
+        return Vector(values, args[0].validity.copy(), DataType.STRING)
     if name == "year":
         _expect_args(expr, args, 1)
         days = np.asarray(args[0].values, dtype="timedelta64[D]")

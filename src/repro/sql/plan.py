@@ -26,6 +26,10 @@ re-planned. The module holds:
   Planned without a catalog (``catalog=None``) the tree is a purely
   syntactic rendering aid: no scopes, every join a nested loop, not
   executable;
+* **predicate pushdown** — while it builds a FROM clause's joins the
+  planner sinks each WHERE / ON conjunct that reads a single join
+  input to a ``Filter`` directly above the lowest subtree covering it
+  (:func:`_plan_from` states the legality rules);
 * **named-window dedup** — :func:`shared_window_groups` reports which
   named ``WINDOW`` clauses share a PARTITION BY / ORDER BY spec.  The
   window operator already shares one sort permutation (and one arena
@@ -153,9 +157,9 @@ class JoinPlan:
     ``keys`` pairs are oriented ``(left_expr, right_expr)`` — each
     left expression resolves entirely against the left input's scope
     and vice versa.  ``residual`` is the AND of every conjunct that is
-    not a usable equi-key (evaluated per probe row against the matched
-    build rows, preserving the nested-loop output order and NULL
-    semantics exactly)."""
+    not a usable equi-key (evaluated once over the key-matched row
+    pairs, preserving the nested-loop output order and NULL semantics
+    exactly)."""
 
     kind: str       # inner | left | cross
     strategy: str   # hash | nested_loop | cross
@@ -180,8 +184,11 @@ def _and_join(conjuncts: Sequence[ast.Expr]) -> Optional[ast.Expr]:
     return result
 
 
-_COMPLEX_NODES = (ast.ScalarSubquery, ast.ExistsExpr, ast.InSubquery,
-                  ast.WindowFunc, ast.Parameter)
+#: An ``IN (SELECT ...)`` is not among them: its body cannot be
+#: correlated (:func:`check_in_subquery`), so it reads only what its
+#: left-hand expression reads.
+_COMPLEX_NODES = (ast.ScalarSubquery, ast.ExistsExpr, ast.WindowFunc,
+                  ast.Parameter)
 
 
 def _side_of(expr: ast.Expr, left: Scope, right: Scope) -> str:
@@ -482,9 +489,8 @@ def plan_statement(stmt: ast.SelectStmt, catalog: Optional[Catalog],
     def planned(expr: Optional[ast.Expr]) -> Optional[ast.Expr]:
         return None if expr is None else _plan_expr(expr, catalog, ctes)
 
-    node, scope = _plan_from(stmt.from_, catalog, ctes)
-    if stmt.where is not None:
-        node = FilterNode(node, planned(stmt.where))
+    node, scope = _plan_from(stmt.from_, catalog, ctes,
+                             split_conjuncts(planned(stmt.where)))
 
     exprs = [item.expr for item in stmt.items]
     order = [s.expr for s in stmt.order_by]
@@ -546,38 +552,83 @@ def plan_statement(stmt: ast.SelectStmt, catalog: Optional[Catalog],
 
 
 def _plan_from(from_: Optional[ast.TableExpr], catalog: Optional[Catalog],
-               ctes: Mapping[str, Sequence[str]]
+               ctes: Mapping[str, Sequence[str]],
+               filters: Sequence[ast.Expr] = ()
                ) -> Tuple[PlanNode, Optional[Scope]]:
-    """A FROM clause's operator tree and, given a catalog, its scope."""
-    if from_ is None:
-        return ValuesNode(), from_scope(None, catalog, ctes)
-    if isinstance(from_, ast.NamedTable):
-        source = "cte" if from_.name.lower() in ctes else "table"
-        scope = None if catalog is None \
-            else from_scope(from_, catalog, ctes)
-        return ScanNode(from_.name, from_.alias, source), scope
-    if isinstance(from_, ast.DerivedTable):
-        plan = plan_statement(from_.select, catalog, ctes)
-        scope = None if catalog is None \
-            else Scope.for_columns(plan.names, from_.alias.lower())
-        return SubqueryNode(from_.alias, plan), scope
-    if isinstance(from_, ast.Join):
-        left, left_scope = _plan_from(from_.left, catalog, ctes)
-        right, right_scope = _plan_from(from_.right, catalog, ctes)
+    """A FROM clause's operator tree and, given a catalog, its scope.
+
+    ``filters`` are predicates over this clause's output (WHERE
+    conjuncts, or ON conjuncts an enclosing join handed down), already
+    planned. Each sinks to a ``FilterNode`` directly above the lowest
+    subtree that covers it — filtering keeps relative row order, so
+    everything above sees the same rows in the same order, only
+    sooner:
+
+    * a conjunct reading one input of an INNER/CROSS join sinks into
+      that input, from WHERE and from the join's own ON alike;
+    * at a LEFT JOIN a WHERE conjunct sinks only into the preserved
+      (left) side — on the right it would have to see the NULL-extended
+      rows — and an ON conjunct only into the null-supplying (right)
+      side — on the left it decides matching, not membership;
+    * a conjunct reading both sides, neither, an outer row, or holding
+      a scalar/EXISTS subquery stays above the join it arrived at.
+
+    Without a catalog there are no scopes to decide by: every filter
+    stays on top."""
+    if isinstance(from_, ast.Join) and catalog is not None:
+        left_scope = from_scope(from_.left, catalog, ctes)
+        right_scope = from_scope(from_.right, catalog, ctes)
         condition = from_.condition and _plan_expr(from_.condition,
                                                    catalog, ctes)
-        if catalog is None:
-            return NestedLoopJoinNode(from_.kind, left, right,
-                                      condition), None
-        jplan = classify_join(from_, left_scope, right_scope)
-        scope = left_scope.concat(right_scope)
+        outer = from_.kind == "left"
+        where_sinks = ("left",) if outer else ("left", "right")
+        on_sinks = ("right",) if outer else ("left", "right")
+        sunk: Dict[str, List[ast.Expr]] = {"left": [], "right": []}
+        above: List[ast.Expr] = []
+        on: List[ast.Expr] = []
+        for conjunct in filters:
+            side = _side_of(conjunct, left_scope, right_scope)
+            (sunk[side] if side in where_sinks else above).append(conjunct)
+        for conjunct in split_conjuncts(condition):
+            side = _side_of(conjunct, left_scope, right_scope)
+            (sunk[side] if side in on_sinks else on).append(conjunct)
+        left, _ = _plan_from(from_.left, catalog, ctes, sunk["left"])
+        right, _ = _plan_from(from_.right, catalog, ctes, sunk["right"])
+        jplan = classify_join(replace(from_, condition=_and_join(on)),
+                              left_scope, right_scope)
         if jplan.strategy == "hash":
-            residual = jplan.residual and _plan_expr(jplan.residual,
-                                                     catalog, ctes)
-            return HashJoinNode(from_.kind, left, right, jplan.keys,
-                                residual), scope
-        return NestedLoopJoinNode(from_.kind, left, right, condition), scope
-    raise SqlAnalysisError(f"unsupported FROM item {type(from_).__name__}")
+            node: PlanNode = HashJoinNode(from_.kind, left, right,
+                                          jplan.keys, jplan.residual)
+        else:
+            node = NestedLoopJoinNode(from_.kind, left, right,
+                                      jplan.residual)
+        scope: Optional[Scope] = left_scope.concat(right_scope)
+        filters = above
+    elif isinstance(from_, ast.Join):
+        left, _ = _plan_from(from_.left, catalog, ctes)
+        right, _ = _plan_from(from_.right, catalog, ctes)
+        condition = from_.condition and _plan_expr(from_.condition,
+                                                   catalog, ctes)
+        node, scope = NestedLoopJoinNode(from_.kind, left, right,
+                                         condition), None
+    elif from_ is None:
+        node, scope = ValuesNode(), from_scope(None, catalog, ctes)
+    elif isinstance(from_, ast.NamedTable):
+        source = "cte" if from_.name.lower() in ctes else "table"
+        node = ScanNode(from_.name, from_.alias, source)
+        scope = None if catalog is None \
+            else from_scope(from_, catalog, ctes)
+    elif isinstance(from_, ast.DerivedTable):
+        plan = plan_statement(from_.select, catalog, ctes)
+        node = SubqueryNode(from_.alias, plan)
+        scope = None if catalog is None \
+            else Scope.for_columns(plan.names, from_.alias.lower())
+    else:
+        raise SqlAnalysisError(
+            f"unsupported FROM item {type(from_).__name__}")
+    if filters:
+        node = FilterNode(node, _and_join(filters))
+    return node, scope
 
 
 def _plan_expr(expr: ast.Expr, catalog: Optional[Catalog],

@@ -101,6 +101,7 @@ class Column:
         else:
             self._data = []
         self._valid = np.empty(0, dtype=np.bool_)
+        self._array: Optional[np.ndarray] = None
         if values is not None:
             self.extend(values)
 
@@ -153,6 +154,7 @@ class Column:
                     self._data.append(_coerce(value, self.dtype))
                     new_valid[i] = True
         self._valid = np.concatenate([self._valid, new_valid])
+        self._array = None  # stale: rebuilt on the next array()
 
     # ------------------------------------------------------------------
     # access
@@ -178,6 +180,17 @@ class Column:
         NULL slots hold placeholder values; pair with :attr:`validity`.
         """
         return self._data
+
+    def array(self) -> np.ndarray:
+        """The storage as an ndarray, ``dtype=object`` for list-backed
+        (string) columns — built on first use, kept until the column
+        grows. Do not mutate."""
+        if self._np_dtype is not None:
+            return self._data
+        array = self._array
+        if array is None:
+            array = self._array = np.array(self._data, dtype=object)
+        return array
 
     def __getitem__(self, index: Union[int, slice]) -> Any:
         if isinstance(index, slice):

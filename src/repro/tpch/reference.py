@@ -11,13 +11,17 @@ associative. The contract (all of it implemented by the engine in
 :mod:`repro.sql.executor`):
 
 * **joins** emit, for each left row in scan order, its matching right
-  rows in right-side scan order (the hash join builds buckets by
-  appending scan-order indices; the nested loop does the same);
+  rows in right-side scan order (the hash join's stable sort of the
+  build keys keeps equal keys in scan order; the nested loop scans);
   ``LEFT JOIN`` emits one all-NULL right row when nothing matches;
 * **grouping** keeps groups in first-seen order and rows within a
   group in relation order;
-* **sum/avg** left-fold with Python ``sum`` over the group's values in
-  row order (``avg`` is ``float(sum(vs)) / len(vs)``), skipping NULLs;
+* **sum/avg** fold left to right over the group's values in row order,
+  skipping NULLs: one IEEE addition per value, starting from 0,
+  written out as a ``for`` loop (``avg`` is ``float(total) / count``).
+  Not the builtin ``sum()``: from Python 3.12 it compensates float
+  addition (Neumaier), so "left-to-right" would mean different bits
+  on different interpreters;
 * **ORDER BY** is a stable multi-key sort, ASC places NULLs last and
   DESC places them first.
 
@@ -99,14 +103,25 @@ def group_rows(rows: List[Row],
     return [(k, groups[k]) for k in order]
 
 
+def _fold(values: List[Any]) -> Tuple[Any, int]:
+    """(left-to-right total, count) of the non-NULL values."""
+    total: Any = 0
+    count = 0
+    for v in values:
+        if v is not None:
+            total = total + v
+            count += 1
+    return total, count
+
+
 def agg_sum(values: List[Any]) -> Any:
-    vs = [v for v in values if v is not None]
-    return sum(vs) if vs else None
+    total, count = _fold(values)
+    return total if count else None
 
 
 def agg_avg(values: List[Any]) -> Any:
-    vs = [v for v in values if v is not None]
-    return float(sum(vs)) / len(vs) if vs else None
+    total, count = _fold(values)
+    return float(total) / count if count else None
 
 
 def agg_count(values: List[Any]) -> int:

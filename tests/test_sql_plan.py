@@ -6,17 +6,20 @@ import typing
 
 import pytest
 
+from repro.resilience.context import current_context
 from repro.sql import (
     Catalog,
     QueryOptions,
     Session,
     ast,
     execute,
+    executor,
     explain,
     parse,
     plan,
 )
-from repro.sql.explain import render
+from repro.sql.explain import _expr, render
+from repro.sql.expr import Context
 from repro.table import DataType, Table
 from repro.tpch import QUERIES, tpch_catalog
 
@@ -36,11 +39,21 @@ def _chain(node, *kinds):
 
 
 def _left_deep_joins(node):
+    """The hash joins down the left spine (sunk filters between them
+    looked through) and the node under the last one."""
     joins = []
-    while isinstance(node, plan.HashJoinNode):
-        joins.append(node)
-        node = node.left
+    while isinstance(node, (plan.HashJoinNode, plan.FilterNode)):
+        if isinstance(node, plan.HashJoinNode):
+            joins.append(node)
+        node = node.inputs[0]
     return joins, node
+
+
+def _filtered_scan(node):
+    """(qualifier, sunk predicate text or None) of a join input."""
+    if isinstance(node, plan.FilterNode):
+        return node.input.qualifier, _expr(node.predicate)
+    return node.qualifier, None
 
 
 def _key_text(join):
@@ -66,11 +79,22 @@ class TestTreeShape:
         statement = plan.plan_statement(parse(QUERIES["q5"]), catalog)
         assert statement.ctes == ()
         assert statement.names == ("n_name", "revenue")
+        # No Filter is left above the joins: every WHERE conjunct sank.
         source = _chain(statement.root, plan.SortNode, plan.ProjectNode,
-                        plan.AggregateNode, plan.FilterNode)
+                        plan.AggregateNode)
         joins, leaf = _left_deep_joins(source)
         assert isinstance(leaf, plan.ScanNode) and leaf.table == "customer"
-        assert [j.right.qualifier for j in joins] == ["r", "n", "s", "l", "o"]
+        assert [_filtered_scan(j.right) for j in joins] == [
+            ("r", "(r.r_name = 'ASIA')"), ("n", None), ("s", None),
+            ("l", None),
+            ("o", "((o.o_orderdate >= 1994-01-01) and "
+                  "(o.o_orderdate < 1995-01-01))")]
+        # The conjunct reading c and s sits directly above the lowest
+        # join that covers both.
+        above_s = joins[1].left
+        assert isinstance(above_s, plan.FilterNode)
+        assert _expr(above_s.predicate) == "(c.c_nationkey = s.s_nationkey)"
+        assert above_s.input is joins[2]
         assert all(j.kind == "inner" and j.residual is None for j in joins)
         # Key pairs are oriented (left input, right input) whichever
         # way round the ON clause wrote them.
@@ -86,20 +110,38 @@ class TestTreeShape:
         (cte,) = statement.ctes
         assert cte.name == "all_nations"
         assert cte.plan.names == ("o_year", "volume", "nation")
-        source = _chain(cte.plan.root, plan.ProjectNode, plan.FilterNode)
+        source = _chain(cte.plan.root, plan.ProjectNode)
         joins, leaf = _left_deep_joins(source)
-        assert len(joins) == 7 and leaf.table == "part"
+        assert len(joins) == 7
+        assert _filtered_scan(joins[-1].left) == (
+            "p", "(p.p_type = 'ECONOMY ANODIZED STEEL')")
+        assert [_filtered_scan(j.right) for j in joins] == [
+            ("n2", None), ("r", "(r.r_name = 'AMERICA')"), ("n1", None),
+            ("c", None),
+            ("o", "(o.o_orderdate between 1995-01-01 and 1996-12-31)"),
+            ("s", None), ("l", None)]
         assert _key_text(joins[0]) == [("s.s_nationkey", "n2.n_nationkey")]
         scan = _chain(statement.root, plan.SortNode, plan.ProjectNode,
                       plan.AggregateNode)
         assert scan == plan.ScanNode("all_nations", None, "cte")
 
     def test_left_join_keeps_its_residual(self, catalog):
-        statement = plan.plan_statement(parse(QUERIES["q13"]), catalog)
-        joins = [n for n in _rendered_nodes(statement)
-                 if isinstance(n, plan.HashJoinNode)]
-        assert [j.kind for j in joins] == ["left"]
-        assert joins[0].residual is not None
+        # q13's own ON conjunct reads only orders, the null-supplying
+        # side, and sinks there; one that reads both sides stays the
+        # join's residual.
+        for extra, residual in (
+                ("", None),
+                ("AND o.o_totalprice > c.c_acctbal",
+                 "(o.o_totalprice > c.c_acctbal)")):
+            sql = QUERIES["q13"].replace("GROUP BY c.c_custkey",
+                                         extra + " GROUP BY c.c_custkey")
+            statement = plan.plan_statement(parse(sql), catalog)
+            (join,) = [n for n in _rendered_nodes(statement)
+                       if isinstance(n, plan.HashJoinNode)]
+            assert join.kind == "left"
+            assert (join.residual and _expr(join.residual)) == residual
+            assert _filtered_scan(join.right) == (
+                "o", "(o.o_comment not like '%special%requests%')")
 
     def test_without_a_catalog_every_join_is_a_nested_loop(self):
         statement = plan.plan_statement(parse(QUERIES["q5"]), None)
@@ -110,6 +152,108 @@ class TestTreeShape:
         star = plan.plan_statement(
             parse("select * from a join b on a.x = b.x"), None)
         assert star.names is None and star.project.columns is None
+
+
+class TestPushdownLegality:
+    """Where a conjunct may sink, and that sinking changes no result:
+    each statement also runs as the plan read off the text — nested
+    loops, WHERE on top — and must return the same rows in the same
+    order."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        a = Table.from_dict({
+            "x": (DataType.INT64, [1, 2, 2, 3, None]),
+            "y": (DataType.INT64, [5, 0, 7, 1, 4])})
+        b = Table.from_dict({
+            "x": (DataType.INT64, [2, 2, 3, 4, None]),
+            "z": (DataType.INT64, [0, 6, 1, 9, 3])})
+        return Catalog({"a": a, "b": b})
+
+    @staticmethod
+    def _as_written(sql, catalog):
+        stmt = parse(sql)
+        planned = plan.plan_statement(stmt, catalog)
+        source = plan.NestedLoopJoinNode(
+            stmt.from_.kind, plan.ScanNode("a"), plan.ScanNode("b"),
+            plan._plan_expr(stmt.from_.condition, catalog, {}))
+        if stmt.where is not None:
+            source = plan.FilterNode(
+                source, plan._plan_expr(stmt.where, catalog, {}))
+        root = dataclasses.replace(planned.root, input=source)
+        ctx = Context(catalog, current_context())
+        relation = executor.run_statement(plan.StatementPlan((), root), ctx)
+        return executor._relation_to_table(relation, planned.names).to_rows()
+
+    def _join_under_project(self, sql, catalog):
+        rows = execute(sql, catalog).to_rows()
+        assert rows == self._as_written(sql, catalog)
+        root = plan.plan_statement(parse(sql), catalog).root
+        assert isinstance(root, plan.ProjectNode)
+        return root.input, rows
+
+    def test_where_on_the_null_supplying_side_stays_above(self, small):
+        # b.z > 0 must see the NULL-extended rows (and reject them).
+        node, rows = self._join_under_project(
+            "select a.x, b.z from a left join b on a.x = b.x "
+            "where b.z > 0", small)
+        assert isinstance(node, plan.FilterNode)
+        assert _expr(node.predicate) == "(b.z > 0)"
+        join = node.input
+        assert isinstance(join, plan.HashJoinNode) and join.kind == "left"
+        assert isinstance(join.right, plan.ScanNode)
+        assert rows == [(2, 6), (2, 6), (3, 1)]
+
+    def test_on_conjunct_on_the_preserved_side_stays_in_the_join(self,
+                                                                 small):
+        # a.y > 0 decides which a rows find a match, not which survive.
+        join, rows = self._join_under_project(
+            "select a.x, a.y, b.z from a left join b "
+            "on a.x = b.x and a.y > 0", small)
+        assert isinstance(join, plan.HashJoinNode) and join.kind == "left"
+        assert isinstance(join.left, plan.ScanNode)
+        assert _expr(join.residual) == "(a.y > 0)"
+        assert rows == [(1, 5, None), (2, 0, None), (2, 7, 0), (2, 7, 6),
+                        (3, 1, 1), (None, 4, None)]
+
+    def test_the_mirror_cases_do_sink(self, small):
+        join, _rows = self._join_under_project(
+            "select a.x, b.z from a left join b on a.x = b.x and b.z > 0 "
+            "where a.y > 0", small)
+        assert isinstance(join, plan.HashJoinNode) and join.residual is None
+        assert _filtered_scan(join.left) == ("a", "(a.y > 0)")
+        assert _filtered_scan(join.right) == ("b", "(b.z > 0)")
+
+    def test_inner_join_sinks_where_and_on_into_either_side(self, small):
+        join, _rows = self._join_under_project(
+            "select a.x, b.z from a join b on a.x = b.x and a.y > 0 "
+            "where b.z in (select z from b where z > 0) and a.y < b.z",
+            small)
+        # The conjunct reading both sides stays above the join.
+        assert _expr(join.predicate) == "(a.y < b.z)"
+        join = join.input
+        assert _filtered_scan(join.left) == ("a", "(a.y > 0)")
+        qualifier, text = _filtered_scan(join.right)
+        assert qualifier == "b" and text.startswith("(b.z in (")
+
+    def test_subqueries_and_outer_references_stay_put(self, small):
+        node, _rows = self._join_under_project(
+            "select a.x from a join b on a.x = b.x "
+            "where a.y > (select min(z) from b) "
+            "and exists (select 1 from b b2 where b2.x = a.x)", small)
+        assert isinstance(node, plan.FilterNode)
+        assert isinstance(node.input, plan.HashJoinNode)
+        assert isinstance(node.input.left, plan.ScanNode)
+
+    def test_a_fully_sunk_left_join_keeps_its_unmatched_rows(self, small):
+        # Every ON conjunct sank: what is left is a condition-less LEFT
+        # JOIN, which still NULL-extends when the right side is empty.
+        join, rows = self._join_under_project(
+            "select a.x, b.z from a left join b on b.z > 100", small)
+        assert isinstance(join, plan.NestedLoopJoinNode)
+        assert join.condition is None
+        assert rows == [(1, None), (2, None), (2, None), (3, None),
+                        (None, None)]
 
 
 class TestOneTree:

@@ -7,11 +7,11 @@ import pytest
 
 from repro.errors import SqlAnalysisError
 from repro.sql.vector import (
-    Vector,
     arithmetic,
     cast,
     comparison,
     concat,
+    from_column,
     from_scalar,
     logical_and,
     logical_not,
@@ -23,8 +23,7 @@ from repro.table.column import Column, DataType
 
 
 def vec(values, dtype=DataType.INT64):
-    column = Column(dtype, values)
-    return Vector(column.raw(), column.validity.copy(), dtype)
+    return from_column(Column(dtype, values))
 
 
 class TestArithmetic:
@@ -160,7 +159,20 @@ class TestMisc:
     def test_to_column_roundtrip(self):
         v = vec([1, None, 3])
         assert v.to_column().to_list() == [1, None, 3]
+        # Strings travel as an object ndarray and leave as the table
+        # layer's list-backed column.
+        s = vec(["a", None, "c"], DataType.STRING)
+        assert isinstance(s.values, np.ndarray) and s.values.dtype == object
+        column = s.to_column()
+        assert isinstance(column.raw(), list)
+        assert column.to_list() == ["a", None, "c"]
 
     def test_take(self):
         v = vec(["a", "b", "c"], DataType.STRING)
-        assert v.take(np.array([2, 0])).values == ["c", "a"]
+        assert v.take(np.array([2, 0])).values.tolist() == ["c", "a"]
+
+    def test_string_storage_is_built_once_per_column(self):
+        column = Column(DataType.STRING, ["a", "b"])
+        assert from_column(column).values is from_column(column).values
+        column.append("c")  # growing the column drops the cached array
+        assert from_column(column).values.tolist() == ["a", "b", "c"]

@@ -82,7 +82,28 @@ class TestPlansAndTraces:
     def test_left_join_keeps_hash_strategy(self, session):
         plan = session.explain(QUERIES["q13"])
         assert "HashJoin (left, keys:" in plan
-        assert "residual:" in plan
+        # Its single-input ON conjunct sank into the null-supplying
+        # side; a conjunct reading both sides stays the residual.
+        assert "Filter ((o.o_comment not like" in plan
+        assert "residual:" not in plan
+        plan = session.explain(QUERIES["q13"].replace(
+            "GROUP BY c.c_custkey",
+            "AND o.o_totalprice > c.c_acctbal GROUP BY c.c_custkey"))
+        assert "HashJoin (left, keys:" in plan
+        assert "residual: (o.o_totalprice > c.c_acctbal)" in plan
+
+    def test_pushdown_keeps_the_probe_side_small(self, session):
+        """q5/q7/q8 filter orders, lineitem, part and region by WHERE
+        conjuncts that must reach the scans: 86 841 probe rows in all
+        at SF 0.01, against 793 127 when every join probed its whole
+        input. A deterministic count, so a literal ceiling."""
+        probed = 0
+        for name in ("q5", "q7", "q8"):
+            result = session.execute(
+                QUERIES[name], options=QueryOptions(trace=True))
+            probed += sum(span.attrs["rows"]
+                          for span in result.trace.find_all("join.probe"))
+        assert probed <= 100_000
 
     def test_trace_spans_cover_join_and_cte(self, session):
         result = session.execute(
