@@ -151,8 +151,12 @@ def batched_aggregate(levels: TreeLevels, lo: np.ndarray, hi: np.ndarray,
 
 def batched_select(levels: TreeLevels, k: np.ndarray, key_lo: np.ndarray,
                    key_hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """For each query: the ``k``-th (0-based, slab order) entry with key
-    in ``[key_lo, key_hi)``. Returns ``(slab_positions, key_values)``.
+    """For each query: the ``k``-th (0-based, slab order) entry whose key
+    lies in one of the query's key ranges — the select over a *set* of
+    ranges that EXCLUDE frames need (Section 4.7). ``key_lo``/``key_hi``
+    are ``(pieces, m)`` arrays of disjoint ``[key_lo, key_hi)`` ranges
+    (a flat ``(m,)`` pair is one piece); an inverted piece is empty.
+    Returns ``(slab_positions, key_values)``.
 
     Callers must guarantee ``k < count_qualifying`` per query (rows with
     empty frames are masked out at the window-function layer).
@@ -161,8 +165,8 @@ def batched_select(levels: TreeLevels, k: np.ndarray, key_lo: np.ndarray,
     fanout = levels.fanout
     m = len(k)
     remaining = np.asarray(k, dtype=np.int64).copy()
-    key_lo = np.asarray(key_lo)
-    key_hi = np.asarray(key_hi)
+    key_lo = np.atleast_2d(key_lo)
+    key_hi = np.maximum(np.atleast_2d(key_hi), key_lo)
     slab_start = np.zeros(m, dtype=np.int64)
     for level in range(levels.height - 1, 0, -1):
         keys = levels.keys[level - 1]
@@ -174,9 +178,10 @@ def batched_select(levels: TreeLevels, k: np.ndarray, key_lo: np.ndarray,
             open_child = ~decided & (child_start < child_stop)
             start = np.where(open_child, child_start, 0)
             stop = np.where(open_child, child_stop, 0)
-            upper = batched_lower_bound(keys, start, stop, key_hi)
-            lower = batched_lower_bound(keys, start, stop, key_lo)
-            count_c = upper - lower
+            count_c = np.zeros(m, dtype=np.int64)
+            for piece_lo, piece_hi in zip(key_lo, key_hi):
+                count_c += batched_lower_bound(keys, start, stop, piece_hi)
+                count_c -= batched_lower_bound(keys, start, stop, piece_lo)
             descend = open_child & (remaining < count_c)
             skip = open_child & ~descend
             slab_start = np.where(descend, child_start, slab_start)

@@ -51,6 +51,7 @@ class ProbeKernels:
 
     def select(self, levels: TreeLevels, k: np.ndarray, key_lo: np.ndarray,
                key_hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``key_lo``/``key_hi``: ``(pieces, m)`` key ranges per query."""
         return batched_select(levels, k, key_lo, key_hi)
 
     def aggregate(self, levels: TreeLevels, lo: np.ndarray, hi: np.ndarray,
@@ -60,6 +61,31 @@ class ProbeKernels:
 
 #: Shared serial kernel set; stateless, safe to share between threads.
 SERIAL_PROBES = ProbeKernels()
+
+
+def probe_range(levels: TreeLevels, op: str, inputs: Dict[str, np.ndarray],
+                outputs: List[np.ndarray], lo: int, hi: int,
+                agg_kind: Optional[str]) -> None:
+    """Run queries ``[lo, hi)`` of one probe batch into ``outputs``.
+
+    The one body behind a worker's probe task and the parent's serial
+    recompute of a quarantined range: rows outside the range are
+    untouched, so ranges compose and a re-run rewrites the same values.
+    Queries lie along the last axis (``select`` pieces are stacked in
+    front of it)."""
+    args = {name: array[..., lo:hi] for name, array in inputs.items()}
+    if op == "count":
+        outputs[0][lo:hi] = batched_count(
+            levels, args["lo"], args["hi"], args["key_hi"],
+            key_lo=args.get("key_lo"))
+    elif op == "aggregate":
+        outputs[0][lo:hi] = batched_aggregate(
+            levels, args["lo"], args["hi"], args["key_hi"], agg_kind)
+    elif op == "select":
+        outputs[0][lo:hi], outputs[1][lo:hi] = batched_select(
+            levels, args["k"], args["key_lo"], args["key_hi"])
+    else:  # pragma: no cover - the parent never sends unknown ops
+        raise ValueError(f"unknown probe op {op!r}")
 
 
 def _shareable_levels(levels: TreeLevels) -> bool:
@@ -173,13 +199,13 @@ class ProcessProbes(ProbeKernels):
             tasks = [ProcProbeTask(i, lo, min(lo + self._task_size, rows))
                      for i, lo in enumerate(
                          range(0, rows, self._task_size))]
-            _, lost = self._scheduler.run_process_tasks(job, tasks)
+            lost = self._scheduler.run_process_tasks(job, tasks)
             views = [arena.view(spec) for spec in out_specs]
             for task in lost:
                 # Quarantined ranges recompute serially on the parent —
                 # same kernels, exactly these rows, bit-identical.
-                self._serial_range(levels, op, inputs, views,
-                                   task.lo, task.hi, agg_kind)
+                probe_range(levels, op, inputs, views,
+                            task.lo, task.hi, agg_kind)
             self.fanned += 1
             return tuple(view.copy() for view in views)
         except WorkerPoolError as exc:
@@ -191,29 +217,6 @@ class ProcessProbes(ProbeKernels):
             return None
         finally:
             arena.close()
-
-    @staticmethod
-    def _serial_range(levels: TreeLevels, op: str,
-                      inputs: Dict[str, np.ndarray],
-                      views: List[np.ndarray], lo: int, hi: int,
-                      agg_kind: Optional[str]) -> None:
-        sl = slice(lo, hi)
-        if op == "count":
-            key_lo = inputs.get("key_lo")
-            views[0][sl] = batched_count(
-                levels, inputs["lo"][sl], inputs["hi"][sl],
-                inputs["key_hi"][sl],
-                key_lo=None if key_lo is None else key_lo[sl])
-        elif op == "aggregate":
-            views[0][sl] = batched_aggregate(
-                levels, inputs["lo"][sl], inputs["hi"][sl],
-                inputs["key_hi"][sl], agg_kind)
-        else:
-            positions, values = batched_select(
-                levels, inputs["k"][sl], inputs["key_lo"][sl],
-                inputs["key_hi"][sl])
-            views[0][sl] = positions
-            views[1][sl] = values
 
     # -- kernel interface ----------------------------------------------
     def _fans(self, rows: int) -> bool:

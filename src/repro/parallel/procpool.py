@@ -50,7 +50,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import connection
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional
 
 from repro.errors import (
     ParallelExecutionError,
@@ -242,27 +242,24 @@ class ProcessPool:
     # group execution
     # ------------------------------------------------------------------
     def run_group(self, job: ProcGroupJob, tasks: List[ProcTask]
-                  ) -> Tuple[List[Tuple[int, int, str, Any]],
-                             List[ProcTask]]:
-        """Run one group's tasks; returns ``(acks, lost_tasks)``.
+                  ) -> List[ProcTask]:
+        """Run one group's tasks; returns the lost ones.
 
-        ``acks`` are the per-(call, partition) result records from
-        :func:`repro.parallel.procworker.run_task`; ``lost_tasks`` are
-        quarantined morsels (or tasks whose evaluation raised in the
-        child) the caller must re-run on the in-thread degraded path.
+        A completed task's results are already in the job's shared
+        output buffers; the lost tasks are quarantined morsels (or
+        tasks whose evaluation raised in the child) the caller must
+        re-run on the in-thread degraded path.
         Raises :class:`~repro.errors.WorkerPoolError` when the pool
         itself is broken."""
         with self._lock:
             return self._run_group_locked(job, tasks)
 
     def _run_group_locked(self, job: ProcGroupJob, tasks: List[ProcTask]
-                          ) -> Tuple[List[Tuple[int, int, str, Any]],
-                                     List[ProcTask]]:
+                          ) -> List[ProcTask]:
         if self._closed:
             raise WorkerPoolError("process pool is closed")
         ctx = current_context()
         pending: Deque[ProcTask] = deque(tasks)
-        acks: List[Tuple[int, int, str, Any]] = []
         lost: List[ProcTask] = []
         failures: List[ParallelExecutionError] = []
         try:
@@ -274,7 +271,7 @@ class ProcessPool:
                 self._ensure_workers(ctx, busy, len(pending))
                 self._dispatch(ctx, job, pending, failures)
                 self._watchdog(ctx, pending, lost)
-                self._drain(ctx, pending, lost, acks)
+                self._drain(ctx, pending, lost)
         except BaseException:
             # Abort: never leave children writing into buffers the
             # caller is about to unlink.
@@ -292,7 +289,7 @@ class ProcessPool:
                 primary.lo, primary.hi,
                 primary.__cause__ if primary.__cause__ else primary,
                 failures=list(failures)) from primary.__cause__
-        return acks, lost
+        return lost
 
     def _dispatch(self, ctx, job: ProcGroupJob,
                   pending: Deque[ProcTask],
@@ -357,8 +354,7 @@ class ProcessPool:
                 self._handle_crash(ctx, worker, pending, lost, hang=True)
 
     def _drain(self, ctx, pending: Deque[ProcTask],
-               lost: List[ProcTask],
-               acks: List[Tuple[int, int, str, Any]]) -> None:
+               lost: List[ProcTask]) -> None:
         conns = {w.conn: w for w in self._workers if w.task is not None}
         if not conns:
             return
@@ -370,7 +366,6 @@ class ProcessPool:
                 self._handle_crash(ctx, worker, pending, lost)
                 continue
             if message[0] == "ok":
-                acks.extend(message[2])
                 worker.task = None
             else:  # ("err", task_id, summary): the child evaluation
                 # raised. Route the task to the in-thread path, where

@@ -25,14 +25,11 @@ per batch.
 Bit-identical output is by construction, not by protocol care: the
 child runs the **same** partition-build and evaluation code as the
 serial path (:func:`repro.window.operator._build_partition` /
-:func:`repro.window.evaluators.evaluate_call`), and results that cannot
-round-trip losslessly through an int64/float64 buffer (NULL-bearing
-lists, strings, dates, exotic dtypes — the
-:func:`repro.window.operator._chunk_array` eligibility test, shared
-with the out-of-core spill path) are pickled back verbatim instead.
-Values that arrived as Python lists are restored to lists before the
-parent scatters them, so the parent-side result buffers see exactly
-the inputs serial evaluation would have produced.
+:func:`repro.window.evaluators.evaluate_call`). Every call's result
+type is fixed before evaluation, so the parent allocates exactly one
+typed values buffer and one validity mask per call and a task's ack
+carries nothing — a process-eligible group has only numeric columns
+and no UDAF, hence no result that cannot live in shared memory.
 
 A worker holds the attachments for at most one group at a time; a task
 for a new group closes the previous group's segments first, and an
@@ -57,19 +54,12 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.parallel.probes import SERIAL_PROBES
+from repro.parallel.probes import SERIAL_PROBES, probe_range
 from repro.parallel.shm import ShmArraySpec, attach_array
 from repro.resilience.context import AMBIENT, activate
 from repro.sortutil import SortColumn
 from repro.window.calls import WindowCall
 from repro.window.frame import WindowSpec
-
-#: Result kinds: shm-scattered ndarray/list (int/float) or pickled.
-KIND_INT_ARRAY = "ia"
-KIND_FLOAT_ARRAY = "fa"
-KIND_INT_LIST = "il"
-KIND_FLOAT_LIST = "fl"
-KIND_OBJECT = "obj"
 
 #: Environment switch for the deterministic worker-kill chaos hook.
 CHAOS_ENV = "REPRO_PROC_CHAOS"
@@ -95,10 +85,9 @@ class ProcGroupJob:
     starts: np.ndarray
     spec: WindowSpec
     calls: Tuple[WindowCall, ...]
-    date_columns: frozenset
-    #: per call: int64 / float64 scatter buffers (length table_rows).
-    out_int: Tuple[ShmArraySpec, ...]
-    out_float: Tuple[ShmArraySpec, ...]
+    #: per call: (typed values, validity mask) scatter buffers, each of
+    #: length table_rows.
+    out: Tuple[Tuple[ShmArraySpec, ShmArraySpec], ...]
 
 
 @dataclass
@@ -177,10 +166,9 @@ class _GroupState:
             validity = self._attach(validity_spec)
             self.columns[name] = (values, validity)
         self.order = self._attach(job.order)
-        self.out_int = [self._attach(spec, writable=True)
-                        for spec in job.out_int]
-        self.out_float = [self._attach(spec, writable=True)
-                          for spec in job.out_float]
+        self.out = [(self._attach(values, writable=True),
+                     self._attach(mask, writable=True))
+                    for values, mask in job.out]
         self.order_columns: List[SortColumn] = []
         for item in job.spec.order_by:
             values, validity = self.columns[item.column]
@@ -203,7 +191,7 @@ class _GroupState:
     def close(self) -> None:
         self.columns.clear()
         self.order = None
-        del self.out_int[:], self.out_float[:]
+        del self.out[:]
         self.order_columns = []
         for segment in self._segments:
             try:
@@ -292,42 +280,14 @@ class _ProbeState:
         del self._segments[:]
 
 
-def run_probe_task(state: _ProbeState, task: ProcProbeTask) -> list:
-    """Run one row range of a probe batch against the shared tree.
-
-    Results go straight into the shared output buffers; rows outside
-    ``[task.lo, task.hi)`` are untouched, so ranges
-    compose — and a retried range deterministically rewrites
-    the same values. The ack payload is empty."""
-    from repro.mst.vectorized import (
-        batched_aggregate,
-        batched_count,
-        batched_select,
-    )
-
+def run_probe_task(state: _ProbeState, task: ProcProbeTask) -> None:
+    """Run one row range of a probe batch against the shared tree,
+    straight into the shared output buffers
+    (:func:`~repro.parallel.probes.probe_range`)."""
     job = state.job
     _chaos_maybe_kill(job.partition)
-    sl = slice(task.lo, task.hi)
-    get = state.inputs.get
-    if job.op == "count":
-        key_lo = get("key_lo")
-        state.outputs[0][sl] = batched_count(
-            _attached_levels(job.levels), get("lo")[sl], get("hi")[sl],
-            get("key_hi")[sl],
-            key_lo=None if key_lo is None else key_lo[sl])
-    elif job.op == "aggregate":
-        state.outputs[0][sl] = batched_aggregate(
-            _attached_levels(job.levels), get("lo")[sl], get("hi")[sl],
-            get("key_hi")[sl], job.agg_kind)
-    elif job.op == "select":
-        positions, values = batched_select(
-            _attached_levels(job.levels), get("k")[sl],
-            get("key_lo")[sl], get("key_hi")[sl])
-        state.outputs[0][sl] = positions
-        state.outputs[1][sl] = values
-    else:  # pragma: no cover - parent never sends unknown ops
-        raise ValueError(f"unknown probe op {job.op!r}")
-    return []
+    probe_range(_attached_levels(job.levels), job.op, state.inputs,
+                state.outputs, task.lo, task.hi, job.agg_kind)
 
 
 def _chaos_maybe_kill(partition: int) -> None:
@@ -356,23 +316,16 @@ def _chaos_maybe_kill(partition: int) -> None:
         os.kill(os.getpid(), signal.SIGKILL)
 
 
-def run_task(state: _GroupState,
-             task: ProcTask) -> List[Tuple[int, int, str, Any]]:
-    """Evaluate one task; returns per (call, partition) result acks.
-
-    Numeric results are scattered into the shared output buffers here
-    (the ack carries only the kind); everything else rides back pickled
-    in the ack payload for the parent to scatter."""
+def run_task(state: _GroupState, task: ProcTask) -> None:
+    """Evaluate one task, scattering every (call, partition) result
+    into the call's shared values buffer and validity mask. The ack
+    carries nothing: a task either completes — its rows are in shared
+    memory — or is lost and re-run by the parent."""
     from repro.window.evaluators import evaluate_call
-    from repro.window.operator import (
-        _build_partition,
-        _chunk_array,
-        restore_dates,
-    )
+    from repro.window.operator import _build_partition
 
     job = state.job
     starts = job.starts
-    acks: List[Tuple[int, int, str, Any]] = []
     for p in task.partitions:
         _chaos_maybe_kill(int(p))
         rows = state.order[starts[p]:starts[p + 1]]
@@ -381,22 +334,10 @@ def run_task(state: _GroupState,
             state.order_columns, job.table_rows,
             structures=None, probes=SERIAL_PROBES)
         for ci in task.call_indices:
-            call = job.calls[ci]
-            values = evaluate_call(call, view)
-            values = restore_dates(call, job.date_columns, values)
-            was_list = not isinstance(values, np.ndarray)
-            converted = _chunk_array(values)
-            if converted is not None and converted.dtype == np.int64:
-                state.out_int[ci][rows] = converted
-                kind = KIND_INT_LIST if was_list else KIND_INT_ARRAY
-                acks.append((ci, int(p), kind, None))
-            elif converted is not None and converted.dtype == np.float64:
-                state.out_float[ci][rows] = converted
-                kind = KIND_FLOAT_LIST if was_list else KIND_FLOAT_ARRAY
-                acks.append((ci, int(p), kind, None))
-            else:
-                acks.append((ci, int(p), KIND_OBJECT, values))
-    return acks
+            values, validity = evaluate_call(job.calls[ci], view)
+            out_values, out_validity = state.out[ci]
+            out_values[rows] = values
+            out_validity[rows] = True if validity is None else validity
 
 
 def worker_main(conn, worker_index: int, heartbeat) -> None:
@@ -439,15 +380,15 @@ def _worker_loop(conn, worker_index: int, heartbeat,
                         if state is not None:
                             state.close()
                         state = _GroupState(job)
-                    acks = run_task(state, task)
+                    run_task(state, task)
                 else:
                     if (probe_state is None
                             or probe_state.probe_id != job.probe_id):
                         if probe_state is not None:
                             probe_state.close()
                         probe_state = _ProbeState(job)
-                    acks = run_probe_task(probe_state, task)
-                reply = ("ok", task.task_id, acks)
+                    run_probe_task(probe_state, task)
+                reply = ("ok", task.task_id)
             except BaseException as exc:
                 # Deterministic failures reproduce on the parent's
                 # serial re-run with their full typed identity; the

@@ -392,7 +392,7 @@ class WindowScheduler:
         Thin accounting wrapper over
         :meth:`repro.parallel.procpool.ProcessPool.run_group` (the
         operator builds the shared-memory job; this layer only owns
-        pool lifecycle and counters). Returns ``(acks, lost_tasks)``.
+        pool lifecycle and counters). Returns the lost tasks.
         """
         ctx = current_context()
         tracer = ctx.tracer

@@ -13,9 +13,8 @@ re-plans it.
 
 from __future__ import annotations
 
-import datetime
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,7 +40,7 @@ from repro.sql.vector import (
     stacked,
     truthy_rows,
 )
-from repro.table.column import Column, DataType
+from repro.table.column import Column, DataType, infer_dtype
 from repro.table.table import Table
 
 
@@ -461,32 +460,3 @@ def _expect_args(expr: ast.FuncCall, args: List[Vector], count: int) -> None:
     if len(args) != count:
         raise SqlAnalysisError(
             f"{expr.name} expects {count} argument(s), got {len(args)}")
-
-
-
-def infer_dtype(values: Sequence[Any]) -> DataType:
-    has_float = has_int = has_str = has_date = has_bool = False
-    for value in values:
-        if value is None:
-            continue
-        if isinstance(value, bool):
-            has_bool = True
-        elif isinstance(value, (int, np.integer)):
-            has_int = True
-        elif isinstance(value, (float, np.floating)):
-            has_float = True
-        elif isinstance(value, str):
-            has_str = True
-        elif isinstance(value, datetime.date):
-            has_date = True
-    if has_str:
-        return DataType.STRING
-    if has_date:
-        return DataType.DATE
-    if has_float:
-        return DataType.FLOAT64
-    if has_int:
-        return DataType.INT64
-    if has_bool:
-        return DataType.BOOL
-    return DataType.FLOAT64

@@ -6,7 +6,7 @@ the window operator. Columns are numpy-backed where the type allows it and
 carry an explicit NULL mask.
 """
 
-from repro.table.column import Column, DataType
+from repro.table.column import Column, DataType, infer_dtype
 from repro.table.schema import Field, Schema
 from repro.table.table import Table
 from repro.table.csvio import read_csv, write_csv
@@ -17,6 +17,7 @@ __all__ = [
     "Field",
     "Schema",
     "Table",
+    "infer_dtype",
     "read_csv",
     "write_csv",
 ]

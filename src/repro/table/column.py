@@ -48,6 +48,40 @@ class DataType(enum.Enum):
         return mapping.get(self)
 
 
+def infer_dtype(values: Iterable[Any]) -> DataType:
+    """The narrowest type holding every non-NULL value (FLOAT64 when
+    there is none) — for values whose type no schema fixes: scalar
+    subquery results and user-defined aggregate states."""
+    has_float = has_int = has_str = has_date = has_bool = False
+    for value in values:
+        if value is None:
+            continue
+        if isinstance(value, (bool, np.bool_)):
+            has_bool = True
+        elif isinstance(value, (int, np.integer)):
+            has_int = True
+        elif isinstance(value, (float, np.floating)):
+            has_float = True
+        elif isinstance(value, str):
+            has_str = True
+        elif isinstance(value, datetime.date):
+            has_date = True
+        else:
+            raise TypeMismatchError(
+                f"cannot infer column type for value {value!r}")
+    if has_str:
+        return DataType.STRING
+    if has_date:
+        return DataType.DATE
+    if has_float:
+        return DataType.FLOAT64
+    if has_int:
+        return DataType.INT64
+    if has_bool:
+        return DataType.BOOL
+    return DataType.FLOAT64
+
+
 def date_to_ordinal(value: datetime.date) -> int:
     """Convert a date to its days-since-epoch integer representation."""
     return (value - _EPOCH).days
@@ -111,11 +145,20 @@ class Column:
     @classmethod
     def from_numpy(cls, dtype: DataType, data: np.ndarray,
                    valid: Optional[np.ndarray] = None) -> "Column":
-        """Wrap an existing numpy array without per-value validation."""
-        if dtype.numpy_dtype is None:
-            raise TypeMismatchError(f"{dtype} is not numpy-backed")
+        """Wrap an existing numpy array without per-value validation
+        (``dtype=object`` for a STRING column, kept as its
+        :meth:`array` with NULL slots blanked)."""
         col = cls(dtype)
-        col._data = np.asarray(data, dtype=dtype.numpy_dtype)
+        if dtype.numpy_dtype is None:
+            if getattr(data, "dtype", None) != object:
+                raise TypeMismatchError(
+                    f"{dtype} wraps only dtype=object arrays")
+            if valid is not None:
+                data = np.where(valid, data, "")
+            col._array = data
+            col._data = data.tolist()
+        else:
+            col._data = np.asarray(data, dtype=dtype.numpy_dtype)
         if valid is None:
             col._valid = np.ones(len(col._data), dtype=np.bool_)
         else:

@@ -18,6 +18,7 @@ from typing import Any, Optional, Sequence, Tuple
 
 from repro.errors import WindowFunctionError
 from repro.mst.aggregates import AggregateSpec
+from repro.table.column import DataType
 from repro.window.frame import OrderItem
 
 AGGREGATE_FUNCTIONS = frozenset(
@@ -125,3 +126,33 @@ class WindowCall:
         if self.function in VALUE_FUNCTIONS:
             return "value"
         return "navigation"
+
+
+_INT_RESULTS = frozenset({"count", "count_star", "rank", "dense_rank",
+                          "row_number", "ntile"})
+_FLOAT_RESULTS = frozenset({"avg", "percent_rank", "cume_dist",
+                            "percentile_cont", "median"})
+
+
+def result_type(call: WindowCall,
+                arg_type: Optional[DataType]) -> Optional[DataType]:
+    """The type of ``call``'s result column, from the call and the type
+    of its first argument alone — fixed before evaluation, so it never
+    depends on the data (an all-NULL result keeps its type). Everything
+    not listed returns its argument's type: ``min`` / ``max`` / ``mode``
+    / ``percentile_disc`` / the value and navigation functions. None
+    means inferred from the values, which only a UDAF needs."""
+    name = call.function
+    if name == "udaf":
+        return None
+    if name in _INT_RESULTS:
+        return DataType.INT64
+    if name in _FLOAT_RESULTS:
+        return DataType.FLOAT64
+    if name == "sum":
+        return (DataType.FLOAT64 if arg_type is DataType.FLOAT64
+                else DataType.INT64)
+    if (name in NAVIGATION_FUNCTIONS and arg_type is DataType.INT64
+            and isinstance(call.default, float)):
+        return DataType.FLOAT64  # the default widens the column
+    return arg_type

@@ -1,21 +1,29 @@
 """Window function evaluators, one module per function family."""
 
-from typing import Any, List
-
-from repro.errors import VerificationError, WindowFunctionError
+from repro.errors import VerificationError
 from repro.resilience.context import current_context
 from repro.resilience.guard import FALLBACK_ERRORS, fallback_call
 from repro.window.calls import WindowCall
+from repro.window.evaluators.common import (Arrays, result_dtype, to_arrays,
+                                             to_list)
 from repro.window.partition import PartitionView
 
 
-def evaluate_call(call: WindowCall, part: PartitionView) -> List[Any]:
+def evaluate_call(call: WindowCall, part: PartitionView) -> Arrays:
     """Evaluate one window function over one partition.
 
-    Dispatches on the call's family; every evaluator returns ``part.n``
-    values in partition order — a Python list (None = SQL NULL) or a
-    numeric ndarray when no row is NULL (the operator's result buffer
-    scatters ndarrays with one vectorised fancy-index store).
+    One contract for every family and algorithm: ``(values, validity)``
+    in partition order — ``values`` an ndarray of ``part.n`` entries
+    whose dtype is :func:`~repro.window.evaluators.common.result_dtype`
+    of the call (fixed before evaluation; ``object`` only for strings
+    and UDAF states), ``validity`` a bool mask or None when no row is
+    NULL. The operator scatters both with fancy-index stores and wraps
+    the finished buffers in a ``Column`` — nothing is boxed on the way.
+    The ``mst`` paths build the arrays natively; the paper's competitor
+    algorithms stay row-at-a-time reference code whose result lists
+    :func:`_dispatch` converts once, with the same static dtype, so the
+    fallback rung and the shadow check below cannot disagree with the
+    fast path on type.
 
     Graceful degradation lives here so every entry point (SQL executor,
     :func:`~repro.window.operator.window_query`, direct operator use)
@@ -45,8 +53,7 @@ def evaluate_call(call: WindowCall, part: PartitionView) -> List[Any]:
         return _evaluate_call(ctx, call, part)
 
 
-def _evaluate_call(ctx, call: WindowCall,
-                   part: PartitionView) -> List[Any]:
+def _evaluate_call(ctx, call: WindowCall, part: PartitionView) -> Arrays:
     try:
         result = _dispatch(call, part)
     except FALLBACK_ERRORS as exc:
@@ -66,15 +73,15 @@ def _evaluate_call(ctx, call: WindowCall,
 
 
 def _shadow_verify(ctx, call: WindowCall, part: PartitionView,
-                   result: List[Any]) -> None:
+                   result: Arrays) -> None:
     """Re-answer ``call`` with the naive oracle and diff the rows."""
     from repro.resilience.verify import compare_results
 
     oracle = fallback_call(call)
     if oracle is None:  # pragma: no cover - guarded by the caller
         return
-    naive = _dispatch(oracle, part)
-    mismatch = compare_results(result, naive)
+    mismatch = compare_results(to_list(result),
+                               to_list(_dispatch(oracle, part)))
     ctx.record_verification(failed=mismatch is not None)
     if mismatch is not None:
         row, fast, slow = mismatch
@@ -84,7 +91,7 @@ def _shadow_verify(ctx, call: WindowCall, part: PartitionView,
             f"fast={fast!r} naive={slow!r}")
 
 
-def _dispatch(call: WindowCall, part: PartitionView) -> List[Any]:
+def _dispatch(call: WindowCall, part: PartitionView) -> Arrays:
     from repro.window.evaluators import (
         aggregates,
         distinct,
@@ -95,19 +102,10 @@ def _dispatch(call: WindowCall, part: PartitionView) -> List[Any]:
         value,
     )
 
-    family = call.family
-    if family == "aggregate":
-        return aggregates.evaluate(call, part)
-    if family == "distinct":
-        return distinct.evaluate(call, part)
-    if family == "rank":
-        return rank.evaluate(call, part)
-    if family == "percentile":
-        return percentile.evaluate(call, part)
-    if family == "mode":
-        return mode.evaluate(call, part)
-    if family == "value":
-        return value.evaluate(call, part)
-    if family == "navigation":
-        return navigation.evaluate(call, part)
-    raise WindowFunctionError(f"unknown function family {family!r}")
+    families = {"aggregate": aggregates, "distinct": distinct, "rank": rank,
+                "percentile": percentile, "mode": mode, "value": value,
+                "navigation": navigation}
+    result = families[call.family].evaluate(call, part)
+    if isinstance(result, list):  # a reference algorithm
+        result = to_arrays(result, result_dtype(call, part))
+    return result

@@ -18,59 +18,45 @@ from repro.errors import WindowFunctionError
 from repro.mst.aggregates import AggregateSpec
 from repro.segtree.tree import SegmentTree
 from repro.window.calls import WindowCall
-from repro.window.evaluators.common import (CallInput, annotate_probe,
-                                             infer_scalar)
+from repro.window.evaluators.common import (Arrays, CallInput, Result,
+                                             annotate_probe, nullable,
+                                             python_values, result_dtype)
 from repro.window.partition import PartitionView
 from repro.resilience.context import current_context
 
 
-def evaluate(call: WindowCall, part: PartitionView) -> List[Any]:
+def evaluate(call: WindowCall, part: PartitionView) -> Result:
     name = call.function
     skip_nulls = name not in ("count_star",)
     inputs = CallInput(call, part, skip_null_arg=skip_nulls and bool(call.args))
     annotate_probe(inputs)
     if call.algorithm == "naive":
         return _evaluate_naive(call, part, inputs)
+    counts = inputs.frame_counts()
     if name in ("count", "count_star"):
-        counts = inputs.frame_counts()
-        return [int(c) for c in counts]
+        return counts, None
     if name == "udaf":
-        return _evaluate_udaf(call, part, inputs)
+        return _evaluate_udaf(call, inputs, counts)
 
     values = np.asarray(inputs.kept_values(call.args[0]), dtype=np.float64)
-    integer_input = _input_is_integer(part, call.args[0])
+    valid = counts > 0
     if name in ("sum", "avg"):
         tree = inputs.structure("segtree:sum",
                                 lambda: SegmentTree(values, kind="sum"))
-        sums = _combine_pieces(tree, inputs, np.add, 0.0)
-        counts = inputs.frame_counts()
-        if name == "sum":
-            return [_numeric(sums[i], integer_input) if counts[i] else None
-                    for i in range(inputs.n)]
-        return [float(sums[i] / counts[i]) if counts[i] else None
-                for i in range(inputs.n)]
-    if name in ("min", "max"):
+        result = _combine_pieces(tree, inputs, np.add, 0.0)
+        if name == "avg":
+            return nullable(result / np.maximum(counts, 1), valid)
+    elif name in ("min", "max"):
         tree = inputs.structure(f"segtree:{name}",
                                 lambda: SegmentTree(values, kind=name))
         op = np.minimum if name == "min" else np.maximum
         identity = np.inf if name == "min" else -np.inf
-        result = _combine_pieces(tree, inputs, op, identity)
-        counts = inputs.frame_counts()
-        return [_numeric(result[i], integer_input) if counts[i] else None
-                for i in range(inputs.n)]
-    raise WindowFunctionError(f"unsupported aggregate {name!r}")
-
-
-def _input_is_integer(part: PartitionView, column: str) -> bool:
-    values, _ = part.column(column)
-    return (isinstance(values, np.ndarray)
-            and np.issubdtype(values.dtype, np.integer))
-
-
-def _numeric(value: float, integer_input: bool) -> Any:
-    if integer_input and float(value).is_integer():
-        return int(value)
-    return float(value)
+        # Empty frames keep the identity; zero it before the cast.
+        result = np.where(
+            valid, _combine_pieces(tree, inputs, op, identity), 0.0)
+    else:
+        raise WindowFunctionError(f"unsupported aggregate {name!r}")
+    return nullable(result.astype(result_dtype(call, part)), valid)
 
 
 def _combine_pieces(tree: SegmentTree, inputs: CallInput, op, identity):
@@ -80,25 +66,22 @@ def _combine_pieces(tree: SegmentTree, inputs: CallInput, op, identity):
     return total
 
 
-def _evaluate_udaf(call: WindowCall, part: PartitionView,
-                   inputs: CallInput) -> List[Any]:
+def _evaluate_udaf(call: WindowCall, inputs: CallInput,
+                   counts: np.ndarray) -> Arrays:
     spec: AggregateSpec = call.udaf
     values = inputs.kept_values(call.args[0])
     lifted = SegmentTree([spec.lift(v) for v in values], merge=spec.merge,
                          identity=spec.identity)
-    out = []
-    counts = inputs.frame_counts()
+    out = np.zeros(inputs.n, dtype=object)
+    valid = counts > 0
     ctx = current_context()
-    for i in range(inputs.n):
+    for i in np.flatnonzero(valid):
         ctx.tick(i)
-        if not counts[i]:
-            out.append(None)
-            continue
         state = spec.identity
         for lo, hi in inputs.row_pieces_f(i):
             state = spec.merge(state, lifted.query(lo, hi))
-        out.append(infer_scalar(spec.finalize(state)))
-    return out
+        out[i] = spec.finalize(state)
+    return nullable(out, valid)
 
 
 def _evaluate_naive(call: WindowCall, part: PartitionView,
@@ -108,13 +91,12 @@ def _evaluate_naive(call: WindowCall, part: PartitionView,
     if name == "count_star" or name == "count":
         return [sum(1 for j in frame_rows(part.pieces, i) if keep[j])
                 for i in range(part.n)]
-    values, _ = part.column(call.args[0])
+    values = python_values(part.column(call.args[0])[0])
     out: List[Any] = []
     ctx = current_context()
     for i in range(part.n):
         ctx.tick(i)
         frame = [values[j] for j in frame_rows(part.pieces, i) if keep[j]]
-        frame = [infer_scalar(v) for v in frame]
         if not frame:
             out.append(None)
         elif name == "sum":
@@ -130,7 +112,7 @@ def _evaluate_naive(call: WindowCall, part: PartitionView,
             state = spec.identity
             for v in frame:
                 state = spec.merge(state, spec.lift(v))
-            out.append(infer_scalar(spec.finalize(state)))
+            out.append(spec.finalize(state))
         else:
             raise WindowFunctionError(f"unsupported aggregate {name!r}")
     return out

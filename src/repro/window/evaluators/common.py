@@ -1,21 +1,87 @@
-"""Shared evaluator plumbing: keep masks, remapping, function order."""
+"""Shared evaluator plumbing: result arrays, keep masks, remapping,
+function order."""
 
 from __future__ import annotations
 
-from typing import Any, List, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import WindowFunctionError
+from repro.mst.build import TreeLevels
 from repro.preprocess.permutation import permutation_array
 from repro.preprocess.remap import IndexRemap
 from repro.resilience.context import current_context
 from repro.resilience.guard import guarded_builder
 from repro.sortutil import SortColumn
-from repro.window.calls import WindowCall
+from repro.table.column import DataType
+from repro.window.calls import WindowCall, result_type
 from repro.window.partition import PartitionView
 
 RangePair = Tuple[np.ndarray, np.ndarray]
+
+#: One call's result over one partition: ``part.n`` values of the
+#: call's static dtype plus a validity mask (None = no row is NULL;
+#: slots under a False hold an arbitrary placeholder).
+Arrays = Tuple[np.ndarray, Optional[np.ndarray]]
+
+#: What a family's ``evaluate`` returns: :data:`Arrays` from the ``mst``
+#: path, or a reference algorithm's row-at-a-time list (None = NULL),
+#: which ``_dispatch`` converts with :func:`to_arrays`.
+Result = Union[Arrays, List[Any]]
+
+_PHYSICAL_TYPES = {"i": DataType.INT64, "u": DataType.INT64,
+                   "f": DataType.FLOAT64, "b": DataType.BOOL}
+
+
+def result_dtype(call: WindowCall, part: PartitionView) -> np.dtype:
+    """The numpy dtype of ``call``'s result — :func:`result_type` of
+    the argument's physical type (DATE columns are day ordinals here),
+    ``object`` for strings and UDAF states. Fixed by the call and its
+    argument column alone, never by the values."""
+    arg_type = None
+    if call.args:
+        values, _ = part.column(call.args[0])
+        kind = values.dtype.kind if isinstance(values, np.ndarray) else "O"
+        arg_type = _PHYSICAL_TYPES.get(kind, DataType.STRING)
+    dtype = result_type(call, arg_type)
+    return np.dtype(getattr(dtype, "numpy_dtype", None) or object)
+
+
+def nullable(values: np.ndarray, valid: np.ndarray) -> Arrays:
+    """``values`` with the mask dropped when every row is valid."""
+    return values, (None if valid.all() else valid)
+
+
+def to_arrays(values: Sequence[Any], dtype: np.dtype) -> Arrays:
+    """A reference algorithm's row-at-a-time result list (None = SQL
+    NULL) as typed arrays — the one list -> arrays conversion."""
+    valid = np.fromiter((v is not None for v in values), np.bool_,
+                        len(values))
+    if dtype == object:
+        # Element stores: a UDAF result may itself be a sequence.
+        out = np.empty(len(values), dtype=object)
+        for i, value in enumerate(values):
+            out[i] = value
+    else:
+        out = np.zeros(len(values), dtype=dtype)
+        out[valid] = [v for v in values if v is not None]
+    return nullable(out, valid)
+
+
+def to_list(result: Arrays) -> List[Any]:
+    """The arrays boxed back to Python values (None = SQL NULL)."""
+    values, validity = result
+    boxed = values.tolist()
+    if validity is None:
+        return boxed
+    return [v if ok else None for v, ok in zip(boxed, validity.tolist())]
+
+
+def python_values(values: Any) -> List[Any]:
+    """A column's values as plain Python objects (numpy scalars
+    unboxed), for hashing and user-defined aggregate callbacks."""
+    return values.tolist() if isinstance(values, np.ndarray) \
+        else list(values)
 
 
 def keep_mask(call: WindowCall, part: PartitionView,
@@ -82,9 +148,27 @@ class CallInput:
             return values[self.kept_rows]
         return [values[i] for i in self.kept_rows]
 
-    def kept_validity(self, column: str) -> np.ndarray:
-        _, validity = self.part.column(column)
-        return validity[self.kept_rows]
+    def argument(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The first argument's ``(values, validity)`` over the full
+        partition, values as an ndarray (``object`` for strings)."""
+        values, validity = self.part.column(self.call.args[0])
+        if not isinstance(values, np.ndarray):
+            values = np.asarray(values, dtype=object)
+        return values, validity
+
+    def select(self, levels: TreeLevels, k: np.ndarray,
+               rows: np.ndarray) -> np.ndarray:
+        """For each of ``rows``: the partition row that is the ``k``-th
+        kept row of its frame in the slab order of ``levels`` (a
+        permutation tree). One batched select over the frame's pieces,
+        whatever their number; callers pass only rows with ``k`` in
+        range."""
+        key_lo = np.stack([lo[rows] for lo, _ in self.pieces_f])
+        key_hi = np.stack([hi[rows] for _, hi in self.pieces_f])
+        # Slab order is function order; the selected entry's key is its
+        # filtered frame position.
+        _, positions = self.part.probes.select(levels, k, key_lo, key_hi)
+        return self.kept_rows[positions]
 
     def row_pieces_f(self, row: int) -> List[Tuple[int, int]]:
         """One row's non-empty frame ranges in filtered coordinates."""
@@ -184,24 +268,3 @@ def annotate_probe(inputs: "CallInput", **extra: Any) -> None:
     tracer = current_context().tracer
     if tracer.enabled:
         tracer.annotate(kept=int(inputs.n_kept), **extra)
-
-
-def infer_scalar(value: Any) -> Any:
-    """Unbox numpy scalars for result lists."""
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
-
-
-def argument_values(call: WindowCall, part: PartitionView,
-                    index: int = 0) -> Tuple[Any, np.ndarray]:
-    if index >= len(call.args):
-        raise WindowFunctionError(
-            f"{call.function} is missing argument {index}")
-    return part.column(call.args[index])
-
-
-def value_at(values: Any, validity: np.ndarray, row: int) -> Any:
-    if not validity[row]:
-        return None
-    return infer_scalar(values[row])

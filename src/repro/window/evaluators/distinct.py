@@ -14,7 +14,7 @@ walking the (small) hole with per-value occurrence lists.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -33,15 +33,16 @@ from repro.preprocess.occurrences import (
 )
 from repro.window.calls import WindowCall
 from repro.window.evaluators import aggregates as plain_aggregates
-from repro.window.evaluators.common import (CallInput, annotate_probe,
-                                             infer_scalar)
+from repro.window.evaluators.common import (Arrays, CallInput, Result,
+                                             annotate_probe, nullable,
+                                             python_values, result_dtype)
 from repro.window.partition import PartitionView
 from repro.resilience.context import current_context
 
 _TREE_FANOUT = 2
 
 
-def evaluate(call: WindowCall, part: PartitionView) -> List[Any]:
+def evaluate(call: WindowCall, part: PartitionView) -> Result:
     name = call.function
     if name in ("min", "max"):
         # DISTINCT never changes MIN/MAX.
@@ -115,71 +116,59 @@ def _hole_only_values(inputs: CallInput, occurrences, row: int,
     return out
 
 
-def _count_distinct(call: WindowCall, inputs: CallInput) -> List[Any]:
-    tree = _build_tree(inputs, cache_kind="mst:distinct")
-    # One batched probe for every row; only frames with EXCLUDE holes
-    # need the per-row correction loop (previous-occurrence pointers
-    # can chain through a hole, Section 4.7).
-    result = inputs.part.probes.count(
+def _subtract_hole_only(call: WindowCall, inputs: CallInput,
+                        counts: np.ndarray,
+                        sums: Optional[np.ndarray] = None) -> None:
+    """The Section 4.7 correction, in place: previous-occurrence
+    pointers can chain through an EXCLUDE hole, so the continuous-frame
+    probe counted values that occur only inside a row's holes. Walks
+    each row's (small) holes; a no-op without an EXCLUDE clause."""
+    if not inputs.part.has_exclusion:
+        return
+    values, _ = inputs.part.column(call.args[0])
+    occurrences = occurrence_lists(values, validity=inputs.keep)
+    ctx = current_context()
+    for row in range(inputs.n):
+        ctx.tick(row)
+        if inputs.part.row_holes(row):
+            extra = _hole_only_values(inputs, occurrences, row, values,
+                                      inputs.keep)
+            counts[row] -= len(extra)
+            if sums is not None:
+                sums[row] -= float(sum(extra))
+
+
+def _probe_distinct(tree: MergeSortTree, inputs: CallInput) -> np.ndarray:
+    """Distinct kept values per continuous frame: one batched count."""
+    return inputs.part.probes.count(
         tree.levels, inputs.start_f, inputs.end_f,
         key_hi=inputs.start_f + 1).astype(np.int64)
-    if inputs.part.has_exclusion:
-        values, _ = inputs.part.column(call.args[0])
-        occurrences = occurrence_lists(
-            values, validity=_kept_validity_full(inputs))
-        ctx = current_context()
-        for row in range(inputs.n):
-            ctx.tick(row)
-            if inputs.part.row_holes(row):
-                result[row] -= len(_hole_only_values(
-                    inputs, occurrences, row, values, inputs.keep))
-    return result
 
 
-def _sum_avg_distinct(call: WindowCall, inputs: CallInput) -> List[Any]:
+def _count_distinct(call: WindowCall, inputs: CallInput) -> Arrays:
+    tree = _build_tree(inputs, cache_kind="mst:distinct")
+    counts = _probe_distinct(tree, inputs)
+    _subtract_hole_only(call, inputs, counts)
+    return counts, None
+
+
+def _sum_avg_distinct(call: WindowCall, inputs: CallInput) -> Arrays:
     payload = np.asarray(inputs.kept_values(call.args[0]), dtype=np.float64)
     tree = _build_tree(inputs, aggregate=SUM, payload=payload,
                        cache_kind="mst:distinct:sum")
     sums = inputs.part.probes.aggregate(
         tree.levels, inputs.start_f, inputs.end_f,
         key_hi=inputs.start_f + 1, kind="sum")
-    counts = inputs.part.probes.count(
-        tree.levels, inputs.start_f, inputs.end_f,
-        key_hi=inputs.start_f + 1)
-    if inputs.part.has_exclusion:
-        values, _ = inputs.part.column(call.args[0])
-        occurrences = occurrence_lists(
-            values, validity=_kept_validity_full(inputs))
-        ctx = current_context()
-        for row in range(inputs.n):
-            ctx.tick(row)
-            if inputs.part.row_holes(row):
-                extra = _hole_only_values(inputs, occurrences, row, values,
-                                          inputs.keep)
-                sums[row] -= float(sum(extra))
-                counts[row] -= len(extra)
-    integer_input = (isinstance(inputs.part.column(call.args[0])[0],
-                                np.ndarray)
-                     and np.issubdtype(
-                         inputs.part.column(call.args[0])[0].dtype,
-                         np.integer))
-    out: List[Any] = []
-    ctx = current_context()
-    for i in range(inputs.n):
-        ctx.tick(i)
-        if counts[i] <= 0:
-            out.append(None)
-        elif call.function == "sum":
-            value = float(sums[i])
-            out.append(int(value) if integer_input and value.is_integer()
-                       else value)
-        else:
-            out.append(float(sums[i] / counts[i]))
-    return out
+    counts = _probe_distinct(tree, inputs)
+    _subtract_hole_only(call, inputs, counts, sums)
+    valid = counts > 0
+    if call.function == "avg":
+        return nullable(sums / np.maximum(counts, 1), valid)
+    return nullable(sums.astype(result_dtype(call, inputs.part)), valid)
 
 
 def _udaf_distinct(call: WindowCall, part: PartitionView,
-                   inputs: CallInput) -> List[Any]:
+                   inputs: CallInput) -> Arrays:
     spec: AggregateSpec = call.udaf
     if part.has_exclusion:
         # No inverse function may be assumed for a UDAF; recompute
@@ -187,38 +176,25 @@ def _udaf_distinct(call: WindowCall, part: PartitionView,
         return _evaluate_naive(call, part, inputs)
     values = inputs.kept_values(call.args[0])
     tree = _build_tree(inputs, aggregate=spec, payload=values)
-    counts = inputs.part.probes.count(
-        tree.levels, inputs.start_f, inputs.end_f,
-        key_hi=inputs.start_f + 1)
-    out: List[Any] = []
+    valid = _probe_distinct(tree, inputs) > 0
+    out = np.zeros(part.n, dtype=object)
     ctx = current_context()
-    for i in range(inputs.n):
+    for i in np.flatnonzero(valid):
         ctx.tick(i)
-        if counts[i] <= 0:
-            out.append(None)
-            continue
         lo, hi = int(inputs.start_f[i]), int(inputs.end_f[i])
-        out.append(infer_scalar(
-            tree.aggregate([(lo, hi)], int(inputs.start_f[i]) + 1)))
-    return out
-
-
-def _kept_validity_full(inputs: CallInput) -> np.ndarray:
-    """Validity mask over the FULL partition: kept rows only."""
-    return inputs.keep
+        out[i] = tree.aggregate([(lo, hi)], lo + 1)
+    return nullable(out, valid)
 
 
 def _evaluate_naive(call: WindowCall, part: PartitionView,
                     inputs: CallInput) -> List[Any]:
-    values, _ = part.column(call.args[0]) if call.args else (None, None)
+    values = python_values(part.column(call.args[0])[0]) if call.args \
+        else list(range(part.n))
     if call.function in ("count", "count_star"):
-        if values is None:
-            values = list(range(part.n))
         return naive_distinct_count(values, inputs.keep, part.pieces)
     if call.function == "sum":
-        return naive_distinct_aggregate(
-            values, inputs.keep, part.pieces,
-            lambda vs: infer_scalar(sum(infer_scalar(v) for v in vs)))
+        return naive_distinct_aggregate(values, inputs.keep, part.pieces,
+                                        sum)
     if call.function == "avg":
         return naive_distinct_aggregate(
             values, inputs.keep, part.pieces,
@@ -229,8 +205,8 @@ def _evaluate_naive(call: WindowCall, part: PartitionView,
         def fold(vs: List[Any]) -> Any:
             state = spec.identity
             for v in vs:
-                state = spec.merge(state, spec.lift(infer_scalar(v)))
-            return infer_scalar(spec.finalize(state))
+                state = spec.merge(state, spec.lift(v))
+            return spec.finalize(state)
 
         return naive_distinct_aggregate(values, inputs.keep, part.pieces,
                                         fold)

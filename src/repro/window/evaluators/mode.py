@@ -18,13 +18,14 @@ from typing import Any, Dict, List
 from repro.errors import WindowFunctionError
 from repro.rangemode import IncrementalMode, RangeModeIndex
 from repro.window.calls import WindowCall
-from repro.window.evaluators.common import (CallInput, annotate_probe,
-                                             infer_scalar)
+from repro.window.evaluators.common import (CallInput, Result,
+                                             annotate_probe, python_values,
+                                             result_dtype, to_arrays)
 from repro.window.partition import PartitionView
 from repro.resilience.context import current_context
 
 
-def evaluate(call: WindowCall, part: PartitionView) -> List[Any]:
+def evaluate(call: WindowCall, part: PartitionView) -> Result:
     inputs = CallInput(call, part, skip_null_arg=True)
     annotate_probe(inputs)
     if call.algorithm == "naive":
@@ -37,7 +38,7 @@ def evaluate(call: WindowCall, part: PartitionView) -> List[Any]:
     if not inputs.single_piece:
         # Frame holes invalidate the central-span candidate argument.
         return _evaluate_naive(call, part, inputs)
-    values = _hashable(inputs.kept_values(call.args[0]))
+    values = python_values(inputs.kept_values(call.args[0]))
     index = inputs.structure("rangemode", lambda: RangeModeIndex(values))
     lo, hi = inputs.pieces_f[0]
     out: List[Any] = []
@@ -45,19 +46,16 @@ def evaluate(call: WindowCall, part: PartitionView) -> List[Any]:
     for i in range(part.n):
         ctx.tick(i)
         mode, _count = index.query(int(lo[i]), int(hi[i]))
-        out.append(infer_scalar(mode))
-    return out
-
-
-def _hashable(values: Any) -> List[Any]:
-    return [infer_scalar(v) for v in values]
+        out.append(mode)
+    # The range-mode index answers one frame at a time.
+    return to_arrays(out, result_dtype(call, part))
 
 
 def _evaluate_incremental(call: WindowCall, part: PartitionView,
                           inputs: CallInput) -> List[Any]:
     if not inputs.single_piece:
         return _evaluate_naive(call, part, inputs)
-    values = _hashable(inputs.kept_values(call.args[0]))
+    values = python_values(inputs.kept_values(call.args[0]))
     state = IncrementalMode(values)
     lo, hi = inputs.pieces_f[0]
     out: List[Any] = []
@@ -65,13 +63,13 @@ def _evaluate_incremental(call: WindowCall, part: PartitionView,
     for i in range(part.n):
         ctx.tick(i)
         state.move_to(int(lo[i]), int(hi[i]))
-        out.append(infer_scalar(state.mode()[0]))
+        out.append(state.mode()[0])
     return out
 
 
 def _evaluate_naive(call: WindowCall, part: PartitionView,
                     inputs: CallInput) -> List[Any]:
-    values = _hashable(inputs.kept_values(call.args[0]))
+    values = python_values(inputs.kept_values(call.args[0]))
     first_seen: Dict[Any, int] = {}
     for position, value in enumerate(values):
         if value not in first_seen:

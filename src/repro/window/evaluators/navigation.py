@@ -11,6 +11,7 @@ Evaluation follows the paper's four steps:
 
 from __future__ import annotations
 
+import datetime
 from typing import Any, List
 
 import numpy as np
@@ -18,10 +19,10 @@ import numpy as np
 from repro.baselines.naive import frame_rows
 from repro.errors import WindowFunctionError
 from repro.mst.tree import MergeSortTree
-from repro.mst.vectorized import batched_count, batched_select
 from repro.sortutil import stable_argsort
+from repro.table.column import date_to_ordinal
 from repro.window.calls import WindowCall
-from repro.window.evaluators.common import CallInput, infer_scalar
+from repro.window.evaluators.common import CallInput, Result, result_dtype
 from repro.window.evaluators.value import _composite_keys
 from repro.window.partition import PartitionView
 from repro.resilience.context import current_context
@@ -29,7 +30,15 @@ from repro.resilience.context import current_context
 _TREE_FANOUT = 2
 
 
-def evaluate(call: WindowCall, part: PartitionView) -> List[Any]:
+def _default(call: WindowCall) -> Any:
+    """The call's default in its column representation (a date as its
+    day ordinal)."""
+    if isinstance(call.default, datetime.date):
+        return date_to_ordinal(call.default)
+    return call.default
+
+
+def evaluate(call: WindowCall, part: PartitionView) -> Result:
     inputs = CallInput(call, part, skip_null_arg=call.ignore_nulls)
     if call.algorithm == "naive":
         return _evaluate_naive(call, part, inputs)
@@ -43,8 +52,6 @@ def evaluate(call: WindowCall, part: PartitionView) -> List[Any]:
         lambda: MergeSortTree(inputs.kept_permutation(sort_columns),
                               fanout=_TREE_FANOUT),
         extra=inputs.function_order_signature())
-    values = inputs.kept_values(call.args[0])
-    validity = inputs.kept_validity(call.args[0])
 
     # Step 1: the row's insertion position among kept rows in function
     # order. stable_argsort is stable, so restriction to kept rows keeps
@@ -59,36 +66,26 @@ def evaluate(call: WindowCall, part: PartitionView) -> List[Any]:
 
     rank0 = np.zeros(part.n, dtype=np.int64)
     for lo, hi in inputs.pieces_f:
-        rank0 += batched_count(tree.levels, np.zeros(part.n, dtype=np.int64),
-                               own_slab, key_hi=hi, key_lo=lo)
+        rank0 += part.probes.count(tree.levels,
+                                   np.zeros(part.n, dtype=np.int64),
+                                   own_slab, key_hi=hi, key_lo=lo)
 
     # Step 2: apply the offset.
     signed = call.offset if call.function == "lead" else -call.offset
     targets = rank0 + signed
     counts = inputs.frame_counts()
-    in_range = (targets >= 0) & (targets < counts)
+    idx = np.flatnonzero((targets >= 0) & (targets < counts))
 
     # Steps 3 + 4: select and read the argument (or the default).
-    out: List[Any] = [call.default] * part.n
-    if inputs.single_piece:
-        lo, hi = inputs.pieces_f[0]
-        idx = np.flatnonzero(in_range)
-        if len(idx):
-            _, pos = batched_select(tree.levels, targets[idx],
-                                    lo[idx], hi[idx])
-            for j, row in enumerate(idx):
-                p = int(pos[j])
-                out[row] = infer_scalar(values[p]) if validity[p] else None
-        return out
-    ctx = current_context()
-    for row in range(part.n):
-        ctx.tick(row)
-        if not in_range[row]:
-            continue
-        ranges = inputs.row_pieces_f(row)
-        _, p = tree.select(int(targets[row]), ranges)
-        out[row] = infer_scalar(values[p]) if validity[p] else None
-    return out
+    values, validity = inputs.argument()
+    at = inputs.select(tree.levels, targets[idx], idx)
+    default = _default(call)
+    out = np.full(part.n, 0 if default is None else default,
+                  dtype=result_dtype(call, part))
+    valid = np.full(part.n, default is not None, dtype=np.bool_)
+    out[idx] = values[at]
+    valid[idx] = validity[at]
+    return out, valid
 
 
 def _evaluate_naive(call: WindowCall, part: PartitionView,
@@ -114,7 +111,7 @@ def _evaluate_naive(call: WindowCall, part: PartitionView,
         target = before + signed
         if 0 <= target < len(rows):
             j = rows[target]
-            out.append(infer_scalar(values[j]) if validity[j] else None)
+            out.append(values[j] if validity[j] else None)
         else:
-            out.append(call.default)
+            out.append(_default(call))
     return out

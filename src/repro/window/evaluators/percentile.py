@@ -25,8 +25,8 @@ from repro.mst.tree import MergeSortTree
 from repro.ostree.windowed import windowed_kth_ostree
 from repro.segtree.holistic import HolisticSegmentTree
 from repro.window.calls import WindowCall
-from repro.window.evaluators.common import (CallInput, annotate_probe,
-                                             infer_scalar)
+from repro.window.evaluators.common import (Arrays, CallInput, Result,
+                                             annotate_probe, nullable)
 from repro.window.partition import PartitionView
 from repro.resilience.context import current_context
 
@@ -41,7 +41,7 @@ def _continuous(call: WindowCall) -> bool:
     return call.function in ("percentile_cont", "median")
 
 
-def evaluate(call: WindowCall, part: PartitionView) -> List[Any]:
+def evaluate(call: WindowCall, part: PartitionView) -> Result:
     inputs = CallInput(call, part, skip_null_arg=True)
     annotate_probe(inputs)
     fraction = _fraction(call)
@@ -52,16 +52,11 @@ def evaluate(call: WindowCall, part: PartitionView) -> List[Any]:
     if call.algorithm != "mst":
         raise WindowFunctionError(
             f"algorithm {call.algorithm!r} does not support percentiles")
-    return _evaluate_mst(call, part, inputs, fraction)
+    return _evaluate_mst(call, inputs, fraction)
 
 
-def _result_values(inputs: CallInput) -> Any:
-    """The values returned by the percentile (the ORDER BY expression)."""
-    return inputs.kept_values(inputs.call.args[0])
-
-
-def _evaluate_mst(call: WindowCall, part: PartitionView, inputs: CallInput,
-                  fraction: float) -> List[Any]:
+def _evaluate_mst(call: WindowCall, inputs: CallInput,
+                  fraction: float) -> Arrays:
     tree = inputs.structure(
         "mst:perm",
         lambda: MergeSortTree(
@@ -69,67 +64,28 @@ def _evaluate_mst(call: WindowCall, part: PartitionView, inputs: CallInput,
                 inputs.function_sort_columns(default_arg=True)),
             fanout=_TREE_FANOUT),
         extra=inputs.function_order_signature(default_arg=True))
-    values = _result_values(inputs)
+    # The percentile returns values of its ORDER BY expression.
+    values, _ = inputs.argument()
     counts = inputs.frame_counts()
-    continuous = _continuous(call)
-
-    if inputs.single_piece:
-        return _select_single_piece(tree, inputs, values, counts, fraction,
-                                    continuous)
-    out: List[Any] = []
-    ctx = current_context()
-    for i in range(part.n):
-        ctx.tick(i)
-        size = int(counts[i])
-        if size == 0:
-            out.append(None)
-            continue
-        ranges = inputs.row_pieces_f(i)
-        if continuous:
-            position = fraction * (size - 1)
-            lower = math.floor(position)
-            upper = math.ceil(position)
-            _, pos_lo = tree.select(lower, ranges)
-            _, pos_hi = tree.select(upper, ranges)
-            weight = position - lower
-            out.append(float(values[pos_lo]) * (1 - weight)
-                       + float(values[pos_hi]) * weight)
-        else:
-            k = max(math.ceil(fraction * size) - 1, 0)
-            _, pos = tree.select(k, ranges)
-            out.append(infer_scalar(values[pos]))
-    return out
-
-
-def _select_single_piece(tree: MergeSortTree, inputs: CallInput, values: Any,
-                         counts: np.ndarray, fraction: float,
-                         continuous: bool) -> List[Any]:
-    lo, hi = inputs.pieces_f[0]
-    nonempty = counts > 0
-    idx = np.flatnonzero(nonempty)
-    out: List[Any] = [None] * inputs.n
-    if len(idx) == 0:
-        return out
+    valid = counts > 0
+    idx = np.flatnonzero(valid)
     sizes = counts[idx]
-    if continuous:
+    if _continuous(call):
         positions = fraction * (sizes - 1)
         lower = np.floor(positions).astype(np.int64)
         upper = np.ceil(positions).astype(np.int64)
-        probes = inputs.part.probes
-        _, pos_lo = probes.select(tree.levels, lower, lo[idx], hi[idx])
-        _, pos_hi = probes.select(tree.levels, upper, lo[idx], hi[idx])
         weight = positions - lower
-        vals = np.asarray(values, dtype=np.float64)
-        results = vals[pos_lo] * (1 - weight) + vals[pos_hi] * weight
-        for j, row in enumerate(idx):
-            out[row] = float(results[j])
+        values = np.asarray(values, dtype=np.float64)
+        out = np.zeros(inputs.n, dtype=np.float64)
+        out[idx] = (values[inputs.select(tree.levels, lower, idx)]
+                    * (1 - weight)
+                    + values[inputs.select(tree.levels, upper, idx)]
+                    * weight)
     else:
         ks = np.maximum(np.ceil(fraction * sizes).astype(np.int64) - 1, 0)
-        _, pos = inputs.part.probes.select(tree.levels, ks, lo[idx],
-                                           hi[idx])
-        for j, row in enumerate(idx):
-            out[row] = infer_scalar(values[pos[j]])
-    return out
+        out = np.zeros(inputs.n, dtype=values.dtype)
+        out[idx] = values[inputs.select(tree.levels, ks, idx)]
+    return nullable(out, valid)
 
 
 def _evaluate_naive(call: WindowCall, part: PartitionView, inputs: CallInput,
@@ -160,9 +116,8 @@ def _evaluate_naive(call: WindowCall, part: PartitionView, inputs: CallInput,
     if _continuous(call):
         return naive_percentile_cont(values, inputs.keep, part.pieces,
                                      fraction)
-    result = naive_percentile_disc(values, inputs.keep, part.pieces,
-                                   fraction)
-    return [infer_scalar(v) for v in result]
+    return naive_percentile_disc(values, inputs.keep, part.pieces,
+                                 fraction)
 
 
 def _evaluate_sliding(call: WindowCall, part: PartitionView,
@@ -187,13 +142,12 @@ def _evaluate_sliding(call: WindowCall, part: PartitionView,
                 out.append(None)
             else:
                 k = max(math.ceil(fraction * size) - 1, 0)
-                out.append(infer_scalar(state.kth(k)))
+                out.append(state.kth(k))
         return out
     if call.algorithm == "ostree":
         sizes = np.maximum(end - start, 0)
         ks = np.maximum(np.ceil(fraction * sizes).astype(np.int64) - 1, 0)
-        return [infer_scalar(v) for v in
-                windowed_kth_ostree(values, start, end, ks)]
+        return windowed_kth_ostree(values, start, end, ks)
     # segment tree with sorted-list annotations
     tree = HolisticSegmentTree(np.asarray(values, dtype=np.float64))
     out = []

@@ -21,13 +21,14 @@ from repro.ostree.windowed import windowed_rank_ostree
 from repro.preprocess.rankkeys import dense_rank_keys, row_number_keys
 from repro.rangetree.dense import DenseRankIndex
 from repro.window.calls import WindowCall
-from repro.window.evaluators.common import CallInput, annotate_probe
+from repro.window.evaluators.common import (Arrays, CallInput, Result,
+                                             annotate_probe, nullable)
 from repro.window.partition import PartitionView
 
 _TREE_FANOUT = 2
 
 
-def evaluate(call: WindowCall, part: PartitionView) -> List[Any]:
+def evaluate(call: WindowCall, part: PartitionView) -> Result:
     inputs = CallInput(call, part, skip_null_arg=False)
     annotate_probe(inputs)
     name = call.function
@@ -64,44 +65,36 @@ def evaluate(call: WindowCall, part: PartitionView) -> List[Any]:
         return total
 
     if name in ("rank", "row_number"):
-        return count_below(own) + 1
+        return count_below(own) + 1, None
+    sizes = inputs.frame_counts()
     if name == "percent_rank":
-        smaller = count_below(own)
-        sizes = np.asarray(inputs.frame_counts(), dtype=np.int64)
         return np.where(sizes <= 1, 0.0,
-                        smaller / np.maximum(sizes - 1, 1))
+                        count_below(own) / np.maximum(sizes - 1, 1)), None
     if name == "cume_dist":
-        at_most = count_below(own + 1)
-        sizes = np.asarray(inputs.frame_counts(), dtype=np.int64)
-        if (sizes > 0).all():
-            return at_most / sizes
-        return [None if sizes[i] == 0 else float(at_most[i] / sizes[i])
-                for i in range(part.n)]
+        return nullable(count_below(own + 1) / np.maximum(sizes, 1),
+                        sizes > 0)
     if name == "ntile":
         row_numbers = count_below(own)  # 0-based
-        sizes = np.asarray(inputs.frame_counts(), dtype=np.int64)
-        buckets = call.buckets
-        if (sizes > 0).all():
-            return (row_numbers * buckets) // sizes + 1
-        return [None if sizes[i] == 0
-                else int((row_numbers[i] * buckets) // sizes[i]) + 1
-                for i in range(part.n)]
+        return nullable(
+            (row_numbers * call.buckets) // np.maximum(sizes, 1) + 1,
+            sizes > 0)
     raise WindowFunctionError(f"unsupported rank function {name!r}")
 
 
-def _dense_rank(inputs: CallInput, keys: np.ndarray) -> List[Any]:
+def _dense_rank(inputs: CallInput, keys: np.ndarray) -> Arrays:
     part = inputs.part
     if part.has_exclusion:
         # Previous-occurrence chains through EXCLUDE holes make the 3-d
         # count inexact; recompute those frames directly.
-        return naive_dense_rank(keys, inputs.keep, part.pieces)
+        return np.asarray(naive_dense_rank(keys, inputs.keep, part.pieces),
+                          dtype=np.int64), None
     kept_keys = keys[inputs.kept_rows]
     index = inputs.structure(
         "rangetree:dense",
         lambda: DenseRankIndex(kept_keys),
         extra=inputs.function_order_signature())
     ranks = index.batched_dense_rank(inputs.start_f, inputs.end_f, keys)
-    return np.asarray(ranks, dtype=np.int64)
+    return np.asarray(ranks, dtype=np.int64), None
 
 
 def _evaluate_naive(name: str, call: WindowCall, part: PartitionView,

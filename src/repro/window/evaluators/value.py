@@ -17,11 +17,9 @@ import numpy as np
 from repro.baselines.naive import naive_kth
 from repro.errors import WindowFunctionError
 from repro.mst.tree import MergeSortTree
-from repro.mst.vectorized import batched_select
 from repro.window.calls import WindowCall
-from repro.window.evaluators.common import CallInput, infer_scalar
+from repro.window.evaluators.common import CallInput, Result
 from repro.window.partition import PartitionView
-from repro.resilience.context import current_context
 
 _TREE_FANOUT = 2
 
@@ -39,7 +37,7 @@ def _ks_for(call: WindowCall, sizes: np.ndarray) -> np.ndarray:
     raise WindowFunctionError(f"unsupported value function {call.function!r}")
 
 
-def evaluate(call: WindowCall, part: PartitionView) -> List[Any]:
+def evaluate(call: WindowCall, part: PartitionView) -> Result:
     inputs = CallInput(call, part, skip_null_arg=call.ignore_nulls)
     counts = inputs.frame_counts()
     ks = _ks_for(call, counts)
@@ -55,29 +53,14 @@ def evaluate(call: WindowCall, part: PartitionView) -> List[Any]:
             inputs.kept_permutation(inputs.function_sort_columns()),
             fanout=_TREE_FANOUT),
         extra=inputs.function_order_signature())
-    values = inputs.kept_values(call.args[0])
-    validity = inputs.kept_validity(call.args[0])
-
-    in_range = (ks >= 0) & (ks < counts)
-    out: List[Any] = [None] * part.n
-    if inputs.single_piece:
-        lo, hi = inputs.pieces_f[0]
-        idx = np.flatnonzero(in_range)
-        if len(idx):
-            _, pos = batched_select(tree.levels, ks[idx], lo[idx], hi[idx])
-            for j, row in enumerate(idx):
-                p = int(pos[j])
-                out[row] = infer_scalar(values[p]) if validity[p] else None
-        return out
-    ctx = current_context()
-    for row in range(part.n):
-        ctx.tick(row)
-        if not in_range[row]:
-            continue
-        ranges = inputs.row_pieces_f(row)
-        _, p = tree.select(int(ks[row]), ranges)
-        out[row] = infer_scalar(values[p]) if validity[p] else None
-    return out
+    values, validity = inputs.argument()
+    idx = np.flatnonzero((ks >= 0) & (ks < counts))
+    at = inputs.select(tree.levels, ks[idx], idx)
+    out = np.zeros(part.n, dtype=values.dtype)
+    valid = np.zeros(part.n, dtype=np.bool_)
+    out[idx] = values[at]
+    valid[idx] = validity[at]
+    return out, valid
 
 
 def _evaluate_naive(call: WindowCall, part: PartitionView,
@@ -90,9 +73,8 @@ def _evaluate_naive(call: WindowCall, part: PartitionView,
         order_keys = _composite_keys(sort_columns, part.n)
     else:
         order_keys = list(range(part.n))
-    raw = naive_kth(order_keys, result_values, inputs.keep, part.pieces,
-                    [int(k) for k in ks])
-    return [infer_scalar(v) for v in raw]
+    return naive_kth(order_keys, result_values, inputs.keep, part.pieces,
+                     [int(k) for k in ks])
 
 
 class _OrderKey:

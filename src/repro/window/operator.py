@@ -44,20 +44,13 @@ Two refinements amortize the pool's per-query setup:
 
 from __future__ import annotations
 
-import datetime
 import itertools
 import os
-import threading
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import (
-    CircuitOpenError,
-    FrameError,
-    WindowFunctionError,
-    WorkerPoolError,
-)
+from repro.errors import CircuitOpenError, FrameError, WorkerPoolError
 from repro.obs import NULL_SPAN
 from repro.parallel.probes import SERIAL_PROBES, ProbeKernels
 from repro.parallel.scheduler import (
@@ -69,7 +62,7 @@ from repro.parallel.scheduler import (
 from repro.resilience.context import current_context
 from repro.resilience.guard import breaker_allow, breaker_failure
 from repro.sortutil import SortColumn, sorted_equal_runs, stable_argsort
-from repro.table.column import Column, DataType
+from repro.table.column import Column, infer_dtype
 from repro.table.schema import Field, Schema
 from repro.table.table import Table
 from repro.window.bounds import (
@@ -77,8 +70,9 @@ from repro.window.bounds import (
     exclusion_ranges,
     resolve_bounds,
 )
-from repro.window.calls import WindowCall
+from repro.window.calls import WindowCall, result_type
 from repro.window.evaluators import evaluate_call
+from repro.window.evaluators.common import to_list
 from repro.window.frame import (
     FrameBound,
     FrameExclusion,
@@ -117,24 +111,17 @@ class WindowOperator:
     def run(self) -> Table:
         """Evaluate all calls; returns the input table with one appended
         column per call (in registration order)."""
-        outputs: Dict[str, Tuple[List[Any], WindowCall]] = {}
-        ordered_names: List[str] = []
+        fields = list(self.table.schema.fields)
+        columns = list(self.table.columns)
         for spec, calls in self._groups:
             results = _evaluate_group(self.table, spec, calls,
                                       cache=self.cache,
                                       parallel=self.parallel)
-            for call, values in zip(calls, results):
-                name = _unique_name(call.output_name, set(outputs)
-                                    | set(self.table.schema.names()))
-                outputs[name] = (values, call)
-                ordered_names.append(name)
-        fields = list(self.table.schema.fields)
-        columns = list(self.table.columns)
-        for name in ordered_names:
-            values, _ = outputs[name]
-            dtype = _infer_dtype(values)
-            fields.append(Field(name, dtype))
-            columns.append(Column(dtype, values))
+            for call, column in zip(calls, results):
+                name = _unique_name(call.output_name,
+                                    {field.name for field in fields})
+                fields.append(Field(name, column.dtype))
+                columns.append(column)
         return Table.from_columns(Schema(fields), columns,
                                   name=self.table.name)
 
@@ -152,63 +139,51 @@ def window_query(table: Table, calls: Sequence[WindowCall],
 # ----------------------------------------------------------------------
 # group evaluation
 # ----------------------------------------------------------------------
-class _ResultBuffer:
-    """One output column being assembled across partitions.
+class _GroupResults:
+    """The group's output columns being assembled across partitions:
+    per call one values buffer of the call's static type and one
+    validity mask, both preallocated. Every group path — serial, probe
+    fan, process pool, out-of-core — ends in :meth:`scatter`, and each
+    scatter targets disjoint global row positions."""
 
-    Evaluators that produce numeric ndarrays get a vectorised
-    fancy-index scatter into a preallocated array; object payloads (and
-    lists carrying SQL NULLs) fall back to the per-row Python loop. The
-    buffer demotes array -> list on first non-array input: rows already
-    scattered keep their values, rows not yet scattered are still owned
-    by exactly one future partition, so the placeholder never survives
-    to :meth:`finish`. Each scatter targets disjoint global positions;
-    the short lock guards the buffer-representation switch."""
+    def __init__(self, table: Table, calls: Sequence[WindowCall]) -> None:
+        n = table.num_rows
+        #: Per call: the result type, None = inferred (a UDAF).
+        self.types = [
+            result_type(call, table.schema.field(call.args[0]).dtype
+                        if call.args and call.args[0] in table.schema
+                        else None)
+            for call in calls]
+        self.values = [
+            np.zeros(n, dtype=getattr(dtype, "numpy_dtype", None) or object)
+            for dtype in self.types]
+        self.validity = [np.ones(n, dtype=np.bool_) for _ in calls]
 
-    __slots__ = ("n", "_array", "_list", "_lock")
+    def scatter(self, call_index: int, rows: np.ndarray,
+                values: np.ndarray, validity: Optional[np.ndarray]) -> None:
+        self.values[call_index][rows] = values
+        self.validity[call_index][rows] = \
+            True if validity is None else validity
 
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self._array: Optional[np.ndarray] = None
-        self._list: Optional[List[Any]] = None
-        self._lock = threading.Lock()
-
-    def scatter(self, rows: np.ndarray, values: Any) -> None:
-        with self._lock:
-            if (self._list is None and isinstance(values, np.ndarray)
-                    and values.dtype.kind in "biuf"):
-                if self._array is None:
-                    self._array = np.zeros(self.n, dtype=values.dtype)
-                elif self._array.dtype != values.dtype:
-                    promoted = np.promote_types(self._array.dtype,
-                                                values.dtype)
-                    if promoted != self._array.dtype:
-                        self._array = self._array.astype(promoted)
-                self._array[rows] = values
-                return
-            if self._list is None:
-                self._list = ([None] * self.n if self._array is None
-                              else self._array.tolist())
-                self._array = None
-            if isinstance(values, np.ndarray):
-                values = values.tolist()
-            out = self._list
-            for local, row in enumerate(rows):
-                out[row] = values[local]
-
-    def finish(self) -> List[Any]:
-        """The completed column as Python values (None = SQL NULL)."""
-        if self._list is not None:
-            return self._list
-        if self._array is not None:
-            return self._array.tolist()
-        return [None] * self.n
+    def finish(self) -> List[Column]:
+        """The completed columns, wrapped without boxing a value —
+        except a UDAF's, whose type only its states can tell."""
+        columns = []
+        for dtype, values, validity in zip(self.types, self.values,
+                                           self.validity):
+            if dtype is None:
+                boxed = to_list((values, validity))
+                columns.append(Column(infer_dtype(boxed), boxed))
+            else:
+                columns.append(Column.from_numpy(dtype, values, validity))
+        return columns
 
 
 def _evaluate_group(table: Table, spec: WindowSpec,
                     calls: Sequence[WindowCall],
                     cache: Any = None,
                     parallel: Optional[WindowScheduler] = None
-                    ) -> List[List[Any]]:
+                    ) -> List[Column]:
     scheduler = parallel if parallel is not None else default_scheduler()
     # The arena lease spans the whole group: every entry it touches
     # (sort permutation, input columns, serialized tree levels) stays
@@ -255,7 +230,7 @@ def _resolve_order(lease: Any, table: Table, spec: WindowSpec,
 def _evaluate_group_inner(table: Table, spec: WindowSpec,
                           calls: Sequence[WindowCall],
                           cache: Any, scheduler: WindowScheduler,
-                          lease: Any) -> List[List[Any]]:
+                          lease: Any) -> List[Column]:
     n = table.num_rows
     ctx = current_context()
     tracer = ctx.tracer
@@ -300,20 +275,19 @@ def _evaluate_group_inner(table: Table, spec: WindowSpec,
         if partition_span is not None:
             partition_span.__exit__(None, None, None)
 
-    buffers = [_ResultBuffer(n) for _ in calls]
-    date_columns = date_column_names(table)
+    buffers = _GroupResults(table, calls)
 
     def evaluate_partition(p: int, probes: ProbeKernels,
-                           emit=None) -> None:
+                           emit=buffers.scatter) -> None:
         """Build, evaluate and scatter one whole partition.
 
         Cache pins are acquired under the store lock inside the
         builder and released in this call's ``finally``, so failure or
         cancellation never leaves a pin behind.
 
-        ``emit(call_index, rows, values)`` overrides the default
+        ``emit(call_index, rows, values, validity)`` overrides the
         scatter into the result buffers — the out-of-core path uses it
-        to collect a partition's values for spilling instead."""
+        to collect a partition's arrays for spilling instead."""
         rows = order[starts[p]:starts[p + 1]]
         acquirer = None
         if cache is not None:
@@ -324,12 +298,7 @@ def _evaluate_group_inner(table: Table, spec: WindowSpec,
                                 structures=acquirer, probes=probes)
         try:
             for call_index, call in enumerate(calls):
-                values = evaluate_call(call, view)
-                values = restore_dates(call, date_columns, values)
-                if emit is not None:
-                    emit(call_index, rows, values)
-                else:
-                    buffers[call_index].scatter(rows, values)
+                emit(call_index, rows, *evaluate_call(call, view))
         finally:
             if acquirer is not None:
                 acquirer.release_all()
@@ -376,11 +345,10 @@ def _evaluate_group_inner(table: Table, spec: WindowSpec,
             else:
                 handled = _run_group_process(
                     ctx, scheduler, decision, spec, calls, table,
-                    all_column_data, order, order_spec, starts, sizes,
-                    buffers, date_columns, evaluate_partition, n,
-                    lease)
+                    all_column_data, order, order_spec, starts,
+                    buffers, evaluate_partition, n, lease)
             if handled:
-                return [buffer.finish() for buffer in buffers]
+                return buffers.finish()
             # The helper downgraded the decision in place; the group
             # continues on the serial path below.
         for p in range(len(sizes)):
@@ -390,7 +358,7 @@ def _evaluate_group_inner(table: Table, spec: WindowSpec,
             # remaining partitions.
             ctx.checkpoint()
             evaluate_partition(p, SERIAL_PROBES)
-    return [buffer.finish() for buffer in buffers]
+    return buffers.finish()
 
 
 # ----------------------------------------------------------------------
@@ -518,9 +486,7 @@ def _run_group_process(ctx: Any, scheduler: WindowScheduler,
                        calls: Sequence[WindowCall], table: Table,
                        all_column_data: Dict[str, Any],
                        order: np.ndarray, order_spec: Any,
-                       starts: np.ndarray,
-                       sizes: np.ndarray, buffers: List[_ResultBuffer],
-                       date_columns: frozenset,
+                       starts: np.ndarray, buffers: _GroupResults,
                        evaluate_partition: Any, n: int,
                        lease: Any) -> bool:
     """Try to run one parallel group on the supervised process pool.
@@ -538,13 +504,7 @@ def _run_group_process(ctx: Any, scheduler: WindowScheduler,
     from :func:`_resolve_order` — ships directly; only the result
     scatter buffers live in the per-group transient arena."""
     from repro.cache.fingerprint import column_fingerprint
-    from repro.parallel.procworker import (
-        KIND_FLOAT_ARRAY,
-        KIND_FLOAT_LIST,
-        KIND_INT_ARRAY,
-        KIND_INT_LIST,
-        ProcGroupJob,
-    )
+    from repro.parallel.procworker import ProcGroupJob
     from repro.parallel.shm import ShmArena
 
     def downgrade(reason: str, fallback: bool = True) -> bool:
@@ -579,10 +539,9 @@ def _run_group_process(ctx: Any, scheduler: WindowScheduler,
             starts=np.asarray(starts, dtype=np.int64),
             spec=spec,
             calls=tuple(calls),
-            date_columns=date_columns,
-            out_int=tuple(arena.create((n,), np.int64) for _ in calls),
-            out_float=tuple(arena.create((n,), np.float64)
-                            for _ in calls))
+            out=tuple((arena.create((n,), values.dtype),
+                       arena.create((n,), np.bool_))
+                      for values in buffers.values))
     except OSError:
         arena.close()
         breaker_failure(ctx, breaker)
@@ -590,7 +549,7 @@ def _run_group_process(ctx: Any, scheduler: WindowScheduler,
 
     tasks = _process_tasks(decision, len(calls))
     try:
-        acks, lost = scheduler.run_process_tasks(job, tasks)
+        lost = scheduler.run_process_tasks(job, tasks)
     except WorkerPoolError:
         breaker_failure(ctx, breaker)
         scheduler.mark_process_broken()
@@ -601,44 +560,21 @@ def _run_group_process(ctx: Any, scheduler: WindowScheduler,
         raise
 
     try:
-        # Replay acks per call in ascending partition order — for each
-        # buffer this is exactly the serial scatter sequence, so the
-        # array/list representation evolves identically.
-        int_views = [arena.view(s) for s in job.out_int]
-        float_views = [arena.view(s) for s in job.out_float]
-        for ci, p, kind, payload in sorted(
-                acks, key=lambda ack: (ack[0], ack[1])):
-            rows = order[starts[p]:starts[p + 1]]
-            if kind == KIND_INT_ARRAY:
-                values = int_views[ci][rows]
-            elif kind == KIND_FLOAT_ARRAY:
-                values = float_views[ci][rows]
-            elif kind == KIND_INT_LIST:
-                # List-origin results go back to lists so the buffer
-                # sees the exact inputs serial evaluation produced.
-                values = int_views[ci][rows].tolist()
-            elif kind == KIND_FLOAT_LIST:
-                values = float_views[ci][rows].tolist()
-            else:
-                values = payload
-            buffers[ci].scatter(rows, values)
+        # Workers scattered at the global row positions; rows of lost
+        # morsels hold garbage until the re-run below overwrites them.
+        for ci, (values, mask) in enumerate(job.out):
+            buffers.values[ci][:] = arena.view(values)
+            buffers.validity[ci][:] = arena.view(mask)
     finally:
         arena.close()
 
     # Quarantined (or child-errored) morsels: the degraded in-thread
     # path, same code as serial execution. A deterministic evaluation
     # error re-raises here with its full typed identity.
-    for task in lost:
-        wanted = frozenset(task.call_indices)
-
-        def emit(ci: int, rows: np.ndarray, values: Any,
-                 _wanted: frozenset = wanted) -> None:
-            if ci in _wanted:
-                buffers[ci].scatter(rows, values)
-
+    for task in lost:  # every task carries every call
         for p in task.partitions:
             ctx.checkpoint()
-            evaluate_partition(int(p), SERIAL_PROBES, emit=emit)
+            evaluate_partition(int(p), SERIAL_PROBES)
 
     if breaker is not None:
         breaker.record_success()
@@ -648,24 +584,25 @@ def _run_group_process(ctx: Any, scheduler: WindowScheduler,
 
 def _evaluate_out_of_core(ctx: Any, governor: Any, spill: Any,
                           evaluate_partition: Any,
-                          buffers: List[_ResultBuffer],
+                          buffers: _GroupResults,
                           order: np.ndarray, starts: np.ndarray,
                           sizes: np.ndarray, num_calls: int,
-                          n: int) -> List[List[Any]]:
+                          n: int) -> List[Column]:
     """Partition-at-a-time window evaluation with spilled results.
 
-    Each partition is evaluated serially; its computed value arrays are
-    written to a checksummed spill chunk and dropped from memory, so the
-    live footprint stays one partition's inputs + structures instead of
-    the whole table's results. After the last partition, chunks stream
-    back in partition order and scatter into the result buffers — the
-    same positions serial evaluation would write, so output is
-    bit-identical to the in-memory path.
+    Each partition is evaluated serially; its result arrays — values
+    and validity masks, NULLs included — are written to a checksummed
+    spill chunk and dropped from memory, so the live footprint stays
+    one partition's inputs + structures instead of the whole table's
+    results. After the last partition, chunks stream back in partition
+    order and scatter into the result buffers — the same positions
+    serial evaluation would write, so output is bit-identical to the
+    in-memory path.
 
-    Degradation ladder: values that aren't numeric ndarrays (strings,
-    dates, NULL-bearing lists) scatter directly in memory; a chunk
-    write that fails after retries falls back to direct scatter and
-    disables spilling for the rest of the group; a chunk that fails
+    Degradation ladder: object-typed results (strings, UDAF states)
+    cannot enter a pickle-free chunk and scatter directly in memory; a
+    chunk write that fails after retries falls back to direct scatter
+    and disables spilling for the rest of the group; a chunk that fails
     reload (checksum, I/O) is re-evaluated from source — evaluation is
     deterministic, so the result is unchanged."""
     tracer = ctx.tracer
@@ -675,11 +612,10 @@ def _evaluate_out_of_core(ctx: Any, governor: Any, spill: Any,
     with group_span:
         ctx.telemetry.record_strategy("out-of-core")
         spilled: List[Tuple[int, str]] = []
-        spilling = True
         try:
             return _out_of_core_passes(
                 ctx, governor, spill, evaluate_partition, buffers,
-                order, starts, sizes, num_calls, spilled, spilling)
+                order, starts, len(sizes), spilled)
         finally:
             # A timeout/cancellation mid-group must not leak chunks;
             # discard is idempotent for already-streamed ones.
@@ -689,31 +625,31 @@ def _evaluate_out_of_core(ctx: Any, governor: Any, spill: Any,
 
 def _out_of_core_passes(ctx: Any, governor: Any, spill: Any,
                         evaluate_partition: Any,
-                        buffers: List[_ResultBuffer],
+                        buffers: _GroupResults,
                         order: np.ndarray, starts: np.ndarray,
-                        sizes: np.ndarray, num_calls: int,
-                        spilled: List[Tuple[int, str]],
-                        spilling: bool) -> List[List[Any]]:
+                        num_partitions: int,
+                        spilled: List[Tuple[int, str]]) -> List[Column]:
     """The two passes of :func:`_evaluate_out_of_core` (split out so
     the caller's ``finally`` can see every chunk ever spilled)."""
     from repro.errors import SpillCorruptionError
 
-    for p in range(len(sizes)):
+    spilling = True
+    for p in range(num_partitions):
         ctx.checkpoint()
-        collected: Dict[int, Any] = {}
-        evaluate_partition(p, SERIAL_PROBES,
-                           emit=lambda ci, _rows, v:
-                           collected.__setitem__(ci, v))
-        rows = order[starts[p]:starts[p + 1]]
-        converted = _chunk_arrays(collected, num_calls) \
-            if spilling else None
-        if converted is None:
-            for ci, values in collected.items():
-                buffers[ci].scatter(rows, values)
-            continue
-        arrays = {"rows": rows}
-        for ci, values in converted.items():
+        arrays = {"rows": order[starts[p]:starts[p + 1]]}
+
+        def collect(ci: int, rows: np.ndarray, values: np.ndarray,
+                    validity: Optional[np.ndarray]) -> None:
+            if not spilling or values.dtype == object:
+                buffers.scatter(ci, rows, values, validity)
+                return
             arrays[f"v{ci}"] = values
+            if validity is not None:
+                arrays[f"m{ci}"] = validity
+
+        evaluate_partition(p, SERIAL_PROBES, emit=collect)
+        if len(arrays) == 1:
+            continue
         try:
             path, nbytes = spill.spill_chunk(arrays)
         except OSError:
@@ -722,8 +658,7 @@ def _out_of_core_passes(ctx: Any, governor: Any, spill: Any,
             ctx.record_fallback(
                 "out-of-core partition spill -> in-memory scatter")
             spilling = False
-            for ci, values in collected.items():
-                buffers[ci].scatter(rows, values)
+            _scatter_chunk(buffers, arrays)
             continue
         governor.note_partition_spill(nbytes)
         ctx.telemetry.count_partition_spill(nbytes)
@@ -744,83 +679,20 @@ def _out_of_core_passes(ctx: Any, governor: Any, spill: Any,
                 continue
             governor.note_partition_reload()
             ctx.telemetry.count_partition_reload()
-            rows = arrays["rows"]
-            for ci in range(num_calls):
-                buffers[ci].scatter(rows, arrays[f"v{ci}"])
+            _scatter_chunk(buffers, arrays)
         finally:
             spill.discard(path)
-    return [buffer.finish() for buffer in buffers]
+    return buffers.finish()
 
 
-def _chunk_array(values: Any) -> Optional[np.ndarray]:
-    """``values`` as a spillable numeric ndarray, or None.
-
-    Evaluators usually return plain Python lists; a homogeneous
-    all-int or all-float list round-trips through int64/float64
-    losslessly (``tolist`` restores the exact Python values on
-    reload), so those — and numeric ndarrays — are spillable. Anything
-    else (NULLs, strings, dates, mixed types, numpy scalars) scatters
-    directly in memory instead."""
-    if isinstance(values, np.ndarray):
-        return values if values.dtype.kind in "biuf" else None
-    if not isinstance(values, list) or not values:
-        return None
-    kind = None
-    for value in values:
-        # Exact type checks: bool (an int subclass) and numpy scalars
-        # must not slip into a lossy int64/float64 conversion.
-        this = "f" if type(value) is float else \
-            "i" if type(value) is int else None
-        if this is None or (kind is not None and kind != this):
-            return None
-        kind = this
-    dtype = np.float64 if kind == "f" else np.int64
-    try:
-        return np.asarray(values, dtype=dtype)
-    except (OverflowError, ValueError):  # ints beyond int64 range
-        return None
-
-
-def _chunk_arrays(collected: Dict[int, Any],
-                  num_calls: int) -> Optional[Dict[int, np.ndarray]]:
-    """Every call's values as spillable arrays, or None if any is not
-    (a partition spills whole or not at all, keeping reload simple)."""
-    if len(collected) != num_calls:
-        return None
-    converted: Dict[int, np.ndarray] = {}
-    for ci, values in collected.items():
-        arr = _chunk_array(values)
-        if arr is None:
-            return None
-        converted[ci] = arr
-    return converted
-
-
-_DATE_PRESERVING = frozenset(
-    {"first_value", "last_value", "nth_value", "lead", "lag", "min", "max",
-     "percentile_disc", "mode"})
-
-
-def date_column_names(table: Table) -> frozenset:
-    """The DATE-typed column names — precomputed so worker processes
-    can restore dates without shipping the schema."""
-    return frozenset(name for name in table.schema.names()
-                     if table.schema.field(name).dtype is DataType.DATE)
-
-
-def restore_dates(call: WindowCall, date_columns: frozenset,
-                  values: List[Any]) -> List[Any]:
-    """Evaluators see DATE columns as day numbers (Section 5.1); convert
-    selected day numbers back to dates for date-preserving functions."""
-    if call.function not in _DATE_PRESERVING or not call.args:
-        return values
-    if call.args[0] not in date_columns:
-        return values
-    return [None if v is None
-            else datetime.date(1970, 1, 1) + datetime.timedelta(days=int(v))
-            for v in values]
-
-
+def _scatter_chunk(buffers: _GroupResults,
+                   arrays: Dict[str, np.ndarray]) -> None:
+    """Scatter one partition's spill chunk: ``rows`` plus per call
+    ``v<ci>`` values and, where a row is NULL, an ``m<ci>`` mask."""
+    for ci in range(len(buffers.values)):
+        if f"v{ci}" in arrays:
+            buffers.scatter(ci, arrays["rows"], arrays[f"v{ci}"],
+                            arrays.get(f"m{ci}"))
 
 
 def _column_data(table: Table, name: str) -> Tuple[Any, np.ndarray]:
@@ -937,34 +809,3 @@ def _unique_name(name: str, taken: set) -> str:
     while f"{name}_{suffix}" in taken:
         suffix += 1
     return f"{name}_{suffix}"
-
-
-def _infer_dtype(values: Sequence[Any]) -> DataType:
-    has_float = has_int = has_str = has_date = has_bool = False
-    for value in values:
-        if value is None:
-            continue
-        if isinstance(value, bool):
-            has_bool = True
-        elif isinstance(value, int):
-            has_int = True
-        elif isinstance(value, float):
-            has_float = True
-        elif isinstance(value, str):
-            has_str = True
-        elif isinstance(value, datetime.date):
-            has_date = True
-        else:
-            raise WindowFunctionError(
-                f"cannot infer column type for value {value!r}")
-    if has_str:
-        return DataType.STRING
-    if has_date:
-        return DataType.DATE
-    if has_float:
-        return DataType.FLOAT64
-    if has_int:
-        return DataType.INT64
-    if has_bool:
-        return DataType.BOOL
-    return DataType.FLOAT64

@@ -6,12 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mst import SUM, MergeSortTree
+from repro.parallel.probes import ProcessProbes
+from repro.parallel.scheduler import WindowScheduler
 from repro.mst.vectorized import (
     batched_aggregate,
     batched_count,
     batched_lower_bound,
     batched_select,
 )
+
+
+@pytest.fixture(scope="module")
+def process_scheduler():
+    with WindowScheduler(workers=2) as scheduler:
+        yield scheduler
 
 
 class TestBatchedLowerBound:
@@ -90,6 +98,45 @@ class TestBatchedSelect:
         slabs, keys = batched_select(tree.levels, np.array([0]),
                                      np.array([0]), np.array([1]))
         assert slabs[0] == 0 and keys[0] == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), fanout=st.integers(2, 4),
+           pieces=st.integers(1, 3), n=st.integers(1, 90))
+    def test_pieces_agree_with_scalar(self, process_scheduler, data,
+                                      fanout, pieces, n):
+        """Select over a set of <= 3 disjoint key ranges per query (an
+        EXCLUDE frame) == the scalar tree walk, empty and inverted
+        pieces included — serially and fanned over a live pool."""
+        seed = data.draw(st.integers(0, 2 ** 31))
+        rng = np.random.default_rng(seed)
+        tree = MergeSortTree(rng.permutation(n), fanout=fanout)
+        m = 40
+        # 2 * pieces sorted cut points per query -> disjoint ranges;
+        # swapping a pair's ends makes that piece inverted (= empty).
+        cuts = np.sort(rng.integers(0, n + 1, size=(2 * pieces, m)), axis=0)
+        key_lo, key_hi = cuts[0::2].copy(), cuts[1::2].copy()
+        invert = rng.random((pieces, m)) < 0.2
+        key_lo[invert], key_hi[invert] = key_hi[invert], key_lo[invert]
+        sizes = np.maximum(key_hi - key_lo, 0).sum(axis=0)
+        queries = np.flatnonzero(sizes > 0)
+        key_lo, key_hi = key_lo[:, queries], key_hi[:, queries]
+        k = rng.integers(0, sizes[queries])
+        slabs, keys = batched_select(tree.levels, k, key_lo, key_hi)
+        for i in range(len(queries)):
+            ranges = [(int(a), int(b))
+                      for a, b in zip(key_lo[:, i], key_hi[:, i]) if a < b]
+            assert (int(slabs[i]), int(keys[i])) == \
+                tree.select(int(k[i]), ranges)
+        lease = process_scheduler.table_arena().lease()
+        try:
+            probes = ProcessProbes(process_scheduler, lease, task_size=16,
+                                   min_rows=1)
+            fanned = probes.select(tree.levels, k, key_lo, key_hi)
+        finally:
+            lease.release()
+        assert probes.fanned == (1 if len(queries) else 0)
+        assert [a.tolist() for a in fanned] == [slabs.tolist(),
+                                                keys.tolist()]
 
 
 class TestBatchedAggregate:

@@ -15,8 +15,7 @@ from conftest import make_window_table
 from repro.resilience import FaultInjector
 from repro.sql import Catalog, Session, SessionConfig
 
-#: No NULLs in ``o`` / ``y``, so every partition's values are
-#: homogeneous numeric lists — the spillable case.
+#: No NULLs in ``o`` / ``y``: every result row is valid.
 SQL = """
     select g, sum(o) over w as s, avg(y) over w as a
     from t
@@ -24,10 +23,19 @@ SQL = """
                  rows between 7 preceding and 2 following)
 """
 
-#: ``x`` has NULLs: those partitions cannot round-trip through an
-#: int64 chunk and must scatter directly (still bit-identical).
+#: ``x`` has NULLs, and a frame of only NULLs sums to NULL.
 SQL_NULLS = """
     select g, sum(x) over w as s
+    from t
+    window w as (partition by g order by o
+                 rows between 7 preceding and current row)
+"""
+
+
+#: NULLs in every partition's result: the first four rows' frames are
+#: too short to have a fifth value.
+SQL_NTH = """
+    select g, nth_value(x, 5) over w as v
     from t
     window w as (partition by g order by o
                  rows between 7 preceding and current row)
@@ -67,10 +75,21 @@ class TestBitIdentity:
         assert stats.partition_reloads == result.stats.partition_reloads
         session.close()
 
-    def test_null_partitions_scatter_directly_and_stay_identical(self):
+    def test_null_sums_stay_identical(self):
         session = Session(_catalog(), config=_ooc_config())
         result = session.execute(SQL_NULLS)
         assert result == _oracle(SQL_NULLS)
+        session.close()
+
+    def test_null_bearing_results_spill_every_partition(self):
+        # A result's NULLs ride in the chunk as a validity mask; only
+        # object-typed results stay in memory.
+        session = Session(_catalog(), config=_ooc_config())
+        result = session.execute(SQL_NTH)
+        assert result == _oracle(SQL_NTH)
+        assert None in result.table.column("v").to_list()
+        assert result.stats.partition_spills == 3  # one per g
+        assert result.stats.partition_reloads == 3
         session.close()
 
     def test_auto_mode_engages_under_tiny_budget(self):

@@ -160,6 +160,29 @@ def test_unpartitioned_group_is_intra_and_identical():
         assert scheduler.stats().pool_started
 
 
+@pytest.mark.parametrize("call,exclusion", [
+    (WindowCall("nth_value", ["x"], nth=3), FrameExclusion.CURRENT_ROW),
+    (WindowCall("lead", ["y"], order_by=(OrderItem("y"),)),
+     FrameExclusion.NO_OTHERS),
+])
+def test_value_and_navigation_probes_fan(call, exclusion):
+    # Every select-family evaluator reaches the kernels through
+    # part.probes, EXCLUDE pieces included — none calls them directly.
+    table = make_table(2000, 1, seed=5)
+    spec = WindowSpec(order_by=(OrderItem("o"),),
+                      frame=FrameSpec.rows(preceding(40), following(10),
+                                           exclusion))
+    want = window_query(table, [call], spec).columns[-1]
+    with forced(2) as scheduler:
+        got = window_query(table, [call], spec,
+                           parallel=scheduler).columns[-1]
+        stats = scheduler.stats()
+    assert got == want and got.dtype is want.dtype
+    assert stats.decisions[-1].strategy == INTRA_PARTITION
+    assert stats.process_groups == 1  # a probe batch ran on the pool
+    assert stats.morsels_run > 0
+
+
 def test_parallel_with_cache_matches_and_unpins(tmp_path):
     # One dominant partition: cache hit/pin accounting belongs to the
     # probe-fan path, where the query thread builds (or attaches) the

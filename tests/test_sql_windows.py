@@ -238,3 +238,58 @@ class TestRangeEdgeCases:
         """, Catalog({"t": t}))
         # NULL keys are their own peer group at the end
         assert out.column("c").to_list() == [1, 2, 2, 2]
+
+
+class TestStaticResultTypes:
+    """A window column's type comes from the call and its argument's
+    schema type, not from the values that happen to come out."""
+
+    @pytest.fixture
+    def dated(self):
+        return Catalog({"t": Table.from_dict({
+            "d": (DataType.DATE, [datetime.date(2020, 1, day)
+                                  for day in (3, 1, 2, 5, 4)]),
+            "k": (DataType.INT64, [5, 3, 4, 1, 2]),
+        })})
+
+    @pytest.mark.parametrize("expr,dtype", [
+        ("first_value(d) over (order by d rows between 1 following "
+         "and 1 preceding)", DataType.DATE),
+        ("max(d) over (order by d rows between 1 following "
+         "and 1 preceding)", DataType.DATE),
+        ("lead(d, 300) over (order by d)", DataType.DATE),
+        ("nth_value(k, 9) over (order by d)", DataType.INT64),
+        ("sum(k) over (order by d rows between 1 following "
+         "and 1 preceding)", DataType.INT64),
+    ])
+    def test_all_null_result_keeps_its_type(self, dated, expr, dtype):
+        out = execute(f"select {expr} as v from t", dated)
+        assert out.schema.field("v").dtype is dtype
+        assert out.column("v").to_list() == [None] * 5
+
+    def test_prepared_statement_schema_survives_emptied_frames(self, dated):
+        from repro.sql import Session
+        session = Session(dated)
+        try:
+            statement = session.prepare(
+                "select first_value(d) over w as f, max(k) over w as m "
+                "from t window w as (order by d rows between $1 preceding "
+                "and 1 preceding)")
+            full, empty = (statement.execute([p]).table for p in (2, 0))
+        finally:
+            session.close()
+        assert full.schema == empty.schema
+        assert [f.dtype for f in empty.schema] == [DataType.DATE,
+                                                   DataType.INT64]
+        assert empty.column("f").to_list() == [None] * 5
+        assert full.column("f").null_count == 1
+
+    def test_navigation_default_widens_whether_or_not_it_surfaces(
+            self, dated):
+        for offset, surfaced in ((1, 1), (0, 0)):
+            out = execute(
+                f"select lead(k, {offset}, 0.5) over (order by d rows "
+                "between unbounded preceding and unbounded following) "
+                "as v from t", dated)
+            assert out.schema.field("v").dtype is DataType.FLOAT64
+            assert out.column("v").to_list().count(0.5) == surfaced

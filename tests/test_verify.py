@@ -246,11 +246,9 @@ def _poison_distinct(monkeypatch):
 
     def poisoned(call, part):
         result = original(call, part)
-        # Evaluators may return a list or an ndarray; len() covers both.
-        if call.algorithm != "naive" and len(result):
-            result = (result.tolist() if hasattr(result, "tolist")
-                      else list(result))
-            result[0] = (result[0] or 0) + 1
+        if call.algorithm != "naive":
+            values, _validity = result
+            values[0] += 1
         return result
 
     monkeypatch.setattr(distinct_mod, "evaluate", poisoned)

@@ -1,0 +1,152 @@
+"""The evaluator contract: typed ``(values, validity)`` arrays whose
+type is fixed by the call and its argument's schema type — never by
+the data, never by the algorithm."""
+
+import datetime
+
+import numpy as np
+import pytest
+
+from repro.mst import SUM
+from repro.sortutil import SortColumn
+from repro.table import DataType, Table
+from repro.window import (FrameExclusion, FrameSpec, WindowCall, WindowSpec,
+                          preceding, window_query)
+from repro.window.calls import ALL_FUNCTIONS, result_type
+from repro.window.evaluators import evaluate_call
+from repro.window.frame import FrameMode, OrderItem
+from repro.window.operator import _build_partition
+
+N = 12
+TABLE = Table.from_dict({
+    "o": (DataType.INT64, [i // 2 for i in range(N)]),  # peers in pairs
+    "x": (DataType.INT64, [None if i % 4 == 1 else i % 5 for i in range(N)]),
+    "y": (DataType.FLOAT64, [None if i % 5 == 2 else i / 2
+                             for i in range(N)]),
+    "d": (DataType.DATE, [None if i % 3 == 0
+                          else datetime.date(2020, 1, 1 + i % 4)
+                          for i in range(N)]),
+    "s": (DataType.STRING, [None if i % 6 == 4 else "ab"[i % 2]
+                            for i in range(N)]),
+})
+
+#: Every function the operator knows: its extra call options, the
+#: argument columns to try and the algorithms that implement it.
+_RANK = dict(order_by=(OrderItem("y"),)), (None,), ("mst", "naive", "ostree")
+_NUMERIC = ("x", "y", "d")
+FUNCTIONS = {
+    "count_star": ({}, (None,), ("mst", "naive")),
+    "count": ({}, ("x", "s"), ("mst", "naive")),
+    "sum": ({}, _NUMERIC, ("mst", "naive")),
+    "avg": ({}, _NUMERIC, ("mst", "naive")),
+    "min": ({}, _NUMERIC, ("mst", "naive")),
+    "max": ({}, _NUMERIC, ("mst", "naive")),
+    "udaf": (dict(udaf=SUM), ("x",), ("mst", "naive")),
+    "count distinct": (dict(distinct=True), ("x", "s"),
+                       ("mst", "naive", "incremental")),
+    "sum distinct": (dict(distinct=True), _NUMERIC, ("mst", "naive")),
+    "avg distinct": (dict(distinct=True), _NUMERIC, ("mst", "naive")),
+    "udaf distinct": (dict(distinct=True, udaf=SUM), ("x",),
+                      ("mst", "naive")),
+    "rank": _RANK, "dense_rank": _RANK, "percent_rank": _RANK,
+    "cume_dist": _RANK, "row_number": _RANK,
+    "ntile": (dict(buckets=3, **_RANK[0]),) + _RANK[1:],
+    "percentile_disc": (dict(fraction=0.5), _NUMERIC + ("s",),
+                        ("mst", "naive", "incremental", "ostree")),
+    "percentile_cont": (dict(fraction=0.25), ("x", "y"),
+                        ("mst", "naive", "incremental", "ostree",
+                         "segtree")),
+    "median": ({}, ("x", "y"), ("mst", "naive", "incremental")),
+    "mode": ({}, _NUMERIC + ("s",), ("mst", "naive", "incremental")),
+    "first_value": ({}, _NUMERIC + ("s",), ("mst", "naive")),
+    "last_value": (dict(ignore_nulls=True), _NUMERIC + ("s",),
+                   ("mst", "naive")),
+    "nth_value": (dict(nth=2), _NUMERIC + ("s",), ("mst", "naive")),
+    "lead": (dict(order_by=(OrderItem("y"),)), _NUMERIC + ("s",),
+             ("mst", "naive")),
+    "lag": (dict(offset=2), _NUMERIC + ("s",), ("mst", "naive")),
+}
+
+
+def test_every_function_is_covered():
+    assert {name.split()[0] for name in FUNCTIONS} == set(ALL_FUNCTIONS)
+
+
+def _spec(exclusion):
+    # 2 PRECEDING .. 1 PRECEDING: row 0's frame is empty under every
+    # exclusion, and EXCLUDE GROUP / TIES empty a few more.
+    return WindowSpec(order_by=(OrderItem("o"),),
+                      frame=FrameSpec(FrameMode.ROWS, preceding(2),
+                                      preceding(1), exclusion))
+
+
+def _partition(exclusion):
+    data = {f.name: (TABLE.column(f.name).raw(),
+                     TABLE.column(f.name).validity) for f in TABLE.schema}
+    spec = _spec(exclusion)
+    return _build_partition(data, np.arange(N), spec, spec.effective_frame(),
+                            [SortColumn(*data["o"])], N)
+
+
+CASES = [(name, algorithm) for name, (_, _, algorithms) in FUNCTIONS.items()
+         for algorithm in algorithms]
+
+
+@pytest.mark.parametrize("name,algorithm", CASES)
+def test_evaluate_call_contract(name, algorithm):
+    options, arg_columns, _ = FUNCTIONS[name]
+    for exclusion in FrameExclusion:
+        part = _partition(exclusion)
+        for column in arg_columns:
+            args = () if column is None else (column,)
+            call = WindowCall(name.split()[0], args, algorithm=algorithm,
+                              **options)
+            arg_type = None if column is None \
+                else TABLE.schema.field(column).dtype
+            static = result_type(call, arg_type)
+            values, validity = evaluate_call(call, part)
+            where = (name, algorithm, exclusion, column)
+            assert isinstance(values, np.ndarray), where
+            assert len(values) == part.n, where
+            expected = object if static in (None, DataType.STRING) \
+                else static.numpy_dtype
+            assert values.dtype == expected, where
+            assert validity is None or (
+                isinstance(validity, np.ndarray)
+                and validity.dtype == np.bool_
+                and len(validity) == part.n), where
+            # The column type is the static one on every algorithm; a
+            # UDAF's is inferred from its states (INT64 sums here).
+            result = window_query(TABLE, [call], _spec(exclusion))
+            assert result.schema.fields[-1].dtype is (static or
+                                                      DataType.INT64), where
+
+
+@pytest.mark.parametrize("algorithm", ["mst", "naive"])
+@pytest.mark.parametrize("function,options", [
+    ("first_value", {}), ("max", {}), ("mode", {}),
+    ("percentile_disc", dict(fraction=0.5)), ("lead", dict(offset=99)),
+])
+def test_all_null_result_keeps_the_static_type(function, options,
+                                               algorithm):
+    """Every frame empty: nothing in the values says DATE or INT64."""
+    from repro.window import following
+    empty = WindowSpec(order_by=(OrderItem("o"),),
+                       frame=FrameSpec(FrameMode.ROWS, following(1),
+                                       preceding(1)))
+    for column, dtype in (("d", DataType.DATE), ("x", DataType.INT64)):
+        call = WindowCall(function, (column,), algorithm=algorithm,
+                          **options)
+        result = window_query(TABLE, [call], empty)
+        assert result.schema.fields[-1].dtype is dtype
+        assert result.columns[-1].to_list() == [None] * N
+
+
+@pytest.mark.parametrize("algorithm", ["mst", "naive"])
+def test_date_default_stays_a_date(algorithm):
+    day = datetime.date(1999, 12, 31)
+    call = WindowCall("lag", ("d",), offset=99, default=day,
+                      algorithm=algorithm)
+    result = window_query(TABLE, [call], _spec(FrameExclusion.NO_OTHERS))
+    assert result.schema.fields[-1].dtype is DataType.DATE
+    assert result.columns[-1].to_list() == [day] * N
