@@ -17,6 +17,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.preprocess.occurrences import distinct_key
 from repro.resilience.context import current_context
 
 RangePair = Tuple[np.ndarray, np.ndarray]
@@ -34,6 +35,7 @@ def naive_distinct_count(values: Sequence[Any], keep: Sequence[bool],
                          pieces: Sequence[RangePair]) -> List[int]:
     """COUNT(DISTINCT values) per frame, ignoring rows with keep=False."""
     n = len(values)
+    values = [distinct_key(v) for v in values]
     out = []
     ctx = current_context()
     for i in range(n):
@@ -49,6 +51,7 @@ def naive_distinct_aggregate(values: Sequence[Any], keep: Sequence[bool],
     """``fold`` over the distinct kept values of each frame (None if
     empty). ``fold`` receives the distinct values in first-seen order."""
     n = len(values)
+    values = [distinct_key(v) for v in values]
     out = []
     ctx = current_context()
     for i in range(n):

@@ -4,22 +4,19 @@ Section 5.1: the merge sort tree itself only ever stores integers; all
 SQL type intricacies (multiple sort criteria, NULL ordering, collations)
 are handled by preprocessing passes built on sorting:
 
-* :func:`previous_occurrence` / :func:`next_occurrence` — Algorithm 1 and
-  its mirror, for distinct aggregates;
+* :func:`previous_occurrence` / :func:`previous_occurrence_by_hash` —
+  Algorithm 1 on values and on hashes, for distinct aggregates, for
+  ``dense_rank`` and for the EXCLUDE correction of both;
 * :func:`permutation_array` — the Section 4.5 permutation for
   percentiles and value functions;
 * :func:`dense_rank_keys` — the Figure 8 dense renumbering for rank
   functions;
 * :func:`IndexRemap` — the FILTER / IGNORE NULLS index remapping of
-  Sections 4.5 and 4.7;
-* :func:`occurrence_lists` — per-value sorted position lists, used for
-  the exact frame-exclusion correction of distinct aggregates.
+  Sections 4.5 and 4.7.
 """
 
 from repro.preprocess.occurrences import (
     NO_PREVIOUS,
-    next_occurrence,
-    occurrence_lists,
     previous_occurrence,
     previous_occurrence_by_hash,
 )
@@ -32,8 +29,6 @@ __all__ = [
     "IndexRemap",
     "dense_rank_keys",
     "inverse_permutation",
-    "next_occurrence",
-    "occurrence_lists",
     "permutation_array",
     "previous_occurrence",
     "previous_occurrence_by_hash",

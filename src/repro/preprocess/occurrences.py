@@ -1,4 +1,4 @@
-"""Previous/next occurrence indices (Algorithm 1) and occurrence lists.
+"""Previous-occurrence indices (Algorithm 1).
 
 ``previous_occurrence`` is the paper's Algorithm 1: annotate each value
 with its position, sort lexicographically (a stable sort by value), and
@@ -6,13 +6,13 @@ read the previous occurrence of every duplicate off the neighbouring
 sorted entry. The sort-based formulation is what makes the step
 parallelisable; for non-sortable (hashable-only) payloads we fall back to
 a single dictionary sweep, which is the classic hash formulation of the
-same computation.
+same computation. Equality is SQL DISTINCT's: NULLs are one value and
+so are all NaNs.
 """
 
 from __future__ import annotations
 
-import bisect
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, Sequence
 
 import numpy as np
 
@@ -22,6 +22,18 @@ NO_PREVIOUS = -1
 Section 5.1 packs this as 0 with all real indices shifted by one; we keep
 -1 at the API level and let the tree layer choose the physical encoding.
 """
+
+
+_NAN = float("nan")
+
+
+def distinct_key(value: Any) -> Any:
+    """``value`` as a hash key for DISTINCT: numpy scalars unboxed, and
+    every NaN the same key (``nan != nan``, but DISTINCT and GROUP BY
+    treat all NaNs as one value)."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    return _NAN if value != value else value
 
 
 def _is_sortable_array(values: Any) -> bool:
@@ -52,6 +64,9 @@ def previous_occurrence(values: Any,
         order = np.lexsort((positions, values))
         sorted_values = values[order]
         same = sorted_values[1:] == sorted_values[:-1]
+        if sorted_values.dtype.kind == "f":  # NaNs sort last, together
+            nan = np.isnan(sorted_values)
+            same |= nan[1:] & nan[:-1]
         out[order[1:][same]] = order[:-1][same]
         return out
     last_seen: Dict[Any, int] = {}
@@ -62,48 +77,10 @@ def previous_occurrence(values: Any,
                 out[i] = null_seen
             null_seen = i
             continue
-        value = values[i]
-        if isinstance(value, np.generic):
-            value = value.item()
+        value = distinct_key(values[i])
         if value in last_seen:
             out[i] = last_seen[value]
         last_seen[value] = i
-    return out
-
-
-def next_occurrence(values: Any, validity: Any = None) -> np.ndarray:
-    """``out[i]`` = smallest j > i with ``values[j] == values[i]``, else n.
-
-    The mirror of Algorithm 1, used for the EXCLUDE-clause correction of
-    framed distinct aggregates (Section 4.7).
-    """
-    n = len(values)
-    out = np.full(n, n, dtype=np.int64)
-    if n == 0:
-        return out
-    if validity is not None:
-        validity = np.asarray(validity, dtype=np.bool_)
-    if _is_sortable_array(values) and validity is None:
-        positions = np.arange(n, dtype=np.int64)
-        order = np.lexsort((positions, values))
-        sorted_values = values[order]
-        same = sorted_values[1:] == sorted_values[:-1]
-        out[order[:-1][same]] = order[1:][same]
-        return out
-    next_seen: Dict[Any, int] = {}
-    null_seen = n
-    for i in range(n - 1, -1, -1):
-        if validity is not None and not validity[i]:
-            if null_seen < n:
-                out[i] = null_seen
-            null_seen = i
-            continue
-        value = values[i]
-        if isinstance(value, np.generic):
-            value = value.item()
-        if value in next_seen:
-            out[i] = next_seen[value]
-        next_seen[value] = i
     return out
 
 
@@ -130,7 +107,7 @@ def previous_occurrence_by_hash(values: Sequence[Any],
         if validity is not None and not validity[i]:
             hashes[i] = -(2 ** 62)  # all NULLs form one run
         else:
-            hashes[i] = hash(values[i])
+            hashes[i] = hash(distinct_key(values[i]))
     order = np.lexsort((np.arange(n, dtype=np.int64), hashes))
     sorted_hashes = hashes[order]
     run_start = 0
@@ -147,42 +124,9 @@ def previous_occurrence_by_hash(values: Sequence[Any],
                         out[position] = null_seen
                     null_seen = position
                     continue
-                value = values[position]
-                if isinstance(value, np.generic):
-                    value = value.item()
+                value = distinct_key(values[position])
                 if value in last_seen:
                     out[position] = last_seen[value]
                 last_seen[value] = position
         run_start = i
     return out
-
-
-class occurrence_lists:
-    """Per-value sorted position lists with range membership queries."""
-
-    def __init__(self, values: Sequence[Any], validity: Any = None) -> None:
-        self._positions: Dict[Any, List[int]] = {}
-        null_positions: List[int] = []
-        for i in range(len(values)):
-            if validity is not None and not validity[i]:
-                null_positions.append(i)
-                continue
-            value = values[i]
-            if isinstance(value, np.generic):
-                value = value.item()
-            self._positions.setdefault(value, []).append(i)
-        self._null_positions = null_positions
-
-    def positions(self, value: Any, is_null: bool = False) -> List[int]:
-        if is_null:
-            return self._null_positions
-        return self._positions.get(value, [])
-
-    def occurs_in(self, value: Any, lo: int, hi: int,
-                  is_null: bool = False) -> bool:
-        """Does ``value`` occur at any position in ``[lo, hi)``?"""
-        if lo >= hi:
-            return False
-        positions = self.positions(value, is_null)
-        idx = bisect.bisect_left(positions, lo)
-        return idx < len(positions) and positions[idx] < hi

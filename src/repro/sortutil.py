@@ -147,6 +147,9 @@ def sorted_equal_runs(columns: Sequence[SortColumn], order: np.ndarray) -> np.nd
         if _is_numeric(values):
             arr = np.asarray(values)[order]
             diff = arr[1:] != arr[:-1]
+            if arr.dtype.kind == "f":  # all NaNs are peers
+                nan = np.isnan(arr)
+                diff &= ~(nan[1:] & nan[:-1])
             if validity is not None:
                 v = np.asarray(validity, dtype=np.bool_)[order]
                 diff = np.where(v[1:] | v[:-1], diff | (v[1:] != v[:-1]),

@@ -182,8 +182,9 @@ def exclusion_ranges(start: np.ndarray, end: np.ndarray,
                      peers: Optional[PeerGroups] = None
                      ) -> List[RangePair]:
     """Split each row's frame into continuous ranges per the EXCLUDE
-    clause. Returns 1–3 ``(lo, hi)`` array pairs; empty pieces have
-    ``lo == hi`` and are skipped by consumers."""
+    clause. Returns 1–3 ``(lo, hi)`` array pairs in position order, so
+    the excluded rows are the gaps between consecutive pieces; empty
+    pieces have ``lo == hi`` and are skipped by consumers."""
     n = len(start)
     i = np.arange(n, dtype=np.int64)
     if exclusion is FrameExclusion.NO_OTHERS:

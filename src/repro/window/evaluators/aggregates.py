@@ -17,6 +17,7 @@ from repro.baselines.naive import frame_rows
 from repro.errors import WindowFunctionError
 from repro.mst.aggregates import AggregateSpec
 from repro.segtree.tree import SegmentTree
+from repro.window.bounds import frame_sizes, row_ranges
 from repro.window.calls import WindowCall
 from repro.window.evaluators.common import (Arrays, CallInput, Result,
                                              annotate_probe, nullable,
@@ -32,7 +33,7 @@ def evaluate(call: WindowCall, part: PartitionView) -> Result:
     annotate_probe(inputs)
     if call.algorithm == "naive":
         return _evaluate_naive(call, part, inputs)
-    counts = inputs.frame_counts()
+    counts = frame_sizes(inputs.pieces_f)
     if name in ("count", "count_star"):
         return counts, None
     if name == "udaf":
@@ -78,7 +79,7 @@ def _evaluate_udaf(call: WindowCall, inputs: CallInput,
     for i in np.flatnonzero(valid):
         ctx.tick(i)
         state = spec.identity
-        for lo, hi in inputs.row_pieces_f(i):
+        for lo, hi in row_ranges(inputs.pieces_f, i):
             state = spec.merge(state, lifted.query(lo, hi))
         out[i] = spec.finalize(state)
     return nullable(out, valid)

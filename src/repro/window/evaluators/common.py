@@ -3,7 +3,8 @@ function order."""
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -28,6 +29,10 @@ Arrays = Tuple[np.ndarray, Optional[np.ndarray]]
 #: path, or a reference algorithm's row-at-a-time list (None = NULL),
 #: which ``_dispatch`` converts with :func:`to_arrays`.
 Result = Union[Arrays, List[Any]]
+
+#: Most (row, entry) candidates :meth:`CallInput.hole_only` gathers at
+#: once, so its memory stays bounded whatever the hole width.
+HOLE_PAIRS_PER_BLOCK = 1 << 18
 
 _PHYSICAL_TYPES = {"i": DataType.INT64, "u": DataType.INT64,
                    "f": DataType.FLOAT64, "b": DataType.BOOL}
@@ -134,13 +139,6 @@ class CallInput:
     def single_piece(self) -> bool:
         return len(self.pieces_f) == 1
 
-    def frame_counts(self) -> np.ndarray:
-        """Kept rows per frame (summed over pieces)."""
-        total = np.zeros(self.n, dtype=np.int64)
-        for lo, hi in self.pieces_f:
-            total += np.maximum(hi - lo, 0)
-        return total
-
     def kept_values(self, column: str) -> Any:
         """The column's values at kept rows (numpy array or list)."""
         values, _ = self.part.column(column)
@@ -170,14 +168,73 @@ class CallInput:
         _, positions = self.part.probes.select(levels, k, key_lo, key_hi)
         return self.kept_rows[positions]
 
-    def row_pieces_f(self, row: int) -> List[Tuple[int, int]]:
-        """One row's non-empty frame ranges in filtered coordinates."""
-        out = []
-        for lo, hi in self.pieces_f:
-            a, b = int(lo[row]), int(hi[row])
-            if a < b:
-                out.append((a, b))
-        return out
+    def hole_only(self, prev: np.ndarray,
+                  admit: Optional[Callable[[np.ndarray, np.ndarray],
+                                           np.ndarray]] = None
+                  ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """The Section 4.7 EXCLUDE correction pairs, in blocks of
+        ``(rows, entries)``.
+
+        ``prev`` is the previous-occurrence array of the kept entries;
+        entries chained by it form a class. ``(row, j)`` is a pair when
+        kept entry ``j`` lies in a gap between two of the row's pieces,
+        is its class's first occurrence in the continuous frame and the
+        class occurs in no piece starting after ``j``: one per class a
+        continuous-frame probe counts that the excluded frame lacks.
+        ``admit(rows, entries)`` narrows the candidates before the
+        piece test. Pairs come row by row, entries ascending; a block
+        holds whole rows and at most :data:`HOLE_PAIRS_PER_BLOCK`
+        candidates unless one row alone has more.
+        """
+        pieces = self.pieces_f
+        if len(pieces) == 1:
+            return
+        gap_lo = np.stack([hi for _, hi in pieces[:-1]], axis=1)
+        widths = np.maximum(
+            np.stack([lo for lo, _ in pieces[1:]], axis=1) - gap_lo, 0)
+        per_row = widths.sum(axis=1)
+        if not per_row.any():
+            return
+        row_total = np.cumsum(per_row)
+        m = self.n_kept
+        prev = np.asarray(prev, dtype=np.int64)
+        # Pointer jumping: every entry to its class's first occurrence.
+        cls = np.where(prev < 0, np.arange(m), prev)
+        while True:
+            root = cls[cls]
+            if np.array_equal(root, cls):
+                break
+            cls = root
+        # Sorted (class, position) codes; the sentinel ends every search.
+        occurrences = np.append(np.sort(cls * (m + 1) + np.arange(m)),
+                                np.iinfo(np.int64).max)
+        ctx = current_context()
+        r0 = 0
+        while r0 < self.n:
+            done = row_total[r0 - 1] if r0 else 0
+            r1 = max(r0 + 1, int(np.searchsorted(
+                row_total, done + HOLE_PAIRS_PER_BLOCK, side="right")))
+            total = int(row_total[r1 - 1] - done)
+            if total:
+                ctx.checkpoint()
+                width = widths[r0:r1].ravel()
+                rows = np.repeat(np.arange(r0, r1), per_row[r0:r1])
+                entries = np.arange(total) + np.repeat(
+                    gap_lo[r0:r1].ravel() - (np.cumsum(width) - width), width)
+                first = prev[entries] < self.start_f[rows]
+                if admit is not None:
+                    first &= admit(rows, entries)
+                rows, entries = rows[first], entries[first]
+                code = cls[entries] * (m + 1)
+                in_piece = np.zeros(len(entries), dtype=np.bool_)
+                for lo, hi in pieces[1:]:
+                    a, b = lo[rows], hi[rows]
+                    later = np.flatnonzero((entries < a) & (a < b))
+                    at = np.searchsorted(occurrences, code[later] + a[later])
+                    in_piece[later] |= \
+                        occurrences[at] < code[later] + b[later]
+                yield rows[~in_piece], entries[~in_piece]
+            r0 = r1
 
     # ------------------------------------------------------------------
     # function-level ordering

@@ -8,13 +8,14 @@ DISTINCT and delegate to the plain aggregate evaluator.
 Frames with EXCLUDE holes need care (Section 4.7): previous-occurrence
 pointers can chain *through* a hole, so per-piece threshold counting
 would overcount. We instead count over the full continuous frame and
-subtract the values that occur *only* inside the holes, found exactly by
-walking the (small) hole with per-value occurrence lists.
+subtract the values that occur *only* inside the holes — one array pass
+over every row's gaps between frame pieces
+(:meth:`~repro.window.evaluators.common.CallInput.hole_only`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from repro.errors import WindowFunctionError
 from repro.mst.aggregates import SUM, AggregateSpec
 from repro.mst.tree import MergeSortTree
 from repro.preprocess.occurrences import (
-    occurrence_lists,
     previous_occurrence,
     previous_occurrence_by_hash,
 )
@@ -94,48 +94,20 @@ def _build_tree(inputs: CallInput, aggregate: AggregateSpec = None,
     return inputs.structure(cache_kind, build)
 
 
-def _hole_only_values(inputs: CallInput, occurrences, row: int,
-                      values, keep) -> List[Any]:
-    """Kept values occurring in row's holes but in none of its pieces."""
-    pieces = inputs.part.row_pieces(row)
-    seen: Dict[Any, bool] = {}
-    out = []
-    for lo, hi in inputs.part.row_holes(row):
-        for j in range(lo, hi):
-            if not keep[j]:
-                continue
-            value = values[j]
-            if isinstance(value, np.generic):
-                value = value.item()
-            if value in seen:
-                continue
-            seen[value] = True
-            if not any(occurrences.occurs_in(value, a, b)
-                       for a, b in pieces):
-                out.append(value)
-    return out
-
-
-def _subtract_hole_only(call: WindowCall, inputs: CallInput,
-                        counts: np.ndarray,
-                        sums: Optional[np.ndarray] = None) -> None:
+def _subtract_hole_only(tree: MergeSortTree, inputs: CallInput,
+                        counts: np.ndarray, sums: Optional[np.ndarray] = None,
+                        payload: Optional[np.ndarray] = None) -> None:
     """The Section 4.7 correction, in place: previous-occurrence
-    pointers can chain through an EXCLUDE hole, so the continuous-frame
-    probe counted values that occur only inside a row's holes. Walks
-    each row's (small) holes; a no-op without an EXCLUDE clause."""
-    if not inputs.part.has_exclusion:
-        return
-    values, _ = inputs.part.column(call.args[0])
-    occurrences = occurrence_lists(values, validity=inputs.keep)
-    ctx = current_context()
-    for row in range(inputs.n):
-        ctx.tick(row)
-        if inputs.part.row_holes(row):
-            extra = _hole_only_values(inputs, occurrences, row, values,
-                                      inputs.keep)
-            counts[row] -= len(extra)
-            if sums is not None:
-                sums[row] -= float(sum(extra))
+    pointers chain through EXCLUDE holes, so the continuous-frame probe
+    counted the classes that occur only inside a row's holes. Each row's
+    hole-only values are summed in ascending position before the one
+    subtraction."""
+    prev = tree.levels.keys[0].astype(np.int64) - 1  # level 0 is prev + 1
+    for rows, entries in inputs.hole_only(prev):
+        counts -= np.bincount(rows, minlength=inputs.n)
+        if sums is not None:
+            sums -= np.bincount(rows, weights=payload[entries],
+                                minlength=inputs.n)
 
 
 def _probe_distinct(tree: MergeSortTree, inputs: CallInput) -> np.ndarray:
@@ -148,23 +120,47 @@ def _probe_distinct(tree: MergeSortTree, inputs: CallInput) -> np.ndarray:
 def _count_distinct(call: WindowCall, inputs: CallInput) -> Arrays:
     tree = _build_tree(inputs, cache_kind="mst:distinct")
     counts = _probe_distinct(tree, inputs)
-    _subtract_hole_only(call, inputs, counts)
+    _subtract_hole_only(tree, inputs, counts)
     return counts, None
 
 
 def _sum_avg_distinct(call: WindowCall, inputs: CallInput) -> Arrays:
     payload = np.asarray(inputs.kept_values(call.args[0]), dtype=np.float64)
-    tree = _build_tree(inputs, aggregate=SUM, payload=payload,
+    finite = np.isfinite(payload)
+    # NaN and ±inf enter the sums as 0.0 — a hole correction could not
+    # subtract them back out — and are applied per frame at the end.
+    summed = payload if finite.all() else np.where(finite, payload, 0.0)
+    tree = _build_tree(inputs, aggregate=SUM, payload=summed,
                        cache_kind="mst:distinct:sum")
     sums = inputs.part.probes.aggregate(
         tree.levels, inputs.start_f, inputs.end_f,
         key_hi=inputs.start_f + 1, kind="sum")
     counts = _probe_distinct(tree, inputs)
-    _subtract_hole_only(call, inputs, counts, sums)
+    _subtract_hole_only(tree, inputs, counts, sums, summed)
+    if summed is not payload:
+        _apply_non_finite(inputs, payload, sums)
     valid = counts > 0
     if call.function == "avg":
         return nullable(sums / np.maximum(counts, 1), valid)
     return nullable(sums.astype(result_dtype(call, inputs.part)), valid)
+
+
+def _apply_non_finite(inputs: CallInput, payload: np.ndarray,
+                      sums: np.ndarray) -> None:
+    """Set, in place, the sum of every frame holding NaN or ±inf."""
+
+    def occurs(hit: np.ndarray) -> np.ndarray:
+        positions = np.flatnonzero(hit)
+        found = np.zeros(inputs.n, dtype=np.bool_)
+        for lo, hi in inputs.pieces_f:
+            found |= (np.searchsorted(positions, lo)
+                      < np.searchsorted(positions, hi))
+        return found
+
+    pos, neg = occurs(payload == np.inf), occurs(payload == -np.inf)
+    sums[pos] = np.inf
+    sums[neg] = -np.inf
+    sums[occurs(np.isnan(payload)) | (pos & neg)] = np.nan
 
 
 def _udaf_distinct(call: WindowCall, part: PartitionView,

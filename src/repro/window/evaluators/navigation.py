@@ -21,6 +21,7 @@ from repro.errors import WindowFunctionError
 from repro.mst.tree import MergeSortTree
 from repro.sortutil import stable_argsort
 from repro.table.column import date_to_ordinal
+from repro.window.bounds import frame_sizes
 from repro.window.calls import WindowCall
 from repro.window.evaluators.common import CallInput, Result, result_dtype
 from repro.window.evaluators.value import _composite_keys
@@ -73,7 +74,7 @@ def evaluate(call: WindowCall, part: PartitionView) -> Result:
     # Step 2: apply the offset.
     signed = call.offset if call.function == "lead" else -call.offset
     targets = rank0 + signed
-    counts = inputs.frame_counts()
+    counts = frame_sizes(inputs.pieces_f)
     idx = np.flatnonzero((targets >= 0) & (targets < counts))
 
     # Steps 3 + 4: select and read the argument (or the default).

@@ -24,6 +24,7 @@ from repro.errors import WindowFunctionError
 from repro.mst.tree import MergeSortTree
 from repro.ostree.windowed import windowed_kth_ostree
 from repro.segtree.holistic import HolisticSegmentTree
+from repro.window.bounds import frame_sizes
 from repro.window.calls import WindowCall
 from repro.window.evaluators.common import (Arrays, CallInput, Result,
                                              annotate_probe, nullable)
@@ -66,7 +67,7 @@ def _evaluate_mst(call: WindowCall, inputs: CallInput,
         extra=inputs.function_order_signature(default_arg=True))
     # The percentile returns values of its ORDER BY expression.
     values, _ = inputs.argument()
-    counts = inputs.frame_counts()
+    counts = frame_sizes(inputs.pieces_f)
     valid = counts > 0
     idx = np.flatnonzero(valid)
     sizes = counts[idx]

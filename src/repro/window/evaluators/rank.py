@@ -20,6 +20,7 @@ from repro.mst.tree import MergeSortTree
 from repro.ostree.windowed import windowed_rank_ostree
 from repro.preprocess.rankkeys import dense_rank_keys, row_number_keys
 from repro.rangetree.dense import DenseRankIndex
+from repro.window.bounds import frame_sizes
 from repro.window.calls import WindowCall
 from repro.window.evaluators.common import (Arrays, CallInput, Result,
                                              annotate_probe, nullable)
@@ -66,7 +67,7 @@ def evaluate(call: WindowCall, part: PartitionView) -> Result:
 
     if name in ("rank", "row_number"):
         return count_below(own) + 1, None
-    sizes = inputs.frame_counts()
+    sizes = frame_sizes(inputs.pieces_f)
     if name == "percent_rank":
         return np.where(sizes <= 1, 0.0,
                         count_below(own) / np.maximum(sizes - 1, 1)), None
@@ -82,19 +83,20 @@ def evaluate(call: WindowCall, part: PartitionView) -> Result:
 
 
 def _dense_rank(inputs: CallInput, keys: np.ndarray) -> Arrays:
-    part = inputs.part
-    if part.has_exclusion:
-        # Previous-occurrence chains through EXCLUDE holes make the 3-d
-        # count inexact; recompute those frames directly.
-        return np.asarray(naive_dense_rank(keys, inputs.keep, part.pieces),
-                          dtype=np.int64), None
     kept_keys = keys[inputs.kept_rows]
     index = inputs.structure(
         "rangetree:dense",
         lambda: DenseRankIndex(kept_keys),
         extra=inputs.function_order_signature())
     ranks = index.batched_dense_rank(inputs.start_f, inputs.end_f, keys)
-    return np.asarray(ranks, dtype=np.int64), None
+    # Section 4.7: a smaller key class whose every frame occurrence sits
+    # in an EXCLUDE hole was counted above. The inner tree of the
+    # index's level 0 is built over the kept keys' previous occurrences.
+    for rows, _ in inputs.hole_only(
+            index.inner[0].levels.keys[0],
+            admit=lambda rows, entries: kept_keys[entries] < keys[rows]):
+        ranks -= np.bincount(rows, minlength=inputs.n)
+    return ranks, None
 
 
 def _evaluate_naive(name: str, call: WindowCall, part: PartitionView,
@@ -103,7 +105,7 @@ def _evaluate_naive(name: str, call: WindowCall, part: PartitionView,
         return naive_dense_rank(keys, inputs.keep, part.pieces)
     if name in ("rank", "row_number"):
         return naive_rank(keys, inputs.keep, part.pieces, ties="strict")
-    sizes = inputs.frame_counts()
+    sizes = frame_sizes(inputs.pieces_f)
     if name == "percent_rank":
         ranks = naive_rank(keys, inputs.keep, part.pieces, ties="strict")
         return [0.0 if sizes[i] <= 1 else float((ranks[i] - 1) / (sizes[i] - 1))

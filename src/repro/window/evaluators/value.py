@@ -17,6 +17,7 @@ import numpy as np
 from repro.baselines.naive import naive_kth
 from repro.errors import WindowFunctionError
 from repro.mst.tree import MergeSortTree
+from repro.window.bounds import frame_sizes
 from repro.window.calls import WindowCall
 from repro.window.evaluators.common import CallInput, Result
 from repro.window.partition import PartitionView
@@ -39,7 +40,7 @@ def _ks_for(call: WindowCall, sizes: np.ndarray) -> np.ndarray:
 
 def evaluate(call: WindowCall, part: PartitionView) -> Result:
     inputs = CallInput(call, part, skip_null_arg=call.ignore_nulls)
-    counts = inputs.frame_counts()
+    counts = frame_sizes(inputs.pieces_f)
     ks = _ks_for(call, counts)
     if call.algorithm == "naive":
         return _evaluate_naive(call, part, inputs, ks)

@@ -75,7 +75,6 @@ from repro.window.evaluators import evaluate_call
 from repro.window.evaluators.common import to_list
 from repro.window.frame import (
     FrameBound,
-    FrameExclusion,
     FrameMode,
     FrameSpec,
     WindowSpec,
@@ -739,8 +738,7 @@ def _build_partition(all_column_data: Dict[str, Tuple[Any, np.ndarray]],
     pieces = exclusion_ranges(start, end, frame.exclusion, peers)
     pieces = [(np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64))
               for lo, hi in pieces]
-    holes = _holes(start, end, frame.exclusion, peers, local_n)
-    return PartitionView(columns, local_n, start, end, pieces, holes, peers,
+    return PartitionView(columns, local_n, start, end, pieces, peers,
                          frame.exclusion, window_order=spec.order_by,
                          structures=structures, probes=probes)
 
@@ -784,22 +782,6 @@ def _localize_offsets(frame: FrameSpec, rows: np.ndarray,
         return frame
     return FrameSpec(frame.mode, localize(frame.start), localize(frame.end),
                      frame.exclusion)
-
-
-def _holes(start: np.ndarray, end: np.ndarray, exclusion: FrameExclusion,
-           peers: PeerGroups, n: int) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """The excluded ranges, clipped to the frame."""
-    if exclusion is FrameExclusion.NO_OTHERS:
-        return []
-    i = np.arange(n, dtype=np.int64)
-    if exclusion is FrameExclusion.CURRENT_ROW:
-        return [(np.clip(i, start, end), np.clip(i + 1, start, end))]
-    ps, pe = peers.peer_start(), peers.peer_end()
-    if exclusion is FrameExclusion.GROUP:
-        return [(np.clip(ps, start, end), np.clip(pe, start, end))]
-    # TIES: the peer group minus the current row itself.
-    return [(np.clip(ps, start, end), np.clip(i, start, end)),
-            (np.clip(i + 1, start, end), np.clip(pe, start, end))]
 
 
 def _unique_name(name: str, taken: set) -> str:

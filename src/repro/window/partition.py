@@ -22,14 +22,12 @@ class PartitionView:
 
     * ``start`` / ``end`` — the frame before exclusion;
     * ``pieces`` — the frame after the EXCLUDE clause, as 1–3 continuous
-      ranges per row;
-    * ``holes`` — the excluded ranges (``[start, end)`` minus the pieces),
-      needed for the exact distinct-aggregate correction of Section 4.7.
+      ranges per row in position order; the excluded rows are the gaps
+      between consecutive pieces.
     """
 
     def __init__(self, columns: Dict[str, ColumnData], n: int,
-                 start: np.ndarray, end: np.ndarray,
-                 pieces: List[RangePair], holes: List[RangePair],
+                 start: np.ndarray, end: np.ndarray, pieces: List[RangePair],
                  peers: PeerGroups, exclusion: FrameExclusion,
                  window_order: Sequence[OrderItem] = (),
                  structures: Any = None,
@@ -39,14 +37,13 @@ class PartitionView:
         self.start = start
         self.end = end
         self.pieces = pieces
-        self.holes = holes
         self.peers = peers
         self.exclusion = exclusion
         self.window_order = tuple(window_order)
         #: Optional repro.cache.StructureAcquirer; evaluators route index
         #: builds through it (None = always build inline).
         self.structures = structures
-        #: Probe kernels (serial or thread-fanned); evaluators call
+        #: Probe kernels (serial or process-fanned); evaluators call
         #: ``probes.count/select/aggregate`` instead of the batched
         #: kernels directly so the scheduler controls fan-out.
         self.probes = probes
@@ -70,21 +67,4 @@ class PartitionView:
             out.append(SortColumn(values, descending=item.descending,
                                   nulls_last=item.resolved_nulls_last(),
                                   validity=validity))
-        return out
-
-    def row_pieces(self, row: int) -> List[Tuple[int, int]]:
-        """Non-empty frame ranges of one row (full coordinates)."""
-        out = []
-        for lo, hi in self.pieces:
-            a, b = int(lo[row]), int(hi[row])
-            if a < b:
-                out.append((a, b))
-        return out
-
-    def row_holes(self, row: int) -> List[Tuple[int, int]]:
-        out = []
-        for lo, hi in self.holes:
-            a, b = int(lo[row]), int(hi[row])
-            if a < b:
-                out.append((a, b))
         return out

@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.table import DataType, Table
+
+# ``--hypothesis-profile=long``: the generated suites that take their
+# example count from the profile run 20x the default.
+settings.register_profile("long", max_examples=2000, deadline=None)
 
 
 @pytest.fixture

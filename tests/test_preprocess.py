@@ -9,10 +9,9 @@ from repro.preprocess import (
     IndexRemap,
     dense_rank_keys,
     inverse_permutation,
-    next_occurrence,
-    occurrence_lists,
     permutation_array,
     previous_occurrence,
+    previous_occurrence_by_hash,
     row_number_keys,
 )
 from repro.sortutil import SortColumn
@@ -71,35 +70,19 @@ class TestPreviousOccurrence:
         got = previous_occurrence(np.zeros(5, dtype=np.int64))
         assert got.tolist() == [-1, 0, 1, 2, 3]
 
+    def test_nans_are_one_value(self):
+        nan = float("nan")
+        values = [nan, 1.0, nan, 1.0, nan]
+        want = [-1, -1, 0, 1, 2]
+        assert previous_occurrence(np.array(values)).tolist() == want
+        assert previous_occurrence(values).tolist() == want
+        assert previous_occurrence_by_hash(values).tolist() == want
+
     @given(st.lists(st.integers(0, 6), max_size=80))
     @settings(max_examples=100, deadline=None)
     def test_hypothesis(self, values):
         got = previous_occurrence(np.asarray(values, dtype=np.int64))
         assert got.tolist() == _prev_oracle(values)
-
-
-class TestNextOccurrence:
-    def test_mirror_of_previous(self, rng):
-        values = rng.integers(0, 6, size=50)
-        nxt = next_occurrence(values)
-        n = len(values)
-        for i in range(n):
-            expected = n
-            for j in range(i + 1, n):
-                if values[j] == values[i]:
-                    expected = j
-                    break
-            assert nxt[i] == expected
-
-    def test_strings(self):
-        values = ["x", "y", "x"]
-        assert next_occurrence(values).tolist() == [2, 3, 3]
-
-    def test_nulls(self):
-        values = [1, None, None, 1]
-        validity = np.array([True, False, False, True])
-        got = next_occurrence(values, validity=validity)
-        assert got.tolist() == [3, 2, 4, 4]
 
 
 class TestPermutation:
@@ -143,6 +126,11 @@ class TestRankKeys:
             [SortColumn(values, descending=True)], 3)
         assert keys.tolist() == [2, 0, 1]
 
+    def test_nans_share_a_key(self):
+        values = np.array([np.nan, 1.0, np.nan, 1.0, np.nan])
+        keys = dense_rank_keys([SortColumn(values)], 5)
+        assert keys.tolist() == [1, 0, 1, 0, 1]
+
     def test_multi_key(self):
         a = np.array([1, 1, 2])
         b = np.array([9, 3, 0])
@@ -178,25 +166,6 @@ class TestIndexRemap:
     def test_is_kept(self):
         remap = IndexRemap(np.array([True, False]))
         assert remap.is_kept(0) and not remap.is_kept(1)
-
-
-class TestOccurrenceLists:
-    def test_positions_and_ranges(self):
-        values = [5, 7, 5, 7, 5]
-        occ = occurrence_lists(values)
-        assert occ.positions(5) == [0, 2, 4]
-        assert occ.occurs_in(5, 1, 3)
-        assert not occ.occurs_in(5, 3, 4)
-        assert not occ.occurs_in(99, 0, 5)
-        assert not occ.occurs_in(5, 3, 3)
-
-    def test_null_positions(self):
-        values = [1, None, 1]
-        validity = np.array([True, False, True])
-        occ = occurrence_lists(values, validity=validity)
-        assert occ.positions(None, is_null=True) == [1]
-        assert occ.positions(1) == [0, 2]
-        assert occ.occurs_in(None, 0, 3, is_null=True)
 
 
 class TestPreviousOccurrenceByHash:

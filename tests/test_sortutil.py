@@ -92,6 +92,11 @@ class TestPeerGroups:
             [SortColumn(values, validity=validity)], order)
         assert groups.tolist() == [0, 0, 1, 2]
 
+    def test_nans_are_peers(self):
+        values = np.array([1.0, np.nan, np.nan, np.nan])
+        groups = sorted_equal_runs([SortColumn(values)], np.arange(4))
+        assert groups.tolist() == [0, 1, 1, 1]
+
     def test_equal_runs_strings(self):
         values = ["a", "a", "b"]
         groups = sorted_equal_runs([SortColumn(values)], np.arange(3))

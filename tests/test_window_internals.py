@@ -9,11 +9,12 @@ from repro.window import (
     FrameSpec,
     WindowCall,
     WindowSpec,
-        following,
+    following,
     preceding,
     window_query,
 )
-from repro.window.bounds import PeerGroups, exclusion_ranges
+from repro.window.bounds import (PeerGroups, exclusion_ranges, frame_sizes,
+                                 row_ranges)
 from repro.window.calls import WindowCall as WC
 from repro.window.evaluators.common import CallInput, keep_mask
 from repro.window.frame import OrderItem
@@ -26,12 +27,7 @@ def _partition(columns, n, frame=None, exclusion=FrameExclusion.NO_OTHERS):
     peers = PeerGroups(np.arange(n))
     pieces = exclusion_ranges(start, end, exclusion, peers)
     pieces = [(np.asarray(lo), np.asarray(hi)) for lo, hi in pieces]
-    holes = []
-    if exclusion is FrameExclusion.CURRENT_ROW:
-        i = np.arange(n)
-        holes = [(np.clip(i, start, end), np.clip(i + 1, start, end))]
-    return PartitionView(columns, n, start, end, pieces, holes, peers,
-                         exclusion)
+    return PartitionView(columns, n, start, end, pieces, peers, exclusion)
 
 
 class TestKeepMask:
@@ -67,7 +63,7 @@ class TestCallInput:
         assert inputs.n_kept == 3
         assert inputs.start_f.tolist() == [0] * 5
         assert inputs.end_f.tolist() == [3] * 5
-        assert inputs.frame_counts().tolist() == [3] * 5
+        assert frame_sizes(inputs.pieces_f).tolist() == [3] * 5
         assert list(inputs.kept_values("x")) == [1, 3, 5]
 
     def test_row_pieces_skip_empty(self):
@@ -77,9 +73,9 @@ class TestCallInput:
         call = WC("count", ("x",))
         inputs = CallInput(call, part, skip_null_arg=False)
         # row 0: frame [0,3) minus row 0 = [1,3) — one piece
-        assert inputs.row_pieces_f(0) == [(1, 3)]
+        assert row_ranges(inputs.pieces_f, 0) == [(1, 3)]
         # row 1: [0,1) and [2,3)
-        assert inputs.row_pieces_f(1) == [(0, 1), (2, 3)]
+        assert row_ranges(inputs.pieces_f, 1) == [(0, 1), (2, 3)]
 
 
 class TestDistinctHoleChaining:
@@ -139,6 +135,58 @@ class TestDistinctHoleChaining:
             exclusion = [FrameExclusion.CURRENT_ROW, FrameExclusion.GROUP,
                          FrameExclusion.TIES][trial % 3]
             self._run(values, order, exclusion, frame=(2, 2))
+
+
+class TestDenseRankHoleChaining:
+    """The same Section 4.7 correction for DENSE_RANK: a smaller key
+    whose every frame occurrence sits in an EXCLUDE hole must not count,
+    one that also occurs in a piece must count once."""
+
+    def _run(self, keys, order, exclusion, frame=(3, 3), descending=False):
+        table = Table.from_dict({
+            "o": (DataType.INT64, order),
+            "k": (DataType.INT64, keys),
+        })
+        spec = WindowSpec(order_by=(OrderItem("o"),),
+                          frame=FrameSpec.rows(preceding(frame[0]),
+                                               following(frame[1]),
+                                               exclusion))
+        function_order = (OrderItem("k", descending=descending),)
+        got, want = (window_query(
+            table, [WindowCall("dense_rank", order_by=function_order,
+                               algorithm=algorithm)],
+            spec).columns[-1].to_list() for algorithm in ("mst", "naive"))
+        assert got == want
+        return got
+
+    def test_key_repeats_through_current_row_hole(self):
+        # key 1 occurs before, AT and after the excluded current row
+        got = self._run([1, 1, 1, 5, 1], list(range(5)),
+                        FrameExclusion.CURRENT_ROW)
+        assert got[3] == 2
+
+    def test_key_only_in_hole(self):
+        # key 0 occurs only at row 1, excluded with its peer row 2:
+        # row 2 ranks above key 5 alone
+        got = self._run([5, 0, 6, 7], [1, 2, 2, 3], FrameExclusion.GROUP)
+        assert got == [2, 1, 2, 4]
+
+    def test_group_exclusion_with_duplicate_peer_keys(self):
+        self._run([3, 3, 3, 8, 8], [1, 2, 2, 2, 3], FrameExclusion.GROUP)
+
+    def test_ties_keep_current_row(self):
+        self._run([4, 2, 4, 4], [1, 2, 2, 3], FrameExclusion.TIES)
+
+    def test_exhaustive_small_grid(self):
+        rng = np.random.default_rng(1)
+        for trial in range(30):
+            n = int(rng.integers(2, 14))
+            keys = rng.integers(0, 4, size=n).tolist()
+            order = rng.integers(0, 4, size=n).tolist()
+            exclusion = [FrameExclusion.CURRENT_ROW, FrameExclusion.GROUP,
+                         FrameExclusion.TIES][trial % 3]
+            self._run(keys, order, exclusion, frame=(2, 2),
+                      descending=bool(trial % 2))
 
 
 class TestSumDistinctCorrections:

@@ -9,8 +9,10 @@ symmetry, and NULL-handling rules.
 import numpy as np
 import pytest
 
+from repro.sql import Catalog, execute
 from repro.table import DataType, Table
 from repro.window import (
+    FrameExclusion,
     FrameSpec,
     WindowCall,
     WindowSpec,
@@ -235,3 +237,55 @@ class TestAggregateLaws:
             frame_rows = order[max(position - 10, 0):position + 1]
             assert modes[row] in {xs[j] for j in frame_rows}
         del counts
+
+
+class TestNaNIsOneValue:
+    """All NaNs are one value — in DISTINCT, in ranks and in peer
+    groups — as GROUP BY has them. The expected values are spelled out:
+    the ``naive`` algorithm shares the rank keys and peer groups, so
+    comparing against it cannot catch a regression here."""
+
+    Y = [float("nan"), 1.0, float("nan"), 1.0, float("nan")]
+
+    def _table(self):
+        return Table.from_dict({"o": (DataType.INT64, list(range(5))),
+                                "y": (DataType.FLOAT64, self.Y)},
+                               name="t")
+
+    @pytest.mark.parametrize("algorithm", ["mst", "naive"])
+    def test_count_distinct(self, algorithm):
+        table = self._table()
+        got = run(WindowCall("count", ("y",), distinct=True,
+                             algorithm=algorithm), FULL, table)
+        assert got == [2] * 5
+        grouped = execute("SELECT count(DISTINCT y) AS c FROM t",
+                          Catalog({"t": table}))
+        assert grouped.column("c").to_list() == [2]
+
+    @pytest.mark.parametrize("algorithm", ["mst", "naive"])
+    def test_sum_distinct_with_nan_excluded(self, algorithm):
+        spec = WindowSpec(order_by=(OrderItem("o"),), frame=FrameSpec.rows(
+            unbounded_preceding(), unbounded_following(),
+            FrameExclusion.CURRENT_ROW))
+        table = Table.from_dict({
+            "o": (DataType.INT64, list(range(4))),
+            "y": (DataType.FLOAT64, [1.0, float("nan"), 2.0, 2.0])})
+        got = run(WindowCall("sum", ("y",), distinct=True,
+                             algorithm=algorithm), spec, table)
+        assert got[1] == 3.0
+        assert all(np.isnan(got[i]) for i in (0, 2, 3))
+
+    def test_rank_and_dense_rank(self):
+        table = self._table()
+        order = (OrderItem("y"),)
+        assert run(WindowCall("rank", order_by=order), FULL, table) == \
+            [3, 1, 3, 1, 3]
+        assert run(WindowCall("dense_rank", order_by=order), FULL,
+                   table) == [2, 1, 2, 1, 2]
+
+    @pytest.mark.parametrize("mode", [FrameSpec.groups, FrameSpec.range])
+    def test_peer_groups(self, mode):
+        spec = WindowSpec(order_by=(OrderItem("y"),),
+                          frame=mode(current_row(), current_row()))
+        got = run(WindowCall("count_star"), spec, self._table())
+        assert got == [3, 2, 3, 2, 3]
