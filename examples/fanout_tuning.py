@@ -4,7 +4,9 @@ Reproduces the Section 5.1 / 6.6 reasoning in miniature: sweep a few
 (f, k) configurations on a windowed-rank workload, print measured
 build+probe times next to the closed-form memory model, and show why the
 paper settles on f = k = 32 — not the fastest cell, but a fraction of
-the memory of the fastest one.
+the memory of the fastest one. The last column is the layout this
+package builds instead (an exact bridge count per position, f - 1 bytes
+per entry and level), whose memory grows with f rather than f / k.
 
 Also demonstrates spooling a tree to disk and loading it back
 (Section 5.1: "If necessary, they could also be spooled to disk").
@@ -22,6 +24,7 @@ import numpy as np
 
 from repro import MemoryModel, MergeSortTree
 from repro.mst.persist import load_tree, save_tree
+from repro.mst.stats import live_tree_bytes
 
 
 def sweep(n: int = 20_000, queries: int = 4_000) -> None:
@@ -32,7 +35,8 @@ def sweep(n: int = 20_000, queries: int = 4_000) -> None:
 
     print(f"windowed rank on {n:,} random integers, frame {frame}, "
           f"{queries:,} probes")
-    print(f"{'f':>4} {'k':>5} {'build+probe':>12} {'model GB @100M':>15}")
+    print(f"{'f':>4} {'k':>5} {'build+probe':>12} {'model GB @100M':>15} "
+          f"{'live GB @100M':>14}")
     results = {}
     for fanout, sampling in [(2, 32), (8, 8), (16, 4), (32, 32),
                              (64, 64)]:
@@ -43,9 +47,10 @@ def sweep(n: int = 20_000, queries: int = 4_000) -> None:
                              int(keys[row]))
         elapsed = time.perf_counter() - start
         model = MemoryModel(100_000_000, fanout, sampling)
+        live = live_tree_bytes(100_000_000, fanout, sampling) / 1e9
         results[(fanout, sampling)] = (elapsed, model.gigabytes)
         print(f"{fanout:>4} {sampling:>5} {elapsed:>11.3f}s "
-              f"{model.gigabytes:>14.1f}")
+              f"{model.gigabytes:>14.1f} {live:>14.1f}")
 
     fast = min(results.items(), key=lambda kv: kv[1][0])
     chosen = results[(32, 32)]

@@ -66,8 +66,7 @@ def distinct_count_phases(order_keys: np.ndarray, values: np.ndarray,
 
     prev = timed("compute prevIdcs", compute_prev)
     levels = timed("build tree layers",
-                   lambda: build_levels_numpy(prev + 1, fanout=fanout,
-                                              cascading=False))
+                   lambda: build_levels_numpy(prev + 1, fanout=fanout))
 
     def probe() -> np.ndarray:
         i = np.arange(n, dtype=np.int64)

@@ -14,7 +14,7 @@ This package provides that reuse as a first-class subsystem:
   columns and canonical cache keys derived from ``(table fingerprint,
   PARTITION BY, ORDER BY, structure kind, aggregate config)``;
 * :mod:`repro.cache.budget` — per-structure byte accounting (tree
-  levels, cascading pointers, prefix-aggregate arrays) against a
+  levels, cascading bridges, prefix-aggregate arrays) against a
   configurable global memory budget;
 * :mod:`repro.cache.store` — a thread-safe LRU :class:`StructureCache`
   with pinning and hit/miss/eviction counters, so cached trees can be

@@ -2,10 +2,12 @@
 
 The paper's Section 5.1 / 6.6 memory model prices a merge sort tree at
 ``ceil(log_f n) * n`` level entries plus ``n * f / k`` cascading pointers
-per bridged level; :func:`structure_breakdown` measures the live arrays
-of every index structure the window evaluators build — tree levels,
-cascading pointer tables and prefix-aggregate annotations separately —
-so the cache can charge real bytes, not estimates, against its budget.
+per bridged level. The live bridges differ: ``f - 1`` uint8 offsets per
+position plus an int anchor every ``k`` positions, per bridged level.
+:func:`structure_breakdown` measures the live arrays of every index
+structure the window evaluators build — tree levels, cascading bridges
+(anchors and offsets) and prefix-aggregate annotations separately — so
+the cache can charge real bytes, not estimates, against its budget.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ class StructureSizeBreakdown:
     """Measured bytes of one index structure, by component."""
 
     levels: int = 0       # sorted level / key arrays
-    pointers: int = 0     # fractional-cascading bridge tables
+    pointers: int = 0     # fractional-cascading bridges (anchors + offsets)
     prefixes: int = 0     # per-position prefix-aggregate annotations
     other: int = 0        # auxiliary storage (position lists, span tables)
 
@@ -47,8 +49,8 @@ def _ndarray_bytes(array: Any) -> int:
 
 def _mst_breakdown(tree) -> StructureSizeBreakdown:
     levels = sum(_ndarray_bytes(keys) for keys in tree.levels.keys)
-    pointers = sum(_ndarray_bytes(bridge) for bridge in tree.levels.bridges
-                   if bridge is not None)
+    pointers = sum(_ndarray_bytes(bridge) for bridge
+                   in tree.levels.anchors + tree.levels.bridges)
     prefixes = sum(_ndarray_bytes(prefix)
                    for prefix in tree.levels.agg_prefix)
     return StructureSizeBreakdown(levels=levels, pointers=pointers,

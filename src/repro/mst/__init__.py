@@ -13,8 +13,9 @@ cascading) against the finished tree:
   order, the core of framed percentiles and value functions (Section 4.5).
 
 ``vectorized`` contains numpy-batched versions of the same queries that
-answer all n per-row queries of a window operator level-by-level; they are
-what makes the pure-Python reproduction fast enough for the benchmarks.
+answer all n per-row queries of a window operator level-by-level, one
+cascaded descent through the bridges; they are what makes the
+pure-Python reproduction fast enough for the benchmarks.
 """
 
 from repro.mst.aggregates import (

@@ -13,10 +13,13 @@ Two build paths produce bit-identical levels:
 Both can additionally produce:
 
 * *cascading bridges* (Section 4.2, "fractional cascading"): for every
-  ``k``-th position of each parent run, the number of elements consumed
-  from each child run up to that output position. At query time a parent
-  lower bound is translated into per-child lower bounds with at most a
-  ``k``-element scan, turning all but the first binary search into O(1).
+  position ``p`` of a level, how many of the level's first ``p`` entries
+  came from child runs ``0..c`` of their slab, for each of the ``f - 1``
+  columns ``c < f - 1``. A lower bound inside a parent run is thereby
+  translated into the lower bound inside every child run with O(1)
+  lookups, so only the top level is ever binary-searched. The counts are
+  stored as one int anchor every ``sample_every`` positions plus a uint8
+  offset per position (about 1 byte per entry and column).
 * *prefix aggregate annotations* (Section 4.3): for every position, the
   aggregate of the payload values from the start of its sorted run.
 
@@ -27,12 +30,16 @@ int64 otherwise — mirroring Section 5.1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
 from repro.mst.aggregates import AggregateSpec
 from repro.mst.decompose import num_levels
+
+#: Default bridge anchor spacing ``k``. Offsets from an anchor are uint8,
+#: so ``k`` can be at most 256; it must be a power of two.
+DEFAULT_SAMPLE_EVERY = 256
 
 
 @dataclass
@@ -40,16 +47,18 @@ class TreeLevels:
     """The materialised levels of a merge sort tree.
 
     ``keys[0]`` is the input array; ``keys[i]`` is sorted within runs of
-    ``fanout**i``. ``bridges[i]`` (``i >= 1``) holds, for every
-    ``sample_every``-th position of each parent run, the cumulative count
-    of elements taken from each of the ``fanout`` child runs; shape is
-    ``(num_samples, fanout)``. ``agg_prefix[i]`` holds per-position
+    ``fanout**i``. For ``i >= 1`` the bridge of level ``i`` is the pair
+    ``anchors[i]`` (shape ``(fanout - 1, ceil((n + 1) / sample_every))``)
+    and ``bridges[i]`` (uint8, shape ``(fanout - 1, n + 1)``); see
+    :meth:`consumed`. Both are ``None`` at level 0 and in trees built
+    with ``cascading=False``. ``agg_prefix[i]`` holds per-position
     running prefix aggregates within each run of level ``i``.
     """
 
     fanout: int
     sample_every: int
     keys: List[np.ndarray] = field(default_factory=list)
+    anchors: List[Optional[np.ndarray]] = field(default_factory=list)
     bridges: List[Optional[np.ndarray]] = field(default_factory=list)
     agg_prefix: List[Any] = field(default_factory=list)
 
@@ -67,27 +76,51 @@ class TreeLevels:
         """Sorted-run length at ``level`` (= fanout ** level)."""
         return self.fanout ** level
 
-    def samples_per_slab(self, level: int) -> int:
-        """Bridge samples reserved per full parent slab at ``level``.
+    def consumed(self, level: int, column: int, pos: Any) -> Any:
+        """How many of the first ``pos`` entries of ``level`` (global
+        positions, ``0 <= pos <= n``) came from child runs ``0..column``
+        of their slab. ``pos`` may be an int or an int64 array."""
+        shift = self.sample_every.bit_length() - 1
+        # Row, then gather: numpy's fast path for a 1-d integer index.
+        return (self.anchors[level][column][pos >> shift]
+                + self.bridges[level][column][pos])
 
-        The final, possibly truncated slab reserves only
-        ``ceil(actual_size / sample_every)`` rows; since it sits at the
-        end of the bridge array, ``slab_index * samples_per_slab``
-        indexing stays valid for every slab.
-        """
-        parent_len = self.run_length(level)
-        return -(-parent_len // self.sample_every)
+    def child_prefix(self, level: int, column: int, start: Any,
+                     bound: Any) -> Any:
+        """Of the first ``bound`` entries of the level-``level`` run at
+        ``start``, how many came from its child runs ``0..column``.
 
-    def slab_sample_count(self, level: int, slab_start: int) -> int:
-        """Bridge samples actually stored for the slab at ``slab_start``."""
-        parent_len = self.run_length(level)
-        size = min(parent_len, self.n - slab_start)
-        return -(-size // self.sample_every)
+        Every slab before ``start`` is full and gave ``fanout**(level-1)``
+        entries to each child, hence the ``start // fanout`` term."""
+        before = start // self.fanout
+        if column:
+            before = before * (column + 1)
+        return self.consumed(level, column, start + bound) - before
+
+    def child_prefixes(self, level: int, start: int, bound: int) -> List[int]:
+        """:meth:`child_prefix` of one run for every column at once."""
+        shift = self.sample_every.bit_length() - 1
+        pos = start + bound
+        before = start // self.fanout
+        anchors = self.anchors[level][:, pos >> shift].tolist()
+        offsets = self.bridges[level][:, pos].tolist()
+        return [anchor + offset - before * column
+                for column, (anchor, offset)
+                in enumerate(zip(anchors, offsets), 1)]
 
 
 def choose_index_dtype(n: int) -> np.dtype:
     """32-bit indices when they fit, else 64-bit (Section 5.1)."""
     return np.dtype(np.int32) if n < 2**31 - 1 else np.dtype(np.int64)
+
+
+def check_sample_every(sample_every: int) -> None:
+    """Anchor spacing must be a power of two in ``[1, 256]``."""
+    if not (1 <= sample_every <= 256
+            and sample_every & (sample_every - 1) == 0):
+        raise ValueError(
+            f"sample_every must be a power of two in [1, 256], "
+            f"got {sample_every}")
 
 
 def _prepare_keys(keys: Any) -> np.ndarray:
@@ -121,67 +154,62 @@ def _permuted_prefix(spec: AggregateSpec, payload: Any, order: Optional[np.ndarr
     return prefix
 
 
-def _bridges_from_sources(sources: np.ndarray, fanout: int, sample_every: int,
-                          parent_len: int, n: int) -> np.ndarray:
-    """Cumulative per-child consumed counts at sampled parent positions.
-
-    ``sources[j]`` is the child index (0..fanout-1) the element at parent
-    position ``j`` came from. The bridge row for sample position ``p``
-    (``p = slab_start + s * sample_every``) holds, for each child ``c``,
-    how many of the first ``p - slab_start`` outputs of the slab came from
-    child ``c`` — which is exactly the lower-bound position inside child
-    ``c`` of the value at parent position ``p``.
-    """
-    samples_per_slab = -(-parent_len // sample_every)
-    num_slabs = -(-n // parent_len)
-    last_size = n - (num_slabs - 1) * parent_len
-    last_samples = -(-last_size // sample_every)
-    total_rows = (num_slabs - 1) * samples_per_slab + last_samples
-    # Sampled positions of every slab (full slabs via broadcasting, the
-    # truncated final slab appended) and their slab start positions.
-    if num_slabs > 1:
-        grid = (np.arange(num_slabs - 1, dtype=np.int64)[:, None]
-                * parent_len
-                + np.arange(0, parent_len, sample_every,
-                            dtype=np.int64)[None, :])
-        positions = grid.reshape(-1)
-    else:
-        positions = np.empty(0, dtype=np.int64)
-    last_start = (num_slabs - 1) * parent_len
-    positions = np.concatenate([
-        positions,
-        last_start + np.arange(0, last_size, sample_every, dtype=np.int64)])
-    slab_starts = (positions // parent_len) * parent_len
-    at_start = positions == slab_starts
-    bridge = np.empty((total_rows, fanout), dtype=np.int32)
-    for c in range(fanout):
-        cum = np.cumsum(sources == c)
-        base = np.where(slab_starts == 0, 0,
-                        cum[np.maximum(slab_starts - 1, 0)])
-        consumed = np.where(
-            at_start, 0,
-            cum[np.maximum(positions - 1, 0)] - base)
-        bridge[:, c] = consumed
-    return bridge
+def _encode_bridge(counts: np.ndarray, sample_every: int
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(anchors, offsets)`` of cumulative counts ``(fanout - 1, n + 1)``:
+    ``counts[:, p] == anchors[:, p // k] + offsets[:, p]``."""
+    columns, width = counts.shape
+    anchors = counts[:, ::sample_every]
+    offsets = np.empty((columns, width), dtype=np.uint8)
+    full = width - width % sample_every
+    np.subtract(counts[:, :full].reshape(columns, -1, sample_every),
+                anchors[:, :full // sample_every, None],
+                out=offsets[:, :full].reshape(columns, -1, sample_every),
+                casting="unsafe")
+    np.subtract(counts[:, full:], anchors[:, -1:], out=offsets[:, full:],
+                casting="unsafe")
+    return anchors.astype(choose_index_dtype(width)), offsets
 
 
-def build_levels_numpy(keys: Any, fanout: int = 2, sample_every: int = 32,
-                       cascading: bool = True,
-                       aggregate: Optional[AggregateSpec] = None,
-                       payload: Any = None) -> TreeLevels:
-    """Build all levels with one stable lexsort per level."""
+def _bridge_from_sources(slab_offsets: np.ndarray, child_len: int,
+                         fanout: int, sample_every: int
+                         ) -> Tuple[np.ndarray, np.ndarray]:
+    """Bridge of a level whose entry ``j`` came from offset
+    ``slab_offsets[j]`` of its slab in the level below."""
+    counts = np.zeros((fanout - 1, len(slab_offsets) + 1), dtype=np.int64)
+    for c in range(fanout - 1):
+        np.cumsum(slab_offsets < (c + 1) * child_len, out=counts[c, 1:])
+    return _encode_bridge(counts, sample_every)
+
+
+def _new_levels(keys: Any, fanout: int, sample_every: int,
+                aggregate: Optional[AggregateSpec], payload: Any
+                ) -> TreeLevels:
+    """Level 0 of a tree: the input keys and their own annotation."""
+    check_sample_every(sample_every)
     base = _prepare_keys(keys)
     n = len(base)
     dtype = choose_index_dtype(max(n, int(base.max(initial=0)) + 2))
     levels = TreeLevels(fanout=fanout, sample_every=sample_every)
     levels.keys.append(base.astype(dtype, copy=True))
+    levels.anchors.append(None)
     levels.bridges.append(None)
     if aggregate is not None:
         if payload is None:
             raise ValueError("aggregate annotation requires a payload array")
         levels.agg_prefix.append(
             _permuted_prefix(aggregate, payload, None, 1, n))
+    return levels
 
+
+def build_levels_numpy(keys: Any, fanout: int = 2,
+                       sample_every: int = DEFAULT_SAMPLE_EVERY,
+                       cascading: bool = True,
+                       aggregate: Optional[AggregateSpec] = None,
+                       payload: Any = None) -> TreeLevels:
+    """Build all levels with one stable lexsort per level."""
+    levels = _new_levels(keys, fanout, sample_every, aggregate, payload)
+    n = levels.n
     height = num_levels(n, fanout)
     order: Optional[np.ndarray] = None
     positions = np.arange(n, dtype=np.int64)
@@ -196,19 +224,23 @@ def build_levels_numpy(keys: Any, fanout: int = 2, sample_every: int = 32,
         current = current[step_order]
         order = step_order if order is None else order[step_order]
         levels.keys.append(current)
+        anchors = bridge = None
         if cascading:
-            sources = ((step_order % parent_len) // child_len).astype(np.int8)
-            levels.bridges.append(_bridges_from_sources(
-                sources, fanout, sample_every, parent_len, n))
-        else:
-            levels.bridges.append(None)
+            # step_order[j] lies in j's slab: its offset there says
+            # which child run entry j came from.
+            anchors, bridge = _bridge_from_sources(
+                step_order - slabs * parent_len, child_len, fanout,
+                sample_every)
+        levels.anchors.append(anchors)
+        levels.bridges.append(bridge)
         if aggregate is not None:
             levels.agg_prefix.append(
                 _permuted_prefix(aggregate, payload, order, parent_len, n))
     return levels
 
 
-def build_levels_scalar(keys: Any, fanout: int = 2, sample_every: int = 32,
+def build_levels_scalar(keys: Any, fanout: int = 2,
+                        sample_every: int = DEFAULT_SAMPLE_EVERY,
                         cascading: bool = True,
                         aggregate: Optional[AggregateSpec] = None,
                         payload: Any = None) -> TreeLevels:
@@ -219,18 +251,8 @@ def build_levels_scalar(keys: Any, fanout: int = 2, sample_every: int = 32,
     fall out of the merge by "persisting the input iterators", Section 4.2)
     and because the tests cross-validate the two.
     """
-    base = _prepare_keys(keys)
-    n = len(base)
-    dtype = choose_index_dtype(max(n, int(base.max(initial=0)) + 2))
-    levels = TreeLevels(fanout=fanout, sample_every=sample_every)
-    levels.keys.append(base.astype(dtype, copy=True))
-    levels.bridges.append(None)
-    if aggregate is not None:
-        if payload is None:
-            raise ValueError("aggregate annotation requires a payload array")
-        levels.agg_prefix.append(
-            _permuted_prefix(aggregate, payload, None, 1, n))
-
+    levels = _new_levels(keys, fanout, sample_every, aggregate, payload)
+    n = levels.n
     height = num_levels(n, fanout)
     order = np.arange(n, dtype=np.int64)
     prev = levels.keys[0]
@@ -239,15 +261,11 @@ def build_levels_scalar(keys: Any, fanout: int = 2, sample_every: int = 32,
         parent_len = child_len * fanout
         out = np.empty_like(prev)
         out_order = np.empty_like(order)
-        samples_per_slab = -(-parent_len // sample_every)
-        num_slabs = -(-n // parent_len)
-        last_size = n - (num_slabs - 1) * parent_len
-        total_rows = (num_slabs - 1) * samples_per_slab \
-            + -(-last_size // sample_every)
-        bridge = (np.zeros((total_rows, fanout), dtype=np.int32)
-                  if cascading else None)
-        for slab_index in range(num_slabs):
-            slab_start = slab_index * parent_len
+        # counts[c, p]: entries before output position p taken from
+        # children 0..c of their slab — the persisted input iterators.
+        counts = np.zeros((fanout - 1, n + 1), dtype=np.int64)
+        taken = [0] * (fanout - 1)
+        for slab_start in range(0, n, parent_len):
             slab_stop = min(slab_start + parent_len, n)
             heads = []
             stops = []
@@ -257,13 +275,7 @@ def build_levels_scalar(keys: Any, fanout: int = 2, sample_every: int = 32,
                     break
                 heads.append(run_start)
                 stops.append(min(run_start + child_len, slab_stop))
-            consumed = [0] * len(heads)
             for out_pos in range(slab_start, slab_stop):
-                if bridge is not None and (out_pos - slab_start) % sample_every == 0:
-                    row = slab_index * samples_per_slab + \
-                        (out_pos - slab_start) // sample_every
-                    for c, count in enumerate(consumed):
-                        bridge[row, c] = count
                 # Stable pick: smallest key, ties resolved by child order.
                 best = -1
                 for c in range(len(heads)):
@@ -273,8 +285,14 @@ def build_levels_scalar(keys: Any, fanout: int = 2, sample_every: int = 32,
                 out[out_pos] = prev[heads[best]]
                 out_order[out_pos] = order[heads[best]]
                 heads[best] += 1
-                consumed[best] += 1
+                for c in range(best, fanout - 1):
+                    taken[c] += 1
+                counts[:, out_pos + 1] = taken
         levels.keys.append(out)
+        anchors = bridge = None
+        if cascading:
+            anchors, bridge = _encode_bridge(counts, sample_every)
+        levels.anchors.append(anchors)
         levels.bridges.append(bridge)
         if aggregate is not None:
             levels.agg_prefix.append(

@@ -19,7 +19,8 @@ import numpy as np
 from repro.mst.build import TreeLevels
 from repro.mst.tree import MergeSortTree
 
-_FORMAT_VERSION = 1
+#: Version 2: per-position bridges (``anchors_*`` + ``bridge_*``).
+_FORMAT_VERSION = 2
 
 
 def save_tree(tree: MergeSortTree, path: Union[str, Path]) -> None:
@@ -32,8 +33,10 @@ def save_tree(tree: MergeSortTree, path: Union[str, Path]) -> None:
     }
     for level, keys in enumerate(tree.levels.keys):
         arrays[f"keys_{level}"] = keys
-    for level, bridge in enumerate(tree.levels.bridges):
+    for level, (anchors, bridge) in enumerate(zip(tree.levels.anchors,
+                                                  tree.levels.bridges)):
         if bridge is not None:
+            arrays[f"anchors_{level}"] = anchors
             arrays[f"bridge_{level}"] = bridge
     for level, prefix in enumerate(tree.levels.agg_prefix):
         if not isinstance(prefix, np.ndarray):
@@ -63,9 +66,10 @@ def load_tree(path: Union[str, Path]) -> MergeSortTree:
         levels = TreeLevels(fanout=fanout, sample_every=sample_every)
         for level in range(height):
             levels.keys.append(bundle[f"keys_{level}"])
-            bridge_name = f"bridge_{level}"
-            levels.bridges.append(bundle[bridge_name]
-                                  if bridge_name in bundle else None)
+            for name, arrays in (("anchors", levels.anchors),
+                                 ("bridge", levels.bridges)):
+                name = f"{name}_{level}"
+                arrays.append(bundle[name] if name in bundle else None)
             agg_name = f"agg_{level}"
             if agg_name in bundle:
                 levels.agg_prefix.append(bundle[agg_name])

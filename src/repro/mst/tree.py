@@ -15,9 +15,13 @@ Terminology used throughout:
 * **key ranges** — half-open intervals of key values; ``None`` bounds
   mean unbounded.
 
-Queries are O(log n) with fractional cascading (the default) and
-O((log n)^2) without; the non-cascaded path is kept for the Figure 13
-ablation and as an oracle for the cascaded one.
+Queries are O(log n) with fractional cascading (the default): one binary
+search on the top level, then every child-run lower bound comes from the
+level's bridge (see :mod:`repro.mst.build`). Without bridges they are
+O((log n)^2), one binary search per run visited; that variant is kept for
+the cascading ablation, as an oracle for the cascaded walk, and for the
+DENSE_RANK index's inner trees. The batched kernels in
+:mod:`repro.mst.vectorized` read the same bridges.
 """
 
 from __future__ import annotations
@@ -27,7 +31,12 @@ from typing import Any, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.mst.aggregates import AggregateSpec
-from repro.mst.build import TreeLevels, build_levels_numpy, build_levels_scalar
+from repro.mst.build import (
+    DEFAULT_SAMPLE_EVERY,
+    TreeLevels,
+    build_levels_numpy,
+    build_levels_scalar,
+)
 
 SlabRanges = Sequence[Tuple[int, int]]
 KeyRanges = Sequence[Tuple[Optional[int], Optional[int]]]
@@ -44,11 +53,12 @@ class MergeSortTree:
         Merge fanout ``f`` (Section 5.1; the paper's default is 32, the
         numpy-vectorised window paths prefer 2).
     sample_every:
-        Cascading pointer sampling ``k``: one bridge row per ``k``
-        positions of each parent run.
+        Bridge anchor spacing ``k`` (a power of two, at most 256): one
+        int anchor per ``k`` positions, a uint8 offset per position.
     cascading:
         Build the fractional-cascading bridges. Without them queries fall
-        back to one binary search per covering run.
+        back to one binary search per covering run, and the batched
+        kernels refuse the tree.
     aggregate / payload:
         Annotate every level with per-run prefix aggregate states of
         ``payload`` (Section 4.3) to enable :meth:`aggregate`.
@@ -57,14 +67,13 @@ class MergeSortTree:
         levels; see :mod:`repro.mst.build`.
     """
 
-    def __init__(self, keys: Any, *, fanout: int = 2, sample_every: int = 32,
+    def __init__(self, keys: Any, *, fanout: int = 2,
+                 sample_every: int = DEFAULT_SAMPLE_EVERY,
                  cascading: bool = True,
                  aggregate: Optional[AggregateSpec] = None,
                  payload: Any = None, builder: str = "numpy") -> None:
         if fanout < 2:
             raise ValueError("fanout must be >= 2")
-        if sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
         build = {"numpy": build_levels_numpy,
                  "scalar": build_levels_scalar}.get(builder)
         if build is None:
@@ -93,7 +102,8 @@ class MergeSortTree:
     def memory_bytes(self) -> int:
         """Actual bytes held by level arrays, bridges and annotations."""
         total = sum(level.nbytes for level in self.levels.keys)
-        total += sum(b.nbytes for b in self.levels.bridges if b is not None)
+        total += sum(b.nbytes for b in self.levels.anchors + self.levels.bridges
+                     if b is not None)
         for prefix in self.levels.agg_prefix:
             if isinstance(prefix, np.ndarray):
                 total += prefix.nbytes
@@ -160,43 +170,32 @@ class MergeSortTree:
         ``bounds[t]`` is the lower bound (relative to ``slab_start``) of
         threshold ``t`` inside the parent run at ``level``. Returns
         ``child_bounds[c][t]`` relative to each child-run start at
-        ``level - 1``. Uses bridges when available (O(k) per threshold),
-        binary search otherwise.
+        ``level - 1``. Uses bridges when available (O(1) per threshold
+        and child), binary search otherwise.
         """
         fanout = self.fanout
         child_len = self.fanout ** (level - 1)
-        parent_len = child_len * fanout
-        slab_stop = min(slab_start + parent_len, self.n)
-        keys_child = self.levels.keys[level - 1]
-        bridge = self.levels.bridges[level] if self.cascading else None
-        child_bounds: List[List[int]] = []
-        for c in range(fanout):
-            child_start = slab_start + c * child_len
-            if child_start >= slab_stop:
-                child_bounds.append([0] * len(thresholds))
-                continue
-            child_stop = min(child_start + child_len, slab_stop)
-            per_threshold: List[int] = []
-            for (threshold, _sign), parent_bound in zip(thresholds, bounds):
-                if threshold is None:
-                    per_threshold.append(child_stop - child_start)
-                    continue
-                if bridge is None:
-                    per_threshold.append(self._run_lower_bound(
-                        level - 1, child_start, child_stop, threshold))
-                    continue
-                samples_per_slab = self.levels.samples_per_slab(level)
-                slab_index = slab_start // parent_len
-                sample = min(parent_bound // self.sample_every,
-                             self.levels.slab_sample_count(level,
-                                                           slab_start) - 1)
-                pos = int(bridge[slab_index * samples_per_slab + sample, c])
-                limit = child_stop - child_start
-                while pos < limit and keys_child[child_start + pos] < threshold:
-                    pos += 1
-                per_threshold.append(pos)
-            child_bounds.append(per_threshold)
-        return child_bounds
+        slab_stop = min(slab_start + child_len * fanout, self.n)
+        starts = [slab_start + c * child_len for c in range(fanout)]
+        sizes = [max(min(child_len, slab_stop - start), 0)
+                 for start in starts]
+        bridged = self.levels.bridges[level] is not None
+        per_threshold: List[List[int]] = []
+        for (threshold, _sign), parent_bound in zip(thresholds, bounds):
+            if threshold is None:
+                per_threshold.append(sizes)
+            elif bridged:
+                edges = [0, *self.levels.child_prefixes(level, slab_start,
+                                                        parent_bound),
+                         parent_bound]
+                per_threshold.append([b - a for a, b in zip(edges,
+                                                            edges[1:])])
+            else:
+                per_threshold.append([
+                    self._run_lower_bound(level - 1, start, start + size,
+                                          threshold) if size else 0
+                    for start, size in zip(starts, sizes)])
+        return [[row[c] for row in per_threshold] for c in range(fanout)]
 
     # ------------------------------------------------------------------
     # queries
@@ -353,8 +352,8 @@ class MergeSortTree:
 
         Checked: equal level lengths; run-sortedness of every level;
         multiset equality between the input level and the fully sorted
-        top level; cascading bridge rows in range and consistent with
-        their sampled positions; prefix-aggregate annotation shape and
+        top level; every cascading bridge decodes to the stable merge of
+        its level's child runs; prefix-aggregate annotation shape and
         (where the aggregate's semantics pin it down) monotonicity.
         """
         levels = self.levels
@@ -386,28 +385,56 @@ class MergeSortTree:
         self._check_agg_prefix(positions)
 
     def _check_bridge(self, level: int, positions: np.ndarray) -> None:
+        """The bridge must describe the stable merge of the level's child
+        runs: decoding it gives every entry's source child, and that
+        child's next entry must be the entry itself."""
         levels = self.levels
-        bridge = levels.bridges[level]
-        if bridge is None:
+        anchors, bridge = levels.anchors[level], levels.bridges[level]
+        if bridge is None and anchors is None:
             return
         n = levels.n
+        fanout = self.fanout
+        k = levels.sample_every
+        shapes = ((fanout - 1, n + 1), (fanout - 1, -(-(n + 1) // k)))
+        if bridge is None or anchors is None or \
+                (bridge.shape, anchors.shape) != shapes:
+            raise ValueError(
+                f"level {level} bridge arrays malformed, expected shapes "
+                f"{shapes}")
+        # counts[c + 1, p]: of the first p entries, those from children
+        # 0..c; row 0 (none) and row fanout (all) complete the table.
+        counts = np.vstack([
+            np.zeros(n + 1, dtype=np.int64),
+            np.repeat(anchors.astype(np.int64), k, axis=1)[:, :n + 1]
+            + bridge,
+            np.arange(n + 1, dtype=np.int64)])
+        steps = np.diff(counts, axis=1)
+        if bool(bridge[:, ::k].any()) or bool(counts[:, 0].any()) or \
+                bool((steps[1:] < steps[:-1]).any()) or \
+                not bool(((steps == 0) | (steps == 1)).all()):
+            raise ValueError(
+                f"level {level} bridge counts are not cumulative child "
+                f"counts")
+        source = fanout - steps.sum(axis=0)
         parent_len = levels.run_length(level)
-        child_len = parent_len // self.fanout
-        sampled = positions[(positions % parent_len) % self.sample_every == 0]
-        if bridge.shape != (len(sampled), self.fanout):
+        child_len = parent_len // fanout
+        slab = positions - positions % parent_len
+        taken = (counts[source + 1, positions] - counts[source, positions]
+                 - slab // fanout)
+        run_start = slab + source * child_len
+        stop = np.minimum(run_start + child_len, n)
+        if bool((taken < 0).any()) or bool((run_start + taken >= stop).any()):
             raise ValueError(
-                f"level {level} bridge has shape {bridge.shape}, expected "
-                f"({len(sampled)}, {self.fanout})")
-        if bool((bridge < 0).any()) or bool((bridge > child_len).any()):
+                f"level {level} bridge takes more entries than a child "
+                f"run holds")
+        keys = levels.keys[level]
+        equal = keys[1:] == keys[:-1]
+        unstable = (slab[1:] == slab[:-1]) & equal & (source[1:] < source[:-1])
+        if not np.array_equal(levels.keys[level - 1][run_start + taken],
+                              keys) or bool(unstable.any()):
             raise ValueError(
-                f"level {level} bridge pointer outside [0, {child_len}]")
-        # Each row's per-child consumed counts must sum to the sampled
-        # output position's offset inside its slab.
-        offsets = sampled - (sampled // parent_len) * parent_len
-        if not np.array_equal(bridge.sum(axis=1, dtype=np.int64), offsets):
-            raise ValueError(
-                f"level {level} bridge rows inconsistent with their "
-                f"sampled positions")
+                f"level {level} bridge is not the stable merge of its "
+                f"child runs")
 
     def _check_agg_prefix(self, positions: np.ndarray) -> None:
         levels = self.levels

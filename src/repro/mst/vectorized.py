@@ -1,79 +1,111 @@
-"""Numpy-batched merge sort tree queries.
+"""Numpy-batched merge sort tree queries by a cascaded descent.
 
 A window operator issues one tree query *per input row*. Instead of
 looping over rows in Python, the functions here process all ``m`` queries
-simultaneously, peeling covering runs level by level (the same
-decomposition as :mod:`repro.mst.decompose`) and running *batched* binary
-searches: every iteration of the search advances all ``m`` queries at
-once with a handful of numpy passes.
+simultaneously, each step a vectorised pass over all of them. They are
+the batched form of the scalar walk in :class:`~repro.mst.tree.MergeSortTree`
+(Section 4.2): one ``np.searchsorted`` per key threshold on the fully
+sorted top level, then, level by level, every query's lower bound inside
+the child run it descends into comes from the level's cascading bridge
+in O(1) gathers — there is no search inside runs. That is O(log n) numpy
+passes per batch.
 
-This trades the per-query O(log n) cascaded walk for O((log n)^2) numpy
-work — but each "operation" is a vectorised pass over all queries, which
-in CPython is two to three orders of magnitude faster than per-row
-Python. The asymptotics the paper cares about (vs naive / incremental
-algorithms) are unchanged.
+* :func:`batched_count` descends once per slab-range end and threshold:
+  a count over ``[lo, hi)`` is the difference of two prefix counts.
+* :func:`batched_select` descends once, into the child run that holds the
+  ``k``-th qualifying entry.
+* :func:`batched_aggregate` follows the two boundary paths of ``[lo, hi)``
+  down, reads the prefix aggregate of every run that covers the range
+  between them, and combines those bottom-up in the order of
+  :func:`repro.mst.decompose.decompose_range`'s peeling, so float sums
+  keep their bits.
+
+Queries run in blocks of :data:`BLOCK_ROWS`, which keeps every temporary
+cache-sized. The kernels need the bridges: a tree built with
+``cascading=False`` is rejected with ``ValueError``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.mst.build import TreeLevels
 
-
-def batched_lower_bound(arr: np.ndarray, start: np.ndarray, stop: np.ndarray,
-                        target: np.ndarray) -> np.ndarray:
-    """Per-query ``searchsorted(arr[start:stop], target, side='left')``.
-
-    All of ``start``, ``stop``, ``target`` are equal-length arrays; the
-    result is absolute (``start``-based) positions. Runs a classic binary
-    search with all queries advanced in lock step.
-    """
-    lo = np.asarray(start, dtype=np.int64).copy()
-    hi = np.asarray(stop, dtype=np.int64).copy()
-    span = int(np.max(hi - lo, initial=0))
-    for _ in range(max(span, 1).bit_length()):
-        active = lo < hi
-        if not active.any():
-            break
-        mid = (lo + hi) >> 1
-        probe = np.where(active, mid, 0)
-        go_right = active & (arr[probe] < target)
-        lo = np.where(go_right, mid + 1, lo)
-        hi = np.where(active & ~go_right, mid, hi)
-    return lo
+#: Queries per descent: temporaries of this many int64s stay in cache.
+BLOCK_ROWS = 1 << 14
 
 
-def _peel_plan(levels: TreeLevels, lo: np.ndarray, hi: np.ndarray):
-    """Yield ``(level, run_start, run_stop, mask)`` batches covering each
-    query's ``[lo, hi)`` with whole runs — the vectorised analogue of
-    :func:`repro.mst.decompose.decompose_range`. ``lo``/``hi`` are
-    consumed (modified in place on copies)."""
-    fanout = levels.fanout
-    lo = np.asarray(lo, dtype=np.int64).copy()
-    hi = np.asarray(hi, dtype=np.int64).copy()
-    length = 1
-    for level in range(levels.height):
-        parent = length * fanout
-        for _ in range(fanout - 1):
-            mask = (lo % parent != 0) & (lo < hi)
-            if mask.any():
-                yield level, lo, lo + length, mask
-                lo = np.where(mask, lo + length, lo)
-            else:
-                break
-        for _ in range(fanout - 1):
-            mask = (hi % parent != 0) & (lo < hi)
-            if mask.any():
-                yield level, hi - length, hi, mask
-                hi = np.where(mask, hi - length, hi)
-            else:
-                break
-        if not (lo < hi).any():
-            break
-        length = parent
+def _require_bridges(levels: TreeLevels) -> None:
+    if levels.height > 1 and levels.bridges[-1] is None:
+        raise ValueError(
+            "batched probes need the cascading bridges; the tree was "
+            "built with cascading=False")
+
+
+def _blocks(m: int) -> List[slice]:
+    return [slice(s, s + BLOCK_ROWS) for s in range(0, m, BLOCK_ROWS)]
+
+
+def _below(levels: TreeLevels, level: int, start: np.ndarray,
+           bound: np.ndarray) -> List[np.ndarray]:
+    """Of the first ``bound`` entries of each level-``level`` run at
+    ``start``: those from children ``0..c``, for every ``c < f - 1``."""
+    return [levels.child_prefix(level, c, start, bound)
+            for c in range(levels.fanout - 1)]
+
+
+def _descend(below: Sequence[np.ndarray], bound: np.ndarray,
+             passes: Callable[[int, np.ndarray], np.ndarray]):
+    """One step down a path: ``below[c]`` counts the node's first
+    ``bound`` entries that came from children ``0..c`` (``c < f - 1``);
+    ``passes(c, below[c])`` says which queries' paths lie beyond child
+    ``c``. Returns ``(lower, upper, child)``: the entries from children
+    left of the path's child, that plus the bound inside it, and the
+    child's index."""
+    lower = 0
+    upper = bound
+    child = passed = None
+    for c, counted in enumerate(below):
+        past = passes(c, counted)
+        # The path's child is the first one it does not pass.
+        upper = np.where(past if c == 0 else past | ~passed, upper, counted)
+        lower = np.where(past, counted, lower)
+        child = past if c == 0 else np.add(child, past, dtype=np.int64)
+        passed = past
+    return lower, upper, child
+
+
+def _beyond(offset: np.ndarray, child_len: int):
+    """:func:`_descend`'s ``passes`` for the path of a slab position at
+    ``offset`` inside its node."""
+    return lambda c, _: offset >= (c + 1) * child_len
+
+
+def _prefix_counts(levels: TreeLevels, x: np.ndarray,
+                   threshold: np.ndarray) -> np.ndarray:
+    """Per query: entries at slab positions below ``x`` (``0 <= x <= n``)
+    with key below ``threshold``.
+
+    Walks the root-to-leaf path of slab position ``min(x, n - 1)``,
+    adding the entries of the child runs left of the path at each level;
+    the final leaf bound adds the last entry when ``x == n``."""
+    n = levels.n
+    top = levels.height - 1
+    bound = np.searchsorted(levels.keys[top], threshold, side="left")
+    path = np.minimum(x, n - 1)
+    total = np.zeros(len(x), dtype=np.int64)
+    start = np.zeros(len(x), dtype=np.int64)
+    for level in range(top, 0, -1):
+        child_len = levels.fanout ** (level - 1)
+        lower, upper, child = _descend(_below(levels, level, start, bound),
+                                       bound,
+                                       _beyond(path - start, child_len))
+        total += lower
+        bound = upper - lower
+        start += child * child_len
+    return total + np.where(x >= n, bound, 0)
 
 
 def batched_count(levels: TreeLevels, lo: np.ndarray, hi: np.ndarray,
@@ -82,23 +114,29 @@ def batched_count(levels: TreeLevels, lo: np.ndarray, hi: np.ndarray,
     """For each query i: number of entries with slab position in
     ``[lo[i], hi[i])`` and key in ``[key_lo[i], key_hi[i])`` (``key_lo``
     omitted means unbounded below)."""
+    _require_bridges(levels)
     m = len(lo)
-    total = np.zeros(m, dtype=np.int64)
-    key_hi = np.asarray(key_hi)
+    n = levels.n
+    if n == 0 or m == 0:
+        return np.zeros(m, dtype=np.int64)
+    lo = np.clip(np.asarray(lo, dtype=np.int64), 0, n)
+    hi = np.maximum(np.minimum(np.asarray(hi, dtype=np.int64), n), lo)
+    # One descent over every (range end, threshold) pair; a prefix ending
+    # at slab position 0 is empty, so ranges that all start there skip
+    # their lower ends.
+    ends = [hi, lo] if lo.any() else [hi]
+    pairs = [(end, key_hi) for end in ends]
     if key_lo is not None:
-        key_lo = np.asarray(key_lo)
-    for level, run_lo, run_hi, mask in _peel_plan(levels, lo, hi):
-        keys = levels.keys[level]
-        idx = np.flatnonzero(mask)
-        start = run_lo[idx]
-        stop = run_hi[idx]
-        upper = batched_lower_bound(keys, start, stop, key_hi[idx])
-        if key_lo is None:
-            total[idx] += upper - start
-        else:
-            lower = batched_lower_bound(keys, start, stop, key_lo[idx])
-            total[idx] += upper - lower
-    return total
+        pairs += [(end, key_lo) for end in ends]
+    x = np.concatenate([end for end, _ in pairs])
+    threshold = np.concatenate([np.asarray(key) for _, key in pairs])
+    prefix = np.empty(len(x), dtype=np.int64)
+    for block in _blocks(len(x)):
+        prefix[block] = _prefix_counts(levels, x[block], threshold[block])
+    counts = prefix.reshape(len(pairs), m)
+    if len(ends) == 2:
+        counts = counts[0::2] - counts[1::2]
+    return counts[0] - counts[1] if key_lo is not None else counts[0]
 
 
 _AGG_IDENTITY = {
@@ -122,31 +160,97 @@ def batched_aggregate(levels: TreeLevels, lo: np.ndarray, hi: np.ndarray,
         raise ValueError(f"unsupported vectorised aggregate {kind!r}")
     if not levels.agg_prefix:
         raise ValueError("tree was built without aggregate annotations")
+    _require_bridges(levels)
     m = len(lo)
-    if kind == "count":
-        total = np.zeros(m, dtype=np.int64)
-    else:
-        total = np.full(m, _AGG_IDENTITY[kind], dtype=np.float64)
+    n = levels.n
+    total = np.full(m, _AGG_IDENTITY[kind],
+                    dtype=np.int64 if kind == "count" else np.float64)
+    if n == 0 or m == 0:
+        return total
+    lo = np.clip(np.asarray(lo, dtype=np.int64), 0, n)
+    hi = np.clip(np.asarray(hi, dtype=np.int64), 0, n)
     key_hi = np.asarray(key_hi)
-    for level, run_lo, run_hi, mask in _peel_plan(levels, lo, hi):
-        keys = levels.keys[level]
-        prefix = np.asarray(levels.agg_prefix[level])
-        idx = np.flatnonzero(mask)
-        start = run_lo[idx]
-        stop = run_hi[idx]
-        bound = batched_lower_bound(keys, start, stop, key_hi[idx])
-        has = bound > start
-        contrib_pos = np.where(has, bound - 1, 0)
-        contrib = prefix[contrib_pos]
-        if kind in ("sum", "count"):
-            total[idx] += np.where(has, contrib, 0)
-        elif kind == "min":
-            total[idx] = np.minimum(total[idx],
-                                    np.where(has, contrib, np.inf))
-        else:
-            total[idx] = np.maximum(total[idx],
-                                    np.where(has, contrib, -np.inf))
+    for block in _blocks(m):
+        total[block] = _aggregate_block(levels, lo[block], hi[block],
+                                        key_hi[block], kind)
     return total
+
+
+def _aggregate_block(levels: TreeLevels, lo: np.ndarray, hi: np.ndarray,
+                     key_hi: np.ndarray, kind: str) -> np.ndarray:
+    """:func:`batched_aggregate` over one block of queries.
+
+    The covering runs are those of
+    :func:`~repro.mst.decompose.decompose_range`: at each level, the
+    children right of ``lo``'s path and left of ``hi - 1``'s path, up to
+    the node where the two paths split. Both paths descend together; the
+    contributions are combined level by level from the bottom, ``lo``'s
+    side (left to right) before ``hi``'s (right to left)."""
+    fanout = levels.fanout
+    top = levels.height - 1
+    identity = _AGG_IDENTITY[kind]
+    live = lo < hi
+    lo = np.where(live, lo, 0)
+    hi = np.where(live, hi, 1)
+    bound_lo = bound_hi = np.searchsorted(levels.keys[top], key_hi,
+                                          side="left")
+    start_lo = np.zeros(len(lo), dtype=np.int64)
+    start_hi = np.zeros(len(lo), dtype=np.int64)
+    # contributions[level]: that level's covering runs, peeling order.
+    contributions: List[List[np.ndarray]] = [[] for _ in levels.keys]
+
+    def cover(level, run_start, bound, take):
+        has = take & (bound > 0)
+        if has.any():
+            prefix = np.asarray(levels.agg_prefix[level])
+            value = prefix[np.where(has, run_start - 1 + bound, 0)]
+            contributions[level].append(np.where(has, value, identity))
+
+    # The top run covers a query only when it is the whole, full tree.
+    cover(top, 0, bound_lo, (lo == 0) & (hi == fanout ** top))
+    for level in range(top, 0, -1):
+        child_len = fanout ** (level - 1)
+        offset_lo = lo - start_lo
+        offset_hi = hi - start_hi
+        split = start_lo != start_hi
+        below_lo = _below(levels, level, start_lo, bound_lo)
+        below_hi = _below(levels, level, start_hi, bound_hi)
+        edges_lo = [0] + below_lo + [bound_lo]
+        edges_hi = [0] + below_hi + [bound_hi]
+        # lo's side: the children from the first at or after lo, unless
+        # lo starts the node (then a coarser run covers it).
+        lo_open = offset_lo > 0
+        for c in range(1, fanout):
+            take = (lo_open & (offset_lo <= c * child_len)
+                    & (split | (offset_hi >= (c + 1) * child_len)))
+            cover(level - 1, start_lo + c * child_len,
+                  edges_lo[c + 1] - edges_lo[c], take)
+        # hi's side: the whole children before hi, unless hi ends the
+        # node, or lo's side already took this node's children.
+        hi_open = (offset_hi < child_len * fanout) & (split | ~lo_open)
+        for c in range(fanout - 2, -1, -1):
+            take = hi_open & (offset_hi >= (c + 1) * child_len)
+            cover(level - 1, start_hi + c * child_len,
+                  edges_hi[c + 1] - edges_hi[c], take)
+        lower, upper, child = _descend(below_lo, bound_lo,
+                                       _beyond(offset_lo, child_len))
+        bound_lo = upper - lower
+        start_lo = start_lo + child * child_len
+        lower, upper, child = _descend(below_hi, bound_hi,
+                                       _beyond(offset_hi - 1, child_len))
+        bound_hi = upper - lower
+        start_hi = start_hi + child * child_len
+    total = np.full(len(lo), identity,
+                    dtype=np.int64 if kind == "count" else np.float64)
+    for level_runs in contributions:
+        for value in level_runs:
+            if kind in ("sum", "count"):
+                total += value
+            elif kind == "min":
+                total = np.minimum(total, value)
+            else:
+                total = np.maximum(total, value)
+    return np.where(live, total, identity)
 
 
 def batched_select(levels: TreeLevels, k: np.ndarray, key_lo: np.ndarray,
@@ -161,35 +265,38 @@ def batched_select(levels: TreeLevels, k: np.ndarray, key_lo: np.ndarray,
     Callers must guarantee ``k < count_qualifying`` per query (rows with
     empty frames are masked out at the window-function layer).
     """
-    n = levels.n
-    fanout = levels.fanout
-    m = len(k)
-    remaining = np.asarray(k, dtype=np.int64).copy()
+    _require_bridges(levels)
+    k = np.asarray(k, dtype=np.int64)
     key_lo = np.atleast_2d(key_lo)
     key_hi = np.maximum(np.atleast_2d(key_hi), key_lo)
-    slab_start = np.zeros(m, dtype=np.int64)
-    for level in range(levels.height - 1, 0, -1):
-        keys = levels.keys[level - 1]
-        child_len = fanout ** (level - 1)
-        decided = np.zeros(m, dtype=np.bool_)
-        for c in range(fanout - 1):
-            child_start = slab_start + c * child_len
-            child_stop = np.minimum(child_start + child_len, n)
-            open_child = ~decided & (child_start < child_stop)
-            start = np.where(open_child, child_start, 0)
-            stop = np.where(open_child, child_stop, 0)
-            count_c = np.zeros(m, dtype=np.int64)
-            for piece_lo, piece_hi in zip(key_lo, key_hi):
-                count_c += batched_lower_bound(keys, start, stop, piece_hi)
-                count_c -= batched_lower_bound(keys, start, stop, piece_lo)
-            descend = open_child & (remaining < count_c)
-            skip = open_child & ~descend
-            slab_start = np.where(descend, child_start, slab_start)
-            remaining = np.where(skip, remaining - count_c, remaining)
-            decided |= descend
-        # Queries not decided by the first fanout-1 children fall into
-        # the last child run.
-        last_start = slab_start + (fanout - 1) * child_len
-        slab_start = np.where(decided, slab_start, last_start)
-    key_values = levels.keys[0][slab_start]
-    return slab_start, key_values.astype(np.int64)
+    # Rows 0..pieces-1 bound each piece from above, the rest from below.
+    thresholds = np.concatenate([key_hi, key_lo])
+    slabs = np.zeros(len(k), dtype=np.int64)
+    for block in _blocks(len(k)):
+        slabs[block] = _select_block(levels, k[block],
+                                     thresholds[:, block])
+    return slabs, levels.keys[0][slabs].astype(np.int64)
+
+
+def _select_block(levels: TreeLevels, k: np.ndarray,
+                  thresholds: np.ndarray) -> np.ndarray:
+    """:func:`batched_select`'s slab positions for one block."""
+    pieces = len(thresholds) // 2
+    top = levels.height - 1
+    remaining = k.copy()
+    bound = np.searchsorted(levels.keys[top], thresholds, side="left")
+    start = np.zeros(len(k), dtype=np.int64)
+
+    def qualifying(counted):
+        per_piece = counted[:pieces] - counted[pieces:]
+        return per_piece[0] if pieces == 1 else per_piece.sum(axis=0)
+
+    for level in range(top, 0, -1):
+        # The k-th qualifying entry lies beyond children 0..c.
+        lower, upper, child = _descend(
+            _below(levels, level, start, bound), bound,
+            lambda c, counted: remaining >= qualifying(counted))
+        remaining -= qualifying(lower)
+        bound = upper - lower
+        start += child * levels.fanout ** (level - 1)
+    return start

@@ -7,7 +7,7 @@ as morsels. Evaluators reach the vectorised probe kernels
 on their :class:`~repro.window.partition.PartitionView` instead of
 calling them directly, so the scheduler can swap the serial kernels for
 :class:`ProcessProbes` without the evaluators knowing: same arrays in,
-same arrays out, the only difference is where the binary searches ran.
+same arrays out, the only difference is where the descents ran.
 
 Serial is the default (:data:`SERIAL_PROBES`) and is a zero-overhead
 pass-through.
@@ -88,12 +88,16 @@ def probe_range(levels: TreeLevels, op: str, inputs: Dict[str, np.ndarray],
         raise ValueError(f"unknown probe op {op!r}")
 
 
+def _level_arrays(levels: TreeLevels) -> List[Any]:
+    """Every array of the tree, in :class:`LevelsHandle` order: keys,
+    bridge anchors, bridge offsets, then prefix aggregates."""
+    return (list(levels.keys) + list(levels.anchors) + list(levels.bridges)
+            + list(levels.agg_prefix))
+
+
 def _shareable_levels(levels: TreeLevels) -> bool:
     """Whether every level array can live in a plain shm segment."""
-    arrays: List[Any] = list(levels.keys)
-    arrays.extend(levels.bridges)
-    arrays.extend(levels.agg_prefix)
-    for array in arrays:
+    for array in _level_arrays(levels):
         if array is None:
             continue
         if not (isinstance(array, np.ndarray)
@@ -151,10 +155,7 @@ class ProcessProbes(ProbeKernels):
         def build():
             if not _shareable_levels(levels):  # pragma: no cover
                 return None
-            arrays: List[Optional[np.ndarray]] = list(levels.keys)
-            arrays.extend(levels.bridges)
-            arrays.extend(levels.agg_prefix)
-            return arrays
+            return _level_arrays(levels)
 
         entry = self._lease.get(("levels", token), build)
         if entry is None:
@@ -166,8 +167,9 @@ class ProcessProbes(ProbeKernels):
             fanout=levels.fanout,
             sample_every=levels.sample_every,
             keys=specs[:height],
-            bridges=specs[height:2 * height],
-            agg_prefix=specs[2 * height:])
+            anchors=specs[height:2 * height],
+            bridges=specs[2 * height:3 * height],
+            agg_prefix=specs[3 * height:])
 
     # -- the fan -------------------------------------------------------
     def _fan(self, levels: TreeLevels, op: str,

@@ -117,6 +117,7 @@ class LevelsHandle:
     fanout: int
     sample_every: int
     keys: Tuple[ShmArraySpec, ...]
+    anchors: Tuple[Optional[ShmArraySpec], ...]
     bridges: Tuple[Optional[ShmArraySpec], ...]
     agg_prefix: Tuple[Optional[ShmArraySpec], ...]
 
@@ -223,15 +224,17 @@ def _attached_levels(handle: LevelsHandle) -> Any:
     from repro.mst.build import TreeLevels
 
     segments: List[Any] = []
-    keys = [_attach_readonly(s, segments) for s in handle.keys]
-    bridges = [None if s is None else _attach_readonly(s, segments)
-               for s in handle.bridges]
-    agg_prefix = [None if s is None else _attach_readonly(s, segments)
-                  for s in handle.agg_prefix]
+
+    def attach(specs):
+        return [None if s is None else _attach_readonly(s, segments)
+                for s in specs]
+
     levels = TreeLevels(fanout=handle.fanout,
                         sample_every=handle.sample_every,
-                        keys=keys, bridges=bridges,
-                        agg_prefix=agg_prefix)
+                        keys=attach(handle.keys),
+                        anchors=attach(handle.anchors),
+                        bridges=attach(handle.bridges),
+                        agg_prefix=attach(handle.agg_prefix))
     _LEVELS_CACHE[handle.token] = (levels, segments)
     while len(_LEVELS_CACHE) > _LEVELS_CACHE_MAX:
         _, (_, old_segments) = _LEVELS_CACHE.popitem(last=False)

@@ -6,9 +6,72 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.mst.decompose import decompose_range, num_levels
+from repro.mst.build import TreeLevels
+from repro.mst.decompose import num_levels
 from repro.mst.tree import MergeSortTree
 from repro.preprocess.occurrences import previous_occurrence
+
+
+def _lower_bound_in_runs(arr: np.ndarray, start: np.ndarray,
+                         stop: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Per query ``start + searchsorted(arr[start:stop], target)``: one
+    binary search with all queries advanced in lock step."""
+    lo = np.asarray(start, dtype=np.int64).copy()
+    hi = np.asarray(stop, dtype=np.int64).copy()
+    span = int(np.max(hi - lo, initial=0))
+    for _ in range(max(span, 1).bit_length()):
+        active = lo < hi
+        if not active.any():
+            break
+        mid = (lo + hi) >> 1
+        probe = np.where(active, mid, 0)
+        go_right = active & (arr[probe] < target)
+        lo = np.where(go_right, mid + 1, lo)
+        hi = np.where(active & ~go_right, mid, hi)
+    return lo
+
+
+def _covering_runs(fanout: int, height: int, lo: np.ndarray,
+                   hi: np.ndarray):
+    """Yield ``(level, run_start, run_stop, mask)`` batches covering each
+    query's ``[lo, hi)`` with whole runs — the vectorised
+    :func:`repro.mst.decompose.decompose_range`."""
+    lo = np.asarray(lo, dtype=np.int64).copy()
+    hi = np.asarray(hi, dtype=np.int64).copy()
+    length = 1
+    for level in range(height):
+        parent = length * fanout
+        for _ in range(fanout - 1):
+            mask = (lo % parent != 0) & (lo < hi)
+            if not mask.any():
+                break
+            yield level, lo, lo + length, mask
+            lo = np.where(mask, lo + length, lo)
+        for _ in range(fanout - 1):
+            mask = (hi % parent != 0) & (lo < hi)
+            if not mask.any():
+                break
+            yield level, hi - length, hi, mask
+            hi = np.where(mask, hi - length, hi)
+        if not (lo < hi).any():
+            break
+        length = parent
+
+
+def _count_in_runs(levels: TreeLevels, lo: np.ndarray, hi: np.ndarray,
+                   key_hi: np.ndarray) -> np.ndarray:
+    """Per query: entries at slab positions ``[lo, hi)`` with key below
+    ``key_hi``, one binary search per covering run. ``[lo, hi)`` lies in
+    one aligned run here, so only the levels below it are searched —
+    cheaper than a cascaded descent from the top."""
+    total = np.zeros(len(lo), dtype=np.int64)
+    for level, run_lo, run_hi, mask in _covering_runs(
+            levels.fanout, levels.height, lo, hi):
+        idx = np.flatnonzero(mask)
+        start = run_lo[idx]
+        total[idx] += _lower_bound_in_runs(
+            levels.keys[level], start, run_hi[idx], key_hi[idx]) - start
+    return total
 
 
 class DenseRankIndex:
@@ -27,7 +90,9 @@ class DenseRankIndex:
     positions with runs sorted by key; every level carries an inner
     :class:`MergeSortTree` over the previous-occurrence values arranged
     in that level's key order, answering "prev < a among the first p
-    key-sorted entries of a run" as a 2-d count.
+    key-sorted entries of a run" as a 2-d count. The inner trees carry
+    no bridges: their memory dominates the index, and their counts stay
+    inside one aligned run.
     """
 
     def __init__(self, keys: Sequence[int], fanout: int = 2) -> None:
@@ -54,57 +119,28 @@ class DenseRankIndex:
 
     def batched_dense_rank(self, lo: np.ndarray, hi: np.ndarray,
                            keys: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`dense_rank` for all rows at once.
+        """DENSE_RANK of every row at once: row ``i`` has rank key
+        ``keys[i]`` and frame ``[lo[i], hi[i])``.
 
-        Mirrors the scalar walk: peel covering runs of each frame
-        (the merge-sort-tree decomposition), locate each row's rank key
-        inside the run's key order with a batched binary search, then
-        count first-in-frame occurrences among that key prefix with a
-        batched 2-d count on the level's inner tree.
+        Peels the covering runs of each frame (the merge-sort-tree
+        decomposition), locates each row's rank key inside the run's key
+        order with a batched binary search, then counts first-in-frame
+        occurrences among that key prefix with a batched 2-d count on
+        the level's inner tree.
         """
-        from repro.mst.vectorized import (
-            _peel_plan,
-            batched_count,
-            batched_lower_bound,
-        )
-
-        class _Shape:
-            fanout = self.fanout
-            height = len(self.key_levels)
-
         lo = np.asarray(lo, dtype=np.int64)
         hi = np.asarray(hi, dtype=np.int64)
         keys = np.asarray(keys, dtype=np.int64)
         total = np.ones(len(lo), dtype=np.int64)  # dense rank starts at 1
-        for level, run_lo, run_hi, mask in _peel_plan(_Shape, lo, hi):
+        for level, run_lo, run_hi, mask in _covering_runs(
+                self.fanout, len(self.key_levels), lo, hi):
             idx = np.flatnonzero(mask)
             start = run_lo[idx]
-            stop = run_hi[idx]
-            bound = batched_lower_bound(self.key_levels[level], start, stop,
-                                        keys[idx])
-            inner = self.inner[level].levels
-            total[idx] += batched_count(inner, start, bound,
-                                        key_hi=lo[idx])
+            bound = _lower_bound_in_runs(self.key_levels[level], start,
+                                         run_hi[idx], keys[idx])
+            total[idx] += _count_in_runs(self.inner[level].levels, start,
+                                         bound, lo[idx])
         return total
-
-    def distinct_below(self, lo: int, hi: int, key_below: int) -> int:
-        """Distinct key classes in frame ``[lo, hi)`` with key strictly
-        below ``key_below``."""
-        total = 0
-        for level, start, stop in decompose_range(lo, hi, self.fanout,
-                                                  self.n):
-            run_keys = self.key_levels[level]
-            p = int(np.searchsorted(run_keys[start:stop], key_below,
-                                    side="left"))
-            if p:
-                total += self.inner[level].count(
-                    [(start, start + p)], [(None, lo)])
-        return total
-
-    def dense_rank(self, lo: int, hi: int, key: int) -> int:
-        """DENSE_RANK of a row with rank key ``key`` over frame
-        ``[lo, hi)``."""
-        return self.distinct_below(lo, hi, key) + 1
 
     def memory_bytes(self) -> int:
         total = sum(level.nbytes for level in self.key_levels)

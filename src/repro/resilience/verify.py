@@ -6,7 +6,8 @@ raises:
 
 * :func:`verify_structure` runs a structure's cheap structural
   invariants (run-sortedness per merge-sort-tree level, cascading
-  bridge pointers in range, prefix-aggregate monotonicity; segment-tree
+  bridges that decode to the stable merge of their child runs,
+  prefix-aggregate monotonicity; segment-tree
   level recomputation; order-statistic-tree size caches and key order).
   The cache calls it whenever a structure crosses a trust boundary — a
   reload from the spill directory — so a bit-flip that survived the

@@ -7,6 +7,10 @@ Evaluation follows the paper's four steps:
 2. add (LEAD) or subtract (LAG) the offset;
 3. find the row at the adjusted position — a select query;
 4. evaluate the argument expression on that row (or the default).
+
+When the function order is the window order the permutation is the
+identity: steps 1 and 3 are then arithmetic on the frame's pieces, and
+no tree is built.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ import numpy as np
 from repro.baselines.naive import frame_rows
 from repro.errors import WindowFunctionError
 from repro.mst.tree import MergeSortTree
-from repro.sortutil import stable_argsort
+from repro.preprocess.permutation import inverse_permutation
+from repro.sortutil import SortColumn, stable_argsort
 from repro.table.column import date_to_ordinal
 from repro.window.bounds import frame_sizes
 from repro.window.calls import WindowCall
@@ -39,6 +44,47 @@ def _default(call: WindowCall) -> Any:
     return call.default
 
 
+def _in_frame_order(call: WindowCall, part: PartitionView) -> bool:
+    """Whether the function order is the window ORDER BY the partition is
+    sorted by (or there is none): a stable sort then keeps every row in
+    place."""
+    def spelled(items):
+        return [(item.column, item.descending, item.resolved_nulls_last())
+                for item in items]
+    return not call.order_by or \
+        spelled(call.order_by) == spelled(part.window_order)
+
+
+def _function_positions(inputs: CallInput, tree: MergeSortTree,
+                        sort_columns: List[SortColumn]) -> np.ndarray:
+    """Per partition row: the kept rows sorting strictly before it in
+    function order (stable, so ties go by partition position)."""
+    if inputs.keep.all():
+        # Every row is kept: that is the row's place in the kept
+        # permutation the tree was built from.
+        return inverse_permutation(tree.levels.keys[0])
+    full_order = stable_argsort(sort_columns, inputs.n)
+    kept_prefix = np.zeros(inputs.n + 1, dtype=np.int64)
+    np.cumsum(inputs.keep[full_order], out=kept_prefix[1:])
+    return kept_prefix[inverse_permutation(full_order)]
+
+
+def _piece_select(inputs: CallInput, k: np.ndarray,
+                  rows: np.ndarray) -> np.ndarray:
+    """For each of ``rows``: the filtered position of the ``k``-th kept
+    row of its frame in frame order — the pieces are ascending and
+    disjoint, so it lies ``k`` minus the sizes before it into one."""
+    out = np.zeros(len(rows), dtype=np.int64)
+    before = np.zeros(len(rows), dtype=np.int64)
+    for lo, hi in inputs.pieces_f:
+        lo, hi = lo[rows], hi[rows]
+        size = np.maximum(hi - lo, 0)
+        inside = (k >= before) & (k < before + size)
+        out = np.where(inside, lo + k - before, out)
+        before += size
+    return out
+
+
 def evaluate(call: WindowCall, part: PartitionView) -> Result:
     inputs = CallInput(call, part, skip_null_arg=call.ignore_nulls)
     if call.algorithm == "naive":
@@ -47,29 +93,30 @@ def evaluate(call: WindowCall, part: PartitionView) -> Result:
         raise WindowFunctionError(
             f"algorithm {call.algorithm!r} does not support LEAD/LAG")
 
-    sort_columns = inputs.function_sort_columns()
-    tree = inputs.structure(
-        "mst:perm",
-        lambda: MergeSortTree(inputs.kept_permutation(sort_columns),
-                              fanout=_TREE_FANOUT),
-        extra=inputs.function_order_signature())
-
-    # Step 1: the row's insertion position among kept rows in function
-    # order. stable_argsort is stable, so restriction to kept rows keeps
-    # relative order consistent with the kept permutation.
-    full_order = stable_argsort(sort_columns, part.n)
-    fn_position = np.empty(part.n, dtype=np.int64)
-    fn_position[full_order] = np.arange(part.n, dtype=np.int64)
-    kept_in_fn_order = inputs.keep[full_order]
-    kept_prefix = np.zeros(part.n + 1, dtype=np.int64)
-    np.cumsum(kept_in_fn_order, out=kept_prefix[1:])
-    own_slab = kept_prefix[fn_position]  # kept rows sorting strictly before
-
-    rank0 = np.zeros(part.n, dtype=np.int64)
-    for lo, hi in inputs.pieces_f:
-        rank0 += part.probes.count(tree.levels,
-                                   np.zeros(part.n, dtype=np.int64),
-                                   own_slab, key_hi=hi, key_lo=lo)
+    in_frame_order = _in_frame_order(call, part)
+    if in_frame_order:
+        # Function order is frame order, so the kept permutation is the
+        # identity and both probes reduce to arithmetic on the pieces:
+        # the kept rows before row i are exactly those at filtered
+        # positions below its own.
+        own = inputs.remap.bounds_array_to_filtered(np.arange(part.n))
+        rank0 = sum(np.maximum(np.minimum(own, hi) - lo, 0)
+                    for lo, hi in inputs.pieces_f)
+    else:
+        sort_columns = inputs.function_sort_columns()
+        tree = inputs.structure(
+            "mst:perm",
+            lambda: MergeSortTree(inputs.kept_permutation(sort_columns),
+                                  fanout=_TREE_FANOUT),
+            extra=inputs.function_order_signature())
+        # Step 1: the row's insertion position among kept rows in
+        # function order, a slab-prefix count on the permutation tree.
+        own_slab = _function_positions(inputs, tree, sort_columns)
+        rank0 = np.zeros(part.n, dtype=np.int64)
+        for lo, hi in inputs.pieces_f:
+            rank0 += part.probes.count(tree.levels,
+                                       np.zeros(part.n, dtype=np.int64),
+                                       own_slab, key_hi=hi, key_lo=lo)
 
     # Step 2: apply the offset.
     signed = call.offset if call.function == "lead" else -call.offset
@@ -79,7 +126,10 @@ def evaluate(call: WindowCall, part: PartitionView) -> Result:
 
     # Steps 3 + 4: select and read the argument (or the default).
     values, validity = inputs.argument()
-    at = inputs.select(tree.levels, targets[idx], idx)
+    if in_frame_order:
+        at = inputs.kept_rows[_piece_select(inputs, targets[idx], idx)]
+    else:
+        at = inputs.select(tree.levels, targets[idx], idx)
     default = _default(call)
     out = np.full(part.n, 0 if default is None else default,
                   dtype=result_dtype(call, part))

@@ -67,7 +67,7 @@ class TestProfiler:
         from repro.mst.vectorized import batched_count
         from repro.preprocess import previous_occurrence
         prev = previous_occurrence(values)
-        levels = build_levels_numpy(prev + 1, fanout=2, cascading=False)
+        levels = build_levels_numpy(prev + 1, fanout=2)
         i = np.arange(n)
         lo = np.maximum(i - 50, 0)
         counts = batched_count(levels, lo, i + 1, key_hi=lo + 1)

@@ -49,30 +49,40 @@ def test_edge_sizes(n, rng):
 
 def test_builders_produce_identical_levels_and_bridges(rng):
     keys = rng.integers(0, 30, size=77)
-    for fanout in (2, 4):
-        for k in (1, 3, 16):
+    for fanout in (2, 3, 4):
+        for k in (1, 4, 16, 256):
             a = build_levels_numpy(keys, fanout=fanout, sample_every=k)
             b = build_levels_scalar(keys, fanout=fanout, sample_every=k)
             for la, lb in zip(a.keys, b.keys):
                 assert np.array_equal(la, lb)
-            for ba, bb in zip(a.bridges, b.bridges):
-                if ba is None:
-                    assert bb is None
-                else:
+            for ours, theirs in ((a.anchors, b.anchors),
+                                 (a.bridges, b.bridges)):
+                assert ours[0] is None and theirs[0] is None
+                for ba, bb in zip(ours[1:], theirs[1:]):
+                    assert ba.dtype == bb.dtype
                     assert np.array_equal(ba, bb)
 
 
 def test_bridges_are_consumed_counts(rng):
-    """Bridge rows must equal, per child, the number of that child's
-    elements among the first s*k outputs of the parent slab."""
+    """At every position p of a level, bridge column c must count the
+    entries before p that the merge took from children 0..c of their
+    slab — global counts, every earlier slab included."""
     keys = rng.integers(0, 50, size=60)
-    fanout, k = 2, 4
-    levels = build_levels_scalar(keys, fanout=fanout, sample_every=k)
+    for fanout, k in [(2, 4), (3, 1), (4, 256)]:
+        _check_consumed_counts(
+            build_levels_numpy(keys, fanout=fanout, sample_every=k))
+
+
+def _check_consumed_counts(levels):
+    fanout, k = levels.fanout, levels.sample_every
     for level in range(1, levels.height):
         child_len = fanout ** (level - 1)
         parent_len = child_len * fanout
-        bridge = levels.bridges[level]
-        spslab = levels.samples_per_slab(level)
+        anchors, bridge = levels.anchors[level], levels.bridges[level]
+        assert bridge.dtype == np.uint8
+        assert bridge.shape == (fanout - 1, levels.n + 1)
+        assert anchors.shape == (fanout - 1, -(-(levels.n + 1) // k))
+        taken = [0] * fanout
         for slab_start in range(0, levels.n, parent_len):
             slab_stop = min(slab_start + parent_len, levels.n)
             # Reconstruct the merge to count consumption.
@@ -80,24 +90,33 @@ def test_bridges_are_consumed_counts(rng):
             for c in range(fanout):
                 lo = slab_start + c * child_len
                 hi = min(lo + child_len, slab_stop)
-                if lo < hi:
-                    children.append(list(levels.keys[level - 1][lo:hi]))
-                else:
-                    children.append([])
+                children.append(list(levels.keys[level - 1][lo:hi])
+                                if lo < hi else [])
             heads = [0] * fanout
-            slab_index = slab_start // parent_len
-            for out_pos in range(slab_start, slab_stop):
-                rel = out_pos - slab_start
-                if rel % k == 0:
-                    row = slab_index * spslab + rel // k
-                    for c in range(fanout):
-                        assert bridge[row, c] == heads[c], \
-                            (level, slab_start, out_pos, c)
+            for out_pos in range(slab_start, slab_stop + 1):
+                for c in range(fanout - 1):
+                    want = sum(taken[:c + 1])
+                    assert levels.consumed(level, c, out_pos) == want, \
+                        (level, out_pos, c)
+                    assert anchors[c, out_pos // k] + bridge[c, out_pos] \
+                        == want
+                if out_pos == slab_stop:
+                    break
                 best = min(
                     (c for c in range(fanout)
                      if heads[c] < len(children[c])),
                     key=lambda c: (children[c][heads[c]], c))
                 heads[best] += 1
+                taken[best] += 1
+
+
+def test_sample_every_must_be_power_of_two_up_to_256(rng):
+    keys = rng.integers(0, 9, size=20)
+    for bad in (0, 3, 12, 512):
+        with pytest.raises(ValueError):
+            build_levels_numpy(keys, sample_every=bad)
+        with pytest.raises(ValueError):
+            build_levels_scalar(keys, sample_every=bad)
 
 
 def test_non_integer_keys_rejected():

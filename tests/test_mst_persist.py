@@ -18,6 +18,10 @@ def test_roundtrip_count_queries(tmp_path, rng):
     assert loaded.fanout == 4
     assert loaded.sample_every == 8
     assert loaded.cascading
+    for ours, theirs in zip(loaded.levels.anchors + loaded.levels.bridges,
+                            tree.levels.anchors + tree.levels.bridges):
+        assert (ours is None and theirs is None) or \
+            np.array_equal(ours, theirs)
     for _ in range(50):
         lo, hi = sorted(rng.integers(0, n + 1, size=2))
         t = int(rng.integers(-2, n + 2))
@@ -132,6 +136,7 @@ def test_no_cascading_roundtrip(tmp_path, rng):
     loaded = load_tree(path)
     assert not loaded.cascading
     assert all(b is None for b in loaded.levels.bridges)
+    assert all(a is None for a in loaded.levels.anchors)
     assert loaded.count_below(3, 50, 20) == tree.count_below(3, 50, 20)
 
 

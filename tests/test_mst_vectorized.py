@@ -11,9 +11,11 @@ from repro.parallel.scheduler import WindowScheduler
 from repro.mst.vectorized import (
     batched_aggregate,
     batched_count,
-    batched_lower_bound,
     batched_select,
 )
+# The lock-step in-run search left the cascaded kernels; the DENSE_RANK
+# index, which counts inside one aligned run, keeps it.
+from repro.rangetree.dense import _lower_bound_in_runs
 
 
 @pytest.fixture(scope="module")
@@ -23,13 +25,15 @@ def process_scheduler():
 
 
 class TestBatchedLowerBound:
+    """The range tree's lock-step binary search inside runs."""
+
     def test_matches_searchsorted_within_runs(self, rng):
         arr = np.sort(rng.integers(0, 100, size=64))
         m = 200
         start = rng.integers(0, 64, size=m)
         stop = np.minimum(start + rng.integers(0, 64, size=m), 64)
         target = rng.integers(-5, 105, size=m)
-        got = batched_lower_bound(arr, start, stop, target)
+        got = _lower_bound_in_runs(arr, start, stop, target)
         for i in range(m):
             want = start[i] + np.searchsorted(arr[start[i]:stop[i]],
                                               target[i], side="left")
@@ -37,14 +41,14 @@ class TestBatchedLowerBound:
 
     def test_empty_queries(self):
         arr = np.arange(10)
-        out = batched_lower_bound(arr, np.array([3]), np.array([3]),
-                                  np.array([5]))
+        out = _lower_bound_in_runs(arr, np.array([3]), np.array([3]),
+                                   np.array([5]))
         assert out[0] == 3
 
     def test_no_queries(self):
         arr = np.arange(10)
         empty = np.array([], dtype=np.int64)
-        assert len(batched_lower_bound(arr, empty, empty, empty)) == 0
+        assert len(_lower_bound_in_runs(arr, empty, empty, empty)) == 0
 
 
 class TestBatchedCount:
@@ -193,6 +197,22 @@ class TestBatchedAggregate:
         with pytest.raises(ValueError):
             batched_aggregate(tree.levels, np.array([0]), np.array([10]),
                               np.array([3]), "sum")
+
+
+def test_tree_without_bridges_rejected(rng):
+    """The batched kernels have one path, the cascaded descent: a tree
+    built without bridges is an error, not a slower fallback."""
+    keys = rng.integers(0, 5, size=10)
+    tree = MergeSortTree(keys, cascading=False, aggregate=SUM,
+                         payload=np.ones(10))
+    one = np.array([0]), np.array([10]), np.array([3])
+    with pytest.raises(ValueError, match="cascading"):
+        batched_count(tree.levels, *one)
+    with pytest.raises(ValueError, match="cascading"):
+        batched_aggregate(tree.levels, *one, "sum")
+    with pytest.raises(ValueError, match="cascading"):
+        batched_select(tree.levels, np.array([0]), np.array([0]),
+                       np.array([5]))
 
 
 @given(

@@ -451,7 +451,8 @@ def test_worker_probe_input_views_are_read_only():
         in_spec = arena.share(np.arange(128, dtype=np.int64))
         out_spec = arena.create((128,), np.int64)
         handle = LevelsHandle(token="t0", fanout=16, sample_every=8,
-                              keys=(), bridges=(), agg_prefix=())
+                              keys=(), anchors=(), bridges=(),
+                              agg_prefix=())
         job = ProcProbeJob(probe_id="p0", op="count", levels=handle,
                            inputs=(("lo", in_spec),),
                            outputs=(out_spec,))

@@ -12,46 +12,56 @@ def _oracle_distinct_below(keys, lo, hi, threshold):
     return len({k for k in keys[lo:hi] if k < threshold})
 
 
+def _distinct_below(index, lo, hi, threshold):
+    """Distinct keys below ``threshold`` in frame ``[lo, hi)``, read off
+    the batched kernel: a row with rank key ``threshold`` has dense rank
+    one more than that."""
+    return int(index.batched_dense_rank(np.array([lo]), np.array([hi]),
+                                        np.array([threshold]))[0]) - 1
+
+
 class TestDenseRankIndex:
     @pytest.mark.parametrize("fanout", [2, 4])
     def test_distinct_below_random(self, fanout, rng):
         n = 90
         keys = rng.integers(0, 12, size=n)
         index = DenseRankIndex(keys, fanout=fanout)
-        for _ in range(120):
-            lo, hi = sorted(rng.integers(0, n + 1, size=2))
-            t = int(rng.integers(0, 13))
-            assert index.distinct_below(int(lo), int(hi), t) == \
-                _oracle_distinct_below(keys, lo, hi, t)
+        bounds = np.sort(rng.integers(0, n + 1, size=(2, 120)), axis=0)
+        thresholds = rng.integers(0, 13, size=120)
+        got = index.batched_dense_rank(bounds[0], bounds[1], thresholds)
+        for i, (lo, hi) in enumerate(bounds.T):
+            assert got[i] == 1 + _oracle_distinct_below(
+                keys, lo, hi, thresholds[i])
 
     def test_dense_rank(self, rng):
         n = 60
         keys = rng.integers(0, 8, size=n)
         index = DenseRankIndex(keys)
+        lo = np.maximum(np.arange(n) - 14, 0)
+        hi = np.arange(n) + 1
+        got = index.batched_dense_rank(lo, hi, keys)
         for i in range(n):
-            lo = max(i - 14, 0)
-            hi = i + 1
-            expected = _oracle_distinct_below(keys, lo, hi, keys[i]) + 1
-            assert index.dense_rank(lo, hi, int(keys[i])) == expected
+            expected = _oracle_distinct_below(keys, lo[i], hi[i], keys[i]) + 1
+            assert got[i] == expected
 
     def test_all_distinct_keys(self):
         keys = np.arange(20)
         index = DenseRankIndex(keys)
-        assert index.distinct_below(0, 20, 10) == 10
-        assert index.distinct_below(5, 15, 10) == 5
+        assert _distinct_below(index, 0, 20, 10) == 10
+        assert _distinct_below(index, 5, 15, 10) == 5
 
     def test_all_equal_keys(self):
         keys = np.zeros(16, dtype=np.int64)
         index = DenseRankIndex(keys)
-        assert index.distinct_below(0, 16, 0) == 0
-        assert index.distinct_below(0, 16, 1) == 1
+        assert _distinct_below(index, 0, 16, 0) == 0
+        assert _distinct_below(index, 0, 16, 1) == 1
 
     def test_empty_and_tiny(self):
         index = DenseRankIndex(np.array([], dtype=np.int64))
-        assert index.distinct_below(0, 0, 5) == 0
+        assert _distinct_below(index, 0, 0, 5) == 0
         single = DenseRankIndex(np.array([3]))
-        assert single.dense_rank(0, 1, 3) == 1
-        assert single.dense_rank(0, 1, 4) == 2
+        assert _distinct_below(single, 0, 1, 3) + 1 == 1
+        assert _distinct_below(single, 0, 1, 4) + 1 == 2
 
     def test_memory_bytes_positive(self, rng):
         index = DenseRankIndex(rng.integers(0, 5, size=50))
@@ -64,12 +74,12 @@ class TestDenseRankIndex:
         n = len(keys)
         lo, hi = sorted((a % (n + 1), b % (n + 1)))
         index = DenseRankIndex(np.asarray(keys, dtype=np.int64))
-        assert index.distinct_below(lo, hi, t) == \
+        assert _distinct_below(index, lo, hi, t) == \
             _oracle_distinct_below(keys, lo, hi, t)
 
 
 class TestBatchedDenseRank:
-    def test_matches_scalar(self, rng):
+    def test_matches_oracle(self, rng):
         n = 300
         keys = rng.integers(0, 15, size=n)
         index = DenseRankIndex(keys)
@@ -77,8 +87,8 @@ class TestBatchedDenseRank:
         hi = np.minimum(lo + rng.integers(1, 60, size=n), n)
         got = index.batched_dense_rank(lo, hi, keys)
         for i in range(n):
-            assert got[i] == index.dense_rank(int(lo[i]), int(hi[i]),
-                                              int(keys[i]))
+            assert got[i] == 1 + _oracle_distinct_below(keys, lo[i], hi[i],
+                                                        keys[i])
 
     def test_single_row(self):
         index = DenseRankIndex(np.array([5]))

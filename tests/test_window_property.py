@@ -87,6 +87,13 @@ CALL_FACTORIES = [
     lambda: dict(function="lead", args=("y",),
                  order_by=(OrderItem("y"),)),
     lambda: dict(function="lag", args=("x",), default=-1),
+    # LEAD/LAG in the window order (identity permutation, no tree), with
+    # and without skipped rows, and in another order with every row kept.
+    lambda: dict(function="lead", args=("x",), offset=2, ignore_nulls=True),
+    lambda: dict(function="lag", args=("x",), order_by=(OrderItem("o"),),
+                 ignore_nulls=True),
+    lambda: dict(function="lead", args=("y",),
+                 order_by=(OrderItem("o", descending=True),)),
 ]
 
 
