@@ -6,7 +6,8 @@ the individual design decisions:
 * fractional cascading on/off (Section 4.2) — same results, fewer
   binary-search steps per query;
 * index width selection (Section 5.1) — int32 vs int64 levels;
-* the two build paths (faithful multiway merge vs numpy lexsort);
+* the two build paths (faithful multiway merge vs the numpy merge, one
+  stable sort of (slab, key) codes per level);
 * vectorised (batched) vs per-row scalar probing — the CPython-specific
   choice that stands in for Hyper's compiled probes.
 """
@@ -78,7 +79,7 @@ def test_builder_ablation(benchmark, keys):
         assert np.array_equal(la, lb)
     series = BenchSeries("Ablation — tree build paths",
                          ["builder", "seconds"])
-    series.add("numpy lexsort per level", t_numpy)
+    series.add("numpy stable sort of (slab, key) codes per level", t_numpy)
     series.add("faithful multiway merge", t_scalar)
     emit(series)
     assert t_numpy < t_scalar

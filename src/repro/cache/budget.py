@@ -47,12 +47,12 @@ def _ndarray_bytes(array: Any) -> int:
     return 0
 
 
-def _mst_breakdown(tree) -> StructureSizeBreakdown:
-    levels = sum(_ndarray_bytes(keys) for keys in tree.levels.keys)
+def _levels_breakdown(tree_levels) -> StructureSizeBreakdown:
+    levels = sum(_ndarray_bytes(keys) for keys in tree_levels.keys)
     pointers = sum(_ndarray_bytes(bridge) for bridge
-                   in tree.levels.anchors + tree.levels.bridges)
+                   in tree_levels.anchors + tree_levels.bridges)
     prefixes = sum(_ndarray_bytes(prefix)
-                   for prefix in tree.levels.agg_prefix)
+                   for prefix in tree_levels.agg_prefix)
     return StructureSizeBreakdown(levels=levels, pointers=pointers,
                                   prefixes=prefixes)
 
@@ -72,13 +72,13 @@ def structure_breakdown(structure: Any) -> StructureSizeBreakdown:
     from repro.segtree.tree import SegmentTree
 
     if isinstance(structure, MergeSortTree):
-        return _mst_breakdown(structure)
+        return _levels_breakdown(structure.levels)
     if isinstance(structure, DenseRankIndex):
         out = StructureSizeBreakdown(
             levels=sum(_ndarray_bytes(level)
                        for level in structure.key_levels))
         for inner in structure.inner:
-            out = out + _mst_breakdown(inner)
+            out = out + _levels_breakdown(inner)
         return out
     if isinstance(structure, (SegmentTree, HolisticSegmentTree)):
         return StructureSizeBreakdown(

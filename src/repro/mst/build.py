@@ -6,9 +6,12 @@ Two build paths produce bit-identical levels:
   multiway merge (Section 5.2 describes the parallel variant). It is the
   reference implementation used by the tests and mirrors what a database
   system would run.
-* :func:`build_levels_numpy` — one stable ``np.lexsort`` per level
-  (sorting each slab independently is exactly a multiway merge of its
-  already-sorted children). This is the fast path for large inputs.
+* :func:`build_levels_numpy` — one stable sort per level of the codes
+  ``slab * span + key`` over the level below (:func:`_merge_orders`).
+  Sorting each slab independently is exactly a multiway merge of its
+  already-sorted children, and numpy's stable integer sort (timsort)
+  finds those sorted runs and only merges them. This is the fast path
+  for large inputs.
 
 Both can additionally produce:
 
@@ -30,7 +33,7 @@ int64 otherwise — mirroring Section 5.1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -182,6 +185,41 @@ def _bridge_from_sources(slab_offsets: np.ndarray, child_len: int,
     return _encode_bridge(counts, sample_every)
 
 
+def _merge_orders(keys: np.ndarray, fanout: int, height: int
+                  ) -> Iterator[Tuple[int, np.ndarray]]:
+    """``(level, step_order)`` for levels ``1 .. height - 1``:
+    ``step_order`` is the stable permutation of the level below that sorts
+    every aligned slab of ``fanout**level`` entries by key.
+
+    Each level is one stable ``argsort`` of the int64 codes
+    ``slab * span + (key - min)``. The slab part keeps every slab in
+    place, and the child runs inside it are already sorted, so the sort
+    only merges them. The codes are built from ``keys`` when
+    ``ceil(n / fanout) * span`` fits int64, and from the dense ranks of
+    ``keys`` otherwise; both give the same stable order.
+    """
+    n = len(keys)
+    if height <= 1:
+        return
+    low, high = int(keys.min()), int(keys.max())
+    span = high - low + 1
+    if -(-n // fanout) * span <= np.iinfo(np.int64).max:
+        sort_keys = keys.astype(np.int64)
+        sort_keys -= low
+    else:
+        uniques, sort_keys = np.unique(keys, return_inverse=True)
+        span = len(uniques)
+    positions = np.arange(n, dtype=np.int64)
+    codes = np.empty(n, dtype=np.int64)
+    for level in range(1, height):
+        np.floor_divide(positions, fanout ** level, out=codes)
+        codes *= span
+        codes += sort_keys
+        step_order = np.argsort(codes, kind="stable")
+        sort_keys = sort_keys[step_order]
+        yield level, step_order
+
+
 def _new_levels(keys: Any, fanout: int, sample_every: int,
                 aggregate: Optional[AggregateSpec], payload: Any
                 ) -> TreeLevels:
@@ -189,7 +227,8 @@ def _new_levels(keys: Any, fanout: int, sample_every: int,
     check_sample_every(sample_every)
     base = _prepare_keys(keys)
     n = len(base)
-    dtype = choose_index_dtype(max(n, int(base.max(initial=0)) + 2))
+    dtype = choose_index_dtype(max(n, int(base.max(initial=0)) + 2,
+                                   -int(base.min(initial=0))))
     levels = TreeLevels(fanout=fanout, sample_every=sample_every)
     levels.keys.append(base.astype(dtype, copy=True))
     levels.anchors.append(None)
@@ -206,34 +245,35 @@ def build_levels_numpy(keys: Any, fanout: int = 2,
                        sample_every: int = DEFAULT_SAMPLE_EVERY,
                        cascading: bool = True,
                        aggregate: Optional[AggregateSpec] = None,
-                       payload: Any = None) -> TreeLevels:
-    """Build all levels with one stable lexsort per level."""
+                       payload: Any = None,
+                       height: Optional[int] = None) -> TreeLevels:
+    """Build all levels, each one stable merge of the level below
+    (:func:`_merge_orders`).
+
+    ``height`` caps the number of levels built (default: the full tree);
+    a capped tree answers only ranges inside one aligned run of its top
+    level."""
     levels = _new_levels(keys, fanout, sample_every, aggregate, payload)
     n = levels.n
-    height = num_levels(n, fanout)
+    full_height = num_levels(n, fanout)
+    height = full_height if height is None else min(height, full_height)
     order: Optional[np.ndarray] = None
-    positions = np.arange(n, dtype=np.int64)
     current = levels.keys[0]
-    for level in range(1, height):
+    for level, step_order in _merge_orders(current, fanout, height):
         child_len = fanout ** (level - 1)
         parent_len = child_len * fanout
-        slabs = positions // parent_len
-        # Stable sort by (slab, key): within each parent slab this is a
-        # stable multiway merge of its fanout sorted child runs.
-        step_order = np.lexsort((current, slabs))
         current = current[step_order]
-        order = step_order if order is None else order[step_order]
         levels.keys.append(current)
         anchors = bridge = None
         if cascading:
             # step_order[j] lies in j's slab: its offset there says
             # which child run entry j came from.
             anchors, bridge = _bridge_from_sources(
-                step_order - slabs * parent_len, child_len, fanout,
-                sample_every)
+                step_order % parent_len, child_len, fanout, sample_every)
         levels.anchors.append(anchors)
         levels.bridges.append(bridge)
         if aggregate is not None:
+            order = step_order if order is None else order[step_order]
             levels.agg_prefix.append(
                 _permuted_prefix(aggregate, payload, order, parent_len, n))
     return levels

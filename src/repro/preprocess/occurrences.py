@@ -60,8 +60,7 @@ def previous_occurrence(values: Any,
     if _is_sortable_array(values) and validity is None:
         # Algorithm 1: stable sort by value, previous occurrence is the
         # sorted neighbour when values match.
-        positions = np.arange(n, dtype=np.int64)
-        order = np.lexsort((positions, values))
+        order = np.argsort(values, kind="stable")
         sorted_values = values[order]
         same = sorted_values[1:] == sorted_values[:-1]
         if sorted_values.dtype.kind == "f":  # NaNs sort last, together
@@ -108,7 +107,7 @@ def previous_occurrence_by_hash(values: Sequence[Any],
             hashes[i] = -(2 ** 62)  # all NULLs form one run
         else:
             hashes[i] = hash(distinct_key(values[i]))
-    order = np.lexsort((np.arange(n, dtype=np.int64), hashes))
+    order = np.argsort(hashes, kind="stable")
     sorted_hashes = hashes[order]
     run_start = 0
     for i in range(1, n + 1):

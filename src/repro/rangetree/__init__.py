@@ -7,7 +7,10 @@ two-dimensional merge sort tree cannot answer. Following Bentley [6, 7],
 :class:`DenseRankIndex` layers the dimensions: an outer merge-sort-tree
 decomposition over frame positions whose runs are sorted by rank key,
 each level carrying an inner merge sort tree over the
-previous-occurrence indices in that key order.
+previous-occurrence indices in that key order. The outer levels are
+built by the merge sort tree's own level merge; the inner tree of outer
+level ``L`` is only as tall as one outer run (``L + 1`` levels), since
+its counts never leave one.
 
 Space and query time are O(n (log n)^2), exactly the bounds the paper
 states for the range-tree approach.

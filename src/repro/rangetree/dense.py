@@ -6,9 +6,8 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.mst.build import TreeLevels
+from repro.mst.build import TreeLevels, _merge_orders, build_levels_numpy
 from repro.mst.decompose import num_levels
-from repro.mst.tree import MergeSortTree
 from repro.preprocess.occurrences import previous_occurrence
 
 
@@ -86,36 +85,41 @@ class DenseRankIndex:
     The "does not occur earlier" condition is the same
     previous-occurrence trick as for distinct counts: ``prev[j] < a``.
 
-    Layout: outer levels mirror a fanout-2 merge sort tree over frame
-    positions with runs sorted by key; every level carries an inner
-    :class:`MergeSortTree` over the previous-occurrence values arranged
-    in that level's key order, answering "prev < a among the first p
-    key-sorted entries of a run" as a 2-d count. The inner trees carry
-    no bridges: their memory dominates the index, and their counts stay
-    inside one aligned run.
+    Layout: outer levels mirror a merge sort tree over frame positions
+    with runs sorted by key, each derived from the level below by the
+    tree build's merge (:func:`repro.mst.build._merge_orders`), with the
+    previous-occurrence values carried along as payload. Every outer
+    level ``L`` carries an inner tree (:class:`TreeLevels`) over the
+    previous-occurrence values in that level's key order, answering
+    "prev < a among the first p key-sorted entries of a run" as a 2-d
+    count. That count stays inside one aligned outer run of
+    ``fanout**L`` entries, so the inner tree of level ``L`` is built only
+    ``L + 1`` levels tall, and carries no bridges.
     """
 
     def __init__(self, keys: Sequence[int], fanout: int = 2) -> None:
         keys = np.asarray(keys, dtype=np.int64)
         self.n = len(keys)
         self.fanout = fanout
-        prev = previous_occurrence(keys)
-        self.key_levels: List[np.ndarray] = [keys.copy()]
-        self.inner: List[MergeSortTree] = [
-            MergeSortTree(prev, fanout=fanout, cascading=False)]
         height = num_levels(self.n, fanout)
-        positions = np.arange(self.n, dtype=np.int64)
-        current_keys = keys.copy()
-        current_prev = prev.copy()
-        for level in range(1, height):
-            run = fanout ** level
-            slabs = positions // run
-            order = np.lexsort((current_keys, slabs))
+        current_prev = previous_occurrence(keys)
+        self.key_levels: List[np.ndarray] = [keys.copy()]
+        self.inner: List[TreeLevels] = [self._inner_tree(current_prev, 0)]
+        current_keys = self.key_levels[0]
+        for level, order in _merge_orders(current_keys, fanout, height):
             current_keys = current_keys[order]
             current_prev = current_prev[order]
             self.key_levels.append(current_keys)
-            self.inner.append(
-                MergeSortTree(current_prev, fanout=fanout, cascading=False))
+            self.inner.append(self._inner_tree(current_prev, level))
+
+    def _inner_tree(self, prev: np.ndarray, level: int) -> TreeLevels:
+        return build_levels_numpy(prev, fanout=self.fanout, cascading=False,
+                                  height=level + 1)
+
+    @property
+    def prev(self) -> np.ndarray:
+        """Previous occurrence of every key in the input order (level 0)."""
+        return self.inner[0].keys[0]
 
     def batched_dense_rank(self, lo: np.ndarray, hi: np.ndarray,
                            keys: np.ndarray) -> np.ndarray:
@@ -138,11 +142,10 @@ class DenseRankIndex:
             start = run_lo[idx]
             bound = _lower_bound_in_runs(self.key_levels[level], start,
                                          run_hi[idx], keys[idx])
-            total[idx] += _count_in_runs(self.inner[level].levels, start,
-                                         bound, lo[idx])
+            total[idx] += _count_in_runs(self.inner[level], start, bound,
+                                         lo[idx])
         return total
 
     def memory_bytes(self) -> int:
-        total = sum(level.nbytes for level in self.key_levels)
-        total += sum(tree.memory_bytes() for tree in self.inner)
-        return total
+        return sum(level.nbytes for level in self.key_levels) + sum(
+            level.nbytes for inner in self.inner for level in inner.keys)

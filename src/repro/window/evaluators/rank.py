@@ -90,10 +90,10 @@ def _dense_rank(inputs: CallInput, keys: np.ndarray) -> Arrays:
         extra=inputs.function_order_signature())
     ranks = index.batched_dense_rank(inputs.start_f, inputs.end_f, keys)
     # Section 4.7: a smaller key class whose every frame occurrence sits
-    # in an EXCLUDE hole was counted above. The inner tree of the
-    # index's level 0 is built over the kept keys' previous occurrences.
+    # in an EXCLUDE hole was counted above. ``index.prev`` holds the
+    # kept keys' previous occurrences.
     for rows, _ in inputs.hole_only(
-            index.inner[0].levels.keys[0],
+            index.prev,
             admit=lambda rows, entries: kept_keys[entries] < keys[rows]):
         ranks -= np.bincount(rows, minlength=inputs.n)
     return ranks, None

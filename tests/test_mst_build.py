@@ -2,13 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.mst.aggregates import SUM
+from repro.mst.aggregates import MAX, MIN, SUM
 from repro.mst.build import (
+    _bridge_from_sources,
+    _new_levels,
+    _permuted_prefix,
     build_levels_numpy,
     build_levels_scalar,
     choose_index_dtype,
 )
+from repro.mst.decompose import num_levels
+
+# No max_examples: the count comes from the active Hypothesis profile.
+generated = settings(deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
 
 
 def _assert_levels_valid(levels, keys):
@@ -153,3 +163,137 @@ def test_choose_index_dtype():
 def test_index_dtype_applied(rng):
     small = build_levels_numpy(rng.integers(0, 50, size=100))
     assert small.keys[0].dtype == np.int32
+
+
+def test_keys_far_below_zero_keep_their_values():
+    keys = np.array([-2 ** 40, 3, -(2 ** 31), 0])
+    levels = build_levels_numpy(keys)
+    assert levels.keys[0].dtype == np.int64
+    assert levels.keys[0].tolist() == keys.tolist()
+    assert levels.keys[-1].tolist() == sorted(keys.tolist())
+
+
+# ----------------------------------------------------------------------
+# bit identity against the per-level lexsort build
+# ----------------------------------------------------------------------
+def _lexsort_levels(keys, fanout, sample_every, aggregate=None,
+                    payload=None):
+    """The level loop ``build_levels_numpy`` ran before it sorted
+    ``(slab, key)`` codes: one stable ``np.lexsort`` by (slab, key) per
+    level over the whole array."""
+    levels = _new_levels(keys, fanout, sample_every, aggregate, payload)
+    n = levels.n
+    order = None
+    positions = np.arange(n, dtype=np.int64)
+    current = levels.keys[0]
+    for level in range(1, num_levels(n, fanout)):
+        child_len = fanout ** (level - 1)
+        parent_len = child_len * fanout
+        slabs = positions // parent_len
+        step_order = np.lexsort((current, slabs))
+        current = current[step_order]
+        order = step_order if order is None else order[step_order]
+        levels.keys.append(current)
+        anchors, bridge = _bridge_from_sources(
+            step_order - slabs * parent_len, child_len, fanout,
+            sample_every)
+        levels.anchors.append(anchors)
+        levels.bridges.append(bridge)
+        if aggregate is not None:
+            levels.agg_prefix.append(
+                _permuted_prefix(aggregate, payload, order, parent_len, n))
+    return levels
+
+
+def _assert_same_bits(ours, theirs):
+    assert (ours.fanout, ours.sample_every) == \
+        (theirs.fanout, theirs.sample_every)
+    for field in ("keys", "anchors", "bridges", "agg_prefix"):
+        mine, other = getattr(ours, field), getattr(theirs, field)
+        assert len(mine) == len(other), field
+        for level, (a, b) in enumerate(zip(mine, other)):
+            if a is None or b is None:
+                assert a is None and b is None, (field, level)
+                continue
+            assert a.dtype == b.dtype, (field, level)
+            assert a.tobytes() == b.tobytes(), (field, level)
+
+
+_DTYPES = [np.int8, np.int32, np.int64, np.uint8, np.uint32, np.uint64]
+
+
+@st.composite
+def key_arrays(draw):
+    """n in [0, 300] keys of one integer dtype: a narrow domain with
+    duplicates, the dtype's whole range, or (64-bit dtypes) values near
+    +-2**62, whose (slab, key) codes overflow int64."""
+    n = draw(st.integers(0, 300))
+    dtype = np.dtype(draw(st.sampled_from(_DTYPES)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    info = np.iinfo(dtype)
+    domain = draw(st.sampled_from(
+        ["narrow", "full"] + (["extreme"] if dtype.itemsize == 8 else [])))
+    if domain == "narrow":
+        low = max(int(info.min), -3)
+        keys = rng.integers(low, low + max(n // 3, 1) + 3, size=n)
+    elif domain == "full":
+        # uint64 above 2**63 is outside what a tree key can hold.
+        keys = rng.integers(int(info.min), min(int(info.max), 2 ** 63 - 1),
+                            size=n, endpoint=True)
+    else:
+        centres = np.array([2 ** 62, 0] if info.min == 0
+                           else [-(2 ** 62), 0, 2 ** 62], dtype=np.int64)
+        keys = (rng.choice(centres, size=n)
+                + rng.integers(0, 5, size=n))
+    return keys.astype(dtype)
+
+
+@generated
+@given(keys=key_arrays(), fanout=st.sampled_from([2, 3, 4, 8]),
+       sample_every=st.sampled_from([1, 4, 256]))
+def test_build_matches_lexsort_and_scalar_levels(keys, fanout,
+                                                 sample_every):
+    ours = build_levels_numpy(keys, fanout=fanout,
+                              sample_every=sample_every)
+    _assert_same_bits(ours, _lexsort_levels(keys, fanout, sample_every))
+    _assert_same_bits(ours, build_levels_scalar(
+        keys, fanout=fanout, sample_every=sample_every))
+
+
+@generated
+@given(keys=key_arrays(), fanout=st.sampled_from([2, 3, 4, 8]),
+       spec=st.sampled_from([SUM, MIN, MAX]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_prefix_annotations_match_lexsort_and_scalar(keys, fanout, spec,
+                                                     seed):
+    rng = np.random.default_rng(seed)
+    n = len(keys)
+    # Mixed magnitudes, signed zeros: float sums show any reordering.
+    payload = rng.normal(size=n) * 10.0 ** rng.integers(-3, 12, size=n)
+    payload[rng.random(n) < 0.1] = -0.0
+    ours = build_levels_numpy(keys, fanout=fanout, aggregate=spec,
+                              payload=payload)
+    _assert_same_bits(ours, _lexsort_levels(keys, fanout, 256, spec,
+                                            payload))
+    _assert_same_bits(ours, build_levels_scalar(
+        keys, fanout=fanout, aggregate=spec, payload=payload))
+
+
+@pytest.mark.parametrize("fanout", [2, 3])
+def test_codes_overflow_path_matches_lexsort(fanout, rng):
+    """Keys spanning more than 2**63 sort on their dense ranks."""
+    keys = rng.choice(np.array([-(2 ** 62), 0, 2 ** 62]), size=97) \
+        + rng.integers(0, 3, size=97)
+    _assert_same_bits(build_levels_numpy(keys, fanout=fanout),
+                      _lexsort_levels(keys, fanout, 256))
+
+
+@pytest.mark.parametrize("fanout", [2, 3, 4])
+def test_height_caps_the_levels(fanout, rng):
+    keys = rng.integers(0, 20, size=70)
+    full = build_levels_numpy(keys, fanout=fanout)
+    for height in range(1, full.height + 2):
+        capped = build_levels_numpy(keys, fanout=fanout, height=height)
+        assert capped.height == min(height, full.height)
+        for a, b in zip(capped.keys, full.keys):
+            assert np.array_equal(a, b)

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache import structure_breakdown
+from repro.mst.decompose import num_levels
+from repro.preprocess.occurrences import previous_occurrence
 from repro.rangetree import DenseRankIndex
 
 
@@ -67,13 +70,49 @@ class TestDenseRankIndex:
         index = DenseRankIndex(rng.integers(0, 5, size=50))
         assert index.memory_bytes() > 0
 
+    @pytest.mark.parametrize("fanout", [2, 3, 4])
+    def test_memory_bytes_is_the_structure_breakdown(self, fanout, rng):
+        index = DenseRankIndex(rng.integers(0, 9, size=83), fanout=fanout)
+        assert structure_breakdown(index).total == index.memory_bytes()
+
+    @pytest.mark.parametrize("fanout", [2, 3, 4])
+    @pytest.mark.parametrize("n", [0, 1, 2, 9, 27, 64, 100])
+    def test_inner_trees_as_tall_as_their_outer_run(self, fanout, n, rng):
+        keys = rng.integers(0, 6, size=n)
+        index = DenseRankIndex(keys, fanout=fanout)
+        height = num_levels(n, fanout)
+        assert len(index.key_levels) == height
+        assert [inner.height for inner in index.inner] == \
+            [min(level + 1, height) for level in range(height)]
+        assert np.array_equal(index.prev, previous_occurrence(keys))
+
+    @pytest.mark.parametrize("fanout", [2, 3, 4])
+    def test_frames_that_are_one_aligned_outer_run(self, fanout, rng):
+        """A frame that is exactly one aligned run of outer level L is
+        one covering run there, and a threshold above the run's keys
+        reads its inner tree's level L, the top level included."""
+        n = fanout ** 4
+        keys = rng.integers(0, 7, size=n)
+        index = DenseRankIndex(keys, fanout=fanout)
+        thresholds = np.arange(9)
+        for level in range(len(index.key_levels)):
+            run = fanout ** level
+            for start in range(0, n - run + 1, run):
+                lo = np.full(len(thresholds), start)
+                got = index.batched_dense_rank(lo, lo + run, thresholds)
+                want = [1 + _oracle_distinct_below(keys, start, start + run,
+                                                   t) for t in thresholds]
+                assert got.tolist() == want, (level, start)
+
     @given(st.lists(st.integers(0, 5), min_size=0, max_size=64),
-           st.integers(0, 64), st.integers(0, 64), st.integers(0, 7))
+           st.integers(0, 64), st.integers(0, 64), st.integers(0, 7),
+           st.sampled_from([2, 3, 4]))
     @settings(max_examples=100, deadline=None)
-    def test_hypothesis(self, keys, a, b, t):
+    def test_hypothesis(self, keys, a, b, t, fanout):
         n = len(keys)
         lo, hi = sorted((a % (n + 1), b % (n + 1)))
-        index = DenseRankIndex(np.asarray(keys, dtype=np.int64))
+        index = DenseRankIndex(np.asarray(keys, dtype=np.int64),
+                               fanout=fanout)
         assert _distinct_below(index, lo, hi, t) == \
             _oracle_distinct_below(keys, lo, hi, t)
 
