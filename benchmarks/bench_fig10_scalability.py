@@ -1,9 +1,11 @@
 """Figure 10 — throughput of holistic functions vs input size.
 
 Frame = 5% of the input. Median / rank / lead / distinct count across
-merge sort tree, incremental, order statistic tree and naive algorithms.
-Measured single-thread wall times on scaled-down inputs, plus the
-calibrated 20-core simulation at the paper's full sizes.
+merge sort tree, incremental, order statistic tree and naive contenders,
+each timed as one frame kernel over a partition sorted and framed
+outside the timer (``repro.bench.contenders``). Measured single-thread
+wall times on scaled-down inputs, plus the calibrated 20-core simulation
+at the paper's full sizes.
 
 Paper result: MST ramps until ~0.8M rows (enough 20k-tuple tasks for 40
 threads) and peaks at 9.5M tuples/s; the order statistic tree degrades
@@ -17,6 +19,7 @@ import math
 import pytest
 
 from conftest import emit
+from repro.bench.contenders import kernel, partition
 from repro.bench.figures import fig10_scalability, fig10_simulated_sweep
 from repro.bench.harness import scaled
 from repro.tpch import lineitem
@@ -26,48 +29,40 @@ from repro.window import (
     WindowSpec,
     current_row,
     preceding,
-    window_query,
 )
 from repro.window.frame import OrderItem
 
 
 @pytest.fixture(scope="module")
-def table():
-    return lineitem(scaled(10_000))
-
-
-@pytest.fixture(scope="module")
-def spec(table):
+def part():
+    table = lineitem(scaled(10_000))
     frame = max(table.num_rows // 20, 1)
-    return WindowSpec(order_by=(OrderItem("l_shipdate"),),
-                      frame=FrameSpec.rows(preceding(frame), current_row()))
+    return partition(table, WindowSpec(
+        order_by=(OrderItem("l_shipdate"),),
+        frame=FrameSpec.rows(preceding(frame), current_row())))
 
 
 @pytest.mark.parametrize("algorithm", ["mst", "incremental", "ostree"])
-def test_median_5pct_frame(benchmark, table, spec, algorithm):
-    call = WindowCall("percentile_disc", ("l_extendedprice",), fraction=0.5,
-                      algorithm=algorithm)
-    benchmark(window_query, table, [call], spec)
+def test_median_5pct_frame(benchmark, part, algorithm):
+    call = WindowCall("percentile_disc", ("l_extendedprice",), fraction=0.5)
+    benchmark(kernel(call, algorithm), part)
 
 
 @pytest.mark.parametrize("algorithm", ["mst", "incremental"])
-def test_distinct_count_5pct_frame(benchmark, table, spec, algorithm):
-    call = WindowCall("count", ("l_partkey",), distinct=True,
-                      algorithm=algorithm)
-    benchmark(window_query, table, [call], spec)
+def test_distinct_count_5pct_frame(benchmark, part, algorithm):
+    call = WindowCall("count", ("l_partkey",), distinct=True)
+    benchmark(kernel(call, algorithm), part)
 
 
-def test_rank_mst(benchmark, table, spec):
-    call = WindowCall("rank", order_by=(OrderItem("l_extendedprice"),),
-                      algorithm="mst")
-    benchmark(window_query, table, [call], spec)
+def test_rank_mst(benchmark, part):
+    call = WindowCall("rank", order_by=(OrderItem("l_extendedprice"),))
+    benchmark(kernel(call, "mst"), part)
 
 
-def test_lead_mst(benchmark, table, spec):
+def test_lead_mst(benchmark, part):
     call = WindowCall("lead", ("l_extendedprice",),
-                      order_by=(OrderItem("l_extendedprice"),),
-                      algorithm="mst")
-    benchmark(window_query, table, [call], spec)
+                      order_by=(OrderItem("l_extendedprice"),))
+    benchmark(kernel(call, "mst"), part)
 
 
 def test_figure10_series(benchmark):

@@ -5,6 +5,9 @@ Paper result (SF1 lineitem, 6M rows): merge sort tree throughput is flat
 frame ~130, incremental at ~700, the order statistic tree at ~20 000
 (the task size); only the MST handles SQL's default running frame (6M
 rows) in reasonable time.
+
+Each contender is timed as one frame kernel over a partition sorted and
+framed outside the timer (``repro.bench.contenders``).
 """
 
 import math
@@ -12,6 +15,7 @@ import math
 import pytest
 
 from conftest import emit
+from repro.bench.contenders import kernel, partition
 from repro.bench.figures import fig11_crossovers, fig11_frame_sizes
 from repro.bench.harness import scaled
 from repro.tpch import lineitem
@@ -21,9 +25,10 @@ from repro.window import (
     WindowSpec,
     current_row,
     preceding,
-    window_query,
 )
 from repro.window.frame import OrderItem
+
+MEDIAN = WindowCall("percentile_disc", ("l_extendedprice",), fraction=0.5)
 
 
 @pytest.fixture(scope="module")
@@ -31,23 +36,20 @@ def table():
     return lineitem(scaled(20_000))
 
 
-def _spec(frame):
-    return WindowSpec(order_by=(OrderItem("l_shipdate"),),
-                      frame=FrameSpec.rows(preceding(frame), current_row()))
+def _part(table, frame):
+    return partition(table, WindowSpec(
+        order_by=(OrderItem("l_shipdate"),),
+        frame=FrameSpec.rows(preceding(frame), current_row())))
 
 
 @pytest.mark.parametrize("frame", [10, 1_000, 100_000_000])
 def test_mst_median_by_frame(benchmark, table, frame):
-    call = WindowCall("percentile_disc", ("l_extendedprice",), fraction=0.5,
-                      algorithm="mst")
-    benchmark(window_query, table, [call], _spec(frame))
+    benchmark(kernel(MEDIAN, "mst"), _part(table, frame))
 
 
 @pytest.mark.parametrize("frame", [10, 1_000])
 def test_incremental_median_by_frame(benchmark, table, frame):
-    call = WindowCall("percentile_disc", ("l_extendedprice",), fraction=0.5,
-                      algorithm="incremental")
-    benchmark(window_query, table, [call], _spec(frame))
+    benchmark(kernel(MEDIAN, "incremental"), _part(table, frame))
 
 
 def test_figure11_series(benchmark):

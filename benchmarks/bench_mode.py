@@ -2,16 +2,20 @@
 implies ([13, 25], Wesley & Xu's mode coverage).
 
 Mode cannot be phrased as a 2-d range count, so the merge sort tree does
-not apply; the contenders are the sqrt-decomposition range-mode index,
-the incremental counter table, and naive recomputation. The incremental
-algorithm shows the same Section 3.2 pathologies as for distinct counts:
-great on monotonic frames, degrading with non-monotonicity.
+not apply; the contenders are the sqrt-decomposition range-mode index
+(the engine's ``mst`` path), the incremental counter table, and naive
+recomputation, each timed as one frame kernel over a partition sorted
+and framed outside the timer (``repro.bench.contenders``). The
+incremental algorithm shows the same Section 3.2 pathologies as for
+distinct counts: great on monotonic frames, degrading with
+non-monotonicity.
 """
 
 import numpy as np
 import pytest
 
 from conftest import emit
+from repro.bench.contenders import kernel, partition
 from repro.bench.harness import BenchSeries, measure, scaled
 from repro.tpch import lineitem
 from repro.window import (
@@ -21,9 +25,10 @@ from repro.window import (
     current_row,
     following,
     preceding,
-    window_query,
 )
 from repro.window.frame import OrderItem
+
+MODE = WindowCall("mode", ("l_partkey",))
 
 
 @pytest.fixture(scope="module")
@@ -38,33 +43,29 @@ def _sliding(frame):
 
 @pytest.mark.parametrize("algorithm", ["mst", "incremental", "naive"])
 def test_mode_sliding(benchmark, table, algorithm):
-    call = WindowCall("mode", ("l_partkey",), algorithm=algorithm)
-    benchmark.pedantic(window_query, args=(table, [call], _sliding(200)),
+    benchmark.pedantic(kernel(MODE, algorithm),
+                       args=(partition(table, _sliding(200)),),
                        rounds=2, iterations=1)
 
 
 def test_mode_series(benchmark, table):
-    """Frame-size sweep for every mode algorithm, with agreement check."""
+    """Frame-size sweep for every mode contender, with agreement check."""
     n = table.num_rows
     series = BenchSeries(
         f"Windowed MODE — algorithms vs frame size (n = {n})",
         ["algorithm", "frame", "seconds", "tuples_per_s"])
-    reference = {}
     for frame in (20, 200, 2_000):
+        part = partition(table, _sliding(frame))
+        reference = None
         for algorithm in ("mst", "incremental", "naive"):
-            call = WindowCall("mode", ("l_partkey",), algorithm=algorithm)
-            spec = _sliding(frame)
+            run = kernel(MODE, algorithm)
             out = []
-            seconds = measure(
-                lambda: out.append(window_query(table, [call], spec)
-                                   .columns[-1].to_list()))
+            seconds = measure(lambda: out.append(run(part)))
             series.add(algorithm, frame, seconds, n / seconds)
-            key = frame
-            if key in reference:
-                assert out[-1] == reference[key], \
-                    f"{algorithm} disagrees at frame {frame}"
-            else:
-                reference[key] = out[-1]
+            if reference is None:
+                reference = out[-1]
+            assert out[-1] == reference, \
+                f"{algorithm} disagrees at frame {frame}"
     emit(series)
 
     # Non-monotonic frames: incremental loses its overlap advantage.
@@ -74,11 +75,12 @@ def test_mode_series(benchmark, table):
     jumpy = WindowSpec(order_by=(OrderItem("l_shipdate"),),
                        frame=FrameSpec.rows(preceding(start),
                                             following(end)))
-    smooth = _sliding(400)
+    incremental = kernel(MODE, "incremental")
     times = {}
-    for label, spec in [("monotonic", smooth), ("non-monotonic", jumpy)]:
-        call = WindowCall("mode", ("l_partkey",), algorithm="incremental")
-        times[label] = measure(lambda: window_query(table, [call], spec))
+    for label, spec in [("monotonic", _sliding(400)),
+                        ("non-monotonic", jumpy)]:
+        part = partition(table, spec)
+        times[label] = measure(lambda: incremental(part))
     nm = BenchSeries("Windowed MODE — incremental vs non-monotonicity",
                      ["frames", "seconds"])
     nm.add("monotonic (frame 400)", times["monotonic"])

@@ -10,11 +10,14 @@ Interpreter-level constants blur the slopes at CPython-feasible sizes
 (e.g. the incremental percentile's O(n^2) term is a C memmove that only
 dominates at much larger n), so the assertions target the ordering, not
 exact exponents; the full fitted table is printed for EXPERIMENTS.md.
+Each contender is timed as one frame kernel over a partition sorted and
+framed outside the timer (``repro.bench.contenders``).
 """
 
 import pytest
 
 from conftest import emit
+from repro.bench.contenders import kernel, partition
 from repro.bench.figures import table1_complexity
 from repro.bench.harness import scaled
 from repro.tpch import lineitem
@@ -24,32 +27,27 @@ from repro.window import (
     WindowSpec,
     current_row,
     preceding,
-    window_query,
 )
 from repro.window.frame import OrderItem
 
 
 @pytest.fixture(scope="module")
-def running_spec():
-    return WindowSpec(order_by=(OrderItem("l_shipdate"),),
-                      frame=FrameSpec.rows(preceding(10 ** 9),
-                                           current_row()))
+def running_part():
+    return partition(lineitem(scaled(4_000)), WindowSpec(
+        order_by=(OrderItem("l_shipdate"),),
+        frame=FrameSpec.rows(preceding(10 ** 9), current_row())))
 
 
 @pytest.mark.parametrize("algorithm", ["mst", "incremental"])
-def test_running_distinct_count(benchmark, running_spec, algorithm):
-    table = lineitem(scaled(4_000))
-    call = WindowCall("count", ("l_partkey",), distinct=True,
-                      algorithm=algorithm)
-    benchmark(window_query, table, [call], running_spec)
+def test_running_distinct_count(benchmark, running_part, algorithm):
+    call = WindowCall("count", ("l_partkey",), distinct=True)
+    benchmark(kernel(call, algorithm), running_part)
 
 
 @pytest.mark.parametrize("algorithm", ["mst", "ostree", "segtree"])
-def test_running_median(benchmark, running_spec, algorithm):
-    table = lineitem(scaled(4_000))
-    call = WindowCall("percentile_disc", ("l_extendedprice",), fraction=0.5,
-                      algorithm=algorithm)
-    benchmark(window_query, table, [call], running_spec)
+def test_running_median(benchmark, running_part, algorithm):
+    call = WindowCall("percentile_disc", ("l_extendedprice",), fraction=0.5)
+    benchmark(kernel(call, algorithm), running_part)
 
 
 def test_table1_slopes(benchmark):

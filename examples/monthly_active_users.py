@@ -2,9 +2,10 @@
 
 ``count(distinct o_custkey)`` over a sliding one-month RANGE frame —
 the framed distinct count SQL:2011 disallows. Demonstrates both the SQL
-form and the algorithm comparison: the merge sort tree and the
-incremental (Wesley & Xu) implementations must agree, and the example
-cross-checks them.
+form and the algorithm comparison: the merge sort tree, the incremental
+(Wesley & Xu) and the naive contenders run as frame kernels over one
+sorted, framed partition (``repro.bench.contenders``) and must agree on
+every row.
 
 Run with::
 
@@ -21,8 +22,8 @@ from repro import (
     current_row,
     execute,
     preceding,
-    window_query,
 )
+from repro.bench.contenders import kernel, partition
 from repro.tpch import orders
 from repro.window.frame import OrderItem
 
@@ -45,16 +46,17 @@ def main() -> None:
     mau = result.column("active_users").to_list()
     print(f"\npeak MAU: {max(mau)}, minimum: {min(mau)}")
 
-    # The same computation through the operator API, on every algorithm
-    # the paper evaluates for distinct counts.
-    spec = WindowSpec(order_by=(OrderItem("o_orderdate"),),
-                      frame=FrameSpec.range(preceding(30), current_row()))
+    # The same computation on every algorithm the paper evaluates for
+    # distinct counts, each over the one sorted, framed partition.
+    part = partition(table, WindowSpec(
+        order_by=(OrderItem("o_orderdate"),),
+        frame=FrameSpec.range(preceding(30), current_row())))
+    call = WindowCall("count", ("o_custkey",), distinct=True)
     reference = None
     for algorithm in ["mst", "incremental", "naive"]:
-        call = WindowCall("count", ("o_custkey",), distinct=True,
-                          algorithm=algorithm, output="mau")
+        run = kernel(call, algorithm)
         start = time.perf_counter()
-        out = window_query(table, [call], spec).column("mau").to_list()
+        out = run(part)
         elapsed = time.perf_counter() - start
         print(f"{algorithm:12s}: {elapsed * 1000:8.1f} ms")
         if reference is None:

@@ -160,25 +160,3 @@ def incremental_percentile_disc(values: Sequence[Any], start: np.ndarray,
         out.append(state.kth(k))
     return out
 
-
-class IncrementalDistinctSum:
-    """Hash table + running sum: framed SUM(DISTINCT) incrementally."""
-
-    def __init__(self, values: Sequence[Any]) -> None:
-        self.inner = IncrementalDistinct(values)
-
-    def move_to(self, lo: int, hi: int) -> None:
-        """Slide the window to ``[lo, hi)``."""
-        self.inner.move_to(lo, hi)
-
-    @property
-    def total(self) -> Optional[Any]:
-        """The SUM DISTINCT of the current window (None when empty)."""
-        if not self.inner.counts:
-            return None
-        return sum(self.inner.counts)
-
-    @property
-    def work(self) -> int:
-        """Total inserted+deleted entries, for cost accounting."""
-        return self.inner.work

@@ -4,7 +4,11 @@ Each function reproduces one experiment and returns a
 :class:`~repro.bench.harness.BenchSeries`. Two kinds of numbers appear:
 
 * **measured** — wall-clock times of the actual implementations in this
-  package (single-threaded CPython, scaled-down inputs);
+  package (single-threaded CPython, scaled-down inputs). Every
+  contender of Figures 10–12 and Table 1 is timed the same way: one
+  :func:`~repro.bench.contenders.kernel` call over a partition that
+  :func:`~repro.bench.contenders.partition` sorted and framed outside
+  the timer;
 * **simulated** — multi-core throughput from the calibrated task-parallel
   cost model (:mod:`repro.bench.scalability`), which reproduces the
   paper's 20-core effects on any box (see DESIGN.md).
@@ -23,6 +27,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.baselines.tableau import tableau_window_percentile
+from repro.bench.contenders import kernel, partition
 from repro.bench.harness import BenchSeries, measure, scaled
 from repro.bench.profiling import distinct_count_phases
 from repro.bench.scalability import MachineModel, WindowWorkload, simulate
@@ -40,13 +45,27 @@ from repro.window import (
     window_query,
 )
 from repro.window.frame import OrderItem
+from repro.window.partition import PartitionView
 
 _MACHINE = MachineModel()
 
 
-def _median_call(algorithm: str) -> WindowCall:
+def _median_call(algorithm: str = "mst") -> WindowCall:
     return WindowCall("percentile_disc", ("l_extendedprice",), fraction=0.5,
                       algorithm=algorithm, output="med")
+
+
+_RANK_CALL = WindowCall("rank", order_by=(OrderItem("l_extendedprice"),),
+                        output="rnk")
+_DISTINCT_CALL = WindowCall("count", ("l_partkey",), distinct=True,
+                            output="dc")
+
+
+def _time(call: WindowCall, contender: str, part: PartitionView) -> float:
+    """Wall time of one contender's kernel over an already framed
+    partition."""
+    run = kernel(call, contender)
+    return measure(lambda: run(part))
 
 
 def _sliding_spec(size: int) -> WindowSpec:
@@ -129,38 +148,21 @@ def fig09_sql_formulations(num_rows: Optional[int] = None,
 # ----------------------------------------------------------------------
 # Figure 10 — throughput vs input size
 # ----------------------------------------------------------------------
+#: Per function: the call, and per measured contender its cost-model
+#: name.
 _FIG10_FUNCTIONS = {
-    "median": {
-        "measured_algorithms": ["mst", "incremental", "ostree", "naive"],
-        "simulated": {"mst": "mst", "incremental": "incremental_median",
-                      "ostree": "ostree_median", "naive": "naive_median"},
-        "call": lambda algo: _median_call(algo),
-    },
-    "rank": {
-        "measured_algorithms": ["mst", "ostree", "naive"],
-        "simulated": {"mst": "mst", "ostree": "ostree_rank",
-                      "naive": "naive_rank"},
-        "call": lambda algo: WindowCall(
-            "rank", order_by=(OrderItem("l_extendedprice"),),
-            algorithm=algo, output="rnk"),
-    },
-    "lead": {
-        "measured_algorithms": ["mst", "naive"],
-        "simulated": {"mst": "mst", "naive": "naive_lead"},
-        "call": lambda algo: WindowCall(
-            "lead", ("l_extendedprice",),
-            order_by=(OrderItem("l_extendedprice"),),
-            algorithm=algo, output="nxt"),
-    },
-    "distinct count": {
-        "measured_algorithms": ["mst", "incremental", "naive"],
-        "simulated": {"mst": "mst",
-                      "incremental": "incremental_distinct",
-                      "naive": "naive_distinct"},
-        "call": lambda algo: WindowCall(
-            "count", ("l_partkey",), distinct=True, algorithm=algo,
-            output="dc"),
-    },
+    "median": (_median_call(), {
+        "mst": "mst", "incremental": "incremental_median",
+        "ostree": "ostree_median", "naive": "naive_median"}),
+    "rank": (_RANK_CALL, {
+        "mst": "mst", "ostree": "ostree_rank", "naive": "naive_rank"}),
+    "lead": (WindowCall("lead", ("l_extendedprice",),
+                        order_by=(OrderItem("l_extendedprice"),),
+                        output="nxt"), {
+        "mst": "mst", "naive": "naive_lead"}),
+    "distinct count": (_DISTINCT_CALL, {
+        "mst": "mst", "incremental": "incremental_distinct",
+        "naive": "naive_distinct"}),
 }
 
 # Per-row cost guards: skip a measured configuration when its projected
@@ -178,22 +180,20 @@ def fig10_scalability(sizes: Optional[Sequence[int]] = None,
         "Figure 10 — throughput vs input size (frame = 5% of n)",
         ["function", "algorithm", "n", "measured_s", "measured_tps",
          "simulated_20core_tps"])
-    for fn_name, config in _FIG10_FUNCTIONS.items():
-        for algorithm in config["measured_algorithms"]:
+    frames = {n: max(int(n * frame_fraction), 1) for n in sizes}
+    parts = {n: partition(lineitem(n), _sliding_spec(frames[n]))
+             for n in sizes}
+    for fn_name, (call, simulated) in _FIG10_FUNCTIONS.items():
+        for algorithm, sim_name in simulated.items():
             for n in sizes:
-                frame = max(int(n * frame_fraction), 1)
-                table = lineitem(n)
-                spec = _sliding_spec(frame)
-                call = config["call"](algorithm)
-                projected = _projected_seconds(algorithm, n, frame)
-                if projected > _MEASURE_BUDGET_SECONDS:
+                frame = frames[n]
+                if _projected_seconds(algorithm, n, frame) \
+                        > _MEASURE_BUDGET_SECONDS:
                     seconds = float("nan")
                     tps = float("nan")
                 else:
-                    seconds = measure(
-                        lambda: window_query(table, [call], spec))
+                    seconds = _time(call, algorithm, parts[n])
                     tps = n / seconds
-                sim_name = config["simulated"][algorithm]
                 sim = simulate(sim_name,
                                WindowWorkload(n=n, frame_size=frame),
                                machine=_MACHINE)
@@ -251,18 +251,18 @@ def fig11_frame_sizes(num_rows: Optional[int] = None,
          "simulated_20core_tps"])
     sim_names = {"mst": "mst", "incremental": "incremental_median",
                  "ostree": "ostree_median", "naive": "naive_median"}
-    for algorithm in ["mst", "incremental", "ostree", "naive"]:
+    parts = {frame: partition(table, _sliding_spec(frame))
+             for frame in frames}
+    for algorithm, sim_name in sim_names.items():
         for frame in frames:
-            call = _median_call(algorithm)
-            spec = _sliding_spec(frame)
             if _projected_seconds(algorithm, n, frame) \
                     > _MEASURE_BUDGET_SECONDS:
                 seconds, tps = float("nan"), float("nan")
             else:
-                seconds = measure(lambda: window_query(table, [call], spec))
+                seconds = _time(_median_call(), algorithm, parts[frame])
                 tps = n / seconds
             sim = simulate(
-                sim_names[algorithm],
+                sim_name,
                 WindowWorkload(n=6_000_000, frame_size=min(frame * (6_000_000 / n), 6_000_000)),
                 machine=_MACHINE)
             series.add(algorithm, frame, seconds, tps,
@@ -318,20 +318,19 @@ def fig12_nonmonotonic(num_rows: Optional[int] = None,
         f"Figure 12 — framed median vs non-monotonicity (n = {n})",
         ["algorithm", "m", "measured_s", "measured_tps", "avg_delta",
          "simulated_20core_tps"])
-    for algorithm in ["mst", "incremental", "naive"]:
+    offsets = {m: (np.floor(m * jitter).astype(np.int64),
+                   np.maximum(500 - np.floor(m * jitter), 0).astype(np.int64))
+               for m in ms}
+    parts = {m: partition(table, WindowSpec(
+        order_by=(OrderItem("l_shipdate"),),
+        frame=FrameSpec.rows(preceding(start_off), following(end_off))))
+        for m, (start_off, end_off) in offsets.items()}
+    sim_names = {"mst": "mst", "incremental": "incremental_median",
+                 "naive": "naive_median"}
+    for algorithm, sim_name in sim_names.items():
         for m in ms:
-            start_off = np.floor(m * jitter).astype(np.int64)
-            end_off = np.maximum(
-                500 - np.floor(m * jitter), 0).astype(np.int64)
-            spec = WindowSpec(
-                order_by=(OrderItem("l_shipdate"),),
-                frame=FrameSpec.rows(preceding(start_off),
-                                     following(end_off)))
-            call = _median_call(algorithm)
-            seconds = measure(lambda: window_query(table, [call], spec))
-            delta = _average_delta(start_off, end_off, n)
-            sim_name = {"mst": "mst", "incremental": "incremental_median",
-                        "naive": "naive_median"}[algorithm]
+            seconds = _time(_median_call(), algorithm, parts[m])
+            delta = _average_delta(*offsets[m], n)
             sim = simulate(sim_name,
                            WindowWorkload(n=6_000_000, frame_size=500,
                                           avg_delta=delta),
@@ -439,32 +438,22 @@ def table1_complexity(sizes: Optional[Sequence[int]] = None) -> BenchSeries:
     spec = WindowSpec(order_by=(OrderItem("l_shipdate"),),
                       frame=FrameSpec.rows(preceding(10 ** 9),
                                            current_row()))
+    median = _median_call()
     configs = [
-        ("dist. count", "incremental", "O(n)", 1.0,
-         WindowCall("count", ("l_partkey",), distinct=True,
-                    algorithm="incremental")),
-        ("dist. count", "MST", "O(n log n)", 1.1,
-         WindowCall("count", ("l_partkey",), distinct=True,
-                    algorithm="mst")),
-        ("dist. count", "naive", "O(n^2)", 2.0,
-         WindowCall("count", ("l_partkey",), distinct=True,
-                    algorithm="naive")),
-        ("percentile", "incremental", "O(n^2)", 2.0,
-         _median_call("incremental")),
-        ("percentile", "segment tree", "O(n log^2 n)", 1.2,
-         _median_call("segtree")),
-        ("percentile", "order statistic tree", "O(n log n)", 1.1,
-         _median_call("ostree")),
-        ("percentile", "MST", "O(n log n)", 1.1,
-         _median_call("mst")),
-        ("percentile", "naive", "O(n^2)", 2.0,
-         _median_call("naive")),
-        ("rank", "MST", "O(n log n)", 1.1,
-         WindowCall("rank", order_by=(OrderItem("l_extendedprice"),),
-                    algorithm="mst")),
-        ("rank", "naive", "O(n^2)", 2.0,
-         WindowCall("rank", order_by=(OrderItem("l_extendedprice"),),
-                    algorithm="naive")),
+        ("dist. count", "incremental", "O(n)", 1.0, _DISTINCT_CALL,
+         "incremental"),
+        ("dist. count", "MST", "O(n log n)", 1.1, _DISTINCT_CALL, "mst"),
+        ("dist. count", "naive", "O(n^2)", 2.0, _DISTINCT_CALL, "naive"),
+        ("percentile", "incremental", "O(n^2)", 2.0, median,
+         "incremental"),
+        ("percentile", "segment tree", "O(n log^2 n)", 1.2, median,
+         "segtree"),
+        ("percentile", "order statistic tree", "O(n log n)", 1.1, median,
+         "ostree"),
+        ("percentile", "MST", "O(n log n)", 1.1, median, "mst"),
+        ("percentile", "naive", "O(n^2)", 2.0, median, "naive"),
+        ("rank", "MST", "O(n log n)", 1.1, _RANK_CALL, "mst"),
+        ("rank", "naive", "O(n^2)", 2.0, _RANK_CALL, "naive"),
     ]
     series = BenchSeries(
         "Table 1 — empirical log-log slopes (runtime vs n, running frame)",
@@ -472,13 +461,10 @@ def table1_complexity(sizes: Optional[Sequence[int]] = None) -> BenchSeries:
          "fitted_slope", "parallelizable"])
     parallel = {"MST": "yes", "segment tree": "yes", "incremental": "no",
                 "order statistic tree": "no", "naive": "embarrassingly"}
-    for aggregate, algorithm, complexity, expected, call in configs:
-        times = []
-        for n in sizes:
-            table = lineitem(n)
-            times.append(measure(
-                lambda table=table, call=call: window_query(
-                    table, [call], spec)))
+    parts = [partition(lineitem(n), spec) for n in sizes]
+    for aggregate, algorithm, complexity, expected, call, contender \
+            in configs:
+        times = [_time(call, contender, part) for part in parts]
         slope = np.polyfit(np.log(sizes), np.log(times), 1)[0]
         series.add(aggregate, algorithm, complexity, expected,
                    float(slope), parallel[algorithm])

@@ -60,15 +60,13 @@ def _levels_breakdown(tree_levels) -> StructureSizeBreakdown:
 def structure_breakdown(structure: Any) -> StructureSizeBreakdown:
     """Component-wise byte accounting for any cacheable index structure.
 
-    Dispatches on type: merge sort trees, segment trees (plain and
-    holistic), the DENSE_RANK range tree and the range-mode index all
-    get exact array sums; unknown objects fall back to a
-    ``sys.getsizeof`` floor.
+    Dispatches on type: merge sort trees, segment trees, the DENSE_RANK
+    range tree and the range-mode index all get exact array sums;
+    unknown objects fall back to a ``sys.getsizeof`` floor.
     """
     from repro.mst.tree import MergeSortTree
     from repro.rangemode.index import RangeModeIndex
     from repro.rangetree.dense import DenseRankIndex
-    from repro.segtree.holistic import HolisticSegmentTree
     from repro.segtree.tree import SegmentTree
 
     if isinstance(structure, MergeSortTree):
@@ -80,7 +78,7 @@ def structure_breakdown(structure: Any) -> StructureSizeBreakdown:
         for inner in structure.inner:
             out = out + _levels_breakdown(inner)
         return out
-    if isinstance(structure, (SegmentTree, HolisticSegmentTree)):
+    if isinstance(structure, SegmentTree):
         return StructureSizeBreakdown(
             levels=sum(_ndarray_bytes(level) for level in structure.levels))
     if isinstance(structure, RangeModeIndex):

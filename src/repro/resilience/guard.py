@@ -114,11 +114,12 @@ def guarded_builder(kind: str,
 
 
 def fallback_call(call: Any) -> Optional[Any]:
-    """The baseline variant of ``call``, or None if already a baseline.
+    """The ``naive`` variant of ``call``, or None if already naive.
 
-    All families implement ``algorithm="naive"``, so the fallback matrix
-    is total: mst/segtree/ostree/incremental/rangemode strategies all
-    degrade to the naive per-frame recomputation oracle.
+    Every family implements ``algorithm="naive"``, so the fallback is
+    total: each family's ``mst`` path (merge sort tree, segment tree,
+    range tree or range-mode index) degrades to the naive per-frame
+    recomputation.
     """
     if call.algorithm == "naive":
         return None

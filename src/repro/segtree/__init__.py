@@ -13,6 +13,10 @@ the merge sort tree, included as the parallelisable holistic baseline.
 """
 
 from repro.segtree.tree import SegmentTree
-from repro.segtree.holistic import HolisticSegmentTree
+from repro.segtree.holistic import (
+    HolisticSegmentTree,
+    windowed_percentile_segtree,
+)
 
-__all__ = ["SegmentTree", "HolisticSegmentTree"]
+__all__ = ["SegmentTree", "HolisticSegmentTree",
+           "windowed_percentile_segtree"]

@@ -13,7 +13,7 @@ tree's O(log n), which is the comparison the paper draws in Table 1.
 
 from __future__ import annotations
 
-from typing import Any, List, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -90,3 +90,21 @@ class HolisticSegmentTree:
 
     def memory_bytes(self) -> int:
         return sum(level.nbytes for level in self.levels)
+
+
+def windowed_percentile_segtree(values: Sequence[Any], start: np.ndarray,
+                                end: np.ndarray,
+                                fraction: float) -> List[Optional[Any]]:
+    """PERCENTILE_DISC(fraction) per frame ``[start[i], end[i])`` (None
+    for an empty one): every frame is an independent tree query, so the
+    frames may move in any order. Integer inputs come back as ints."""
+    tree = HolisticSegmentTree(values)
+    integral = np.issubdtype(np.asarray(values).dtype, np.integer)
+    out: List[Optional[Any]] = []
+    for lo, hi in zip(np.asarray(start).tolist(), np.asarray(end).tolist()):
+        if lo >= hi:
+            out.append(None)
+            continue
+        value = tree.percentile_disc(lo, hi, fraction)
+        out.append(int(value) if integral else value)
+    return out

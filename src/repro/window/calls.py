@@ -36,6 +36,11 @@ ALL_FUNCTIONS = (AGGREGATE_FUNCTIONS | RANK_FUNCTIONS
                  | PERCENTILE_FUNCTIONS | MODE_FUNCTIONS | VALUE_FUNCTIONS
                  | NAVIGATION_FUNCTIONS | {"udaf"})
 
+#: ``mst`` is the engine's path for every family; ``naive`` is the
+#: per-frame recomputation it degrades to. The paper's competitors are
+#: benchmark kernels (:mod:`repro.bench.contenders`), not engine paths.
+ALGORITHMS = ("mst", "naive")
+
 
 @dataclass(frozen=True)
 class WindowCall:
@@ -85,6 +90,10 @@ class WindowCall:
         name = self.function
         if name not in ALL_FUNCTIONS:
             raise WindowFunctionError(f"unknown window function {name!r}")
+        if self.algorithm not in ALGORITHMS:
+            raise WindowFunctionError(
+                f"unknown algorithm {self.algorithm!r}: expected 'mst' or "
+                f"'naive'")
         if name == "udaf" and self.udaf is None:
             raise WindowFunctionError("udaf calls need an AggregateSpec")
         if name in PERCENTILE_FUNCTIONS and name != "median":

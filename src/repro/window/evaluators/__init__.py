@@ -12,27 +12,27 @@ from repro.window.partition import PartitionView
 def evaluate_call(call: WindowCall, part: PartitionView) -> Arrays:
     """Evaluate one window function over one partition.
 
-    One contract for every family and algorithm: ``(values, validity)``
-    in partition order — ``values`` an ndarray of ``part.n`` entries
-    whose dtype is :func:`~repro.window.evaluators.common.result_dtype`
-    of the call (fixed before evaluation; ``object`` only for strings
-    and UDAF states), ``validity`` a bool mask or None when no row is
-    NULL. The operator scatters both with fancy-index stores and wraps
-    the finished buffers in a ``Column`` — nothing is boxed on the way.
-    The ``mst`` paths build the arrays natively; the paper's competitor
-    algorithms stay row-at-a-time reference code whose result lists
-    :func:`_dispatch` converts once, with the same static dtype, so the
-    fallback rung and the shadow check below cannot disagree with the
-    fast path on type.
+    One contract for every family, ``mst`` or ``naive``:
+    ``(values, validity)`` in partition order — ``values`` an ndarray
+    of ``part.n`` entries whose dtype is
+    :func:`~repro.window.evaluators.common.result_dtype` of the call
+    (fixed before evaluation; ``object`` only for strings and UDAF
+    states), ``validity`` a bool mask or None when no row is NULL. The
+    operator scatters both with fancy-index stores and wraps the
+    finished buffers in a ``Column`` — nothing is boxed on the way. The
+    ``mst`` paths build the arrays natively; the ``naive`` paths stay
+    row-at-a-time reference code whose result lists :func:`_dispatch`
+    converts once, with the same static dtype, so the fallback rung and
+    the shadow check below cannot disagree with the fast path on type.
 
     Graceful degradation lives here so every entry point (SQL executor,
     :func:`~repro.window.operator.window_query`, direct operator use)
-    gets it: when the chosen strategy fails with a
+    gets it: when the ``mst`` path fails with a
     :data:`~repro.resilience.guard.FALLBACK_ERRORS` condition — a
     structure build error, a resource-limit hit, a ``MemoryError``, or
     an open ``structure.build`` circuit breaker — the call is retried
-    once with ``algorithm="naive"`` and the downgrade is recorded in
-    the active context's health counters. Timeouts and cancellations
+    once on the ``naive`` path and the downgrade is recorded in the
+    active context's health counters. Timeouts and cancellations
     always propagate.
 
     When the context's ``verify_rate`` is nonzero, a deterministic
@@ -61,7 +61,7 @@ def _evaluate_call(ctx, call: WindowCall, part: PartitionView) -> Arrays:
         if fallback is None:
             raise
         ctx.record_fallback(
-            f"{call.function}[{call.algorithm}] -> naive "
+            f"{call.function}[mst] -> naive "
             f"({type(exc).__name__}: {exc})")
         if ctx.tracer.enabled:
             ctx.tracer.annotate(fallback="naive",
@@ -87,7 +87,7 @@ def _shadow_verify(ctx, call: WindowCall, part: PartitionView,
         row, fast, slow = mismatch
         raise VerificationError(
             f"shadow verification diverged for "
-            f"{call.function}[{call.algorithm}] at partition row {row}: "
+            f"{call.function}[mst] at partition row {row}: "
             f"fast={fast!r} naive={slow!r}")
 
 
@@ -106,6 +106,6 @@ def _dispatch(call: WindowCall, part: PartitionView) -> Arrays:
                 "percentile": percentile, "mode": mode, "value": value,
                 "navigation": navigation}
     result = families[call.family].evaluate(call, part)
-    if isinstance(result, list):  # a reference algorithm
+    if isinstance(result, list):  # a naive path
         result = to_arrays(result, result_dtype(call, part))
     return result

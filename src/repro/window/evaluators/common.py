@@ -26,8 +26,8 @@ RangePair = Tuple[np.ndarray, np.ndarray]
 Arrays = Tuple[np.ndarray, Optional[np.ndarray]]
 
 #: What a family's ``evaluate`` returns: :data:`Arrays` from the ``mst``
-#: path, or a reference algorithm's row-at-a-time list (None = NULL),
-#: which ``_dispatch`` converts with :func:`to_arrays`.
+#: path, or a ``naive`` path's row-at-a-time list (None = NULL), which
+#: ``_dispatch`` converts with :func:`to_arrays`.
 Result = Union[Arrays, List[Any]]
 
 #: Most (row, entry) candidates :meth:`CallInput.hole_only` gathers at
@@ -58,8 +58,8 @@ def nullable(values: np.ndarray, valid: np.ndarray) -> Arrays:
 
 
 def to_arrays(values: Sequence[Any], dtype: np.dtype) -> Arrays:
-    """A reference algorithm's row-at-a-time result list (None = SQL
-    NULL) as typed arrays — the one list -> arrays conversion."""
+    """A ``naive`` path's row-at-a-time result list (None = SQL NULL)
+    as typed arrays — the one list -> arrays conversion."""
     valid = np.fromiter((v is not None for v in values), np.bool_,
                         len(values))
     if dtype == object:

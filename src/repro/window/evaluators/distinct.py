@@ -23,7 +23,6 @@ from repro.baselines.naive import (
     naive_distinct_aggregate,
     naive_distinct_count,
 )
-from repro.baselines.incremental import IncrementalDistinct
 from repro.errors import WindowFunctionError
 from repro.mst.aggregates import SUM, AggregateSpec
 from repro.mst.tree import MergeSortTree
@@ -51,12 +50,6 @@ def evaluate(call: WindowCall, part: PartitionView) -> Result:
     annotate_probe(inputs)
     if call.algorithm == "naive":
         return _evaluate_naive(call, part, inputs)
-    if call.algorithm == "incremental":
-        return _evaluate_incremental(call, part, inputs)
-    if call.algorithm != "mst":
-        raise WindowFunctionError(
-            f"algorithm {call.algorithm!r} does not support framed "
-            f"DISTINCT aggregates")
     if name in ("count", "count_star"):
         return _count_distinct(call, inputs)
     if name in ("sum", "avg"):
@@ -209,20 +202,3 @@ def _evaluate_naive(call: WindowCall, part: PartitionView,
     raise WindowFunctionError(
         f"unsupported distinct aggregate {call.function!r}")
 
-
-def _evaluate_incremental(call: WindowCall, part: PartitionView,
-                          inputs: CallInput) -> List[Any]:
-    if part.has_exclusion:
-        return _evaluate_naive(call, part, inputs)
-    if call.function not in ("count", "count_star"):
-        raise WindowFunctionError(
-            "the incremental baseline implements COUNT DISTINCT only")
-    values = inputs.kept_values(call.args[0])
-    state = IncrementalDistinct(values)
-    out = []
-    ctx = current_context()
-    for i in range(part.n):
-        ctx.tick(i)
-        state.move_to(int(inputs.start_f[i]), int(inputs.end_f[i]))
-        out.append(state.distinct)
-    return out

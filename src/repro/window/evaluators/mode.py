@@ -3,11 +3,11 @@
 Modes are the one common holistic aggregate that does not reduce to a
 2-d range count, so the merge sort tree does not apply (the paper's
 related work points to dedicated range-mode structures [13, 25]). The
-default algorithm here is the sqrt-decomposition
-:class:`~repro.rangemode.RangeModeIndex`; ``incremental`` follows the
-frame with a counter table; ``naive`` recomputes per frame.
+``mst`` path here is the sqrt-decomposition
+:class:`~repro.rangemode.RangeModeIndex`; ``naive`` recomputes per
+frame.
 
-Tie rule (shared by all three): the value whose first occurrence in the
+Tie rule (shared by both): the value whose first occurrence in the
 partition's kept rows comes earliest.
 """
 
@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from repro.errors import WindowFunctionError
-from repro.rangemode import IncrementalMode, RangeModeIndex
+from repro.rangemode import RangeModeIndex
 from repro.window.calls import WindowCall
 from repro.window.evaluators.common import (CallInput, Result,
                                              annotate_probe, python_values,
@@ -28,14 +27,7 @@ from repro.resilience.context import current_context
 def evaluate(call: WindowCall, part: PartitionView) -> Result:
     inputs = CallInput(call, part, skip_null_arg=True)
     annotate_probe(inputs)
-    if call.algorithm == "naive":
-        return _evaluate_naive(call, part, inputs)
-    if call.algorithm == "incremental":
-        return _evaluate_incremental(call, part, inputs)
-    if call.algorithm != "mst":
-        raise WindowFunctionError(
-            f"algorithm {call.algorithm!r} does not support MODE")
-    if not inputs.single_piece:
+    if call.algorithm == "naive" or not inputs.single_piece:
         # Frame holes invalidate the central-span candidate argument.
         return _evaluate_naive(call, part, inputs)
     values = python_values(inputs.kept_values(call.args[0]))
@@ -49,22 +41,6 @@ def evaluate(call: WindowCall, part: PartitionView) -> Result:
         out.append(mode)
     # The range-mode index answers one frame at a time.
     return to_arrays(out, result_dtype(call, part))
-
-
-def _evaluate_incremental(call: WindowCall, part: PartitionView,
-                          inputs: CallInput) -> List[Any]:
-    if not inputs.single_piece:
-        return _evaluate_naive(call, part, inputs)
-    values = python_values(inputs.kept_values(call.args[0]))
-    state = IncrementalMode(values)
-    lo, hi = inputs.pieces_f[0]
-    out: List[Any] = []
-    ctx = current_context()
-    for i in range(part.n):
-        ctx.tick(i)
-        state.move_to(int(lo[i]), int(hi[i]))
-        out.append(state.mode()[0])
-    return out
 
 
 def _evaluate_naive(call: WindowCall, part: PartitionView,

@@ -21,7 +21,6 @@ from typing import Any, List
 import numpy as np
 
 from repro.baselines.naive import frame_rows
-from repro.errors import WindowFunctionError
 from repro.mst.tree import MergeSortTree
 from repro.preprocess.permutation import inverse_permutation
 from repro.sortutil import SortColumn, stable_argsort
@@ -89,9 +88,6 @@ def evaluate(call: WindowCall, part: PartitionView) -> Result:
     inputs = CallInput(call, part, skip_null_arg=call.ignore_nulls)
     if call.algorithm == "naive":
         return _evaluate_naive(call, part, inputs)
-    if call.algorithm != "mst":
-        raise WindowFunctionError(
-            f"algorithm {call.algorithm!r} does not support LEAD/LAG")
 
     in_frame_order = _in_frame_order(call, part)
     if in_frame_order:

@@ -11,19 +11,15 @@ qualifying entry in slab order — a select query.
 from __future__ import annotations
 
 import math
-from typing import Any, List, Optional
+from typing import Any, List
 
 import numpy as np
 
-from repro.baselines.incremental import IncrementalPercentile
 from repro.baselines.naive import (
     naive_percentile_cont,
     naive_percentile_disc,
 )
-from repro.errors import WindowFunctionError
 from repro.mst.tree import MergeSortTree
-from repro.ostree.windowed import windowed_kth_ostree
-from repro.segtree.holistic import HolisticSegmentTree
 from repro.window.bounds import frame_sizes
 from repro.window.calls import WindowCall
 from repro.window.evaluators.common import (Arrays, CallInput, Result,
@@ -48,11 +44,6 @@ def evaluate(call: WindowCall, part: PartitionView) -> Result:
     fraction = _fraction(call)
     if call.algorithm == "naive":
         return _evaluate_naive(call, part, inputs, fraction)
-    if call.algorithm in ("incremental", "ostree", "segtree"):
-        return _evaluate_sliding(call, part, inputs, fraction)
-    if call.algorithm != "mst":
-        raise WindowFunctionError(
-            f"algorithm {call.algorithm!r} does not support percentiles")
     return _evaluate_mst(call, inputs, fraction)
 
 
@@ -94,7 +85,7 @@ def _evaluate_naive(call: WindowCall, part: PartitionView, inputs: CallInput,
     values, _ = part.column(call.args[0])
     if (not _continuous(call) and inputs.single_piece
             and isinstance(values, np.ndarray)):
-        # The engine's in-database naive algorithm: recompute per frame,
+        # The engine's in-database naive path: recompute per frame,
         # but with a compiled (numpy) selection kernel — the analogue of
         # the paper's C++ naive implementation, as opposed to the
         # deliberately interpreted Tableau-style client calc.
@@ -120,68 +111,3 @@ def _evaluate_naive(call: WindowCall, part: PartitionView, inputs: CallInput,
     return naive_percentile_disc(values, inputs.keep, part.pieces,
                                  fraction)
 
-
-def _evaluate_sliding(call: WindowCall, part: PartitionView,
-                      inputs: CallInput, fraction: float) -> List[Any]:
-    """The incremental / order-statistic-tree / holistic-segment-tree
-    competitors; continuous frames only (their published form)."""
-    if part.has_exclusion:
-        return _evaluate_naive(call, part, inputs, fraction)
-    values = inputs.kept_values(call.args[0])
-    start, end = inputs.start_f, inputs.end_f
-    if _continuous(call):
-        return _sliding_cont(call, values, start, end, fraction)
-    if call.algorithm == "incremental":
-        state = IncrementalPercentile(values)
-        out: List[Any] = []
-        ctx = current_context()
-        for i in range(part.n):
-            ctx.tick(i)
-            state.move_to(int(start[i]), int(end[i]))
-            size = len(state)
-            if size == 0:
-                out.append(None)
-            else:
-                k = max(math.ceil(fraction * size) - 1, 0)
-                out.append(state.kth(k))
-        return out
-    if call.algorithm == "ostree":
-        sizes = np.maximum(end - start, 0)
-        ks = np.maximum(np.ceil(fraction * sizes).astype(np.int64) - 1, 0)
-        return windowed_kth_ostree(values, start, end, ks)
-    # segment tree with sorted-list annotations
-    tree = HolisticSegmentTree(np.asarray(values, dtype=np.float64))
-    out = []
-    numeric_int = (isinstance(values, np.ndarray)
-                   and np.issubdtype(values.dtype, np.integer))
-    ctx = current_context()
-    for i in range(part.n):
-        ctx.tick(i)
-        lo, hi = int(start[i]), int(end[i])
-        if lo >= hi:
-            out.append(None)
-        else:
-            result = tree.percentile_disc(lo, hi, fraction)
-            out.append(int(result) if numeric_int else result)
-    return out
-
-
-def _sliding_cont(call: WindowCall, values: Any, start: np.ndarray,
-                  end: np.ndarray, fraction: float) -> List[Optional[float]]:
-    state = IncrementalPercentile(values)
-    out: List[Optional[float]] = []
-    ctx = current_context()
-    for i in range(len(start)):
-        ctx.tick(i)
-        state.move_to(int(start[i]), int(end[i]))
-        size = len(state)
-        if size == 0:
-            out.append(None)
-            continue
-        position = fraction * (size - 1)
-        lower = math.floor(position)
-        upper = math.ceil(position)
-        weight = position - lower
-        out.append(float(state.kth(lower)) * (1 - weight)
-                   + float(state.kth(upper)) * weight)
-    return out

@@ -17,7 +17,6 @@ import numpy as np
 from repro.baselines.naive import naive_dense_rank, naive_rank
 from repro.errors import WindowFunctionError
 from repro.mst.tree import MergeSortTree
-from repro.ostree.windowed import windowed_rank_ostree
 from repro.preprocess.rankkeys import dense_rank_keys, row_number_keys
 from repro.rangetree.dense import DenseRankIndex
 from repro.window.bounds import frame_sizes
@@ -42,11 +41,6 @@ def evaluate(call: WindowCall, part: PartitionView) -> Result:
 
     if call.algorithm == "naive":
         return _evaluate_naive(name, call, part, inputs, keys)
-    if call.algorithm == "ostree":
-        return _evaluate_ostree(name, call, part, inputs, keys)
-    if call.algorithm != "mst":
-        raise WindowFunctionError(
-            f"algorithm {call.algorithm!r} does not support rank functions")
 
     if name == "dense_rank":
         return _dense_rank(inputs, keys)
@@ -122,10 +116,3 @@ def _evaluate_naive(name: str, call: WindowCall, part: PartitionView,
                 for i in range(part.n)]
     raise WindowFunctionError(f"unsupported rank function {name!r}")
 
-
-def _evaluate_ostree(name: str, call: WindowCall, part: PartitionView,
-                     inputs: CallInput, keys: np.ndarray) -> List[Any]:
-    if name != "rank" or part.has_exclusion or inputs.keep.sum() != part.n:
-        return _evaluate_naive(name, call, part, inputs, keys)
-    return windowed_rank_ostree(keys, part.start, part.end,
-                                rank_values=keys)

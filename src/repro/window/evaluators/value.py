@@ -44,9 +44,6 @@ def evaluate(call: WindowCall, part: PartitionView) -> Result:
     ks = _ks_for(call, counts)
     if call.algorithm == "naive":
         return _evaluate_naive(call, part, inputs, ks)
-    if call.algorithm != "mst":
-        raise WindowFunctionError(
-            f"algorithm {call.algorithm!r} does not support value functions")
 
     tree = inputs.structure(
         "mst:perm",

@@ -14,7 +14,6 @@ from repro.baselines import (
     naive_rank,
     tableau_window_percentile,
 )
-from repro.baselines.incremental import IncrementalDistinctSum
 from repro.baselines.naive import naive_dense_rank, naive_percentile_cont
 
 
@@ -133,17 +132,6 @@ class TestIncremental:
         for i in range(n):
             jumpy.move_to(int(rstart[i]), int(rend[i]))
         assert jumpy.work > smooth.work
-
-    def test_distinct_sum(self, rng):
-        values = [3, 3, 5]
-        state = IncrementalDistinctSum(values)
-        state.move_to(0, 3)
-        assert state.total == 8
-        state.move_to(0, 2)
-        assert state.total == 3
-        state.move_to(2, 2)
-        assert state.total is None
-        assert state.work > 0
 
 
 class TestTableau:

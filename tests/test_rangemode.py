@@ -1,4 +1,4 @@
-"""Windowed MODE: range-mode index, incremental, naive, SQL."""
+"""Windowed MODE: range-mode index, incremental kernel, naive, SQL."""
 
 import numpy as np
 import pytest
@@ -136,14 +136,13 @@ class TestWindowedModeFunction:
     ]
 
     @pytest.mark.parametrize("spec_index", range(len(SPECS)))
-    @pytest.mark.parametrize("algorithm", ["mst", "incremental"])
-    def test_against_naive(self, spec_index, algorithm):
+    def test_against_naive(self, spec_index):
         spec = self.SPECS[spec_index]
         want = window_query(
             self.TABLE, [WindowCall("mode", ("x",), algorithm="naive")],
             spec).columns[-1].to_list()
         got = window_query(
-            self.TABLE, [WindowCall("mode", ("x",), algorithm=algorithm)],
+            self.TABLE, [WindowCall("mode", ("x",))],
             spec).columns[-1].to_list()
         assert got == want
 

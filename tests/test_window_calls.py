@@ -62,6 +62,16 @@ def test_argument_required():
     WindowCall("row_number")
 
 
+@pytest.mark.parametrize("algorithm",
+                         ["incremental", "ostree", "segtree", "bogus"])
+def test_only_mst_and_naive_algorithms(algorithm):
+    """The paper's competitors are benchmark kernels, not engine paths:
+    any other algorithm fails at construction, naming the two."""
+    with pytest.raises(WindowFunctionError, match="'mst' or 'naive'"):
+        WindowCall("sum", ("x",), algorithm=algorithm)
+    WindowCall("sum", ("x",), algorithm="naive")
+
+
 def test_udaf_requires_spec():
     with pytest.raises(WindowFunctionError):
         WindowCall("udaf", ("x",))

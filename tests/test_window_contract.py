@@ -1,6 +1,6 @@
 """The evaluator contract: typed ``(values, validity)`` arrays whose
 type is fixed by the call and its argument's schema type — never by
-the data, never by the algorithm."""
+the data, never by ``mst`` or ``naive``."""
 
 import datetime
 
@@ -30,41 +30,34 @@ TABLE = Table.from_dict({
                             for i in range(N)]),
 })
 
-#: Every function the operator knows: its extra call options, the
-#: argument columns to try and the algorithms that implement it.
-_RANK = dict(order_by=(OrderItem("y"),)), (None,), ("mst", "naive", "ostree")
+#: Every function the operator knows: its extra call options and the
+#: argument columns to try.
+_RANK = dict(order_by=(OrderItem("y"),)), (None,)
 _NUMERIC = ("x", "y", "d")
 FUNCTIONS = {
-    "count_star": ({}, (None,), ("mst", "naive")),
-    "count": ({}, ("x", "s"), ("mst", "naive")),
-    "sum": ({}, _NUMERIC, ("mst", "naive")),
-    "avg": ({}, _NUMERIC, ("mst", "naive")),
-    "min": ({}, _NUMERIC, ("mst", "naive")),
-    "max": ({}, _NUMERIC, ("mst", "naive")),
-    "udaf": (dict(udaf=SUM), ("x",), ("mst", "naive")),
-    "count distinct": (dict(distinct=True), ("x", "s"),
-                       ("mst", "naive", "incremental")),
-    "sum distinct": (dict(distinct=True), _NUMERIC, ("mst", "naive")),
-    "avg distinct": (dict(distinct=True), _NUMERIC, ("mst", "naive")),
-    "udaf distinct": (dict(distinct=True, udaf=SUM), ("x",),
-                      ("mst", "naive")),
+    "count_star": ({}, (None,)),
+    "count": ({}, ("x", "s")),
+    "sum": ({}, _NUMERIC),
+    "avg": ({}, _NUMERIC),
+    "min": ({}, _NUMERIC),
+    "max": ({}, _NUMERIC),
+    "udaf": (dict(udaf=SUM), ("x",)),
+    "count distinct": (dict(distinct=True), ("x", "s")),
+    "sum distinct": (dict(distinct=True), _NUMERIC),
+    "avg distinct": (dict(distinct=True), _NUMERIC),
+    "udaf distinct": (dict(distinct=True, udaf=SUM), ("x",)),
     "rank": _RANK, "dense_rank": _RANK, "percent_rank": _RANK,
     "cume_dist": _RANK, "row_number": _RANK,
-    "ntile": (dict(buckets=3, **_RANK[0]),) + _RANK[1:],
-    "percentile_disc": (dict(fraction=0.5), _NUMERIC + ("s",),
-                        ("mst", "naive", "incremental", "ostree")),
-    "percentile_cont": (dict(fraction=0.25), ("x", "y"),
-                        ("mst", "naive", "incremental", "ostree",
-                         "segtree")),
-    "median": ({}, ("x", "y"), ("mst", "naive", "incremental")),
-    "mode": ({}, _NUMERIC + ("s",), ("mst", "naive", "incremental")),
-    "first_value": ({}, _NUMERIC + ("s",), ("mst", "naive")),
-    "last_value": (dict(ignore_nulls=True), _NUMERIC + ("s",),
-                   ("mst", "naive")),
-    "nth_value": (dict(nth=2), _NUMERIC + ("s",), ("mst", "naive")),
-    "lead": (dict(order_by=(OrderItem("y"),)), _NUMERIC + ("s",),
-             ("mst", "naive")),
-    "lag": (dict(offset=2), _NUMERIC + ("s",), ("mst", "naive")),
+    "ntile": (dict(buckets=3, **_RANK[0]), _RANK[1]),
+    "percentile_disc": (dict(fraction=0.5), _NUMERIC + ("s",)),
+    "percentile_cont": (dict(fraction=0.25), ("x", "y")),
+    "median": ({}, ("x", "y")),
+    "mode": ({}, _NUMERIC + ("s",)),
+    "first_value": ({}, _NUMERIC + ("s",)),
+    "last_value": (dict(ignore_nulls=True), _NUMERIC + ("s",)),
+    "nth_value": (dict(nth=2), _NUMERIC + ("s",)),
+    "lead": (dict(order_by=(OrderItem("y"),)), _NUMERIC + ("s",)),
+    "lag": (dict(offset=2), _NUMERIC + ("s",)),
 }
 
 
@@ -88,13 +81,13 @@ def _partition(exclusion):
                             [SortColumn(*data["o"])], N)
 
 
-CASES = [(name, algorithm) for name, (_, _, algorithms) in FUNCTIONS.items()
-         for algorithm in algorithms]
+CASES = [(name, algorithm) for name in FUNCTIONS
+         for algorithm in ("mst", "naive")]
 
 
 @pytest.mark.parametrize("name,algorithm", CASES)
 def test_evaluate_call_contract(name, algorithm):
-    options, arg_columns, _ = FUNCTIONS[name]
+    options, arg_columns = FUNCTIONS[name]
     for exclusion in FrameExclusion:
         part = _partition(exclusion)
         for column in arg_columns:
@@ -115,7 +108,7 @@ def test_evaluate_call_contract(name, algorithm):
                 isinstance(validity, np.ndarray)
                 and validity.dtype == np.bool_
                 and len(validity) == part.n), where
-            # The column type is the static one on every algorithm; a
+            # The column type is the static one on both paths; a
             # UDAF's is inferred from its states (INT64 sums here).
             result = window_query(TABLE, [call], _spec(exclusion))
             assert result.schema.fields[-1].dtype is (static or

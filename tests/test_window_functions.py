@@ -223,41 +223,3 @@ class TestUdaf:
         run_both(dict(function="udaf", args=("x",), distinct=True,
                       udaf=product), SPECS["exclude_ties"])
 
-
-class TestAlternativeAlgorithms:
-    """The competitor implementations must agree with the oracle too."""
-
-    @pytest.mark.parametrize("algorithm", ["incremental", "ostree",
-                                           "segtree"])
-    def test_percentile_backends(self, algorithm):
-        spec = SPECS["sliding"]
-        want = window_query(
-            TABLE, [WindowCall("median", ("y",), algorithm="naive")],
-            spec).columns[-1].to_list()
-        got = window_query(
-            TABLE, [WindowCall("median", ("y",), algorithm=algorithm)],
-            spec).columns[-1].to_list()
-        assert_columns_equal(got, want)
-
-    def test_incremental_distinct(self):
-        spec = SPECS["range"]
-        want = window_query(
-            TABLE, [WindowCall("count", ("x",), distinct=True,
-                               algorithm="naive")],
-            spec).columns[-1].to_list()
-        got = window_query(
-            TABLE, [WindowCall("count", ("x",), distinct=True,
-                               algorithm="incremental")],
-            spec).columns[-1].to_list()
-        assert_columns_equal(got, want)
-
-    def test_ostree_rank(self):
-        spec = SPECS["centered"]
-        kwargs = dict(function="rank", order_by=(OrderItem("y"),))
-        want = window_query(TABLE, [WindowCall(**kwargs,
-                                               algorithm="naive")],
-                            spec).columns[-1].to_list()
-        got = window_query(TABLE, [WindowCall(**kwargs,
-                                              algorithm="ostree")],
-                           spec).columns[-1].to_list()
-        assert_columns_equal(got, want)
