@@ -42,19 +42,9 @@ AggregateSpec` is kept in memory alongside the spill path and re-attached
 on reload, so reloaded trees answer :meth:`~repro.mst.tree.MergeSortTree.
 aggregate` queries identically.
 
-Beyond evicted index structures, the manager also round-trips
-*partition chunks* — plain dicts of numpy arrays holding a completed
-partition's row positions and computed window values — for the
-operator's partition-at-a-time out-of-core mode
-(:meth:`SpillManager.spill_chunk` / :meth:`SpillManager.load_chunk`).
-Chunks get the same hardening: atomic tmp+rename writes, CRC32
-verification on reload, bounded retries on the context clock.
-
 Fault-injection sites (see :mod:`repro.resilience.faults`):
-``spill.write`` fires once per write attempt, ``spill.read`` once per
-read attempt, ``partition.spill`` once per chunk-write attempt and
-``partition.reload`` once per chunk-read attempt — so retry behaviour
-is directly testable.
+``spill.write`` fires once per write attempt and ``spill.read`` once
+per read attempt — so retry behaviour is directly testable.
 """
 
 from __future__ import annotations
@@ -311,79 +301,6 @@ class SpillManager:
             span.annotate(bytes=nbytes)
         tree.aggregate_spec = meta
         return tree
-
-    # ------------------------------------------------------------------
-    # partition chunks (out-of-core window execution)
-    # ------------------------------------------------------------------
-    def spill_chunk(self, arrays: "Dict[str, Any]") -> Tuple[str, int]:
-        """Write a dict of numpy arrays as one checksummed ``.npz``.
-
-        Used by the window operator's partition-at-a-time out-of-core
-        mode to park a completed partition's row positions and computed
-        values on disk. Returns ``(path, nbytes)``; raises ``OSError``
-        when every write attempt failed. Fires the ``partition.spill``
-        site once per attempt."""
-        import numpy as np
-
-        name = _spill_name()
-        path = os.path.join(self.directory, f"{name}.npz")
-        tmp = os.path.join(self.directory, f"{name}.tmp.npz")
-
-        def write_once() -> None:
-            current_context().fire("partition.spill")
-            try:
-                with open(tmp, "wb") as handle:
-                    np.savez(handle, **arrays)
-                self._checksums[path] = _file_crc32(tmp)
-                os.replace(tmp, path)
-            except BaseException:
-                self._checksums.pop(path, None)
-                try:
-                    os.remove(tmp)
-                except OSError:
-                    pass
-                raise
-
-        self._with_retries(write_once)
-        nbytes = os.path.getsize(path)
-        self.bytes_written += nbytes
-        return path, nbytes
-
-    def load_chunk(self, path: str) -> "Dict[str, Any]":
-        """Reload a partition chunk written by :meth:`spill_chunk`.
-
-        Verifies the recorded CRC32 before decoding; mismatches and
-        undecodable files raise
-        :class:`~repro.errors.SpillCorruptionError` (the operator
-        answers by re-evaluating the partition from source — the
-        evaluation is deterministic, so results stay bit-identical).
-        Fires ``partition.reload`` once per attempt."""
-        import numpy as np
-
-        def read_once() -> "Dict[str, Any]":
-            current_context().fire("partition.reload")
-            expected = self._checksums.get(path)
-            if expected is not None:
-                actual = _file_crc32(path)
-                if actual != expected:
-                    raise SpillCorruptionError(
-                        f"partition chunk {os.path.basename(path)!r} "
-                        f"failed its checksum (crc32 {actual:#010x}, "
-                        f"expected {expected:#010x})")
-            try:
-                with np.load(path, allow_pickle=False) as bundle:
-                    return {key: bundle[key] for key in bundle.files}
-            except OSError:
-                raise  # transient: let the retry loop handle it
-            except Exception as exc:
-                raise SpillCorruptionError(
-                    f"partition chunk {os.path.basename(path)!r} could "
-                    f"not be decoded: {type(exc).__name__}: {exc}"
-                ) from exc
-
-        arrays = self._with_retries(read_once)
-        self.bytes_read += sum(a.nbytes for a in arrays.values())
-        return arrays
 
     def _with_retries(self, operation: Callable[[], Any]) -> Any:
         """Run ``operation``, retrying transient OSError with backoff.

@@ -246,15 +246,6 @@ class StructureCache:
         with self._lock:
             return len(self._entries)
 
-    @property
-    def spill_manager(self) -> Optional[SpillManager]:
-        """The spill manager when spilling is enabled, else ``None``.
-
-        The window operator borrows it for partition-chunk I/O in
-        out-of-core mode, so chunks land in the same directory with the
-        same checksum/retry discipline as evicted structures."""
-        return self._spill if self._spill_enabled else None
-
     # ------------------------------------------------------------------
     # byte accounting
     # ------------------------------------------------------------------

@@ -25,8 +25,6 @@ class QueryTelemetry:
     __slots__ = ("_lock", "cache_hits", "cache_misses", "cache_reloads",
                  "structure_builds", "spill_writes", "spill_reads",
                  "spill_bytes_written", "spill_bytes_read",
-                 "partition_spills", "partition_reloads",
-                 "partition_spill_bytes",
                  "queue_wait_seconds", "morsels", "strategies")
 
     def __init__(self) -> None:
@@ -39,9 +37,6 @@ class QueryTelemetry:
         self.spill_reads = 0
         self.spill_bytes_written = 0
         self.spill_bytes_read = 0
-        self.partition_spills = 0
-        self.partition_reloads = 0
-        self.partition_spill_bytes = 0
         self.queue_wait_seconds = 0.0
         self.morsels = 0
         #: Per window group, the scheduler strategy chosen (in order).
@@ -76,15 +71,6 @@ class QueryTelemetry:
             self.spill_reads += 1
             self.spill_bytes_read += int(nbytes)
 
-    def count_partition_spill(self, nbytes: int) -> None:
-        with self._lock:
-            self.partition_spills += 1
-            self.partition_spill_bytes += int(nbytes)
-
-    def count_partition_reload(self) -> None:
-        with self._lock:
-            self.partition_reloads += 1
-
     def add_queue_wait(self, seconds: float) -> None:
         with self._lock:
             self.queue_wait_seconds += max(float(seconds), 0.0)
@@ -117,9 +103,6 @@ class QueryTelemetry:
                 "spill_reads": self.spill_reads,
                 "spill_bytes_written": self.spill_bytes_written,
                 "spill_bytes_read": self.spill_bytes_read,
-                "partition_spills": self.partition_spills,
-                "partition_reloads": self.partition_reloads,
-                "partition_spill_bytes": self.partition_spill_bytes,
                 "queue_wait_seconds": self.queue_wait_seconds,
                 "morsels": self.morsels,
                 "strategies": list(self.strategies),

@@ -16,7 +16,9 @@ one of three strategies:
   ``batched_count`` / ``batched_select`` / ``batched_aggregate``),
   sharing the tree read-only exactly as Section 5.2 describes.
 * **serial** — below a cost threshold: tiny inputs take the exact
-  pre-existing code path and pay zero overhead.
+  pre-existing code path and pay zero overhead. A group whose working
+  set exceeds the session memory governor's headroom runs serial too,
+  so it copies no inputs or result buffers into shared memory.
 
 ``workers`` is the only parallelism setting (argument >
 ``REPRO_WORKERS`` > 1): 1 is serial, 2 or more is the supervised
@@ -67,29 +69,24 @@ DEFAULT_MIN_INTRA_ROWS = 16_384
 DEFAULT_DOMINANCE = 0.5
 
 
+# Both resolvers parse the environment with the session config's
+# parser (a non-integer raises ConfigurationError), imported lazily:
+# repro.sql imports the window operator, which imports this module.
 def resolve_workers(workers: Optional[int] = None) -> int:
     """Explicit ``workers`` argument, else ``REPRO_WORKERS``, else 1."""
     if workers is None:
-        raw = os.environ.get("REPRO_WORKERS", "")
-        try:
-            workers = int(raw) if raw else 1
-        except ValueError:
-            workers = 1
-    return max(int(workers), 1)
+        from repro.sql.config import _env_int
+        workers = _env_int(os.environ, "REPRO_WORKERS")
+    return max(int(workers or 1), 1)
 
 
 def resolve_arena_bytes(arena_bytes: Optional[int] = None
                         ) -> Optional[int]:
     """Explicit argument, else ``REPRO_ARENA_BYTES``, else unlimited."""
-    if arena_bytes is not None:
-        return max(int(arena_bytes), 0)
-    raw = (os.environ.get("REPRO_ARENA_BYTES") or "").strip()
-    if not raw:
-        return None
-    try:
-        return max(int(raw), 0)
-    except ValueError:
-        return None
+    if arena_bytes is None:
+        from repro.sql.config import _env_int
+        arena_bytes = _env_int(os.environ, "REPRO_ARENA_BYTES")
+    return None if arena_bytes is None else max(int(arena_bytes), 0)
 
 
 @dataclass
@@ -343,6 +340,14 @@ class WindowScheduler:
                 rows=rows,
                 reason=f"below cost threshold "
                        f"({ops:.0f} < {self.min_parallel_ops:.0f} ops)"))
+        # Working set: the sort permutation plus one value array per
+        # call (the gathered per-partition inputs are bounded by the
+        # same figure).
+        if self.governor is not None and self.governor.exceeds_headroom(
+                rows * 8 * (n_calls + 1)):
+            return self._record(GroupDecision(
+                SERIAL, workers=self.workers, partitions=partitions,
+                rows=rows, reason="exceeds memory headroom"))
         largest = int(sizes.max()) if partitions else 0
         if largest >= self.dominance * rows:
             if largest < self.min_intra_rows:

@@ -234,8 +234,7 @@ class ExecutionContext:
         self.breakers = breakers
         #: Session-wide byte ledger (a
         #: :class:`~repro.resilience.memory.MemoryGovernor`), or None
-        #: when the query runs ungoverned. The window operator consults
-        #: it for out-of-core decisions; the build guard enforces it.
+        #: when the query runs ungoverned. The build guard enforces it.
         self.memory = memory
         if not 0.0 <= verify_rate <= 1.0:
             raise ValueError("verify_rate must be in [0, 1]")

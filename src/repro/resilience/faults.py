@@ -30,11 +30,6 @@ Sites currently wired into the engine:
   can fail the recovery path deterministically;
 * ``memory.reserve`` — on every byte-reservation attempt at the
   :class:`~repro.resilience.memory.MemoryGovernor`;
-* ``partition.spill`` — once per write attempt of an out-of-core
-  partition result chunk
-  (:meth:`repro.cache.spill.SpillManager.spill_chunk`);
-* ``partition.reload`` — once per read attempt of a spilled partition
-  chunk (:meth:`repro.cache.spill.SpillManager.load_chunk`);
 * ``worker.spawn``   — before every process-pool worker spawn attempt
   (:class:`~repro.parallel.procpool.ProcessPool`), so restart budgets
   and the pool-broken degradation can be exercised deterministically;
@@ -74,7 +69,7 @@ from typing import Callable, Dict, List, Optional
 
 
 def _default_exception(site: str) -> Exception:
-    if site.startswith(("spill.", "partition.", "shm.")):
+    if site.startswith(("spill.", "shm.")):
         return OSError(f"injected I/O fault at {site!r}")
     return RuntimeError(f"injected fault at {site!r}")
 
@@ -169,9 +164,8 @@ _KNOWN_SITES = frozenset({
     "spill.write", "spill.read", "structure.build",
     "parallel.morsel", "cache.evict",
     "cache.reload", "gateway.admit", "circuit.probe",
-    "memory.reserve", "partition.spill", "partition.reload",
-    "worker.spawn", "worker.heartbeat", "worker.retry", "shm.attach",
-    "join.build", "cte.materialize",
+    "memory.reserve", "worker.spawn", "worker.heartbeat",
+    "worker.retry", "shm.attach", "join.build", "cte.materialize",
 })
 
 

@@ -23,16 +23,22 @@ hope, and one oversized window query could OOM a multi-tenant process.
   raises :class:`~repro.errors.MemoryPressureError` from the build
   guard, which rides the existing ``FALLBACK_ERRORS`` ladder down to
   the naive evaluator instead of failing the query;
-* **out-of-core advice** — the window operator asks
-  :meth:`out_of_core` whether a group's estimated footprint fits the
-  current headroom and switches to partition-at-a-time spill execution
-  (per Shi & Wang, arXiv 2007.10385) when it does not.
+* **headroom advice** — the window scheduler asks
+  :meth:`exceeds_headroom` whether a group's estimated working set fits
+  the current headroom and runs the group serial, in memory, when it
+  does not — no inputs or second result buffer copied into shared
+  memory for worker processes.
+
+The one thing a budget moves to disk is index structures: evicted merge
+sort trees spill and reload on the next hit (the structure cache's
+:mod:`repro.cache.spill`).
 
 The degradation ladder under pressure, best outcome first::
 
     fits in budget        -> run in memory (fast paths, cached trees)
-    group exceeds headroom-> partition-at-a-time spill to disk
-    spill unavailable     -> naive evaluators, direct scatter
+    cache over budget     -> evict trees, spill them, reload on hit
+    group exceeds headroom-> serial, in memory
+    structure > budget    -> naive evaluators
     batch reservation wait
       expires             -> shed with MemoryPressureError (503)
 
@@ -43,7 +49,7 @@ completes waits instantly in tests).
 
 The governor never *enforces* at the allocator level — CPython cannot —
 it keeps an honest ledger of the measured/estimated bytes the engine
-knows about and makes shedding/spilling decisions from it.
+knows about and makes eviction/shedding decisions from it.
 """
 
 from __future__ import annotations
@@ -104,9 +110,6 @@ class MemoryStats:
     denials: int = 0          # hard reservations shed with 503
     pressure_events: int = 0  # soft overcommits past the budget
     structure_denials: int = 0  # builds refused (-> naive fallback)
-    partition_spills: int = 0
-    partition_reloads: int = 0
-    partition_spill_bytes: int = 0
     by_tag: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -115,8 +118,7 @@ class MemoryStats:
         traffic rule for ``EXPLAIN``: a budgeted session always shows,
         an unbudgeted one only once pressure was recorded)."""
         return bool(self.budget_bytes is not None or self.denials
-                    or self.pressure_events or self.structure_denials
-                    or self.partition_spills)
+                    or self.pressure_events or self.structure_denials)
 
     def render(self) -> List[str]:
         """Human-readable lines for ``EXPLAIN`` / session stats."""
@@ -129,12 +131,8 @@ class MemoryStats:
             f"reservations={self.reservations} waits={self.waits} "
             f"denials={self.denials} pressure={self.pressure_events}",
         ]
-        if self.structure_denials or self.partition_spills:
-            lines.append(
-                f"structure_denials={self.structure_denials} "
-                f"partition_spills={self.partition_spills} "
-                f"partition_reloads={self.partition_reloads} "
-                f"spilled={self.partition_spill_bytes:,} B")
+        if self.structure_denials:
+            lines.append(f"structure_denials={self.structure_denials}")
         if self.by_tag:
             held = " ".join(f"{tag}={nbytes:,}B"
                             for tag, nbytes in sorted(self.by_tag.items()))
@@ -153,9 +151,6 @@ class MemoryStats:
             "denials": self.denials,
             "pressure_events": self.pressure_events,
             "structure_denials": self.structure_denials,
-            "partition_spills": self.partition_spills,
-            "partition_reloads": self.partition_reloads,
-            "partition_spill_bytes": self.partition_spill_bytes,
             "by_tag": dict(self.by_tag),
         }
 
@@ -188,18 +183,12 @@ class MemoryGovernor:
     """Session-wide byte ledger with reservations and backpressure.
 
     ``budget_bytes=None`` disables enforcement (the ledger still
-    tracks usage and peak for observability). ``out_of_core`` mirrors
-    ``SessionConfig.out_of_core``: ``None`` engages spill execution
-    only when a window group's footprint exceeds the current headroom,
-    ``True`` forces it for every group (testing/benchmarks), ``False``
-    disables it outright.
+    tracks usage and peak for observability).
     """
 
     def __init__(self, budget_bytes: Optional[int] = None,
-                 out_of_core: Optional[bool] = None,
                  clock: Any = None) -> None:
         self.budget = budget_bytes
-        self.out_of_core_mode = out_of_core
         self._clock = clock
         self._lock = threading.Lock()
         self._used = 0        # reservations + mirrored cache charges
@@ -416,27 +405,11 @@ class MemoryGovernor:
             f"session memory budget of {self.budget:,} bytes",
             requested=nbytes, available=self.budget)
 
-    def use_out_of_core(self, estimated_bytes: int) -> bool:
-        """Whether a window group of ``estimated_bytes`` working set
-        should run partition-at-a-time with disk spill."""
-        if self.out_of_core_mode is not None:
-            return self.out_of_core_mode
-        if self.budget is None:
-            return False
+    def exceeds_headroom(self, estimated_bytes: int) -> bool:
+        """Whether a window group of ``estimated_bytes`` working set is
+        larger than the current headroom (never, without a budget)."""
         available = self.available()
-        return estimated_bytes > available
-
-    # ------------------------------------------------------------------
-    # out-of-core accounting
-    # ------------------------------------------------------------------
-    def note_partition_spill(self, nbytes: int) -> None:
-        with self._lock:
-            self._stats.partition_spills += 1
-            self._stats.partition_spill_bytes += int(nbytes)
-
-    def note_partition_reload(self) -> None:
-        with self._lock:
-            self._stats.partition_reloads += 1
+        return available is not None and estimated_bytes > available
 
     def note_pressure(self) -> None:
         """Record one pressure event from a component that degraded."""
@@ -459,9 +432,6 @@ class MemoryGovernor:
                 denials=self._stats.denials,
                 pressure_events=self._stats.pressure_events,
                 structure_denials=self._stats.structure_denials,
-                partition_spills=self._stats.partition_spills,
-                partition_reloads=self._stats.partition_reloads,
-                partition_spill_bytes=self._stats.partition_spill_bytes,
                 by_tag=dict(self._by_tag),
             )
 
@@ -493,10 +463,4 @@ class MemoryGovernor:
             ("repro_memory_pressure_events_total",
              "Soft reservations granted past the budget.",
              "counter", (), [((), s.pressure_events)]),
-            ("repro_memory_partition_spills_total",
-             "Partition result chunks spilled (out-of-core mode).",
-             "counter", (), [((), s.partition_spills)]),
-            ("repro_memory_partition_reloads_total",
-             "Partition result chunks reloaded (out-of-core mode).",
-             "counter", (), [((), s.partition_reloads)]),
         ]

@@ -86,10 +86,7 @@ class SessionConfig:
       statements; ``0`` disables, ``None`` is unlimited);
     * memory governor: ``memory_budget_bytes`` (session-wide byte
       ledger; ``None`` → ``REPRO_MEMORY_BUDGET``, unlimited when
-      unset) and ``out_of_core`` (``None`` = engage partition-at-a-
-      time spill execution automatically under pressure, ``True`` =
-      force it, ``False`` = disable it; ``None`` falls back to
-      ``REPRO_OUT_OF_CORE``);
+      unset);
     * guardrail defaults: ``timeout``, ``limits``;
     * gateway: ``max_concurrent``, ``max_queue``, ``queue_timeout``;
     * breakers: ``breaker_threshold``, ``breaker_reset``;
@@ -110,7 +107,6 @@ class SessionConfig:
     budget_bytes: Optional[int] = None
     plan_cache_bytes: Optional[int] = 8 << 20
     memory_budget_bytes: Optional[int] = None
-    out_of_core: Optional[bool] = None
     spill_dir: Optional[str] = None
     spill: bool = True
     timeout: Optional[float] = None
@@ -176,11 +172,10 @@ class SessionConfig:
         """Build a config from ``REPRO_*`` environment variables.
 
         Recognised: ``REPRO_BUDGET_BYTES``, ``REPRO_PLAN_CACHE_BYTES``,
-        ``REPRO_MEMORY_BUDGET``, ``REPRO_OUT_OF_CORE``,
-        ``REPRO_SPILL_DIR``,
-        ``REPRO_SPILL``, ``REPRO_TIMEOUT``, ``REPRO_MAX_CONCURRENT``,
-        ``REPRO_MAX_QUEUE``, ``REPRO_QUEUE_TIMEOUT``,
-        ``REPRO_BREAKER_THRESHOLD``, ``REPRO_BREAKER_RESET``,
+        ``REPRO_MEMORY_BUDGET``, ``REPRO_SPILL_DIR``, ``REPRO_SPILL``,
+        ``REPRO_TIMEOUT``, ``REPRO_MAX_CONCURRENT``, ``REPRO_MAX_QUEUE``,
+        ``REPRO_QUEUE_TIMEOUT``, ``REPRO_BREAKER_THRESHOLD``,
+        ``REPRO_BREAKER_RESET``,
         ``REPRO_VERIFY_RATE``, ``REPRO_VERIFY_SEED``, ``REPRO_WORKERS``,
         ``REPRO_ARENA_BYTES``, ``REPRO_TRACE``, ``REPRO_METRICS``. Unset
         variables keep their defaults; explicit ``**overrides`` win
@@ -196,7 +191,6 @@ class SessionConfig:
         put("budget_bytes", _env_int(env, "REPRO_BUDGET_BYTES"))
         put("plan_cache_bytes", _env_int(env, "REPRO_PLAN_CACHE_BYTES"))
         put("memory_budget_bytes", _env_int(env, "REPRO_MEMORY_BUDGET"))
-        put("out_of_core", _env_bool(env, "REPRO_OUT_OF_CORE"))
         put("spill_dir", env.get("REPRO_SPILL_DIR") or None)
         put("spill", _env_bool(env, "REPRO_SPILL"))
         put("timeout", _env_float(env, "REPRO_TIMEOUT"))
@@ -218,22 +212,16 @@ class SessionConfig:
         return dataclasses.replace(self, **changes)
 
 
-def resolve_memory_settings(config: "SessionConfig"
-                            ) -> "tuple[Optional[int], Optional[bool]]":
-    """The effective (memory budget, out-of-core mode) for a session.
+def resolve_memory_budget(config: "SessionConfig") -> Optional[int]:
+    """The effective memory budget for a session.
 
-    Explicit config fields win; unset fields fall back to the
-    ``REPRO_MEMORY_BUDGET`` / ``REPRO_OUT_OF_CORE`` environment
-    variables (mirroring how ``workers=None`` defers to
-    ``REPRO_WORKERS``), so a CI leg can put the whole suite under a
-    tight budget without touching every test."""
-    budget = config.memory_budget_bytes
-    if budget is None:
-        budget = _env_int(os.environ, "REPRO_MEMORY_BUDGET")
-    out_of_core = config.out_of_core
-    if out_of_core is None:
-        out_of_core = _env_bool(os.environ, "REPRO_OUT_OF_CORE")
-    return budget, out_of_core
+    An explicit ``memory_budget_bytes`` wins; unset, it falls back to
+    the ``REPRO_MEMORY_BUDGET`` environment variable (mirroring how
+    ``workers=None`` defers to ``REPRO_WORKERS``), so a CI leg can put
+    the whole suite under a tight budget without touching every test."""
+    if config.memory_budget_bytes is not None:
+        return config.memory_budget_bytes
+    return _env_int(os.environ, "REPRO_MEMORY_BUDGET")
 
 
 @dataclass(frozen=True)

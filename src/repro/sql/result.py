@@ -28,8 +28,6 @@ class QueryStats:
                  "cache_misses", "cache_reloads", "structure_builds",
                  "structure_reuses", "spill_writes", "spill_reads",
                  "spill_bytes_written", "spill_bytes_read",
-                 "partition_spills", "partition_reloads",
-                 "partition_spill_bytes",
                  "queue_wait_seconds", "morsels", "strategies", "outcome")
 
     def __init__(self, elapsed_seconds: float, priority: str,
@@ -50,10 +48,6 @@ class QueryStats:
         self.spill_reads = telemetry.get("spill_reads", 0)
         self.spill_bytes_written = telemetry.get("spill_bytes_written", 0)
         self.spill_bytes_read = telemetry.get("spill_bytes_read", 0)
-        self.partition_spills = telemetry.get("partition_spills", 0)
-        self.partition_reloads = telemetry.get("partition_reloads", 0)
-        self.partition_spill_bytes = telemetry.get(
-            "partition_spill_bytes", 0)
         self.queue_wait_seconds = telemetry.get("queue_wait_seconds", 0.0)
         self.morsels = telemetry.get("morsels", 0)
         #: Scheduler strategy per window group, in evaluation order.
@@ -86,11 +80,6 @@ class QueryStats:
             f"bytes_out={self.spill_bytes_written} "
             f"bytes_in={self.spill_bytes_read}",
         ]
-        if self.partition_spills or self.partition_reloads:
-            lines.append(
-                f"out-of-core: partition_spills={self.partition_spills} "
-                f"partition_reloads={self.partition_reloads} "
-                f"bytes={self.partition_spill_bytes}")
         if self.strategies:
             lines.append(f"parallel: strategies={','.join(self.strategies)} "
                          f"morsels={self.morsels}")

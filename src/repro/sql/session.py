@@ -156,12 +156,12 @@ class Session:
         self.catalog = catalog
         #: Session-wide byte ledger (see repro.resilience.memory):
         #: query reservations, structure-cache and plan-cache bytes all
-        #: charge one budget, and pressure triggers eviction, spill
-        #: execution or typed shedding instead of unbounded growth.
+        #: charge one budget, and pressure triggers eviction (trees
+        #: spill to disk), serial groups or typed shedding instead of
+        #: unbounded growth.
         from repro.resilience.memory import MemoryGovernor
-        from repro.sql.config import resolve_memory_settings
-        mem_budget, out_of_core = resolve_memory_settings(config)
-        self.memory = MemoryGovernor(mem_budget, out_of_core=out_of_core,
+        from repro.sql.config import resolve_memory_budget
+        self.memory = MemoryGovernor(resolve_memory_budget(config),
                                      clock=config.clock)
         self.cache = StructureCache(budget_bytes=config.budget_bytes,
                                     spill_dir=config.spill_dir,

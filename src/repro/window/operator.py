@@ -141,9 +141,9 @@ def window_query(table: Table, calls: Sequence[WindowCall],
 class _GroupResults:
     """The group's output columns being assembled across partitions:
     per call one values buffer of the call's static type and one
-    validity mask, both preallocated. Every group path — serial, probe
-    fan, process pool, out-of-core — ends in :meth:`scatter`, and each
-    scatter targets disjoint global row positions."""
+    validity mask, both preallocated before the group runs. Every group
+    path — serial, probe fan, process group — ends in :meth:`scatter`,
+    and each scatter targets disjoint global row positions."""
 
     def __init__(self, table: Table, calls: Sequence[WindowCall]) -> None:
         n = table.num_rows
@@ -276,17 +276,12 @@ def _evaluate_group_inner(table: Table, spec: WindowSpec,
 
     buffers = _GroupResults(table, calls)
 
-    def evaluate_partition(p: int, probes: ProbeKernels,
-                           emit=buffers.scatter) -> None:
+    def evaluate_partition(p: int, probes: ProbeKernels) -> None:
         """Build, evaluate and scatter one whole partition.
 
         Cache pins are acquired under the store lock inside the
         builder and released in this call's ``finally``, so failure or
-        cancellation never leaves a pin behind.
-
-        ``emit(call_index, rows, values, validity)`` overrides the
-        scatter into the result buffers — the out-of-core path uses it
-        to collect a partition's arrays for spilling instead."""
+        cancellation never leaves a pin behind."""
         rows = order[starts[p]:starts[p + 1]]
         acquirer = None
         if cache is not None:
@@ -297,30 +292,12 @@ def _evaluate_group_inner(table: Table, spec: WindowSpec,
                                 structures=acquirer, probes=probes)
         try:
             for call_index, call in enumerate(calls):
-                emit(call_index, rows, *evaluate_call(call, view))
+                buffers.scatter(call_index, rows,
+                                *evaluate_call(call, view))
         finally:
             if acquirer is not None:
                 acquirer.release_all()
 
-    # ------------------------------------------------------------------
-    # out-of-core: partition-at-a-time with completed results on disk
-    # ------------------------------------------------------------------
-    governor = getattr(ctx, "memory", None)
-    spill = getattr(cache, "spill_manager", None) \
-        if cache is not None else None
-    if governor is not None and spill is not None:
-        # Transient working set of this group: the sort permutation
-        # plus one value array per call (the gathered per-partition
-        # inputs are bounded by the same figure).
-        estimated = n * 8 * (len(calls) + 1)
-        if governor.use_out_of_core(estimated):
-            return _evaluate_out_of_core(
-                ctx, governor, spill, evaluate_partition, buffers,
-                order, starts, sizes, len(calls), n)
-
-    # The scheduler decision is only taken for groups that stay in
-    # memory — the out-of-core path above is strictly serial and
-    # records its own "out-of-core" strategy.
     decision = scheduler.choose(sizes, len(calls))
 
     group_span = tracer.span(
@@ -579,119 +556,6 @@ def _run_group_process(ctx: Any, scheduler: WindowScheduler,
         breaker.record_success()
     scheduler.note_process_group()
     return True
-
-
-def _evaluate_out_of_core(ctx: Any, governor: Any, spill: Any,
-                          evaluate_partition: Any,
-                          buffers: _GroupResults,
-                          order: np.ndarray, starts: np.ndarray,
-                          sizes: np.ndarray, num_calls: int,
-                          n: int) -> List[Column]:
-    """Partition-at-a-time window evaluation with spilled results.
-
-    Each partition is evaluated serially; its result arrays — values
-    and validity masks, NULLs included — are written to a checksummed
-    spill chunk and dropped from memory, so the live footprint stays
-    one partition's inputs + structures instead of the whole table's
-    results. After the last partition, chunks stream back in partition
-    order and scatter into the result buffers — the same positions
-    serial evaluation would write, so output is bit-identical to the
-    in-memory path.
-
-    Degradation ladder: object-typed results (strings, UDAF states)
-    cannot enter a pickle-free chunk and scatter directly in memory; a
-    chunk write that fails after retries falls back to direct scatter
-    and disables spilling for the rest of the group; a chunk that fails
-    reload (checksum, I/O) is re-evaluated from source — evaluation is
-    deterministic, so the result is unchanged."""
-    tracer = ctx.tracer
-    group_span = tracer.span(
-        "window.group", strategy="out-of-core", partitions=len(sizes),
-        rows=n, calls=num_calls) if tracer.enabled else NULL_SPAN
-    with group_span:
-        ctx.telemetry.record_strategy("out-of-core")
-        spilled: List[Tuple[int, str]] = []
-        try:
-            return _out_of_core_passes(
-                ctx, governor, spill, evaluate_partition, buffers,
-                order, starts, len(sizes), spilled)
-        finally:
-            # A timeout/cancellation mid-group must not leak chunks;
-            # discard is idempotent for already-streamed ones.
-            for _p, path in spilled:
-                spill.discard(path)
-
-
-def _out_of_core_passes(ctx: Any, governor: Any, spill: Any,
-                        evaluate_partition: Any,
-                        buffers: _GroupResults,
-                        order: np.ndarray, starts: np.ndarray,
-                        num_partitions: int,
-                        spilled: List[Tuple[int, str]]) -> List[Column]:
-    """The two passes of :func:`_evaluate_out_of_core` (split out so
-    the caller's ``finally`` can see every chunk ever spilled)."""
-    from repro.errors import SpillCorruptionError
-
-    spilling = True
-    for p in range(num_partitions):
-        ctx.checkpoint()
-        arrays = {"rows": order[starts[p]:starts[p + 1]]}
-
-        def collect(ci: int, rows: np.ndarray, values: np.ndarray,
-                    validity: Optional[np.ndarray]) -> None:
-            if not spilling or values.dtype == object:
-                buffers.scatter(ci, rows, values, validity)
-                return
-            arrays[f"v{ci}"] = values
-            if validity is not None:
-                arrays[f"m{ci}"] = validity
-
-        evaluate_partition(p, SERIAL_PROBES, emit=collect)
-        if len(arrays) == 1:
-            continue
-        try:
-            path, nbytes = spill.spill_chunk(arrays)
-        except OSError:
-            # Writes kept failing: keep the query alive in memory
-            # and stop trying to spill the remaining partitions.
-            ctx.record_fallback(
-                "out-of-core partition spill -> in-memory scatter")
-            spilling = False
-            _scatter_chunk(buffers, arrays)
-            continue
-        governor.note_partition_spill(nbytes)
-        ctx.telemetry.count_partition_spill(nbytes)
-        spilled.append((p, path))
-
-    # Stream spilled partitions back in partition order.
-    for p, path in spilled:
-        ctx.checkpoint()
-        try:
-            try:
-                arrays = spill.load_chunk(path)
-            except (SpillCorruptionError, OSError):
-                # The chunk is gone; the source data is not.
-                # Re-evaluate this one partition — deterministic,
-                # so the scattered values are identical.
-                ctx.record_corruption()
-                evaluate_partition(p, SERIAL_PROBES)
-                continue
-            governor.note_partition_reload()
-            ctx.telemetry.count_partition_reload()
-            _scatter_chunk(buffers, arrays)
-        finally:
-            spill.discard(path)
-    return buffers.finish()
-
-
-def _scatter_chunk(buffers: _GroupResults,
-                   arrays: Dict[str, np.ndarray]) -> None:
-    """Scatter one partition's spill chunk: ``rows`` plus per call
-    ``v<ci>`` values and, where a row is NULL, an ``m<ci>`` mask."""
-    for ci in range(len(buffers.values)):
-        if f"v{ci}" in arrays:
-            buffers.scatter(ci, arrays["rows"], arrays[f"v{ci}"],
-                            arrays.get(f"m{ci}"))
 
 
 def _column_data(table: Table, name: str) -> Tuple[Any, np.ndarray]:

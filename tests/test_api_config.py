@@ -140,6 +140,19 @@ class TestSessionConstruction:
         with pytest.raises(TypeError, match="num_threads"):
             Session(_catalog(), num_threads=4)
 
+    def test_unparseable_workers_env_is_a_typed_error(self, monkeypatch):
+        # Parsed like REPRO_MEMORY_BUDGET, not silently run serial.
+        monkeypatch.setenv("REPRO_WORKERS", "two")
+        with pytest.raises(ConfigurationError, match="REPRO_WORKERS"):
+            Session(_catalog())
+
+    def test_unparseable_arena_bytes_env_is_a_typed_error(self,
+                                                          monkeypatch):
+        # Not a silently unbounded arena.
+        monkeypatch.setenv("REPRO_ARENA_BYTES", "lots")
+        with pytest.raises(ConfigurationError, match="REPRO_ARENA_BYTES"):
+            Session(_catalog())
+
 
 class TestExecuteOptions:
     def test_options_object(self):

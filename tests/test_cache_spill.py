@@ -232,13 +232,21 @@ def test_startup_sweep_spares_concurrent_sessions_files(tmp_path):
         original.count_below(0, 64, 32)
 
 
-def test_two_sessions_spill_chunks_side_by_side(tmp_path):
-    """Chunk spills from concurrent managers in one directory never
-    collide and reload independently."""
+def test_two_sessions_spill_trees_side_by_side(tmp_path):
+    """Tree spills from concurrent managers in one directory never
+    collide, and each manager reloads its own tree."""
     a = SpillManager(str(tmp_path))
     b = SpillManager(str(tmp_path))
-    pa, _ = a.spill_chunk({"rows": np.arange(8), "v0": np.ones(8)})
-    pb, _ = b.spill_chunk({"rows": np.arange(4), "v0": np.zeros(4)})
+    tree_a = _annotated_tree(64, seed=1)
+    tree_b = _annotated_tree(32, seed=2, spec=MAX)
+    pa, meta_a = a.spill(tree_a)
+    pb, meta_b = b.spill(tree_b)
     assert pa != pb
-    assert a.load_chunk(pa)["rows"].tolist() == list(range(8))
-    assert b.load_chunk(pb)["v0"].tolist() == [0.0] * 4
+    for manager, path, meta, tree in ((a, pa, meta_a, tree_a),
+                                      (b, pb, meta_b, tree_b)):
+        loaded = manager.load(path, meta)
+        assert loaded.aggregate_spec is tree.aggregate_spec
+        assert len(loaded.levels.keys) == len(tree.levels.keys)
+        for got, want in zip(loaded.levels.keys + loaded.levels.agg_prefix,
+                             tree.levels.keys + tree.levels.agg_prefix):
+            assert np.array_equal(got, want)

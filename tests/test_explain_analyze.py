@@ -40,7 +40,6 @@ class TestExplainAnalyze:
         # golden file captures the unbudgeted rendering, so pin the
         # env like the other byte-stability knobs above.
         monkeypatch.delenv("REPRO_MEMORY_BUDGET", raising=False)
-        monkeypatch.delenv("REPRO_OUT_OF_CORE", raising=False)
         with _session() as session:
             text = session.explain(SQL, analyze=True)
         with open(GOLDEN) as handle:

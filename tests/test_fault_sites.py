@@ -52,8 +52,6 @@ def test_known_sites_are_sorted_and_nonempty():
     sites = known_fault_sites()
     assert sites == sorted(sites)
     assert "memory.reserve" in sites
-    assert "partition.spill" in sites
-    assert "partition.reload" in sites
     # The process-pool supervision sites (chaos hooks for the worker
     # crash/retry/degrade ladder).
     assert "worker.spawn" in sites

@@ -20,7 +20,7 @@ import pytest
 from conftest import make_window_table
 from repro.errors import MemoryPressureError, ResourceLimitError
 from repro.resilience import FaultInjector
-from repro.resilience.context import SimulatedClock
+from repro.resilience.context import ResourceLimits, SimulatedClock
 from repro.resilience.memory import MemoryGovernor, table_bytes
 from repro.serve import QueryService, ServerThread, TenantPolicy, \
     TenantRegistry
@@ -139,14 +139,14 @@ class TestLedger:
         # Rides the existing FALLBACK_ERRORS ladder and wire mapping.
         assert issubclass(MemoryPressureError, ResourceLimitError)
 
-    def test_use_out_of_core_modes(self):
-        assert MemoryGovernor(out_of_core=True).use_out_of_core(1)
-        assert not MemoryGovernor(out_of_core=False,
-                                  budget_bytes=1).use_out_of_core(99)
-        auto = MemoryGovernor(budget_bytes=1000)
-        assert not auto.use_out_of_core(500)
-        assert auto.use_out_of_core(1500)
-        assert not MemoryGovernor().use_out_of_core(1 << 40)
+    def test_exceeds_headroom(self):
+        gov = MemoryGovernor(budget_bytes=1000)
+        assert not gov.exceeds_headroom(1000)
+        assert gov.exceeds_headroom(1001)
+        with gov.reserve(600):
+            assert not gov.exceeds_headroom(400)
+            assert gov.exceeds_headroom(401)
+        assert not MemoryGovernor().exceeds_headroom(1 << 40)
 
     def test_table_bytes_counts_columns_and_validity(self):
         table = make_window_table(64)
@@ -244,6 +244,72 @@ class TestSessionIntegration:
         assert "repro_memory_budget_bytes 67108864" in text
         assert "repro_memory_reservations_total" in text
         assert "repro_memory_peak_bytes" in text
+        session.close()
+
+
+#: No NULLs in ``o`` / ``y``: every result row is valid.
+HEADROOM_SQL = """
+    select g, sum(o) over w as s, avg(y) over w as a
+    from t
+    window w as (partition by g order by o
+                 rows between 7 preceding and 2 following)
+"""
+
+#: ``x`` has NULLs, and a frame of only NULLs sums to NULL.
+HEADROOM_SQL_NULLS = """
+    select g, sum(x) over w as s
+    from t
+    window w as (partition by g order by o
+                 rows between 7 preceding and current row)
+"""
+
+#: NULLs in every partition's result: the first four rows' frames are
+#: too short to have a fifth value.
+HEADROOM_SQL_NTH = """
+    select g, nth_value(x, 5) over w as v
+    from t
+    window w as (partition by g order by o
+                 rows between 7 preceding and current row)
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("sql", [HEADROOM_SQL, HEADROOM_SQL_NULLS,
+                                 HEADROOM_SQL_NTH],
+                         ids=["plain", "nulls", "nth"])
+def test_group_over_headroom_runs_serial_in_memory(sql, workers, tmp_path,
+                                                    monkeypatch):
+    """A 64 KiB budget is consumed by the query's own reservation, so
+    the group's working set exceeds the headroom: the group runs
+    serial, in memory, with results identical to an unbudgeted run and
+    nothing left on disk. 20 000 rows clear the cost threshold, so at
+    ``workers=2`` only the headroom check keeps the group serial.
+
+    The budget also refuses every tree larger than 64 KiB (naive rung);
+    the unbudgeted run caps structures at the same size, so both take
+    the same kernels and the comparison is bit for bit."""
+    monkeypatch.delenv("REPRO_MEMORY_BUDGET", raising=False)
+    catalog = Catalog({"t": make_window_table(20_000)})
+    oracle = Session(catalog, config=SessionConfig(
+        workers=1, limits=ResourceLimits(max_structure_bytes=64 << 10)))
+    try:
+        expected = oracle.execute(sql).table
+    finally:
+        oracle.close()
+    session = Session(catalog, config=SessionConfig(
+        memory_budget_bytes=64 << 10, workers=workers,
+        spill_dir=str(tmp_path)))
+    try:
+        result = session.execute(sql)
+        assert result == expected
+        assert result.stats.strategies == ["serial"]
+        if workers == 2:
+            decision = session.parallel.stats().decisions[-1]
+            assert decision.strategy == "serial"
+            assert decision.reason == "exceeds memory headroom"
+        assert [p for p in tmp_path.iterdir()
+                if p.name.endswith(".npz")] == []
+    finally:
         session.close()
 
 

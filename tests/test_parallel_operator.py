@@ -20,6 +20,7 @@ from conftest import make_window_table
 from repro import Catalog, Session, SessionConfig
 from repro.cache.store import StructureCache
 from repro.errors import (
+    ConfigurationError,
     ParallelExecutionError,
     ResilienceError,
     flatten_parallel_failures,
@@ -286,7 +287,8 @@ def test_resolve_workers_env(monkeypatch):
     assert resolve_workers() == 6
     assert resolve_workers(2) == 2          # argument wins
     monkeypatch.setenv("REPRO_WORKERS", "nope")
-    assert resolve_workers() == 1
+    with pytest.raises(ConfigurationError, match="REPRO_WORKERS"):
+        resolve_workers()
 
 
 # ----------------------------------------------------------------------
