@@ -3,12 +3,12 @@
 Beyond the paper's own Figure 13 parameter study, these benches isolate
 the individual design decisions:
 
-* fractional cascading on/off (Section 4.2) — same results, fewer
-  binary-search steps per query;
+* fractional cascading on/off (Section 4.2) — same results, the
+  cascaded descent against a binary search per covering run;
 * index width selection (Section 5.1) — int32 vs int64 levels;
 * the two build paths (faithful multiway merge vs the numpy merge, one
   stable sort of (slab, key) codes per level);
-* vectorised (batched) vs per-row scalar probing — the CPython-specific
+* one m-row batched probe vs m one-row calls — the CPython-specific
   choice that stands in for Hyper's compiled probes.
 """
 
@@ -20,6 +20,7 @@ from repro.bench.harness import BenchSeries, measure, scaled
 from repro.mst.build import build_levels_numpy, build_levels_scalar
 from repro.mst.tree import MergeSortTree
 from repro.mst.vectorized import batched_count
+from repro.rangetree.dense import _count_in_runs
 
 
 @pytest.fixture(scope="module")
@@ -39,28 +40,30 @@ def queries(keys):
 
 
 def test_cascading_ablation(benchmark, keys, queries):
-    """Cascaded vs plain scalar queries: identical results, and the
-    cascaded walk does asymptotically fewer comparisons."""
+    """The two production count kernels over the same queries: the
+    cascaded descent on a bridged tree, and the binary search per
+    covering run the DENSE_RANK index runs on bridge-less levels.
+    Identical results."""
     lo, hi, thr = queries
-    sample = range(0, len(keys), max(len(keys) // 500, 1))
-    cascaded = MergeSortTree(keys, fanout=32, sample_every=32,
-                             cascading=True)
-    plain = MergeSortTree(keys, fanout=32, sample_every=32,
-                          cascading=False)
+    cascaded = build_levels_numpy(keys, fanout=32, sample_every=32)
+    plain = build_levels_numpy(keys, fanout=32, sample_every=32,
+                               cascading=False)
 
-    def probe(tree):
-        return [tree.count_below(int(lo[i]), int(hi[i]), int(thr[i]))
-                for i in sample]
+    def with_bridges():
+        return batched_count(cascaded, lo, hi, thr)
 
-    t_cascaded = measure(lambda: probe(cascaded), repeats=2)
-    t_plain = measure(lambda: probe(plain), repeats=2)
-    assert probe(cascaded) == probe(plain)
-    series = BenchSeries("Ablation — fractional cascading (scalar probes)",
-                         ["variant", "seconds"])
-    series.add("with cascading", t_cascaded)
-    series.add("binary search per run", t_plain)
+    def per_run_search():
+        return _count_in_runs(plain, lo, hi, thr)
+
+    t_cascaded = measure(with_bridges, repeats=2)
+    t_plain = measure(per_run_search, repeats=2)
+    assert np.array_equal(with_bridges(), per_run_search())
+    series = BenchSeries("Ablation — fractional cascading (batched counts)",
+                         ["variant", "seconds", "rows"])
+    series.add("with cascading", t_cascaded, len(lo))
+    series.add("binary search per run", t_plain, len(lo))
     emit(series)
-    benchmark.pedantic(lambda: probe(cascaded), rounds=1, iterations=1)
+    benchmark.pedantic(with_bridges, rounds=1, iterations=1)
 
 
 def test_builder_ablation(benchmark, keys):
@@ -98,26 +101,26 @@ def test_index_width_selection(benchmark, keys):
 
 
 def test_vectorized_vs_scalar_probe(benchmark, keys, queries):
-    """The batched numpy probe amortises interpreter overhead across all
-    rows; per-row scalar probing pays it n times."""
+    """One m-row batched probe amortises interpreter overhead across all
+    rows; m one-row calls into the same kernel pay it m times."""
     lo, hi, thr = queries
     tree = MergeSortTree(keys, fanout=2)
     m = min(len(keys), scaled(3_000))
 
-    def scalar():
+    def one_row_calls():
         return [tree.count_below(int(lo[i]), int(hi[i]), int(thr[i]))
                 for i in range(m)]
 
     def vectorized():
         return batched_count(tree.levels, lo[:m], hi[:m], thr[:m])
 
-    t_scalar = measure(scalar)
+    t_scalar = measure(one_row_calls)
     t_vec = measure(vectorized, repeats=2)
-    assert list(vectorized()) == scalar()
-    series = BenchSeries("Ablation — scalar vs batched probing",
+    assert list(vectorized()) == one_row_calls()
+    series = BenchSeries("Ablation — one-row calls vs one batched probe",
                          ["variant", "seconds", "rows"])
-    series.add("per-row scalar (cascaded)", t_scalar, m)
-    series.add("numpy batched", t_vec, m)
+    series.add("m one-row calls", t_scalar, m)
+    series.add("one m-row call", t_vec, m)
     emit(series)
     assert t_vec < t_scalar
     benchmark.pedantic(vectorized, rounds=3, iterations=1)

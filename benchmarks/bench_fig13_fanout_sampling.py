@@ -14,6 +14,7 @@ from repro.bench.figures import fig13_fanout_sampling
 from repro.bench.harness import scaled
 from repro.mst.stats import MemoryModel
 from repro.mst.tree import MergeSortTree
+from repro.mst.vectorized import batched_count
 
 
 @pytest.fixture(scope="module")
@@ -26,11 +27,12 @@ def keys():
 def test_build_probe_cell(benchmark, keys, fanout, sampling):
     n = len(keys)
     frame = max(n // 20, 1)
+    rows = np.arange(0, n, 4)
 
     def job():
         tree = MergeSortTree(keys, fanout=fanout, sample_every=sampling)
-        for i in range(0, n, 4):
-            tree.count_below(max(i - frame, 0), i + 1, int(keys[i]))
+        batched_count(tree.levels, np.maximum(rows - frame, 0), rows + 1,
+                      keys[rows])
 
     benchmark.pedantic(job, rounds=1, iterations=1)
 

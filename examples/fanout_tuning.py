@@ -25,6 +25,7 @@ import numpy as np
 from repro import MemoryModel, MergeSortTree
 from repro.mst.persist import load_tree, save_tree
 from repro.mst.stats import live_tree_bytes
+from repro.mst.vectorized import batched_count
 
 
 def sweep(n: int = 20_000, queries: int = 4_000) -> None:
@@ -42,9 +43,10 @@ def sweep(n: int = 20_000, queries: int = 4_000) -> None:
                              (64, 64)]:
         start = time.perf_counter()
         tree = MergeSortTree(keys, fanout=fanout, sample_every=sampling)
-        for row in rows:
-            tree.count_below(max(int(row) - frame, 0), int(row) + 1,
-                             int(keys[row]))
+        # One batched count over every probe, as the window operator
+        # issues them.
+        batched_count(tree.levels, np.maximum(rows - frame, 0), rows + 1,
+                      keys[rows])
         elapsed = time.perf_counter() - start
         model = MemoryModel(100_000_000, fanout, sampling)
         live = live_tree_bytes(100_000_000, fanout, sampling) / 1e9

@@ -33,6 +33,7 @@ from repro.bench.profiling import distinct_count_phases
 from repro.bench.scalability import MachineModel, WindowWorkload, simulate
 from repro.mst.stats import MemoryModel
 from repro.mst.tree import MergeSortTree
+from repro.mst.vectorized import batched_count
 from repro.sql import Catalog, execute
 from repro.tpch import lineitem, lineitem_arrays
 from repro.window import (
@@ -362,7 +363,9 @@ def fig13_fanout_sampling(num_keys: Optional[int] = None,
                           queries: Optional[int] = None) -> BenchSeries:
     """Figure 13: single-threaded MST build+probe time for a windowed
     rank over uniformly random integers, for a grid of fanout f and
-    pointer sampling k (paper: 1M keys, f x k grid, star at f=k=32)."""
+    pointer sampling k (paper: 1M keys, f x k grid, star at f=k=32).
+    The probe is one batched count over all queries, as the window
+    operator issues it."""
     n = num_keys or scaled(5_000)
     fanouts = list(fanouts) if fanouts is not None else [2, 4, 8, 16, 32, 64]
     samplings = list(samplings) if samplings is not None \
@@ -385,9 +388,7 @@ def fig13_fanout_sampling(num_keys: Optional[int] = None,
     def run(f: int, k: int) -> float:
         def job() -> None:
             tree = MergeSortTree(keys, fanout=f, sample_every=k)
-            for row in range(q):
-                tree.count_below(int(lo[row]), int(hi[row]),
-                                 int(thresholds[row]))
+            batched_count(tree.levels, lo, hi, thresholds)
         return measure(job)
 
     cells = [(f, k, run(f, k)) for f in fanouts for k in samplings]

@@ -91,13 +91,11 @@ def _pid_alive(pid: int) -> bool:
 
 def can_spill(structure: Any) -> bool:
     """Whether :class:`SpillManager` can round-trip ``structure``."""
-    import numpy as np
-
     from repro.mst.tree import MergeSortTree
 
     if not isinstance(structure, MergeSortTree):
         return False
-    return all(isinstance(prefix, np.ndarray)
+    return all(prefix.dtype != object
                for prefix in structure.levels.agg_prefix)
 
 

@@ -12,10 +12,10 @@ cascading) against the finished tree:
 * :meth:`MergeSortTree.select` — find the k-th qualifying entry in slab
   order, the core of framed percentiles and value functions (Section 4.5).
 
-``vectorized`` contains numpy-batched versions of the same queries that
-answer all n per-row queries of a window operator level-by-level, one
-cascaded descent through the bridges; they are what makes the
-pure-Python reproduction fast enough for the benchmarks.
+All three run on the kernels in ``vectorized``, which answer all n
+per-row queries of a window operator level by level, one cascaded
+descent through the bridges; the tree's methods are one-row calls into
+them.
 """
 
 from repro.mst.aggregates import (
@@ -27,7 +27,7 @@ from repro.mst.aggregates import (
     SUM,
     make_udaf,
 )
-from repro.mst.decompose import decompose_range, max_runs_per_level
+from repro.mst.decompose import covering_runs, max_runs_per_level
 from repro.mst.stats import MemoryModel, tree_memory_elements
 from repro.mst.tree import MergeSortTree
 
@@ -41,7 +41,7 @@ __all__ = [
     "make_udaf",
     "MergeSortTree",
     "MemoryModel",
-    "decompose_range",
+    "covering_runs",
     "max_runs_per_level",
     "tree_memory_elements",
 ]

@@ -136,7 +136,10 @@ def make_udaf(name: str, identity: Any, lift: Callable[[Any], Any],
     """Define a user-defined aggregate for use with DISTINCT framing.
 
     Only a merge function is required; no inverse/retract function — the
-    key practical benefit called out in Section 4.3.
+    key practical benefit called out in Section 4.3. The tree merges the
+    states of a frame's covering runs in their peel order, not in frame
+    order, so ``merge`` must be associative and commutative, with
+    ``identity`` its neutral state.
     """
     return AggregateSpec(name=name, identity=identity, lift=lift,
                          merge=merge, finalize=finalize)

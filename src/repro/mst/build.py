@@ -53,9 +53,12 @@ class TreeLevels:
     ``fanout**i``. For ``i >= 1`` the bridge of level ``i`` is the pair
     ``anchors[i]`` (shape ``(fanout - 1, ceil((n + 1) / sample_every))``)
     and ``bridges[i]`` (uint8, shape ``(fanout - 1, n + 1)``); see
-    :meth:`consumed`. Both are ``None`` at level 0 and in trees built
-    with ``cascading=False``. ``agg_prefix[i]`` holds per-position
-    running prefix aggregates within each run of level ``i``.
+    :meth:`consumed`. Both are ``None`` at level 0, and at every level of
+    the bridge-less inner trees :class:`~repro.rangetree.DenseRankIndex`
+    builds with ``cascading=False``. ``agg_prefix[i]`` holds
+    per-position running prefix aggregates within each run of level
+    ``i``: a numeric array from the spec's ``prefix_numpy`` kernel, or an
+    object array of states.
     """
 
     fanout: int
@@ -79,16 +82,20 @@ class TreeLevels:
         """Sorted-run length at ``level`` (= fanout ** level)."""
         return self.fanout ** level
 
-    def consumed(self, level: int, column: int, pos: Any) -> Any:
+    def consumed(self, level: int, column: Any, pos: Any) -> Any:
         """How many of the first ``pos`` entries of ``level`` (global
         positions, ``0 <= pos <= n``) came from child runs ``0..column``
-        of their slab. ``pos`` may be an int or an int64 array."""
+        of their slab. ``pos`` may be an int or an int64 array, and
+        ``column`` an int or an array of one column per position."""
         shift = self.sample_every.bit_length() - 1
+        if np.ndim(column):
+            return (self.anchors[level][column, pos >> shift]
+                    + self.bridges[level][column, pos])
         # Row, then gather: numpy's fast path for a 1-d integer index.
         return (self.anchors[level][column][pos >> shift]
                 + self.bridges[level][column][pos])
 
-    def child_prefix(self, level: int, column: int, start: Any,
+    def child_prefix(self, level: int, column: Any, start: Any,
                      bound: Any) -> Any:
         """Of the first ``bound`` entries of the level-``level`` run at
         ``start``, how many came from its child runs ``0..column``.
@@ -96,20 +103,9 @@ class TreeLevels:
         Every slab before ``start`` is full and gave ``fanout**(level-1)``
         entries to each child, hence the ``start // fanout`` term."""
         before = start // self.fanout
-        if column:
+        if np.ndim(column) or column:
             before = before * (column + 1)
         return self.consumed(level, column, start + bound) - before
-
-    def child_prefixes(self, level: int, start: int, bound: int) -> List[int]:
-        """:meth:`child_prefix` of one run for every column at once."""
-        shift = self.sample_every.bit_length() - 1
-        pos = start + bound
-        before = start // self.fanout
-        anchors = self.anchors[level][:, pos >> shift].tolist()
-        offsets = self.bridges[level][:, pos].tolist()
-        return [anchor + offset - before * column
-                for column, (anchor, offset)
-                in enumerate(zip(anchors, offsets), 1)]
 
 
 def choose_index_dtype(n: int) -> np.dtype:
@@ -148,7 +144,7 @@ def _permuted_prefix(spec: AggregateSpec, payload: Any, order: Optional[np.ndarr
         permuted = [payload[i] for i in order]
     if spec.prefix_numpy is not None and isinstance(permuted, np.ndarray):
         return spec.prefix_numpy(permuted, run_length)
-    prefix: List[Any] = [None] * n
+    prefix = np.empty(n, dtype=object)
     for start in range(0, n, run_length):
         state = spec.identity
         for i in range(start, min(start + run_length, n)):
@@ -281,7 +277,6 @@ def build_levels_numpy(keys: Any, fanout: int = 2,
 
 def build_levels_scalar(keys: Any, fanout: int = 2,
                         sample_every: int = DEFAULT_SAMPLE_EVERY,
-                        cascading: bool = True,
                         aggregate: Optional[AggregateSpec] = None,
                         payload: Any = None) -> TreeLevels:
     """Reference bottom-up multiway merge build.
@@ -329,9 +324,7 @@ def build_levels_scalar(keys: Any, fanout: int = 2,
                     taken[c] += 1
                 counts[:, out_pos + 1] = taken
         levels.keys.append(out)
-        anchors = bridge = None
-        if cascading:
-            anchors, bridge = _encode_bridge(counts, sample_every)
+        anchors, bridge = _encode_bridge(counts, sample_every)
         levels.anchors.append(anchors)
         levels.bridges.append(bridge)
         if aggregate is not None:

@@ -10,46 +10,43 @@ until the remaining range aligns to the next-coarser run length.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
-Run = Tuple[int, int, int]  # (level, start, stop) with stop - start == f**level
+import numpy as np
 
 
-def decompose_range(lo: int, hi: int, fanout: int, n: int) -> List[Run]:
-    """Cover ``[lo, hi)`` with whole, aligned runs of a fanout-``f`` tree.
+def covering_runs(fanout: int, height: int, lo: np.ndarray, hi: np.ndarray
+                  ) -> Iterator[Tuple[int, np.ndarray, np.ndarray,
+                                      np.ndarray]]:
+    """Yield ``(level, run_start, run_stop, mask)`` batches that cover
+    every query's ``[lo, hi)`` (``0 <= lo``, ``hi <= n``) with whole,
+    aligned runs of a fanout-``f`` tree of ``height`` levels; ``mask``
+    says which queries the batch's runs belong to.
 
-    Returns ``(level, start, stop)`` triples ordered by ascending slab
-    position. Every returned run is completely contained in ``[lo, hi)``
-    and completely inside the array (``stop <= n``).
-    """
-    if not 0 <= lo <= hi <= n:
-        raise ValueError(f"range [{lo}, {hi}) out of bounds for n={n}")
-    if fanout < 2:
-        raise ValueError("fanout must be >= 2")
-    left: List[Run] = []
-    right: List[Run] = []
-    level = 0
+    The order is the peel's, bottom-up: at each level, ``lo``'s side left
+    to right, then ``hi``'s side right to left. It is the order in which
+    :func:`repro.mst.vectorized.batched_aggregate` combines its covering
+    runs' prefix states."""
+    lo = np.asarray(lo, dtype=np.int64).copy()
+    hi = np.asarray(hi, dtype=np.int64).copy()
     length = 1
-    while lo < hi:
+    for level in range(height):
         parent = length * fanout
-        while lo % parent != 0 and lo < hi:
-            left.append((level, lo, lo + length))
-            lo += length
-        while hi % parent != 0 and lo < hi:
-            right.append((level, hi - length, hi))
-            hi -= length
-        level += 1
+        for _ in range(fanout - 1):
+            mask = (lo % parent != 0) & (lo < hi)
+            if not mask.any():
+                break
+            yield level, lo, lo + length, mask
+            lo = np.where(mask, lo + length, lo)
+        for _ in range(fanout - 1):
+            mask = (hi % parent != 0) & (lo < hi)
+            if not mask.any():
+                break
+            yield level, hi - length, hi, mask
+            hi = np.where(mask, hi - length, hi)
+        if not (lo < hi).any():
+            break
         length = parent
-    right.reverse()
-    return left + right
-
-
-def decompose_ranges(ranges: List[Tuple[int, int]], fanout: int,
-                     n: int) -> Iterator[Run]:
-    """Decompose several disjoint slab ranges (e.g. a frame with EXCLUDE
-    holes, Section 4.7) into covering runs."""
-    for lo, hi in ranges:
-        yield from decompose_range(lo, hi, fanout, n)
 
 
 def max_runs_per_level(fanout: int) -> int:

@@ -25,21 +25,20 @@ _FORMAT_VERSION = 2
 
 def save_tree(tree: MergeSortTree, path: Union[str, Path]) -> None:
     """Serialise a tree to ``path`` (``.npz``)."""
+    # The fourth meta field says the bundle carries its bridges; every
+    # tree does, and load_tree refuses a bundle without them.
     arrays = {
         "__meta__": np.array([_FORMAT_VERSION, tree.fanout,
-                              tree.sample_every,
-                              1 if tree.cascading else 0,
+                              tree.sample_every, 1,
                               tree.levels.height], dtype=np.int64),
     }
     for level, keys in enumerate(tree.levels.keys):
         arrays[f"keys_{level}"] = keys
-    for level, (anchors, bridge) in enumerate(zip(tree.levels.anchors,
-                                                  tree.levels.bridges)):
-        if bridge is not None:
-            arrays[f"anchors_{level}"] = anchors
-            arrays[f"bridge_{level}"] = bridge
+    for level in range(1, tree.levels.height):
+        arrays[f"anchors_{level}"] = tree.levels.anchors[level]
+        arrays[f"bridge_{level}"] = tree.levels.bridges[level]
     for level, prefix in enumerate(tree.levels.agg_prefix):
-        if not isinstance(prefix, np.ndarray):
+        if prefix.dtype == object:
             raise ValueError(
                 "trees with generic (object-state) aggregate annotations "
                 "cannot be spooled to disk")
@@ -63,6 +62,8 @@ def load_tree(path: Union[str, Path]) -> MergeSortTree:
             (int(v) for v in meta)
         if version != _FORMAT_VERSION:
             raise ValueError(f"unsupported tree format version {version}")
+        if not cascading:
+            raise ValueError("tree bundle has no cascading bridges")
         levels = TreeLevels(fanout=fanout, sample_every=sample_every)
         for level in range(height):
             levels.keys.append(bundle[f"keys_{level}"])
@@ -77,6 +78,5 @@ def load_tree(path: Union[str, Path]) -> MergeSortTree:
     tree.levels = levels
     tree.fanout = fanout
     tree.sample_every = sample_every
-    tree.cascading = bool(cascading)
     tree.aggregate_spec = None
     return tree

@@ -15,31 +15,50 @@ Terminology used throughout:
 * **key ranges** — half-open intervals of key values; ``None`` bounds
   mean unbounded.
 
-Queries are O(log n) with fractional cascading (the default): one binary
-search on the top level, then every child-run lower bound comes from the
-level's bridge (see :mod:`repro.mst.build`). Without bridges they are
-O((log n)^2), one binary search per run visited; that variant is kept for
-the cascading ablation, as an oracle for the cascaded walk, and for the
-DENSE_RANK index's inner trees. The batched kernels in
-:mod:`repro.mst.vectorized` read the same bridges.
+Every query is O(log n) with fractional cascading: one binary search on
+the top level, then every child-run bound comes from the level's bridge
+(see :mod:`repro.mst.build`). The methods here are one-row calls into
+the batched kernels of :mod:`repro.mst.vectorized`, the one query path
+the window operator runs too.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.mst.aggregates import AggregateSpec
-from repro.mst.build import (
-    DEFAULT_SAMPLE_EVERY,
-    TreeLevels,
-    build_levels_numpy,
-    build_levels_scalar,
+from repro.mst.build import DEFAULT_SAMPLE_EVERY, TreeLevels, build_levels_numpy
+from repro.mst.vectorized import (
+    batched_aggregate,
+    batched_count,
+    batched_select,
 )
 
 SlabRanges = Sequence[Tuple[int, int]]
 KeyRanges = Sequence[Tuple[Optional[int], Optional[int]]]
+
+_INT64 = np.iinfo(np.int64)
+
+
+def _slab_arrays(slab_ranges: SlabRanges) -> Tuple[np.ndarray, np.ndarray]:
+    """``lo``/``hi`` arrays of the slab ranges; the kernels clip them."""
+    pairs = np.array(list(slab_ranges), dtype=np.int64).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
+
+
+def _key_arrays(key_ranges: KeyRanges) -> Tuple[np.ndarray, np.ndarray]:
+    """``key_lo``/``key_hi`` arrays of the key ranges, ``None`` bounds
+    widened to the int64 extremes."""
+    lows, highs = [], []
+    for lo, hi in key_ranges:
+        if lo is not None and hi is not None and lo > hi:
+            raise ValueError(
+                f"inverted key range [{lo}, {hi}) in merge sort tree query")
+        lows.append(_INT64.min if lo is None else int(lo))
+        highs.append(_INT64.max if hi is None else int(hi))
+    return np.array(lows, dtype=np.int64), np.array(highs, dtype=np.int64)
 
 
 class MergeSortTree:
@@ -55,35 +74,22 @@ class MergeSortTree:
     sample_every:
         Bridge anchor spacing ``k`` (a power of two, at most 256): one
         int anchor per ``k`` positions, a uint8 offset per position.
-    cascading:
-        Build the fractional-cascading bridges. Without them queries fall
-        back to one binary search per covering run, and the batched
-        kernels refuse the tree.
     aggregate / payload:
         Annotate every level with per-run prefix aggregate states of
         ``payload`` (Section 4.3) to enable :meth:`aggregate`.
-    builder:
-        ``"numpy"`` (default) or ``"scalar"`` — both produce identical
-        levels; see :mod:`repro.mst.build`.
     """
 
     def __init__(self, keys: Any, *, fanout: int = 2,
                  sample_every: int = DEFAULT_SAMPLE_EVERY,
-                 cascading: bool = True,
                  aggregate: Optional[AggregateSpec] = None,
-                 payload: Any = None, builder: str = "numpy") -> None:
+                 payload: Any = None) -> None:
         if fanout < 2:
             raise ValueError("fanout must be >= 2")
-        build = {"numpy": build_levels_numpy,
-                 "scalar": build_levels_scalar}.get(builder)
-        if build is None:
-            raise ValueError(f"unknown builder {builder!r}")
-        self.levels: TreeLevels = build(
+        self.levels: TreeLevels = build_levels_numpy(
             keys, fanout=fanout, sample_every=sample_every,
-            cascading=cascading, aggregate=aggregate, payload=payload)
+            aggregate=aggregate, payload=payload)
         self.fanout = fanout
         self.sample_every = sample_every
-        self.cascading = cascading
         self.aggregate_spec = aggregate
 
     # ------------------------------------------------------------------
@@ -100,102 +106,11 @@ class MergeSortTree:
         return self.levels.height
 
     def memory_bytes(self) -> int:
-        """Actual bytes held by level arrays, bridges and annotations."""
-        total = sum(level.nbytes for level in self.levels.keys)
-        total += sum(b.nbytes for b in self.levels.anchors + self.levels.bridges
-                     if b is not None)
-        for prefix in self.levels.agg_prefix:
-            if isinstance(prefix, np.ndarray):
-                total += prefix.nbytes
-            else:
-                total += 8 * len(prefix)
-        return total
-
-    # ------------------------------------------------------------------
-    # internal helpers
-    # ------------------------------------------------------------------
-    def _normalize_slab_ranges(self, ranges: SlabRanges) -> List[Tuple[int, int]]:
-        out = []
-        for lo, hi in ranges:
-            lo = max(0, int(lo))
-            hi = min(self.n, int(hi))
-            if lo < hi:
-                out.append((lo, hi))
-        return out
-
-    def _thresholds(self, key_ranges: KeyRanges) -> List[Tuple[int, int]]:
-        """Flatten key ranges into signed lower-bound thresholds.
-
-        ``count(key in ranges) = sum(sign * lower_bound(threshold))``.
-        """
-        thresholds: List[Tuple[int, int]] = []
-        for lo, hi in key_ranges:
-            if lo is not None and hi is not None and lo > hi:
-                raise ValueError(
-                    f"inverted key range [{lo}, {hi}) in merge sort tree "
-                    f"query")
-            if hi is not None:
-                thresholds.append((int(hi), +1))
-            else:
-                thresholds.append((None, +1))  # type: ignore[arg-type]
-            if lo is not None:
-                thresholds.append((int(lo), -1))
-        return thresholds
-
-    def _top(self) -> Tuple[int, int]:
-        """(level, run_length) of the topmost (fully sorted) level."""
-        level = self.height - 1
-        return level, self.fanout ** level
-
-    def _lower_bound_top(self, threshold: Optional[int]) -> int:
-        if threshold is None:
-            return self.n
-        top = self.levels.keys[self.height - 1]
-        return int(np.searchsorted(top, threshold, side="left"))
-
-    def _run_lower_bound(self, level: int, start: int, stop: int,
-                         threshold: Optional[int]) -> int:
-        """Binary search inside one run; position relative to ``start``."""
-        if threshold is None:
-            return stop - start
-        keys = self.levels.keys[level]
-        return int(np.searchsorted(keys[start:stop], threshold, side="left"))
-
-    def _cascade_bounds(self, level: int, slab_start: int,
-                        bounds: List[int],
-                        thresholds: List[Tuple[Optional[int], int]]
-                        ) -> List[List[int]]:
-        """Translate parent-run lower bounds into per-child lower bounds.
-
-        ``bounds[t]`` is the lower bound (relative to ``slab_start``) of
-        threshold ``t`` inside the parent run at ``level``. Returns
-        ``child_bounds[c][t]`` relative to each child-run start at
-        ``level - 1``. Uses bridges when available (O(1) per threshold
-        and child), binary search otherwise.
-        """
-        fanout = self.fanout
-        child_len = self.fanout ** (level - 1)
-        slab_stop = min(slab_start + child_len * fanout, self.n)
-        starts = [slab_start + c * child_len for c in range(fanout)]
-        sizes = [max(min(child_len, slab_stop - start), 0)
-                 for start in starts]
-        bridged = self.levels.bridges[level] is not None
-        per_threshold: List[List[int]] = []
-        for (threshold, _sign), parent_bound in zip(thresholds, bounds):
-            if threshold is None:
-                per_threshold.append(sizes)
-            elif bridged:
-                edges = [0, *self.levels.child_prefixes(level, slab_start,
-                                                        parent_bound),
-                         parent_bound]
-                per_threshold.append([b - a for a, b in zip(edges,
-                                                            edges[1:])])
-            else:
-                per_threshold.append([
-                    self._run_lower_bound(level - 1, start, start + size,
-                                          threshold) if size else 0
-                    for start, size in zip(starts, sizes)])
-        return [[row[c] for row in per_threshold] for c in range(fanout)]
+        """Actual bytes held by level arrays, bridges and annotations
+        (an object-state annotation counts its pointer slots)."""
+        arrays = (self.levels.keys + self.levels.anchors
+                  + self.levels.bridges + self.levels.agg_prefix)
+        return sum(a.nbytes for a in arrays if a is not None)
 
     # ------------------------------------------------------------------
     # queries
@@ -204,93 +119,41 @@ class MergeSortTree:
         """Number of entries with slab position in ``slab_ranges`` and key
         value in ``key_ranges`` — the two-dimensional range count at the
         heart of framed COUNT DISTINCT and rank functions."""
-        slab_ranges = self._normalize_slab_ranges(slab_ranges)
-        thresholds = self._thresholds(key_ranges)
-        if not slab_ranges or not thresholds or self.n == 0:
-            return 0
-        top_level, _ = self._top()
-        top_bounds = [self._lower_bound_top(t) for t, _ in thresholds]
-        total = 0
-        for lo, hi in slab_ranges:
-            total += self._count_descend(top_level, 0, top_bounds,
-                                         thresholds, lo, hi)
-        return total
-
-    def _count_descend(self, level: int, slab_start: int, bounds: List[int],
-                       thresholds: List[Tuple[Optional[int], int]],
-                       lo: int, hi: int) -> int:
-        run_len = self.fanout ** level
-        slab_stop = min(slab_start + run_len, self.n)
-        if slab_stop <= lo or hi <= slab_start:
-            return 0
-        if lo <= slab_start and slab_stop <= hi:
-            return sum(sign * bound
-                       for (_, sign), bound in zip(thresholds, bounds))
-        child_bounds = self._cascade_bounds(level, slab_start, bounds,
-                                            thresholds)
-        child_len = run_len // self.fanout
-        total = 0
-        for c in range(self.fanout):
-            child_start = slab_start + c * child_len
-            if child_start >= slab_stop:
-                break
-            total += self._count_descend(level - 1, child_start,
-                                         child_bounds[c], thresholds, lo, hi)
-        return total
+        lo, hi = _slab_arrays(slab_ranges)
+        key_lo, key_hi = _key_arrays(key_ranges)
+        pieces = len(key_lo)
+        return int(batched_count(
+            self.levels, np.repeat(lo, pieces), np.repeat(hi, pieces),
+            np.tile(key_hi, len(lo)), key_lo=np.tile(key_lo, len(lo))).sum())
 
     def count_below(self, lo: int, hi: int, threshold: int) -> int:
         """Entries in slab range ``[lo, hi)`` with key strictly below
         ``threshold`` — the Section 4.2 distinct-count query."""
-        return self.count([(lo, hi)], [(None, threshold)])
+        lo, hi = _slab_arrays([(lo, hi)])
+        return int(batched_count(self.levels, lo, hi,
+                                 np.array([threshold], dtype=np.int64))[0])
+
+    def count_qualifying(self, key_ranges: KeyRanges) -> int:
+        """Total entries whose key falls in ``key_ranges``."""
+        return self.count([(0, self.n)], key_ranges)
 
     def aggregate(self, slab_ranges: SlabRanges, key_below: int) -> Any:
         """Merge the aggregate states of all entries in ``slab_ranges``
         with key strictly below ``key_below`` (Section 4.3).
 
-        Returns the *finalized* aggregate value. Requires the tree to have
-        been built with ``aggregate=...`` and ``payload=...``.
+        Returns the *finalized* aggregate value, ``finalize(identity)``
+        when no entry qualifies. Requires the tree to have been built
+        with ``aggregate=...`` and ``payload=...``.
         """
         spec = self.aggregate_spec
         if spec is None:
             raise ValueError("tree was built without aggregate annotations")
-        slab_ranges = self._normalize_slab_ranges(slab_ranges)
-        thresholds: List[Tuple[Optional[int], int]] = [(int(key_below), +1)]
-        state = spec.identity
-        if self.n == 0 or not slab_ranges:
-            return spec.finalize(state)
-        top_level, _ = self._top()
-        top_bounds = [self._lower_bound_top(key_below)]
-        for lo, hi in slab_ranges:
-            state = self._aggregate_descend(top_level, 0, top_bounds,
-                                            thresholds, lo, hi, state)
-        return spec.finalize(state)
-
-    def _aggregate_descend(self, level: int, slab_start: int,
-                           bounds: List[int],
-                           thresholds: List[Tuple[Optional[int], int]],
-                           lo: int, hi: int, state: Any) -> Any:
-        spec = self.aggregate_spec
-        run_len = self.fanout ** level
-        slab_stop = min(slab_start + run_len, self.n)
-        if slab_stop <= lo or hi <= slab_start:
-            return state
-        if lo <= slab_start and slab_stop <= hi:
-            bound = bounds[0]
-            if bound > 0:
-                prefix = self.levels.agg_prefix[level]
-                state = spec.merge(state, prefix[slab_start + bound - 1])
-            return state
-        child_bounds = self._cascade_bounds(level, slab_start, bounds,
-                                            thresholds)
-        child_len = run_len // self.fanout
-        for c in range(self.fanout):
-            child_start = slab_start + c * child_len
-            if child_start >= slab_stop:
-                break
-            state = self._aggregate_descend(level - 1, child_start,
-                                            child_bounds[c], thresholds,
-                                            lo, hi, state)
-        return state
+        lo, hi = _slab_arrays(slab_ranges)
+        key_hi = np.full(len(lo), key_below, dtype=np.int64)
+        if not batched_count(self.levels, lo, hi, key_hi).any():
+            return spec.finalize(spec.identity)
+        states = batched_aggregate(self.levels, lo, hi, key_hi, spec)
+        return spec.finalize(spec.merge_many(states))
 
     def select(self, k: int, key_ranges: KeyRanges) -> Tuple[int, int]:
         """The ``k``-th (0-based, in slab order) entry whose key falls in
@@ -303,40 +166,17 @@ class MergeSortTree:
         """
         if k < 0:
             raise IndexError("select index must be non-negative")
-        thresholds = self._thresholds(key_ranges)
+        key_lo, key_hi = _key_arrays(key_ranges)
         if self.n == 0:
             raise IndexError("select from an empty tree")
-        level, _ = self._top()
-        slab_start = 0
-        bounds = [self._lower_bound_top(t) for t, _ in thresholds]
-        qualifying = sum(sign * b for (_, sign), b in zip(thresholds, bounds))
+        qualifying = self.count_qualifying(key_ranges)
         if k >= qualifying:
             raise IndexError(
                 f"select index {k} out of range ({qualifying} qualifying)")
-        remaining = k
-        while level > 0:
-            child_bounds = self._cascade_bounds(level, slab_start, bounds,
-                                                thresholds)
-            child_len = self.fanout ** (level - 1)
-            for c in range(self.fanout):
-                child_start = slab_start + c * child_len
-                if child_start >= self.n:
-                    break
-                count_c = sum(sign * b for (_, sign), b
-                              in zip(thresholds, child_bounds[c]))
-                if remaining < count_c:
-                    slab_start = child_start
-                    bounds = child_bounds[c]
-                    break
-                remaining -= count_c
-            else:  # pragma: no cover - guarded by the qualifying check
-                raise AssertionError("descent failed to find a child")
-            level -= 1
-        return slab_start, int(self.levels.keys[0][slab_start])
-
-    def count_qualifying(self, key_ranges: KeyRanges) -> int:
-        """Total entries whose key falls in ``key_ranges``."""
-        return self.count([(0, self.n)], key_ranges)
+        slabs, keys = batched_select(self.levels,
+                                     np.array([k], dtype=np.int64),
+                                     key_lo[:, None], key_hi[:, None])
+        return int(slabs[0]), int(keys[0])
 
     # ------------------------------------------------------------------
     # self-verification
@@ -352,7 +192,8 @@ class MergeSortTree:
 
         Checked: equal level lengths; run-sortedness of every level;
         multiset equality between the input level and the fully sorted
-        top level; every cascading bridge decodes to the stable merge of
+        top level; every level above the input has a cascading bridge
+        (the queries need it), and it decodes to the stable merge of
         its level's child runs; prefix-aggregate annotation shape and
         (where the aggregate's semantics pin it down) monotonicity.
         """
@@ -390,8 +231,6 @@ class MergeSortTree:
         child's next entry must be the entry itself."""
         levels = self.levels
         anchors, bridge = levels.anchors[level], levels.bridges[level]
-        if bridge is None and anchors is None:
-            return
         n = levels.n
         fanout = self.fanout
         k = levels.sample_every
@@ -399,8 +238,8 @@ class MergeSortTree:
         if bridge is None or anchors is None or \
                 (bridge.shape, anchors.shape) != shapes:
             raise ValueError(
-                f"level {level} bridge arrays malformed, expected shapes "
-                f"{shapes}")
+                f"level {level} bridge arrays missing or malformed, "
+                f"expected shapes {shapes}")
         # counts[c + 1, p]: of the first p entries, those from children
         # 0..c; row 0 (none) and row fanout (all) complete the table.
         counts = np.vstack([
@@ -445,7 +284,7 @@ class MergeSortTree:
                 raise ValueError(
                     f"level {level} aggregate prefix has {len(prefix)} "
                     f"entries, expected {n}")
-            if not isinstance(prefix, np.ndarray) or spec is None:
+            if spec is None or prefix.dtype == object:
                 continue
             if np.issubdtype(prefix.dtype, np.floating) and \
                     bool(np.isnan(prefix).any()):

@@ -2,13 +2,14 @@
 
 A window operator issues one tree query *per input row*. Instead of
 looping over rows in Python, the functions here process all ``m`` queries
-simultaneously, each step a vectorised pass over all of them. They are
-the batched form of the scalar walk in :class:`~repro.mst.tree.MergeSortTree`
-(Section 4.2): one ``np.searchsorted`` per key threshold on the fully
-sorted top level, then, level by level, every query's lower bound inside
-the child run it descends into comes from the level's cascading bridge
-in O(1) gathers — there is no search inside runs. That is O(log n) numpy
-passes per batch.
+simultaneously, each step a vectorised pass over all of them (Section
+4.2): one ``np.searchsorted`` per key threshold on the fully sorted top
+level, then, level by level, every query's lower bound inside the child
+run it descends into comes from the level's cascading bridge in O(1)
+gathers — there is no search inside runs. That is O(log n) numpy passes
+per batch. They are the tree's only query path:
+:class:`~repro.mst.tree.MergeSortTree`'s methods are one-row calls into
+them.
 
 * :func:`batched_count` descends once per slab-range end and threshold:
   a count over ``[lo, hi)`` is the difference of two prefix counts.
@@ -16,21 +17,23 @@ passes per batch.
   ``k``-th qualifying entry.
 * :func:`batched_aggregate` follows the two boundary paths of ``[lo, hi)``
   down, reads the prefix aggregate of every run that covers the range
-  between them, and combines those bottom-up in the order of
-  :func:`repro.mst.decompose.decompose_range`'s peeling, so float sums
-  keep their bits.
+  between them, and combines those in the order of
+  :func:`repro.mst.decompose.covering_runs` — numeric prefixes with the
+  aggregate's ufunc, so float sums keep their bits, object states (AVG,
+  UDAFs) with the spec's ``merge``.
 
 Queries run in blocks of :data:`BLOCK_ROWS`, which keeps every temporary
-cache-sized. The kernels need the bridges: a tree built with
-``cascading=False`` is rejected with ``ValueError``.
+cache-sized. The kernels need the bridges: levels built with
+``cascading=False`` are rejected with ``ValueError``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.mst.aggregates import COUNT, MAX, MIN, SUM, AggregateSpec
 from repro.mst.build import TreeLevels
 
 #: Queries per descent: temporaries of this many int64s stay in cache.
@@ -40,7 +43,7 @@ BLOCK_ROWS = 1 << 14
 def _require_bridges(levels: TreeLevels) -> None:
     if levels.height > 1 and levels.bridges[-1] is None:
         raise ValueError(
-            "batched probes need the cascading bridges; the tree was "
+            "batched probes need the cascading bridges; the levels were "
             "built with cascading=False")
 
 
@@ -83,6 +86,28 @@ def _beyond(offset: np.ndarray, child_len: int):
     return lambda c, _: offset >= (c + 1) * child_len
 
 
+def _path_child(levels: TreeLevels, level: int, start: np.ndarray,
+                bound: np.ndarray, offset: np.ndarray):
+    """:func:`_descend` for the path of a slab position at ``offset``
+    inside its node, whose child is known up front: two bridge gathers
+    per query whatever the fanout (one at ``f = 2``, where both bounds
+    come from column 0)."""
+    child_len = levels.fanout ** (level - 1)
+    if levels.fanout == 2:
+        right = offset >= child_len
+        counted = levels.child_prefix(level, 0, start, bound)
+        return (np.where(right, counted, 0), np.where(right, bound, counted),
+                right)
+    child = offset // child_len
+    last = levels.fanout - 1
+    lower = levels.child_prefix(level, np.maximum(child - 1, 0), start,
+                                bound)
+    upper = levels.child_prefix(level, np.minimum(child, last - 1), start,
+                                bound)
+    return (np.where(child > 0, lower, 0),
+            np.where(child < last, upper, bound), child)
+
+
 def _prefix_counts(levels: TreeLevels, x: np.ndarray,
                    threshold: np.ndarray) -> np.ndarray:
     """Per query: entries at slab positions below ``x`` (``0 <= x <= n``)
@@ -98,13 +123,11 @@ def _prefix_counts(levels: TreeLevels, x: np.ndarray,
     total = np.zeros(len(x), dtype=np.int64)
     start = np.zeros(len(x), dtype=np.int64)
     for level in range(top, 0, -1):
-        child_len = levels.fanout ** (level - 1)
-        lower, upper, child = _descend(_below(levels, level, start, bound),
-                                       bound,
-                                       _beyond(path - start, child_len))
+        lower, upper, child = _path_child(levels, level, start, bound,
+                                          path - start)
         total += lower
         bound = upper - lower
-        start += child * child_len
+        start += child * levels.fanout ** (level - 1)
     return total + np.where(x >= n, bound, 0)
 
 
@@ -139,56 +162,89 @@ def batched_count(levels: TreeLevels, lo: np.ndarray, hi: np.ndarray,
     return counts[0] - counts[1] if key_lo is not None else counts[0]
 
 
-_AGG_IDENTITY = {
-    "sum": 0.0,
-    "count": 0,
-    "min": np.inf,
-    "max": -np.inf,
+#: The built-in aggregates by name, as the probe workers receive them.
+_BUILTIN = {spec.name: spec for spec in (SUM, COUNT, MIN, MAX)}
+
+#: Ufunc and empty-input value of the aggregates with numeric prefixes.
+_UFUNCS = {
+    "sum": (np.add, 0),
+    "count": (np.add, 0),
+    "min": (np.minimum, np.inf),
+    "max": (np.maximum, -np.inf),
 }
 
 
-def batched_aggregate(levels: TreeLevels, lo: np.ndarray, hi: np.ndarray,
-                      key_hi: np.ndarray, kind: str) -> np.ndarray:
-    """For each query: combine prefix aggregate states of entries in slab
-    ``[lo, hi)`` with key below ``key_hi`` (Section 4.3, vectorised).
-
-    ``kind`` is one of ``sum``, ``count``, ``min``, ``max``; the identity
-    conventions match :mod:`repro.mst.aggregates`. ``min``/``max`` return
-    ``±inf`` for empty inputs, which callers map back to NULL.
-    """
-    if kind not in _AGG_IDENTITY:
+def _combiner(levels: TreeLevels, kind: Union[str, AggregateSpec]):
+    """``(combine, identity, dtype)`` of :func:`batched_aggregate`."""
+    spec = _BUILTIN.get(kind) if isinstance(kind, str) else kind
+    if spec is None:
         raise ValueError(f"unsupported vectorised aggregate {kind!r}")
     if not levels.agg_prefix:
         raise ValueError("tree was built without aggregate annotations")
+    prefix_dtype = levels.agg_prefix[0].dtype
+    if prefix_dtype == object:
+        return np.frompyfunc(spec.merge, 2, 1), spec.identity, prefix_dtype
+    if spec.name not in _UFUNCS:
+        raise ValueError(f"unsupported vectorised aggregate {spec.name!r}")
+    combine, identity = _UFUNCS[spec.name]
+    return combine, identity, np.result_type(prefix_dtype, identity)
+
+
+def aggregate_dtype(levels: TreeLevels,
+                    kind: Union[str, AggregateSpec]) -> np.dtype:
+    """The dtype :func:`batched_aggregate` returns for ``levels``."""
+    return _combiner(levels, kind)[2]
+
+
+def batched_aggregate(levels: TreeLevels, lo: np.ndarray, hi: np.ndarray,
+                      key_hi: np.ndarray,
+                      kind: Union[str, AggregateSpec]) -> np.ndarray:
+    """For each query: the merged prefix aggregate states of the entries
+    in slab ``[lo, hi)`` with key below ``key_hi`` (Section 4.3,
+    vectorised). States are not finalized.
+
+    ``kind`` is the tree's :class:`~repro.mst.aggregates.AggregateSpec`,
+    or the name of a built-in one (``sum``, ``count``, ``min``, ``max``),
+    as the probe workers receive it. Numeric prefixes combine with the
+    aggregate's ufunc into the prefix dtype (float64 for ``min`` /
+    ``max``); an empty input gives 0, or ``±inf`` for ``min``/``max``,
+    which callers map back to NULL. Object prefixes (AVG, UDAFs) combine
+    with the spec's ``merge`` into an object array; an empty input gives
+    its ``identity``. The merge order is the covering runs' bottom-up
+    peel, not slab order, so a UDAF's merge must be commutative as well
+    as associative.
+    """
+    combine, identity, dtype = _combiner(levels, kind)
     _require_bridges(levels)
     m = len(lo)
     n = levels.n
-    total = np.full(m, _AGG_IDENTITY[kind],
-                    dtype=np.int64 if kind == "count" else np.float64)
+    total = np.empty(m, dtype=dtype)
+    total.fill(identity)
     if n == 0 or m == 0:
         return total
     lo = np.clip(np.asarray(lo, dtype=np.int64), 0, n)
     hi = np.clip(np.asarray(hi, dtype=np.int64), 0, n)
     key_hi = np.asarray(key_hi)
     for block in _blocks(m):
-        total[block] = _aggregate_block(levels, lo[block], hi[block],
-                                        key_hi[block], kind)
+        _aggregate_block(levels, lo[block], hi[block], key_hi[block],
+                         combine, total[block])
     return total
 
 
 def _aggregate_block(levels: TreeLevels, lo: np.ndarray, hi: np.ndarray,
-                     key_hi: np.ndarray, kind: str) -> np.ndarray:
-    """:func:`batched_aggregate` over one block of queries.
+                     key_hi: np.ndarray, combine: Callable,
+                     total: np.ndarray) -> None:
+    """:func:`batched_aggregate` over one block of queries, into
+    ``total`` in place.
 
     The covering runs are those of
-    :func:`~repro.mst.decompose.decompose_range`: at each level, the
+    :func:`~repro.mst.decompose.covering_runs`: at each level, the
     children right of ``lo``'s path and left of ``hi - 1``'s path, up to
     the node where the two paths split. Both paths descend together; the
     contributions are combined level by level from the bottom, ``lo``'s
     side (left to right) before ``hi``'s (right to left)."""
     fanout = levels.fanout
     top = levels.height - 1
-    identity = _AGG_IDENTITY[kind]
     live = lo < hi
     lo = np.where(live, lo, 0)
     hi = np.where(live, hi, 1)
@@ -196,15 +252,15 @@ def _aggregate_block(levels: TreeLevels, lo: np.ndarray, hi: np.ndarray,
                                           side="left")
     start_lo = np.zeros(len(lo), dtype=np.int64)
     start_hi = np.zeros(len(lo), dtype=np.int64)
-    # contributions[level]: that level's covering runs, peeling order.
-    contributions: List[List[np.ndarray]] = [[] for _ in levels.keys]
+    # contributions[level]: (queries, prefix position) of that level's
+    # covering runs, in peeling order.
+    contributions: List[List[Tuple[np.ndarray, np.ndarray]]] = [
+        [] for _ in levels.keys]
 
     def cover(level, run_start, bound, take):
-        has = take & (bound > 0)
+        has = live & take & (bound > 0)
         if has.any():
-            prefix = np.asarray(levels.agg_prefix[level])
-            value = prefix[np.where(has, run_start - 1 + bound, 0)]
-            contributions[level].append(np.where(has, value, identity))
+            contributions[level].append((has, run_start - 1 + bound))
 
     # The top run covers a query only when it is the whole, full tree.
     cover(top, 0, bound_lo, (lo == 0) & (hi == fanout ** top))
@@ -240,17 +296,9 @@ def _aggregate_block(levels: TreeLevels, lo: np.ndarray, hi: np.ndarray,
                                        _beyond(offset_hi - 1, child_len))
         bound_hi = upper - lower
         start_hi = start_hi + child * child_len
-    total = np.full(len(lo), identity,
-                    dtype=np.int64 if kind == "count" else np.float64)
-    for level_runs in contributions:
-        for value in level_runs:
-            if kind in ("sum", "count"):
-                total += value
-            elif kind == "min":
-                total = np.minimum(total, value)
-            else:
-                total = np.maximum(total, value)
-    return np.where(live, total, identity)
+    for prefix, level_runs in zip(levels.agg_prefix, contributions):
+        for has, at in level_runs:
+            total[has] = combine(total[has], prefix[at[has]])
 
 
 def batched_select(levels: TreeLevels, k: np.ndarray, key_lo: np.ndarray,

@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.mst.build import TreeLevels
 from repro.mst.vectorized import (
+    aggregate_dtype,
     batched_aggregate,
     batched_count,
     batched_select,
@@ -257,7 +258,7 @@ class ProcessProbes(ProbeKernels):
                   hi: np.ndarray, key_hi: np.ndarray,
                   kind: str) -> np.ndarray:
         if self._fans(len(lo)):
-            out_dtype = np.int64 if kind == "count" else np.float64
+            out_dtype = aggregate_dtype(levels, kind)
             inputs = {"lo": np.asarray(lo), "hi": np.asarray(hi),
                       "key_hi": np.asarray(key_hi)}
             result = self._fan(levels, "aggregate", inputs,

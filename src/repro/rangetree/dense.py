@@ -7,7 +7,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.mst.build import TreeLevels, _merge_orders, build_levels_numpy
-from repro.mst.decompose import num_levels
+from repro.mst.decompose import covering_runs, num_levels
 from repro.preprocess.occurrences import previous_occurrence
 
 
@@ -30,41 +30,15 @@ def _lower_bound_in_runs(arr: np.ndarray, start: np.ndarray,
     return lo
 
 
-def _covering_runs(fanout: int, height: int, lo: np.ndarray,
-                   hi: np.ndarray):
-    """Yield ``(level, run_start, run_stop, mask)`` batches covering each
-    query's ``[lo, hi)`` with whole runs — the vectorised
-    :func:`repro.mst.decompose.decompose_range`."""
-    lo = np.asarray(lo, dtype=np.int64).copy()
-    hi = np.asarray(hi, dtype=np.int64).copy()
-    length = 1
-    for level in range(height):
-        parent = length * fanout
-        for _ in range(fanout - 1):
-            mask = (lo % parent != 0) & (lo < hi)
-            if not mask.any():
-                break
-            yield level, lo, lo + length, mask
-            lo = np.where(mask, lo + length, lo)
-        for _ in range(fanout - 1):
-            mask = (hi % parent != 0) & (lo < hi)
-            if not mask.any():
-                break
-            yield level, hi - length, hi, mask
-            hi = np.where(mask, hi - length, hi)
-        if not (lo < hi).any():
-            break
-        length = parent
-
-
 def _count_in_runs(levels: TreeLevels, lo: np.ndarray, hi: np.ndarray,
                    key_hi: np.ndarray) -> np.ndarray:
     """Per query: entries at slab positions ``[lo, hi)`` with key below
-    ``key_hi``, one binary search per covering run. ``[lo, hi)`` lies in
-    one aligned run here, so only the levels below it are searched —
-    cheaper than a cascaded descent from the top."""
+    ``key_hi``, one binary search per covering run; no bridges needed.
+    The index asks only for ranges inside one aligned run, so only the
+    levels below it are searched — cheaper than a cascaded descent from
+    the top."""
     total = np.zeros(len(lo), dtype=np.int64)
-    for level, run_lo, run_hi, mask in _covering_runs(
+    for level, run_lo, run_hi, mask in covering_runs(
             levels.fanout, levels.height, lo, hi):
         idx = np.flatnonzero(mask)
         start = run_lo[idx]
@@ -136,7 +110,7 @@ class DenseRankIndex:
         hi = np.asarray(hi, dtype=np.int64)
         keys = np.asarray(keys, dtype=np.int64)
         total = np.ones(len(lo), dtype=np.int64)  # dense rank starts at 1
-        for level, run_lo, run_hi, mask in _covering_runs(
+        for level, run_lo, run_hi, mask in covering_runs(
                 self.fanout, len(self.key_levels), lo, hi):
             idx = np.flatnonzero(mask)
             start = run_lo[idx]

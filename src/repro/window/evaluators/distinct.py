@@ -26,6 +26,7 @@ from repro.baselines.naive import (
 from repro.errors import WindowFunctionError
 from repro.mst.aggregates import SUM, AggregateSpec
 from repro.mst.tree import MergeSortTree
+from repro.mst.vectorized import batched_aggregate
 from repro.preprocess.occurrences import (
     previous_occurrence,
     previous_occurrence_by_hash,
@@ -36,7 +37,6 @@ from repro.window.evaluators.common import (Arrays, CallInput, Result,
                                              annotate_probe, nullable,
                                              python_values, result_dtype)
 from repro.window.partition import PartitionView
-from repro.resilience.context import current_context
 
 _TREE_FANOUT = 2
 
@@ -166,12 +166,13 @@ def _udaf_distinct(call: WindowCall, part: PartitionView,
     values = inputs.kept_values(call.args[0])
     tree = _build_tree(inputs, aggregate=spec, payload=values)
     valid = _probe_distinct(tree, inputs) > 0
+    # Serial: a UDAF's states cannot be shipped to the probe workers.
+    states = batched_aggregate(tree.levels, inputs.start_f[valid],
+                               inputs.end_f[valid],
+                               inputs.start_f[valid] + 1, spec)
     out = np.zeros(part.n, dtype=object)
-    ctx = current_context()
-    for i in np.flatnonzero(valid):
-        ctx.tick(i)
-        lo, hi = int(inputs.start_f[i]), int(inputs.end_f[i])
-        out[i] = tree.aggregate([(lo, hi)], lo + 1)
+    out[valid] = np.fromiter((spec.finalize(state) for state in states),
+                             dtype=object, count=len(states))
     return nullable(out, valid)
 
 

@@ -4,10 +4,12 @@ replaced.
 ``_lockstep_*`` below are the batched count / select / aggregate the
 package shipped before the kernels read the cascading bridges: they peel
 each query's covering runs bottom-up and binary-search inside every run,
-all queries in lock step. They need no bridges, so they are an
+all queries in lock step. The peel is
+:func:`repro.mst.decompose.covering_runs`, the in-run search the one the
+DENSE_RANK index keeps. They need no bridges, so they are an
 independent reference for the cascaded descent. Results must be equal
 array for array — float bits included, since the aggregate adds its
-runs' contributions in the peeling order below.
+runs' contributions in the peel's order.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.mst import MAX, MIN, SUM, MergeSortTree
+from repro.mst.decompose import covering_runs
 from repro.mst.persist import load_tree, save_tree
 from repro.mst.vectorized import (
     batched_aggregate,
@@ -24,6 +27,7 @@ from repro.mst.vectorized import (
 )
 from repro.parallel.probes import ProcessProbes
 from repro.parallel.scheduler import WindowScheduler
+from repro.rangetree.dense import _lower_bound_in_runs as _lockstep_lower_bound
 
 # No max_examples: the count comes from the active Hypothesis profile.
 generated = settings(deadline=None,
@@ -36,51 +40,10 @@ SAMPLINGS = st.sampled_from([1, 4, 32, 256])
 # ----------------------------------------------------------------------
 # the reference: lock-step binary search inside every covering run
 # ----------------------------------------------------------------------
-def _lockstep_lower_bound(arr, start, stop, target):
-    lo = np.asarray(start, dtype=np.int64).copy()
-    hi = np.asarray(stop, dtype=np.int64).copy()
-    span = int(np.max(hi - lo, initial=0))
-    for _ in range(max(span, 1).bit_length()):
-        active = lo < hi
-        if not active.any():
-            break
-        mid = (lo + hi) >> 1
-        probe = np.where(active, mid, 0)
-        go_right = active & (arr[probe] < target)
-        lo = np.where(go_right, mid + 1, lo)
-        hi = np.where(active & ~go_right, mid, hi)
-    return lo
-
-
-def _peel_plan(levels, lo, hi):
-    fanout = levels.fanout
-    lo = np.asarray(lo, dtype=np.int64).copy()
-    hi = np.asarray(hi, dtype=np.int64).copy()
-    length = 1
-    for level in range(levels.height):
-        parent = length * fanout
-        for _ in range(fanout - 1):
-            mask = (lo % parent != 0) & (lo < hi)
-            if mask.any():
-                yield level, lo, lo + length, mask
-                lo = np.where(mask, lo + length, lo)
-            else:
-                break
-        for _ in range(fanout - 1):
-            mask = (hi % parent != 0) & (lo < hi)
-            if mask.any():
-                yield level, hi - length, hi, mask
-                hi = np.where(mask, hi - length, hi)
-            else:
-                break
-        if not (lo < hi).any():
-            break
-        length = parent
-
-
 def _lockstep_count(levels, lo, hi, key_hi, key_lo=None):
     total = np.zeros(len(lo), dtype=np.int64)
-    for level, run_lo, run_hi, mask in _peel_plan(levels, lo, hi):
+    for level, run_lo, run_hi, mask in covering_runs(
+            levels.fanout, levels.height, lo, hi):
         keys = levels.keys[level]
         idx = np.flatnonzero(mask)
         start, stop = run_lo[idx], run_hi[idx]
@@ -98,7 +61,8 @@ _IDENTITY = {"sum": 0.0, "min": np.inf, "max": -np.inf}
 
 def _lockstep_aggregate(levels, lo, hi, key_hi, kind):
     total = np.full(len(lo), _IDENTITY[kind], dtype=np.float64)
-    for level, run_lo, run_hi, mask in _peel_plan(levels, lo, hi):
+    for level, run_lo, run_hi, mask in covering_runs(
+            levels.fanout, levels.height, lo, hi):
         prefix = np.asarray(levels.agg_prefix[level])
         idx = np.flatnonzero(mask)
         start = run_lo[idx]

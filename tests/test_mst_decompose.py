@@ -1,43 +1,36 @@
 """Run decomposition: coverage, alignment and size bounds."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mst.decompose import (
-    decompose_range,
-    decompose_ranges,
-    max_runs_per_level,
-    num_levels,
-)
+from repro.mst.decompose import covering_runs, max_runs_per_level, num_levels
+
+
+def _runs(lo, hi, fanout, n):
+    """``(level, start, stop)`` of every query's covering runs, in the
+    peel's order."""
+    lo, hi = np.asarray(lo), np.asarray(hi)
+    runs = [[] for _ in lo]
+    for level, start, stop, mask in covering_runs(
+            fanout, num_levels(n, fanout), lo, hi):
+        for i in np.flatnonzero(mask):
+            runs[i].append((level, int(start[i]), int(stop[i])))
+    return runs
 
 
 def test_empty_range():
-    assert decompose_range(3, 3, 2, 10) == []
-    assert decompose_range(0, 0, 2, 0) == []
+    assert _runs([3], [3], 2, 10) == [[]]
+    assert _runs([0], [0], 2, 0) == [[]]
 
 
 def test_full_range_single_run_when_power():
-    runs = decompose_range(0, 8, 2, 8)
-    assert runs == [(3, 0, 8)]
-
-
-def test_out_of_bounds_rejected():
-    with pytest.raises(ValueError):
-        decompose_range(-1, 5, 2, 10)
-    with pytest.raises(ValueError):
-        decompose_range(0, 11, 2, 10)
-    with pytest.raises(ValueError):
-        decompose_range(5, 3, 2, 10)
-
-
-def test_fanout_must_be_at_least_two():
-    with pytest.raises(ValueError):
-        decompose_range(0, 4, 1, 8)
+    assert _runs([0], [8], 2, 8) == [[(3, 0, 8)]]
 
 
 def _check_decomposition(lo, hi, fanout, n):
-    runs = decompose_range(lo, hi, fanout, n)
+    (runs,) = _runs([lo], [hi], fanout, n)
     covered = []
     for level, start, stop in runs:
         length = fanout ** level
@@ -46,12 +39,11 @@ def _check_decomposition(lo, hi, fanout, n):
         assert lo <= start and stop <= hi, "runs inside the query range"
         assert stop <= n
         covered.extend(range(start, stop))
-    assert covered == list(range(lo, hi)), "exact disjoint coverage"
-    per_level = {}
-    for level, _, _ in runs:
-        per_level[level] = per_level.get(level, 0) + 1
-    for level, count in per_level.items():
-        assert count <= max_runs_per_level(fanout)
+    assert sorted(covered) == list(range(lo, hi)), "exact disjoint coverage"
+    levels = [level for level, _, _ in runs]
+    assert levels == sorted(levels), "bottom-up"
+    for level in set(levels):
+        assert levels.count(level) <= max_runs_per_level(fanout)
 
 
 @pytest.mark.parametrize("fanout", [2, 3, 4, 7, 32])
@@ -71,9 +63,12 @@ def test_decomposition_property(fanout, a, b, n):
 
 
 def test_decompose_ranges_multiple():
-    runs = list(decompose_ranges([(0, 3), (5, 9)], 2, 10))
-    covered = sorted(p for _, s, e in runs for p in range(s, e))
-    assert covered == [0, 1, 2, 5, 6, 7, 8]
+    """One batch covers several ranges (the pieces of an EXCLUDE frame,
+    or one range per row), each on its own."""
+    runs = _runs([0, 5], [3, 9], 2, 10)
+    covered = [sorted(p for _, s, e in rs for p in range(s, e))
+               for rs in runs]
+    assert covered == [[0, 1, 2], [5, 6, 7, 8]]
 
 
 @pytest.mark.parametrize("n,fanout,expected", [

@@ -17,7 +17,6 @@ def test_roundtrip_count_queries(tmp_path, rng):
     loaded = load_tree(path)
     assert loaded.fanout == 4
     assert loaded.sample_every == 8
-    assert loaded.cascading
     for ours, theirs in zip(loaded.levels.anchors + loaded.levels.bridges,
                             tree.levels.anchors + tree.levels.bridges):
         assert (ours is None and theirs is None) or \
@@ -128,16 +127,20 @@ def test_generic_annotations_rejected(tmp_path, rng):
         save_tree(tree, tmp_path / "nope.npz")
 
 
-def test_no_cascading_roundtrip(tmp_path, rng):
-    keys = rng.integers(0, 40, size=64)
-    tree = MergeSortTree(keys, fanout=2, cascading=False)
+def test_bundle_without_bridges_rejected(tmp_path, rng):
+    """Every tree queries through its bridges, so a bundle whose header
+    says it has none (the format's bridge-less mode) does not load."""
+    tree = MergeSortTree(rng.integers(0, 40, size=64), fanout=2)
     path = tmp_path / "plain.npz"
     save_tree(tree, path)
-    loaded = load_tree(path)
-    assert not loaded.cascading
-    assert all(b is None for b in loaded.levels.bridges)
-    assert all(a is None for a in loaded.levels.anchors)
-    assert loaded.count_below(3, 50, 20) == tree.count_below(3, 50, 20)
+    with np.load(path) as bundle:
+        arrays = {k: bundle[k] for k in bundle.files
+                  if not k.startswith(("anchors_", "bridge_"))}
+    arrays["__meta__"] = arrays["__meta__"].copy()
+    arrays["__meta__"][3] = 0
+    np.savez_compressed(path, **arrays)
+    with pytest.raises(ValueError, match="bridges"):
+        load_tree(path)
 
 
 def test_version_check(tmp_path, rng):

@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mst import AVG, MAX, MIN, SUM, MergeSortTree
+from repro.mst.build import build_levels_numpy, build_levels_scalar
 from repro.mst.stats import measured_vs_model
+from repro.mst.vectorized import batched_aggregate, batched_count
+from repro.rangetree.dense import _count_in_runs
 
 
 def _oracle_count(keys, slab_ranges, key_ranges):
@@ -21,20 +24,28 @@ def _oracle_count(keys, slab_ranges, key_ranges):
 
 
 class TestCount:
-    @pytest.mark.parametrize("fanout,k,cascading", [
+    @pytest.mark.parametrize("fanout,k,bridged", [
         (2, 32, True), (2, 32, False), (3, 1, True), (32, 32, True),
         (4, 8, False),
     ])
-    def test_count_below_random(self, fanout, k, cascading, rng):
+    def test_count_below_random(self, fanout, k, bridged, rng):
+        """The tree's count, and the bridge-less levels' run search the
+        DENSE_RANK index uses."""
         n = 150
         keys = rng.integers(-1, n, size=n)
-        tree = MergeSortTree(keys, fanout=fanout, sample_every=k,
-                             cascading=cascading)
+        tree = MergeSortTree(keys, fanout=fanout, sample_every=k)
+        plain = build_levels_numpy(keys, fanout=fanout, sample_every=k,
+                                   cascading=False)
         for _ in range(100):
             lo, hi = sorted(rng.integers(0, n + 1, size=2))
             threshold = int(rng.integers(-2, n + 2))
-            assert tree.count_below(lo, hi, threshold) == \
-                int(np.sum(keys[lo:hi] < threshold))
+            if bridged:
+                got = tree.count_below(lo, hi, threshold)
+            else:
+                got = int(_count_in_runs(plain, np.array([lo]),
+                                         np.array([hi]),
+                                         np.array([threshold]))[0])
+            assert got == int(np.sum(keys[lo:hi] < threshold))
 
     def test_count_key_range(self, rng):
         n = 100
@@ -75,19 +86,19 @@ class TestCount:
 
     def test_cascaded_equals_plain(self, rng):
         """Fractional cascading is an optimisation, never a semantic
-        change (Section 4.2)."""
+        change (Section 4.2): the cascaded descent equals a binary search
+        per covering run on levels built without bridges."""
         n = 130
         keys = rng.integers(0, 40, size=n)
         for fanout, k in [(2, 1), (2, 8), (4, 4), (8, 32)]:
-            fast = MergeSortTree(keys, fanout=fanout, sample_every=k,
-                                 cascading=True)
-            slow = MergeSortTree(keys, fanout=fanout, sample_every=k,
-                                 cascading=False)
-            for _ in range(60):
-                lo, hi = sorted(rng.integers(0, n + 1, size=2))
-                t = int(rng.integers(-1, 41))
-                assert fast.count_below(lo, hi, t) == \
-                    slow.count_below(lo, hi, t)
+            fast = build_levels_numpy(keys, fanout=fanout, sample_every=k)
+            slow = build_levels_numpy(keys, fanout=fanout, sample_every=k,
+                                      cascading=False)
+            lo = rng.integers(0, n + 1, size=60)
+            hi = np.minimum(lo + rng.integers(0, n + 1, size=60), n)
+            t = rng.integers(-1, 41, size=60)
+            assert np.array_equal(batched_count(fast, lo, hi, t),
+                                  _count_in_runs(slow, lo, hi, t))
 
 
 class TestSelect:
@@ -149,20 +160,28 @@ class TestAggregate:
         (MIN, min), (MAX, max),
     ])
     def test_min_max_aggregate(self, spec, reducer, rng):
+        """The tree's aggregate, and the batched kernel over the faithful
+        multiway-merge build of the same levels."""
         n = 60
         keys = rng.integers(0, n, size=n)
         payload = rng.integers(0, 50, size=n)
         tree = MergeSortTree(keys, fanout=3, aggregate=spec,
-                             payload=payload, builder="scalar")
+                             payload=payload)
+        scalar = build_levels_scalar(keys, fanout=3, aggregate=spec,
+                                     payload=payload)
+        empty = np.inf if spec is MIN else -np.inf
         for _ in range(50):
             lo, hi = sorted(rng.integers(0, n + 1, size=2))
             t = int(rng.integers(0, n + 1))
             expected = [payload[i] for i in range(lo, hi) if keys[i] < t]
             got = tree.aggregate([(lo, hi)], t)
+            from_scalar = batched_aggregate(scalar, np.array([lo]),
+                                            np.array([hi]), np.array([t]),
+                                            spec)[0]
             if expected:
-                assert got == reducer(expected)
+                assert got == from_scalar == reducer(expected)
             else:
-                assert got is None
+                assert got is None and from_scalar == empty
 
     def test_avg_aggregate_generic_path(self, rng):
         """AVG has no numpy prefix kernel: exercises the generic
@@ -191,8 +210,11 @@ class TestConstruction:
             MergeSortTree([1, 2, 3], fanout=1)
         with pytest.raises(ValueError):
             MergeSortTree([1, 2, 3], sample_every=0)
-        with pytest.raises(ValueError):
-            MergeSortTree([1, 2, 3], builder="quantum")
+        # One build and one query path: neither is an option any more.
+        with pytest.raises(TypeError):
+            MergeSortTree([1, 2, 3], builder="scalar")
+        with pytest.raises(TypeError):
+            MergeSortTree([1, 2, 3], cascading=False)
 
     def test_memory_accounting_close_to_model(self, rng):
         keys = rng.integers(0, 5000, size=5000)

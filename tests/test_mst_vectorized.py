@@ -1,11 +1,13 @@
-"""Batched (numpy) queries must agree with the scalar tree everywhere."""
+"""Batched (numpy) queries against scalar brute force over level 0."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mst import SUM, MergeSortTree
+from repro.mst import SUM, MergeSortTree, make_udaf
+from repro.mst.build import build_levels_numpy
+from repro.mst.decompose import covering_runs
 from repro.parallel.probes import ProcessProbes
 from repro.parallel.scheduler import WindowScheduler
 from repro.mst.vectorized import (
@@ -63,8 +65,7 @@ class TestBatchedCount:
         thr = rng.integers(-3, n + 3, size=m)
         got = batched_count(tree.levels, lo, hi, thr)
         for i in range(m):
-            assert got[i] == tree.count_below(int(lo[i]), int(hi[i]),
-                                              int(thr[i]))
+            assert got[i] == int(np.sum(keys[lo[i]:hi[i]] < thr[i]))
 
     def test_with_key_lower_bound(self, rng):
         n = 120
@@ -77,9 +78,9 @@ class TestBatchedCount:
         khi = klo + rng.integers(0, 25, size=m)
         got = batched_count(tree.levels, lo, hi, khi, key_lo=klo)
         for i in range(m):
-            want = tree.count([(int(lo[i]), int(hi[i]))],
-                              [(int(klo[i]), int(khi[i]))])
-            assert got[i] == want
+            window = keys[lo[i]:hi[i]]
+            assert got[i] == int(np.sum((window >= klo[i])
+                                        & (window < khi[i])))
 
 
 class TestBatchedSelect:
@@ -94,8 +95,8 @@ class TestBatchedSelect:
         k = np.array([rng.integers(0, bb - aa) for aa, bb in zip(a, b)])
         slabs, keys = batched_select(tree.levels, k, a, b)
         for i in range(m):
-            want = tree.select(int(k[i]), [(int(a[i]), int(b[i]))])
-            assert (int(slabs[i]), int(keys[i])) == want
+            slab = np.flatnonzero((perm >= a[i]) & (perm < b[i]))[k[i]]
+            assert (int(slabs[i]), int(keys[i])) == (slab, perm[slab])
 
     def test_single_row_tree(self):
         tree = MergeSortTree(np.array([0]))
@@ -109,11 +110,12 @@ class TestBatchedSelect:
     def test_pieces_agree_with_scalar(self, process_scheduler, data,
                                       fanout, pieces, n):
         """Select over a set of <= 3 disjoint key ranges per query (an
-        EXCLUDE frame) == the scalar tree walk, empty and inverted
-        pieces included — serially and fanned over a live pool."""
+        EXCLUDE frame) == brute force, empty and inverted pieces
+        included — serially and fanned over a live pool."""
         seed = data.draw(st.integers(0, 2 ** 31))
         rng = np.random.default_rng(seed)
-        tree = MergeSortTree(rng.permutation(n), fanout=fanout)
+        perm = rng.permutation(n)
+        tree = MergeSortTree(perm, fanout=fanout)
         m = 40
         # 2 * pieces sorted cut points per query -> disjoint ranges;
         # swapping a pair's ends makes that piece inverted (= empty).
@@ -127,10 +129,10 @@ class TestBatchedSelect:
         k = rng.integers(0, sizes[queries])
         slabs, keys = batched_select(tree.levels, k, key_lo, key_hi)
         for i in range(len(queries)):
-            ranges = [(int(a), int(b))
-                      for a, b in zip(key_lo[:, i], key_hi[:, i]) if a < b]
-            assert (int(slabs[i]), int(keys[i])) == \
-                tree.select(int(k[i]), ranges)
+            inside = sum((perm >= a) & (perm < b)
+                         for a, b in zip(key_lo[:, i], key_hi[:, i]))
+            slab = np.flatnonzero(inside)[k[i]]
+            assert (int(slabs[i]), int(keys[i])) == (slab, perm[slab])
         lease = process_scheduler.table_arena().lease()
         try:
             probes = ProcessProbes(process_scheduler, lease, task_size=16,
@@ -200,19 +202,43 @@ class TestBatchedAggregate:
 
 
 def test_tree_without_bridges_rejected(rng):
-    """The batched kernels have one path, the cascaded descent: a tree
-    built without bridges is an error, not a slower fallback."""
+    """The batched kernels have one path, the cascaded descent: levels
+    built without bridges are an error, not a slower fallback."""
     keys = rng.integers(0, 5, size=10)
-    tree = MergeSortTree(keys, cascading=False, aggregate=SUM,
-                         payload=np.ones(10))
+    levels = build_levels_numpy(keys, cascading=False, aggregate=SUM,
+                                payload=np.ones(10))
     one = np.array([0]), np.array([10]), np.array([3])
     with pytest.raises(ValueError, match="cascading"):
-        batched_count(tree.levels, *one)
+        batched_count(levels, *one)
     with pytest.raises(ValueError, match="cascading"):
-        batched_aggregate(tree.levels, *one, "sum")
+        batched_aggregate(levels, *one, "sum")
     with pytest.raises(ValueError, match="cascading"):
-        batched_select(tree.levels, np.array([0]), np.array([0]),
-                       np.array([5]))
+        batched_select(levels, np.array([0]), np.array([0]), np.array([5]))
+
+
+@pytest.mark.parametrize("fanout", [2, 3, 4])
+def test_object_states_merge_in_covering_run_order(fanout, rng):
+    """An object-state aggregate merges its covering runs' prefix
+    states in :func:`covering_runs`' order: with tuple concatenation as
+    the merge, the state lists every qualifying slab position, run by
+    run, each run in its key-sorted (stable) order."""
+    n = 90
+    keys = rng.integers(0, 30, size=n)
+    concat = make_udaf("concat", identity=(), lift=lambda v: (v,),
+                       merge=lambda a, b: a + b)
+    tree = MergeSortTree(keys, fanout=fanout, aggregate=concat,
+                         payload=list(range(n)))
+    lo = rng.integers(0, n + 1, size=60)
+    hi = np.minimum(lo + rng.integers(0, n + 1, size=60), n)
+    key_hi = rng.integers(0, 32, size=60)
+    got = batched_aggregate(tree.levels, lo, hi, key_hi, concat)
+    want = [()] * 60
+    for _, start, stop, mask in covering_runs(fanout, tree.height, lo, hi):
+        for i in np.flatnonzero(mask):
+            run = np.arange(start[i], stop[i])
+            run = run[np.argsort(keys[run], kind="stable")]
+            want[i] += tuple(int(p) for p in run if keys[p] < key_hi[i])
+    assert list(got) == want
 
 
 @given(

@@ -140,21 +140,38 @@ def test_corrupt_cbtree_separator_key_is_rejected():
 # ----------------------------------------------------------------------
 # verify-on-reload: the cache's trust boundary
 # ----------------------------------------------------------------------
-def _poison_reload(cache, monkeypatch):
+def _flip_top_key(tree):
+    tree.levels.keys[-1][0] = tree.levels.keys[-1][1] + 1
+
+
+def _strip_one_bridge(tree):
+    level = tree.height // 2
+    tree.levels.anchors[level] = tree.levels.bridges[level] = None
+
+
+def test_tree_missing_a_bridge_is_rejected():
+    """Every query descends through the bridges, so a tree that lost
+    one (a reload that dropped it) fails verification, not a probe."""
+    tree = _mst()
+    _strip_one_bridge(tree)
+    with pytest.raises(VerificationError, match="bridge"):
+        verify_structure(tree)
+
+
+def _poison_reload(cache, monkeypatch, damage=_flip_top_key):
     """Make every spill reload return a silently-corrupt tree, the way
     a CRC-surviving bit flip or a decoder bug would."""
     real_load = cache._spill.load
 
     def corrupt_load(path, meta):
         tree = real_load(path, meta)
-        tree.levels.keys[-1][0] = tree.levels.keys[-1][1] + 1
+        damage(tree)
         return tree
 
     monkeypatch.setattr(cache._spill, "load", corrupt_load)
 
 
-def test_reload_verification_rebuilds_corrupt_structure(tmp_path,
-                                                        monkeypatch):
+def _assert_reload_rebuilds(tmp_path, monkeypatch, damage):
     builds = []
 
     def builder():
@@ -166,7 +183,7 @@ def test_reload_verification_rebuilds_corrupt_structure(tmp_path,
         with activate(ctx):
             cache.acquire(("k",), builder, pin=False)  # build + spill out
             assert cache.stats().spills == 1
-            _poison_reload(cache, monkeypatch)
+            _poison_reload(cache, monkeypatch, damage)
             reloaded = cache.acquire(("k",), builder, pin=False)
         # The corrupt reload was rejected and rebuilt from source.
         verify_structure(reloaded)
@@ -178,6 +195,15 @@ def test_reload_verification_rebuilds_corrupt_structure(tmp_path,
         assert stats.reloads == 0
         assert ctx.health.verification_failures == 1
         assert ctx.health.corruptions == 1
+
+
+def test_reload_verification_rebuilds_corrupt_structure(tmp_path,
+                                                        monkeypatch):
+    _assert_reload_rebuilds(tmp_path, monkeypatch, _flip_top_key)
+
+
+def test_reload_missing_a_bridge_is_rebuilt(tmp_path, monkeypatch):
+    _assert_reload_rebuilds(tmp_path, monkeypatch, _strip_one_bridge)
 
 
 def test_clean_reload_verifies_and_serves(tmp_path):
