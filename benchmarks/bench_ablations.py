@@ -4,7 +4,8 @@ Beyond the paper's own Figure 13 parameter study, these benches isolate
 the individual design decisions:
 
 * fractional cascading on/off (Section 4.2) — same results, the
-  cascaded descent against a binary search per covering run;
+  cascaded descent against one search per level over (run id, key)
+  codes;
 * index width selection (Section 5.1) — int32 vs int64 levels;
 * the two build paths (faithful multiway merge vs the numpy merge, one
   stable sort of (slab, key) codes per level);
@@ -20,7 +21,6 @@ from repro.bench.harness import BenchSeries, measure, scaled
 from repro.mst.build import build_levels_numpy, build_levels_scalar
 from repro.mst.tree import MergeSortTree
 from repro.mst.vectorized import batched_count
-from repro.rangetree.dense import _count_in_runs
 
 
 @pytest.fixture(scope="module")
@@ -39,29 +39,65 @@ def queries(keys):
     return lo, hi, thr
 
 
+def _level_codes(levels):
+    """Per level, the codes ``run id * span + (key - low)``: sorted, as
+    every run is. ``span`` leaves one code above the largest key."""
+    low = int(levels.keys[0].min())
+    span = int(levels.keys[0].max()) - low + 2
+    positions = np.arange(levels.n)
+    codes = [(positions // levels.fanout ** level) * span
+             + (keys.astype(np.int64) - low)
+             for level, keys in enumerate(levels.keys)]
+    return codes, low, span
+
+
+def _count_searching_every_level(levels, coded, lo, hi, key_hi):
+    """``batched_count`` with a search per level instead of the bridges.
+
+    A prefix ``[0, x)`` is, on every level, the runs of ``x``'s parent
+    node left of ``x``; one ``searchsorted`` over the level's ``(run id,
+    key)`` codes bounds all of them, for every query at once."""
+    codes, low, span = coded
+    x = np.concatenate([hi, lo])
+    key = np.clip(np.concatenate([key_hi, key_hi]) - low, 0, span - 1)
+    prefix = np.zeros(len(x), dtype=np.int64)
+    for level, level_codes in enumerate(codes):
+        run_len = levels.fanout ** level
+        first = x // (run_len * levels.fanout) * levels.fanout
+        runs = x // run_len - first
+        query = np.repeat(np.arange(len(x)), runs)
+        run = first[query] + np.arange(len(query)) \
+            - np.repeat(np.cumsum(runs) - runs, runs)
+        bound = np.searchsorted(level_codes, run * span + key[query]) \
+            - run * run_len
+        prefix += np.bincount(query, weights=bound,
+                              minlength=len(x)).astype(np.int64)
+    return prefix[:len(lo)] - prefix[len(lo):]
+
+
 def test_cascading_ablation(benchmark, keys, queries):
-    """The two production count kernels over the same queries: the
-    cascaded descent on a bridged tree, and the binary search per
-    covering run the DENSE_RANK index runs on bridge-less levels.
-    Identical results."""
+    """Fractional cascading on and off over the same queries: the
+    cascaded descent, and the same prefix counts with one
+    ``searchsorted`` per level over ``(run id, key)`` codes instead of
+    the bridges. Identical results."""
     lo, hi, thr = queries
-    cascaded = build_levels_numpy(keys, fanout=32, sample_every=32)
-    plain = build_levels_numpy(keys, fanout=32, sample_every=32,
-                               cascading=False)
+    levels = build_levels_numpy(keys, fanout=32, sample_every=32)
+    coded = _level_codes(levels)
 
     def with_bridges():
-        return batched_count(cascaded, lo, hi, thr)
+        return batched_count(levels, lo, hi, thr)
 
-    def per_run_search():
-        return _count_in_runs(plain, lo, hi, thr)
+    def searching_every_level():
+        return _count_searching_every_level(levels, coded, lo, hi, thr)
 
     t_cascaded = measure(with_bridges, repeats=2)
-    t_plain = measure(per_run_search, repeats=2)
-    assert np.array_equal(with_bridges(), per_run_search())
+    t_search = measure(searching_every_level, repeats=2)
+    assert np.array_equal(with_bridges(), searching_every_level())
     series = BenchSeries("Ablation — fractional cascading (batched counts)",
                          ["variant", "seconds", "rows"])
     series.add("with cascading", t_cascaded, len(lo))
-    series.add("binary search per run", t_plain, len(lo))
+    series.add("searchsorted per level over (run id, key) codes", t_search,
+               len(lo))
     emit(series)
     benchmark.pedantic(with_bridges, rounds=1, iterations=1)
 

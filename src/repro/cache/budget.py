@@ -72,11 +72,11 @@ def structure_breakdown(structure: Any) -> StructureSizeBreakdown:
     if isinstance(structure, MergeSortTree):
         return _levels_breakdown(structure.levels)
     if isinstance(structure, DenseRankIndex):
-        out = StructureSizeBreakdown(
-            levels=sum(_ndarray_bytes(level)
-                       for level in structure.key_levels))
-        for inner in structure.inner:
-            out = out + _levels_breakdown(inner)
+        out = StructureSizeBreakdown(levels=sum(
+            _ndarray_bytes(keys) for keys in (
+                structure.prev, structure.sorted_keys, structure.sorted_prev)))
+        for tree in structure.trees():
+            out = out + _levels_breakdown(tree)
         return out
     if isinstance(structure, SegmentTree):
         return StructureSizeBreakdown(

@@ -27,7 +27,6 @@ from repro.mst.aggregates import (
     SUM,
     make_udaf,
 )
-from repro.mst.decompose import covering_runs, max_runs_per_level
 from repro.mst.stats import MemoryModel, tree_memory_elements
 from repro.mst.tree import MergeSortTree
 
@@ -41,7 +40,5 @@ __all__ = [
     "make_udaf",
     "MergeSortTree",
     "MemoryModel",
-    "covering_runs",
-    "max_runs_per_level",
     "tree_memory_elements",
 ]

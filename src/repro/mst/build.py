@@ -13,7 +13,8 @@ Two build paths produce bit-identical levels:
   finds those sorted runs and only merges them. This is the fast path
   for large inputs.
 
-Both can additionally produce:
+Both give every level above the input its *cascading bridge*, and can
+add prefix aggregate annotations:
 
 * *cascading bridges* (Section 4.2, "fractional cascading"): for every
   position ``p`` of a level, how many of the level's first ``p`` entries
@@ -53,9 +54,10 @@ class TreeLevels:
     ``fanout**i``. For ``i >= 1`` the bridge of level ``i`` is the pair
     ``anchors[i]`` (shape ``(fanout - 1, ceil((n + 1) / sample_every))``)
     and ``bridges[i]`` (uint8, shape ``(fanout - 1, n + 1)``); see
-    :meth:`consumed`. Both are ``None`` at level 0, and at every level of
-    the bridge-less inner trees :class:`~repro.rangetree.DenseRankIndex`
-    builds with ``cascading=False``. ``agg_prefix[i]`` holds
+    :meth:`consumed`. Both are ``None`` at level 0. A bridges-only tree
+    (the :class:`~repro.rangetree.DenseRankIndex` layout) has empty
+    ``keys`` and answers only :meth:`consumed` and :meth:`child_prefix`.
+    ``agg_prefix[i]`` holds
     per-position running prefix aggregates within each run of level
     ``i``: a numeric array from the spec's ``prefix_numpy`` kernel, or an
     object array of states.
@@ -153,32 +155,27 @@ def _permuted_prefix(spec: AggregateSpec, payload: Any, order: Optional[np.ndarr
     return prefix
 
 
-def _encode_bridge(counts: np.ndarray, sample_every: int
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(anchors, offsets)`` of cumulative counts ``(fanout - 1, n + 1)``:
-    ``counts[:, p] == anchors[:, p // k] + offsets[:, p]``."""
-    columns, width = counts.shape
-    anchors = counts[:, ::sample_every]
-    offsets = np.empty((columns, width), dtype=np.uint8)
-    full = width - width % sample_every
-    np.subtract(counts[:, :full].reshape(columns, -1, sample_every),
-                anchors[:, :full // sample_every, None],
-                out=offsets[:, :full].reshape(columns, -1, sample_every),
-                casting="unsafe")
-    np.subtract(counts[:, full:], anchors[:, -1:], out=offsets[:, full:],
-                casting="unsafe")
-    return anchors.astype(choose_index_dtype(width)), offsets
-
-
 def _bridge_from_sources(slab_offsets: np.ndarray, child_len: int,
                          fanout: int, sample_every: int
                          ) -> Tuple[np.ndarray, np.ndarray]:
-    """Bridge of a level whose entry ``j`` came from offset
-    ``slab_offsets[j]`` of its slab in the level below."""
-    counts = np.zeros((fanout - 1, len(slab_offsets) + 1), dtype=np.int64)
-    for c in range(fanout - 1):
-        np.cumsum(slab_offsets < (c + 1) * child_len, out=counts[c, 1:])
-    return _encode_bridge(counts, sample_every)
+    """``(anchors, offsets)`` of a level whose entry ``j`` came from
+    offset ``slab_offsets[j]`` of its slab below: the entries before
+    ``p`` from children ``0..c`` are ``anchors[c, p // k] + offsets[c,
+    p]``. Per anchor block in uint8: a block's running sum of
+    ``taken`` less its first element (its wrap-around cancels)."""
+    columns, width = fanout - 1, len(slab_offsets) + 1
+    padded = -(-width // sample_every) * sample_every
+    taken = np.zeros((columns, padded), dtype=np.uint8)
+    for c in range(columns):
+        np.less(slab_offsets, (c + 1) * child_len, out=taken[c, 1:width])
+    blocks = taken.reshape(columns, -1, sample_every)
+    firsts = blocks[:, :, 0].astype(np.int64)
+    totals = blocks.sum(axis=2, dtype=np.int64)
+    np.cumsum(blocks, axis=2, out=blocks)
+    blocks -= firsts[:, :, None].astype(np.uint8)
+    anchors = np.cumsum(totals, axis=1) - totals + firsts
+    return (anchors.astype(choose_index_dtype(width)),
+            taken[:, :width].copy())
 
 
 def _merge_orders(keys: np.ndarray, fanout: int, height: int
@@ -216,6 +213,23 @@ def _merge_orders(keys: np.ndarray, fanout: int, height: int
         yield level, step_order
 
 
+def _bridged_merges(keys: np.ndarray, fanout: int, height: int,
+                    sample_every: int
+                    ) -> Iterator[Tuple[int, np.ndarray, np.ndarray,
+                                        np.ndarray]]:
+    """:func:`_merge_orders` with each level's bridge:
+    ``(level, step_order, anchors, offsets)``."""
+    for level, step_order in _merge_orders(keys, fanout, height):
+        parent_len = fanout ** level
+        # step_order[j] lies in j's slab: its offset there says which
+        # child run entry j came from.
+        in_slab = (step_order & (parent_len - 1)
+                   if parent_len & (parent_len - 1) == 0
+                   else step_order % parent_len)
+        yield (level, step_order) + _bridge_from_sources(
+            in_slab, parent_len // fanout, fanout, sample_every)
+
+
 def _new_levels(keys: Any, fanout: int, sample_every: int,
                 aggregate: Optional[AggregateSpec], payload: Any
                 ) -> TreeLevels:
@@ -239,39 +253,24 @@ def _new_levels(keys: Any, fanout: int, sample_every: int,
 
 def build_levels_numpy(keys: Any, fanout: int = 2,
                        sample_every: int = DEFAULT_SAMPLE_EVERY,
-                       cascading: bool = True,
                        aggregate: Optional[AggregateSpec] = None,
-                       payload: Any = None,
-                       height: Optional[int] = None) -> TreeLevels:
+                       payload: Any = None) -> TreeLevels:
     """Build all levels, each one stable merge of the level below
-    (:func:`_merge_orders`).
-
-    ``height`` caps the number of levels built (default: the full tree);
-    a capped tree answers only ranges inside one aligned run of its top
-    level."""
+    (:func:`_merge_orders`) with its bridge."""
     levels = _new_levels(keys, fanout, sample_every, aggregate, payload)
     n = levels.n
-    full_height = num_levels(n, fanout)
-    height = full_height if height is None else min(height, full_height)
     order: Optional[np.ndarray] = None
     current = levels.keys[0]
-    for level, step_order in _merge_orders(current, fanout, height):
-        child_len = fanout ** (level - 1)
-        parent_len = child_len * fanout
+    for level, step_order, anchors, bridge in _bridged_merges(
+            current, fanout, num_levels(n, fanout), sample_every):
         current = current[step_order]
         levels.keys.append(current)
-        anchors = bridge = None
-        if cascading:
-            # step_order[j] lies in j's slab: its offset there says
-            # which child run entry j came from.
-            anchors, bridge = _bridge_from_sources(
-                step_order % parent_len, child_len, fanout, sample_every)
         levels.anchors.append(anchors)
         levels.bridges.append(bridge)
         if aggregate is not None:
             order = step_order if order is None else order[step_order]
-            levels.agg_prefix.append(
-                _permuted_prefix(aggregate, payload, order, parent_len, n))
+            levels.agg_prefix.append(_permuted_prefix(
+                aggregate, payload, order, fanout ** level, n))
     return levels
 
 
@@ -296,10 +295,9 @@ def build_levels_scalar(keys: Any, fanout: int = 2,
         parent_len = child_len * fanout
         out = np.empty_like(prev)
         out_order = np.empty_like(order)
-        # counts[c, p]: entries before output position p taken from
-        # children 0..c of their slab — the persisted input iterators.
-        counts = np.zeros((fanout - 1, n + 1), dtype=np.int64)
-        taken = [0] * (fanout - 1)
+        # source[p]: slab offset of the input entry output position p
+        # took — the persisted input iterators.
+        source = np.empty(n, dtype=np.int64)
         for slab_start in range(0, n, parent_len):
             slab_stop = min(slab_start + parent_len, n)
             heads = []
@@ -319,12 +317,11 @@ def build_levels_scalar(keys: Any, fanout: int = 2,
                         best = c
                 out[out_pos] = prev[heads[best]]
                 out_order[out_pos] = order[heads[best]]
+                source[out_pos] = heads[best] - slab_start
                 heads[best] += 1
-                for c in range(best, fanout - 1):
-                    taken[c] += 1
-                counts[:, out_pos + 1] = taken
         levels.keys.append(out)
-        anchors, bridge = _encode_bridge(counts, sample_every)
+        anchors, bridge = _bridge_from_sources(source, child_len, fanout,
+                                               sample_every)
         levels.anchors.append(anchors)
         levels.bridges.append(bridge)
         if aggregate is not None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.mst.build import choose_index_dtype
 from repro.mst.decompose import num_levels
 
 
@@ -86,6 +87,19 @@ def live_tree_bytes(n: int, fanout: int, sample_every: int,
     width = n + 1
     bridge = (fanout - 1) * (width + -(-width // sample_every) * 4)
     return height * n * key_bytes + (height - 1) * bridge
+
+
+def dense_rank_index_bytes(n: int, fanout: int, sample_every: int) -> int:
+    """Bytes of a :class:`~repro.rangetree.DenseRankIndex` over ``n``
+    keys: sorted int64 keys, ``prev`` in input and sorted order, and
+    ``2H + H(H + 1)/2`` bridges as in :func:`live_tree_bytes` for ``H``
+    levels above the input (outer, prev, and ``L`` per inner tree)."""
+    above = num_levels(n, fanout) - 1
+    width = n + 1
+    anchor_bytes = choose_index_dtype(width).itemsize
+    bridge = (fanout - 1) * (width + -(-width // sample_every) * anchor_bytes)
+    keys = n * (8 + 2 * choose_index_dtype(n).itemsize)
+    return keys + (2 * above + above * (above + 1) // 2) * bridge
 
 
 def measured_vs_model(tree) -> dict:

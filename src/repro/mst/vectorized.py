@@ -17,14 +17,15 @@ them.
   ``k``-th qualifying entry.
 * :func:`batched_aggregate` follows the two boundary paths of ``[lo, hi)``
   down, reads the prefix aggregate of every run that covers the range
-  between them, and combines those in the order of
-  :func:`repro.mst.decompose.covering_runs` — numeric prefixes with the
-  aggregate's ufunc, so float sums keep their bits, object states (AVG,
-  UDAFs) with the spec's ``merge``.
+  between them, and combines those bottom-up, at each level ``lo``'s
+  side left to right before ``hi``'s right to left — numeric prefixes
+  with the aggregate's ufunc, so float sums keep their bits, object
+  states (AVG, UDAFs) with the spec's ``merge``.
 
 Queries run in blocks of :data:`BLOCK_ROWS`, which keeps every temporary
-cache-sized. The kernels need the bridges: levels built with
-``cascading=False`` are rejected with ``ValueError``.
+cache-sized. The DENSE_RANK range tree (:mod:`repro.rangetree.dense`)
+walks the same two boundary paths and counts inside each covering run
+with the count descent (:func:`_path_prefix`).
 """
 
 from __future__ import annotations
@@ -38,13 +39,6 @@ from repro.mst.build import TreeLevels
 
 #: Queries per descent: temporaries of this many int64s stay in cache.
 BLOCK_ROWS = 1 << 14
-
-
-def _require_bridges(levels: TreeLevels) -> None:
-    if levels.height > 1 and levels.bridges[-1] is None:
-        raise ValueError(
-            "batched probes need the cascading bridges; the levels were "
-            "built with cascading=False")
 
 
 def _blocks(m: int) -> List[slice]:
@@ -108,6 +102,83 @@ def _path_child(levels: TreeLevels, level: int, start: np.ndarray,
             np.where(child < last, upper, bound), child)
 
 
+def _path_prefix(levels: TreeLevels, level: int, start: np.ndarray,
+                 bound: np.ndarray, path: np.ndarray):
+    """Down the path of slab position ``path`` from the level-``level``
+    run at ``start``, whose first ``bound`` entries qualify. Returns
+    ``(total, leaf)``: the qualifying entries at slab positions in
+    ``[start, path)``, and 1 where the entry at ``path`` qualifies."""
+    total = np.zeros(len(path), dtype=np.int64)
+    for step in range(level, 0, -1):
+        lower, upper, child = _path_child(levels, step, start, bound,
+                                          path - start)
+        total += lower
+        bound = upper - lower
+        start = start + child * levels.fanout ** (step - 1)
+    return total, bound
+
+
+def _covering_walk(trees: Sequence[TreeLevels], top: int, lo: np.ndarray,
+                   hi: np.ndarray, bounds: Sequence[np.ndarray]):
+    """Walks the two boundary paths of ``[lo, hi)`` down ``trees`` (over
+    the same slab positions, ``top + 1`` levels, top-level bounds
+    ``bounds[t]``), yielding ``(level, runs)`` from the top: the
+    level-``level`` runs that cover the range between the paths (right
+    of ``lo``'s, left of ``hi - 1``'s), ``lo``'s side left to right,
+    then ``hi``'s right to left. A run is ``(take, start, counts)``:
+    the queries it covers (empty ranges are the caller's to mask), and
+    its entries within the bound in each tree."""
+    fanout = trees[0].fanout
+    start_lo = np.zeros(len(lo), dtype=np.int64)
+    start_hi = start_lo
+    bounds_lo = bounds_hi = list(bounds)
+    # The top run covers a query only when it is the whole, full tree.
+    yield top, [((lo == 0) & (hi == fanout ** top), start_lo, bounds)]
+    for level in range(top, 0, -1):
+        child_len = fanout ** (level - 1)
+        offset_lo = lo - start_lo
+        offset_hi = hi - start_hi
+        split = start_lo != start_hi
+        below_lo = [_below(tree, level, start_lo, bound)
+                    for tree, bound in zip(trees, bounds_lo)]
+        below_hi = [_below(tree, level, start_hi, bound)
+                    for tree, bound in zip(trees, bounds_hi)]
+        edges_lo = [[0] + cuts + [b] for cuts, b in zip(below_lo, bounds_lo)]
+        edges_hi = [[0] + cuts + [b] for cuts, b in zip(below_hi, bounds_hi)]
+        runs = []
+        # lo's side: the children from the first at or after lo, unless
+        # lo starts the node (then a coarser run covers it).
+        lo_open = offset_lo > 0
+        for c in range(1, fanout):
+            take = (lo_open & (offset_lo <= c * child_len)
+                    & (split | (offset_hi >= (c + 1) * child_len)))
+            runs.append((take, start_lo + c * child_len,
+                         [edges[c + 1] - edges[c] for edges in edges_lo]))
+        # hi's side: the whole children before hi, unless hi ends the
+        # node, or lo's side already took this node's children.
+        hi_open = (offset_hi < child_len * fanout) & (split | ~lo_open)
+        for c in range(fanout - 2, -1, -1):
+            take = hi_open & (offset_hi >= (c + 1) * child_len)
+            runs.append((take, start_hi + c * child_len,
+                         [edges[c + 1] - edges[c] for edges in edges_hi]))
+        yield level - 1, runs
+        bounds_lo, child = _descend_all(below_lo, bounds_lo,
+                                        _beyond(offset_lo, child_len))
+        start_lo = start_lo + child * child_len
+        bounds_hi, child = _descend_all(below_hi, bounds_hi,
+                                        _beyond(offset_hi - 1, child_len))
+        start_hi = start_hi + child * child_len
+
+
+def _descend_all(below, bounds, passes):
+    """:func:`_descend` in every tree: inner bounds, the shared child."""
+    inside = []
+    for cuts, bound in zip(below, bounds):
+        lower, upper, child = _descend(cuts, bound, passes)
+        inside.append(upper - lower)
+    return inside, child
+
+
 def _prefix_counts(levels: TreeLevels, x: np.ndarray,
                    threshold: np.ndarray) -> np.ndarray:
     """Per query: entries at slab positions below ``x`` (``0 <= x <= n``)
@@ -117,18 +188,11 @@ def _prefix_counts(levels: TreeLevels, x: np.ndarray,
     adding the entries of the child runs left of the path at each level;
     the final leaf bound adds the last entry when ``x == n``."""
     n = levels.n
-    top = levels.height - 1
-    bound = np.searchsorted(levels.keys[top], threshold, side="left")
-    path = np.minimum(x, n - 1)
-    total = np.zeros(len(x), dtype=np.int64)
-    start = np.zeros(len(x), dtype=np.int64)
-    for level in range(top, 0, -1):
-        lower, upper, child = _path_child(levels, level, start, bound,
-                                          path - start)
-        total += lower
-        bound = upper - lower
-        start += child * levels.fanout ** (level - 1)
-    return total + np.where(x >= n, bound, 0)
+    bound = np.searchsorted(levels.keys[-1], threshold, side="left")
+    total, leaf = _path_prefix(levels, levels.height - 1,
+                               np.zeros(len(x), dtype=np.int64), bound,
+                               np.minimum(x, n - 1))
+    return total + np.where(x >= n, leaf, 0)
 
 
 def batched_count(levels: TreeLevels, lo: np.ndarray, hi: np.ndarray,
@@ -137,7 +201,6 @@ def batched_count(levels: TreeLevels, lo: np.ndarray, hi: np.ndarray,
     """For each query i: number of entries with slab position in
     ``[lo[i], hi[i])`` and key in ``[key_lo[i], key_hi[i])`` (``key_lo``
     omitted means unbounded below)."""
-    _require_bridges(levels)
     m = len(lo)
     n = levels.n
     if n == 0 or m == 0:
@@ -215,7 +278,6 @@ def batched_aggregate(levels: TreeLevels, lo: np.ndarray, hi: np.ndarray,
     as associative.
     """
     combine, identity, dtype = _combiner(levels, kind)
-    _require_bridges(levels)
     m = len(lo)
     n = levels.n
     total = np.empty(m, dtype=dtype)
@@ -235,67 +297,22 @@ def _aggregate_block(levels: TreeLevels, lo: np.ndarray, hi: np.ndarray,
                      key_hi: np.ndarray, combine: Callable,
                      total: np.ndarray) -> None:
     """:func:`batched_aggregate` over one block of queries, into
-    ``total`` in place.
-
-    The covering runs are those of
-    :func:`~repro.mst.decompose.covering_runs`: at each level, the
-    children right of ``lo``'s path and left of ``hi - 1``'s path, up to
-    the node where the two paths split. Both paths descend together; the
-    contributions are combined level by level from the bottom, ``lo``'s
-    side (left to right) before ``hi``'s (right to left)."""
-    fanout = levels.fanout
-    top = levels.height - 1
+    ``total`` in place: the contributions of :func:`_covering_walk` are
+    combined level by level from the bottom."""
     live = lo < hi
     lo = np.where(live, lo, 0)
     hi = np.where(live, hi, 1)
-    bound_lo = bound_hi = np.searchsorted(levels.keys[top], key_hi,
-                                          side="left")
-    start_lo = np.zeros(len(lo), dtype=np.int64)
-    start_hi = np.zeros(len(lo), dtype=np.int64)
+    bound = np.searchsorted(levels.keys[-1], key_hi, side="left")
     # contributions[level]: (queries, prefix position) of that level's
     # covering runs, in peeling order.
     contributions: List[List[Tuple[np.ndarray, np.ndarray]]] = [
         [] for _ in levels.keys]
-
-    def cover(level, run_start, bound, take):
-        has = live & take & (bound > 0)
-        if has.any():
-            contributions[level].append((has, run_start - 1 + bound))
-
-    # The top run covers a query only when it is the whole, full tree.
-    cover(top, 0, bound_lo, (lo == 0) & (hi == fanout ** top))
-    for level in range(top, 0, -1):
-        child_len = fanout ** (level - 1)
-        offset_lo = lo - start_lo
-        offset_hi = hi - start_hi
-        split = start_lo != start_hi
-        below_lo = _below(levels, level, start_lo, bound_lo)
-        below_hi = _below(levels, level, start_hi, bound_hi)
-        edges_lo = [0] + below_lo + [bound_lo]
-        edges_hi = [0] + below_hi + [bound_hi]
-        # lo's side: the children from the first at or after lo, unless
-        # lo starts the node (then a coarser run covers it).
-        lo_open = offset_lo > 0
-        for c in range(1, fanout):
-            take = (lo_open & (offset_lo <= c * child_len)
-                    & (split | (offset_hi >= (c + 1) * child_len)))
-            cover(level - 1, start_lo + c * child_len,
-                  edges_lo[c + 1] - edges_lo[c], take)
-        # hi's side: the whole children before hi, unless hi ends the
-        # node, or lo's side already took this node's children.
-        hi_open = (offset_hi < child_len * fanout) & (split | ~lo_open)
-        for c in range(fanout - 2, -1, -1):
-            take = hi_open & (offset_hi >= (c + 1) * child_len)
-            cover(level - 1, start_hi + c * child_len,
-                  edges_hi[c + 1] - edges_hi[c], take)
-        lower, upper, child = _descend(below_lo, bound_lo,
-                                       _beyond(offset_lo, child_len))
-        bound_lo = upper - lower
-        start_lo = start_lo + child * child_len
-        lower, upper, child = _descend(below_hi, bound_hi,
-                                       _beyond(offset_hi - 1, child_len))
-        bound_hi = upper - lower
-        start_hi = start_hi + child * child_len
+    for level, runs in _covering_walk([levels], levels.height - 1, lo, hi,
+                                      [bound]):
+        for take, start, (count,) in runs:
+            has = live & take & (count > 0)
+            if has.any():
+                contributions[level].append((has, start - 1 + count))
     for prefix, level_runs in zip(levels.agg_prefix, contributions):
         for has, at in level_runs:
             total[has] = combine(total[has], prefix[at[has]])
@@ -313,7 +330,6 @@ def batched_select(levels: TreeLevels, k: np.ndarray, key_lo: np.ndarray,
     Callers must guarantee ``k < count_qualifying`` per query (rows with
     empty frames are masked out at the window-function layer).
     """
-    _require_bridges(levels)
     k = np.asarray(k, dtype=np.int64)
     key_lo = np.atleast_2d(key_lo)
     key_hi = np.maximum(np.atleast_2d(key_hi), key_lo)

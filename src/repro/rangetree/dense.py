@@ -6,45 +6,23 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.mst.build import TreeLevels, _merge_orders, build_levels_numpy
-from repro.mst.decompose import covering_runs, num_levels
+from repro.mst.build import (DEFAULT_SAMPLE_EVERY, TreeLevels,
+                             _bridged_merges, choose_index_dtype)
+from repro.mst.decompose import num_levels
+from repro.mst.vectorized import _blocks, _covering_walk, _path_prefix
 from repro.preprocess.occurrences import previous_occurrence
 
 
-def _lower_bound_in_runs(arr: np.ndarray, start: np.ndarray,
-                         stop: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Per query ``start + searchsorted(arr[start:stop], target)``: one
-    binary search with all queries advanced in lock step."""
-    lo = np.asarray(start, dtype=np.int64).copy()
-    hi = np.asarray(stop, dtype=np.int64).copy()
-    span = int(np.max(hi - lo, initial=0))
-    for _ in range(max(span, 1).bit_length()):
-        active = lo < hi
-        if not active.any():
-            break
-        mid = (lo + hi) >> 1
-        probe = np.where(active, mid, 0)
-        go_right = active & (arr[probe] < target)
-        lo = np.where(go_right, mid + 1, lo)
-        hi = np.where(active & ~go_right, mid, hi)
-    return lo
-
-
-def _count_in_runs(levels: TreeLevels, lo: np.ndarray, hi: np.ndarray,
-                   key_hi: np.ndarray) -> np.ndarray:
-    """Per query: entries at slab positions ``[lo, hi)`` with key below
-    ``key_hi``, one binary search per covering run; no bridges needed.
-    The index asks only for ranges inside one aligned run, so only the
-    levels below it are searched — cheaper than a cascaded descent from
-    the top."""
-    total = np.zeros(len(lo), dtype=np.int64)
-    for level, run_lo, run_hi, mask in covering_runs(
-            levels.fanout, levels.height, lo, hi):
-        idx = np.flatnonzero(mask)
-        start = run_lo[idx]
-        total[idx] += _lower_bound_in_runs(
-            levels.keys[level], start, run_hi[idx], key_hi[idx]) - start
-    return total
+def _bridges(values: np.ndarray, fanout: int, height: int) -> TreeLevels:
+    """The bridges of the first ``height`` levels of a merge sort tree
+    over ``values``, without its keys."""
+    tree = TreeLevels(fanout=fanout, sample_every=DEFAULT_SAMPLE_EVERY,
+                      anchors=[None], bridges=[None])
+    for _, _, anchors, offsets in _bridged_merges(
+            values, fanout, height, DEFAULT_SAMPLE_EVERY):
+        tree.anchors.append(anchors)
+        tree.bridges.append(offsets)
+    return tree
 
 
 class DenseRankIndex:
@@ -53,22 +31,21 @@ class DenseRankIndex:
     ``keys[i]`` is row i's dense rank key (Figure 8 preprocessing). The
     dense rank of row i over frame ``[a, b)`` is::
 
-        1 + count of entries j in [a, b) with keys[j] < keys[i]
-            whose key class does not occur earlier in the frame
+        1 + #{j in [a, b) : keys[j] < keys[i] and prev[j] < a}
 
-    The "does not occur earlier" condition is the same
-    previous-occurrence trick as for distinct counts: ``prev[j] < a``.
+    (``prev[j] < a``: j is its key class's first occurrence in the
+    frame). Over frame positions: an *outer* tree over the rank keys and
+    a *prev* tree over ``prev``, which keep their top level's keys
+    (``sorted_keys``, ``sorted_prev``) and their bridges; and per outer
+    level ``L`` an *inner* tree over ``prev`` in that level's key order,
+    ``L + 1`` levels tall, which keeps only its bridges.
 
-    Layout: outer levels mirror a merge sort tree over frame positions
-    with runs sorted by key, each derived from the level below by the
-    tree build's merge (:func:`repro.mst.build._merge_orders`), with the
-    previous-occurrence values carried along as payload. Every outer
-    level ``L`` carries an inner tree (:class:`TreeLevels`) over the
-    previous-occurrence values in that level's key order, answering
-    "prev < a among the first p key-sorted entries of a run" as a 2-d
-    count. That count stays inside one aligned outer run of
-    ``fanout**L`` entries, so the inner tree of level ``L`` is built only
-    ``L + 1`` levels tall, and carries no bridges.
+    A covering run R holds the same rows in every tree. Walking the
+    frame's two boundary paths down the outer and prev trees gives each
+    R's ``p`` = #{key < K} and ``q`` = #{prev < a}. The top run of R's
+    inner tree is R sorted by ``prev``, so R contributes the first ``q``
+    of those entries that lie among its first ``p`` rows in key order:
+    one descent inside that run, one bridge gather per level.
     """
 
     def __init__(self, keys: Sequence[int], fanout: int = 2) -> None:
@@ -76,50 +53,89 @@ class DenseRankIndex:
         self.n = len(keys)
         self.fanout = fanout
         height = num_levels(self.n, fanout)
-        current_prev = previous_occurrence(keys)
-        self.key_levels: List[np.ndarray] = [keys.copy()]
-        self.inner: List[TreeLevels] = [self._inner_tree(current_prev, 0)]
-        current_keys = self.key_levels[0]
-        for level, order in _merge_orders(current_keys, fanout, height):
-            current_keys = current_keys[order]
-            current_prev = current_prev[order]
-            self.key_levels.append(current_keys)
-            self.inner.append(self._inner_tree(current_prev, level))
-
-    def _inner_tree(self, prev: np.ndarray, level: int) -> TreeLevels:
-        return build_levels_numpy(prev, fanout=self.fanout, cascading=False,
-                                  height=level + 1)
+        prev = previous_occurrence(keys)
+        #: Previous occurrence of every key, in the input order.
+        self.prev = prev.astype(choose_index_dtype(self.n))
+        self.sorted_keys = np.sort(keys)
+        self.sorted_prev = np.sort(self.prev)
+        self.prev_tree = _bridges(prev, fanout, height)
+        self.outer = _bridges(keys, fanout, 1)
+        self.inner: List[TreeLevels] = [_bridges(prev, fanout, 1)]
+        # One merge pass over the rank keys: the outer bridges, and every
+        # level's key order of ``prev``, its inner tree's input.
+        for level, order, anchors, offsets in _bridged_merges(
+                keys, fanout, height, DEFAULT_SAMPLE_EVERY):
+            self.outer.anchors.append(anchors)
+            self.outer.bridges.append(offsets)
+            prev = prev[order]
+            self.inner.append(_bridges(prev, fanout, level + 1))
 
     @property
-    def prev(self) -> np.ndarray:
-        """Previous occurrence of every key in the input order (level 0)."""
-        return self.inner[0].keys[0]
+    def height(self) -> int:
+        """Levels of the outer tree, the level-0 input included."""
+        return len(self.outer.bridges)
+
+    def trees(self) -> List[TreeLevels]:
+        """Every bridged tree: outer, prev, then the inner trees."""
+        return [self.outer, self.prev_tree] + self.inner
 
     def batched_dense_rank(self, lo: np.ndarray, hi: np.ndarray,
                            keys: np.ndarray) -> np.ndarray:
         """DENSE_RANK of every row at once: row ``i`` has rank key
-        ``keys[i]`` and frame ``[lo[i], hi[i])``.
-
-        Peels the covering runs of each frame (the merge-sort-tree
-        decomposition), locates each row's rank key inside the run's key
-        order with a batched binary search, then counts first-in-frame
-        occurrences among that key prefix with a batched 2-d count on
-        the level's inner tree.
-        """
-        lo = np.asarray(lo, dtype=np.int64)
-        hi = np.asarray(hi, dtype=np.int64)
+        ``keys[i]`` and frame ``[lo[i], hi[i])``. An empty or inverted
+        frame ranks 1."""
+        m = len(lo)
+        total = np.ones(m, dtype=np.int64)  # dense rank starts at 1
+        if self.n == 0 or m == 0:
+            return total
+        lo = np.clip(np.asarray(lo, dtype=np.int64), 0, self.n)
+        hi = np.clip(np.asarray(hi, dtype=np.int64), 0, self.n)
         keys = np.asarray(keys, dtype=np.int64)
-        total = np.ones(len(lo), dtype=np.int64)  # dense rank starts at 1
-        for level, run_lo, run_hi, mask in covering_runs(
-                self.fanout, len(self.key_levels), lo, hi):
-            idx = np.flatnonzero(mask)
-            start = run_lo[idx]
-            bound = _lower_bound_in_runs(self.key_levels[level], start,
-                                         run_hi[idx], keys[idx])
-            total[idx] += _count_in_runs(self.inner[level], start, bound,
-                                         lo[idx])
+        for block in _blocks(m):
+            total[block] += self._count_block(lo[block], hi[block],
+                                              keys[block])
         return total
 
+    def _count_block(self, lo: np.ndarray, hi: np.ndarray,
+                     key: np.ndarray) -> np.ndarray:
+        """#{j in [lo, hi) : keys[j] < key, prev[j] < lo} for one block:
+        ``p`` and ``q`` walk down the outer and prev trees together."""
+        live = lo < hi
+        lo = np.where(live, lo, 0)
+        hi = np.where(live, hi, 1)
+        bounds = [np.searchsorted(self.sorted_keys, key, side="left"),
+                  np.searchsorted(self.sorted_prev, lo, side="left")]
+        count = np.zeros(len(lo), dtype=np.int64)
+        for level, runs in _covering_walk([self.outer, self.prev_tree],
+                                          self.height - 1, lo, hi, bounds):
+            self._count_runs(count, level, live, runs)
+        return count
+
+    def _count_runs(self, count: np.ndarray, level: int, live: np.ndarray,
+                    runs) -> None:
+        """Adds to ``count`` what each level-``level`` run ``(take, start,
+        (p, q))`` contributes: of its first ``p`` rows in key order, those
+        among the ``q`` whose ``prev`` is below the frame."""
+        parts = []
+        for take, run_start, (run_p, run_q) in runs:
+            at = np.flatnonzero(live & take & (run_p > 0) & (run_q > 0))
+            parts.append((at, run_start[at], run_p[at], run_q[at]))
+        rows, start, p, q = map(np.concatenate, zip(*parts))
+        if not len(rows):
+            return
+        length = np.minimum(start + self.fanout ** level, self.n) - start
+        # A run whose rows all pass one condition contributes the count
+        # of the other; only the rest descend their inner tree.
+        found = np.minimum(p, q)
+        partial = np.flatnonzero((p < length) & (q < length))
+        if len(partial):
+            start = start[partial]
+            found[partial] = _path_prefix(self.inner[level], level, start,
+                                          q[partial], start + p[partial])[0]
+        np.add.at(count, rows, found)
+
     def memory_bytes(self) -> int:
-        return sum(level.nbytes for level in self.key_levels) + sum(
-            level.nbytes for inner in self.inner for level in inner.keys)
+        arrays = [self.prev, self.sorted_keys, self.sorted_prev]
+        for tree in self.trees():
+            arrays += [a for a in tree.anchors + tree.bridges if a is not None]
+        return sum(a.nbytes for a in arrays)

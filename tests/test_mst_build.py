@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.mst.aggregates import MAX, MIN, SUM
 from repro.mst.build import (
     _bridge_from_sources,
+    _bridged_merges,
     _new_levels,
     _permuted_prefix,
     build_levels_numpy,
@@ -290,10 +291,13 @@ def test_codes_overflow_path_matches_lexsort(fanout, rng):
 
 @pytest.mark.parametrize("fanout", [2, 3, 4])
 def test_height_caps_the_levels(fanout, rng):
+    """The merges of a capped height (the DENSE_RANK index's inner
+    trees) are the full tree's lower levels and bridges."""
     keys = rng.integers(0, 20, size=70)
     full = build_levels_numpy(keys, fanout=fanout)
-    for height in range(1, full.height + 2):
-        capped = build_levels_numpy(keys, fanout=fanout, height=height)
-        assert capped.height == min(height, full.height)
-        for a, b in zip(capped.keys, full.keys):
-            assert np.array_equal(a, b)
+    for height in range(1, full.height + 1):
+        capped = list(_bridged_merges(keys, fanout, height, 256))
+        assert [level for level, *_ in capped] == list(range(1, height))
+        for level, _, anchors, offsets in capped:
+            assert np.array_equal(anchors, full.anchors[level])
+            assert np.array_equal(offsets, full.bridges[level])

@@ -1,15 +1,15 @@
 """The cascaded batched kernels against the lock-step kernels they
 replaced.
 
-``_lockstep_*`` below are the batched count / select / aggregate the
-package shipped before the kernels read the cascading bridges: they peel
-each query's covering runs bottom-up and binary-search inside every run,
-all queries in lock step. The peel is
-:func:`repro.mst.decompose.covering_runs`, the in-run search the one the
-DENSE_RANK index keeps. They need no bridges, so they are an
-independent reference for the cascaded descent. Results must be equal
-array for array — float bits included, since the aggregate adds its
-runs' contributions in the peel's order.
+``lockstep_count`` and ``_lockstep_*`` below are the batched count /
+select / aggregate the package shipped before the kernels read the
+cascading bridges: they peel each query's covering runs bottom-up and
+binary-search inside every run, all queries in lock step. The peel and
+the in-run search are ``covering_runs`` and ``lockstep_lower_bound`` in
+``conftest.py``. They read no bridge, so they are an independent
+reference for the cascaded descent. Results must be equal array for
+array — float bits included, since the aggregate adds its runs'
+contributions in the peel's order.
 """
 
 import numpy as np
@@ -17,8 +17,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import covering_runs, lockstep_count
+from conftest import lockstep_lower_bound as _lockstep_lower_bound
 from repro.mst import MAX, MIN, SUM, MergeSortTree
-from repro.mst.decompose import covering_runs
 from repro.mst.persist import load_tree, save_tree
 from repro.mst.vectorized import (
     batched_aggregate,
@@ -27,7 +28,6 @@ from repro.mst.vectorized import (
 )
 from repro.parallel.probes import ProcessProbes
 from repro.parallel.scheduler import WindowScheduler
-from repro.rangetree.dense import _lower_bound_in_runs as _lockstep_lower_bound
 
 # No max_examples: the count comes from the active Hypothesis profile.
 generated = settings(deadline=None,
@@ -40,22 +40,6 @@ SAMPLINGS = st.sampled_from([1, 4, 32, 256])
 # ----------------------------------------------------------------------
 # the reference: lock-step binary search inside every covering run
 # ----------------------------------------------------------------------
-def _lockstep_count(levels, lo, hi, key_hi, key_lo=None):
-    total = np.zeros(len(lo), dtype=np.int64)
-    for level, run_lo, run_hi, mask in covering_runs(
-            levels.fanout, levels.height, lo, hi):
-        keys = levels.keys[level]
-        idx = np.flatnonzero(mask)
-        start, stop = run_lo[idx], run_hi[idx]
-        upper = _lockstep_lower_bound(keys, start, stop, key_hi[idx])
-        if key_lo is None:
-            total[idx] += upper - start
-        else:
-            total[idx] += upper - _lockstep_lower_bound(keys, start, stop,
-                                                        key_lo[idx])
-    return total
-
-
 _IDENTITY = {"sum": 0.0, "min": np.inf, "max": -np.inf}
 
 
@@ -164,7 +148,7 @@ def test_count_matches_lockstep(case, with_key_lo):
     key_hi = _thresholds(rng, keys, m)
     key_lo = key_hi - rng.integers(-2, 12, size=m) if with_key_lo else None
     got = batched_count(tree.levels, lo, hi, key_hi, key_lo=key_lo)
-    _same_bits(got, _lockstep_count(tree.levels, lo, hi, key_hi, key_lo))
+    _same_bits(got, lockstep_count(tree.levels, lo, hi, key_hi, key_lo))
 
 
 @generated
@@ -179,8 +163,8 @@ def test_count_from_slab_start_matches_lockstep(case, zero_lo):
     key_hi = _thresholds(rng, keys, m)
     key_lo = key_hi - 5
     got = batched_count(tree.levels, lo, hi, key_hi, key_lo=key_lo)
-    _same_bits(got, _lockstep_count(tree.levels, lo, np.maximum(hi, lo),
-                                    key_hi, key_lo))
+    _same_bits(got, lockstep_count(tree.levels, lo, np.maximum(hi, lo),
+                                   key_hi, key_lo))
 
 
 @generated

@@ -1,11 +1,14 @@
-"""Run decomposition: coverage, alignment and size bounds."""
+"""Run decomposition: coverage, alignment and size bounds of the
+covering-run peel the lock-step oracles (``conftest.covering_runs``)
+are built on, and the tree's level count."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mst.decompose import covering_runs, max_runs_per_level, num_levels
+from conftest import covering_runs, max_runs_per_level
+from repro.mst.decompose import num_levels
 
 
 def _runs(lo, hi, fanout, n):

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import lockstep_count
 from repro.mst import AVG, MAX, MIN, SUM, MergeSortTree
 from repro.mst.build import build_levels_numpy, build_levels_scalar
 from repro.mst.stats import measured_vs_model
 from repro.mst.vectorized import batched_aggregate, batched_count
-from repro.rangetree.dense import _count_in_runs
 
 
 def _oracle_count(keys, slab_ranges, key_ranges):
@@ -29,20 +29,18 @@ class TestCount:
         (4, 8, False),
     ])
     def test_count_below_random(self, fanout, k, bridged, rng):
-        """The tree's count, and the bridge-less levels' run search the
-        DENSE_RANK index uses."""
+        """The tree's count, and a binary search per covering run over
+        the same levels' keys, which reads no bridge."""
         n = 150
         keys = rng.integers(-1, n, size=n)
         tree = MergeSortTree(keys, fanout=fanout, sample_every=k)
-        plain = build_levels_numpy(keys, fanout=fanout, sample_every=k,
-                                   cascading=False)
         for _ in range(100):
             lo, hi = sorted(rng.integers(0, n + 1, size=2))
             threshold = int(rng.integers(-2, n + 2))
             if bridged:
                 got = tree.count_below(lo, hi, threshold)
             else:
-                got = int(_count_in_runs(plain, np.array([lo]),
+                got = int(lockstep_count(tree.levels, np.array([lo]),
                                          np.array([hi]),
                                          np.array([threshold]))[0])
             assert got == int(np.sum(keys[lo:hi] < threshold))
@@ -87,18 +85,16 @@ class TestCount:
     def test_cascaded_equals_plain(self, rng):
         """Fractional cascading is an optimisation, never a semantic
         change (Section 4.2): the cascaded descent equals a binary search
-        per covering run on levels built without bridges."""
+        per covering run, which reads no bridge."""
         n = 130
         keys = rng.integers(0, 40, size=n)
         for fanout, k in [(2, 1), (2, 8), (4, 4), (8, 32)]:
-            fast = build_levels_numpy(keys, fanout=fanout, sample_every=k)
-            slow = build_levels_numpy(keys, fanout=fanout, sample_every=k,
-                                      cascading=False)
+            levels = build_levels_numpy(keys, fanout=fanout, sample_every=k)
             lo = rng.integers(0, n + 1, size=60)
             hi = np.minimum(lo + rng.integers(0, n + 1, size=60), n)
             t = rng.integers(-1, 41, size=60)
-            assert np.array_equal(batched_count(fast, lo, hi, t),
-                                  _count_in_runs(slow, lo, hi, t))
+            assert np.array_equal(batched_count(levels, lo, hi, t),
+                                  lockstep_count(levels, lo, hi, t))
 
 
 class TestSelect:

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import covering_runs
+from conftest import lockstep_lower_bound as _lower_bound_in_runs
 from repro.mst import SUM, MergeSortTree, make_udaf
-from repro.mst.build import build_levels_numpy
-from repro.mst.decompose import covering_runs
 from repro.parallel.probes import ProcessProbes
 from repro.parallel.scheduler import WindowScheduler
 from repro.mst.vectorized import (
@@ -15,9 +15,6 @@ from repro.mst.vectorized import (
     batched_count,
     batched_select,
 )
-# The lock-step in-run search left the cascaded kernels; the DENSE_RANK
-# index, which counts inside one aligned run, keeps it.
-from repro.rangetree.dense import _lower_bound_in_runs
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +24,8 @@ def process_scheduler():
 
 
 class TestBatchedLowerBound:
-    """The range tree's lock-step binary search inside runs."""
+    """The lock-step binary search inside runs that the count oracles
+    (``conftest.lockstep_count``) run, against ``searchsorted``."""
 
     def test_matches_searchsorted_within_runs(self, rng):
         arr = np.sort(rng.integers(0, 100, size=64))
@@ -199,21 +197,6 @@ class TestBatchedAggregate:
         with pytest.raises(ValueError):
             batched_aggregate(tree.levels, np.array([0]), np.array([10]),
                               np.array([3]), "sum")
-
-
-def test_tree_without_bridges_rejected(rng):
-    """The batched kernels have one path, the cascaded descent: levels
-    built without bridges are an error, not a slower fallback."""
-    keys = rng.integers(0, 5, size=10)
-    levels = build_levels_numpy(keys, cascading=False, aggregate=SUM,
-                                payload=np.ones(10))
-    one = np.array([0]), np.array([10]), np.array([3])
-    with pytest.raises(ValueError, match="cascading"):
-        batched_count(levels, *one)
-    with pytest.raises(ValueError, match="cascading"):
-        batched_aggregate(levels, *one, "sum")
-    with pytest.raises(ValueError, match="cascading"):
-        batched_select(levels, np.array([0]), np.array([0]), np.array([5]))
 
 
 @pytest.mark.parametrize("fanout", [2, 3, 4])

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cache import structure_breakdown
+from repro.mst.build import DEFAULT_SAMPLE_EVERY
 from repro.mst.decompose import num_levels
+from repro.mst.stats import dense_rank_index_bytes
+from repro.mst.vectorized import BLOCK_ROWS
 from repro.preprocess.occurrences import previous_occurrence
 from repro.rangetree import DenseRankIndex
 
@@ -76,15 +79,32 @@ class TestDenseRankIndex:
         assert structure_breakdown(index).total == index.memory_bytes()
 
     @pytest.mark.parametrize("fanout", [2, 3, 4])
+    @pytest.mark.parametrize("n", [0, 1, 2, 9, 27, 64, 100, 60_000])
+    def test_memory_bytes_predicted_exactly(self, fanout, n, rng):
+        """``dense_rank_index_bytes`` needs only (n, f, k): keys count as
+        levels, every anchor and offset as pointers."""
+        index = DenseRankIndex(rng.integers(0, 50, size=n), fanout=fanout)
+        breakdown = structure_breakdown(index)
+        assert dense_rank_index_bytes(n, fanout, DEFAULT_SAMPLE_EVERY) == \
+            index.memory_bytes() == breakdown.total
+        assert breakdown.levels == n * (8 + 2 * index.prev.itemsize)
+        assert breakdown.prefixes == breakdown.other == 0
+
+    @pytest.mark.parametrize("fanout", [2, 3, 4])
     @pytest.mark.parametrize("n", [0, 1, 2, 9, 27, 64, 100])
     def test_inner_trees_as_tall_as_their_outer_run(self, fanout, n, rng):
+        """Outer and prev trees are full height, the inner tree of outer
+        level L has L + 1 levels, and none of them keeps its keys."""
         keys = rng.integers(0, 6, size=n)
         index = DenseRankIndex(keys, fanout=fanout)
         height = num_levels(n, fanout)
-        assert len(index.key_levels) == height
-        assert [inner.height for inner in index.inner] == \
-            [min(level + 1, height) for level in range(height)]
+        assert index.height == height
+        assert len(index.prev_tree.bridges) == height
+        assert [len(inner.bridges) for inner in index.inner] == \
+            [level + 1 for level in range(height)]
+        assert not any(tree.keys for tree in index.trees())
         assert np.array_equal(index.prev, previous_occurrence(keys))
+        assert np.array_equal(index.sorted_keys, np.sort(keys))
 
     @pytest.mark.parametrize("fanout", [2, 3, 4])
     def test_frames_that_are_one_aligned_outer_run(self, fanout, rng):
@@ -95,7 +115,7 @@ class TestDenseRankIndex:
         keys = rng.integers(0, 7, size=n)
         index = DenseRankIndex(keys, fanout=fanout)
         thresholds = np.arange(9)
-        for level in range(len(index.key_levels)):
+        for level in range(index.height):
             run = fanout ** level
             for start in range(0, n - run + 1, run):
                 lo = np.full(len(thresholds), start)
@@ -147,3 +167,60 @@ class TestBatchedDenseRank:
             want = len({k for k in keys[lo[i]:hi[i]]
                         if k < keys[i]}) + 1
             assert got[i] == want
+
+
+# ----------------------------------------------------------------------
+# generated cases against a brute force written here
+# ----------------------------------------------------------------------
+def _brute_force_ranks(keys, lo, hi, thresholds):
+    """Per query: 1 + the distinct keys below its threshold in
+    ``[lo, hi)``, by sorting every frame's qualifying keys."""
+    keys = np.asarray(keys, dtype=np.int64)
+    width = max(int(np.max(hi - lo, initial=0)), 1)
+    at = lo[:, None] + np.arange(width)
+    inside = at < hi[:, None]
+    values = keys[np.minimum(at, len(keys) - 1)] if len(keys) else at
+    none = np.iinfo(np.int64).max
+    below = np.where(inside & (values < thresholds[:, None]), values, none)
+    below.sort(axis=1)
+    first = np.ones(below.shape, dtype=bool)
+    first[:, 1:] = below[:, 1:] != below[:, :-1]
+    return 1 + (first & (below != none)).sum(axis=1)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fanout=st.sampled_from([2, 3, 4]), exponent=st.integers(0, 4),
+       shift=st.sampled_from([-1, 0, 1]), classes=st.integers(1, 12),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_dense_rank_against_brute_force(fanout, exponent, shift,
+                                                classes, seed):
+    """n on, just below and just above a power of the fanout; random,
+    empty, inverted and whole-array frames; thresholds inside the key
+    domain and below and above it."""
+    n = max(fanout ** exponent + shift, 0)
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(0, classes, size=n)
+    m = 60
+    lo = rng.integers(0, n + 1, size=m)
+    hi = rng.integers(0, n + 1, size=m)  # about half of them inverted
+    lo[:4], hi[:4] = 0, n
+    hi[4:8] = lo[4:8]
+    thresholds = rng.integers(-2, classes + 2, size=m)
+    thresholds[:2] = -1, classes
+    index = DenseRankIndex(keys, fanout=fanout)
+    got = index.batched_dense_rank(lo, hi, thresholds)
+    assert got.tolist() == _brute_force_ranks(keys, lo, hi,
+                                              thresholds).tolist()
+
+
+def test_more_queries_than_one_block(rng):
+    """Blocks of :data:`BLOCK_ROWS` queries: the last one partial."""
+    n = 3_000
+    keys = rng.integers(0, 40, size=n)
+    m = BLOCK_ROWS + 1_000
+    lo = rng.integers(0, n + 1, size=m)
+    hi = np.minimum(lo + rng.integers(0, 120, size=m), n)
+    thresholds = rng.integers(-1, 42, size=m)
+    got = DenseRankIndex(keys).batched_dense_rank(lo, hi, thresholds)
+    assert got.tolist() == _brute_force_ranks(keys, lo, hi,
+                                              thresholds).tolist()
