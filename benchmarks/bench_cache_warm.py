@@ -4,8 +4,9 @@ The serving pattern the cache targets (ROADMAP north star): one
 long-lived session, the same windowed queries arriving repeatedly over
 unchanged data. Cold runs pay the O(n log n) builds; warm runs are pure
 probes against cached trees. A second experiment squeezes the byte
-budget until structures evict, spill to disk and reload, measuring the
-cost of serving from a budget smaller than the working set.
+budget until structures are evicted and rebuilt on their next use,
+measuring the cost of serving from a budget smaller than the working
+set.
 """
 
 import pytest
@@ -93,22 +94,28 @@ def test_eviction_under_tight_budget(table):
 
     series = BenchSeries(
         f"Structure cache — eviction under a byte budget (n = {n})",
-        ["budget_bytes", "seconds", "evictions", "spills", "reloads",
+        ["budget_bytes", "seconds", "evictions", "rebuilds",
          "bytes_in_use"])
     for fraction in (None, 1.0, 0.5, 0.1):
         budget = None if fraction is None else int(working_set * fraction)
         cache = StructureCache(budget_bytes=budget)
         window_query(table, calls, spec, cache=cache)  # populate
+        populated = cache.stats().misses
         seconds, _ = measure_with_memory(
             lambda: window_query(table, calls, spec, cache=cache))
         stats = cache.stats()
+        rebuilds = stats.misses - populated
         series.add("unlimited" if budget is None else budget, seconds,
-                   stats.evictions, stats.spills, stats.reloads,
-                   stats.bytes_in_use)
+                   stats.evictions, rebuilds, stats.bytes_in_use)
         cache.close()
+        if fraction is None or fraction >= 1.0:
+            assert rebuilds == 0, "a resident working set rebuilds nothing"
+        else:
+            assert stats.evictions > 0 and rebuilds > 0, \
+                "a budget below the working set evicts and rebuilds"
     series.meta["working_set_bytes"] = int(working_set)
     series.note("budgets below the working set trade probe-only serving "
-                "for spill-and-reload on every run")
+                "for rebuilding evicted trees on every run")
     emit(series)
     print(f"  saved: {save_series_json(series)}")
 

@@ -8,22 +8,16 @@ the memory of the fastest one. The last column is the layout this
 package builds instead (an exact bridge count per position, f - 1 bytes
 per entry and level), whose memory grows with f rather than f / k.
 
-Also demonstrates spooling a tree to disk and loading it back
-(Section 5.1: "If necessary, they could also be spooled to disk").
-
 Run with::
 
     python examples/fanout_tuning.py
 """
 
-import tempfile
 import time
-from pathlib import Path
 
 import numpy as np
 
 from repro import MemoryModel, MergeSortTree
-from repro.mst.persist import load_tree, save_tree
 from repro.mst.stats import live_tree_bytes
 from repro.mst.vectorized import batched_count
 
@@ -63,22 +57,5 @@ def sweep(n: int = 20_000, queries: int = 4_000) -> None:
           f"fastest cell")
 
 
-def spooling_demo() -> None:
-    rng = np.random.default_rng(1)
-    keys = rng.integers(0, 5_000, size=5_000)
-    tree = MergeSortTree(keys, fanout=32, sample_every=32)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "tree.npz"
-        save_tree(tree, path)
-        size_kb = path.stat().st_size / 1024
-        loaded = load_tree(path)
-        assert loaded.count_below(100, 4_000, 2_500) == \
-            tree.count_below(100, 4_000, 2_500)
-        print(f"\nspooled a {tree.n:,}-key tree to disk "
-              f"({size_kb:.0f} KiB compressed) and restored it; "
-              f"queries agree")
-
-
 if __name__ == "__main__":
     sweep()
-    spooling_demo()

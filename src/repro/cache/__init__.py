@@ -18,10 +18,8 @@ This package provides that reuse as a first-class subsystem:
   configurable global memory budget;
 * :mod:`repro.cache.store` — a thread-safe LRU :class:`StructureCache`
   with pinning and hit/miss/eviction counters, so cached trees can be
-  shared read-only by concurrent queries;
-* :mod:`repro.cache.spill` — on eviction, structures spool to disk in
-  the :mod:`repro.mst.persist` format and transparently reload on the
-  next hit.
+  shared read-only by concurrent queries; an evicted tree is dropped
+  and rebuilt on its next use.
 
 The window operator and the SQL executor integrate the cache end-to-end:
 ``WindowOperator(table, cache=...)`` routes every structure build through
@@ -40,13 +38,11 @@ from repro.cache.fingerprint import (
     table_fingerprint,
     window_group_key,
 )
-from repro.cache.spill import SpillManager
 from repro.cache.store import CacheStats, StructureAcquirer, StructureCache
 
 __all__ = [
     "CacheStats",
     "MemoryBudget",
-    "SpillManager",
     "StructureAcquirer",
     "StructureCache",
     "StructureSizeBreakdown",

@@ -1,13 +1,14 @@
-"""Thread-safe LRU structure store with pinning, budget and spill.
+"""Thread-safe LRU structure store with pinning and a byte budget.
 
 The cache maps canonical keys (built by :mod:`repro.cache.fingerprint`
 plus a structure kind and per-call configuration) to live index
 structures. Entries are charged real measured bytes (via
 :mod:`repro.cache.budget`) against an optional global budget; when the
 budget is exceeded the least-recently-used *unpinned* entries are
-evicted — spilled to disk when :mod:`repro.cache.spill` can round-trip
-them, dropped otherwise. A spilled entry keeps its slot (with a
-near-zero charge) and transparently reloads on the next acquire.
+evicted — dropped, so the next acquire of that key rebuilds the
+structure through its builder and counts a miss. (Writing a tree to
+disk and reading it back costs several times its build, so an evicted
+tree is never kept anywhere.)
 
 Pinning exists because the window operator probes a partition's
 structures many times between acquire and release — possibly while
@@ -26,17 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.cache.budget import MemoryBudget, structure_bytes
-from repro.cache.spill import SpillManager, can_spill
-from repro.errors import (
-    CircuitOpenError,
-    SpillCorruptionError,
-    VerificationError,
-)
 from repro.resilience.context import current_context
-from repro.resilience.verify import verify_structure
-
-#: Residual charge for a spilled entry: key + path bookkeeping, not data.
-_SPILLED_RESIDUAL_BYTES = 64
 
 
 @dataclass
@@ -46,70 +37,38 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    spills: int = 0
-    reloads: int = 0
-    corruptions: int = 0      # spilled entries that failed reload
-    spill_failures: int = 0   # evictions degraded to drops by write errors
-    spill_retries: int = 0    # transient-I/O retry attempts
-    breaker_skips: int = 0    # spills/reloads skipped by an open breaker
-    verifications: int = 0    # reload invariant checks run
-    verify_failures: int = 0  # reloads rejected by invariant checks
     bytes_in_use: int = 0
     budget_bytes: Optional[int] = None
     entries: int = 0
-    spilled_entries: int = 0
     pinned_entries: int = 0   # entries with pins > 0 (0 when quiescent)
 
     def render(self) -> List[str]:
         """Human-readable lines for ``EXPLAIN`` output."""
         budget = ("unlimited" if self.budget_bytes is None
                   else f"{self.budget_bytes:,} B")
-        lines = [
+        return [
             f"hits={self.hits} misses={self.misses} "
-            f"evictions={self.evictions} spills={self.spills} "
-            f"reloads={self.reloads}",
-            f"entries={self.entries} ({self.spilled_entries} spilled, "
-            f"{self.pinned_entries} pinned) "
+            f"evictions={self.evictions}",
+            f"entries={self.entries} ({self.pinned_entries} pinned) "
             f"bytes={self.bytes_in_use:,} budget={budget}",
         ]
-        if self.corruptions or self.spill_failures or self.spill_retries:
-            lines.append(
-                f"corruptions={self.corruptions} "
-                f"spill_failures={self.spill_failures} "
-                f"spill_retries={self.spill_retries}")
-        if self.breaker_skips or self.verify_failures:
-            lines.append(
-                f"breaker_skips={self.breaker_skips} "
-                f"verify_failures={self.verify_failures}")
-        return lines
 
 
 @dataclass
 class _CacheEntry:
     key: Tuple
-    structure: Any          # None while spilled out
-    nbytes: int             # currently charged against the budget
-    live_bytes: int         # measured size when resident
+    structure: Any
+    nbytes: int             # charged against the budget
     pins: int = 0
-    spill_path: Optional[str] = None
-    spill_meta: Any = None
-
-    @property
-    def spilled(self) -> bool:
-        return self.structure is None and self.spill_path is not None
 
 
 class StructureCache:
     """LRU cache of window index structures.
 
-    ``budget_bytes=None`` means unlimited (never evicts). ``spill=False``
-    turns eviction into plain dropping even for spillable trees.
+    ``budget_bytes=None`` means unlimited (never evicts).
     """
 
     def __init__(self, budget_bytes: Optional[int] = None,
-                 spill_dir: Optional[str] = None, spill: bool = True,
-                 spill_retries: int = 2, spill_backoff: float = 0.01,
-                 spill_sleep=None, verify_reload: bool = True,
                  governor=None) -> None:
         self._lock = threading.RLock()
         self._entries: "OrderedDict[Tuple, _CacheEntry]" = OrderedDict()
@@ -119,13 +78,6 @@ class StructureCache:
         #: the ``structure_cache`` tag, and session-wide pressure drives
         #: eviction exactly like the private budget does.
         self._governor = governor
-        self._spill_enabled = spill
-        self._spill = SpillManager(spill_dir, max_retries=spill_retries,
-                                   backoff=spill_backoff, sleep=spill_sleep)
-        #: Run structural invariants on every reload: a bit-flip that
-        #: survived the CRC (or a decoder bug) is caught at the trust
-        #: boundary and answered by a rebuild, not a wrong result.
-        self._verify_reload = verify_reload
         self._stats = CacheStats(budget_bytes=budget_bytes)
 
     # ------------------------------------------------------------------
@@ -135,83 +87,28 @@ class StructureCache:
                 pin: bool = True) -> Any:
         """Return the structure for ``key``, building it on first use.
 
-        A hit moves the entry to the MRU end; a hit on a spilled entry
-        reloads it from disk first (counted in ``stats().reloads``).
-        With ``pin=True`` (the default) the entry is protected from
-        eviction until a matching :meth:`release`.
-
-        A spilled entry whose file fails its checksum (or cannot be read
-        after retries) is *not* an error: the corrupt file is discarded,
-        the slot dropped, and the structure rebuilt from source via
-        ``builder`` — counted in ``stats().corruptions``.
+        A hit moves the entry to the MRU end. With ``pin=True`` (the
+        default) the entry is protected from eviction until a matching
+        :meth:`release`. A key whose entry was evicted is a miss: the
+        structure is rebuilt through ``builder``.
         """
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None and entry.spilled:
-                self._entries.move_to_end(key)
-                ctx = current_context()
-                try:
-                    # The fault site is inside the try so an injected
-                    # OSError rides the same rebuild path a real one
-                    # would.
-                    ctx.fire("cache.reload")
-                    entry.structure = self._spill.load(entry.spill_path,
-                                                       entry.spill_meta)
-                    if self._verify_reload:
-                        self._stats.verifications += 1
-                        try:
-                            verify_structure(entry.structure)
-                        except VerificationError:
-                            self._stats.verify_failures += 1
-                            ctx.record_verification(failed=True)
-                            entry.structure = None
-                            raise
-                        ctx.record_verification()
-                except (SpillCorruptionError, OSError,
-                        VerificationError):
-                    # Rebuild-on-corruption: drop the poisoned slot and
-                    # fall through to the build path below.
-                    self._stats.corruptions += 1
-                    ctx.record_corruption()
-                    self._spill.discard(entry.spill_path)
-                    self._release(entry.nbytes)
-                    del self._entries[key]
-                    entry = None
-                except CircuitOpenError:
-                    # The spill.read breaker is open: skip the disk
-                    # entirely and rebuild from source. Keep counters
-                    # honest — this is degradation, not corruption.
-                    self._stats.breaker_skips += 1
-                    self._spill.discard(entry.spill_path)
-                    self._release(entry.nbytes)
-                    del self._entries[key]
-                    entry = None
-                else:
-                    self._spill.discard(entry.spill_path)
-                    entry.spill_path = None
-                    entry.spill_meta = None
-                    self._release(entry.nbytes)
-                    entry.nbytes = entry.live_bytes
-                    self._charge(entry.nbytes)
-                    self._stats.reloads += 1
-                    ctx.telemetry.count_cache_reload()
             if entry is not None:
                 self._entries.move_to_end(key)
                 self._stats.hits += 1
                 current_context().telemetry.count_cache_hit()
                 if pin:
                     entry.pins += 1
-                # Hold a local reference before re-running eviction: an
-                # unpinned hit under a tight budget may spill this very
-                # entry back out, nulling ``entry.structure``.
-                structure = entry.structure
+                # An unpinned hit under a tight budget may drop this very
+                # entry again; ``entry`` still holds the structure.
                 self._evict_to_budget()
-                return structure
+                return entry.structure
 
             structure = builder()
             nbytes = structure_bytes(structure)
             entry = _CacheEntry(key=key, structure=structure, nbytes=nbytes,
-                                live_bytes=nbytes, pins=1 if pin else 0)
+                                pins=1 if pin else 0)
             self._entries[key] = entry
             self._charge(nbytes)
             self._stats.misses += 1
@@ -275,48 +172,19 @@ class StructureCache:
         while self._over_any_budget():
             victim = self._lru_victim()
             if victim is None:
-                return  # everything left is pinned or already spilled
+                return  # everything left is pinned
             self._evict(victim)
 
     def _lru_victim(self) -> Optional[_CacheEntry]:
         for entry in self._entries.values():
-            if entry.pins == 0 and not entry.spilled:
+            if entry.pins == 0:
                 return entry
         return None
 
     def _evict(self, entry: _CacheEntry) -> None:
         self._stats.evictions += 1
-        if self._spill_enabled and can_spill(entry.structure):
-            try:
-                # Fault site first, so an injected OSError degrades the
-                # eviction exactly like a real write failure.
-                current_context().fire("cache.evict")
-                path, meta = self._spill.spill(entry.structure)
-            except OSError:
-                # Spill writes kept failing: degrade the eviction to a
-                # plain drop rather than failing the unrelated acquire
-                # that triggered it. The structure rebuilds on next use.
-                self._stats.spill_failures += 1
-                self._release(entry.nbytes)
-                del self._entries[entry.key]
-                return
-            except CircuitOpenError:
-                # The spill.write breaker is open: drop instead of
-                # queueing this eviction behind a dead disk.
-                self._stats.breaker_skips += 1
-                self._release(entry.nbytes)
-                del self._entries[entry.key]
-                return
-            entry.spill_path = path
-            entry.spill_meta = meta
-            entry.structure = None
-            self._release(entry.nbytes)
-            entry.nbytes = _SPILLED_RESIDUAL_BYTES
-            self._charge(entry.nbytes)
-            self._stats.spills += 1
-        else:
-            self._release(entry.nbytes)
-            del self._entries[entry.key]
+        self._release(entry.nbytes)
+        del self._entries[entry.key]
 
     # ------------------------------------------------------------------
     # introspection / lifecycle
@@ -324,24 +192,14 @@ class StructureCache:
     def stats(self) -> CacheStats:
         """A snapshot of the counters (safe to keep after cache changes)."""
         with self._lock:
-            spilled = sum(1 for e in self._entries.values() if e.spilled)
             pinned = sum(1 for e in self._entries.values() if e.pins > 0)
             return CacheStats(
                 hits=self._stats.hits,
                 misses=self._stats.misses,
                 evictions=self._stats.evictions,
-                spills=self._stats.spills,
-                reloads=self._stats.reloads,
-                corruptions=self._stats.corruptions,
-                spill_failures=self._stats.spill_failures,
-                spill_retries=self._spill.retries,
-                breaker_skips=self._stats.breaker_skips,
-                verifications=self._stats.verifications,
-                verify_failures=self._stats.verify_failures,
                 bytes_in_use=self._budget.used,
                 budget_bytes=self._budget.total,
                 entries=len(self._entries),
-                spilled_entries=spilled,
                 pinned_entries=pinned,
             )
 
@@ -357,32 +215,23 @@ class StructureCache:
              "counter", (), [((), s.misses)]),
             ("repro_cache_evictions_total", "Structure cache evictions.",
              "counter", (), [((), s.evictions)]),
-            ("repro_cache_spills_total", "Structures spilled to disk.",
-             "counter", (), [((), s.spills)]),
-            ("repro_cache_reloads_total", "Structures reloaded from spill.",
-             "counter", (), [((), s.reloads)]),
             ("repro_cache_bytes_in_use", "Bytes held by cached structures.",
              "gauge", (), [((), s.bytes_in_use)]),
-            ("repro_cache_entries", "Cached structures, by residence.",
-             "gauge", ("state",),
-             [(("resident",), s.entries - s.spilled_entries),
-              (("spilled",), s.spilled_entries)]),
+            ("repro_cache_entries", "Cached structures.",
+             "gauge", (), [((), s.entries)]),
             ("repro_cache_hit_ratio", "Lifetime structure-cache hit ratio.",
              "gauge", (), [((), s.hits / lookups if lookups else 0.0)]),
         ]
 
     def clear(self) -> None:
-        """Drop every entry (including pinned ones) and spill files."""
+        """Drop every entry, including pinned ones."""
         with self._lock:
             for entry in self._entries.values():
                 self._release(entry.nbytes)
-                if entry.spill_path is not None:
-                    self._spill.discard(entry.spill_path)
             self._entries.clear()
 
     def close(self) -> None:
         self.clear()
-        self._spill.close()
 
     def __enter__(self) -> "StructureCache":
         return self

@@ -28,10 +28,10 @@ class ConfigurationError(ReproError, ValueError):
 
     Raised at :class:`~repro.sql.config.SessionConfig` /
     :class:`~repro.sql.config.QueryOptions` construction time, so a bad
-    combination (negative timeout, unknown priority, a spill directory
-    with spilling disabled) fails before any query runs rather than
-    deep inside execution. Also a :class:`ValueError` so pre-dataclass
-    call sites that caught ``ValueError`` keep working."""
+    combination (negative timeout, unknown priority, a shadow
+    verification rate outside [0, 1]) fails before any query runs
+    rather than deep inside execution. Also a :class:`ValueError` so
+    pre-dataclass call sites that caught ``ValueError`` keep working."""
 
     code = "INVALID_CONFIG"
 
@@ -268,10 +268,10 @@ class CircuitOpenError(ResilienceError):
     """A circuit breaker is open for the named resource.
 
     Raised *instead of* attempting the protected operation (a structure
-    build, a spill write or read) after repeated failures tripped the
-    breaker. Callers treat it like the underlying failure it stands in
-    for: structure builds degrade to the baseline evaluator, spill
-    writes degrade evictions to drops, spill reads rebuild from source.
+    build, a dispatch to the worker pool) after repeated failures
+    tripped the breaker. Callers treat it like the underlying failure
+    it stands in for: structure builds degrade to the baseline
+    evaluator, window groups run serial instead of on the pool.
     """
 
     code = "CIRCUIT_OPEN"
@@ -299,12 +299,11 @@ class WorkerPoolError(ResilienceError):
 
 
 class VerificationError(ResilienceError):
-    """A structure or result failed self-verification.
+    """A result failed self-verification.
 
-    Raised when a reloaded index structure violates its structural
-    invariants (and could not be rebuilt), or when sampled shadow
-    verification finds the fast evaluator diverging from the naive
-    oracle. Signals silent corruption — never retried, always surfaced.
+    Raised when sampled shadow verification finds the fast evaluator
+    diverging from the naive oracle. Signals silent corruption — never
+    retried, always surfaced.
     """
 
     code = "VERIFICATION_FAILED"
@@ -324,13 +323,3 @@ class StructureBuildError(ResilienceError):
             f"building structure {kind!r} failed: "
             f"{type(cause).__name__}: {cause}")
         self.kind = kind
-
-
-class SpillCorruptionError(ResilienceError):
-    """A spilled structure failed its checksum or could not be decoded.
-
-    The structure cache recovers by discarding the spill file and
-    rebuilding the structure from source data; this error only escapes
-    when recovery itself is impossible."""
-
-    code = "SPILL_CORRUPTED"

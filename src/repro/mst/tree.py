@@ -185,9 +185,9 @@ class MergeSortTree:
         """Validate the structural invariants every query relies on.
 
         Cheap, fully vectorised checks (O(n) per level, no per-entry
-        Python loop) intended for the cache/spill reload path: a tree
-        that deserialised without error can still be silently wrong,
-        and a wrong tree answers every count/select/aggregate wrong.
+        Python loop), used as a test oracle: a tree that built without
+        error can still be silently wrong, and a wrong tree answers
+        every count/select/aggregate wrong.
         Raises ``ValueError`` naming the first violated invariant.
 
         Checked: equal level lengths; run-sortedness of every level;

@@ -1,10 +1,10 @@
-"""Per-query scalar telemetry: cache, spill, queue and scheduler counts.
+"""Per-query scalar telemetry: cache, queue and scheduler counts.
 
 Where :mod:`repro.obs.trace` records *when* things happened,
 :class:`QueryTelemetry` records *how many* — cheap enough to stay on
 even when tracing is off. One instance rides on every
 :class:`~repro.resilience.context.ExecutionContext`; the cache store,
-spill manager, gateway and scheduler increment it through
+gateway and scheduler increment it through
 ``current_context().telemetry``, and
 :class:`~repro.sql.result.QueryStats` snapshots it when the query
 returns. Counters take a small lock because morsel tasks on pool
@@ -22,21 +22,14 @@ __all__ = ["QueryTelemetry"]
 class QueryTelemetry:
     """Thread-safe per-query counters (see module docstring)."""
 
-    __slots__ = ("_lock", "cache_hits", "cache_misses", "cache_reloads",
-                 "structure_builds", "spill_writes", "spill_reads",
-                 "spill_bytes_written", "spill_bytes_read",
+    __slots__ = ("_lock", "cache_hits", "cache_misses", "structure_builds",
                  "queue_wait_seconds", "morsels", "strategies")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self.cache_hits = 0
         self.cache_misses = 0
-        self.cache_reloads = 0
         self.structure_builds = 0
-        self.spill_writes = 0
-        self.spill_reads = 0
-        self.spill_bytes_written = 0
-        self.spill_bytes_read = 0
         self.queue_wait_seconds = 0.0
         self.morsels = 0
         #: Per window group, the scheduler strategy chosen (in order).
@@ -53,23 +46,9 @@ class QueryTelemetry:
         with self._lock:
             self.cache_misses += 1
 
-    def count_cache_reload(self) -> None:
-        with self._lock:
-            self.cache_reloads += 1
-
     def count_structure_build(self) -> None:
         with self._lock:
             self.structure_builds += 1
-
-    def count_spill_write(self, nbytes: int) -> None:
-        with self._lock:
-            self.spill_writes += 1
-            self.spill_bytes_written += int(nbytes)
-
-    def count_spill_read(self, nbytes: int) -> None:
-        with self._lock:
-            self.spill_reads += 1
-            self.spill_bytes_read += int(nbytes)
 
     def add_queue_wait(self, seconds: float) -> None:
         with self._lock:
@@ -96,13 +75,8 @@ class QueryTelemetry:
             return {
                 "cache_hits": self.cache_hits,
                 "cache_misses": self.cache_misses,
-                "cache_reloads": self.cache_reloads,
                 "structure_builds": self.structure_builds,
                 "structure_reuses": self.cache_hits,
-                "spill_writes": self.spill_writes,
-                "spill_reads": self.spill_reads,
-                "spill_bytes_written": self.spill_bytes_written,
-                "spill_bytes_read": self.spill_bytes_read,
                 "queue_wait_seconds": self.queue_wait_seconds,
                 "morsels": self.morsels,
                 "strategies": list(self.strategies),

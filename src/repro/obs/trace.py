@@ -5,7 +5,7 @@ A :class:`Tracer` travels on the query's
 :class:`Span` per instrumented phase — ``gateway.wait``, ``parse``,
 ``plan``, ``partition``, ``window.group``, ``structure.build`` /
 ``structure.reuse`` (per cache key), ``probe`` (per evaluator call),
-``spill.write`` / ``spill.read``, ``worker.pool`` — each carrying
+``worker.pool`` — each carrying
 wall-clock start/duration, the recording thread, and free-form
 attributes (row counts, byte counts, cache keys, strategies).
 

@@ -243,8 +243,7 @@ class CountedBTree:
     def check_invariants(self) -> None:
         """Validate size caches, key ordering and leaf depth.
 
-        Used by tests and by the resilience layer's
-        :func:`~repro.resilience.verify.verify_structure`: per-node key
+        Used by tests as an oracle: per-node key
         sortedness and child counts, recursively validated subtree size
         caches, uniform leaf depth (B-trees are perfectly balanced),
         and global sortedness of the full in-order traversal —

@@ -8,8 +8,7 @@ in a zero-copy ``np.ndarray`` view. Result scatter buffers are plain
 writable segments the children fill at disjoint global row positions,
 so output assembly needs no result pickling for the numeric hot path.
 
-Robustness mirrors the spill-file discipline of
-:mod:`repro.cache.spill`:
+Robustness rests on four rules:
 
 * **pid-tagged names** — segments are named
   ``repro-shm-p<pid>-<hex>`` (group-transient) or
@@ -146,10 +145,10 @@ def _atexit_sweep() -> None:  # pragma: no cover - interpreter shutdown
 def sweep_orphan_segments(directory: str = _SHM_DIR) -> int:
     """Remove shm segments owned by *dead* processes; returns count.
 
-    Mirrors :func:`repro.cache.spill.sweep_orphans`: only this module's
-    naming scheme is targeted, and a segment whose pid tag names a live
-    process belongs to a concurrent session and is skipped. Called once
-    per process when the first pool starts (and directly by tests)."""
+    Only this module's naming scheme is targeted, and a segment whose
+    pid tag names a live process belongs to a concurrent session and is
+    skipped. Called once per process when the first pool starts (and
+    directly by tests)."""
     if not os.path.isdir(directory):
         return 0
     removed = 0

@@ -4,8 +4,8 @@ injection and graceful degradation.
 The fast path of this engine is the paper's merge-sort-tree evaluator;
 this package is what makes the slow and broken paths survivable in a
 long-lived serving process: per-query deadlines and cooperative
-cancellation checked at batch boundaries, resource ceilings, checksummed
-and retried spill I/O, transparent fallback to the baseline evaluators,
+cancellation checked at batch boundaries, resource ceilings, circuit
+breakers, transparent fallback to the baseline evaluators,
 and a deterministic fault-injection harness that makes all of it
 testable. See DESIGN.md ("Resilience layer") for the full model.
 """
@@ -40,7 +40,6 @@ from repro.resilience.guard import (
 from repro.resilience.verify import (
     compare_results,
     values_match,
-    verify_structure,
 )
 
 __all__ = [
@@ -70,5 +69,4 @@ __all__ = [
     "fallback_call",
     "guarded_builder",
     "values_match",
-    "verify_structure",
 ]

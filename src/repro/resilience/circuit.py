@@ -1,4 +1,4 @@
-"""Per-resource circuit breakers around structure builds and spill I/O.
+"""Per-resource circuit breakers around structure builds and the worker pool.
 
 A long-lived serving process under concurrent traffic must not let a
 failing backend (a full disk, a poisoned build path) drag every query
@@ -7,9 +7,9 @@ failures a :class:`CircuitBreaker` *trips* and subsequent calls fail
 fast with a typed :class:`~repro.errors.CircuitOpenError` instead of
 attempting the operation. Because every protected resource has a
 degraded alternative — structure builds fall back to the baseline
-evaluators, spill writes degrade evictions to drops, spill reads
-rebuild from source — an open breaker reroutes work, it never fails a
-query on its own.
+evaluators, window groups run serial instead of on a broken worker
+pool — an open breaker reroutes work, it never fails a query on its
+own.
 
 State machine (the classic three states):
 
@@ -204,10 +204,10 @@ class CircuitBreaker:
 class BreakerRegistry:
     """The session's breakers, one per protected resource, lazily made.
 
-    The wired resources are ``structure.build``, ``spill.write`` and
-    ``spill.read`` (matching the fault-injection sites of the same
-    names); :meth:`get` creates others on demand with the registry's
-    defaults so new seams need no registration step.
+    The wired resources are ``structure.build`` (matching the
+    fault-injection site of the same name) and ``worker.pool``;
+    :meth:`get` creates others on demand with the registry's defaults
+    so new seams need no registration step.
     """
 
     def __init__(self, failure_threshold: int = 5,

@@ -110,17 +110,15 @@ class HealthCounters:
 
     timeouts: int = 0
     cancellations: int = 0
-    retries: int = 0          # spill I/O retry attempts that happened
     fallbacks: int = 0        # evaluator downgrades to a baseline
     faults: int = 0           # injected faults that actually fired
-    corruptions: int = 0      # spilled structures that failed validation
     limit_hits: int = 0       # resource-limit violations
     admitted: int = 0         # queries admitted through the gateway
     queue_waits: int = 0      # admissions that had to park in a queue
     shed: int = 0             # gateway rejections (queue full / timed out)
     breaker_trips: int = 0          # circuit breakers tripped open
     breaker_short_circuits: int = 0  # calls rejected by an open breaker
-    verifications: int = 0          # structural + shadow checks run
+    verifications: int = 0          # shadow checks run
     verification_failures: int = 0  # checks that found divergence
     worker_crashes: int = 0         # pool workers that died or hung
     worker_restarts: int = 0        # pool workers respawned
@@ -132,10 +130,8 @@ class HealthCounters:
     def merge(self, other: "HealthCounters") -> None:
         self.timeouts += other.timeouts
         self.cancellations += other.cancellations
-        self.retries += other.retries
         self.fallbacks += other.fallbacks
         self.faults += other.faults
-        self.corruptions += other.corruptions
         self.limit_hits += other.limit_hits
         self.admitted += other.admitted
         self.queue_waits += other.queue_waits
@@ -161,8 +157,8 @@ class HealthCounters:
         ``verifications``) are excluded: a healthy session that merely
         ran queries through the gateway stays quiet in ``EXPLAIN``.
         """
-        return bool(self.timeouts or self.cancellations or self.retries
-                    or self.fallbacks or self.faults or self.corruptions
+        return bool(self.timeouts or self.cancellations
+                    or self.fallbacks or self.faults
                     or self.limit_hits or self.shed or self.breaker_trips
                     or self.breaker_short_circuits
                     or self.verification_failures
@@ -173,9 +169,8 @@ class HealthCounters:
         """Human-readable lines for ``EXPLAIN`` / session stats."""
         lines = [
             f"timeouts={self.timeouts} cancellations={self.cancellations} "
-            f"retries={self.retries} fallbacks={self.fallbacks}",
-            f"faults={self.faults} corruptions={self.corruptions} "
-            f"limit_hits={self.limit_hits}",
+            f"fallbacks={self.fallbacks}",
+            f"faults={self.faults} limit_hits={self.limit_hits}",
         ]
         if self.admitted or self.shed or self.queue_waits:
             lines.append(
@@ -248,7 +243,7 @@ class ExecutionContext:
         #: the shared no-op :data:`~repro.obs.trace.NULL_TRACER` when
         #: tracing is off, so hot paths guard with ``tracer.enabled``.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Per-query scalar counters (cache, spill, queue, scheduler);
+        #: Per-query scalar counters (cache, queue, scheduler);
         #: always live — cheap enough to never turn off.
         self.telemetry = QueryTelemetry()
         self._refresh_armed()
@@ -324,12 +319,6 @@ class ExecutionContext:
         if description not in self.health.downgrades:
             self.health.downgrades.append(description)
 
-    def record_retry(self, attempts: int = 1) -> None:
-        self.health.retries += attempts
-
-    def record_corruption(self) -> None:
-        self.health.corruptions += 1
-
     # ------------------------------------------------------------------
     # circuit breakers and verification
     # ------------------------------------------------------------------
@@ -358,7 +347,7 @@ class ExecutionContext:
         return mixed / 2 ** 32 < self.verify_rate
 
     def record_verification(self, failed: bool = False) -> None:
-        """Count one structural or shadow check (and its outcome)."""
+        """Count one shadow check (and its outcome)."""
         self.health.verifications += 1
         if failed:
             self.health.verification_failures += 1

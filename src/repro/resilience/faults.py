@@ -2,27 +2,18 @@
 
 Failure handling is only trustworthy when the failures themselves are
 reproducible: this module lets tests (and chaos-style benchmarks) arm
-named *sites* in the execution stack — spill writes, spill reads,
-structure builds, parallel workers — with an exact schedule of
+named *sites* in the execution stack — structure builds, parallel
+workers, admission, memory reservations — with an exact schedule of
 exceptions. A site fires on specific call numbers, so a test can say
-"the first two spill writes fail with EIO, the third succeeds" and get
-the same run every time.
+"the first two structure builds fail, the third succeeds" and get the
+same run every time.
 
 Sites currently wired into the engine:
 
-* ``spill.write``   — inside :meth:`repro.cache.spill.SpillManager.spill`,
-  once per write attempt (so retries re-fire it);
-* ``spill.read``    — inside :meth:`repro.cache.spill.SpillManager.load`,
-  once per read attempt;
 * ``structure.build`` — around every index-structure build routed
   through :meth:`repro.window.evaluators.common.CallInput.structure`;
 * ``parallel.morsel`` — before every morsel or probe-range task the
   :class:`~repro.parallel.procpool.ProcessPool` dispatches;
-* ``cache.evict``    — at the start of every structure-cache eviction
-  (:meth:`repro.cache.store.StructureCache._evict`), before the spill
-  write;
-* ``cache.reload``   — at the start of every cache reload from the
-  spill directory, before the spill read;
 * ``gateway.admit``  — on every admission attempt at the
   :class:`~repro.resilience.gateway.QueryGateway`;
 * ``circuit.probe``  — on every half-open probe a
@@ -69,7 +60,7 @@ from typing import Callable, Dict, List, Optional
 
 
 def _default_exception(site: str) -> Exception:
-    if site.startswith(("spill.", "shm.")):
+    if site.startswith("shm."):
         return OSError(f"injected I/O fault at {site!r}")
     return RuntimeError(f"injected fault at {site!r}")
 
@@ -161,10 +152,8 @@ class FaultInjector:
 NO_FAULTS = FaultInjector()
 
 _KNOWN_SITES = frozenset({
-    "spill.write", "spill.read", "structure.build",
-    "parallel.morsel", "cache.evict",
-    "cache.reload", "gateway.admit", "circuit.probe",
-    "memory.reserve", "worker.spawn", "worker.heartbeat",
+    "structure.build", "parallel.morsel", "gateway.admit",
+    "circuit.probe", "memory.reserve", "worker.spawn", "worker.heartbeat",
     "worker.retry", "shm.attach", "join.build", "cte.materialize",
 })
 

@@ -11,7 +11,10 @@ happens for structure builds. Every build routed through
   ExecutionContext` (a deadline can expire between builds),
 * fires the ``structure.build`` fault-injection site,
 * converts unexpected build failures into a typed
-  :class:`~repro.errors.StructureBuildError`, and
+  :class:`~repro.errors.StructureBuildError` (a ``MemoryError`` passes
+  through unconverted: running out of memory says nothing about the
+  build path, so it degrades that one call without striking the
+  session-wide ``structure.build`` breaker), and
 * enforces ``limits.max_structure_bytes`` on the finished structure
   (raising :class:`~repro.errors.ResourceLimitError`).
 
@@ -83,7 +86,7 @@ def guarded_builder(kind: str,
             ctx.fire("structure.build")
             structure = builder()
         except (QueryTimeoutError, QueryCancelledError,
-                ResourceLimitError, CircuitOpenError):
+                ResourceLimitError, CircuitOpenError, MemoryError):
             raise
         except StructureBuildError:
             breaker_failure(ctx, breaker)

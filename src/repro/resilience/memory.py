@@ -29,14 +29,14 @@ hope, and one oversized window query could OOM a multi-tenant process.
   does not — no inputs or second result buffer copied into shared
   memory for worker processes.
 
-The one thing a budget moves to disk is index structures: evicted merge
-sort trees spill and reload on the next hit (the structure cache's
-:mod:`repro.cache.spill`).
+A budget moves nothing to disk: an evicted index structure is dropped
+from the structure cache and rebuilt on its next use, which costs less
+than writing it out and reading it back.
 
 The degradation ladder under pressure, best outcome first::
 
     fits in budget        -> run in memory (fast paths, cached trees)
-    cache over budget     -> evict trees, spill them, reload on hit
+    cache over budget     -> evict LRU trees; rebuild on next use
     group exceeds headroom-> serial, in memory
     structure > budget    -> naive evaluators
     batch reservation wait
@@ -236,7 +236,7 @@ class MemoryGovernor:
 
         Soft reservations (interactive queries) always succeed; going
         past the budget is recorded as a pressure event and answered
-        downstream by spilling / fallback, not by refusal. Hard
+        downstream by eviction / fallback, not by refusal. Hard
         reservations (batch queries) wait in ``_WAIT_SLICE`` clock
         slices — checkpointing ``ctx`` so deadlines and cancellation
         surface mid-wait — and raise

@@ -1,27 +1,15 @@
-"""Structural self-verification and shadow-result comparison.
+"""Shadow-result comparison against the naive oracle.
 
-Two complementary defences against *silent* corruption — the failure
-mode the rest of the resilience layer cannot see, because nothing
-raises:
+A defence against *silent* corruption — the failure mode the rest of
+the resilience layer cannot see, because nothing raises.
+:func:`compare_results` backs *sampled shadow verification*: the
+evaluator dispatch re-answers a configurable fraction of partitions
+with the naive oracle and diffs the rows. Sampling is deterministic
+(see ``ExecutionContext.shadow_sample``), so a divergence found once
+is found every run.
 
-* :func:`verify_structure` runs a structure's cheap structural
-  invariants (run-sortedness per merge-sort-tree level, cascading
-  bridges that decode to the stable merge of their child runs,
-  prefix-aggregate monotonicity; segment-tree
-  level recomputation; order-statistic-tree size caches and key order).
-  The cache calls it whenever a structure crosses a trust boundary — a
-  reload from the spill directory — so a bit-flip that survived the
-  CRC, or a decoder bug, surfaces as a typed
-  :class:`~repro.errors.VerificationError` instead of a wrong answer.
-
-* :func:`compare_results` backs *sampled shadow verification*: the
-  evaluator dispatch re-answers a configurable fraction of partitions
-  with the naive oracle and diffs the rows. Sampling is deterministic
-  (see ``ExecutionContext.shadow_sample``), so a divergence found once
-  is found every run.
-
-Both report through the context's
-:class:`~repro.resilience.context.HealthCounters` at the call sites;
+The outcome reports through the context's
+:class:`~repro.resilience.context.HealthCounters` at the call site;
 this module is pure checking logic with no counter side effects.
 """
 
@@ -30,36 +18,11 @@ from __future__ import annotations
 import math
 from typing import Any, Optional, Sequence, Tuple
 
-from repro.errors import VerificationError
-
 #: Relative/absolute tolerance for float shadow comparison; summation
 #: order differs between the tree evaluators and the naive oracle, so
 #: exact equality would false-positive on ordinary float drift.
 REL_TOL = 1e-9
 ABS_TOL = 1e-9
-
-
-def verify_structure(structure: Any) -> None:
-    """Run ``structure``'s structural invariants, if it has any.
-
-    Dispatches on a ``check_invariants()`` method (the merge-sort tree,
-    segment tree and counted B-tree all provide one); structures
-    without invariants pass silently, so the verifier is safe to call
-    on anything the cache may hold. ``AssertionError`` / ``ValueError``
-    from the checker are translated into
-    :class:`~repro.errors.VerificationError` with the structure kind in
-    the message.
-    """
-    checker = getattr(structure, "check_invariants", None)
-    if checker is None:
-        return
-    try:
-        checker()
-    except (AssertionError, ValueError) as exc:
-        detail = str(exc) or type(exc).__name__
-        raise VerificationError(
-            f"structural invariant violated in "
-            f"{type(structure).__name__}: {detail}") from exc
 
 
 def values_match(fast: Any, naive: Any) -> bool:

@@ -84,8 +84,7 @@ class SegmentTree:
         Recomputes each level from the one below with the tree's own
         combine op (bit-identical for the numpy kinds, ``==`` for
         generic merges) — O(n) total. Raises ``ValueError`` on the
-        first inconsistent level; used by the resilience layer's
-        cache-reload verification.
+        first inconsistent level; used by the tests as an oracle.
         """
         combine = self.merge if self.merge is not None \
             else _VECTOR_KINDS[self.kind][0]

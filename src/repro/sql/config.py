@@ -5,8 +5,8 @@
 guardrail defaults, gateway admission, breaker tuning, verification
 sampling, worker count — plus the observability switches, into one
 frozen dataclass that validates at construction. A bad combination
-(negative timeout, unknown priority, spill directory with spilling
-disabled) raises :class:`~repro.errors.ConfigurationError` before any
+(negative timeout, unknown priority, a shadow-verification rate
+outside [0, 1]) raises :class:`~repro.errors.ConfigurationError` before any
 query runs, instead of surfacing as an arbitrary failure deep inside
 execution.
 
@@ -80,8 +80,8 @@ class SessionConfig:
 
     Field groups mirror the subsystems they configure:
 
-    * cache: ``budget_bytes``, ``spill_dir``, ``spill``,
-      ``verify_reload``;
+    * cache: ``budget_bytes`` (an evicted structure is dropped and
+      rebuilt on next use);
     * plan cache: ``plan_cache_bytes`` (LRU budget for parsed
       statements; ``0`` disables, ``None`` is unlimited);
     * memory governor: ``memory_budget_bytes`` (session-wide byte
@@ -107,8 +107,6 @@ class SessionConfig:
     budget_bytes: Optional[int] = None
     plan_cache_bytes: Optional[int] = 8 << 20
     memory_budget_bytes: Optional[int] = None
-    spill_dir: Optional[str] = None
-    spill: bool = True
     timeout: Optional[float] = None
     limits: Optional[Any] = None  # ResourceLimits
     faults: Optional[Any] = None  # FaultInjector
@@ -120,7 +118,6 @@ class SessionConfig:
     breaker_reset: float = 30.0
     verify_rate: float = 0.0
     verify_seed: int = 0
-    verify_reload: bool = True
     workers: Optional[int] = None
     arena_bytes: Optional[int] = None
     trace: Optional[bool] = None
@@ -138,9 +135,6 @@ class SessionConfig:
                  or self.memory_budget_bytes > 0,
                  f"memory_budget_bytes must be > 0, "
                  f"got {self.memory_budget_bytes}")
-        _require(self.spill or self.spill_dir is None,
-                 "spill_dir was given but spill=False; either enable "
-                 "spilling or drop the directory")
         _require(self.timeout is None or self.timeout > 0,
                  f"timeout must be > 0 seconds, got {self.timeout}")
         _require(self.max_concurrent >= 1,
@@ -172,8 +166,8 @@ class SessionConfig:
         """Build a config from ``REPRO_*`` environment variables.
 
         Recognised: ``REPRO_BUDGET_BYTES``, ``REPRO_PLAN_CACHE_BYTES``,
-        ``REPRO_MEMORY_BUDGET``, ``REPRO_SPILL_DIR``, ``REPRO_SPILL``,
-        ``REPRO_TIMEOUT``, ``REPRO_MAX_CONCURRENT``, ``REPRO_MAX_QUEUE``,
+        ``REPRO_MEMORY_BUDGET``, ``REPRO_TIMEOUT``,
+        ``REPRO_MAX_CONCURRENT``, ``REPRO_MAX_QUEUE``,
         ``REPRO_QUEUE_TIMEOUT``, ``REPRO_BREAKER_THRESHOLD``,
         ``REPRO_BREAKER_RESET``,
         ``REPRO_VERIFY_RATE``, ``REPRO_VERIFY_SEED``, ``REPRO_WORKERS``,
@@ -191,8 +185,6 @@ class SessionConfig:
         put("budget_bytes", _env_int(env, "REPRO_BUDGET_BYTES"))
         put("plan_cache_bytes", _env_int(env, "REPRO_PLAN_CACHE_BYTES"))
         put("memory_budget_bytes", _env_int(env, "REPRO_MEMORY_BUDGET"))
-        put("spill_dir", env.get("REPRO_SPILL_DIR") or None)
-        put("spill", _env_bool(env, "REPRO_SPILL"))
         put("timeout", _env_float(env, "REPRO_TIMEOUT"))
         put("max_concurrent", _env_int(env, "REPRO_MAX_CONCURRENT"))
         put("max_queue", _env_int(env, "REPRO_MAX_QUEUE"))

@@ -34,9 +34,9 @@ def explain(sql_or_ast: Union[str, ast.SelectStmt],
 
     ``health`` is an optional
     :class:`~repro.resilience.context.HealthCounters`; when any
-    guardrail event has been recorded (timeout, cancellation, spill
-    retry, evaluator fallback, injected fault, corruption, limit hit,
-    shed query, breaker trip, verification failure) a ``Resilience``
+    guardrail event has been recorded (timeout, cancellation,
+    evaluator fallback, injected fault, limit hit, shed query, breaker
+    trip, verification failure) a ``Resilience``
     section lists the counters and each recorded evaluator downgrade —
     so a query that silently degraded to a baseline evaluator is still
     visible after the fact.
@@ -59,8 +59,8 @@ def explain(sql_or_ast: Union[str, ast.SelectStmt],
     analyze=True)``) turns the rendering into EXPLAIN ANALYZE: plan
     nodes are annotated with that execution's actual row counts and
     wall times, and an ``Execution (actual)`` section summarises the
-    per-phase timings, cache build/reuse counts, spill traffic, and
-    scheduler decisions recorded by the query's trace.
+    per-phase timings, cache build/reuse counts and scheduler decisions
+    recorded by the query's trace.
 
     ``catalog`` (a :class:`~repro.sql.catalog.Catalog`) plans the
     statement against real table scopes, so equi-keyed inner/left
@@ -147,8 +147,7 @@ def _execution_section(analysis: Any) -> List[str]:
         return lines
     phase_order = ["gateway.wait", "parse", "plan", "cte.materialize",
                    "join.build", "join.probe", "partition",
-                   "window.group", "structure.build", "probe",
-                   "spill.write", "spill.read"]
+                   "window.group", "structure.build", "probe"]
     totals = {name: [0, 0.0] for name in phase_order}
     for span in root.walk():
         bucket = totals.get(span.name)

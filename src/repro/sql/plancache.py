@@ -20,7 +20,7 @@ level up:
 * **byte-budgeted LRU** — entries are charged a measured recursive
   size of their AST against ``budget_bytes`` and the least-recently-
   used entries are evicted beyond it (plans are pure parse products,
-  so eviction is always a plain drop — nothing to spill);
+  so an evicted one is simply re-parsed on its next use);
 * **observable** — hit/miss/eviction counters surface in ``EXPLAIN``
   (PlanCache section) and the session ``MetricsRegistry``
   (``repro_plan_cache_*``).

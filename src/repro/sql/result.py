@@ -2,7 +2,7 @@
 
 ``Session.execute`` returns a :class:`QueryResult`: the result
 :class:`~repro.table.table.Table` plus a per-query
-:class:`QueryStats` (guardrail health delta, cache and spill counts,
+:class:`QueryStats` (guardrail health delta, cache counts,
 queue wait, scheduler strategies), the span tree when the query ran
 under tracing, and :meth:`QueryResult.explain` for the annotated plan.
 
@@ -25,9 +25,7 @@ class QueryStats:
     """One query's execution record (see module docstring)."""
 
     __slots__ = ("elapsed_seconds", "priority", "health", "cache_hits",
-                 "cache_misses", "cache_reloads", "structure_builds",
-                 "structure_reuses", "spill_writes", "spill_reads",
-                 "spill_bytes_written", "spill_bytes_read",
+                 "cache_misses", "structure_builds", "structure_reuses",
                  "queue_wait_seconds", "morsels", "strategies", "outcome")
 
     def __init__(self, elapsed_seconds: float, priority: str,
@@ -41,13 +39,8 @@ class QueryStats:
         self.outcome = outcome
         self.cache_hits = telemetry.get("cache_hits", 0)
         self.cache_misses = telemetry.get("cache_misses", 0)
-        self.cache_reloads = telemetry.get("cache_reloads", 0)
         self.structure_builds = telemetry.get("structure_builds", 0)
         self.structure_reuses = telemetry.get("structure_reuses", 0)
-        self.spill_writes = telemetry.get("spill_writes", 0)
-        self.spill_reads = telemetry.get("spill_reads", 0)
-        self.spill_bytes_written = telemetry.get("spill_bytes_written", 0)
-        self.spill_bytes_read = telemetry.get("spill_bytes_read", 0)
         self.queue_wait_seconds = telemetry.get("queue_wait_seconds", 0.0)
         self.morsels = telemetry.get("morsels", 0)
         #: Scheduler strategy per window group, in evaluation order.
@@ -74,11 +67,7 @@ class QueryStats:
             f"queue_wait={self.queue_wait_seconds * 1000.0:.3f}ms",
             f"structures: built={self.structure_builds} "
             f"reused={self.structure_reuses} "
-            f"cache hits={self.cache_hits} misses={self.cache_misses} "
-            f"reloads={self.cache_reloads}",
-            f"spill: writes={self.spill_writes} reads={self.spill_reads} "
-            f"bytes_out={self.spill_bytes_written} "
-            f"bytes_in={self.spill_bytes_read}",
+            f"cache hits={self.cache_hits} misses={self.cache_misses}",
         ]
         if self.strategies:
             lines.append(f"parallel: strategies={','.join(self.strategies)} "

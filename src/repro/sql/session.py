@@ -84,18 +84,19 @@ class Session:
 
     The serving pattern the cache targets: one long-lived session, many
     queries against slowly-changing tables. Every structure built by a
-    window evaluator is kept (up to ``budget_bytes``, with LRU spill to
-    disk beyond it) and reused whenever a later query needs the same
-    structure over the same data.
+    window evaluator is kept (up to ``budget_bytes``; beyond it the
+    least-recently-used trees are dropped and rebuilt on next use) and
+    reused whenever a later query needs the same structure over the
+    same data.
 
     Each query runs under its own
     :class:`~repro.resilience.context.ExecutionContext`. ``timeout`` and
     ``limits`` given here are session-wide defaults; per-call arguments
     to :meth:`execute` override them. ``clock``/``faults`` exist for
-    deterministic testing (simulated deadlines, injected I/O failures).
+    deterministic testing (simulated deadlines, injected failures).
     Guardrail telemetry accumulates across queries in
     :meth:`health_stats` and renders in :meth:`explain` — a query that
-    timed out, retried spill I/O or degraded to a baseline evaluator
+    timed out, tripped a breaker or degraded to a baseline evaluator
     leaves a visible trace.
 
     Concurrency is governed by a session-wide
@@ -106,10 +107,10 @@ class Session:
     arrivals beyond that are shed with a typed
     :class:`~repro.errors.QueryRejectedError`. A session-wide
     :class:`~repro.resilience.circuit.BreakerRegistry` protects
-    structure builds and spill I/O: after ``breaker_threshold``
+    structure builds and the worker pool: after ``breaker_threshold``
     consecutive failures the resource fails fast for ``breaker_reset``
-    seconds (degrading to the naive evaluators / drops / rebuilds)
-    before a half-open probe tests recovery. ``verify_rate`` enables
+    seconds (degrading to the naive evaluators / serial groups) before
+    a half-open probe tests recovery. ``verify_rate`` enables
     sampled shadow verification: that fraction of (call, partition)
     evaluations is re-answered by the naive oracle and any divergence
     raises :class:`~repro.errors.VerificationError`.
@@ -157,16 +158,13 @@ class Session:
         #: Session-wide byte ledger (see repro.resilience.memory):
         #: query reservations, structure-cache and plan-cache bytes all
         #: charge one budget, and pressure triggers eviction (trees
-        #: spill to disk), serial groups or typed shedding instead of
-        #: unbounded growth.
+        #: are dropped and rebuilt on next use), serial groups or typed
+        #: shedding instead of unbounded growth.
         from repro.resilience.memory import MemoryGovernor
         from repro.sql.config import resolve_memory_budget
         self.memory = MemoryGovernor(resolve_memory_budget(config),
                                      clock=config.clock)
         self.cache = StructureCache(budget_bytes=config.budget_bytes,
-                                    spill_dir=config.spill_dir,
-                                    spill=config.spill,
-                                    verify_reload=config.verify_reload,
                                     governor=self.memory)
         self.default_timeout = config.timeout
         self.default_limits = config.limits
@@ -365,7 +363,7 @@ class Session:
         With ``analyze=True`` the query actually executes under tracing
         (through normal gateway admission) and each plan node / EXPLAIN
         section is annotated with this execution's wall times and
-        build/reuse/spill counts.
+        build/reuse counts.
 
         Plain ``explain`` also runs through execute-style admission —
         under its own :class:`ExecutionContext` with the session

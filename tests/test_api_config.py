@@ -41,7 +41,6 @@ class TestSessionConfig:
         ({"verify_rate": -0.1}, "verify_rate"),
         ({"workers": 0}, "workers"),
         ({"trace_max_spans": 0}, "trace_max_spans"),
-        ({"spill": False, "spill_dir": "/tmp/x"}, "spill_dir"),
     ])
     def test_invalid_combinations_fail_at_construction(self, kwargs,
                                                        message):

@@ -227,7 +227,7 @@ def test_cache_distinct_keys_are_independent():
 
 
 def test_cache_lru_eviction_order():
-    with StructureCache(budget_bytes=0, spill=False) as cache:
+    with StructureCache(budget_bytes=0) as cache:
         # Budget 0: each release immediately evicts the LRU entry.
         cache.acquire(("a",), _tree_builder(64, 1))
         cache.acquire(("b",), _tree_builder(64, 2))
@@ -241,8 +241,27 @@ def test_cache_lru_eviction_order():
         assert cache.stats().bytes_in_use == 0
 
 
+def test_cache_evicted_entry_rebuilds_as_a_miss():
+    builds = []
+
+    def builder():
+        builds.append(1)
+        return MergeSortTree(np.arange(64), fanout=2)
+
+    with StructureCache(budget_bytes=0) as cache:
+        first = cache.acquire(("k",), builder, pin=False)
+        assert ("k",) not in cache  # dropped, nothing kept anywhere
+        second = cache.acquire(("k",), builder, pin=False)
+        assert second is not first and len(builds) == 2
+        stats = cache.stats()
+        assert stats.misses == 2 and stats.hits == 0
+        assert stats.evictions == 2 and stats.bytes_in_use == 0
+        np.testing.assert_array_equal(second.levels.keys[-1],
+                                      first.levels.keys[-1])
+
+
 def test_cache_hit_refreshes_lru_position():
-    with StructureCache(spill=False) as cache:
+    with StructureCache() as cache:
         cache.acquire(("a",), _tree_builder(64, 1), pin=False)
         cache.acquire(("b",), _tree_builder(64, 2), pin=False)
         cache.acquire(("a",), _tree_builder(64, 1), pin=False)  # refresh a
@@ -254,7 +273,7 @@ def test_cache_hit_refreshes_lru_position():
 
 
 def test_cache_pinning_blocks_eviction():
-    with StructureCache(budget_bytes=0, spill=False) as cache:
+    with StructureCache(budget_bytes=0) as cache:
         cache.acquire(("pinned",), _tree_builder(64, 1))  # pin=True
         cache.acquire(("loose",), _tree_builder(64, 2), pin=False)
         assert ("pinned",) in cache
@@ -338,7 +357,7 @@ def test_acquirer_without_cache_calls_builder_every_time():
 
 
 def test_acquirer_composes_keys_and_releases_pins():
-    with StructureCache(budget_bytes=0, spill=False) as cache:
+    with StructureCache(budget_bytes=0) as cache:
         acquirer = StructureAcquirer(cache, ("w", "fp", 0))
         acquirer.acquire("mst:perm", (("x",), None),
                          _tree_builder(64, 1))

@@ -2,8 +2,8 @@
 
 The acceptance property for the resilience stack as a whole: with
 worker threads hammering one :class:`~repro.Session` through the
-gateway while a *seeded* fault schedule fails structure builds, spill
-writes, spill reloads and evictions underneath them, every query either
+gateway while a *seeded* fault schedule fails structure builds
+underneath them, every query either
 returns exactly the healthy oracle's answer or fails with a typed
 resilience error — never a wrong result, never an untyped crash, never
 a wedged slot. Tripped circuit breakers must recover (half-open →
@@ -32,10 +32,9 @@ SEED = int(os.environ.get("CHAOS_SEED", "0"))
 #: across several seeds; the default exercises 2x the gateway slots).
 WORKERS = int(os.environ.get("CHAOS_WORKERS", "8"))
 
-#: Sites whose failures the engine absorbs by degrading (fallback,
-#: drop, rebuild) — a fault here must never surface to the caller.
-ABSORBED_SITES = ("structure.build", "spill.write", "spill.read",
-                  "cache.evict", "cache.reload")
+#: Sites whose failures the engine absorbs by degrading (fallback to
+#: the naive evaluator) — a fault here must never surface to the caller.
+ABSORBED_SITES = ("structure.build",)
 
 QUERIES = [
     """

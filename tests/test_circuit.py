@@ -1,25 +1,20 @@
-"""Circuit breaker state machine and its wiring into builds and spill.
+"""Circuit breaker state machine and its wiring into structure builds.
 
 Tentpole coverage for the resilience ISSUE: per-resource breakers trip
 after repeated failures, fail fast while open, admit exactly one
 half-open probe per reset timeout, and recover on probe success — all
 on the pluggable clock so every transition is deterministic. The
 integration half checks the degradation contract: an open
-``structure.build`` breaker routes evaluation to the naive fallback, an
-open ``spill.write`` breaker degrades evictions to drops, an open
-``spill.read`` breaker rebuilds from source.
+``structure.build`` breaker routes evaluation to the naive fallback,
+and a build that runs out of memory degrades only its own call, never
+striking the session-wide breaker.
 """
 
-import numpy as np
 import pytest
 
 from conftest import assert_columns_equal, make_window_table
 from repro import Catalog, Session, SessionConfig
-from repro.cache.spill import SpillManager
-from repro.cache.store import StructureCache
 from repro.errors import CircuitOpenError, StructureBuildError
-from repro.mst.aggregates import SUM
-from repro.mst.tree import MergeSortTree
 from repro.resilience import (
     CLOSED,
     HALF_OPEN,
@@ -171,7 +166,7 @@ def test_registry_lazily_creates_and_caches():
     a = registry.get("structure.build")
     assert registry.get("structure.build") is a
     assert a.failure_threshold == 2
-    assert registry.get("spill.write") is not a
+    assert registry.get("worker.pool") is not a
 
 
 def test_registry_render_skips_untouched_breakers():
@@ -264,69 +259,32 @@ def test_open_build_breaker_degrades_query_to_naive():
         assert "structure.build" in text
 
 
-# ----------------------------------------------------------------------
-# spill breaker integration
-# ----------------------------------------------------------------------
-def _tree(n=257, seed=3):
-    rng = np.random.default_rng(seed)
-    return MergeSortTree(rng.permutation(n), fanout=4, aggregate=SUM,
-                         payload=rng.normal(size=n))
-
-
-def test_spill_write_breaker_opens_and_fails_fast(tmp_path):
-    clock = SimulatedClock()
-    registry = BreakerRegistry(failure_threshold=2, reset_timeout=30.0,
-                               clock=clock)
-    faults = FaultInjector().plan("spill.write", times=-1)
-    manager = SpillManager(str(tmp_path), max_retries=0)
-    ctx = ExecutionContext(breakers=registry, faults=faults, clock=clock)
-    with activate(ctx):
-        for _ in range(2):
-            with pytest.raises(OSError):
-                manager.spill(_tree())
-        with pytest.raises(CircuitOpenError):
-            manager.spill(_tree())
-    # The short-circuited attempt never reached the fault site.
-    assert faults.calls("spill.write") == 2
-
-
-def test_open_write_breaker_degrades_eviction_to_drop(tmp_path):
-    clock = SimulatedClock()
-    registry = BreakerRegistry(failure_threshold=1, reset_timeout=30.0,
-                               clock=clock)
-    registry.get("spill.write").record_failure()  # pre-tripped
-    tree = _tree()
-    cache = StructureCache(budget_bytes=1, spill_dir=str(tmp_path))
-    ctx = ExecutionContext(breakers=registry, clock=clock)
-    with activate(ctx):
-        cache.acquire(("k",), lambda: tree, pin=False)
-    stats = cache.stats()
-    assert stats.breaker_skips == 1
-    assert stats.spills == 0
-    assert len(cache) == 0  # dropped, not spilled
-
-
-def test_open_read_breaker_rebuilds_from_source(tmp_path):
-    clock = SimulatedClock()
-    registry = BreakerRegistry(failure_threshold=1, reset_timeout=30.0,
-                               clock=clock)
-    tree = _tree()
-    builds = []
-
-    def builder():
-        builds.append(1)
-        return tree
-
-    cache = StructureCache(budget_bytes=1, spill_dir=str(tmp_path))
-    ctx = ExecutionContext(breakers=registry, clock=clock)
-    with activate(ctx):
-        cache.acquire(("k",), builder, pin=False)   # build + spill out
-        assert cache.stats().spills == 1
-        registry.get("spill.read").record_failure()  # trip the breaker
-        reloaded = cache.acquire(("k",), builder, pin=False)
-    assert reloaded is tree
-    assert len(builds) == 2  # rebuilt, not reloaded
-    stats = cache.stats()
-    assert stats.reloads == 0
-    assert stats.breaker_skips == 1
-    assert stats.corruptions == 0  # degradation, not corruption
+def test_memory_error_in_build_does_not_strike_the_breaker():
+    """A ``MemoryError`` says the session is short of memory, not that
+    the build path is broken: each faulted build degrades its own call
+    to naive, the breaker stays closed, and the first fault-free query
+    builds its tree again instead of being short-circuited."""
+    catalog = Catalog({"t": make_window_table(150)})
+    sql = """
+        select o, percentile_disc(0.5, order by x) over (
+            order by o rows between 10 preceding and current row) as med
+        from t
+    """
+    with Session(catalog) as healthy:
+        expected = healthy.execute(sql).column("med").to_list()
+    # One tree per query, so the five faults land in five queries: as
+    # many consecutive failures as the default breaker_threshold.
+    faults = FaultInjector().plan("structure.build", times=5,
+                                  exception=MemoryError)
+    with Session(catalog, config=SessionConfig(faults=faults)) as session:
+        results = [session.execute(sql) for _ in range(6)]
+        assert faults.fired("structure.build") == 5
+        for result in results:
+            assert result.column("med").to_list() == expected
+        assert results[4].stats.health.fallbacks == 1
+        sixth = results[5].stats.health
+        assert sixth.fallbacks == 0 and sixth.downgrades == []
+        assert sixth.breaker_short_circuits == 0
+        build = session.breakers.get("structure.build").snapshot()
+        assert build.state == CLOSED
+        assert session.health_stats().breaker_trips == 0

@@ -277,12 +277,12 @@ HEADROOM_SQL_NTH = """
 @pytest.mark.parametrize("sql", [HEADROOM_SQL, HEADROOM_SQL_NULLS,
                                  HEADROOM_SQL_NTH],
                          ids=["plain", "nulls", "nth"])
-def test_group_over_headroom_runs_serial_in_memory(sql, workers, tmp_path,
+def test_group_over_headroom_runs_serial_in_memory(sql, workers,
                                                     monkeypatch):
     """A 64 KiB budget is consumed by the query's own reservation, so
     the group's working set exceeds the headroom: the group runs
-    serial, in memory, with results identical to an unbudgeted run and
-    nothing left on disk. 20 000 rows clear the cost threshold, so at
+    serial, in memory, with results identical to an unbudgeted run.
+    20 000 rows clear the cost threshold, so at
     ``workers=2`` only the headroom check keeps the group serial.
 
     The budget also refuses every tree larger than 64 KiB (naive rung);
@@ -297,8 +297,7 @@ def test_group_over_headroom_runs_serial_in_memory(sql, workers, tmp_path,
     finally:
         oracle.close()
     session = Session(catalog, config=SessionConfig(
-        memory_budget_bytes=64 << 10, workers=workers,
-        spill_dir=str(tmp_path)))
+        memory_budget_bytes=64 << 10, workers=workers))
     try:
         result = session.execute(sql)
         assert result == expected
@@ -307,8 +306,6 @@ def test_group_over_headroom_runs_serial_in_memory(sql, workers, tmp_path,
             decision = session.parallel.stats().decisions[-1]
             assert decision.strategy == "serial"
             assert decision.reason == "exceeds memory headroom"
-        assert [p for p in tmp_path.iterdir()
-                if p.name.endswith(".npz")] == []
     finally:
         session.close()
 

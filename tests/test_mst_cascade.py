@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from conftest import covering_runs, lockstep_count
 from conftest import lockstep_lower_bound as _lockstep_lower_bound
 from repro.mst import MAX, MIN, SUM, MergeSortTree
-from repro.mst.persist import load_tree, save_tree
 from repro.mst.vectorized import (
     batched_aggregate,
     batched_count,
@@ -227,7 +226,7 @@ def test_blocks_of_queries_agree(rng, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# the bridges: invariants, spill, worker shipping
+# the bridges: invariants, worker shipping
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("fanout,k", [(2, 256), (2, 1), (3, 4), (8, 32)])
 def test_check_invariants_rejects_one_corrupted_bridge_entry(fanout, k):
@@ -251,33 +250,6 @@ def test_check_invariants_rejects_one_corrupted_bridge_entry(fanout, k):
         finally:
             array[column, at] = original
     tree.check_invariants()
-
-
-def test_persist_round_trip_keeps_probe_results(tmp_path, rng):
-    n = 257
-    keys = rng.integers(-1, n, size=n)
-    tree = MergeSortTree(keys, fanout=2, aggregate=SUM,
-                         payload=rng.normal(size=n))
-    save_tree(tree, tmp_path / "tree.npz")
-    loaded = load_tree(tmp_path / "tree.npz")
-    loaded.aggregate_spec = SUM
-    loaded.check_invariants()
-    for ours, theirs in zip(loaded.levels.anchors + loaded.levels.bridges,
-                            tree.levels.anchors + tree.levels.bridges):
-        assert (ours is None) == (theirs is None)
-        if ours is not None:
-            _same_bits(ours, theirs)
-    lo, hi = _ranges(rng, n, 80)
-    key_hi = _thresholds(rng, keys, 80)
-    _same_bits(batched_count(loaded.levels, lo, hi, key_hi),
-               batched_count(tree.levels, lo, hi, key_hi))
-    _same_bits(batched_aggregate(loaded.levels, lo, hi, key_hi, "sum"),
-               batched_aggregate(tree.levels, lo, hi, key_hi, "sum"))
-    k = np.zeros(80, dtype=np.int64)
-    everything = (np.full(80, -10), np.full(80, n + 10))
-    for ours, theirs in zip(batched_select(loaded.levels, k, *everything),
-                            batched_select(tree.levels, k, *everything)):
-        _same_bits(ours, theirs)
 
 
 def test_process_fan_ships_the_bridges(rng):

@@ -184,7 +184,7 @@ def test_value_and_navigation_probes_fan(call, exclusion):
     assert stats.morsels_run > 0
 
 
-def test_parallel_with_cache_matches_and_unpins(tmp_path):
+def test_parallel_with_cache_matches_and_unpins():
     # One dominant partition: cache hit/pin accounting belongs to the
     # probe-fan path, where the query thread builds (or attaches) the
     # structures (inter-partition workers build fresh in-child and
@@ -193,7 +193,7 @@ def test_parallel_with_cache_matches_and_unpins(tmp_path):
     spec = WindowSpec(partition_by=("g",), order_by=(OrderItem("o"),),
                       frame=FrameSpec.rows(preceding(6), current_row()))
     want = run(table, spec)
-    with StructureCache(spill_dir=str(tmp_path)) as cache:
+    with StructureCache() as cache:
         with forced(4) as scheduler:
             assert run(table, spec, scheduler=scheduler, cache=cache) == want
             # Warm second run: same answer from cached structures.
@@ -320,12 +320,12 @@ def test_morsel_fault_surfaces_typed_then_recovers():
         assert faults.fired("parallel.morsel") >= 1
 
 
-def test_morsel_fault_leaves_no_pinned_cache_entries(tmp_path):
+def test_morsel_fault_leaves_no_pinned_cache_entries():
     table = make_table(1000, 100, seed=22)
     spec = WindowSpec(partition_by=("g",), order_by=(OrderItem("o"),),
                       frame=FrameSpec.rows(preceding(5), current_row()))
     faults = FaultInjector().plan("parallel.morsel", times=2, after=1)
-    with StructureCache(spill_dir=str(tmp_path)) as cache:
+    with StructureCache() as cache:
         with forced(4) as scheduler:
             with activate(_ctx(faults=faults)):
                 with pytest.raises(ParallelExecutionError):
@@ -333,7 +333,7 @@ def test_morsel_fault_leaves_no_pinned_cache_entries(tmp_path):
         assert cache.stats().pinned_entries == 0
 
 
-def test_cancellation_mid_fanout_leaves_no_pins(tmp_path):
+def test_cancellation_mid_fanout_leaves_no_pins():
     # The injected exception cancels the token as a morsel is
     # dispatched, so the pool sees the cancellation at its next
     # checkpoint with other morsels in flight — a genuine mid-fan-out
@@ -349,7 +349,7 @@ def test_cancellation_mid_fanout_leaves_no_pins(tmp_path):
 
     faults = FaultInjector().plan("parallel.morsel", times=1, after=2,
                                   exception=cancel_and_fail)
-    with StructureCache(spill_dir=str(tmp_path)) as cache:
+    with StructureCache() as cache:
         with forced(4) as scheduler:
             with activate(_ctx(faults=faults, token=token)):
                 with pytest.raises((ParallelExecutionError,

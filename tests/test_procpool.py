@@ -174,7 +174,7 @@ def test_killed_worker_leaves_no_cache_pins(tmp_path, monkeypatch):
     table = make_table(1200, 50, seed=23)
     want = run(table)
     monkeypatch.setenv(CHAOS_ENV, f"kill:3:2:{tmp_path}")
-    with StructureCache(spill_dir=str(tmp_path / "spill")) as cache:
+    with StructureCache() as cache:
         with forced(2) as scheduler:
             assert run(table, scheduler=scheduler, cache=cache) == want
         assert cache.stats().pinned_entries == 0

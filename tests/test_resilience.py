@@ -164,14 +164,14 @@ def test_activate_is_thread_local_and_restores():
 # fault injector
 # ----------------------------------------------------------------------
 def test_fault_plan_schedule_after_and_times():
-    faults = FaultInjector().plan("spill.read", times=2, after=1)
-    faults.fire("spill.read")  # call 1: before the window
+    faults = FaultInjector().plan("shm.attach", times=2, after=1)
+    faults.fire("shm.attach")  # call 1: before the window
     for _ in range(2):         # calls 2, 3: inside the window
         with pytest.raises(OSError):
-            faults.fire("spill.read")
-    faults.fire("spill.read")  # call 4: window exhausted
-    assert faults.calls("spill.read") == 4
-    assert faults.fired("spill.read") == 2
+            faults.fire("shm.attach")
+    faults.fire("shm.attach")  # call 4: window exhausted
+    assert faults.calls("shm.attach") == 4
+    assert faults.fired("shm.attach") == 2
 
 
 def test_fault_plan_forever_and_clear():
@@ -193,10 +193,10 @@ def test_fault_custom_exception_and_no_faults_singleton():
 
 
 def test_context_fire_counts_health():
-    ctx = ExecutionContext(faults=FaultInjector().plan("spill.write"))
+    ctx = ExecutionContext(faults=FaultInjector().plan("shm.attach"))
     with pytest.raises(OSError):
-        ctx.fire("spill.write")
-    ctx.fire("spill.write")  # plan exhausted
+        ctx.fire("shm.attach")
+    ctx.fire("shm.attach")  # plan exhausted
     assert ctx.health.faults == 1
 
 
@@ -293,9 +293,9 @@ def test_session_max_rows_limit():
 
 def test_health_counters_merge_and_render():
     a = HealthCounters(timeouts=1, downgrades=["x -> naive"])
-    b = HealthCounters(retries=2, downgrades=["x -> naive", "y -> naive"])
+    b = HealthCounters(fallbacks=2, downgrades=["x -> naive", "y -> naive"])
     a.merge(b)
-    assert a.timeouts == 1 and a.retries == 2
+    assert a.timeouts == 1 and a.fallbacks == 2
     assert a.downgrades == ["x -> naive", "y -> naive"]  # dedup'd
     text = "\n".join(a.render())
     assert "timeouts=1" in text and "fallback: y -> naive" in text

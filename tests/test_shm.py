@@ -1,7 +1,7 @@
 """Shared-memory arena: roundtrip, ledger accounting, orphan sweep.
 
 The robustness contract of :mod:`repro.parallel.shm` — the process
-executor's column transport — mirrors the spill-file discipline: every
+executor's column transport — is a pid-tagged discipline: every
 segment is pid-tagged, charged to the memory governor under the
 ``"shm"`` tag, unlinked on close, and cleaned up by the startup sweep
 only when its owner is dead (two concurrent sessions must never delete

@@ -1,10 +1,9 @@
-"""Structural self-verification and sampled shadow verification.
+"""Structural invariants and sampled shadow verification.
 
 Unit coverage for :mod:`repro.resilience.verify` (value comparison,
-result diffing, invariant dispatch over every structure kind), the
-cache's verify-on-reload trust boundary (a corrupt structure that
-deserialised cleanly is rebuilt, never served), and the evaluator
-dispatch's shadow sampling (a poisoned fast evaluator is caught by the
+result diffing), the structures' ``check_invariants`` oracles (a
+corrupt tree of every kind is rejected), and the evaluator dispatch's
+shadow sampling (a poisoned fast evaluator is caught by the
 naive oracle and surfaces as a typed
 :class:`~repro.errors.VerificationError`, never as a wrong result).
 """
@@ -16,17 +15,12 @@ import pytest
 
 from conftest import make_window_table
 from repro import Catalog, Session, SessionConfig
-from repro.cache.store import StructureCache
 from repro.errors import VerificationError
 from repro.mst.aggregates import SUM
 from repro.mst.tree import MergeSortTree
 from repro.ostree.cbtree import CountedBTree
 from repro.resilience import ExecutionContext, activate
-from repro.resilience.verify import (
-    compare_results,
-    values_match,
-    verify_structure,
-)
+from repro.resilience.verify import compare_results, values_match
 from repro.segtree.tree import SegmentTree
 from repro.window.calls import WindowCall
 from repro.window.evaluators import distinct as distinct_mod
@@ -75,7 +69,7 @@ def test_compare_results_length_mismatch():
 
 
 # ----------------------------------------------------------------------
-# verify_structure dispatch
+# structural invariants: the trees' check_invariants oracles
 # ----------------------------------------------------------------------
 def _mst(n=257, seed=3):
     rng = np.random.default_rng(seed)
@@ -83,36 +77,30 @@ def _mst(n=257, seed=3):
                          payload=rng.normal(size=n))
 
 
-def test_structures_without_invariants_pass():
-    verify_structure(object())
-    verify_structure([1, 2, 3])
-
-
 def test_healthy_structures_pass():
-    verify_structure(_mst())
-    verify_structure(SegmentTree(np.arange(33, dtype=float), kind="sum"))
+    _mst().check_invariants()
+    SegmentTree(np.arange(33, dtype=float), kind="sum").check_invariants()
     tree = CountedBTree(order=4)
     for key in range(50):
         tree.insert(key % 7)
-    verify_structure(tree)
+    tree.check_invariants()
 
 
-def test_corrupt_mst_is_rejected_with_kind_in_message():
+def test_corrupt_mst_is_rejected_naming_the_level():
     tree = _mst()
-    # Break the top level's sortedness/permutation invariant the way a
-    # decoder bug would: one key silently off by one.
+    # Break the top level's sortedness/permutation invariant: one key
+    # silently off by one.
     tree.levels.keys[-1][0] = tree.levels.keys[-1][1] + 1
-    with pytest.raises(VerificationError) as info:
-        verify_structure(tree)
-    assert "MergeSortTree" in str(info.value)
+    with pytest.raises(ValueError, match=f"level {tree.height - 1} "
+                                         "not sorted"):
+        tree.check_invariants()
 
 
 def test_corrupt_segment_tree_is_rejected():
     tree = SegmentTree(np.arange(33, dtype=float), kind="sum")
     tree.levels[1][0] += 1.0
-    with pytest.raises(VerificationError) as info:
-        verify_structure(tree)
-    assert "SegmentTree" in str(info.value)
+    with pytest.raises(ValueError):
+        tree.check_invariants()
 
 
 def test_corrupt_cbtree_size_cache_is_rejected():
@@ -120,9 +108,8 @@ def test_corrupt_cbtree_size_cache_is_rejected():
     for key in range(50):
         tree.insert(key)
     tree.root.size += 1
-    with pytest.raises(VerificationError) as info:
-        verify_structure(tree)
-    assert "CountedBTree" in str(info.value)
+    with pytest.raises(AssertionError):
+        tree.check_invariants()
 
 
 def test_corrupt_cbtree_separator_key_is_rejected():
@@ -133,103 +120,18 @@ def test_corrupt_cbtree_separator_key_is_rejected():
     # A corrupted separator breaks cross-node order even though every
     # node stays locally sorted.
     tree.root.keys[0] += 100
-    with pytest.raises(VerificationError):
-        verify_structure(tree)
-
-
-# ----------------------------------------------------------------------
-# verify-on-reload: the cache's trust boundary
-# ----------------------------------------------------------------------
-def _flip_top_key(tree):
-    tree.levels.keys[-1][0] = tree.levels.keys[-1][1] + 1
-
-
-def _strip_one_bridge(tree):
-    level = tree.height // 2
-    tree.levels.anchors[level] = tree.levels.bridges[level] = None
+    with pytest.raises(AssertionError):
+        tree.check_invariants()
 
 
 def test_tree_missing_a_bridge_is_rejected():
     """Every query descends through the bridges, so a tree that lost
-    one (a reload that dropped it) fails verification, not a probe."""
+    one fails its invariants, not a probe."""
     tree = _mst()
-    _strip_one_bridge(tree)
-    with pytest.raises(VerificationError, match="bridge"):
-        verify_structure(tree)
-
-
-def _poison_reload(cache, monkeypatch, damage=_flip_top_key):
-    """Make every spill reload return a silently-corrupt tree, the way
-    a CRC-surviving bit flip or a decoder bug would."""
-    real_load = cache._spill.load
-
-    def corrupt_load(path, meta):
-        tree = real_load(path, meta)
-        damage(tree)
-        return tree
-
-    monkeypatch.setattr(cache._spill, "load", corrupt_load)
-
-
-def _assert_reload_rebuilds(tmp_path, monkeypatch, damage):
-    builds = []
-
-    def builder():
-        builds.append(1)
-        return _mst()
-
-    with StructureCache(budget_bytes=1, spill_dir=str(tmp_path)) as cache:
-        ctx = ExecutionContext()
-        with activate(ctx):
-            cache.acquire(("k",), builder, pin=False)  # build + spill out
-            assert cache.stats().spills == 1
-            _poison_reload(cache, monkeypatch, damage)
-            reloaded = cache.acquire(("k",), builder, pin=False)
-        # The corrupt reload was rejected and rebuilt from source.
-        verify_structure(reloaded)
-        assert len(builds) == 2
-        stats = cache.stats()
-        assert stats.verifications == 1
-        assert stats.verify_failures == 1
-        assert stats.corruptions == 1
-        assert stats.reloads == 0
-        assert ctx.health.verification_failures == 1
-        assert ctx.health.corruptions == 1
-
-
-def test_reload_verification_rebuilds_corrupt_structure(tmp_path,
-                                                        monkeypatch):
-    _assert_reload_rebuilds(tmp_path, monkeypatch, _flip_top_key)
-
-
-def test_reload_missing_a_bridge_is_rebuilt(tmp_path, monkeypatch):
-    _assert_reload_rebuilds(tmp_path, monkeypatch, _strip_one_bridge)
-
-
-def test_clean_reload_verifies_and_serves(tmp_path):
-    with StructureCache(budget_bytes=1, spill_dir=str(tmp_path)) as cache:
-        ctx = ExecutionContext()
-        with activate(ctx):
-            cache.acquire(("k",), _mst, pin=False)
-            reloaded = cache.acquire(("k",), _mst, pin=False)
-        verify_structure(reloaded)
-        stats = cache.stats()
-        assert stats.reloads == 1
-        assert stats.verifications == 1
-        assert stats.verify_failures == 0
-        assert ctx.health.verifications == 1
-        assert ctx.health.verification_failures == 0
-
-
-def test_verify_reload_false_skips_the_check(tmp_path, monkeypatch):
-    with StructureCache(budget_bytes=1, spill_dir=str(tmp_path),
-                        verify_reload=False) as cache:
-        cache.acquire(("k",), _mst, pin=False)
-        _poison_reload(cache, monkeypatch)
-        cache.acquire(("k",), _mst, pin=False)
-        stats = cache.stats()
-        assert stats.verifications == 0
-        assert stats.reloads == 1  # the corrupt tree went undetected
+    level = tree.height // 2
+    tree.levels.anchors[level] = tree.levels.bridges[level] = None
+    with pytest.raises(ValueError, match="bridge"):
+        tree.check_invariants()
 
 
 # ----------------------------------------------------------------------
