@@ -213,9 +213,9 @@ class QueryServer:
         tenant = request.header(TENANT_HEADER) or ANONYMOUS_TENANT
         priority = request.header(PRIORITY_HEADER)
         if path == "/v1/execute":
-            payload = await self.service.execute(request.body, tenant,
-                                                 priority)
-            return 200, {}, json_body(payload), "application/json"
+            body = await self.service.execute(request.body, tenant,
+                                              priority)
+            return 200, {}, body, "application/json"
         if path == "/v1/explain":
             payload = await self.service.explain(request.body, tenant,
                                                  priority)

@@ -7,12 +7,14 @@ dedicated :class:`~concurrent.futures.ThreadPoolExecutor`. The engine
 is synchronous, GIL-bound numpy work; every query runs on the executor
 via ``loop.run_in_executor`` so the asyncio event loop never blocks —
 it keeps accepting connections, answering ``/v1/metrics`` scrapes and
-shedding overload while queries grind.
+shedding overload while queries grind. The same pool call serializes
+the result, so the loop gets finished response bytes.
 
-Request lifecycle (documented in DESIGN.md §8)::
+Request lifecycle (documented in DESIGN.md §9)::
 
     tenant bucket/quota ──► gateway admission ──► plan cache ──►
-    execute (pool thread) ──► QueryResult.to_dict() ──► JSON
+    [one pool call: execute ──► QueryResult.to_dict() ──► json_body]
+    ──► response bytes, written by the event loop
 
 The executor pool is sized to the gateway's worst case (active slots +
 both priority queues full) so the *gateway* stays the component that
@@ -24,6 +26,7 @@ the existing cancellation machinery as ``QueryOptions.timeout``.
 from __future__ import annotations
 
 import asyncio
+import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional
 
@@ -33,6 +36,7 @@ from repro.serve.wire import (
     field_bool,
     field_number,
     field_str,
+    json_body,
     parse_json_body,
 )
 from repro.sql import QueryOptions, Session
@@ -65,9 +69,10 @@ class QueryService:
             # gateway (not the pool) in charge of queueing/shedding.
             pool_size = config.max_concurrent + 2 * config.max_queue + 2
         self.pool = ThreadPoolExecutor(
-            max_workers=pool_size, thread_name_prefix="repro-serve")
+            max_workers=pool_size, thread_name_prefix="repro-serve-pool")
         self._requests = None
         self._latency = None
+        self._serialize = None
         if session.metrics is not None:
             m = session.metrics
             self._requests = m.counter(
@@ -77,6 +82,10 @@ class QueryService:
             self._latency = m.histogram(
                 "repro_http_request_seconds",
                 "HTTP request wall time by endpoint.", ["endpoint"])
+            self._serialize = m.histogram(
+                "repro_http_serialize_seconds",
+                "Result serialization (to_dict + JSON encode) time by "
+                "endpoint.", ["endpoint"])
             t_admitted = m.counter(
                 "repro_tenant_admitted_total",
                 "Requests past tenant limits, by tenant.", ["tenant"])
@@ -107,9 +116,9 @@ class QueryService:
     # request handlers (async; called by the server)
     # ------------------------------------------------------------------
     async def execute(self, body: bytes, tenant: str,
-                      requested_priority: Optional[str]
-                      ) -> Dict[str, Any]:
-        """``POST /v1/execute`` — run one statement.
+                      requested_priority: Optional[str]) -> bytes:
+        """``POST /v1/execute`` — run one statement; returns the JSON
+        response body, encoded on the pool thread that ran the query.
 
         Body: ``{"sql": ..., "params"?: [...] | {...},
         "timeout_ms"?: ..., "priority"?: ..., "trace"?: bool}``.
@@ -135,17 +144,24 @@ class QueryService:
         with self.tenants.admit(tenant, requested) as priority:
             options = QueryOptions(timeout=timeout, priority=priority,
                                    trace=True if trace else None)
-            if params is None:
-                result = await self._offload(
-                    lambda: self.session.execute(sql, options=options))
-            else:
-                result = await self._offload(
-                    lambda: self.session.prepare(sql).execute(
-                        params, options=options))
-        out = result.to_dict(include_trace=trace)
-        out["tenant"] = tenant
-        out["priority"] = priority
-        return out
+
+            def run() -> bytes:
+                if params is None:
+                    result = self.session.execute(sql, options=options)
+                else:
+                    result = self.session.prepare(sql).execute(
+                        params, options=options)
+                started = time.perf_counter()
+                out = result.to_dict(include_trace=trace)
+                out["tenant"] = tenant
+                out["priority"] = priority
+                encoded = json_body(out)
+                if self._serialize is not None:
+                    self._serialize.observe(time.perf_counter() - started,
+                                            endpoint="/v1/execute")
+                return encoded
+
+            return await self._offload(run)
 
     async def tables(self, tenant: str) -> Dict[str, Any]:
         """``GET /v1/tables`` — the session catalog's table schemas."""

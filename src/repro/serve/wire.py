@@ -86,13 +86,28 @@ def error_response(exc: BaseException) -> Tuple[int, Dict[str, str],
 
 
 def json_body(payload: Any) -> bytes:
-    """Serialize a response payload as compact UTF-8 JSON.
+    """Serialize a response payload as compact, strict UTF-8 JSON.
 
-    ``allow_nan=False`` guarantees strict JSON; payloads are expected
-    to have passed through :func:`repro.wire.to_jsonable` already, but
-    one more pass here keeps the guarantee local."""
-    return json.dumps(to_jsonable(payload), allow_nan=False,
-                      separators=(",", ":")).encode("utf-8")
+    One ``json.dumps`` pass: plain values encode natively, and
+    ``default=to_jsonable`` turns what it cannot encode (numpy scalars,
+    dates, sets, objects with ``to_dict()``) into what
+    :func:`repro.wire.to_jsonable` makes of them. Only when that pass
+    raises — a NaN/inf somewhere (``allow_nan=False``), or a dict key
+    that is neither ``str``, ``int``, ``float``, ``bool`` nor ``None`` —
+    does the whole payload go through ``to_jsonable`` first, which maps
+    non-finite floats to ``null`` and keys through ``str()``.
+
+    ``bool`` and ``None`` dict keys encode as JSON does them,
+    ``"true"`` / ``"false"`` / ``"null"`` (``str()`` would give
+    ``"True"`` / ``"None"``). No server payload has such a key.
+    """
+    try:
+        text = json.dumps(payload, allow_nan=False, separators=(",", ":"),
+                          default=to_jsonable)
+    except (ValueError, TypeError):
+        text = json.dumps(to_jsonable(payload), allow_nan=False,
+                          separators=(",", ":"))
+    return text.encode("utf-8")
 
 
 def parse_json_body(data: bytes) -> Dict[str, Any]:

@@ -16,7 +16,13 @@ the reflected :meth:`QueryResult.__eq__` as well.)
 
 from __future__ import annotations
 
+import datetime
 from typing import Any, Dict, Iterator, List, Optional
+
+import numpy as np
+
+from repro.table.column import Column, DataType
+from repro.wire import to_jsonable
 
 __all__ = ["QueryStats", "QueryResult"]
 
@@ -169,22 +175,40 @@ class QueryResult:
         This is the serving tier's wire format: column names and types,
         rows as value lists, the per-query stats, and (when the query
         ran under tracing and ``include_trace`` is true) the span tree.
-        Everything passes through :func:`repro.wire.to_jsonable`, so
-        ``json.dumps(result.to_dict())`` always succeeds — numpy
-        scalars are unwrapped, DATE values render ISO-8601, NaN/inf
-        become null. Guaranteed round-trippable:
+        ``rows`` is built by column — one JSON-safe list per column
+        (:func:`_json_values`), zipped into rows — and holds the values
+        :func:`repro.wire.to_jsonable` would make of each cell: DATE
+        values render ISO-8601, NaN/inf become null. Only ``stats``
+        and ``trace`` go through ``to_jsonable`` itself, so
+        ``json.dumps(result.to_dict())`` always succeeds. Guaranteed
+        round-trippable:
         ``json.loads(json.dumps(result.to_dict()))`` reproduces the
         same dict.
         """
-        from repro.wire import to_jsonable
         table = self.table
+        columns = [_json_values(column) for column in table.columns]
         payload: Dict[str, Any] = {
             "columns": [f.name for f in table.schema],
             "types": [f.dtype.value for f in table.schema],
-            "rows": to_jsonable(table.to_rows()),
+            "rows": list(map(list, zip(*columns))),
             "row_count": table.num_rows,
             "stats": to_jsonable(self.stats.to_dict()),
         }
         if include_trace:
             payload["trace"] = to_jsonable(self.trace_dict())
         return payload
+
+
+def _json_values(column: Column) -> List[Any]:
+    """One column as JSON-safe Python values — what
+    :func:`repro.wire.to_jsonable` makes of each of its values, built
+    from one :meth:`~repro.table.column.Column.to_list`: DATE as
+    ISO-8601 strings (one ``isoformat`` per distinct day), non-finite
+    FLOAT64 as ``None``."""
+    if column.dtype is DataType.DATE:
+        return column.to_list(date_render=datetime.date.isoformat)
+    values = column.to_list()
+    if column.dtype is DataType.FLOAT64:
+        for i in np.flatnonzero(~np.isfinite(column.raw())).tolist():
+            values[i] = None
+    return values

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import datetime
 import enum
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import (Any, Callable, Iterable, Iterator, List, Optional,
+                    Sequence, Union)
 
 import numpy as np
 
@@ -260,13 +261,38 @@ class Column:
             return value.item()
         return value
 
-    def to_list(self) -> List[Any]:
-        """Materialise the column as a list of Python values (None = NULL)."""
-        return [self[i] for i in range(len(self))]
+    def to_list(self,
+                date_render: Optional[Callable[[datetime.date], Any]] = None
+                ) -> List[Any]:
+        """Materialise the column as a list of Python values (None = NULL).
+
+        The values have the types :meth:`__getitem__` gives — ``int``,
+        ``float``, ``bool``, ``str`` or ``datetime.date`` — but come
+        from one ``tolist()`` of the storage (a list copy for STRING)
+        with ``None`` written at the NULL slots. DATE converts each
+        distinct day once, and ``date_render`` (``date.isoformat``,
+        say), when given, is applied to that date as well.
+        """
+        valid = self._valid
+        if self.dtype is DataType.DATE:
+            ordinals = self._data
+            if not valid.all():  # NULL placeholders need not be days
+                ordinals = np.where(valid, ordinals, 0)
+            days, inverse = np.unique(ordinals, return_inverse=True)
+            dates = [ordinal_to_date(d) for d in days.tolist()]
+            if date_render is not None:
+                dates = [date_render(d) for d in dates]
+            values = list(map(dates.__getitem__, inverse.tolist()))
+        elif self._np_dtype is None:
+            values = list(self._data)
+        else:
+            values = self._data.tolist()
+        for i in np.flatnonzero(~valid).tolist():
+            values[i] = None
+        return values
 
     def __iter__(self) -> Iterator[Any]:
-        for i in range(len(self)):
-            yield self[i]
+        return iter(self.to_list())
 
     def take(self, indices: Sequence[int]) -> "Column":
         """Gather rows by position into a new column."""

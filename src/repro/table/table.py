@@ -101,8 +101,7 @@ class Table:
         return tuple(column[index] for column in self.columns)
 
     def rows(self) -> Iterator[Tuple[Any, ...]]:
-        for i in range(self.num_rows):
-            yield self.row(i)
+        return zip(*(column.to_list() for column in self.columns))
 
     def to_rows(self) -> List[Tuple[Any, ...]]:
         return list(self.rows())

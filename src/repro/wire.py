@@ -12,9 +12,15 @@ value families leak through ``json.dumps``:
 
 :func:`to_jsonable` normalises all of them recursively, so
 ``json.dumps(to_jsonable(x))`` succeeds for any value the engine hands
-back — result rows, :class:`~repro.sql.result.QueryStats` dicts, span
-trees, metrics snapshots. Dates render as ISO-8601 strings; NaN and the
-infinities become ``None`` (SQL NULL is the closest wire meaning).
+back. Dates render as ISO-8601 strings; NaN and the infinities become
+``None`` (SQL NULL is the closest wire meaning).
+
+It is a per-value walk, meant for small heterogeneous payloads:
+:class:`~repro.sql.result.QueryStats` dicts, span trees, health and
+metrics snapshots, and the ``default=`` hook of
+:func:`repro.serve.wire.json_body`. Result rows do not pass through it:
+:meth:`~repro.sql.result.QueryResult.to_dict` builds them by column,
+producing the same values in one pass per column.
 
 This module imports only the standard library (numpy is probed lazily)
 so both :mod:`repro.sql` and :mod:`repro.serve` can depend on it

@@ -7,6 +7,8 @@ from http.client import HTTPConnection
 
 import pytest
 
+import repro.serve.server
+import repro.serve.service
 from repro.serve import (
     QueryService,
     ServerThread,
@@ -14,6 +16,7 @@ from repro.serve import (
     TenantRegistry,
 )
 from repro.sql import Catalog, Session, SessionConfig
+from repro.sql.result import QueryResult
 from repro.table import DataType, Table
 
 SQL = ("SELECT g, sum(v) OVER (PARTITION BY g ORDER BY v "
@@ -28,6 +31,17 @@ def _catalog():
                               for i in range(5)]),
     })
     return Catalog({"t": table})
+
+
+def _special_catalog():
+    """One of each value the wire format has to rewrite or escape."""
+    return Catalog({"w": Table.from_dict({
+        "f": (DataType.FLOAT64, [1.5, None, float("nan"), float("inf")]),
+        "d": (DataType.DATE, [datetime.date(1998, 12, 1), None,
+                              datetime.date(1, 1, 1),
+                              datetime.date(9999, 12, 31)]),
+        "s": (DataType.STRING, ['a"b', None, "\\", "é"]),
+    })})
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +99,54 @@ class TestExecute:
                             {"sql": "SELECT d FROM t"})
         assert status == 200
         assert out["rows"][0] == ["2024-01-01"]
+
+    def test_body_rows_equal_in_process_to_dict(self):
+        sql = "SELECT f, d, s FROM w"
+        service = QueryService(Session(_special_catalog()),
+                               own_session=True)
+        try:
+            with ServerThread(service) as handle:
+                status, out = _json(handle, "POST", "/v1/execute",
+                                    {"sql": sql})
+        finally:
+            service.close()
+        assert status == 200
+        with Session(_special_catalog()) as session:
+            want = json.loads(json.dumps(
+                session.execute(sql).to_dict(), allow_nan=False))
+        assert out["rows"] == want["rows"]
+        assert out["rows"] == [[1.5, "1998-12-01", 'a"b'],
+                               [None, None, None],
+                               [None, "0001-01-01", "\\"],
+                               [None, "9999-12-31", "é"]]
+
+    def test_serialization_runs_on_a_pool_thread(self, server,
+                                                 monkeypatch):
+        """The event loop only writes bytes: the result is turned into
+        a dict and encoded on the pool thread that ran the query."""
+        seen = {"to_dict": [], "json_body": []}
+        to_dict = QueryResult.to_dict
+
+        def spy_to_dict(self, *args, **kwargs):
+            seen["to_dict"].append(threading.current_thread().name)
+            return to_dict(self, *args, **kwargs)
+
+        def spy(module):
+            encode = module.json_body
+
+            def json_body(payload):
+                seen["json_body"].append(threading.current_thread().name)
+                return encode(payload)
+            return json_body
+
+        monkeypatch.setattr(QueryResult, "to_dict", spy_to_dict)
+        for module in (repro.serve.server, repro.serve.service):
+            monkeypatch.setattr(module, "json_body", spy(module))
+        status, _ = _json(server, "POST", "/v1/execute", {"sql": SQL})
+        assert status == 200
+        assert seen["to_dict"] and seen["json_body"]
+        for name in seen["to_dict"] + seen["json_body"]:
+            assert name.startswith("repro-serve-pool"), seen
 
     def test_trace_flag_returns_span_tree(self, server):
         status, out = _json(server, "POST", "/v1/execute",
@@ -253,6 +315,9 @@ class TestOps:
         assert headers["Content-Type"].startswith("text/plain")
         text = body.decode("utf-8")
         assert "repro_http_requests_total" in text
+        assert "repro_http_request_seconds_count" in text
+        assert ('repro_http_serialize_seconds_count'
+                '{endpoint="/v1/execute"}') in text
         assert "repro_plan_cache_hits_total" in text
         assert "repro_tenant_admitted_total" in text
         # Worker-pool gauges export even while nothing has spawned
