@@ -82,11 +82,14 @@ class ProcGroupJob:
     #: column name -> (values spec, validity spec)
     columns: Dict[str, Tuple[ShmArraySpec, ShmArraySpec]]
     order: ShmArraySpec
+    #: per sorted row, its output position or -1 (not answered); the
+    #: ``order`` handle itself when every row is answered in place.
+    slots: ShmArraySpec
     starts: np.ndarray
     spec: WindowSpec
     calls: Tuple[WindowCall, ...]
-    #: per call: (typed values, validity mask) scatter buffers, each of
-    #: length table_rows.
+    #: per call: (typed values, validity mask) scatter buffers, one
+    #: entry per output row.
     out: Tuple[Tuple[ShmArraySpec, ShmArraySpec], ...]
 
 
@@ -167,6 +170,7 @@ class _GroupState:
             validity = self._attach(validity_spec)
             self.columns[name] = (values, validity)
         self.order = self._attach(job.order)
+        self.slots = self._attach(job.slots)
         self.out = [(self._attach(values, writable=True),
                      self._attach(mask, writable=True))
                     for values, mask in job.out]
@@ -191,7 +195,7 @@ class _GroupState:
 
     def close(self) -> None:
         self.columns.clear()
-        self.order = None
+        self.order = self.slots = None
         del self.out[:]
         self.order_columns = []
         for segment in self._segments:
@@ -321,9 +325,10 @@ def _chaos_maybe_kill(partition: int) -> None:
 
 def run_task(state: _GroupState, task: ProcTask) -> None:
     """Evaluate one task, scattering every (call, partition) result
-    into the call's shared values buffer and validity mask. The ack
-    carries nothing: a task either completes — its rows are in shared
-    memory — or is lost and re-run by the parent."""
+    into the call's shared values buffer and validity mask — the rows
+    the parent answers, at the output positions its ``slots`` give.
+    The ack carries nothing: a task either completes — its rows are in
+    shared memory — or is lost and re-run by the parent."""
     from repro.window.evaluators import evaluate_call
     from repro.window.operator import _build_partition
 
@@ -332,15 +337,18 @@ def run_task(state: _GroupState, task: ProcTask) -> None:
     for p in task.partitions:
         _chaos_maybe_kill(int(p))
         rows = state.order[starts[p]:starts[p + 1]]
+        targets = state.slots[starts[p]:starts[p + 1]]
+        answer = np.flatnonzero(targets >= 0)
         view = _build_partition(
             state.columns, rows, job.spec, state.frame,
             state.order_columns, job.table_rows,
-            structures=None, probes=SERIAL_PROBES)
+            structures=None, probes=SERIAL_PROBES, answer=answer)
+        targets = targets[answer]
         for ci in task.call_indices:
             values, validity = evaluate_call(job.calls[ci], view)
             out_values, out_validity = state.out[ci]
-            out_values[rows] = values
-            out_validity[rows] = True if validity is None else validity
+            out_values[targets] = values
+            out_validity[targets] = True if validity is None else validity
 
 
 def worker_main(conn, worker_index: int, heartbeat) -> None:

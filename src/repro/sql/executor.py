@@ -422,6 +422,9 @@ def _aggregate_vector(agg: ast.FuncCall, relation: Relation,
 
 
 def _window(node: plan.WindowNode, ctx: Context) -> Relation:
+    """The input plus one column per call; under a row demand
+    (``node.rows``) only the demanded leading rows, and only they are
+    answered."""
     relation = run(node.input, ctx)
     with ctx.exec.tracer.span("plan", calls=len(node.calls),
                               rows=relation.n):
@@ -430,7 +433,12 @@ def _window(node: plan.WindowNode, ctx: Context) -> Relation:
                   builder.translate_spec(window))
                  for i, (call, window) in enumerate(node.calls)]
         table = builder.build_table()
-    operator = WindowOperator(table, cache=ctx.cache, parallel=ctx.parallel)
+    demand = None
+    if node.rows is not None:
+        demand = np.arange(min(node.rows, relation.n), dtype=np.int64)
+        relation = relation.take(demand)
+    operator = WindowOperator(table, cache=ctx.cache, parallel=ctx.parallel,
+                              rows=demand)
     for call, spec in calls:
         operator.add(call, spec)
     result = operator.run()

@@ -205,6 +205,8 @@ def render(plan: logical_plan.StatementPlan, analysis: Any = None) -> str:
         elif isinstance(node, logical_plan.WindowNode):
             groups = span.find_all("window.group")
             parts = [f"groups={len(groups)}",
+                     f"answered="
+                     f"{sum(g.attrs.get('answered', 0) for g in groups)}",
                      f"time={_ms(sum(g.duration for g in groups))}",
                      f"builds={analysis.stats.structure_builds}",
                      f"reuses={analysis.stats.structure_reuses}"]
@@ -265,6 +267,8 @@ def _label(node: Any) -> str:
         if node.shared:
             groups = "; ".join("=".join(names) for names in node.shared)
             suffix = f" [shared sort: {groups}]"
+        if node.rows is not None:
+            suffix += f" [first {node.rows} rows]"
         return f"Window ({calls}){suffix}"
     if isinstance(node, logical_plan.FilterNode):
         return f"Filter ({_expr(node.predicate)})"

@@ -365,10 +365,14 @@ class AggregateNode(_UnaryNode):
 
 @dataclass(frozen=True)
 class WindowNode(_UnaryNode):
-    """Appends one hidden ``__wout_i`` column per distinct call."""
+    """Appends one hidden ``__wout_i`` column per distinct call.
+
+    ``rows`` is the row demand: when set, only the first ``rows`` input
+    rows are answered and passed on (see :func:`plan_statement`)."""
 
     calls: Tuple[Tuple[ast.WindowFunc, ast.WindowDef], ...]
     shared: Tuple[Tuple[str, ...], ...]  # named windows sharing a sort
+    rows: Optional[int] = None
     span = "window"
 
 
@@ -479,7 +483,15 @@ def plan_statement(stmt: ast.SelectStmt, catalog: Optional[Catalog],
 
     ``ctes`` maps the lowercased names of the enclosing statements'
     CTEs to their output columns. With ``catalog=None`` the result is
-    the syntactic rendering described in the module docstring."""
+    the syntactic rendering described in the module docstring.
+
+    **Row demand.** A window's output is row-aligned with its input,
+    and ``Project`` keeps that alignment, so when neither DISTINCT nor
+    ORDER BY sits between the ``Limit`` and the ``Window`` the limit
+    keeps exactly input positions ``[0, min(k, n))``. The planner then
+    sets ``WindowNode.rows = k``: the window operator answers those
+    rows only, and ``Project`` evaluates only them. The ``Limit`` stays
+    on top, unchanged."""
     ctes = dict(ctes or {})
     cte_nodes: List[CTENode] = []
     for name, sub in stmt.ctes:
@@ -524,8 +536,9 @@ def plan_statement(stmt: ast.SelectStmt, catalog: Optional[Catalog],
             mapping[call] = ast.ColumnRef(f"__wout_{i}")
             resolved.append((replace(call, func=planned(call.func)),
                              ast.map_children(window, planned)))
+        demand = None if stmt.distinct or stmt.order_by else stmt.limit
         node = WindowNode(node, tuple(resolved), tuple(
-            tuple(group) for group in shared_window_groups(stmt)))
+            tuple(group) for group in shared_window_groups(stmt)), demand)
 
     names = columns = None
     if scope is not None:

@@ -13,8 +13,9 @@ def evaluate_call(call: WindowCall, part: PartitionView) -> Arrays:
     """Evaluate one window function over one partition.
 
     One contract for every family, ``mst`` or ``naive``:
-    ``(values, validity)`` in partition order — ``values`` an ndarray
-    of ``part.n`` entries whose dtype is
+    ``(values, validity)`` for the rows the view answers, in the order
+    of ``part.rows`` — ``values`` an ndarray of ``len(part.rows)``
+    entries, one per answered row, whose dtype is
     :func:`~repro.window.evaluators.common.result_dtype` of the call
     (fixed before evaluation; ``object`` only for strings and UDAF
     states), ``validity`` a bool mask or None when no row is NULL. The
@@ -24,6 +25,14 @@ def evaluate_call(call: WindowCall, part: PartitionView) -> Arrays:
     row-at-a-time reference code whose result lists :func:`_dispatch`
     converts once, with the same static dtype, so the fallback rung and
     the shadow check below cannot disagree with the fast path on type.
+
+    ``part.n`` stays the partition's size — the universe the index
+    structures are built over — while only the answered rows are
+    probed: ``start`` / ``end`` / ``pieces`` hold their frames, and an
+    evaluator that needs a row's own position or key reads it at
+    ``part.rows[i]``. Answering k rows of a partition therefore costs
+    the build plus k probes, on every rung: the ``naive`` fallback and
+    the shadow check loop over the same k frames.
 
     Graceful degradation lives here so every entry point (SQL executor,
     :func:`~repro.window.operator.window_query`, direct operator use)
@@ -49,7 +58,7 @@ def evaluate_call(call: WindowCall, part: PartitionView) -> Arrays:
         return _evaluate_call(ctx, call, part)
     with tracer.span("probe", function=call.function,
                      family=call.family, algorithm=call.algorithm,
-                     rows=part.n):
+                     rows=len(part.rows)):
         return _evaluate_call(ctx, call, part)
 
 

@@ -61,7 +61,7 @@ def evaluate(call: WindowCall, part: PartitionView) -> Result:
 
 
 def _combine_pieces(tree: SegmentTree, inputs: CallInput, op, identity):
-    total = np.full(inputs.n, identity, dtype=np.float64)
+    total = np.full(inputs.answered, identity, dtype=np.float64)
     for lo, hi in inputs.pieces_f:
         total = op(total, tree.batched_query(lo, hi))
     return total
@@ -73,7 +73,7 @@ def _evaluate_udaf(call: WindowCall, inputs: CallInput,
     values = inputs.kept_values(call.args[0])
     lifted = SegmentTree([spec.lift(v) for v in values], merge=spec.merge,
                          identity=spec.identity)
-    out = np.zeros(inputs.n, dtype=object)
+    out = np.zeros(inputs.answered, dtype=object)
     valid = counts > 0
     ctx = current_context()
     for i in np.flatnonzero(valid):
@@ -91,11 +91,11 @@ def _evaluate_naive(call: WindowCall, part: PartitionView,
     keep = inputs.keep
     if name == "count_star" or name == "count":
         return [sum(1 for j in frame_rows(part.pieces, i) if keep[j])
-                for i in range(part.n)]
+                for i in range(len(part.rows))]
     values = python_values(part.column(call.args[0])[0])
     out: List[Any] = []
     ctx = current_context()
-    for i in range(part.n):
+    for i in range(len(part.rows)):
         ctx.tick(i)
         frame = [values[j] for j in frame_rows(part.pieces, i) if keep[j]]
         if not frame:

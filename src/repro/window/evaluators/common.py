@@ -20,9 +20,10 @@ from repro.window.partition import PartitionView
 
 RangePair = Tuple[np.ndarray, np.ndarray]
 
-#: One call's result over one partition: ``part.n`` values of the
-#: call's static dtype plus a validity mask (None = no row is NULL;
-#: slots under a False hold an arbitrary placeholder).
+#: One call's result over one partition: one value per answered row
+#: (``len(part.rows)``) of the call's static dtype plus a validity mask
+#: (None = no row is NULL; slots under a False hold an arbitrary
+#: placeholder).
 Arrays = Tuple[np.ndarray, Optional[np.ndarray]]
 
 #: What a family's ``evaluate`` returns: :data:`Arrays` from the ``mst``
@@ -109,7 +110,8 @@ class CallInput:
 
     Rows excluded by FILTER / IGNORE NULLS never enter the tree; frame
     bounds move to the filtered coordinate space via an
-    :class:`IndexRemap` (Sections 4.5 / 4.7).
+    :class:`IndexRemap` (Sections 4.5 / 4.7). The keep mask and the
+    remap span the partition; the frames are the answered rows'.
     """
 
     def __init__(self, call: WindowCall, part: PartitionView,
@@ -128,8 +130,9 @@ class CallInput:
         self.end_f = self.remap.bounds_array_to_filtered(part.end)
 
     @property
-    def n(self) -> int:
-        return self.part.n
+    def answered(self) -> int:
+        """How many rows the call answers (one frame each)."""
+        return len(self.part.rows)
 
     @property
     def n_kept(self) -> int:
@@ -182,7 +185,8 @@ class CallInput:
         class occurs in no piece starting after ``j``: one per class a
         continuous-frame probe counts that the excluded frame lacks.
         ``admit(rows, entries)`` narrows the candidates before the
-        piece test. Pairs come row by row, entries ascending; a block
+        piece test. ``rows`` index the answered rows (``part.rows``).
+        Pairs come row by row, entries ascending; a block
         holds whole rows and at most :data:`HOLE_PAIRS_PER_BLOCK`
         candidates unless one row alone has more.
         """
@@ -210,7 +214,7 @@ class CallInput:
                                 np.iinfo(np.int64).max)
         ctx = current_context()
         r0 = 0
-        while r0 < self.n:
+        while r0 < self.answered:
             done = row_total[r0 - 1] if r0 else 0
             r1 = max(r0 + 1, int(np.searchsorted(
                 row_total, done + HOLE_PAIRS_PER_BLOCK, side="right")))

@@ -97,17 +97,25 @@ def _subtract_hole_only(tree: MergeSortTree, inputs: CallInput,
     subtraction."""
     prev = tree.levels.keys[0].astype(np.int64) - 1  # level 0 is prev + 1
     for rows, entries in inputs.hole_only(prev):
-        counts -= np.bincount(rows, minlength=inputs.n)
+        counts -= np.bincount(rows, minlength=inputs.answered)
         if sums is not None:
             sums -= np.bincount(rows, weights=payload[entries],
-                                minlength=inputs.n)
+                                minlength=inputs.answered)
 
 
 def _probe_distinct(tree: MergeSortTree, inputs: CallInput) -> np.ndarray:
-    """Distinct kept values per continuous frame: one batched count."""
+    """Distinct kept values per continuous frame ``[lo, hi)``: one
+    batched count that descends only the upper frame end.
+
+    Every entry ``j`` has ``prev[j] < j``, so each of the ``lo`` entries
+    before the frame has its previous occurrence before ``lo`` too: the
+    count over ``[0, hi)`` with ``prev < lo`` is the frame's count plus
+    exactly ``lo``."""
+    lo = np.clip(inputs.start_f, 0, inputs.n_kept)
+    hi = np.maximum(np.minimum(inputs.end_f, inputs.n_kept), lo)
     return inputs.part.probes.count(
-        tree.levels, inputs.start_f, inputs.end_f,
-        key_hi=inputs.start_f + 1).astype(np.int64)
+        tree.levels, np.zeros(len(lo), dtype=np.int64), hi,
+        key_hi=lo + 1).astype(np.int64) - lo
 
 
 def _count_distinct(call: WindowCall, inputs: CallInput) -> Arrays:
@@ -144,7 +152,7 @@ def _apply_non_finite(inputs: CallInput, payload: np.ndarray,
 
     def occurs(hit: np.ndarray) -> np.ndarray:
         positions = np.flatnonzero(hit)
-        found = np.zeros(inputs.n, dtype=np.bool_)
+        found = np.zeros(inputs.answered, dtype=np.bool_)
         for lo, hi in inputs.pieces_f:
             found |= (np.searchsorted(positions, lo)
                       < np.searchsorted(positions, hi))
@@ -170,7 +178,7 @@ def _udaf_distinct(call: WindowCall, part: PartitionView,
     states = batched_aggregate(tree.levels, inputs.start_f[valid],
                                inputs.end_f[valid],
                                inputs.start_f[valid] + 1, spec)
-    out = np.zeros(part.n, dtype=object)
+    out = np.zeros(len(part.rows), dtype=object)
     out[valid] = np.fromiter((spec.finalize(state) for state in states),
                              dtype=object, count=len(states))
     return nullable(out, valid)

@@ -35,7 +35,7 @@ def evaluate(call: WindowCall, part: PartitionView) -> Result:
     lo, hi = inputs.pieces_f[0]
     out: List[Any] = []
     ctx = current_context()
-    for i in range(part.n):
+    for i in range(len(part.rows)):
         ctx.tick(i)
         mode, _count = index.query(int(lo[i]), int(hi[i]))
         out.append(mode)
@@ -52,7 +52,7 @@ def _evaluate_naive(call: WindowCall, part: PartitionView,
             first_seen[value] = position
     out: List[Any] = []
     ctx = current_context()
-    for i in range(part.n):
+    for i in range(len(part.rows)):
         ctx.tick(i)
         counts: Dict[Any, int] = {}
         for lo, hi in inputs.pieces_f:

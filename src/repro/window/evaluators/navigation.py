@@ -56,16 +56,18 @@ def _in_frame_order(call: WindowCall, part: PartitionView) -> bool:
 
 def _function_positions(inputs: CallInput, tree: MergeSortTree,
                         sort_columns: List[SortColumn]) -> np.ndarray:
-    """Per partition row: the kept rows sorting strictly before it in
+    """Per answered row: the kept rows sorting strictly before it in
     function order (stable, so ties go by partition position)."""
+    rows = inputs.part.rows
     if inputs.keep.all():
         # Every row is kept: that is the row's place in the kept
         # permutation the tree was built from.
-        return inverse_permutation(tree.levels.keys[0])
-    full_order = stable_argsort(sort_columns, inputs.n)
-    kept_prefix = np.zeros(inputs.n + 1, dtype=np.int64)
+        return inverse_permutation(tree.levels.keys[0])[rows]
+    n = inputs.part.n
+    full_order = stable_argsort(sort_columns, n)
+    kept_prefix = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(inputs.keep[full_order], out=kept_prefix[1:])
-    return kept_prefix[inverse_permutation(full_order)]
+    return kept_prefix[inverse_permutation(full_order)[rows]]
 
 
 def _piece_select(inputs: CallInput, k: np.ndarray,
@@ -95,7 +97,7 @@ def evaluate(call: WindowCall, part: PartitionView) -> Result:
         # identity and both probes reduce to arithmetic on the pieces:
         # the kept rows before row i are exactly those at filtered
         # positions below its own.
-        own = inputs.remap.bounds_array_to_filtered(np.arange(part.n))
+        own = inputs.remap.bounds_array_to_filtered(part.rows)
         rank0 = sum(np.maximum(np.minimum(own, hi) - lo, 0)
                     for lo, hi in inputs.pieces_f)
     else:
@@ -108,10 +110,11 @@ def evaluate(call: WindowCall, part: PartitionView) -> Result:
         # Step 1: the row's insertion position among kept rows in
         # function order, a slab-prefix count on the permutation tree.
         own_slab = _function_positions(inputs, tree, sort_columns)
-        rank0 = np.zeros(part.n, dtype=np.int64)
+        rank0 = np.zeros(len(own_slab), dtype=np.int64)
         for lo, hi in inputs.pieces_f:
             rank0 += part.probes.count(tree.levels,
-                                       np.zeros(part.n, dtype=np.int64),
+                                       np.zeros(len(own_slab),
+                                                dtype=np.int64),
                                        own_slab, key_hi=hi, key_lo=lo)
 
     # Step 2: apply the offset.
@@ -127,9 +130,9 @@ def evaluate(call: WindowCall, part: PartitionView) -> Result:
     else:
         at = inputs.select(tree.levels, targets[idx], idx)
     default = _default(call)
-    out = np.full(part.n, 0 if default is None else default,
+    out = np.full(len(part.rows), 0 if default is None else default,
                   dtype=result_dtype(call, part))
-    valid = np.full(part.n, default is not None, dtype=np.bool_)
+    valid = np.full(len(part.rows), default is not None, dtype=np.bool_)
     out[idx] = values[at]
     valid[idx] = validity[at]
     return out, valid
@@ -147,14 +150,15 @@ def _evaluate_naive(call: WindowCall, part: PartitionView,
     signed = call.offset if call.function == "lead" else -call.offset
     out: List[Any] = []
     ctx = current_context()
-    for i in range(part.n):
+    for i, row in enumerate(part.rows):
         ctx.tick(i)
         rows = [j for j in frame_rows(part.pieces, i) if keep[j]]
         rows.sort(key=lambda j: (order_keys[j], j))
         before = sum(1 for j in rows
-                     if order_keys[j] < order_keys[i]
-                     or (not order_keys[j] < order_keys[i]
-                         and not order_keys[i] < order_keys[j] and j < i))
+                     if order_keys[j] < order_keys[row]
+                     or (not order_keys[j] < order_keys[row]
+                         and not order_keys[row] < order_keys[j]
+                         and j < row))
         target = before + signed
         if 0 <= target < len(rows):
             j = rows[target]

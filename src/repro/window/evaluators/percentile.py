@@ -68,14 +68,14 @@ def _evaluate_mst(call: WindowCall, inputs: CallInput,
         upper = np.ceil(positions).astype(np.int64)
         weight = positions - lower
         values = np.asarray(values, dtype=np.float64)
-        out = np.zeros(inputs.n, dtype=np.float64)
+        out = np.zeros(inputs.answered, dtype=np.float64)
         out[idx] = (values[inputs.select(tree.levels, lower, idx)]
                     * (1 - weight)
                     + values[inputs.select(tree.levels, upper, idx)]
                     * weight)
     else:
         ks = np.maximum(np.ceil(fraction * sizes).astype(np.int64) - 1, 0)
-        out = np.zeros(inputs.n, dtype=values.dtype)
+        out = np.zeros(inputs.answered, dtype=values.dtype)
         out[idx] = values[inputs.select(tree.levels, ks, idx)]
     return nullable(out, valid)
 
@@ -95,7 +95,7 @@ def _evaluate_naive(call: WindowCall, part: PartitionView, inputs: CallInput,
         lo, hi = inputs.pieces_f[0]
         out: List[Any] = []
         ctx = current_context()
-        for i in range(part.n):
+        for i in range(len(part.rows)):
             ctx.tick(i)
             a, b = int(lo[i]), int(hi[i])
             if a >= b:

@@ -50,10 +50,10 @@ def evaluate(call: WindowCall, part: PartitionView) -> Result:
         "mst:rankkeys",
         lambda: MergeSortTree(kept_keys, fanout=_TREE_FANOUT),
         extra=(unique_keys,) + inputs.function_order_signature())
-    own = keys  # full-partition key per row
+    own = keys[part.rows]  # the answered rows' own keys
 
     def count_below(threshold: np.ndarray) -> np.ndarray:
-        total = np.zeros(part.n, dtype=np.int64)
+        total = np.zeros(len(own), dtype=np.int64)
         for lo, hi in inputs.pieces_f:
             total += part.probes.count(tree.levels, lo, hi,
                                        key_hi=threshold)
@@ -82,37 +82,39 @@ def _dense_rank(inputs: CallInput, keys: np.ndarray) -> Arrays:
         "rangetree:dense",
         lambda: DenseRankIndex(kept_keys),
         extra=inputs.function_order_signature())
-    ranks = index.batched_dense_rank(inputs.start_f, inputs.end_f, keys)
+    own = keys[inputs.part.rows]
+    ranks = index.batched_dense_rank(inputs.start_f, inputs.end_f, own)
     # Section 4.7: a smaller key class whose every frame occurrence sits
     # in an EXCLUDE hole was counted above. ``index.prev`` holds the
     # kept keys' previous occurrences.
     for rows, _ in inputs.hole_only(
             index.prev,
-            admit=lambda rows, entries: kept_keys[entries] < keys[rows]):
-        ranks -= np.bincount(rows, minlength=inputs.n)
+            admit=lambda rows, entries: kept_keys[entries] < own[rows]):
+        ranks -= np.bincount(rows, minlength=inputs.answered)
     return ranks, None
 
 
 def _evaluate_naive(name: str, call: WindowCall, part: PartitionView,
                     inputs: CallInput, keys: np.ndarray) -> List[Any]:
+    rows = part.rows
     if name == "dense_rank":
-        return naive_dense_rank(keys, inputs.keep, part.pieces)
+        return naive_dense_rank(keys, inputs.keep, part.pieces, rows)
     if name in ("rank", "row_number"):
-        return naive_rank(keys, inputs.keep, part.pieces, ties="strict")
+        return naive_rank(keys, inputs.keep, part.pieces, "strict", rows)
     sizes = frame_sizes(inputs.pieces_f)
     if name == "percent_rank":
-        ranks = naive_rank(keys, inputs.keep, part.pieces, ties="strict")
+        ranks = naive_rank(keys, inputs.keep, part.pieces, "strict", rows)
         return [0.0 if sizes[i] <= 1 else float((ranks[i] - 1) / (sizes[i] - 1))
-                for i in range(part.n)]
+                for i in range(len(rows))]
     if name == "cume_dist":
-        at_most = naive_rank(keys, inputs.keep, part.pieces, ties="at_most")
+        at_most = naive_rank(keys, inputs.keep, part.pieces, "at_most", rows)
         return [None if sizes[i] == 0 else float((at_most[i] - 1) / sizes[i])
-                for i in range(part.n)]
+                for i in range(len(rows))]
     if name == "ntile":
-        ranks = naive_rank(keys, inputs.keep, part.pieces, ties="strict")
+        ranks = naive_rank(keys, inputs.keep, part.pieces, "strict", rows)
         buckets = call.buckets
         return [None if sizes[i] == 0
                 else int(((ranks[i] - 1) * buckets) // sizes[i]) + 1
-                for i in range(part.n)]
+                for i in range(len(rows))]
     raise WindowFunctionError(f"unsupported rank function {name!r}")
 

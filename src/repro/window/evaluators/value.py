@@ -54,8 +54,8 @@ def evaluate(call: WindowCall, part: PartitionView) -> Result:
     values, validity = inputs.argument()
     idx = np.flatnonzero((ks >= 0) & (ks < counts))
     at = inputs.select(tree.levels, ks[idx], idx)
-    out = np.zeros(part.n, dtype=values.dtype)
-    valid = np.zeros(part.n, dtype=np.bool_)
+    out = np.zeros(len(part.rows), dtype=values.dtype)
+    valid = np.zeros(len(part.rows), dtype=np.bool_)
     out[idx] = values[at]
     valid[idx] = validity[at]
     return out, valid

@@ -5,15 +5,28 @@ The classic structure from Leis et al. [27]: the input is sorted once by
 evaluates every window function against shared index structures; results
 are scattered back to the original row order as new columns.
 
+A consumer that keeps only some rows passes a **row demand**
+(``WindowOperator(..., rows=...)``: ascending input positions, e.g. the
+first k under a LIMIT k). Partitions are still sorted and framed whole
+— the trees span the partition and RANGE / GROUPS / EXCLUDE frames read
+neighbouring rows — but each partition answers only its demanded rows
+(:attr:`~repro.window.partition.PartitionView.rows`), a partition with
+none is skipped outright (no gather, no structure, no probe), and the
+output holds the demanded rows alone. Without a demand every row is
+demanded: there is one evaluation path. Answering k rows of a built
+tree costs k probes (PAPER.md §1), so a LIMIT 100 over 20 000 rows
+probes 100 frames, not 20 000.
+
 Partition evaluation is scheduled by a
 :class:`~repro.parallel.scheduler.WindowScheduler` (Section 5): many
 small partitions are bin-packed into morsels that run whole on the
 session's worker pool (inter-partition), a dominant partition builds
 once and fans its probe arrays out over the pool (intra-partition), and
 small groups stay on the pre-existing serial path. Whatever the
-strategy, each partition scatters its values into precomputed global
-row positions, so results are bit-identical to serial execution
-regardless of completion order.
+strategy, each partition scatters its values into precomputed output
+positions, so results are bit-identical to serial execution
+regardless of completion order. The scheduler sizes a group by its
+answered rows, so a small demand keeps the group serial.
 
 The pool is the supervised process pool (``workers >= 2``): input
 columns, the sort permutation and per-call scatter buffers are shared
@@ -91,12 +104,18 @@ class WindowOperator:
     """
 
     def __init__(self, table: Table, cache: Any = None,
-                 parallel: Optional[WindowScheduler] = None) -> None:
+                 parallel: Optional[WindowScheduler] = None,
+                 rows: Optional[Sequence[int]] = None) -> None:
         self.table = table
         self.cache = cache  # optional repro.cache.StructureCache
         #: Scheduler for morsel-driven evaluation; None falls back to
         #: the process-wide default (sized by ``REPRO_WORKERS``).
         self.parallel = parallel
+        #: The row demand: ascending, distinct input positions the
+        #: consumer keeps (None = every row). Only these rows are
+        #: answered, and they alone make up the output.
+        self.rows = None if rows is None \
+            else np.asarray(rows, dtype=np.int64)
         self._groups: List[Tuple[WindowSpec, List[WindowCall]]] = []
 
     def add(self, call: WindowCall, spec: WindowSpec) -> "WindowOperator":
@@ -108,14 +127,18 @@ class WindowOperator:
         return self
 
     def run(self) -> Table:
-        """Evaluate all calls; returns the input table with one appended
-        column per call (in registration order)."""
-        fields = list(self.table.schema.fields)
-        columns = list(self.table.columns)
+        """Evaluate all calls; returns the input table — its demanded
+        rows only, under a demand — with one appended column per call
+        (in registration order)."""
+        kept = self.table if self.rows is None \
+            else self.table.take(self.rows)
+        fields = list(kept.schema.fields)
+        columns = list(kept.columns)
         for spec, calls in self._groups:
             results = _evaluate_group(self.table, spec, calls,
                                       cache=self.cache,
-                                      parallel=self.parallel)
+                                      parallel=self.parallel,
+                                      demand=self.rows)
             for call, column in zip(calls, results):
                 name = _unique_name(call.output_name,
                                     {field.name for field in fields})
@@ -141,12 +164,13 @@ def window_query(table: Table, calls: Sequence[WindowCall],
 class _GroupResults:
     """The group's output columns being assembled across partitions:
     per call one values buffer of the call's static type and one
-    validity mask, both preallocated before the group runs. Every group
-    path — serial, probe fan, process group — ends in :meth:`scatter`,
-    and each scatter targets disjoint global row positions."""
+    validity mask of ``n`` output rows, both preallocated before the
+    group runs. Every group path — serial, probe fan, process group —
+    ends in :meth:`scatter`, and each scatter targets disjoint output
+    positions."""
 
-    def __init__(self, table: Table, calls: Sequence[WindowCall]) -> None:
-        n = table.num_rows
+    def __init__(self, table: Table, calls: Sequence[WindowCall],
+                 n: int) -> None:
         #: Per call: the result type, None = inferred (a UDAF).
         self.types = [
             result_type(call, table.schema.field(call.args[0]).dtype
@@ -181,7 +205,8 @@ class _GroupResults:
 def _evaluate_group(table: Table, spec: WindowSpec,
                     calls: Sequence[WindowCall],
                     cache: Any = None,
-                    parallel: Optional[WindowScheduler] = None
+                    parallel: Optional[WindowScheduler] = None,
+                    demand: Optional[np.ndarray] = None
                     ) -> List[Column]:
     scheduler = parallel if parallel is not None else default_scheduler()
     # The arena lease spans the whole group: every entry it touches
@@ -191,7 +216,7 @@ def _evaluate_group(table: Table, spec: WindowSpec,
              if scheduler.process_enabled else None)
     try:
         return _evaluate_group_inner(table, spec, calls, cache,
-                                     scheduler, lease)
+                                     scheduler, lease, demand)
     finally:
         if lease is not None:
             lease.release()
@@ -229,7 +254,8 @@ def _resolve_order(lease: Any, table: Table, spec: WindowSpec,
 def _evaluate_group_inner(table: Table, spec: WindowSpec,
                           calls: Sequence[WindowCall],
                           cache: Any, scheduler: WindowScheduler,
-                          lease: Any) -> List[Column]:
+                          lease: Any, demand: Optional[np.ndarray]
+                          ) -> List[Column]:
     n = table.num_rows
     ctx = current_context()
     tracer = ctx.tracer
@@ -268,42 +294,63 @@ def _evaluate_group_inner(table: Table, spec: WindowSpec,
             np.r_[True, partition_ids[1:] != partition_ids[:-1]])
         starts = np.append(boundaries, n)
         sizes = np.diff(starts)
+        # slots[i]: the output position of the i-th row in window
+        # order, -1 where the consumer keeps no row. Without a demand
+        # every row is answered at its own input position.
+        slots = order
+        if demand is not None:
+            slots = np.full(n, -1, dtype=np.int64)
+            slots[demand] = np.arange(len(demand))
+            slots = slots[order]
+        answered_before = np.r_[0, np.cumsum(slots >= 0)]
+        answered = answered_before[starts[1:]] - answered_before[starts[:-1]]
+        # Partitions holding no answered row are skipped outright: no
+        # gather, no structure, no probe.
+        live = np.flatnonzero(answered).tolist()
         if partition_span is not None:
             partition_span.annotate(partitions=len(sizes))
     finally:
         if partition_span is not None:
             partition_span.__exit__(None, None, None)
 
-    buffers = _GroupResults(table, calls)
+    buffers = _GroupResults(table, calls,
+                            n if demand is None else len(demand))
 
     def evaluate_partition(p: int, probes: ProbeKernels) -> None:
-        """Build, evaluate and scatter one whole partition.
+        """Build, evaluate and scatter one partition's answered rows.
 
         Cache pins are acquired under the store lock inside the
         builder and released in this call's ``finally``, so failure or
         cancellation never leaves a pin behind."""
         rows = order[starts[p]:starts[p + 1]]
+        targets = slots[starts[p]:starts[p + 1]]
+        answer = np.flatnonzero(targets >= 0)
         acquirer = None
         if cache is not None:
             from repro.cache.store import StructureAcquirer
             acquirer = StructureAcquirer(cache, group_key + (p,))
         view = _build_partition(all_column_data, rows, spec, frame,
                                 order_columns, table.num_rows,
-                                structures=acquirer, probes=probes)
+                                structures=acquirer, probes=probes,
+                                answer=answer)
+        targets = targets[answer]
         try:
             for call_index, call in enumerate(calls):
-                buffers.scatter(call_index, rows,
+                buffers.scatter(call_index, targets,
                                 *evaluate_call(call, view))
         finally:
             if acquirer is not None:
                 acquirer.release_all()
 
-    decision = scheduler.choose(sizes, len(calls))
+    # The scheduler sizes the work by the rows answered, not the rows
+    # partitioned: a LIMIT 100 group is a serial group.
+    decision = scheduler.choose(answered[live], len(calls))
 
     group_span = tracer.span(
         "window.group", strategy=decision.strategy,
         executor=decision.executor,
         partitions=len(sizes), rows=n, calls=len(calls),
+        answered=int(answered.sum()),
         morsels=decision.morsels) if tracer.enabled else NULL_SPAN
     with group_span:
         if decision.strategy != SERIAL:
@@ -317,17 +364,17 @@ def _evaluate_group_inner(table: Table, spec: WindowSpec,
             elif decision.strategy == INTRA_PARTITION:
                 handled = _run_group_probe_fan(
                     ctx, scheduler, decision, lease,
-                    evaluate_partition, len(sizes))
+                    evaluate_partition, live)
             else:
                 handled = _run_group_process(
                     ctx, scheduler, decision, spec, calls, table,
-                    all_column_data, order, order_spec, starts,
-                    buffers, evaluate_partition, n, lease)
+                    all_column_data, order, order_spec, slots, starts,
+                    live, buffers, evaluate_partition, n, lease)
             if handled:
                 return buffers.finish()
             # The helper downgraded the decision in place; the group
             # continues on the serial path below.
-        for p in range(len(sizes)):
+        for p in live:
             # Partition boundaries are the operator's batch
             # boundaries: an expired deadline or cancellation
             # surfaces here rather than hanging through the
@@ -389,22 +436,25 @@ def _downgrade(ctx: Any, scheduler: WindowScheduler, decision: Any,
     return False
 
 
-def _process_tasks(decision: Any, num_calls: int) -> list:
+def _process_tasks(decision: Any, num_calls: int,
+                   live: List[int]) -> list:
     """An inter-partition group's work as pool tasks: one task per
-    planned morsel, all calls. (Intra-partition groups no longer ship
-    whole to workers — they evaluate on the query thread and fan probe
-    batches instead; see :func:`_run_group_probe_fan`.)"""
+    planned morsel, all calls. The plan indexes the ``live`` partitions
+    (those with an answered row) the scheduler was given. (Intra-
+    partition groups no longer ship whole to workers — they evaluate on
+    the query thread and fan probe batches instead; see
+    :func:`_run_group_probe_fan`.)"""
     from repro.parallel.procworker import ProcTask
 
     all_calls = tuple(range(num_calls))
-    return [ProcTask(m, tuple(int(p) for p in bucket), all_calls)
+    return [ProcTask(m, tuple(live[p] for p in bucket), all_calls)
             for m, bucket in enumerate(decision.plan)]
 
 
 def _run_group_probe_fan(ctx: Any, scheduler: WindowScheduler,
                          decision: Any, lease: Any,
                          evaluate_partition: Any,
-                         num_partitions: int) -> bool:
+                         live: List[int]) -> bool:
     """Run one intra-partition group with probes fanned to the pool.
 
     Unlike the inter-partition path, evaluation stays on the query
@@ -423,7 +473,7 @@ def _run_group_probe_fan(ctx: Any, scheduler: WindowScheduler,
                           "worker.pool breaker open")
 
     probes = scheduler.process_probes(decision, lease)
-    for p in range(num_partitions):
+    for p in live:
         ctx.checkpoint()
         probes.partition = p
         evaluate_partition(p, probes)
@@ -462,7 +512,8 @@ def _run_group_process(ctx: Any, scheduler: WindowScheduler,
                        calls: Sequence[WindowCall], table: Table,
                        all_column_data: Dict[str, Any],
                        order: np.ndarray, order_spec: Any,
-                       starts: np.ndarray, buffers: _GroupResults,
+                       slots: np.ndarray, starts: np.ndarray,
+                       live: List[int], buffers: _GroupResults,
                        evaluate_partition: Any, n: int,
                        lease: Any) -> bool:
     """Try to run one parallel group on the supervised process pool.
@@ -478,7 +529,8 @@ def _run_group_process(ctx: Any, scheduler: WindowScheduler,
     session-lifetime table arena (content-keyed; copied at most once
     per session) and ``order_spec`` — the permutation's arena handle
     from :func:`_resolve_order` — ships directly; only the result
-    scatter buffers live in the per-group transient arena."""
+    scatter buffers, and under a row demand the ``slots`` workers
+    scatter by, live in the per-group transient arena."""
     from repro.cache.fingerprint import column_fingerprint
     from repro.parallel.procworker import ProcGroupJob
     from repro.parallel.shm import ShmArena
@@ -512,18 +564,19 @@ def _run_group_process(ctx: Any, scheduler: WindowScheduler,
             table_rows=n,
             columns=columns,
             order=order_spec,
+            slots=order_spec if slots is order else arena.share(slots),
             starts=np.asarray(starts, dtype=np.int64),
             spec=spec,
             calls=tuple(calls),
-            out=tuple((arena.create((n,), values.dtype),
-                       arena.create((n,), np.bool_))
+            out=tuple((arena.create(values.shape, values.dtype),
+                       arena.create(values.shape, np.bool_))
                       for values in buffers.values))
     except OSError:
         arena.close()
         breaker_failure(ctx, breaker)
         return downgrade("shared-memory setup failed")
 
-    tasks = _process_tasks(decision, len(calls))
+    tasks = _process_tasks(decision, len(calls), live)
     try:
         lost = scheduler.run_process_tasks(job, tasks)
     except WorkerPoolError:
@@ -536,7 +589,7 @@ def _run_group_process(ctx: Any, scheduler: WindowScheduler,
         raise
 
     try:
-        # Workers scattered at the global row positions; rows of lost
+        # Workers scattered at the output positions; rows of lost
         # morsels hold garbage until the re-run below overwrites them.
         for ci, (values, mask) in enumerate(job.out):
             buffers.values[ci][:] = arena.view(values)
@@ -573,7 +626,15 @@ def _build_partition(all_column_data: Dict[str, Tuple[Any, np.ndarray]],
                      rows: np.ndarray, spec: WindowSpec, frame: FrameSpec,
                      order_columns: List[SortColumn],
                      table_rows: int, structures: Any = None,
-                     probes: ProbeKernels = SERIAL_PROBES) -> PartitionView:
+                     probes: ProbeKernels = SERIAL_PROBES,
+                     answer: Optional[np.ndarray] = None) -> PartitionView:
+    """The partition of global ``rows`` (in window order) as a view that
+    answers the local positions ``answer`` (None = every row).
+
+    Columns and peer groups cover the whole partition, and bounds are
+    resolved for all of it — RANGE and GROUPS frames and the EXCLUDE
+    pieces read neighbouring rows — before ``start`` / ``end`` /
+    ``pieces`` keep only the answered rows."""
     local_n = len(rows)
     columns: Dict[str, Tuple[Any, np.ndarray]] = {}
     for name, (values, validity) in all_column_data.items():
@@ -602,9 +663,12 @@ def _build_partition(all_column_data: Dict[str, Tuple[Any, np.ndarray]],
     pieces = exclusion_ranges(start, end, frame.exclusion, peers)
     pieces = [(np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64))
               for lo, hi in pieces]
+    if answer is not None and len(answer) < local_n:
+        start, end = start[answer], end[answer]
+        pieces = [(lo[answer], hi[answer]) for lo, hi in pieces]
     return PartitionView(columns, local_n, start, end, pieces, peers,
                          frame.exclusion, window_order=spec.order_by,
-                         structures=structures, probes=probes)
+                         structures=structures, probes=probes, rows=answer)
 
 
 def _range_keys(spec: WindowSpec, local_order_cols: List[SortColumn],

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -17,13 +17,18 @@ RangePair = Tuple[np.ndarray, np.ndarray]
 
 
 class PartitionView:
-    """One window partition, sorted by the window ORDER BY, with its frame
-    geometry fully resolved.
+    """One window partition, sorted by the window ORDER BY, with the
+    frames of the rows it answers fully resolved.
 
-    * ``start`` / ``end`` — the frame before exclusion;
-    * ``pieces`` — the frame after the EXCLUDE clause, as 1–3 continuous
-      ranges per row in position order; the excluded rows are the gaps
-      between consecutive pieces.
+    * ``n`` — the partition's size: columns hold ``n`` values and index
+      structures range over them;
+    * ``rows`` — the local positions of the rows the view answers,
+      ascending (every position unless the consumer demanded fewer);
+    * ``start`` / ``end`` — per answered row, the frame before
+      exclusion;
+    * ``pieces`` — per answered row, the frame after the EXCLUDE clause,
+      as 1–3 continuous ranges in position order; the excluded rows are
+      the gaps between consecutive pieces.
     """
 
     def __init__(self, columns: Dict[str, ColumnData], n: int,
@@ -31,9 +36,11 @@ class PartitionView:
                  peers: PeerGroups, exclusion: FrameExclusion,
                  window_order: Sequence[OrderItem] = (),
                  structures: Any = None,
-                 probes: ProbeKernels = SERIAL_PROBES) -> None:
+                 probes: ProbeKernels = SERIAL_PROBES,
+                 rows: Optional[np.ndarray] = None) -> None:
         self.columns = columns
         self.n = n
+        self.rows = np.arange(n, dtype=np.int64) if rows is None else rows
         self.start = start
         self.end = end
         self.pieces = pieces

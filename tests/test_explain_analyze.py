@@ -73,6 +73,14 @@ class TestExplainAnalyze:
         assert "builds=0, reuses=4" in warm
         assert "structure.reuse x4" in warm
 
+    def test_window_reports_the_rows_answered(self):
+        with Session(_catalog()) as session:
+            limited = session.explain(SQL + " LIMIT 4", analyze=True)
+            full = session.explain(SQL, analyze=True)
+        assert ("[first 4 rows] (actual: groups=1, answered=4,"
+                in _plan_line(limited, "Window"))
+        assert "(actual: groups=1, answered=6," in _plan_line(full, "Window")
+
     def test_plain_explain_has_no_actuals(self):
         with Session(_catalog()) as session:
             text = session.explain(SQL)

@@ -94,3 +94,17 @@ def test_figure9_shapes_visible():
     """)
     assert "NestedLoopJoin" in selfjoin
     assert "Aggregate" in selfjoin
+
+
+def test_window_under_limit_shows_its_demand():
+    # LIMIT straight over the window keeps input positions [0, 100):
+    # the window answers only those rows.
+    window = "count(distinct b) over w as d from t window w as (order by a)"
+    plan = explain(f"select a, {window} limit 100")
+    assert "Window (count(...) OVER w) [first 100 rows]" in plan
+    assert "Limit (100)" in plan
+    # A sort or DISTINCT in between, or no LIMIT: every row is answered.
+    for sql in (f"select a, {window} order by d limit 100",
+                f"select distinct a, {window} limit 100",
+                f"select a, {window}"):
+        assert "[first" not in explain(sql), sql

@@ -1,6 +1,7 @@
-"""The evaluator contract: typed ``(values, validity)`` arrays whose
-type is fixed by the call and its argument's schema type — never by
-the data, never by ``mst`` or ``naive``."""
+"""The evaluator contract: typed ``(values, validity)`` arrays, one
+entry per answered row, whose type is fixed by the call and its
+argument's schema type — never by the data, never by ``mst`` or
+``naive``."""
 
 import datetime
 
@@ -14,6 +15,7 @@ from repro.window import (FrameExclusion, FrameSpec, WindowCall, WindowSpec,
                           preceding, window_query)
 from repro.window.calls import ALL_FUNCTIONS, result_type
 from repro.window.evaluators import evaluate_call
+from repro.window.evaluators.common import to_list
 from repro.window.frame import FrameMode, OrderItem
 from repro.window.operator import _build_partition
 
@@ -73,12 +75,12 @@ def _spec(exclusion):
                                       preceding(1), exclusion))
 
 
-def _partition(exclusion):
+def _partition(exclusion, answer=None):
     data = {f.name: (TABLE.column(f.name).raw(),
                      TABLE.column(f.name).validity) for f in TABLE.schema}
     spec = _spec(exclusion)
     return _build_partition(data, np.arange(N), spec, spec.effective_frame(),
-                            [SortColumn(*data["o"])], N)
+                            [SortColumn(*data["o"])], N, answer=answer)
 
 
 CASES = [(name, algorithm) for name in FUNCTIONS
@@ -113,6 +115,32 @@ def test_evaluate_call_contract(name, algorithm):
             result = window_query(TABLE, [call], _spec(exclusion))
             assert result.schema.fields[-1].dtype is (static or
                                                       DataType.INT64), where
+
+
+#: A demand that is neither a prefix nor contiguous, with a peer of a
+#: demanded row left out (rows 4/5 and 10/11 are peers).
+ANSWER = np.array([0, 1, 4, 7, 8, 11])
+
+
+@pytest.mark.parametrize("name,algorithm", CASES)
+def test_answers_only_the_demanded_rows(name, algorithm):
+    """A view over a demanded subset answers exactly those rows, each
+    as the whole-partition view answers it — the trees still span the
+    partition."""
+    options, arg_columns = FUNCTIONS[name]
+    for exclusion in FrameExclusion:
+        every, demanded = _partition(exclusion), _partition(exclusion, ANSWER)
+        assert demanded.n == N and demanded.rows.tolist() == ANSWER.tolist()
+        for column in arg_columns:
+            args = () if column is None else (column,)
+            call = WindowCall(name.split()[0], args, algorithm=algorithm,
+                              **options)
+            values, validity = evaluate_call(call, demanded)
+            where = (name, algorithm, exclusion, column)
+            assert len(values) == len(ANSWER), where
+            whole = to_list(evaluate_call(call, every))
+            assert to_list((values, validity)) == \
+                [whole[row] for row in ANSWER], where
 
 
 @pytest.mark.parametrize("algorithm", ["mst", "naive"])

@@ -1,8 +1,11 @@
 """Targeted tests for evaluator plumbing and the trickiest corrections."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_columns_equal
+from repro.mst.vectorized import batched_count
 from repro.table import DataType, Table
 from repro.window import (
     FrameExclusion,
@@ -16,6 +19,7 @@ from repro.window import (
 from repro.window.bounds import (PeerGroups, exclusion_ranges, frame_sizes,
                                  row_ranges)
 from repro.window.calls import WindowCall as WC
+from repro.window.evaluators import distinct
 from repro.window.evaluators.common import CallInput, keep_mask
 from repro.window.frame import OrderItem
 from repro.window.partition import PartitionView
@@ -222,3 +226,43 @@ class TestSumDistinctCorrections:
                                algorithm="naive")],
             spec).columns[-1].to_list()
         assert_columns_equal(got, want)
+
+
+@st.composite
+def _distinct_views(draw):
+    """A partition with per-row frames that may be inverted, peer
+    groups, an EXCLUDE clause, FILTER and NULL arguments."""
+    n = draw(st.integers(0, 25))
+    bound = st.integers(0, n)
+    start = np.array([draw(bound) for _ in range(n)], dtype=np.int64)
+    end = np.array([draw(bound) for _ in range(n)], dtype=np.int64)
+    peers = PeerGroups(np.cumsum([0] + [draw(st.integers(0, 1))
+                                        for _ in range(n - 1)])[:n])
+    exclusion = draw(st.sampled_from(list(FrameExclusion)))
+    pieces = [(np.asarray(lo), np.asarray(hi))
+              for lo, hi in exclusion_ranges(start, end, exclusion, peers)]
+    columns = {
+        "x": (np.array([draw(st.integers(0, 3)) for _ in range(n)],
+                       dtype=np.int64),
+              np.array([draw(st.booleans()) for _ in range(n)],
+                       dtype=np.bool_)),
+        "f": (np.array([draw(st.booleans()) for _ in range(n)],
+                       dtype=np.bool_), np.ones(n, dtype=np.bool_)),
+    }
+    part = PartitionView(columns, n, start, end, pieces, peers, exclusion)
+    call = WC("count", ("x",), distinct=True,
+              filter_where="f" if draw(st.booleans()) else None)
+    return CallInput(call, part, skip_null_arg=draw(st.booleans()))
+
+
+@settings(deadline=None)
+@given(_distinct_views())
+def test_distinct_probe_equals_the_two_ended_count(inputs):
+    """``count(DISTINCT)`` descends only the upper frame end: over
+    ``[0, hi)`` the entries before ``lo`` all have ``prev < lo``, so
+    subtracting ``lo`` equals the two-ended count over ``[lo, hi)``."""
+    tree = distinct._build_tree(inputs)
+    two_ended = batched_count(tree.levels, inputs.start_f, inputs.end_f,
+                              key_hi=inputs.start_f + 1)
+    assert distinct._probe_distinct(tree, inputs).tolist() == \
+        two_ended.tolist()
