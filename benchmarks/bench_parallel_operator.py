@@ -1,18 +1,18 @@
-"""Morsel-driven window execution: serial vs process-pool workers.
+"""Parallel window execution: serial vs the process-pool probe fan.
 
-Two workload shapes bracket the scheduler's strategies:
+Two workload shapes bracket what a window group looks like:
 
-* **many-small** — hundreds of similar partitions; the scheduler
-  bin-packs them into morsels and runs whole partitions on the pool
-  (inter-partition, paper Section 5).
-* **one-large** — a single dominant partition; the structure builds
-  once and the per-row probe arrays fan out over the pool
-  (intra-partition, Section 5.2).
+* **many-small** — hundreds of similar partitions. The group is still
+  one evaluation: each structure builds once over every partition and
+  the per-row probe arrays fan out over the pool, exactly as for one
+  partition.
+* **one-large** — a single partition; the structure builds once and
+  the per-row probe arrays fan out over the pool (Section 5.2).
 
 Each shape runs at ``workers`` 1 (serial), 2 and 4 (the supervised
-**process** pool: whole partitions evaluate in child processes over
-shared-memory columns, so the Python-side evaluation work parallelises
-too).
+**process** pool: probe batches run in child processes against tree
+levels in shared memory, so only the probes parallelise; the sort and
+the build stay on the query thread).
 
 Numbers are reported honestly: the process speedup pays fork +
 shared-memory setup per group, and on a single-core machine there is
@@ -24,8 +24,8 @@ group).
 
 A final ``process-cold`` / ``process-warm`` pair measures the
 session-lifetime table arena: a cold session pays fork + argsort +
-per-column shared-memory copies on every run, a warm session attaches
-the arena's segments zero-copy — the warm-over-cold ratio is the
+shared-memory copies on every run, a warm session attaches the arena's
+sort permutation zero-copy — the warm-over-cold ratio is the
 amortization the arena buys and is asserted >= 1.5x where 4 cores
 exist.
 """
@@ -52,15 +52,13 @@ from repro.window.frame import OrderItem
 #: per window group) must be unmeasurable.
 MAX_SERIAL_OVERHEAD = 1.05
 
-#: Acceptance floor for the many-small shape at 4 workers: child
-#: processes dodge the GIL entirely, so with real cores the whole
-#: evaluation scales, not just the numpy kernels. Only enforceable
-#: where 4 cores exist; asserted softly below.
+#: Acceptance floor for the many-small shape at 4 workers. Only
+#: enforceable where 4 cores exist; asserted softly below.
 TARGET_PROCESS_SPEEDUP = 2.0
 
 #: Acceptance floor for the table arena's amortization claim: a warm
-#: repeat of a setup-dominated query (no fork, no argsort, no column
-#: copy — workers attach arena segments zero-copy) must beat a cold
+#: repeat of a setup-dominated query (no fork, no argsort — the sort
+#: permutation is attached from the arena) must beat a cold
 #: session by this factor. Only enforceable with >= 4 real cores.
 TARGET_WARM_OVER_COLD = 1.5
 
@@ -87,8 +85,8 @@ SPEC = WindowSpec(partition_by=("g",), order_by=(OrderItem("o"),),
                   frame=FrameSpec.rows(preceding(199), current_row()))
 
 #: The cold/warm comparison wants a query cheap enough that per-query
-#: setup (fork, stable argsort, per-column shared-memory copies)
-#: dominates a cold session — that setup is exactly what the table
+#: setup (fork, stable argsort, shared-memory copies) dominates a cold
+#: session — that setup is exactly what the table
 #: arena amortizes away on warm repeats.
 CHEAP_CALLS = [WindowCall("sum", ("x",))]
 
@@ -144,9 +142,9 @@ def test_parallel_operator_speedup(shapes):
     # ------------------------------------------------------------------
     # cold vs warm process sessions: the table arena's amortization
     # claim. Cold = a fresh scheduler per run, so every run pays fork,
-    # the stable argsort, the per-column shared-memory copies and the
-    # pool teardown. Warm = repeat queries against a live scheduler
-    # whose arena already holds the columns and the sort permutation.
+    # the stable argsort, the shared-memory copies and the pool
+    # teardown. Warm = repeat queries against a live scheduler whose
+    # arena already holds the sort permutation.
     # ------------------------------------------------------------------
     cw_workers = 4 if (os.cpu_count() or 1) >= 4 else 2
     table = shapes["many-small"]
@@ -176,7 +174,7 @@ def test_parallel_operator_speedup(shapes):
         assert stats.degraded_groups == 0, stats.render()
         arena = scheduler.arena_stats()
         # The warm path must actually be warm: repeat queries attach
-        # existing arena segments instead of re-copying columns.
+        # the arena's sort permutation instead of re-sorting.
         assert arena is not None and arena.hits > 0, arena
     assert (warm_result.columns[-1].to_list()
             == cheap_baseline_result.columns[-1].to_list())
@@ -198,8 +196,8 @@ def test_parallel_operator_speedup(shapes):
                 "and cpu_count bounds what they achieve")
     series.note("process-cold/process-warm rows run a cheap sum query "
                 "so per-session setup dominates: cold pays fork + "
-                "argsort + column copies + teardown every run, warm "
-                "attaches the session arena's segments zero-copy")
+                "argsort + shared-memory copies + teardown every run, "
+                "warm attaches the session arena's segments zero-copy")
     emit(series)
     path = save_series_json(series, filename="BENCH_parallel.json")
     print(f"  saved: {path}")

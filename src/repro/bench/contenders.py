@@ -38,7 +38,7 @@ from repro.window.calls import ALGORITHMS, WindowCall
 from repro.window.evaluators import evaluate_call
 from repro.window.evaluators.common import python_values, to_list
 from repro.window.frame import WindowSpec
-from repro.window.operator import _build_partition, _column_data
+from repro.window.operator import _build_view, _column_data
 from repro.window.partition import PartitionView
 
 Kernel = Callable[[PartitionView], List[Any]]
@@ -58,8 +58,7 @@ def partition(table: Table, spec: WindowSpec) -> PartitionView:
                    validity=data[item.column][1])
         for item in spec.order_by]
     n = table.num_rows
-    return _build_partition(data, stable_argsort(order_columns, n), spec,
-                            spec.effective_frame(), order_columns, n)
+    return _build_view(data, stable_argsort(order_columns, n), spec)
 
 
 def _engine(call: WindowCall, part: PartitionView) -> List[Any]:

@@ -1,7 +1,7 @@
 """Window-index structure cache: reuse trees across queries.
 
 Every framed window function builds one or more index structures per
-partition — merge sort trees (Section 4), segment trees, range trees,
+window group — merge sort trees (Section 4), segment trees, range trees,
 range-mode indexes. Building them is the O(n log n) part of evaluation;
 probing them is cheap. When the same table, partitioning and ordering are
 queried repeatedly (the serving pattern), rebuilding from scratch wastes

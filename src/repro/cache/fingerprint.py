@@ -13,7 +13,7 @@ rebuilds; key composition is chosen so false positives cannot happen
 short of a hash collision (128-bit BLAKE2b).
 
 The canonical window cache key deliberately excludes the frame clause:
-the index structures depend on the partition's rows, the ordering and
+the index structures depend on the group's rows, the ordering and
 the per-call configuration, but *not* on the frame bounds — two queries
 differing only in ``ROWS BETWEEN ... AND ...`` share every structure.
 """
@@ -101,8 +101,8 @@ def window_group_key(table, spec, calls: Sequence) -> Tuple:
     """The canonical key prefix for one window group's structures:
     ``("window", table fingerprint, PARTITION BY / ORDER BY signature)``.
 
-    The per-partition index, the structure kind and the per-call
-    aggregate configuration are appended by the
+    The structure kind and the per-call aggregate configuration are
+    appended by the
     :class:`~repro.cache.store.StructureAcquirer` at acquire time.
     """
     fingerprint = table_fingerprint(table, involved_columns(table, spec,

@@ -10,7 +10,7 @@ structure through its builder and counts a miss. (Writing a tree to
 disk and reading it back costs several times its build, so an evicted
 tree is never kept anywhere.)
 
-Pinning exists because the window operator probes a partition's
+Pinning exists because the window operator probes a group's
 structures many times between acquire and release — possibly while
 other client threads of the session share the tree read-only — and an
 eviction mid-probe would pull the structure out from under them. All mutation happens under one re-entrant lock; builds also
@@ -249,22 +249,20 @@ def _key_digest(key: Tuple) -> str:
 
 
 class StructureAcquirer:
-    """Per-partition handle the evaluators use to obtain structures.
+    """Per-group handle the evaluators use to obtain structures.
 
-    Composes full keys from a fixed prefix (window-group fingerprint +
-    partition index, built once by the operator) plus the structure kind
-    and per-call configuration, pins everything it hands out, and
-    releases all pins in one call when the partition's calls are done.
+    Composes full keys from a fixed prefix (the window-group key, built
+    once by the operator) plus the structure kind and per-call
+    configuration, pins everything it hands out, and releases all pins
+    in one call when the group's calls are done.
 
     With ``cache=None`` it degrades to calling the builder directly, so
     evaluators never branch on whether caching is enabled.
 
-    An acquirer belongs to one partition's evaluation task, but under
-    morsel scheduling that task may run on a pool thread while probe
-    fan-out touches the view from others, so the held-keys list is
-    guarded by its own small lock: acquire under the store lock, record
-    under ours, release everything exactly once from the owning task's
-    ``finally``.
+    An acquirer belongs to one group's evaluation, but the held-keys
+    list is guarded by its own small lock all the same: acquire under
+    the store lock, record under ours, release everything exactly once
+    from the owning evaluation's ``finally``.
     """
 
     def __init__(self, cache: Optional[StructureCache],

@@ -1,10 +1,11 @@
 """Session-lifetime shared-memory table arena.
 
-The process executor of PR 8 copied every input column into fresh
-``multiprocessing.shared_memory`` segments *per window group*: correct,
-but the copy (and the sort permutation feeding it) is identical on
+Without it, every window group of a process-pool session would
+re-sort its input and copy its trees' levels into fresh
+``multiprocessing.shared_memory`` segments: correct, but identical on
 every repeat of the same query — the ``repro.serve`` steady state. The
-:class:`TableArena` amortizes that setup out of the hot path:
+:class:`TableArena` amortizes that setup out of the hot path (entries:
+sort permutations and tree levels):
 
 * **content-keyed** — entries are keyed by the cache layer's content
   fingerprints (:mod:`repro.cache.fingerprint`), so a repeat query over
@@ -284,10 +285,9 @@ class TableArena:
             return self._evict_locked(shortfall=int(shortfall))
 
     def invalidate(self, token: Any) -> int:
-        """Drop every unpinned entry whose key mentions ``token`` (a
-        column/table fingerprint); returns the count dropped. Used when
-        a table name is re-registered: content keys make stale hits
-        impossible, this merely frees the bytes early."""
+        """Drop every unpinned entry whose key mentions ``token`` (e.g.
+        a table fingerprint); returns the count dropped. Content keys
+        make stale hits impossible, so this only frees bytes early."""
         with self._lock:
             victims = [e for e in self._entries.values()
                        if token in e.key and not e.pins]

@@ -1,8 +1,7 @@
 """Probe-kernel indirection: serial vs process-fanned batched probes.
 
-The paper's intra-partition strategy (Section 5.2) shares one read-only
-merge sort tree between workers and fans the per-row probe arrays out
-as morsels. Evaluators reach the vectorised probe kernels
+The paper's Section 5.2 parallelism shares one read-only merge sort
+tree between workers and fans the per-row probe arrays out as morsels. Evaluators reach the vectorised probe kernels
 (:mod:`repro.mst.vectorized`) through the :class:`ProbeKernels` handle
 on their :class:`~repro.window.partition.PartitionView` instead of
 calling them directly, so the scheduler can swap the serial kernels for
@@ -16,9 +15,9 @@ pass-through.
 serialized once into the session's shared-memory table arena (workers
 attach and cache them by token), the per-row probe arrays travel
 through transient shm segments, and row ranges run on the supervised
-process pool with the same retry/quarantine ladder as inter-partition
-morsels — a lost range is recomputed serially by the parent on exactly
-its rows, so results stay bit-identical. Trees that cannot be shared
+process pool with its retry/quarantine ladder — a lost range is
+recomputed serially by the parent on exactly its rows, so results stay
+bit-identical. Trees that cannot be shared
 (object-typed prefix aggregates) run the serial kernels with a
 recorded reason, as does a broken worker pool mid-group.
 """
@@ -110,11 +109,9 @@ def _shareable_levels(levels: TreeLevels) -> bool:
 class ProcessProbes(ProbeKernels):
     """Fan per-row probe arrays out over the supervised process pool.
 
-    Created per intra-partition group by
-    :meth:`~repro.parallel.scheduler.WindowScheduler.process_probes`.
-    The operator sets :attr:`partition` before each partition so the
-    chaos hook (and failure narratives) attribute kills correctly, and
-    releases the arena lease after the group. ``fanned`` counts probe
+    Created per probe-fan group by
+    :meth:`~repro.parallel.scheduler.WindowScheduler.process_probes`;
+    the operator releases the arena lease after the group. ``fanned`` counts probe
     batches that actually ran on workers; ``fallback_reason`` /
     ``broken_reason`` record why later batches stopped fanning (the
     operator folds them into the group decision's reason)."""
@@ -129,7 +126,6 @@ class ProcessProbes(ProbeKernels):
         self._min_rows = max(int(min_rows), 1)
         self._governor = governor
         self._seq = 0
-        self.partition = 0
         self.fanned = 0
         self.fallback_reason: Optional[str] = None
         self.broken_reason: Optional[str] = None
@@ -197,8 +193,7 @@ class ProcessProbes(ProbeKernels):
             job = ProcProbeJob(
                 probe_id=f"p{self._seq}-{uuid.uuid4().hex[:8]}",
                 op=op, levels=handle, inputs=in_specs,
-                outputs=out_specs, agg_kind=agg_kind,
-                partition=int(self.partition))
+                outputs=out_specs, agg_kind=agg_kind)
             tasks = [ProcProbeTask(i, lo, min(lo + self._task_size, rows))
                      for i, lo in enumerate(
                          range(0, rows, self._task_size))]

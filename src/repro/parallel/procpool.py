@@ -1,21 +1,22 @@
-"""Supervised process pool for crash-isolated window execution.
+"""Supervised process pool for crash-isolated probe fans.
 
-This is the parent side of the process executor (ROADMAP item 1): a
-small, purpose-built pool — not ``multiprocessing.Pool`` — because the
-failure model is the point. Each worker is a child process running
+This is the parent side of the probe fan: a small, purpose-built pool
+— not ``multiprocessing.Pool`` — because the failure model is the
+point. Each worker is a child process running
 :func:`repro.parallel.procworker.worker_main` on its own duplex pipe;
-input columns and scatter buffers live in shared memory
+tree levels, probe arrays and scatter buffers live in shared memory
 (:mod:`repro.parallel.shm`), so the only pickled traffic is the small
-job/task envelope and non-numeric results.
+job/task envelope.
 
 Per-worker pipes (instead of one shared queue) are what make crash
 handling exact: a worker that dies from SIGKILL mid-task closes its
 pipe end, the parent's ``connection.wait`` wakes with ``EOFError``, and
-the dead worker's *assigned task* is known — so the lost morsel can be
-retried, and a morsel that kills :attr:`SupervisorPolicy
+the dead worker's *assigned task* (one row range of a probe batch) is
+known — so the lost morsel can be retried, and a morsel that kills
+:attr:`SupervisorPolicy
 <repro.resilience.supervisor.SupervisorPolicy>`\\ ``.quarantine_after``
-workers is quarantined and handed back for the degraded in-thread
-path. A shared queue cannot attribute a death to a task, and a reader
+workers is quarantined and handed back for the parent to recompute
+serially. A shared queue cannot attribute a death to a task, and a reader
 killed mid-``get`` can corrupt the queue for everyone else.
 
 Supervision (policy in :mod:`repro.resilience.supervisor`):
@@ -27,12 +28,12 @@ Supervision (policy in :mod:`repro.resilience.supervisor`):
 * when the spawn budget is exhausted and no workers remain, the pool
   raises :class:`~repro.errors.WorkerPoolError` — the window operator
   records the failure against the ``worker.pool`` circuit breaker and
-  degrades the group to the serial kernels;
+  finishes the group on the serial kernels;
 * a query abort (deadline, cancellation) kills busy workers rather
   than letting them scribble into shared buffers the parent is about
   to unlink; an injected ``parallel.morsel`` fault fails just its task
   and the collected failures raise once, aggregated, after the rest of
-  the group drains.
+  the batch drains.
 
 Fault sites: ``worker.spawn`` (before each spawn attempt),
 ``worker.heartbeat`` (each watchdog check of a busy worker — an
@@ -57,7 +58,8 @@ from repro.errors import (
     ResilienceError,
     WorkerPoolError,
 )
-from repro.parallel.procworker import ProcGroupJob, ProcTask, worker_main
+from repro.parallel.procworker import (ProcProbeJob, ProcProbeTask,
+                                       worker_main)
 from repro.parallel.shm import sweep_orphan_segments
 from repro.resilience.context import current_context
 from repro.resilience.supervisor import (
@@ -97,7 +99,7 @@ class _Worker:
     conn: Any
     index: int
     #: The dispatched task, or None while idle — crash attribution.
-    task: Optional[ProcTask] = None
+    task: Optional[ProcProbeTask] = None
     #: Dispatch timestamp on the supervising context's clock.
     dispatched_at: float = 0.0
 
@@ -120,7 +122,7 @@ class ProcessPool:
     reused across queries and closed with the session. ``run_group``
     serialises callers on an internal lock: the pipes and worker task
     slots are single-owner state, so concurrent queries queue for the
-    pool one group at a time — the multicore budget stays ``workers``
+    pool one probe batch at a time — the multicore budget stays ``workers``
     no matter how many queries the gateway admits."""
 
     def __init__(self, workers: int,
@@ -210,8 +212,8 @@ class ProcessPool:
             worker.proc.join(timeout=5.0)
 
     def _handle_crash(self, ctx, worker: _Worker,
-                      pending: Deque[ProcTask],
-                      lost: List[ProcTask],
+                      pending: Deque[ProcProbeTask],
+                      lost: List[ProcProbeTask],
                       hang: bool = False) -> None:
         """A worker died (or hung): account it, decide its task's fate."""
         if hang:
@@ -239,28 +241,29 @@ class ProcessPool:
         ctx.health.morsels_quarantined += 1
 
     # ------------------------------------------------------------------
-    # group execution
+    # batch execution
     # ------------------------------------------------------------------
-    def run_group(self, job: ProcGroupJob, tasks: List[ProcTask]
-                  ) -> List[ProcTask]:
-        """Run one group's tasks; returns the lost ones.
+    def run_group(self, job: ProcProbeJob, tasks: List[ProcProbeTask]
+                  ) -> List[ProcProbeTask]:
+        """Run one probe batch's tasks; returns the lost ones.
 
         A completed task's results are already in the job's shared
         output buffers; the lost tasks are quarantined morsels (or
-        tasks whose evaluation raised in the child) the caller must
-        re-run on the in-thread degraded path.
+        tasks whose probes raised in the child) the caller must
+        recompute on the query thread.
         Raises :class:`~repro.errors.WorkerPoolError` when the pool
         itself is broken."""
         with self._lock:
             return self._run_group_locked(job, tasks)
 
-    def _run_group_locked(self, job: ProcGroupJob, tasks: List[ProcTask]
-                          ) -> List[ProcTask]:
+    def _run_group_locked(self, job: ProcProbeJob,
+                          tasks: List[ProcProbeTask]
+                          ) -> List[ProcProbeTask]:
         if self._closed:
             raise WorkerPoolError("process pool is closed")
         ctx = current_context()
-        pending: Deque[ProcTask] = deque(tasks)
-        lost: List[ProcTask] = []
+        pending: Deque[ProcProbeTask] = deque(tasks)
+        lost: List[ProcProbeTask] = []
         failures: List[ParallelExecutionError] = []
         try:
             while True:
@@ -291,8 +294,8 @@ class ProcessPool:
                 failures=list(failures)) from primary.__cause__
         return lost
 
-    def _dispatch(self, ctx, job: ProcGroupJob,
-                  pending: Deque[ProcTask],
+    def _dispatch(self, ctx, job: ProcProbeJob,
+                  pending: Deque[ProcProbeTask],
                   failures: List[ParallelExecutionError]) -> None:
         for worker in list(self._workers):
             if not pending:
@@ -308,7 +311,7 @@ class ProcessPool:
                 # Wrapped so chaos suites see one error shape per site.
                 # The failed task is consumed, not dispatched;
                 # remaining tasks keep running and the aggregate raises
-                # at the end of the group.
+                # at the end of the batch.
                 pending.popleft()
                 failure = ParallelExecutionError(
                     task.task_id, task.task_id + 1, exc)
@@ -317,8 +320,7 @@ class ProcessPool:
                 continue
             pending.popleft()
             try:
-                worker.conn.send((getattr(job, "kind", "task"), job,
-                                  task))
+                worker.conn.send((job.kind, job, task))
             except (BrokenPipeError, OSError):
                 # Died while idle: requeue without blaming the task.
                 pending.appendleft(task)
@@ -329,8 +331,8 @@ class ProcessPool:
             worker.task = task
             worker.dispatched_at = ctx.clock.monotonic()
 
-    def _watchdog(self, ctx, pending: Deque[ProcTask],
-                  lost: List[ProcTask]) -> None:
+    def _watchdog(self, ctx, pending: Deque[ProcProbeTask],
+                  lost: List[ProcProbeTask]) -> None:
         now = ctx.clock.monotonic()
         timeout = self.policy.task_timeout
         for worker in list(self._workers):
@@ -353,8 +355,8 @@ class ProcessPool:
                     and now - worker.dispatched_at > timeout:
                 self._handle_crash(ctx, worker, pending, lost, hang=True)
 
-    def _drain(self, ctx, pending: Deque[ProcTask],
-               lost: List[ProcTask]) -> None:
+    def _drain(self, ctx, pending: Deque[ProcProbeTask],
+               lost: List[ProcProbeTask]) -> None:
         conns = {w.conn: w for w in self._workers if w.task is not None}
         if not conns:
             return

@@ -1,42 +1,38 @@
-"""Morsel-driven parallel window execution (paper Section 5).
+"""Parallel window execution (paper Section 5): serial or the probe fan.
 
-The window operator hands each group's partition layout to a
-:class:`WindowScheduler`, which estimates the group's cost and picks
-one of three strategies:
+A window group is one evaluation however many partitions it has (see
+:mod:`repro.window.operator`), so the only parallelism left inside a
+group is the paper's Section 5.2 one: build the structures once on the
+query thread, share them read-only, and fan the per-row probe arrays
+out as morsels. The operator hands each group's answered row count to
+a :class:`WindowScheduler`, which estimates the group's cost and picks:
 
-* **inter-partition** — many partitions: bin-pack them into morsels
-  (LPT, largest processing time first) and run build + evaluate for
-  whole partitions on the worker pool. Structures stay partition-local,
-  so tasks share nothing but the output buffers — and those are written
-  at precomputed disjoint global positions, never by completion order,
-  so results are bit-identical to serial execution.
-* **intra-partition** — one partition dominates: build its structures
-  once on the query thread, then fan the per-row probe arrays out to
-  the workers (:class:`~repro.parallel.probes.ProcessProbes` over
-  ``batched_count`` / ``batched_select`` / ``batched_aggregate``),
-  sharing the tree read-only exactly as Section 5.2 describes.
-* **serial** — below a cost threshold: tiny inputs take the exact
-  pre-existing code path and pay zero overhead. A group whose working
-  set exceeds the session memory governor's headroom runs serial too,
-  so it copies no inputs or result buffers into shared memory.
+* **intra-partition** (the probe fan) — the query thread builds (or
+  cache-attaches) each structure, and the per-row probe batches fan out
+  to the workers (:class:`~repro.parallel.probes.ProcessProbes` over
+  ``batched_count`` / ``batched_select`` / ``batched_aggregate``).
+  Every batch scatters into precomputed positions, so results are
+  bit-identical to serial execution.
+* **serial** — below a cost threshold, below the fan's row floor, or
+  beyond the session memory governor's headroom: the group runs the
+  serial kernels and pays zero overhead.
 
 ``workers`` is the only parallelism setting (argument >
 ``REPRO_WORKERS`` > 1): 1 is serial, 2 or more is the supervised
 *process* pool of :mod:`repro.parallel.procpool` — child processes
-reading columns through shared memory. The pool is **session-owned,
-bounded and reused across queries**: a
+reading tree levels and probe arrays through shared memory. The pool is
+**session-owned, bounded and reused across queries**: a
 :class:`~repro.sql.session.Session` creates one scheduler whose single
 pool is shared by every query the gateway admits. Admission may run
-``max_concurrent`` queries at once, but the pool runs one group at a
-time on its ``workers`` children, so ``workers x max_concurrent``
+``max_concurrent`` queries at once, but the pool runs one probe batch
+at a time on its ``workers`` children, so ``workers x max_concurrent``
 oversubscription cannot happen by construction.
 
 Degradation is per group and has one rung: when shared-memory setup
-fails, the ``worker.pool`` breaker is open, the columns cannot ship
-(strings, UDAFs) or the pool breaks, the group runs the serial kernels
-on the query thread — the same code ``workers=1`` runs — and the
-decision records why. A broken pool stays broken for the session:
-later groups get a serial decision up front.
+fails, the ``worker.pool`` breaker is open or the pool breaks, the
+group runs the serial kernels on the query thread — the same code
+``workers=1`` runs — and the decision records why. A broken pool stays
+broken for the session: later groups get a serial decision up front.
 """
 
 from __future__ import annotations
@@ -45,28 +41,22 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Any, List, Optional, Tuple
 
 from repro.resilience.context import current_context
 
 #: Strategy names (also what EXPLAIN's Parallelism section prints).
 SERIAL = "serial"
-INTER_PARTITION = "inter-partition"
+#: The probe fan: parallelism inside the group's one evaluation.
 INTRA_PARTITION = "intra-partition"
 
 #: Abstract operations (:func:`estimated_group_ops` units) below which a
 #: window group runs serially. Calibrated so sub-~5k-row groups — where
-#: Python partition bookkeeping dwarfs any numpy win — never pay fan-out.
+#: Python bookkeeping dwarfs any numpy win — never pay fan-out.
 DEFAULT_MIN_PARALLEL_OPS = 150_000.0
 
-#: Smallest dominant partition worth intra-partition probe fan-out.
+#: Fewest answered rows worth a probe fan.
 DEFAULT_MIN_INTRA_ROWS = 16_384
-
-#: A partition holding at least this fraction of the group's rows makes
-#: inter-partition bin-packing pointless (its morsel is the makespan).
-DEFAULT_DOMINANCE = 0.5
 
 
 # Both resolvers parse the environment with the session config's
@@ -95,24 +85,20 @@ class GroupDecision:
 
     strategy: str
     workers: int = 1
+    #: probe tasks per fanned batch (0 for serial).
     morsels: int = 0
-    partitions: int = 0
+    #: the rows the group answers.
     rows: int = 0
     reason: str = ""
-    #: where the group runs: "process" for a parallel strategy, which
-    #: the operator downgrades to "serial" in place when shared-memory
-    #: setup fails or the group is ineligible (non-numeric columns).
+    #: where the group runs: "process" for the probe fan, which the
+    #: operator downgrades to "serial" in place when shared-memory
+    #: setup fails or the ``worker.pool`` breaker is open.
     executor: str = SERIAL
-    #: inter-partition only: morsel -> partition indices (ascending).
-    plan: Optional[List[np.ndarray]] = None
 
     def render(self) -> str:
-        text = (f"{self.strategy} workers={self.workers} "
-                f"partitions={self.partitions} rows={self.rows}")
+        text = f"{self.strategy} workers={self.workers} rows={self.rows}"
         if self.strategy != SERIAL:
-            text += f" executor={self.executor}"
-        if self.strategy == INTER_PARTITION:
-            text += f" morsels={self.morsels}"
+            text += f" executor={self.executor} morsels={self.morsels}"
         if self.reason:
             text += f" — {self.reason}"
         return text
@@ -126,7 +112,6 @@ class ParallelStats:
     executor: str = SERIAL
     groups: int = 0
     serial_groups: int = 0
-    inter_groups: int = 0
     intra_groups: int = 0
     morsels_run: int = 0
     process_groups: int = 0   # groups that completed on the process pool
@@ -144,7 +129,7 @@ class ParallelStats:
             f"workers={self.workers} executor={self.executor} "
             f"pool_started={self.pool_started} "
             f"groups={self.groups} (serial={self.serial_groups} "
-            f"inter={self.inter_groups} intra={self.intra_groups}) "
+            f"intra={self.intra_groups}) "
             f"morsels_run={self.morsels_run}",
         ]
         if self.process_groups or self.degraded_groups:
@@ -166,40 +151,16 @@ class ParallelStats:
         return lines
 
 
-def bin_pack(sizes: np.ndarray, bins: int) -> List[np.ndarray]:
-    """LPT bin-packing of partitions into ``bins`` morsels.
-
-    Partitions are placed largest-first onto the least-loaded bin (ties
-    broken by bin index, so the packing is deterministic); each morsel's
-    partition indices come back ascending so morsel-internal evaluation
-    order matches serial order. Empty bins are dropped."""
-    import heapq
-
-    bins = max(min(int(bins), len(sizes)), 1)
-    if bins == 1:
-        return [np.arange(len(sizes), dtype=np.int64)]
-    # Stable largest-first order: sort by (-size, index).
-    order = np.lexsort((np.arange(len(sizes)), -np.asarray(sizes)))
-    heap = [(0, b) for b in range(bins)]
-    heapq.heapify(heap)
-    assignment: List[List[int]] = [[] for _ in range(bins)]
-    for p in order:
-        load, b = heapq.heappop(heap)
-        assignment[b].append(int(p))
-        heapq.heappush(heap, (load + int(sizes[p]), b))
-    return [np.asarray(sorted(bucket), dtype=np.int64)
-            for bucket in assignment if bucket]
-
-
-def estimated_group_ops(sizes: np.ndarray, n_calls: int) -> float:
-    """Rough abstract-operation count for one window group.
+def estimated_group_ops(rows: int, n_calls: int) -> float:
+    """Rough abstract-operation count for one window group answering
+    ``rows`` rows.
 
     The merge-sort-tree model (the default evaluation strategy): per
     row and tree level, 1.0 for the sort, 0.8 for the tree merge and
     1.6 for the probes — ``3.4 * n * log2(n)`` — scaled by the call
     count. The threshold decision only needs the order of magnitude,
     not the exact constant."""
-    n = int(np.sum(sizes))
+    n = int(rows)
     if n <= 0:
         return 0.0
     level_ops = n * math.log2(max(n, 2))
@@ -221,7 +182,6 @@ class WindowScheduler:
                  morsels_per_worker: int = 4,
                  min_parallel_ops: float = DEFAULT_MIN_PARALLEL_OPS,
                  min_intra_rows: int = DEFAULT_MIN_INTRA_ROWS,
-                 dominance: float = DEFAULT_DOMINANCE,
                  task_size: int = 20_000,
                  max_recorded: int = 8,
                  arena_bytes: Optional[int] = None,
@@ -232,7 +192,6 @@ class WindowScheduler:
         self.morsels_per_worker = max(int(morsels_per_worker), 1)
         self.min_parallel_ops = float(min_parallel_ops)
         self.min_intra_rows = int(min_intra_rows)
-        self.dominance = float(dominance)
         self.task_size = max(int(task_size), 1)
         self.max_recorded = max(int(max_recorded), 1)
         self.arena_bytes = resolve_arena_bytes(arena_bytes)
@@ -282,15 +241,6 @@ class WindowScheduler:
             arena = self._arena
         return None if arena is None else arena.stats()
 
-    def invalidate_arena(self, token) -> int:
-        """Drop unpinned arena entries keyed by ``token`` (a content
-        fingerprint); 0 when no arena exists. Called on table
-        re-registration — content keys already make stale hits
-        impossible, this merely frees the bytes early."""
-        with self._lock:
-            arena = self._arena
-        return 0 if arena is None else arena.invalidate(token)
-
     def mark_process_broken(self) -> None:
         """Stop routing groups to the process pool for this session."""
         with self._lock:
@@ -320,63 +270,49 @@ class WindowScheduler:
     # ------------------------------------------------------------------
     # strategy selection
     # ------------------------------------------------------------------
-    def choose(self, sizes: Sequence[int], n_calls: int) -> GroupDecision:
-        """Pick a strategy for one group of ``len(sizes)`` partitions."""
-        sizes = np.asarray(sizes, dtype=np.int64)
-        partitions = len(sizes)
-        rows = int(sizes.sum()) if partitions else 0
+    def choose(self, rows: int, n_calls: int) -> GroupDecision:
+        """Pick serial or the probe fan for one group answering ``rows``
+        rows with ``n_calls`` calls."""
+        rows = int(rows)
         if self.workers <= 1:
             return self._record(GroupDecision(
-                SERIAL, workers=1, partitions=partitions, rows=rows,
-                reason="workers=1"))
+                SERIAL, workers=1, rows=rows, reason="workers=1"))
         if not self.process_enabled:
             return self._record(GroupDecision(
-                SERIAL, workers=self.workers, partitions=partitions,
-                rows=rows, reason="process pool broken"))
-        ops = estimated_group_ops(sizes, n_calls)
+                SERIAL, workers=self.workers, rows=rows,
+                reason="process pool broken"))
+        ops = estimated_group_ops(rows, n_calls)
         if ops < self.min_parallel_ops:
             return self._record(GroupDecision(
-                SERIAL, workers=self.workers, partitions=partitions,
-                rows=rows,
+                SERIAL, workers=self.workers, rows=rows,
                 reason=f"below cost threshold "
                        f"({ops:.0f} < {self.min_parallel_ops:.0f} ops)"))
         # Working set: the sort permutation plus one value array per
-        # call (the gathered per-partition inputs are bounded by the
-        # same figure).
+        # call.
         if self.governor is not None and self.governor.exceeds_headroom(
                 rows * 8 * (n_calls + 1)):
             return self._record(GroupDecision(
-                SERIAL, workers=self.workers, partitions=partitions,
-                rows=rows, reason="exceeds memory headroom"))
-        largest = int(sizes.max()) if partitions else 0
-        if largest >= self.dominance * rows:
-            if largest < self.min_intra_rows:
-                return self._record(GroupDecision(
-                    SERIAL, workers=self.workers, partitions=partitions,
-                    rows=rows,
-                    reason=f"dominant partition too small for probe "
-                           f"fan-out ({largest} < {self.min_intra_rows} "
-                           f"rows)"))
-            morsels = math.ceil(largest / self._intra_task_size(largest))
+                SERIAL, workers=self.workers, rows=rows,
+                reason="exceeds memory headroom"))
+        if rows < self.min_intra_rows:
             return self._record(GroupDecision(
-                INTRA_PARTITION, workers=self.workers, morsels=morsels,
-                partitions=partitions, rows=rows, executor=self.executor,
-                reason=f"largest partition holds "
-                       f"{largest * 100 // max(rows, 1)}% of rows"))
-        plan = bin_pack(sizes, self.workers * self.morsels_per_worker)
+                SERIAL, workers=self.workers, rows=rows,
+                reason=f"group too small for probe fan-out ({rows} < "
+                       f"{self.min_intra_rows} rows)"))
         return self._record(GroupDecision(
-            INTER_PARTITION, workers=self.workers, morsels=len(plan),
-            partitions=partitions, rows=rows,
-            executor=self.executor, plan=plan))
+            INTRA_PARTITION, workers=self.workers,
+            morsels=math.ceil(rows / self._intra_task_size(rows)),
+            rows=rows, executor=self.executor))
 
     def _intra_task_size(self, rows: int) -> int:
-        """Probe task size that gives every worker a few morsels even
-        when the partition is smaller than the default 20k morsel."""
+        """Probe task size that gives every worker a few morsels: at
+        most ``task_size``, at least 4 096 rows (or ``task_size`` when
+        that is smaller)."""
         target = math.ceil(rows / (self.workers * self.morsels_per_worker))
-        return max(min(self.task_size, target), 4_096)
+        return max(min(self.task_size, target), min(self.task_size, 4_096))
 
     def process_probes(self, decision: GroupDecision, lease):
-        """Process-pool probe kernels for one intra-partition group.
+        """Process-pool probe kernels for one probe-fan group.
 
         ``lease`` is the group's :class:`~repro.parallel.arena
         .ArenaLease` — tree levels serialized for the workers pin on it
@@ -392,12 +328,12 @@ class WindowScheduler:
     # execution
     # ------------------------------------------------------------------
     def run_process_tasks(self, job, tasks):
-        """Run one group's tasks on the supervised process pool.
+        """Run one probe batch's tasks on the supervised process pool.
 
         Thin accounting wrapper over
         :meth:`repro.parallel.procpool.ProcessPool.run_group` (the
-        operator builds the shared-memory job; this layer only owns
-        pool lifecycle and counters). Returns the lost tasks.
+        probes build the shared-memory job; this layer only owns pool
+        lifecycle and counters). Returns the lost tasks.
         """
         ctx = current_context()
         tracer = ctx.tracer
@@ -430,8 +366,6 @@ class WindowScheduler:
             self._stats.groups += 1
             if decision.strategy == SERIAL:
                 self._stats.serial_groups += 1
-            elif decision.strategy == INTER_PARTITION:
-                self._stats.inter_groups += 1
             else:
                 self._stats.intra_groups += 1
             self._stats.decisions.append(decision)
@@ -471,7 +405,6 @@ class WindowScheduler:
                 executor=self.executor,
                 groups=self._stats.groups,
                 serial_groups=self._stats.serial_groups,
-                inter_groups=self._stats.inter_groups,
                 intra_groups=self._stats.intra_groups,
                 morsels_run=self._stats.morsels_run,
                 process_groups=self._stats.process_groups,
@@ -501,7 +434,6 @@ class WindowScheduler:
              "Window groups scheduled, by strategy.",
              "counter", ("strategy",),
              [(("serial",), s.serial_groups),
-              (("inter-partition",), s.inter_groups),
               (("intra-partition",), s.intra_groups)]),
             ("repro_worker_live", "Live process-pool workers.",
              "gauge", (), [((), w.get("live", 0))]),

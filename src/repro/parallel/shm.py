@@ -1,12 +1,13 @@
-"""Shared-memory column segments for the process-based executor.
+"""Shared-memory segments for the process-pool probe fan.
 
-The process pool (:mod:`repro.parallel.procpool`) ships input columns to
-worker processes as :class:`multiprocessing.shared_memory.SharedMemory`
-segments instead of pickled copies: the parent copies each numpy array
-into a segment once, and every child maps the same pages and wraps them
-in a zero-copy ``np.ndarray`` view. Result scatter buffers are plain
-writable segments the children fill at disjoint global row positions,
-so output assembly needs no result pickling for the numeric hot path.
+The process pool (:mod:`repro.parallel.procpool`) ships tree levels and
+per-row probe arrays to worker processes as
+:class:`multiprocessing.shared_memory.SharedMemory` segments instead of
+pickled copies: the parent copies each numpy array into a segment once,
+and every child maps the same pages and wraps them in a zero-copy
+``np.ndarray`` view. Result buffers are plain writable segments the
+children fill at disjoint row positions, so output assembly needs no
+result pickling.
 
 Robustness rests on four rules:
 
@@ -21,7 +22,7 @@ Robustness rests on four rules:
 * **startup orphan sweep** — :func:`sweep_orphan_segments` removes
   segments whose owning pid is dead (crashed sessions), and skips
   live-pid segments so two concurrent sessions sharing a machine never
-  delete each other's columns;
+  delete each other's segments;
 * **ledger accounting** — segment bytes are charged to the session's
   :class:`~repro.resilience.memory.MemoryGovernor` under the ``"shm"``
   tag and released on close, so shared memory shows up in the same
@@ -130,7 +131,7 @@ def _atexit_sweep() -> None:  # pragma: no cover - interpreter shutdown
         _LIVE.clear()
     for segment in segments:
         # A forked worker inherits the parent's registry; unlinking
-        # those names would tear the parent's columns down. Only the
+        # those names would tear the parent's segments down. Only the
         # pid that created a segment (it's in the name) may unlink it.
         match = _PID_PATTERN.match(segment.name)
         if match is None or int(match.group(1)) != me:

@@ -233,7 +233,7 @@ class ExecutionContext:
         self.memory = memory
         if not 0.0 <= verify_rate <= 1.0:
             raise ValueError("verify_rate must be in [0, 1]")
-        #: Fraction of partitions shadow-verified against the naive
+        #: Fraction of evaluator calls shadow-verified against the naive
         #: oracle (0 disables; the disabled path is one attribute test).
         self.verify_rate = verify_rate
         self.verify_seed = verify_seed
@@ -333,7 +333,7 @@ class ExecutionContext:
 
         Hashes ``(verify_seed, running counter)`` into [0, 1) and
         compares against ``verify_rate``, so the same session re-run
-        samples the same partitions — a divergence found once is found
+        samples the same calls — a divergence found once is found
         every run. At rate 0 this is a single comparison.
         """
         if self.verify_rate <= 0.0:

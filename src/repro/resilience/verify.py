@@ -3,7 +3,7 @@
 A defence against *silent* corruption — the failure mode the rest of
 the resilience layer cannot see, because nothing raises.
 :func:`compare_results` backs *sampled shadow verification*: the
-evaluator dispatch re-answers a configurable fraction of partitions
+evaluator dispatch re-answers a configurable fraction of window calls
 with the naive oracle and diffs the rows. Sampling is deterministic
 (see ``ExecutionContext.shadow_sample``), so a divergence found once
 is found every run.

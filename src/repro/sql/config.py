@@ -92,9 +92,9 @@ class SessionConfig:
     * breakers: ``breaker_threshold``, ``breaker_reset``;
     * verification: ``verify_rate``, ``verify_seed``;
     * parallelism: ``workers`` (``None`` → ``REPRO_WORKERS``, 1 when
-      unset; 1 is serial, 2 or more run morsels in that many supervised
-      child processes over shared-memory columns, degrading per group
-      to serial) and ``arena_bytes`` (byte budget of the
+      unset; 1 is serial, 2 or more fan large groups' probes over
+      that many supervised child processes, degrading per group to
+      serial) and ``arena_bytes`` (byte budget of the
       session-lifetime shared-memory table arena that warm-starts
       repeat queries on the worker processes; ``None`` →
       ``REPRO_ARENA_BYTES``, unlimited when unset, ``0`` caches

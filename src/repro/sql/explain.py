@@ -50,7 +50,7 @@ def explain(sql_or_ast: Union[str, ast.SelectStmt],
     ``parallel`` (a :class:`~repro.parallel.scheduler.WindowScheduler`)
     adds a ``Parallelism`` section — worker count and, per recently
     scheduled window group, the chosen strategy (serial /
-    inter-partition / intra-partition), morsel count, and the reason a
+    intra-partition, the probe fan), morsel count, and the reason a
     group stayed serial — so the scheduler's real decisions are
     inspectable, not just its configuration.
 

@@ -446,19 +446,10 @@ class Session:
     def register_table(self, name: str, table: Table) -> None:
         """Register (or replace) a catalog table for this session.
 
-        Arena entries are content-keyed, so a replaced table can never
-        produce a stale hit — but its shared-memory entries would
-        linger until LRU eviction. This drops the old contents' column
-        entries eagerly, so a mutation frees arena bytes right away."""
-        replaced = (self.catalog.lookup(name)
-                    if name in self.catalog else None)
+        Cached structures and arena entries are content-keyed, so a
+        replaced table can never produce a stale hit; its entries age
+        out under their LRU budgets."""
         self.catalog.register(name, table)
-        if replaced is None or replaced is table:
-            return
-        from repro.cache.fingerprint import column_fingerprint
-        for column_name in replaced.schema.names():
-            self.parallel.invalidate_arena(
-                column_fingerprint(replaced.column(column_name)))
 
     # ------------------------------------------------------------------
     # prepared statements and catalog introspection

@@ -1,10 +1,11 @@
 """Resolving frame specifications to per-row index ranges.
 
-Given one sorted partition of ``n`` rows, :func:`resolve_bounds` turns a
+Given ``n`` rows sorted by (PARTITION BY, ORDER BY) — a whole window
+group — :func:`resolve_bounds` turns a
 :class:`~repro.window.frame.FrameSpec` into two arrays ``start``/``end``
-with the half-open frame ``[start[i], end[i])`` for every row — entirely
-with vectorised searches, including per-row (non-constant, possibly
-non-monotonic) offsets.
+with the half-open frame ``[start[i], end[i])`` for every row, clipped
+to the row's partition — entirely with vectorised searches, including
+per-row (non-constant, possibly non-monotonic) offsets.
 
 :func:`exclusion_ranges` then applies the EXCLUDE clause, splitting each
 frame into at most three continuous ranges (Section 4.7).
@@ -26,7 +27,8 @@ from repro.window.frame import (
 
 
 class PeerGroups:
-    """Peer-group geometry of one sorted partition."""
+    """Peer-group geometry of sorted rows (ids break where the key or
+    the partition changes)."""
 
     def __init__(self, group_ids: np.ndarray) -> None:
         self.group_ids = np.asarray(group_ids, dtype=np.int64)
@@ -56,14 +58,30 @@ class PeerGroups:
         return self.end_of_group[self.group_ids]
 
 
+def partition_extents(partition_ids: Optional[np.ndarray], n: int
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """Per row, its partition's ``[first, end)`` positions. The ids are
+    in sorted order, so every partition is one run of equal ids; None
+    is one partition of all ``n`` rows."""
+    if partition_ids is None:
+        return np.zeros(n, dtype=np.int64), np.full(n, n, dtype=np.int64)
+    starts = np.flatnonzero(
+        np.r_[True, partition_ids[1:] != partition_ids[:-1]])
+    stops = np.append(starts[1:], n)
+    sizes = stops - starts
+    return np.repeat(starts, sizes), np.repeat(stops, sizes)
+
+
 def _rows_positions(bound_type: BoundType, offsets: Optional[np.ndarray],
-                    n: int, is_end: bool) -> np.ndarray:
+                    first: np.ndarray, last: np.ndarray,
+                    is_end: bool) -> np.ndarray:
+    n = len(first)
     i = np.arange(n, dtype=np.int64)
     shift = 1 if is_end else 0
     if bound_type is BoundType.UNBOUNDED_PRECEDING:
-        return np.zeros(n, dtype=np.int64)
+        return first
     if bound_type is BoundType.UNBOUNDED_FOLLOWING:
-        return np.full(n, n, dtype=np.int64)
+        return last
     if bound_type is BoundType.CURRENT_ROW:
         return i + shift
     off = offsets.astype(np.int64)
@@ -72,14 +90,37 @@ def _rows_positions(bound_type: BoundType, offsets: Optional[np.ndarray],
     return i + off + shift  # FOLLOWING
 
 
+def _search(keys: np.ndarray, targets: np.ndarray, side: str,
+            partition_ids: Optional[np.ndarray]) -> np.ndarray:
+    """Per row, the ``side`` search for its target among the keys of
+    its own partition, as a group position.
+
+    The keys ascend inside each partition, not across them, so one
+    search runs on ``(partition id, key rank)`` codes: a key's rank is
+    the number of distinct keys below it, a target's the number of keys
+    below it (``left``) or at most it (``right``), and a key passes a
+    target exactly when its rank reaches the target's."""
+    if partition_ids is None:
+        return np.searchsorted(keys, targets, side=side).astype(np.int64)
+    values = np.unique(keys)
+    width = len(values) + 1
+    base = partition_ids.astype(np.int64) * width
+    codes = base + np.searchsorted(values, keys)
+    return np.searchsorted(
+        codes, base + np.searchsorted(values, targets, side=side)
+    ).astype(np.int64)
+
+
 def _range_positions(bound_type: BoundType, offsets: Optional[np.ndarray],
                      keys: Optional[np.ndarray], peers: Optional[PeerGroups],
-                     n: int, is_end: bool) -> np.ndarray:
+                     first: np.ndarray, last: np.ndarray,
+                     partition_ids: Optional[np.ndarray],
+                     is_end: bool) -> np.ndarray:
     side = "right" if is_end else "left"
     if bound_type is BoundType.UNBOUNDED_PRECEDING:
-        return np.zeros(n, dtype=np.int64)
+        return first
     if bound_type is BoundType.UNBOUNDED_FOLLOWING:
-        return np.full(n, n, dtype=np.int64)
+        return last
     if bound_type is BoundType.CURRENT_ROW:
         # CURRENT ROW in RANGE mode means the peer group boundary; with
         # no numeric key available (e.g. a string ORDER BY and no offset
@@ -94,49 +135,54 @@ def _range_positions(bound_type: BoundType, offsets: Optional[np.ndarray],
         targets = keys - offsets
     else:
         targets = keys + offsets
-    return np.searchsorted(keys, targets, side=side).astype(np.int64)
+    return _search(keys, targets, side, partition_ids)
 
 
 def _groups_positions(bound_type: BoundType, offsets: Optional[np.ndarray],
-                      peers: PeerGroups, n: int, is_end: bool) -> np.ndarray:
+                      peers: PeerGroups, first: np.ndarray,
+                      last: np.ndarray, is_end: bool) -> np.ndarray:
     if bound_type is BoundType.UNBOUNDED_PRECEDING:
-        return np.zeros(n, dtype=np.int64)
+        return first
     if bound_type is BoundType.UNBOUNDED_FOLLOWING:
-        return np.full(n, n, dtype=np.int64)
+        return last
     g = peers.group_ids
-    num = peers.num_groups
     if bound_type is BoundType.CURRENT_ROW:
         target = g
     elif bound_type is BoundType.PRECEDING:
         target = g - offsets.astype(np.int64)
     else:
         target = g + offsets.astype(np.int64)
-    clipped = np.clip(target, 0, max(num - 1, 0))
-    if is_end:
-        positions = peers.end_of_group[clipped]
-        positions = np.where(target < 0, 0, positions)
-        positions = np.where(target >= num, n, positions)
-    else:
-        positions = peers.first_of_group[clipped]
-        positions = np.where(target < 0, 0, positions)
-        positions = np.where(target >= num, n, positions)
+    # A target before the partition's first peer group or past its last
+    # one clips to the partition's edge.
+    g_first, g_last = g[first], g[last - 1]
+    clipped = np.clip(target, g_first, g_last)
+    positions = (peers.end_of_group if is_end
+                 else peers.first_of_group)[clipped]
+    positions = np.where(target < g_first, first, positions)
+    positions = np.where(target > g_last, last, positions)
     return positions.astype(np.int64)
 
 
 def resolve_bounds(frame: FrameSpec, n: int, *,
                    range_keys: Optional[np.ndarray] = None,
-                   peers: Optional[PeerGroups] = None
+                   peers: Optional[PeerGroups] = None,
+                   partition_ids: Optional[np.ndarray] = None
                    ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-row half-open frame bounds for one sorted partition.
+    """Per-row half-open frame bounds over ``n`` sorted rows.
 
+    ``partition_ids`` (None = one partition) gives each row's partition
+    in sorted order; every frame is clipped to its row's partition, so
+    one call frames a whole window group.
     ``range_keys`` (RANGE mode only): the window ORDER BY key reduced to
-    an *ascending* float array with NULLs mapped to ``±inf`` — the caller
-    handles DESC by negation, exactly the integer-reduction strategy of
-    Section 5.1. ``peers`` is required for GROUPS mode.
+    an array *ascending inside each partition* with NULLs mapped to
+    ``±inf`` — the caller handles DESC by negation, exactly the
+    integer-reduction strategy of Section 5.1. ``peers`` is required
+    for GROUPS mode and must break at partition boundaries.
     """
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
+    first, last = partition_extents(partition_ids, n)
 
     def offsets_for(bound) -> Optional[np.ndarray]:
         if bound.type in (BoundType.PRECEDING, BoundType.FOLLOWING):
@@ -145,9 +191,9 @@ def resolve_bounds(frame: FrameSpec, n: int, *,
 
     if frame.mode is FrameMode.ROWS:
         start = _rows_positions(frame.start.type, offsets_for(frame.start),
-                                n, is_end=False)
+                                first, last, is_end=False)
         end = _rows_positions(frame.end.type, offsets_for(frame.end),
-                              n, is_end=True)
+                              first, last, is_end=True)
     elif frame.mode is FrameMode.RANGE:
         has_offsets = (frame.start.type in (BoundType.PRECEDING,
                                             BoundType.FOLLOWING)
@@ -157,19 +203,21 @@ def resolve_bounds(frame: FrameSpec, n: int, *,
             raise FrameError(
                 "RANGE frame offsets require a single numeric ORDER BY key")
         start = _range_positions(frame.start.type, offsets_for(frame.start),
-                                 range_keys, peers, n, is_end=False)
+                                 range_keys, peers, first, last,
+                                 partition_ids, is_end=False)
         end = _range_positions(frame.end.type, offsets_for(frame.end),
-                               range_keys, peers, n, is_end=True)
+                               range_keys, peers, first, last,
+                               partition_ids, is_end=True)
     else:  # GROUPS
         if peers is None:
             raise FrameError("GROUPS frame requires a window ORDER BY")
         start = _groups_positions(frame.start.type, offsets_for(frame.start),
-                                  peers, n, is_end=False)
+                                  peers, first, last, is_end=False)
         end = _groups_positions(frame.end.type, offsets_for(frame.end),
-                                peers, n, is_end=True)
+                                peers, first, last, is_end=True)
 
-    start = np.clip(start, 0, n)
-    end = np.clip(end, 0, n)
+    start = np.clip(start, first, last)
+    end = np.clip(end, first, last)
     end = np.maximum(end, start)
     return start, end
 

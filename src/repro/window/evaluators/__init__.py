@@ -10,7 +10,7 @@ from repro.window.partition import PartitionView
 
 
 def evaluate_call(call: WindowCall, part: PartitionView) -> Arrays:
-    """Evaluate one window function over one partition.
+    """Evaluate one window function over one window group.
 
     One contract for every family, ``mst`` or ``naive``:
     ``(values, validity)`` for the rows the view answers, in the order
@@ -26,11 +26,11 @@ def evaluate_call(call: WindowCall, part: PartitionView) -> Arrays:
     converts once, with the same static dtype, so the fallback rung and
     the shadow check below cannot disagree with the fast path on type.
 
-    ``part.n`` stays the partition's size — the universe the index
+    ``part.n`` stays the group's size — the universe the index
     structures are built over — while only the answered rows are
     probed: ``start`` / ``end`` / ``pieces`` hold their frames, and an
     evaluator that needs a row's own position or key reads it at
-    ``part.rows[i]``. Answering k rows of a partition therefore costs
+    ``part.rows[i]``. Answering k rows of a group therefore costs
     the build plus k probes, on every rung: the ``naive`` fallback and
     the shadow check loop over the same k frames.
 
@@ -45,7 +45,7 @@ def evaluate_call(call: WindowCall, part: PartitionView) -> Arrays:
     always propagate.
 
     When the context's ``verify_rate`` is nonzero, a deterministic
-    sample of (call, partition) evaluations is *shadow-verified*: the
+    sample of call evaluations is *shadow-verified*: the
     naive oracle re-answers the same rows and any divergence raises
     :class:`~repro.errors.VerificationError` — silent corruption is
     never returned as a result. At rate 0 the check is a single
@@ -96,7 +96,7 @@ def _shadow_verify(ctx, call: WindowCall, part: PartitionView,
         row, fast, slow = mismatch
         raise VerificationError(
             f"shadow verification diverged for "
-            f"{call.function}[mst] at partition row {row}: "
+            f"{call.function}[mst] at answered row {row}: "
             f"fast={fast!r} naive={slow!r}")
 
 

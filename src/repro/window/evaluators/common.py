@@ -20,7 +20,7 @@ from repro.window.partition import PartitionView
 
 RangePair = Tuple[np.ndarray, np.ndarray]
 
-#: One call's result over one partition: one value per answered row
+#: One call's result over one group: one value per answered row
 #: (``len(part.rows)``) of the call's static dtype plus a validity mask
 #: (None = no row is NULL; slots under a False hold an arbitrary
 #: placeholder).
@@ -111,7 +111,7 @@ class CallInput:
     Rows excluded by FILTER / IGNORE NULLS never enter the tree; frame
     bounds move to the filtered coordinate space via an
     :class:`IndexRemap` (Sections 4.5 / 4.7). The keep mask and the
-    remap span the partition; the frames are the answered rows'.
+    remap span the group; the frames are the answered rows'.
     """
 
     def __init__(self, call: WindowCall, part: PartitionView,
@@ -151,7 +151,7 @@ class CallInput:
 
     def argument(self) -> Tuple[np.ndarray, np.ndarray]:
         """The first argument's ``(values, validity)`` over the full
-        partition, values as an ndarray (``object`` for strings)."""
+        group, values as an ndarray (``object`` for strings)."""
         values, validity = self.part.column(self.call.args[0])
         if not isinstance(values, np.ndarray):
             values = np.asarray(values, dtype=object)
@@ -159,7 +159,7 @@ class CallInput:
 
     def select(self, levels: TreeLevels, k: np.ndarray,
                rows: np.ndarray) -> np.ndarray:
-        """For each of ``rows``: the partition row that is the ``k``-th
+        """For each of ``rows``: the group row that is the ``k``-th
         kept row of its frame in the slab order of ``levels`` (a
         permutation tree). One batched select over the frame's pieces,
         whatever their number; callers pass only rows with ``k`` in
@@ -246,8 +246,8 @@ class CallInput:
     def function_sort_columns(self,
                               default_arg: bool = False) -> List[SortColumn]:
         """The function-level ORDER BY as sort columns over the full
-        partition. Falls back to the window ORDER BY, then (optionally)
-        the first argument, then partition position."""
+        group. Falls back to the window ORDER BY, then (optionally)
+        the first argument, then group position."""
         if self.call.order_by:
             return self.part.sort_columns(self.call.order_by)
         if default_arg and self.call.args:
@@ -258,7 +258,7 @@ class CallInput:
         return []
 
     def kept_sort_columns(self, columns: Sequence[SortColumn]) -> List[SortColumn]:
-        """Restrict full-partition sort columns to kept rows."""
+        """Restrict whole-group sort columns to kept rows."""
         out = []
         for col in columns:
             if isinstance(col.values, np.ndarray):
@@ -297,7 +297,7 @@ class CallInput:
         return ("none",)
 
     def structure(self, kind: str, builder, extra: Tuple = ()) -> Any:
-        """Acquire an index structure through the partition's cache
+        """Acquire an index structure through the group's cache
         acquirer, keyed by the structure ``kind``, this call's input
         configuration (arguments, FILTER, NULL skipping) and any
         ``extra`` discriminators; with no cache, just build.

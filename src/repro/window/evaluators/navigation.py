@@ -44,7 +44,7 @@ def _default(call: WindowCall) -> Any:
 
 
 def _in_frame_order(call: WindowCall, part: PartitionView) -> bool:
-    """Whether the function order is the window ORDER BY the partition is
+    """Whether the function order is the window ORDER BY the group is
     sorted by (or there is none): a stable sort then keeps every row in
     place."""
     def spelled(items):
@@ -57,7 +57,7 @@ def _in_frame_order(call: WindowCall, part: PartitionView) -> bool:
 def _function_positions(inputs: CallInput, tree: MergeSortTree,
                         sort_columns: List[SortColumn]) -> np.ndarray:
     """Per answered row: the kept rows sorting strictly before it in
-    function order (stable, so ties go by partition position)."""
+    function order (stable, so ties go by group position)."""
     rows = inputs.part.rows
     if inputs.keep.all():
         # Every row is kept: that is the row's place in the kept

@@ -1,8 +1,8 @@
-"""Per-partition evaluation context for window functions."""
+"""The evaluation context of one window group: every partition at once."""
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -12,17 +12,34 @@ from repro.sortutil import SortColumn
 from repro.window.bounds import PeerGroups
 from repro.window.frame import FrameExclusion, OrderItem
 
-ColumnData = Tuple[Any, np.ndarray]  # (values, validity) in partition order
+ColumnData = Tuple[Any, np.ndarray]  # (values, validity) in group order
 RangePair = Tuple[np.ndarray, np.ndarray]
 
 
-class PartitionView:
-    """One window partition, sorted by the window ORDER BY, with the
-    frames of the rows it answers fully resolved.
+def view_columns(spec: Any, calls: Sequence[Any]) -> Set[str]:
+    """The columns a group's view gathers: the window ORDER BY keys
+    (peer groups, RANGE keys) and every column a call reads — arguments,
+    FILTER and function ORDER BY. PARTITION BY columns are not needed:
+    the view carries partition ids instead."""
+    needed = {item.column for item in spec.order_by}
+    for call in calls:
+        needed.update(a for a in call.args if isinstance(a, str))
+        if call.filter_where:
+            needed.add(call.filter_where)
+        needed.update(item.column for item in call.order_by)
+    return needed
 
-    * ``n`` — the partition's size: columns hold ``n`` values and index
+
+class PartitionView:
+    """One window group sorted by (PARTITION BY, ORDER BY), with the
+    frames of the rows it answers fully resolved. No frame crosses a
+    partition boundary, so index structures span the whole group and
+    answer every partition's frames.
+
+    * ``n`` — the group's size: columns hold ``n`` values and index
       structures range over them;
-    * ``rows`` — the local positions of the rows the view answers,
+    * ``partition_ids`` — per position, its partition (ascending runs);
+    * ``rows`` — the group positions of the rows the view answers,
       ascending (every position unless the consumer demanded fewer);
     * ``start`` / ``end`` — per answered row, the frame before
       exclusion;
@@ -37,9 +54,12 @@ class PartitionView:
                  window_order: Sequence[OrderItem] = (),
                  structures: Any = None,
                  probes: ProbeKernels = SERIAL_PROBES,
-                 rows: Optional[np.ndarray] = None) -> None:
+                 rows: Optional[np.ndarray] = None,
+                 partition_ids: Optional[np.ndarray] = None) -> None:
         self.columns = columns
         self.n = n
+        self.partition_ids = np.zeros(n, dtype=np.int64) \
+            if partition_ids is None else partition_ids
         self.rows = np.arange(n, dtype=np.int64) if rows is None else rows
         self.start = start
         self.end = end
@@ -67,7 +87,7 @@ class PartitionView:
                 f"window function references unknown column {name!r}") from None
 
     def sort_columns(self, items: Sequence[OrderItem]) -> List[SortColumn]:
-        """Build sort columns (full partition) from ORDER BY items."""
+        """Build sort columns (whole group) from ORDER BY items."""
         out = []
         for item in items:
             values, validity = self.column(item.column)

@@ -66,12 +66,14 @@ QUERIES = [
 
 def _schedule(seed):
     """A seeded, repeatable storm: every absorbed site fails in several
-    bursts at pseudo-random offsets."""
+    bursts at pseudo-random offsets. A window group builds each of its
+    structures once per (group, call), so the four queries make only a
+    handful of builds: the storm starts within the first three."""
     rng = random.Random(seed)
     faults = FaultInjector()
     for site in ABSORBED_SITES:
         faults.plan(site, times=rng.randint(2, 6),
-                    after=rng.randint(0, 4))
+                    after=rng.randint(0, 2))
     return faults
 
 

@@ -241,9 +241,12 @@ def test_open_build_breaker_degrades_query_to_naive():
     faults = FaultInjector().plan("structure.build", times=-1)
     with Session(catalog, config=SessionConfig(
                  faults=faults, breaker_threshold=2)) as session:
-        degraded = session.execute(sql)
-        assert_columns_equal(degraded.column("uniq").to_list(),
-                             expected.column("uniq").to_list())
+        # The group builds its one tree per query: two failed queries
+        # make the two strikes that trip the breaker.
+        for _ in range(2):
+            degraded = session.execute(sql)
+            assert_columns_equal(degraded.column("uniq").to_list(),
+                                 expected.column("uniq").to_list())
         build = session.breakers.get("structure.build").snapshot()
         assert build.trips >= 1
         # Later builds short-circuited instead of re-failing.

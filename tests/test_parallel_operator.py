@@ -1,12 +1,11 @@
-"""Determinism suite for morsel-driven parallel window execution.
+"""Determinism suite for parallel window execution.
 
 The contract of :mod:`repro.parallel.scheduler` is that parallelism is
-*invisible* in results: whatever strategy the scheduler picks
-(inter-partition morsels, intra-partition probe fan-out, serial — with
-``workers >= 2`` meaning the supervised process pool), every
-output column is bit-identical to serial evaluation, because each
-partition scatters into precomputed global row positions rather than by
-completion order. This suite pins that down over partition-count
+*invisible* in results: whether the scheduler picks the probe fan (with
+``workers >= 2`` meaning the supervised process pool) or serial, every
+output column is bit-identical to serial evaluation, because each probe
+batch scatters into precomputed row positions rather than by completion
+order. This suite pins that down over partition-count
 extremes (1 / 8 / 1000), ROWS / RANGE / GROUPS frames with exclusions,
 worker counts 1 / 2 / 4, seeded faults at the ``parallel.morsel`` site,
 and cancellation mid-fan-out (which must leave zero pinned cache
@@ -26,11 +25,9 @@ from repro.errors import (
     flatten_parallel_failures,
 )
 from repro.parallel.scheduler import (
-    INTER_PARTITION,
     INTRA_PARTITION,
     SERIAL,
     WindowScheduler,
-    bin_pack,
     estimated_group_ops,
     resolve_workers,
 )
@@ -71,7 +68,7 @@ def make_table(n_rows: int, n_partitions: int, seed: int) -> Table:
 
 def forced(workers: int, **overrides) -> WindowScheduler:
     """A scheduler with thresholds low enough that the small test tables
-    actually take the parallel paths."""
+    actually take the probe fan."""
     options = dict(workers=workers, min_parallel_ops=0.0,
                    min_intra_rows=64, task_size=256)
     options.update(overrides)
@@ -93,8 +90,8 @@ CALLS = [
     WindowCall("sum", ["x"]),
 ]
 
-#: (rows, partitions): one dominant partition, a balanced handful, and
-#: a long tail of tiny ones — the three scheduler regimes.
+#: (rows, partitions): one partition, a balanced handful, and a long
+#: tail of tiny ones — each one evaluation of the whole group.
 SHAPES = [(1500, 1), (1200, 8), (1500, 1000)]
 
 
@@ -125,10 +122,8 @@ def test_parallel_matches_serial_exactly(n_rows, n_partitions, workers,
     assert got == want
     if workers == 1:
         assert decision.strategy == SERIAL
-    elif n_partitions == 1:
-        assert decision.strategy == INTRA_PARTITION
     else:
-        assert decision.strategy == INTER_PARTITION
+        assert decision.strategy == INTRA_PARTITION
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -185,10 +180,8 @@ def test_value_and_navigation_probes_fan(call, exclusion):
 
 
 def test_parallel_with_cache_matches_and_unpins():
-    # One dominant partition: cache hit/pin accounting belongs to the
-    # probe-fan path, where the query thread builds (or attaches) the
-    # structures (inter-partition workers build fresh in-child and
-    # never touch the parent's cache).
+    # Cache hit/pin accounting of the probe fan: the query thread
+    # builds (or attaches) the structures, the workers only probe.
     table = make_table(1000, 1, seed=11)
     spec = WindowSpec(partition_by=("g",), order_by=(OrderItem("o"),),
                       frame=FrameSpec.rows(preceding(6), current_row()))
@@ -206,44 +199,24 @@ def test_parallel_with_cache_matches_and_unpins():
 # ----------------------------------------------------------------------
 # scheduler decisions
 # ----------------------------------------------------------------------
-def test_bin_pack_is_deterministic_covers_all_and_sorts_morsels():
-    rng = np.random.default_rng(0)
-    sizes = rng.integers(1, 500, 137)
-    first = bin_pack(sizes, 8)
-    second = bin_pack(sizes, 8)
-    assert [m.tolist() for m in first] == [m.tolist() for m in second]
-    everything = np.concatenate(first)
-    assert sorted(everything.tolist()) == list(range(len(sizes)))
-    for morsel in first:
-        assert morsel.tolist() == sorted(morsel.tolist())
-    # LPT keeps the makespan near the mean load.
-    loads = [int(sizes[m].sum()) for m in first]
-    assert max(loads) < 2 * (int(sizes.sum()) / len(first))
-
-
-def test_bin_pack_degenerate_shapes():
-    assert [m.tolist() for m in bin_pack(np.asarray([5]), 8)] == [[0]]
-    assert bin_pack(np.asarray([], dtype=np.int64), 4)[0].tolist() == []
-
-
 def test_estimated_group_ops_keeps_its_pre_closed_form_values():
     # Literal outputs of the cost-model implementation this replaced
     # (3.4 * n * log2(n) * calls): the serial/parallel threshold must
     # not move by a bit.
-    for sizes, calls, want in [
-            ([10, 12, 9], 1, 522.1722911147767),
-            ([1], 1, 3.4000000000000004),
-            ([60000], 2, 6476051.3511504065),
-            ([100000] * 8, 4, 213352888.36187252),
-            ([1500], 4, 215235.23442181817),
-            ([500] * 120, 1, 3238025.6755752033),
-            ([0], 3, 0.0)]:
-        assert estimated_group_ops(np.asarray(sizes), calls) == want
+    for rows, calls, want in [
+            (31, 1, 522.1722911147767),
+            (1, 1, 3.4000000000000004),
+            (60000, 2, 6476051.3511504065),
+            (800000, 4, 213352888.36187252),
+            (1500, 4, 215235.23442181817),
+            (60000, 1, 3238025.6755752033),
+            (0, 3, 0.0)]:
+        assert estimated_group_ops(rows, calls) == want
 
 
 def test_choose_serial_below_threshold_and_reports_reason():
     scheduler = WindowScheduler(workers=4)  # real thresholds
-    decision = scheduler.choose([10, 12, 9], n_calls=1)
+    decision = scheduler.choose(31, n_calls=1)
     assert decision.strategy == SERIAL
     assert "threshold" in decision.reason
     assert not scheduler.stats().pool_started  # decision alone is free
@@ -252,7 +225,7 @@ def test_choose_serial_below_threshold_and_reports_reason():
 def test_choose_after_broken_pool_is_serial_with_reason():
     scheduler = forced(4)
     scheduler.mark_process_broken()
-    decision = scheduler.choose([90_000, 10, 10, 10], n_calls=1)
+    decision = scheduler.choose(90_030, n_calls=1)
     assert decision.strategy == SERIAL
     assert decision.executor == SERIAL
     assert decision.reason == "process pool broken"
@@ -260,22 +233,25 @@ def test_choose_after_broken_pool_is_serial_with_reason():
 
 def test_choose_workers_one_never_parallel():
     scheduler = WindowScheduler(workers=1, min_parallel_ops=0.0)
-    decision = scheduler.choose([100_000] * 8, n_calls=4)
+    decision = scheduler.choose(800_000, n_calls=4)
     assert decision.strategy == SERIAL
     assert decision.reason == "workers=1"
 
 
 def test_choose_dominant_partition_is_intra():
+    # A group is one evaluation whatever its partitions: every group
+    # above the thresholds fans its probes.
     scheduler = forced(4)
-    decision = scheduler.choose([90_000, 10, 10, 10], n_calls=1)
+    decision = scheduler.choose(90_030, n_calls=1)
     assert decision.strategy == INTRA_PARTITION
-    assert "%" in decision.reason
+    assert decision.executor == "process"
+    assert decision.morsels == 90_030 // 256 + 1
 
 
 def test_choose_dominant_but_tiny_stays_serial():
     scheduler = WindowScheduler(workers=4, min_parallel_ops=0.0,
                                 min_intra_rows=1_000_000)
-    decision = scheduler.choose([90_000, 10, 10], n_calls=1)
+    decision = scheduler.choose(90_020, n_calls=1)
     assert decision.strategy == SERIAL
     assert "too small" in decision.reason
 
@@ -433,7 +409,7 @@ def test_session_workers_and_explain_parallelism():
             session.parallel.close()
     assert "Parallelism" in text
     assert "workers=2" in text
-    assert INTER_PARTITION in text
+    assert INTRA_PARTITION in text
     assert "morsels" in text
 
 

@@ -105,11 +105,10 @@ def test_null_heavy_and_string_adjacent_results_roundtrip():
         assert run(table, scheduler=scheduler) == want
 
 
-def test_non_numeric_column_runs_serial_not_fails():
-    # A call over a string column is process-ineligible (object dtype
-    # cannot ship through shared memory); the group runs the serial
-    # kernels instead and the decision says why. Routine, so it is not
-    # a fallback in the health counters.
+def test_non_numeric_column_fans_probes_and_matches():
+    # A string column never ships: the probe fan shares only the tree,
+    # here built over the strings' previous-occurrence ints, so a
+    # string argument fans like a numeric one and stays bit-identical.
     rng = np.random.default_rng(11)
     n = 800
     table = Table.from_dict({
@@ -125,11 +124,10 @@ def test_non_numeric_column_runs_serial_not_fails():
         with forced(2) as scheduler:
             got = window_query(table, calls, SPEC, parallel=scheduler)
             decision = scheduler.stats().decisions[-1]
-            assert scheduler.stats().degraded_groups == 1
-            assert not scheduler.stats().pool_started
+            assert scheduler.stats().degraded_groups == 0
+            assert scheduler.stats().process_groups == 1
     assert got.columns[-1].to_list() == serial.columns[-1].to_list()
-    assert decision.executor == SERIAL
-    assert "process-ineligible" in decision.reason
+    assert decision.executor == "process"
     assert ctx.health.fallbacks == 0
 
 
@@ -337,7 +335,7 @@ def test_warm_repeat_bit_identical_across_evaluator_families():
     # Five evaluator families — count distinct, median (select probes),
     # rank, sum (aggregate probes), lead/first_value (navigation) —
     # must match serial on the cold run AND on warm runs that reuse
-    # arena-resident columns and permutations.
+    # the arena-resident permutation and (cached) trees' levels.
     from repro.parallel.shm import arena_segments
 
     table = make_table(1500, 8, seed=61)
@@ -347,10 +345,10 @@ def test_warm_repeat_bit_identical_across_evaluator_families():
     # legitimately persists — judge this scheduler's hygiene relative
     # to that ambient set.
     ambient = set(arena_segments())
-    with forced(2) as scheduler:
+    with StructureCache() as cache, forced(2) as scheduler:
         for _ in range(3):
-            assert run_calls(table, FAMILY_CALLS,
-                             scheduler=scheduler) == want
+            assert run_calls(table, FAMILY_CALLS, scheduler=scheduler,
+                             cache=cache) == want
         arena = scheduler.arena_stats()
         assert scheduler.stats().degraded_groups == 0
     assert arena is not None and arena.misses > 0
@@ -365,15 +363,17 @@ def test_warm_query_trace_has_no_copy_spans():
     from repro.resilience.context import SimulatedClock
 
     table = make_table(1500, 8, seed=62)
-    with forced(2) as scheduler:
+    # The structure cache keeps the trees — and so their levels' arena
+    # tokens — across the two runs.
+    with StructureCache() as cache, forced(2) as scheduler:
         cold_tracer = Tracer(clock=SimulatedClock())
-        run_calls(table, CALLS, scheduler=scheduler,
+        run_calls(table, CALLS, scheduler=scheduler, cache=cache,
                   ctx=ExecutionContext(tracer=cold_tracer))
         cold = cold_tracer.finish().find_all("shm.copy")
         assert cold  # the cold run materialized arena entries
-        assert {s.attrs["kind"] for s in cold} >= {"order", "col"}
+        assert {s.attrs["kind"] for s in cold} >= {"order", "levels"}
         warm_tracer = Tracer(clock=SimulatedClock())
-        run_calls(table, CALLS, scheduler=scheduler,
+        run_calls(table, CALLS, scheduler=scheduler, cache=cache,
                   ctx=ExecutionContext(tracer=warm_tracer))
         # The whole point of the arena: the warm run's trace shows no
         # copy phase at all.
@@ -381,9 +381,8 @@ def test_warm_query_trace_has_no_copy_spans():
 
 
 def test_intra_probe_fan_shares_levels_through_the_arena():
-    # Single dominant partition: structures build once on the query
-    # thread, tree levels serialize into the arena, probe batches fan
-    # to workers. With a structure cache the repeat query reuses the
+    # Structures build once on the query thread, tree levels serialize
+    # into the arena, probe batches fan to workers. With a structure cache the repeat query reuses the
     # same tree — and its workers attach the levels zero-copy.
     table = make_table(1200, 1, seed=63)
     want = run(table)

@@ -58,7 +58,7 @@ class TestStats:
         assert stats.cache_misses >= 1
         assert stats.strategies  # one window group was scheduled
         assert stats.parallel_strategy in (
-            "serial", "inter-partition", "intra-partition")
+            "serial", "intra-partition")
 
     def test_cache_reuse_shows_up_on_the_second_run(self, session):
         session.execute(SQL)

@@ -159,6 +159,26 @@ class TestWindowedModeFunction:
         assert got == want
 
 
+    @pytest.mark.parametrize("algorithm", ["mst", "naive"])
+    def test_tie_goes_to_the_partitions_first_appearance(self, algorithm):
+        # Partition 0 holds 7 before anything else; partition 1 holds
+        # 5 before 7. Partition 1's frames tie 5 and 7, and its own first
+        # appearance (5) must win over the group's first appearance (7).
+        table = Table.from_dict({
+            "g": (DataType.INT64, [0, 0, 1, 1, 1, 1]),
+            "o": (DataType.INT64, [1, 2, 1, 2, 3, 4]),
+            "x": (DataType.INT64, [7, 3, 5, 7, 7, 5]),
+        })
+        spec = WindowSpec(partition_by=("g",), order_by=(OrderItem("o"),),
+                          frame=FrameSpec.rows(preceding(3), current_row()))
+        got = window_query(
+            table, [WindowCall("mode", ("x",), algorithm=algorithm)],
+            spec).columns[-1].to_list()
+        # Partition 0: {7}, {7, 3} -> 7 (first appearance wins the tie).
+        # Partition 1: {5}, {5, 7}, {5, 7, 7}, {5, 7, 7, 5}.
+        assert got == [7, 7, 5, 5, 7, 5]
+
+
 class TestModeSql:
     def _catalog(self):
         table = Table.from_dict({

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.mst import SUM
-from repro.sortutil import SortColumn
 from repro.table import DataType, Table
 from repro.window import (FrameExclusion, FrameSpec, WindowCall, WindowSpec,
                           preceding, window_query)
@@ -17,7 +16,7 @@ from repro.window.calls import ALL_FUNCTIONS, result_type
 from repro.window.evaluators import evaluate_call
 from repro.window.evaluators.common import to_list
 from repro.window.frame import FrameMode, OrderItem
-from repro.window.operator import _build_partition
+from repro.window.operator import _build_view
 
 N = 12
 TABLE = Table.from_dict({
@@ -79,8 +78,7 @@ def _partition(exclusion, answer=None):
     data = {f.name: (TABLE.column(f.name).raw(),
                      TABLE.column(f.name).validity) for f in TABLE.schema}
     spec = _spec(exclusion)
-    return _build_partition(data, np.arange(N), spec, spec.effective_frame(),
-                            [SortColumn(*data["o"])], N, answer=answer)
+    return _build_view(data, np.arange(N), spec, answer=answer)
 
 
 CASES = [(name, algorithm) for name in FUNCTIONS

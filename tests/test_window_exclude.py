@@ -232,6 +232,37 @@ def test_dense_rank(case, descending):
     _check(case, "dense_rank", call, descending)
 
 
+@st.composite
+def one_large_many_single(draw):
+    """A partitioned case with one large partition beside many one-row
+    partitions."""
+    case = draw(cases(arg_type=DataType.INT64))
+    large = draw(st.integers(4, 16))
+    singles = draw(st.integers(1, 12))
+    groups = draw(st.permutations([0] * large
+                                  + list(range(1, singles + 1))))
+    rows = [{"g": g, "o": draw(st.integers(0, 5)),
+             "x": draw(st.none() | ARGUMENT_VALUES[DataType.INT64]),
+             "k": draw(st.none() | st.integers(0, 4)),
+             "f": draw(st.sampled_from([True, True, True, False, None]))}
+            for g in groups]
+    return dict(case, rows=rows, partitioned=True)
+
+
+@generated
+@given(one_large_many_single(),
+       st.sampled_from(["count", "sum", "avg", "dense_rank"]))
+def test_one_large_and_many_single_row_partitions(case, function):
+    flt = "f" if case["use_filter"] else None
+    if function == "dense_rank":
+        call = WindowCall("dense_rank", order_by=(OrderItem("k"),),
+                          filter_where=flt)
+    else:
+        call = WindowCall(function, ("x",), distinct=True,
+                          filter_where=flt)
+    _check(case, function, call)
+
+
 # ----------------------------------------------------------------------
 # the pair blocks
 # ----------------------------------------------------------------------

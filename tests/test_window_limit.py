@@ -20,8 +20,7 @@ from hypothesis import strategies as st
 
 from repro import Catalog, Session, SessionConfig, execute
 from repro.mst.aggregates import make_udaf
-from repro.parallel.scheduler import (INTER_PARTITION, INTRA_PARTITION,
-                                      WindowScheduler)
+from repro.parallel.scheduler import INTRA_PARTITION, WindowScheduler
 from repro.resilience import ResourceLimits
 from repro.resilience.context import current_context
 from repro.sql import plan
@@ -210,15 +209,40 @@ def test_operator_answers_any_demand(drawn):
         assert got.to_rows() == full.take(rows).to_rows()
 
 
+@generated
+@given(st.integers(3, 25), st.integers(1, 25),
+       st.sampled_from(range(len(OPERATOR_FRAMES))), st.randoms())
+def test_one_large_and_many_single_row_partitions(large, singles,
+                                                  frame_index, rnd):
+    groups = [0] * large + list(range(1, singles + 1))
+    rnd.shuffle(groups)
+    n = len(groups)
+    table = Table.from_dict({
+        "g": (DataType.INT64, groups),
+        "o": (DataType.INT64, [rnd.randrange(4) for _ in range(n)]),
+        "x": (DataType.INT64, [rnd.randrange(5) for _ in range(n)]),
+        "y": (DataType.INT64, [rnd.choice([None, 0, 1, 2, 3])
+                               for _ in range(n)]),
+        "f": (DataType.BOOL, [rnd.random() < 0.7 for _ in range(n)]),
+    })
+    spec = WindowSpec(partition_by=("g",), order_by=(OrderItem("o"),),
+                      frame=OPERATOR_FRAMES[frame_index])
+    full = window_query(table, OPERATOR_CALLS, spec)
+    # The demand mixes rows of the large partition and single rows.
+    rows = sorted(rnd.sample(range(n), rnd.randint(0, n)))
+    got = _answer(table, OPERATOR_CALLS, spec, rows)
+    assert got.to_rows() == full.take(rows).to_rows()
+
+
 def _forced_scheduler():
     """Two workers, with thresholds low enough that a small demand
-    still takes the parallel paths."""
+    still takes the probe fan."""
     return WindowScheduler(workers=2, min_parallel_ops=0.0,
                            min_intra_rows=64, task_size=256)
 
 
 @pytest.mark.parametrize("partitions,strategy",
-                         [(1, INTRA_PARTITION), (400, INTER_PARTITION)])
+                         [(1, INTRA_PARTITION), (400, INTRA_PARTITION)])
 def test_process_pool_answers_the_same_rows(partitions, strategy):
     rng = np.random.default_rng(partitions)
     n = 1500
@@ -334,16 +358,17 @@ def test_probe_spans_count_the_rows_answered():
         result = session.execute(f"SELECT o, {_W} AS c FROM t LIMIT 7",
                                  trace=True)
     probes = result.trace.find_all("probe")
-    # Rows 0..6 sit in partitions g = 0..3: 2 + 2 + 2 + 1 rows.
-    assert sorted(p.attrs["rows"] for p in probes) == [1, 2, 2, 2]
+    # Rows 0..6 sit in partitions g = 0..3; the group is one
+    # evaluation, so one probe answers all seven.
+    assert [p.attrs["rows"] for p in probes] == [7]
     group, = result.trace.find_all("window.group")
     assert group.attrs["answered"] == 7 and group.attrs["rows"] == 60
 
 
 # ----------------------------------------------------------------------
-# counting: partitions outside the demand cost nothing
+# counting: one build per (group, call), whatever the demand
 # ----------------------------------------------------------------------
-def test_cold_limit_builds_only_the_demanded_partitions():
+def test_cold_limit_builds_each_structure_once():
     catalog = Catalog({"lineitem": lineitem(2000)})
     sql = ("SELECT l_orderkey, count(DISTINCT l_partkey) OVER w AS d, "
            "median(l_quantity) OVER w AS m FROM lineitem WINDOW w AS "
@@ -352,10 +377,11 @@ def test_cold_limit_builds_only_the_demanded_partitions():
     with Session(catalog) as session:
         limited = session.execute(sql, trace=True)
     calls = 2
-    assert 0 < limited.stats.structure_builds <= 5 * calls
+    # One structure per call spans every partition of the group.
+    assert limited.stats.structure_builds == calls
     with Session(catalog) as session:
         full = session.execute(sql.replace(" LIMIT 5", ""), trace=True)
-    assert full.stats.structure_builds > 5 * calls
+    assert full.stats.structure_builds == calls
     assert _rows(limited.table) == _rows(full.table)[:5]
 
 

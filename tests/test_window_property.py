@@ -135,3 +135,49 @@ def test_mst_equals_oracle_random_offsets(table, seed, call_index):
                                               "algorithm": "naive"})],
                         spec).columns[-1].to_list()
     assert_columns_equal(got, want)
+
+
+@st.composite
+def one_large_many_single(draw):
+    """One large partition beside many one-row partitions, interleaved
+    in input order."""
+    large = draw(st.integers(5, 30))
+    singles = draw(st.integers(1, 25))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
+    g = rng.permutation([0] * large + list(range(1, singles + 1)))
+    n = len(g)
+    xs = [int(v) if rng.random() > 0.15 else None
+          for v in rng.integers(0, 6, n)]
+    return Table.from_dict({
+        "g": (DataType.INT64, [int(v) for v in g]),
+        "o": (DataType.INT64, [int(v) for v in rng.integers(0, 12, n)]),
+        "x": (DataType.INT64, xs),
+        "y": (DataType.FLOAT64,
+              [float(v) for v in rng.integers(0, 8, n)]),
+    })
+
+
+@given(table=one_large_many_single(), frame=frame_specs(),
+       call_index=st.integers(0, len(CALL_FACTORIES) - 1))
+@settings(deadline=None)  # the example count comes from the profile
+def test_one_large_and_many_single_row_partitions(table, frame, call_index):
+    """The group's one evaluation equals evaluating every partition on
+    its own (and the naive rung)."""
+    spec = WindowSpec(partition_by=("g",), order_by=(OrderItem("o"),),
+                      frame=frame)
+    call = WindowCall(**CALL_FACTORIES[call_index]())
+    got = window_query(table, [call], spec).columns[-1].to_list()
+    naive = window_query(table, [WindowCall(**{
+        **CALL_FACTORIES[call_index](), "algorithm": "naive"})],
+        spec).columns[-1].to_list()
+    assert_columns_equal(got, naive)
+    alone = WindowSpec(order_by=(OrderItem("o"),), frame=frame)
+    g = np.asarray(table.column("g").to_list())
+    want = [None] * len(g)
+    for key in np.unique(g):
+        rows = np.flatnonzero(g == key)
+        values = window_query(table.take(rows), [call],
+                              alone).columns[-1].to_list()
+        for row, value in zip(rows, values):
+            want[row] = value
+    assert_columns_equal(got, want)
