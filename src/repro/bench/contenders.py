@@ -32,14 +32,13 @@ from repro.ostree.windowed import (
 from repro.preprocess.rankkeys import dense_rank_keys
 from repro.rangemode.incremental import windowed_mode
 from repro.segtree.holistic import windowed_percentile_segtree
-from repro.sortutil import SortColumn, stable_argsort
 from repro.table.table import Table
 from repro.window.calls import ALGORITHMS, WindowCall
 from repro.window.evaluators import evaluate_call
 from repro.window.evaluators.common import python_values, to_list
 from repro.window.frame import WindowSpec
 from repro.window.operator import _build_view, _column_data
-from repro.window.partition import PartitionView
+from repro.window.partition import PartitionView, sort_group
 
 Kernel = Callable[[PartitionView], List[Any]]
 
@@ -52,13 +51,8 @@ def partition(table: Table, spec: WindowSpec) -> PartitionView:
         raise ValueError("contender kernels run over one partition: "
                          "the spec may not have a PARTITION BY")
     data = {name: _column_data(table, name) for name in table.schema.names()}
-    order_columns = [
-        SortColumn(data[item.column][0], descending=item.descending,
-                   nulls_last=item.resolved_nulls_last(),
-                   validity=data[item.column][1])
-        for item in spec.order_by]
-    n = table.num_rows
-    return _build_view(data, stable_argsort(order_columns, n), spec)
+    sort = sort_group(table, spec)
+    return _build_view(data, sort.order, spec, None, sort.peer_ids)
 
 
 def _engine(call: WindowCall, part: PartitionView) -> List[Any]:

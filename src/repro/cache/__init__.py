@@ -3,16 +3,19 @@
 Every framed window function builds one or more index structures per
 window group — merge sort trees (Section 4), segment trees, range trees,
 range-mode indexes. Building them is the O(n log n) part of evaluation;
-probing them is cheap. When the same table, partitioning and ordering are
-queried repeatedly (the serving pattern), rebuilding from scratch wastes
-exactly the work the structures exist to amortise — the reuse
-optimisation Cao et al. identify as dominant for this operator.
+probing them is cheap. The group's sort (permutation, partition ids,
+peer-group ids) is cached beside them as one more entry. When the same
+data, partitioning and ordering are queried repeatedly (the serving
+pattern), rebuilding from scratch wastes exactly the work the
+structures exist to amortise — the reuse optimisation Cao et al.
+identify as dominant for this operator.
 
 This package provides that reuse as a first-class subsystem:
 
 * :mod:`repro.cache.fingerprint` — stable content fingerprints for table
-  columns and canonical cache keys derived from ``(table fingerprint,
-  PARTITION BY, ORDER BY, structure kind, aggregate config)``;
+  columns and canonical cache keys derived from ``(PARTITION BY /
+  ORDER BY column fingerprints, entry kind, the entry's own input
+  column fingerprints and configuration)``;
 * :mod:`repro.cache.budget` — per-structure byte accounting (tree
   levels, cascading bridges, prefix-aggregate arrays) against a
   configurable global memory budget;
@@ -34,7 +37,6 @@ from repro.cache.budget import (
 )
 from repro.cache.fingerprint import (
     column_fingerprint,
-    spec_signature,
     table_fingerprint,
     window_group_key,
 )
@@ -47,7 +49,6 @@ __all__ = [
     "StructureCache",
     "StructureSizeBreakdown",
     "column_fingerprint",
-    "spec_signature",
     "structure_breakdown",
     "structure_bytes",
     "table_fingerprint",

@@ -61,14 +61,21 @@ def structure_breakdown(structure: Any) -> StructureSizeBreakdown:
     """Component-wise byte accounting for any cacheable index structure.
 
     Dispatches on type: merge sort trees, segment trees, the DENSE_RANK
-    range tree and the range-mode index all get exact array sums;
+    range tree, the range-mode index, a group's sort and per-row key
+    arrays all get exact array sums;
     unknown objects fall back to a ``sys.getsizeof`` floor.
     """
     from repro.mst.tree import MergeSortTree
     from repro.rangemode.index import RangeModeIndex
     from repro.rangetree.dense import DenseRankIndex
     from repro.segtree.tree import SegmentTree
+    from repro.window.partition import GroupOrder
 
+    if isinstance(structure, np.ndarray):  # per-row keys
+        return StructureSizeBreakdown(other=int(structure.nbytes))
+    if isinstance(structure, GroupOrder):
+        return StructureSizeBreakdown(other=sum(
+            _ndarray_bytes(ids) for ids in structure))
     if isinstance(structure, MergeSortTree):
         return _levels_breakdown(structure.levels)
     if isinstance(structure, DenseRankIndex):

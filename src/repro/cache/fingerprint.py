@@ -2,9 +2,9 @@
 
 A cached structure is only reusable if the *data* it was built from is
 byte-identical. Columns are fingerprinted over their physical storage
-(values plus validity mask); a table fingerprint combines the
-fingerprints of exactly the columns a window group touches, so appending
-an unrelated column does not invalidate cached trees.
+(values plus validity mask); a window key combines the fingerprints of
+exactly the columns its entry reads, so appending an unrelated column
+does not invalidate cached trees.
 
 Fingerprints are memoised on the column object keyed by its length
 (columns are append-only, so a length match means the prefix bytes are
@@ -14,14 +14,17 @@ short of a hash collision (128-bit BLAKE2b).
 
 The canonical window cache key deliberately excludes the frame clause:
 the index structures depend on the group's rows, the ordering and
-the per-call configuration, but *not* on the frame bounds — two queries
+the per-call inputs, but *not* on the frame bounds — two queries
 differing only in ``ROWS BETWEEN ... AND ...`` share every structure.
+Keys name columns by content fingerprint and role, never by column
+name, so a structure is shared by every statement that reads the same
+data in the same order.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -73,38 +76,21 @@ def table_fingerprint(table, columns: Iterable[str] = None) -> str:
     return digest.hexdigest()
 
 
-def spec_signature(spec) -> Tuple:
-    """Hashable signature of a :class:`~repro.window.WindowSpec`'s
-    partitioning and ordering (the frame is intentionally excluded — see
-    the module docstring)."""
-    return (tuple(spec.partition_by),
-            tuple((item.column, item.descending, item.resolved_nulls_last())
-                  for item in spec.order_by))
+def window_group_key(table, spec) -> Tuple:
+    """The key prefix of one window group's cache entries — its sort
+    and every structure built over it: ``("window", rows, PARTITION BY
+    fingerprints, ORDER BY (fingerprint, DESC, NULLS LAST))``.
 
-
-def involved_columns(table, spec, calls: Sequence) -> Tuple[str, ...]:
-    """The table columns whose content determines a window group's
-    structures: partition keys, order keys, call arguments, FILTER
-    columns and function-level ORDER BY columns."""
-    names = set(spec.partition_by)
-    names.update(item.column for item in spec.order_by)
-    for call in calls:
-        names.update(call.args)
-        if call.filter_where is not None:
-            names.add(call.filter_where)
-        names.update(item.column for item in call.order_by)
-    known = set(table.schema.names())
-    return tuple(sorted(names & known))
-
-
-def window_group_key(table, spec, calls: Sequence) -> Tuple:
-    """The canonical key prefix for one window group's structures:
-    ``("window", table fingerprint, PARTITION BY / ORDER BY signature)``.
-
-    The structure kind and the per-call aggregate configuration are
-    appended by the
-    :class:`~repro.cache.store.StructureAcquirer` at acquire time.
+    Columns enter by content, never by name: the same data under
+    another (hidden) column name, or beside other calls' columns, maps
+    to the same key. The entry kind and each structure's own inputs
+    (argument, FILTER and function ORDER BY fingerprints) are appended
+    by the :class:`~repro.cache.store.StructureAcquirer`.
     """
-    fingerprint = table_fingerprint(table, involved_columns(table, spec,
-                                                            calls))
-    return ("window", fingerprint, spec_signature(spec))
+    def fingerprint(name: str) -> str:
+        return column_fingerprint(table.column(name))
+
+    return ("window", table.num_rows,
+            tuple(fingerprint(name) for name in spec.partition_by),
+            tuple((fingerprint(item.column), item.descending,
+                   item.resolved_nulls_last()) for item in spec.order_by))

@@ -249,11 +249,13 @@ def _key_digest(key: Tuple) -> str:
 
 
 class StructureAcquirer:
-    """Per-group handle the evaluators use to obtain structures.
+    """Per-group handle the operator and the evaluators use to obtain
+    the group's sort and structures.
 
     Composes full keys from a fixed prefix (the window-group key, built
-    once by the operator) plus the structure kind and per-call
-    configuration, pins everything it hands out, and releases all pins
+    once by the operator) plus the entry kind and its configuration —
+    input columns named by :meth:`column_key`, their content
+    fingerprint — pins everything it hands out, and releases all pins
     in one call when the group's calls are done.
 
     With ``cache=None`` it degrades to calling the builder directly, so
@@ -266,11 +268,18 @@ class StructureAcquirer:
     """
 
     def __init__(self, cache: Optional[StructureCache],
-                 prefix: Tuple) -> None:
+                 prefix: Tuple, table: Any) -> None:
         self._cache = cache
         self._prefix = prefix
+        self._table = table
         self._held: List[Tuple] = []
         self._held_lock = threading.Lock()
+
+    def column_key(self, name: str) -> str:
+        """How a key names the input column ``name`` of the group's
+        ``table``: its content fingerprint (memoised on the column)."""
+        from repro.cache.fingerprint import column_fingerprint
+        return column_fingerprint(self._table.column(name))
 
     def acquire(self, kind: str, config: Tuple,
                 builder: Callable[[], Any]) -> Any:

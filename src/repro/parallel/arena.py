@@ -1,17 +1,18 @@
 """Session-lifetime shared-memory table arena.
 
-Without it, every window group of a process-pool session would
-re-sort its input and copy its trees' levels into fresh
-``multiprocessing.shared_memory`` segments: correct, but identical on
-every repeat of the same query — the ``repro.serve`` steady state. The
-:class:`TableArena` amortizes that setup out of the hot path (entries:
-sort permutations and tree levels):
+Without it, every probe-fan group of a process-pool session would copy
+its trees' levels into fresh ``multiprocessing.shared_memory``
+segments: correct, but identical on every repeat of the same query —
+the ``repro.serve`` steady state. The :class:`TableArena` amortizes
+that setup out of the hot path (entries: tree levels, the only arrays
+workers read):
 
-* **content-keyed** — entries are keyed by the cache layer's content
-  fingerprints (:mod:`repro.cache.fingerprint`), so a repeat query over
-  unchanged data attaches zero-copy, and a mutated (re-registered)
-  table simply misses and re-materializes — stale entries age out via
-  LRU instead of being a correctness hazard;
+* **keyed by tree** — an entry is keyed by a token stamped on the
+  tree's levels, and the tree itself lives in the content-keyed
+  structure cache (:mod:`repro.cache.fingerprint`), so a repeat query
+  over unchanged data attaches zero-copy, and a mutated
+  (re-registered) table builds a new tree that simply misses — stale
+  entries age out via LRU instead of being a correctness hazard;
 * **pinned while in use** — a group execution takes an
   :class:`ArenaLease`, which pins every entry it touches until the
   group finishes; eviction only ever removes unpinned entries, so a
@@ -283,17 +284,6 @@ class TableArena:
             if self._closed or shortfall <= 0:
                 return 0
             return self._evict_locked(shortfall=int(shortfall))
-
-    def invalidate(self, token: Any) -> int:
-        """Drop every unpinned entry whose key mentions ``token`` (e.g.
-        a table fingerprint); returns the count dropped. Content keys
-        make stale hits impossible, so this only frees bytes early."""
-        with self._lock:
-            victims = [e for e in self._entries.values()
-                       if token in e.key and not e.pins]
-            for entry in victims:
-                self._drop_locked(entry)
-            return len(victims)
 
     # ------------------------------------------------------------------
     # introspection / lifecycle

@@ -20,14 +20,13 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.sortutil import SortColumn, sorted_equal_runs, stable_argsort
+from repro.sortutil import SortColumn, sort_with_runs, stable_argsort
 
 
 def dense_rank_keys(columns: Sequence[SortColumn], n: int) -> np.ndarray:
     """``key[i]`` = number of distinct sort-key classes before row i's
     class; equal rows share a key."""
-    order = stable_argsort(columns, n)
-    group_ids = sorted_equal_runs(columns, order)
+    order, group_ids = sort_with_runs(columns, n)
     keys = np.empty(n, dtype=np.int64)
     keys[order] = group_ids
     return keys

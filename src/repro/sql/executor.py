@@ -11,8 +11,9 @@ so an operator body is only its relational algebra:
   — the plan shape the paper observes for the Figure 9 traditional
   formulations), filter, group-by aggregation, projection, DISTINCT,
   ORDER BY and LIMIT over column vectors. Whatever compares key
-  tuples — join, GROUP BY, DISTINCT, string ORDER BY — does so on the
-  dense integer codes of :func:`repro.sql.keys.key_codes`, with numpy
+  tuples — join, GROUP BY, DISTINCT — does so on the dense integer
+  codes of :func:`repro.sql.keys.key_codes`, and ORDER BY on the
+  normalised keys of :func:`repro.sortutil.stable_argsort`, with numpy
   sorting, searching and scattering in place of per-row loops;
 * window functions, handed to the window operator
   (:class:`~repro.window.operator.WindowOperator`) through
@@ -493,10 +494,7 @@ def _sort(node: plan.SortNode, ctx: Context) -> Relation:
             vector = evaluate(expr, combined, ctx)
         nulls_last = item.nulls_last if item.nulls_last is not None \
             else not item.descending
-        values = vector.values
-        if vector.dtype is DataType.STRING:
-            values = key_codes([vector])  # sort ranks: np.lexsort below
-        sort_columns.append(SortColumn(values, item.descending,
+        sort_columns.append(SortColumn(vector.values, item.descending,
                                        nulls_last, vector.validity))
     order = stable_argsort(sort_columns, output.n)
     return output.take(order)

@@ -32,8 +32,8 @@ re-planned. The module holds:
   (:func:`_plan_from` states the legality rules);
 * **named-window dedup** — :func:`shared_window_groups` reports which
   named ``WINDOW`` clauses share a PARTITION BY / ORDER BY spec.  The
-  window operator already shares one sort permutation (and one arena
-  order entry) between equal specs; the planner makes that sharing
+  window operator already shares one sort (one structure-cache
+  ``order`` entry) between equal specs; the planner makes that sharing
   decidable and observable before execution;
 * **subquery correlation checks** — :func:`check_in_subquery` rejects
   correlated ``IN (SELECT ...)`` subqueries at plan time with a clear
@@ -662,7 +662,7 @@ def _plan_expr(expr: ast.Expr, catalog: Optional[Catalog],
 def shared_window_groups(stmt: ast.SelectStmt) -> List[List[str]]:
     """Named windows that share one sort: groups (size ≥ 2) of WINDOW
     clause names with equal PARTITION BY + ORDER BY specs.  Frames are
-    ignored on purpose — the sort permutation (and the arena order
+    ignored on purpose — the sort (the structure-cache ``order``
     entry) depends only on partition/order, so differently-framed
     windows over the same spec still share it."""
     groups: Dict[Tuple, List[str]] = {}

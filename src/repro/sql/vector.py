@@ -13,8 +13,8 @@ DATE - DATE = INT days), mirroring the engine's physical representation.
 from __future__ import annotations
 
 import datetime
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, field
+from typing import Any, Optional
 
 import numpy as np
 
@@ -27,11 +27,27 @@ class Vector:
     values: np.ndarray       # int64 / float64 / bool, or object (str)
     validity: np.ndarray
     dtype: DataType
+    #: The column :func:`from_column` read (None for computed vectors).
+    source: Optional[Column] = field(default=None, repr=False,
+                                     compare=False)
 
     def __len__(self) -> int:
         return len(self.validity)
 
+    def source_column(self) -> Optional[Column]:
+        """The column :func:`from_column` read, while the vector still
+        holds exactly its data (None otherwise) — so a query-local
+        reader reuses the column's memoised fingerprint. It is shared,
+        not copied: a result must take :meth:`to_column` instead, or
+        appending to either side would reach the other."""
+        source = self.source
+        if (source is not None and self.values is source.array()
+                and np.array_equal(self.validity, source.validity)):
+            return source
+        return None
+
     def to_column(self) -> Column:
+        """A column of the vector's values that the caller owns."""
         if self.dtype.numpy_dtype is not None:
             return Column.from_numpy(self.dtype, self.values, self.validity)
         # The table layer keeps its list-backed string columns.
@@ -56,7 +72,8 @@ class Vector:
 
 
 def from_column(column: Column) -> Vector:
-    return Vector(column.array(), column.validity.copy(), column.dtype)
+    return Vector(column.array(), column.validity.copy(), column.dtype,
+                  source=column)
 
 
 def repeated(value: Any, n: int, dtype: Any) -> np.ndarray:

@@ -210,7 +210,10 @@ class WindowBuilder:
         fields = []
         columns = []
         for name, vector in self.columns:
-            column = vector.to_column()
+            # The table is the operator's input only, never a result.
+            column = vector.source_column()
+            if column is None:
+                column = vector.to_column()
             fields.append(Field(name, column.dtype))
             columns.append(column)
         if not columns:

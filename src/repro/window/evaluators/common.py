@@ -283,24 +283,26 @@ class CallInput:
     # ------------------------------------------------------------------
     def function_order_signature(self, default_arg: bool = False) -> Tuple:
         """Hashable signature of the order :meth:`function_sort_columns`
-        resolves to — part of a structure's cache key. The window ORDER
-        BY case needs no column detail: the window-group key prefix
-        already pins it."""
+        resolves to — part of a structure's cache key. It needs no
+        column detail: :meth:`structure` keys the call's argument and
+        function ORDER BY columns, the window-group key prefix the
+        window ORDER BY."""
         if self.call.order_by:
-            return ("call", tuple(
-                (item.column, item.descending, item.resolved_nulls_last())
-                for item in self.call.order_by))
+            return ("call", tuple((item.descending,
+                                   item.resolved_nulls_last())
+                                  for item in self.call.order_by))
         if default_arg and self.call.args:
-            return ("arg", self.call.args[0])
+            return ("arg",)
         if self.part.window_order:
             return ("window",)
         return ("none",)
 
     def structure(self, kind: str, builder, extra: Tuple = ()) -> Any:
         """Acquire an index structure through the group's cache
-        acquirer, keyed by the structure ``kind``, this call's input
-        configuration (arguments, FILTER, NULL skipping) and any
-        ``extra`` discriminators; with no cache, just build.
+        acquirer, keyed by the structure ``kind``, this call's inputs
+        by role (argument, FILTER and function ORDER BY column
+        fingerprints, NULL skipping) and any ``extra`` discriminators;
+        with no cache, just build.
 
         Builds run guarded (see :mod:`repro.resilience.guard`): the
         active deadline is checked, the ``structure.build`` fault site
@@ -318,7 +320,12 @@ class CallInput:
                 with tracer.span("structure.build", kind=kind):
                     return guarded()
             return guarded()
-        config = ((tuple(self.call.args), self.call.filter_where,
+        filter_where = self.call.filter_where
+        column_key = acquirer.column_key
+        config = ((tuple(map(column_key, self.call.args)),
+                   filter_where and column_key(filter_where),
+                   tuple(column_key(item.column)
+                         for item in self.call.order_by),
                    self.skip_null_arg) + tuple(extra))
         return acquirer.acquire(kind, config, guarded)
 

@@ -23,12 +23,11 @@ import numpy as np
 from repro.baselines.naive import frame_rows
 from repro.mst.tree import MergeSortTree
 from repro.preprocess.permutation import inverse_permutation
-from repro.sortutil import SortColumn, stable_argsort
+from repro.sortutil import SortColumn, normalized_key, stable_argsort
 from repro.table.column import date_to_ordinal
 from repro.window.bounds import frame_sizes
 from repro.window.calls import WindowCall
 from repro.window.evaluators.common import CallInput, Result, result_dtype
-from repro.window.evaluators.value import _composite_keys
 from repro.window.partition import PartitionView
 from repro.resilience.context import current_context
 
@@ -141,11 +140,8 @@ def evaluate(call: WindowCall, part: PartitionView) -> Result:
 def _evaluate_naive(call: WindowCall, part: PartitionView,
                     inputs: CallInput) -> List[Any]:
     values, validity = part.column(call.args[0])
-    sort_columns = inputs.function_sort_columns()
-    if sort_columns:
-        order_keys = _composite_keys(sort_columns, part.n)
-    else:
-        order_keys = list(range(part.n))
+    order_keys = normalized_key(inputs.function_sort_columns(),
+                                part.n).tolist()
     keep = inputs.keep
     signed = call.offset if call.function == "lead" else -call.offset
     out: List[Any] = []

@@ -34,21 +34,24 @@ def evaluate(call: WindowCall, part: PartitionView) -> Result:
     name = call.function
     unique_keys = name in ("row_number", "ntile")
     sort_columns = inputs.function_sort_columns()
-    if unique_keys:
-        keys = row_number_keys(sort_columns, part.n)
-    else:
-        keys = dense_rank_keys(sort_columns, part.n)
+    rank_keys = row_number_keys if unique_keys else dense_rank_keys
 
     if call.algorithm == "naive":
-        return _evaluate_naive(name, call, part, inputs, keys)
+        return _evaluate_naive(name, call, part, inputs,
+                               rank_keys(sort_columns, part.n))
+
+    # The keys are a structure of the group like the trees over them:
+    # a warm query skips the function-order sort.
+    keys = inputs.structure(
+        "rankkeys", lambda: rank_keys(sort_columns, part.n),
+        extra=(unique_keys,) + inputs.function_order_signature())
 
     if name == "dense_rank":
         return _dense_rank(inputs, keys)
 
-    kept_keys = keys[inputs.kept_rows]
     tree = inputs.structure(
         "mst:rankkeys",
-        lambda: MergeSortTree(kept_keys, fanout=_TREE_FANOUT),
+        lambda: MergeSortTree(keys[inputs.kept_rows], fanout=_TREE_FANOUT),
         extra=(unique_keys,) + inputs.function_order_signature())
     own = keys[part.rows]  # the answered rows' own keys
 
@@ -77,10 +80,9 @@ def evaluate(call: WindowCall, part: PartitionView) -> Result:
 
 
 def _dense_rank(inputs: CallInput, keys: np.ndarray) -> Arrays:
-    kept_keys = keys[inputs.kept_rows]
     index = inputs.structure(
         "rangetree:dense",
-        lambda: DenseRankIndex(kept_keys),
+        lambda: DenseRankIndex(keys[inputs.kept_rows]),
         extra=inputs.function_order_signature())
     own = keys[inputs.part.rows]
     ranks = index.batched_dense_rank(inputs.start_f, inputs.end_f, own)
@@ -89,7 +91,8 @@ def _dense_rank(inputs: CallInput, keys: np.ndarray) -> Arrays:
     # kept keys' previous occurrences.
     for rows, _ in inputs.hole_only(
             index.prev,
-            admit=lambda rows, entries: kept_keys[entries] < own[rows]):
+            admit=lambda rows, entries:
+            keys[inputs.kept_rows[entries]] < own[rows]):
         ranks -= np.bincount(rows, minlength=inputs.answered)
     return ranks, None
 

@@ -17,6 +17,7 @@ import numpy as np
 from repro.baselines.naive import naive_kth
 from repro.errors import WindowFunctionError
 from repro.mst.tree import MergeSortTree
+from repro.sortutil import normalized_key
 from repro.window.bounds import frame_sizes
 from repro.window.calls import WindowCall
 from repro.window.evaluators.common import CallInput, Result
@@ -66,45 +67,8 @@ def _evaluate_naive(call: WindowCall, part: PartitionView,
     values, validity = part.column(call.args[0])
     result_values = [values[i] if validity[i] else None
                      for i in range(part.n)]
-    sort_columns = inputs.function_sort_columns()
-    if sort_columns:
-        order_keys = _composite_keys(sort_columns, part.n)
-    else:
-        order_keys = list(range(part.n))
+    # Rows compare by normalised key, ties by frame position.
+    order_keys = normalized_key(inputs.function_sort_columns(),
+                                part.n).tolist()
     return naive_kth(order_keys, result_values, inputs.keep, part.pieces,
                      [int(k) for k in ks])
-
-
-class _OrderKey:
-    """Comparable composite of one row's sort cells."""
-
-    __slots__ = ("cells",)
-
-    def __init__(self, cells) -> None:
-        self.cells = cells
-
-    def __lt__(self, other: "_OrderKey") -> bool:
-        for a, b in zip(self.cells, other.cells):
-            if a < b:
-                return True
-            if b < a:
-                return False
-        return False
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _OrderKey) and self.cells == other.cells
-
-
-def _composite_keys(sort_columns, n: int) -> List[_OrderKey]:
-    from repro.sortutil import _Cell
-    keys = []
-    for i in range(n):
-        cells = []
-        for col in sort_columns:
-            null = col.validity is not None and not col.validity[i]
-            value = None if null else col.values[i]
-            if isinstance(value, np.generic):
-                value = value.item()
-            cells.append(_Cell(value, col.descending, col.nulls_last))
-        keys.append(_OrderKey(tuple(cells)))
-    return keys

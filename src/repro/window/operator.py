@@ -33,14 +33,20 @@ group scatters each call's values into precomputed output positions, so
 results are bit-identical to serial execution regardless of completion
 order.
 
-Degradation is per group: a shared-memory failure while caching the
-sort permutation or an open ``worker.pool`` breaker runs the group on
-the serial kernels, and a pool that breaks mid-group finishes on them —
-so a dying worker fleet costs throughput, never answers. With a pool,
-the sort permutation and the fanned trees' levels live in the
-session-lifetime :class:`~repro.parallel.arena.TableArena`: a warm
-repeat query skips the argsort and its workers attach the levels
-zero-copy.
+The group's sort (:class:`~repro.window.partition.GroupOrder`) is the
+first entry the group takes from the session's structure cache, keyed
+by the content of its PARTITION BY / ORDER BY columns
+(:func:`~repro.cache.fingerprint.window_group_key`); every structure
+is keyed on that prefix plus the content of the columns it reads. A
+warm repeat query skips the argsort, the run detection and every build.
+
+Degradation is per group: an open ``worker.pool`` breaker runs the
+group on the serial kernels, and a pool that breaks mid-group (or a
+shared-memory failure while mapping a tree) finishes on them — so a
+dying worker fleet costs throughput, never answers. With a pool, the
+fanned trees' levels live in the session-lifetime
+:class:`~repro.parallel.arena.TableArena`, and a warm repeat query's
+workers attach them zero-copy.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ from repro.parallel.scheduler import (
 )
 from repro.resilience.context import current_context
 from repro.resilience.guard import breaker_allow, breaker_failure
-from repro.sortutil import SortColumn, sorted_equal_runs, stable_argsort
+from repro.sortutil import SortColumn
 from repro.table.column import Column, infer_dtype
 from repro.table.schema import Field, Schema
 from repro.table.table import Table
@@ -77,7 +83,7 @@ from repro.window.frame import (
     FrameSpec,
     WindowSpec,
 )
-from repro.window.partition import PartitionView, view_columns
+from repro.window.partition import PartitionView, sort_group, view_columns
 
 
 class WindowOperator:
@@ -153,9 +159,9 @@ def _evaluate_group(table: Table, spec: WindowSpec,
                     demand: Optional[np.ndarray] = None
                     ) -> List[Column]:
     scheduler = parallel if parallel is not None else default_scheduler()
-    # The arena lease spans the whole group: every entry it touches
-    # (sort permutation, serialized tree levels) stays pinned — and
-    # therefore mapped — until the last scatter.
+    # The arena lease spans the whole group: every tree's levels it
+    # shares stay pinned — and therefore mapped — until the last
+    # scatter.
     lease = (scheduler.table_arena().lease()
              if scheduler.process_enabled else None)
     try:
@@ -166,33 +172,6 @@ def _evaluate_group(table: Table, spec: WindowSpec,
             lease.release()
 
 
-def _resolve_order(lease: Any, table: Table, spec: WindowSpec,
-                   sort_columns: List[SortColumn], n: int
-                   ) -> Tuple[np.ndarray, bool]:
-    """The group's sort permutation, arena-cached when possible.
-
-    With a process-pool lease and at least one sort key the
-    permutation lives in the table arena, keyed by the content
-    fingerprint of the sort columns plus the spec's ordering signature:
-    a warm repeat query skips the argsort.
-
-    Returns ``(order, shm_failed)``: a shared-memory failure computes
-    the permutation in place — the query must not fail — and reports
-    ``shm_failed=True`` so the caller runs the group serial instead of
-    touching shared memory again."""
-    names = list(spec.partition_by) + [i.column for i in spec.order_by]
-    if lease is None or not names:
-        return stable_argsort(sort_columns, n), False
-    from repro.cache.fingerprint import spec_signature, table_fingerprint
-    key = ("order", table_fingerprint(table, names), spec_signature(spec))
-    try:
-        entry = lease.get(key,
-                          lambda: [stable_argsort(sort_columns, n)])
-    except OSError:
-        return stable_argsort(sort_columns, n), True
-    return entry.views[0], False
-
-
 def _evaluate_group_inner(table: Table, spec: WindowSpec,
                           calls: Sequence[WindowCall],
                           cache: Any, scheduler: WindowScheduler,
@@ -201,79 +180,68 @@ def _evaluate_group_inner(table: Table, spec: WindowSpec,
     n = table.num_rows
     ctx = current_context()
     tracer = ctx.tracer
-    partition_span = tracer.span("partition", rows=n) \
-        if tracer.enabled else None
+    acquirer = None
+    if cache is not None:
+        from repro.cache.fingerprint import window_group_key
+        from repro.cache.store import StructureAcquirer
+        acquirer = StructureAcquirer(cache, window_group_key(table, spec),
+                                     table)
     try:
-        partition_columns = []
-        for name in spec.partition_by:
-            values, validity = _column_data(table, name)
-            partition_columns.append(SortColumn(values, validity=validity))
-        order_columns = []
-        for item in spec.order_by:
-            values, validity = _column_data(table, name=item.column)
-            order_columns.append(
-                SortColumn(values, descending=item.descending,
-                           nulls_last=item.resolved_nulls_last(),
-                           validity=validity))
-        order, order_shm_failed = _resolve_order(
-            lease, table, spec, partition_columns + order_columns, n)
-        partition_ids = sorted_equal_runs(partition_columns, order) \
-            if partition_columns else None
-        partitions = min(n, 1) if partition_ids is None or not n \
-            else int(partition_ids[-1]) + 1
-        # targets[i]: the output position of the i-th answered group
-        # position. Without a demand every row is answered, at its own
-        # input position.
-        answer, targets = None, order
-        if demand is not None:
-            slots = np.full(n, -1, dtype=np.int64)
-            slots[demand] = np.arange(len(demand))
-            slots = slots[order]
-            answer = np.flatnonzero(slots >= 0)
-            targets = slots[answer]
-        if partition_span is not None:
-            partition_span.annotate(partitions=partitions)
-    finally:
-        if partition_span is not None:
-            partition_span.__exit__(None, None, None)
+        with tracer.span("partition", rows=n) as partition_span:
+            # The group's sort is its first cache entry: a warm query
+            # skips the argsort and the run detection.
+            def build_sort() -> Any:
+                ctx.telemetry.count_structure_build()
+                return sort_group(table, spec)
 
-    # The scheduler sizes the work by the rows answered, not the rows
-    # partitioned: a LIMIT 100 group is a serial group.
-    decision = scheduler.choose(len(targets), len(calls))
-    group_span = tracer.span(
-        "window.group", strategy=decision.strategy,
-        executor=decision.executor, partitions=partitions, rows=n,
-        calls=len(calls), answered=len(targets),
-        morsels=decision.morsels) if tracer.enabled else NULL_SPAN
-    with group_span:
-        probes = SERIAL_PROBES
-        if decision.strategy != SERIAL:
-            probes = _fan_probes(ctx, scheduler, decision, lease,
-                                 order_shm_failed)
-        acquirer = None
-        if cache is not None:
-            from repro.cache.fingerprint import window_group_key
-            from repro.cache.store import StructureAcquirer
-            acquirer = StructureAcquirer(
-                cache, window_group_key(table, spec, calls))
-        try:
+            sort = build_sort() if acquirer is None else \
+                acquirer.acquire("order", (), build_sort)
+            # Stored narrow; widened once so every gather below indexes
+            # with intp (numpy would convert an int32 index per gather).
+            order = sort.order.astype(np.intp)
+            partitions = min(n, 1) if sort.partition_ids is None or not n \
+                else int(sort.partition_ids[-1]) + 1
+            # targets[i]: the output position of the i-th answered group
+            # position. Without a demand every row is answered, at its
+            # own input position.
+            answer, targets = None, order
+            if demand is not None:
+                slots = np.full(n, -1, dtype=np.int64)
+                slots[demand] = np.arange(len(demand))
+                slots = slots[order]
+                answer = np.flatnonzero(slots >= 0)
+                targets = slots[answer]
+            partition_span.annotate(partitions=partitions)
+
+        # The scheduler sizes the work by the rows answered, not the
+        # rows partitioned: a LIMIT 100 group is a serial group.
+        decision = scheduler.choose(len(targets), len(calls))
+        group_span = tracer.span(
+            "window.group", strategy=decision.strategy,
+            executor=decision.executor, partitions=partitions, rows=n,
+            calls=len(calls), answered=len(targets),
+            morsels=decision.morsels) if tracer.enabled else NULL_SPAN
+        with group_span:
+            probes = SERIAL_PROBES
+            if decision.strategy != SERIAL:
+                probes = _fan_probes(ctx, scheduler, decision, lease)
             column_data = {name: _column_data(table, name)
                            for name in view_columns(spec, calls)
                            if name in table.schema}
-            view = _build_view(column_data, order, spec, partition_ids,
+            view = _build_view(column_data, order, spec,
+                               sort.partition_ids, sort.peer_ids,
                                structures=acquirer, probes=probes,
                                answer=answer)
             columns = [_scatter(table, call, targets,
                                 *evaluate_call(call, view))
                        for call in calls]
-        finally:
-            # Cache pins are acquired under the store lock inside the
-            # builders and released here, so failure or cancellation
-            # never leaves a pin behind.
-            if acquirer is not None:
-                acquirer.release_all()
-        if probes is not SERIAL_PROBES:
-            _settle_probe_fan(ctx, scheduler, decision, probes)
+            if probes is not SERIAL_PROBES:
+                _settle_probe_fan(ctx, scheduler, decision, probes)
+    finally:
+        # Cache pins are acquired under the store lock and released
+        # here, so failure or cancellation never leaves a pin behind.
+        if acquirer is not None:
+            acquirer.release_all()
     return columns
 
 
@@ -314,16 +282,11 @@ def _downgrade(ctx: Any, scheduler: WindowScheduler, decision: Any,
 
 
 def _fan_probes(ctx: Any, scheduler: WindowScheduler, decision: Any,
-                lease: Any, order_shm_failed: bool) -> ProbeKernels:
+                lease: Any) -> ProbeKernels:
     """The probe kernels of a probe-fan group: the pool's, or the
-    serial ones after a downgrade in place when the sort permutation's
-    arena entry already hit a shared-memory failure or the
-    ``worker.pool`` breaker is open."""
+    serial ones after a downgrade in place when the ``worker.pool``
+    breaker is open."""
     breaker = ctx.breaker("worker.pool")
-    if order_shm_failed:
-        breaker_failure(ctx, breaker)
-        return _downgrade(ctx, scheduler, decision,
-                          "shared-memory setup failed")
     try:
         breaker_allow(ctx, breaker)
     except CircuitOpenError:
@@ -382,7 +345,8 @@ def _gather(values: Any, rows: np.ndarray) -> Any:
 
 def _build_view(column_data: Dict[str, Tuple[Any, np.ndarray]],
                 order: np.ndarray, spec: WindowSpec,
-                partition_ids: Optional[np.ndarray] = None,
+                partition_ids: Optional[np.ndarray],
+                peer_ids: np.ndarray,
                 structures: Any = None,
                 probes: ProbeKernels = SERIAL_PROBES,
                 answer: Optional[np.ndarray] = None) -> PartitionView:
@@ -391,10 +355,12 @@ def _build_view(column_data: Dict[str, Tuple[Any, np.ndarray]],
 
     ``column_data`` holds input-order columns, the window ORDER BY keys
     among them; ``partition_ids`` gives each group position's partition
-    (None = one partition). Peer groups break at partition boundaries
-    and bounds are resolved for every row — RANGE and GROUPS frames and
-    the EXCLUDE pieces read neighbouring rows — before ``start`` /
-    ``end`` / ``pieces`` keep only the answered rows."""
+    (None = one partition) and ``peer_ids`` its peer group, which
+    breaks at partition boundaries (both from
+    :func:`~repro.window.partition.sort_group`). Bounds are resolved
+    for every row — RANGE and GROUPS frames and the EXCLUDE pieces read
+    neighbouring rows — before ``start`` / ``end`` / ``pieces`` keep
+    only the answered rows."""
     n = len(order)
     columns = {name: (_gather(values, order), validity[order])
                for name, (values, validity) in column_data.items()}
@@ -405,11 +371,7 @@ def _build_view(column_data: Dict[str, Tuple[Any, np.ndarray]],
         order_cols.append(SortColumn(
             values, descending=item.descending,
             nulls_last=item.resolved_nulls_last(), validity=validity))
-    keys = order_cols if partition_ids is None \
-        else [SortColumn(partition_ids)] + order_cols
-    identity = np.arange(n, dtype=np.int64)
-    peers = PeerGroups(sorted_equal_runs(keys, identity)) if keys \
-        else PeerGroups.single_group(n)
+    peers = PeerGroups(peer_ids)
 
     range_keys = None
     if frame.mode is FrameMode.RANGE:

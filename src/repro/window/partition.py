@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Any, Dict, List, NamedTuple, Optional, Sequence, Set,
+                    Tuple)
 
 import numpy as np
 
 from repro.errors import WindowFunctionError
 from repro.parallel.probes import SERIAL_PROBES, ProbeKernels
-from repro.sortutil import SortColumn
+from repro.sortutil import (SortColumn, equal_runs, normalized_key,
+                            sort_with_runs)
 from repro.window.bounds import PeerGroups
 from repro.window.frame import FrameExclusion, OrderItem
 
@@ -28,6 +30,46 @@ def view_columns(spec: Any, calls: Sequence[Any]) -> Set[str]:
             needed.add(call.filter_where)
         needed.update(item.column for item in call.order_by)
     return needed
+
+
+class GroupOrder(NamedTuple):
+    """A window group's sort, the cache entry every structure of the
+    group is built over — per group position: the input row
+    (``order``), its partition (``partition_ids``, None = one
+    partition) and its peer group (``peer_ids``: equal PARTITION BY and
+    ORDER BY keys). int32 while the group has fewer than 2**31 rows."""
+
+    order: np.ndarray
+    partition_ids: Optional[np.ndarray]
+    peer_ids: np.ndarray
+
+
+def sort_group(table: Any, spec: Any) -> GroupOrder:
+    """Sort ``table`` by the spec's (PARTITION BY, ORDER BY): one
+    normalised-key argsort, peer groups from runs of equal keys. The
+    PARTITION BY columns' key is computed once: it leads the sort key
+    as one code column, and its runs are the partitions."""
+    n = table.num_rows
+
+    def sort_column(name: str, *placement: bool) -> SortColumn:
+        column = table.column(name)
+        return SortColumn(column.array(), *placement, column.validity)
+
+    sort_columns = [sort_column(item.column, item.descending,
+                                item.resolved_nulls_last())
+                    for item in spec.order_by]
+    partition_key = None
+    if spec.partition_by:
+        partition_key = normalized_key(
+            [sort_column(name, False, True) for name in spec.partition_by],
+            n)
+        sort_columns.insert(0, SortColumn(partition_key))
+    order, peer_ids = sort_with_runs(sort_columns, n)
+    index = np.int32 if n < 2 ** 31 else np.int64
+    partition_ids = None if partition_key is None \
+        else equal_runs(partition_key[order]).astype(index)
+    return GroupOrder(order.astype(index), partition_ids,
+                      peer_ids.astype(index))
 
 
 class PartitionView:

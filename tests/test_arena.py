@@ -5,8 +5,8 @@ hit/miss/pin accounting, LRU eviction under the arena's own budget and
 under governor pressure (with ``HealthCounters.arena_evictions``
 visibility), ledger charge/refund under the ``"shm-arena"`` tag, the
 governor-reclaimer hook (a hard reservation evicts arena entries
-*before* shedding), content-token invalidation, the ``shm.copy``
-cold-only trace span, and segment hygiene at close.
+*before* shedding), the ``shm.copy`` cold-only trace span, and segment
+hygiene at close.
 """
 
 import numpy as np
@@ -180,35 +180,24 @@ def test_hard_reservation_never_evicts_pinned_entries():
 
 
 # ----------------------------------------------------------------------
-# invalidation, tracing, lifecycle
+# tracing, lifecycle
 # ----------------------------------------------------------------------
-def test_invalidate_drops_entries_mentioning_the_token():
-    with TableArena() as arena:
-        lease = arena.lease()
-        lease.get(("col", "fp-old"), lambda: arrays(9))
-        lease.get(("order", "fp-old", ("g",)), lambda: arrays(10))
-        lease.get(("col", "fp-new"), lambda: arrays(11))
-        lease.release()
-        assert arena.invalidate("fp-old") == 2
-        assert set(arena._entries) == {("col", "fp-new")}
-
-
 def test_cold_materialization_traces_shm_copy_and_warm_does_not():
     tracer = Tracer(clock=SimulatedClock())
     with activate(ExecutionContext(tracer=tracer)):
         with TableArena() as arena:
             lease = arena.lease()
-            lease.get(("order", "fp", ()), lambda: arrays(12))
+            lease.get(("levels", "token"), lambda: arrays(12))
             lease.release()
             cold = tracer.finish().find_all("shm.copy")
             assert len(cold) == 1
-            assert cold[0].attrs["kind"] == "order"
+            assert cold[0].attrs["kind"] == "levels"
             assert cold[0].attrs["bytes"] > 0
 
             warm_tracer = Tracer(clock=SimulatedClock())
             with activate(ExecutionContext(tracer=warm_tracer)):
                 lease = arena.lease()
-                lease.get(("order", "fp", ()),
+                lease.get(("levels", "token"),
                           lambda: pytest.fail("warm must not rebuild"))
                 lease.release()
             assert warm_tracer.finish().find_all("shm.copy") == []

@@ -14,8 +14,6 @@ from repro.cache.budget import (
 )
 from repro.cache.fingerprint import (
     column_fingerprint,
-    involved_columns,
-    spec_signature,
     table_fingerprint,
     window_group_key,
 )
@@ -24,7 +22,6 @@ from repro.mst.aggregates import SUM
 from repro.mst.tree import MergeSortTree
 from repro.segtree.tree import SegmentTree
 from repro.table import Column, DataType, Table
-from repro.window.calls import WindowCall
 from repro.window.frame import (
     FrameSpec,
     OrderItem,
@@ -98,41 +95,49 @@ def test_table_fingerprint_column_names_matter():
     assert table_fingerprint(a, ["u"]) != table_fingerprint(a, ["v"])
 
 
-def test_spec_signature_excludes_frame():
+def test_window_group_key_excludes_frame():
+    table = make_window_table()
     small = WindowSpec(order_by=(OrderItem("o"),),
                        frame=FrameSpec.rows(preceding(5), current_row()))
     large = WindowSpec(order_by=(OrderItem("o"),),
                        frame=FrameSpec.rows(preceding(500), current_row()))
-    assert spec_signature(small) == spec_signature(large)
+    assert window_group_key(table, small) == window_group_key(table, large)
 
 
-def test_spec_signature_sees_ordering():
+def test_window_group_key_sees_ordering():
+    table = make_window_table()
     asc = WindowSpec(order_by=(OrderItem("o"),))
     desc = WindowSpec(order_by=(OrderItem("o", descending=True),))
+    nulls_first = WindowSpec(order_by=(OrderItem("o", nulls_last=False),))
     part = WindowSpec(partition_by=("g",), order_by=(OrderItem("o"),))
-    assert spec_signature(asc) != spec_signature(desc)
-    assert spec_signature(asc) != spec_signature(part)
+    keys = {window_group_key(table, spec)
+            for spec in (asc, desc, nulls_first, part)}
+    assert len(keys) == 4
 
 
-def test_involved_columns():
+def test_window_group_key_names_columns_by_content():
+    # The same data under another name is the same key; other data
+    # under the same name is not.
     table = make_window_table()
-    spec = WindowSpec(partition_by=("g",), order_by=(OrderItem("o"),))
-    calls = [WindowCall("count", ("x",), distinct=True),
-             WindowCall("sum", ("y",), filter_where="flag")]
-    assert involved_columns(table, spec, calls) == ("flag", "g", "o", "x",
-                                                    "y")
+    renamed = Table.from_dict({
+        "k": (DataType.INT64, table.column("o").to_list()),
+    })
+    assert window_group_key(table, WindowSpec(order_by=(OrderItem("o"),))) \
+        == window_group_key(renamed, WindowSpec(order_by=(OrderItem("k"),)))
+    changed = Table.from_dict({
+        "o": (DataType.INT64, [0] * table.num_rows),
+    })
+    spec = WindowSpec(order_by=(OrderItem("o"),))
+    assert window_group_key(table, spec) != window_group_key(changed, spec)
 
 
 def test_window_group_key_stable_across_equal_tables():
     spec = WindowSpec(partition_by=("g",), order_by=(OrderItem("o"),))
-    calls = [WindowCall("count", ("x",), distinct=True)]
     a = make_window_table(seed=7)
     b = make_window_table(seed=7)
     c = make_window_table(seed=8)
-    assert window_group_key(a, spec, calls) == window_group_key(b, spec,
-                                                                calls)
-    assert window_group_key(a, spec, calls) != window_group_key(c, spec,
-                                                                calls)
+    assert window_group_key(a, spec) == window_group_key(b, spec)
+    assert window_group_key(a, spec) != window_group_key(c, spec)
 
 
 # ----------------------------------------------------------------------
@@ -344,7 +349,7 @@ def test_cache_concurrent_acquire_builds_exactly_once():
 # ----------------------------------------------------------------------
 def test_acquirer_without_cache_calls_builder_every_time():
     builds = []
-    acquirer = StructureAcquirer(None, ("prefix",))
+    acquirer = StructureAcquirer(None, ("prefix",), None)
 
     def builder():
         builds.append(1)
@@ -358,7 +363,7 @@ def test_acquirer_without_cache_calls_builder_every_time():
 
 def test_acquirer_composes_keys_and_releases_pins():
     with StructureCache(budget_bytes=0) as cache:
-        acquirer = StructureAcquirer(cache, ("w", "fp", 0))
+        acquirer = StructureAcquirer(cache, ("w", "fp", 0), None)
         acquirer.acquire("mst:perm", (("x",), None),
                          _tree_builder(64, 1))
         key = ("w", "fp", 0, "mst:perm", ("x",), None)
@@ -372,7 +377,7 @@ def test_acquirer_composes_keys_and_releases_pins():
 
 def test_acquirer_same_kind_different_config_distinct_entries():
     with StructureCache() as cache:
-        acquirer = StructureAcquirer(cache, ("w",))
+        acquirer = StructureAcquirer(cache, ("w",), None)
         a = acquirer.acquire("mst:perm", (("x",),), _tree_builder(32, 1))
         b = acquirer.acquire("mst:perm", (("y",),), _tree_builder(32, 2))
         assert a is not b and len(cache) == 2

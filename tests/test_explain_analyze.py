@@ -69,9 +69,10 @@ class TestExplainAnalyze:
             cold = session.explain(SQL, analyze=True)
             warm = session.explain(SQL, analyze=True)
         assert "structure.build" in cold
-        assert "builds=2, reuses=0" in cold      # 1 group x 2 kinds
-        assert "builds=0, reuses=2" in warm
-        assert "structure.reuse x2" in warm
+        # 1 group: its sort, then 2 structure kinds over it.
+        assert "builds=3, reuses=0" in cold
+        assert "builds=0, reuses=3" in warm
+        assert "structure.reuse x3" in warm
 
     def test_window_reports_the_rows_answered(self):
         with Session(_catalog()) as session:

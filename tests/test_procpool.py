@@ -204,6 +204,8 @@ def test_spawn_storm_breaks_pool_and_degrades_to_serial():
 def test_shm_failure_degrades_group_to_serial():
     table = make_table(1200, 60, seed=32)
     want = run(table)
+    # The first segment a probe-fan group creates maps a tree's levels
+    # into the arena: failing it sends the group to the serial kernels.
     faults = FaultInjector().plan("shm.attach", times=1)
     ctx = ExecutionContext(faults=faults)
     with forced(2) as scheduler:
@@ -212,6 +214,9 @@ def test_shm_failure_degrades_group_to_serial():
         # One bad allocation is not a broken pool: the next query may
         # try the process path again.
         assert scheduler.process_enabled
+        arena = scheduler.arena_stats()
+    assert faults.fired("shm.attach") == 1
+    assert arena.misses == 0  # the failed levels entry was never kept
     assert any("shared-memory setup failed" in entry
                for entry in ctx.health.downgrades)
     assert owned_segments() == []
@@ -371,7 +376,9 @@ def test_warm_query_trace_has_no_copy_spans():
                   ctx=ExecutionContext(tracer=cold_tracer))
         cold = cold_tracer.finish().find_all("shm.copy")
         assert cold  # the cold run materialized arena entries
-        assert {s.attrs["kind"] for s in cold} >= {"order", "levels"}
+        # Workers read tree levels only; the group's sort stays in the
+        # structure cache.
+        assert {s.attrs["kind"] for s in cold} == {"levels"}
         warm_tracer = Tracer(clock=SimulatedClock())
         run_calls(table, CALLS, scheduler=scheduler, cache=cache,
                   ctx=ExecutionContext(tracer=warm_tracer))
@@ -397,7 +404,7 @@ def test_intra_probe_fan_shares_levels_through_the_arena():
     assert stats.intra_groups == 2
     assert stats.process_groups == 2
     assert stats.degraded_groups == 0
-    assert "levels" in kinds and "order" in kinds
+    assert kinds == {"levels"}
     assert arena.hits >= 1
     assert owned_segments() == []
 

@@ -1,6 +1,15 @@
-"""Stable multi-key sorting with NULL placement."""
+"""Stable multi-key sorting with NULL placement.
+
+The property test at the end runs longer with
+``--hypothesis-profile=long``.
+"""
+
+import datetime
+import math
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sortutil import SortColumn, sorted_equal_runs, stable_argsort
 
@@ -113,3 +122,93 @@ class TestPeerGroups:
         groups = sorted_equal_runs([SortColumn(np.array([]))],
                                    np.array([], dtype=np.int64))
         assert len(groups) == 0
+
+
+# ----------------------------------------------------------------------
+# the normalised key against Python's stable sorted()
+# ----------------------------------------------------------------------
+_EDGE_INTS = [-2 ** 63, -2 ** 63 + 1, -2 ** 53 - 1, -2 ** 53, 2 ** 53,
+              2 ** 53 + 1, 2 ** 63 - 2, 2 ** 63 - 1]
+_EDGE_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0,
+                2.0 ** 53, -(2.0 ** 53), 1e308, -1e308, 5e-324]
+_EPOCH = datetime.date(1970, 1, 1)
+
+
+@st.composite
+def sort_columns(draw, n):
+    """One SortColumn of ``n`` rows plus the oracle's Python values
+    (None = NULL): int64 (small and edge values), float (NaN, ±inf,
+    -0.0), DATE ordinals, strings or booleans."""
+    kind = draw(st.sampled_from(["int", "float", "date", "str", "bool"]))
+    if kind == "int":
+        element = st.one_of(st.integers(-3, 3), st.sampled_from(_EDGE_INTS))
+    elif kind == "float":
+        element = st.one_of(st.sampled_from([-1.5, 0.5, 2.0]),
+                            st.sampled_from(_EDGE_FLOATS))
+    elif kind == "date":
+        element = st.dates(datetime.date(1990, 1, 1),
+                           datetime.date(1990, 1, 10))
+    elif kind == "str":
+        element = st.text("ab", max_size=2)
+    else:
+        element = st.booleans()
+    values = draw(st.lists(element, min_size=n, max_size=n))
+    valid = draw(st.lists(st.booleans(), min_size=n, max_size=n)) \
+        if draw(st.booleans()) else [True] * n
+    python = [v if ok else None for v, ok in zip(values, valid)]
+    if kind == "date":
+        stored = np.array([(v - _EPOCH).days for v in values],
+                          dtype=np.int64)
+    elif kind == "str":
+        stored = [v if ok else None for v, ok in zip(values, valid)]
+    else:
+        dtype = {"int": np.int64, "float": np.float64,
+                 "bool": np.bool_}[kind]
+        stored = np.array(values, dtype=dtype)
+    column = SortColumn(stored, descending=draw(st.booleans()),
+                        nulls_last=draw(st.booleans()),
+                        validity=np.array(valid, dtype=np.bool_))
+    return column, python
+
+
+def _oracle_key(value, column):
+    """(class, value) whose order under ``sorted(reverse=descending)``
+    is the SQL order: NULLS FIRST/LAST as asked, NaN after every
+    number in both directions."""
+    if value is None:
+        first = not column.nulls_last
+        if column.descending:
+            return (3, 0) if first else (0, 0)
+        return (0, 0) if first else (3, 0)
+    if isinstance(value, float) and math.isnan(value):
+        return (1, 0) if column.descending else (2, 0)
+    return (2, value) if column.descending else (1, value)
+
+
+@st.composite
+def sort_problems(draw):
+    n = draw(st.integers(0, 30))
+    columns = draw(st.lists(sort_columns(n), min_size=1, max_size=3))
+    return n, [c for c, _ in columns], [p for _, p in columns]
+
+
+@settings(deadline=None)
+@given(sort_problems())
+def test_normalised_argsort_matches_stable_sorted(problem):
+    n, columns, python = problem
+    expected = list(range(n))
+    # Least significant column first: each stable pass keeps the order
+    # of the passes before it among its ties.
+    for column, values in reversed(list(zip(columns, python))):
+        expected = sorted(expected, reverse=column.descending,
+                          key=lambda i: _oracle_key(values[i], column))
+    order = stable_argsort(columns, n)
+    assert order.tolist() == expected
+
+    keys = [tuple(_oracle_key(values[i], column)
+                  for column, values in zip(columns, python))
+            for i in expected]
+    runs = [0]
+    for a, b in zip(keys, keys[1:]):
+        runs.append(runs[-1] + (a != b))
+    assert sorted_equal_runs(columns, order).tolist() == runs[:n]

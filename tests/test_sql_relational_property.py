@@ -16,7 +16,8 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sql import Catalog, execute, keys
+from repro import sortutil
+from repro.sql import Catalog, execute
 from repro.table import DataType, Table
 
 _DATES = [datetime.date(2020, 1, d) for d in (1, 2, 3)]
@@ -381,9 +382,9 @@ class TestCorners:
         roomy = [_run(sql, left, right) for sql in statements]
         assert roomy[2] == [(0, 3), (1, 2), (2, 1), (3, 0), (4, 4),
                             (5, None), (6, None), (7, None), (8, None)]
-        # 5 x 5 x 4 combinations do not fit under a bound of 16: the
-        # running code is renumbered densely before the third column.
-        monkeypatch.setattr(keys, "_CODE_LIMIT", 16)
+        # 5 x 5 x 4 combinations do not fit in a 16-value key word: the
+        # running key is renumbered densely before the third column.
+        monkeypatch.setattr(sortutil, "_WORD", 16)
         assert [_run(sql, left, right) for sql in statements] == roomy
 
 

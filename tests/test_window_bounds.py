@@ -407,11 +407,11 @@ def test_range_desc_nulls_frames_match_each_partition(sizes, descending,
     spec = WindowSpec(partition_by=("g",), order_by=(item,),
                       frame=FrameSpec.range(preceding(before),
                                             following(after)))
-    order = stable_argsort(
-        [SortColumn(g), SortColumn(values, descending, nulls_last, valid)],
-        n)
+    keys = [SortColumn(g), SortColumn(values, descending, nulls_last, valid)]
+    order = stable_argsort(keys, n)
     ids = sorted_equal_runs([SortColumn(g)], order)
-    view = _build_view({"o": (values, valid)}, order, spec, ids)
+    view = _build_view({"o": (values, valid)}, order, spec, ids,
+                       sorted_equal_runs(keys, order))
 
     def in_frame(i, j):
         if not (valid[i] and valid[j]):

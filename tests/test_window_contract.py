@@ -17,6 +17,7 @@ from repro.window.evaluators import evaluate_call
 from repro.window.evaluators.common import to_list
 from repro.window.frame import FrameMode, OrderItem
 from repro.window.operator import _build_view
+from repro.window.partition import sort_group
 
 N = 12
 TABLE = Table.from_dict({
@@ -78,7 +79,9 @@ def _partition(exclusion, answer=None):
     data = {f.name: (TABLE.column(f.name).raw(),
                      TABLE.column(f.name).validity) for f in TABLE.schema}
     spec = _spec(exclusion)
-    return _build_view(data, np.arange(N), spec, answer=answer)
+    sort = sort_group(TABLE, spec)  # the identity: TABLE is sorted by o
+    return _build_view(data, sort.order, spec, None, sort.peer_ids,
+                       answer=answer)
 
 
 CASES = [(name, algorithm) for name in FUNCTIONS
