@@ -43,7 +43,6 @@ from repro.sql.parser import parse
 from repro.sql.vector import (
     Vector,
     from_column,
-    null_values,
     stacked,
     truthy_rows,
 )
@@ -285,18 +284,9 @@ def _assemble_join(left: Relation, right: Relation,
                    left_index: np.ndarray,
                    right_index: np.ndarray) -> Relation:
     """The joined relation for row pairs ``(left_index[k],
-    right_index[k])``; a right index of -1 NULL-extends the left row."""
-    unmatched = right_index < 0
-    if right.n:
-        right_part = right.take(np.where(unmatched, 0, right_index))
-    else:  # nothing to gather from: every pair is NULL-extended
-        right_part = Relation(
-            [Vector(null_values(v.dtype, len(unmatched)), ~unmatched, v.dtype)
-             for v in right.vectors], list(right.bindings))
-    if unmatched.any():
-        for vector in right_part.vectors:
-            vector.validity = vector.validity & ~unmatched
-    return left.take(left_index).concat_columns(right_part)
+    right_index[k])``; a right index of -1 NULL-extends the left row.
+    Nothing is gathered: each side carries its composed row index."""
+    return left.take(left_index).concat_columns(right.take(right_index))
 
 
 def _hash_join(node: plan.HashJoinNode, ctx: Context) -> Relation:
@@ -365,9 +355,17 @@ def _hash_join(node: plan.HashJoinNode, ctx: Context) -> Relation:
 # filter, aggregation, windows
 # ----------------------------------------------------------------------
 def _filter(node: plan.FilterNode, ctx: Context) -> Relation:
+    """Each top-level conjunct, in the order written, sees only the
+    rows the ones before it kept; once no row is left the rest are not
+    evaluated."""
     relation = run(node.input, ctx)
-    mask = truthy_rows(evaluate(node.predicate, relation, ctx))
-    return relation.take(np.flatnonzero(mask))
+    for i, conjunct in enumerate(plan.split_conjuncts(node.predicate)):
+        if i and not relation.n:
+            break
+        mask = truthy_rows(evaluate(conjunct, relation, ctx))
+        if not mask.all():
+            relation = relation.take(np.flatnonzero(mask))
+    return relation
 
 
 def _aggregate(node: plan.AggregateNode, ctx: Context) -> Relation:
@@ -444,7 +442,7 @@ def _window(node: plan.WindowNode, ctx: Context) -> Relation:
         operator.add(call, spec)
     result = operator.run()
 
-    extended = Relation(list(relation.vectors), list(relation.bindings))
+    extended = relation.copy()
     for i, (call, _spec) in enumerate(calls):
         extended.add(from_column(result.column(call.output)), f"__wout_{i}")
     return extended
@@ -455,7 +453,7 @@ def _window(node: plan.WindowNode, ctx: Context) -> Relation:
 # ----------------------------------------------------------------------
 def _project(node: plan.ProjectNode, ctx: Context) -> Relation:
     relation = run(node.input, ctx)
-    vectors = [relation.vectors[column] if isinstance(column, int)
+    vectors = [relation.column(column) if isinstance(column, int)
                else evaluate(column, relation, ctx)
                for column in node.columns]
     return Relation(vectors, [(None, name.lower()) for name in node.names],
@@ -474,22 +472,21 @@ def _distinct(node: plan.DistinctNode, ctx: Context) -> Relation:
 def _sort(node: plan.SortNode, ctx: Context) -> Relation:
     output = run(node.input, ctx)
     source = output.source
-    combined = output if source is None else Relation(
-        source.vectors + output.vectors, source.bindings + output.bindings)
+    combined = output if source is None else source.concat_columns(output)
     sort_columns = []
     for item in node.keys:
         expr = item.expr
         if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
             position = expr.value - 1
-            if not 0 <= position < len(output.vectors):
+            if not 0 <= position < output.width:
                 raise SqlAnalysisError(
                     f"ORDER BY position {expr.value} out of range")
-            vector = output.vectors[position]
+            vector = output.column(position)
         elif (isinstance(expr, ast.ColumnRef) and expr.table is None
               and output.resolve(expr.name, None) is not None):
             # SQL resolves bare ORDER BY names against the SELECT list
             # first, then against the input columns.
-            vector = output.vectors[output.resolve(expr.name, None)]
+            vector = output.column(output.resolve(expr.name, None))
         else:
             vector = evaluate(expr, combined, ctx)
         nulls_last = item.nulls_last if item.nulls_last is not None \

@@ -271,7 +271,8 @@ def _label(node: Any) -> str:
             suffix += f" [first {node.rows} rows]"
         return f"Window ({calls}){suffix}"
     if isinstance(node, logical_plan.FilterNode):
-        return f"Filter ({_expr(node.predicate)})"
+        marker = " [implied]" if node.implied else ""
+        return f"Filter ({_expr(node.predicate)}){marker}"
     if isinstance(node, logical_plan.ValuesNode):
         return "Values (1 row)"
     if isinstance(node, logical_plan.ScanNode):

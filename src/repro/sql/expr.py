@@ -13,8 +13,19 @@ re-plans it.
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -36,6 +47,7 @@ from repro.sql.vector import (
     logical_not,
     logical_or,
     negate,
+    null_values,
     repeated,
     stacked,
     truthy_rows,
@@ -47,33 +59,123 @@ from repro.table.table import Table
 # ----------------------------------------------------------------------
 # relations
 # ----------------------------------------------------------------------
+#: A row index shared by the columns that moved together: int64
+#: positions into their bases (``None`` for the identity), and whether
+#: any position is -1, a NULL row (a LEFT JOIN's NULL extension).
+_RowIndex = Tuple[Optional[np.ndarray], bool]
+_IDENTITY: _RowIndex = (None, False)
+
+
+def _gather(base: Vector, rows: np.ndarray, extended: bool) -> Vector:
+    """``base``'s rows at ``rows``; with ``extended``, -1 is a NULL row."""
+    if not extended:
+        return base.take(rows)
+    null = rows < 0
+    if not len(base):  # nothing to gather from: every row is NULL
+        return Vector(null_values(base.dtype, len(rows)),
+                      np.zeros(len(rows), dtype=np.bool_), base.dtype)
+    out = base.take(np.where(null, 0, rows))
+    return Vector(out.values, out.validity & ~null, base.dtype)
+
+
+def _compose(index: _RowIndex, rows: np.ndarray,
+             extends: bool) -> _RowIndex:
+    """The index that reads ``rows`` of what ``index`` reads."""
+    positions, extended = index
+    if positions is None:
+        return rows, extends
+    if not extends:
+        return positions[rows], extended
+    if not len(positions):  # every row of ``rows`` is -1
+        return rows, True
+    return np.where(rows < 0, -1, positions[rows]), True
+
+
 class Relation:
-    """A bag of equal-length vectors with (qualifier, name) bindings.
+    """A bag of equal-length columns with (qualifier, name) bindings,
+    materialised late.
+
+    Column ``i`` is a base — a :class:`Vector`, or the catalog
+    :class:`Column` a scan read, made a vector on first use — seen
+    through the row index of its group. Columns that moved together
+    (one scan's, one join side's) share a group, so :meth:`take`
+    composes one index per group and gathers nothing; a join's
+    NULL-extended rows are index -1. :meth:`column` gathers a column
+    when something first reads it and keeps the result as the
+    column's base, so a second read gathers nothing.
 
     ``source`` is set on a projection's output: the relation it was
     projected from, row-aligned, which ORDER BY may still reference
     (``take`` drops it; DISTINCT re-aligns it)."""
 
-    def __init__(self, vectors: List[Vector],
+    def __init__(self, vectors: Sequence[Union[Vector, Column]],
                  bindings: List[Tuple[Optional[str], str]],
                  source: Optional["Relation"] = None) -> None:
-        self.vectors = vectors
+        self._n = len(vectors[0]) if vectors else 0
+        self._bases: List[Union[Vector, Column]] = list(vectors)
+        self._groups: List[int] = [0] * len(self._bases)
+        self._indexes: List[_RowIndex] = [_IDENTITY]
         self.bindings = bindings
         self.source = source
 
+    @staticmethod
+    def _derived(n: int, bases: List[Union[Vector, Column]],
+                 groups: List[int], indexes: List[_RowIndex],
+                 bindings: List[Tuple[Optional[str], str]]) -> "Relation":
+        out = Relation.__new__(Relation)
+        out._n, out._bases, out._groups, out._indexes = \
+            n, bases, groups, indexes
+        out.bindings, out.source = bindings, None
+        return out
+
     @property
     def n(self) -> int:
-        return len(self.vectors[0]) if self.vectors else 0
+        return self._n
+
+    @property
+    def width(self) -> int:
+        return len(self._bases)
+
+    def column(self, i: int) -> Vector:
+        """Column ``i``, gathered on first read."""
+        base = self._bases[i]
+        positions, extended = self._indexes[self._groups[i]]
+        if isinstance(base, Column):
+            base = from_column(base)
+        if positions is not None:
+            base = _gather(base, positions, extended)
+            self._groups[i] = self._identity()
+        self._bases[i] = base
+        return base
+
+    @property
+    def vectors(self) -> Tuple[Vector, ...]:
+        """Every column, gathered."""
+        return tuple(self.column(i) for i in range(self.width))
+
+    def _identity(self) -> int:
+        for group, (positions, _extended) in enumerate(self._indexes):
+            if positions is None:
+                return group
+        self._indexes.append(_IDENTITY)
+        return len(self._indexes) - 1
 
     @classmethod
     def from_table(cls, table: Table, qualifier: Optional[str]) -> "Relation":
-        vectors = [from_column(col) for col in table.columns]
-        bindings = [(qualifier, f.name.lower()) for f in table.schema]
-        return cls(vectors, bindings)
+        """The table's columns, each made a vector only when read."""
+        return cls(table.columns,
+                   [(qualifier, f.name.lower()) for f in table.schema])
+
+    def copy(self) -> "Relation":
+        """The same rows and columns; adding to the copy leaves this
+        relation as it was."""
+        return self._derived(self._n, list(self._bases), list(self._groups),
+                             list(self._indexes), list(self.bindings))
 
     def requalified(self, qualifier: Optional[str]) -> "Relation":
-        return Relation(list(self.vectors),
-                        [(qualifier, name) for _, name in self.bindings])
+        out = self.copy()
+        out.bindings = [(qualifier, name) for _, name in self.bindings]
+        return out
 
     def resolve(self, name: str, qualifier: Optional[str]) -> Optional[int]:
         name = name.lower()
@@ -93,16 +195,34 @@ class Relation:
 
     def add(self, vector: Vector, name: str,
             qualifier: Optional[str] = None) -> None:
-        self.vectors.append(vector)
+        if not self._bases:
+            self._n = len(vector)
+        self._bases.append(vector)
+        self._groups.append(self._identity())
         self.bindings.append((qualifier, name.lower()))
 
     def take(self, rows: np.ndarray) -> "Relation":
-        return Relation([v.take(rows) for v in self.vectors],
-                        list(self.bindings))
+        """The relation's rows at ``rows`` (-1: a row of NULLs), with
+        one index composed per group and no column gathered."""
+        rows = np.asarray(rows, dtype=np.int64)
+        extends = bool(len(rows)) and int(rows.min()) < 0
+        renumber: Dict[int, int] = {}
+        indexes: List[_RowIndex] = []
+        for group in self._groups:  # only groups some column still reads
+            if group not in renumber:
+                renumber[group] = len(indexes)
+                indexes.append(_compose(self._indexes[group], rows, extends))
+        return self._derived(len(rows), list(self._bases),
+                             [renumber[g] for g in self._groups], indexes,
+                             list(self.bindings))
 
     def concat_columns(self, other: "Relation") -> "Relation":
-        return Relation(self.vectors + other.vectors,
-                        self.bindings + other.bindings)
+        """This relation's columns then ``other``'s, row for row."""
+        shift = len(self._indexes)
+        return self._derived(
+            self._n, self._bases + other._bases,
+            self._groups + [g + shift for g in other._groups],
+            self._indexes + other._indexes, self.bindings + other.bindings)
 
 
 class OuterRow:
@@ -122,7 +242,7 @@ class OuterRow:
         if index is not None:
             if self.usage is not None:
                 self.usage[0] = True
-            return self.relation.vectors[index], self.row
+            return self.relation.column(index), self.row
         if self.parent is not None:
             return self.parent.lookup(name, qualifier)
         return None
@@ -171,7 +291,7 @@ def evaluate(expr: ast.Expr, relation: Relation, ctx: Context) -> Vector:
     if isinstance(expr, ast.ColumnRef):
         index = relation.resolve(expr.name, expr.table)
         if index is not None:
-            return relation.vectors[index]
+            return relation.column(index)
         if ctx.outer is not None:
             hit = ctx.outer.lookup(expr.name, expr.table)
             if hit is not None:
@@ -256,40 +376,45 @@ def _eval_binary(expr: ast.BinaryOp, relation: Relation,
     return comparison(expr.op, left, right)
 
 
+@functools.lru_cache(maxsize=256)
+def _like_matcher(pattern: str) -> Callable[[str], Any]:
+    """A regex ``search`` that matches where the LIKE pattern does: '%'
+    is any run, '_' any one character, the rest itself. A leading or
+    trailing '%' drops that end's anchor instead of scanning with
+    ``.*``."""
+    body = "".join(".*" if ch == "%" else "." if ch == "_"
+                   else re.escape(ch) for ch in pattern.strip("%"))
+    start = "" if pattern.startswith("%") else r"\A"
+    end = "" if pattern.endswith("%") else r"\Z"
+    return re.compile(start + body + end, re.DOTALL).search
+
+
 def _eval_like(expr: ast.LikeExpr, relation: Relation,
                ctx: Context) -> Vector:
-    """SQL LIKE: '%' matches any run, '_' any single character."""
-    import re as _re
+    """SQL LIKE over whole columns: a constant pattern is compiled once
+    and matched against each distinct value when values repeat."""
     value = evaluate(expr.expr, relation, ctx)
     pattern = evaluate(expr.pattern, relation, ctx)
     if value.dtype is not DataType.STRING \
             or pattern.dtype is not DataType.STRING:
         raise SqlAnalysisError("LIKE expects string operands")
-    n = len(value)
-    result = np.zeros(n, dtype=np.bool_)
     validity = value.validity & pattern.validity
-    compiled = {}
-    for i in range(n):
-        if not validity[i]:
-            continue
-        raw = pattern.values[i]
-        regex = compiled.get(raw)
-        if regex is None:
-            # translate: escape regex chars, then map SQL wildcards
-            parts = []
-            for ch in raw:
-                if ch == "%":
-                    parts.append(".*")
-                elif ch == "_":
-                    parts.append(".")
-                else:
-                    parts.append(_re.escape(ch))
-            regex = _re.compile("^" + "".join(parts) + "$", _re.DOTALL)
-            compiled[raw] = regex
-        result[i] = regex.match(value.values[i]) is not None
+    values = value.values.tolist()
+    if isinstance(expr.pattern, ast.Literal):
+        match = _like_matcher(expr.pattern.value)
+        distinct = dict.fromkeys(values)
+        if 2 * len(distinct) <= len(values):
+            hits = map(dict(zip(distinct, map(bool, map(match, distinct))))
+                       .__getitem__, values)
+        else:
+            hits = map(bool, map(match, values))
+    else:
+        hits = (_like_matcher(p)(v) is not None
+                for v, p in zip(values, pattern.values.tolist()))
+    result = np.fromiter(hits, dtype=np.bool_, count=len(values))
     if expr.negated:
-        result = ~result & validity
-    return Vector(result, validity, DataType.BOOL)
+        result = ~result
+    return Vector(result & validity, validity, DataType.BOOL)
 
 
 def _eval_case(expr: ast.CaseExpr, relation: Relation,
@@ -353,10 +478,10 @@ def _scalar_from(relation: Relation) -> Any:
         return None
     if relation.n > 1:
         raise SqlAnalysisError("scalar subquery returned more than one row")
-    if len(relation.vectors) != 1:
+    if relation.width != 1:
         raise SqlAnalysisError(
             "scalar subquery must return exactly one column")
-    return relation.vectors[0].python_value(0)
+    return relation.column(0).python_value(0)
 
 
 def _eval_in_subquery(expr: ast.InSubquery, relation: Relation,
@@ -368,10 +493,10 @@ def _eval_in_subquery(expr: ast.InSubquery, relation: Relation,
     per-row re-execution; rewrite as a join or EXISTS), so the
     subquery runs exactly once regardless of the outer row count."""
     sub_rel = _run_subquery(expr.select, ctx, None)
-    if len(sub_rel.vectors) != 1:
+    if sub_rel.width != 1:
         raise SqlAnalysisError(
             "IN subquery must return exactly one column")
-    members = sub_rel.vectors[0]
+    members = sub_rel.column(0)
     probe = evaluate(expr.expr, relation, ctx)
     # One code space for both sides; -1 (NULL, NaN) equals nothing.
     codes = key_codes([stacked(probe, members)], sql_equal=True)

@@ -45,6 +45,7 @@ one way: AST → plan → executor.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, replace
 from typing import (
     Any,
@@ -176,12 +177,22 @@ def split_conjuncts(expr: Optional[ast.Expr]) -> List[ast.Expr]:
     return [expr]
 
 
-def _and_join(conjuncts: Sequence[ast.Expr]) -> Optional[ast.Expr]:
+def _split_disjuncts(expr: ast.Expr) -> List[ast.Expr]:
+    """Flatten a predicate's top-level OR chain."""
+    if isinstance(expr, ast.BinaryOp) and expr.op == "or":
+        return _split_disjuncts(expr.left) + _split_disjuncts(expr.right)
+    return [expr]
+
+
+def _chain(op: str, terms: Sequence[ast.Expr]) -> Optional[ast.Expr]:
     result: Optional[ast.Expr] = None
-    for conjunct in conjuncts:
-        result = conjunct if result is None \
-            else ast.BinaryOp("and", result, conjunct)
+    for term in terms:
+        result = term if result is None else ast.BinaryOp(op, result, term)
     return result
+
+
+def _and_join(conjuncts: Sequence[ast.Expr]) -> Optional[ast.Expr]:
+    return _chain("and", conjuncts)
 
 
 #: An ``IN (SELECT ...)`` is not among them: its body cannot be
@@ -258,6 +269,85 @@ def classify_join(join: ast.Join, left: Scope, right: Scope) -> JoinPlan:
     return JoinPlan(kind=join.kind, strategy="nested_loop",
                     residual=join.condition)
 
+
+# ----------------------------------------------------------------------
+# OR factoring and implied predicates
+# ----------------------------------------------------------------------
+def _shape(node: Any) -> Any:
+    """A key equal for structurally equal expressions. Literals compare
+    by type too: the dataclasses' own ``==`` holds ``Literal(1) ==
+    Literal(1.0) == Literal(True)``, and those evaluate differently."""
+    if isinstance(node, ast.Literal):
+        return (ast.Literal, type(node.value), node.value)
+    if isinstance(node, tuple):
+        return tuple(_shape(item) for item in node)
+    if dataclasses.is_dataclass(node):
+        return (type(node),) + tuple(_shape(getattr(node, f.name))
+                                     for f in dataclasses.fields(node))
+    return (type(node), node)
+
+
+def _factored(conjunct: ast.Expr) -> List[ast.Expr]:
+    """``conjunct`` as conjuncts with the OR's common part pulled out:
+    ``(a AND x) OR (a AND y)`` is ``a``, ``x OR y``, and ``a OR (a AND
+    x)`` is ``a``. Both are laws of three-valued logic too, so the rows
+    a filter keeps do not change."""
+    disjuncts = _split_disjuncts(conjunct)
+    if len(disjuncts) < 2:
+        return [conjunct]
+    terms = [[(_shape(c), c) for c in split_conjuncts(d)] for d in disjuncts]
+    common_keys = set.intersection(*({key for key, _ in t} for t in terms))
+    if not common_keys:
+        return [conjunct]
+    common = list({key: c for key, c in terms[0]
+                   if key in common_keys}.values())
+    rests = []
+    for t in terms:
+        rest = [c for key, c in t if key not in common_keys]
+        if not rest:  # a disjunct that is the common part absorbs the rest
+            return common
+        rests.append(_and_join(rest))
+    return common + [_chain("or", rests)]
+
+
+def _implied(conjunct: ast.Expr, side: str, left: Scope,
+             right: Scope) -> Optional[ast.Expr]:
+    """A predicate over ``side`` alone that every row ``conjunct``
+    keeps satisfies: the OR, over its disjuncts, of each disjunct's
+    conjuncts that read only ``side`` — or None when some disjunct has
+    none."""
+    parts = []
+    for disjunct in _split_disjuncts(conjunct):
+        own = [c for c in split_conjuncts(disjunct)
+               if _side_of(c, left, right) == side]
+        if not own:
+            return None
+        parts.append(_and_join(own))
+    return _chain("or", parts)
+
+
+def _route(conjuncts: Sequence[ast.Expr], sinks: Tuple[str, ...],
+           left: Scope, right: Scope, sunk: Dict[str, List[ast.Expr]],
+           stay: List[ast.Expr],
+           implied: Dict[str, List[ast.Expr]]) -> None:
+    """Factor each conjunct's OR, then sink what reads one of ``sinks``
+    into ``sunk``. What reads both sides stays in ``stay``, and adds to
+    ``implied`` its implied predicate on each side in ``sinks``."""
+    for conjunct in conjuncts:
+        if _side_of(conjunct, left, right) == "other":
+            stay.append(conjunct)  # subqueries, parameters, outer refs
+            continue
+        for part in _factored(conjunct):
+            side = _side_of(part, left, right)
+            if side in sinks:
+                sunk[side].append(part)
+                continue
+            stay.append(part)
+            if side == "both":
+                for target in sinks:
+                    derived = _implied(part, target, left, right)
+                    if derived is not None:
+                        implied[target].append(derived)
 
 
 # ----------------------------------------------------------------------
@@ -347,7 +437,12 @@ class _UnaryNode(PlanNode):
 
 @dataclass(frozen=True)
 class FilterNode(_UnaryNode):
+    """``implied`` marks a predicate the planner derived from an OR
+    that reads both sides of a join (see :func:`_plan_from`); the OR
+    itself still runs above that join."""
+
     predicate: ast.Expr
+    implied: bool = False
     span = "filter"
 
 
@@ -566,7 +661,8 @@ def plan_statement(stmt: ast.SelectStmt, catalog: Optional[Catalog],
 
 def _plan_from(from_: Optional[ast.TableExpr], catalog: Optional[Catalog],
                ctes: Mapping[str, Sequence[str]],
-               filters: Sequence[ast.Expr] = ()
+               filters: Sequence[ast.Expr] = (),
+               implied: Sequence[ast.Expr] = ()
                ) -> Tuple[PlanNode, Optional[Scope]]:
     """A FROM clause's operator tree and, given a catalog, its scope.
 
@@ -586,6 +682,13 @@ def _plan_from(from_: Optional[ast.TableExpr], catalog: Optional[Catalog],
     * a conjunct reading both sides, neither, an outer row, or holding
       a scalar/EXISTS subquery stays above the join it arrived at.
 
+    Before it is sunk, a conjunct's OR is factored (:func:`_factored`),
+    and one that reads both sides also yields, per side it may sink
+    into, its implied predicate on that side (:func:`_implied`). An
+    implied predicate only rejects rows the conjunct, which stays,
+    rejects too; ``implied`` carries them down like ``filters``, into
+    ``FilterNode(implied=True)``.
+
     Without a catalog there are no scopes to decide by: every filter
     stays on top."""
     if isinstance(from_, ast.Join) and catalog is not None:
@@ -597,16 +700,20 @@ def _plan_from(from_: Optional[ast.TableExpr], catalog: Optional[Catalog],
         where_sinks = ("left",) if outer else ("left", "right")
         on_sinks = ("right",) if outer else ("left", "right")
         sunk: Dict[str, List[ast.Expr]] = {"left": [], "right": []}
+        sunk_implied: Dict[str, List[ast.Expr]] = {"left": [], "right": []}
         above: List[ast.Expr] = []
+        above_implied: List[ast.Expr] = []
         on: List[ast.Expr] = []
-        for conjunct in filters:
-            side = _side_of(conjunct, left_scope, right_scope)
-            (sunk[side] if side in where_sinks else above).append(conjunct)
-        for conjunct in split_conjuncts(condition):
-            side = _side_of(conjunct, left_scope, right_scope)
-            (sunk[side] if side in on_sinks else on).append(conjunct)
-        left, _ = _plan_from(from_.left, catalog, ctes, sunk["left"])
-        right, _ = _plan_from(from_.right, catalog, ctes, sunk["right"])
+        scopes = (left_scope, right_scope)
+        _route(filters, where_sinks, *scopes, sunk, above, sunk_implied)
+        _route(implied, where_sinks, *scopes, sunk_implied, above_implied,
+               sunk_implied)
+        _route(split_conjuncts(condition), on_sinks, *scopes, sunk, on,
+               sunk_implied)
+        left, _ = _plan_from(from_.left, catalog, ctes, sunk["left"],
+                             sunk_implied["left"])
+        right, _ = _plan_from(from_.right, catalog, ctes, sunk["right"],
+                              sunk_implied["right"])
         jplan = classify_join(replace(from_, condition=_and_join(on)),
                               left_scope, right_scope)
         if jplan.strategy == "hash":
@@ -616,7 +723,7 @@ def _plan_from(from_: Optional[ast.TableExpr], catalog: Optional[Catalog],
             node = NestedLoopJoinNode(from_.kind, left, right,
                                       jplan.residual)
         scope: Optional[Scope] = left_scope.concat(right_scope)
-        filters = above
+        filters, implied = above, above_implied
     elif isinstance(from_, ast.Join):
         left, _ = _plan_from(from_.left, catalog, ctes)
         right, _ = _plan_from(from_.right, catalog, ctes)
@@ -641,6 +748,8 @@ def _plan_from(from_: Optional[ast.TableExpr], catalog: Optional[Catalog],
             f"unsupported FROM item {type(from_).__name__}")
     if filters:
         node = FilterNode(node, _and_join(filters))
+    if implied:
+        node = FilterNode(node, _and_join(implied), implied=True)
     return node, scope
 
 

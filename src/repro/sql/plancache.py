@@ -55,6 +55,8 @@ def _strip_comments(sql: str) -> str:
     ``a--x\\nb`` cannot fuse into ``ab``. Block comments don't nest
     (matching the lexer); an unterminated comment runs to end of text
     and the parser reports the real error."""
+    if "--" not in sql and "/*" not in sql:
+        return sql
     out: List[str] = []
     i, n = 0, len(sql)
     while i < n:

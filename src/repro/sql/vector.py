@@ -42,7 +42,7 @@ class Vector:
         appending to either side would reach the other."""
         source = self.source
         if (source is not None and self.values is source.array()
-                and np.array_equal(self.validity, source.validity)):
+                and self.validity is source.validity):
             return source
         return None
 
@@ -72,7 +72,9 @@ class Vector:
 
 
 def from_column(column: Column) -> Vector:
-    return Vector(column.array(), column.validity.copy(), column.dtype,
+    """The column's data, shared: nothing in the engine writes into a
+    vector's arrays, it derives new ones."""
+    return Vector(column.array(), column.validity, column.dtype,
                   source=column)
 
 

@@ -62,8 +62,7 @@ class WindowBuilder:
             if index is not None:
                 # reuse the physical column directly
                 name = f"__in_{len(self.columns)}"
-                self.columns.append((name,
-                                     self.relation.vectors[index]))
+                self.columns.append((name, self.relation.column(index)))
                 self._cache[expr] = name
                 return name
         vector = evaluate(expr, self.relation, self.ctx)

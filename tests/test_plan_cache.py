@@ -67,6 +67,26 @@ class TestNormalization:
         assert (fingerprint_sql("SELECT a/* gap */FROM t")
                 == fingerprint_sql("SELECT a FROM t"))
 
+    @pytest.mark.parametrize("sql, digest", [
+        ("SELECT 1", "e004ebd5b5532a4b85984a62f8ad48a81aa3460c1ca07701f3861"
+                     "35d72cdecf5"),
+        ("SELECT a FROM t -- trailing\n", "dbfc8aa9ef14b12f5b3eff811061521e"
+                                          "9b550151246a54185b6ad7033500c670"),
+        ("SELECT /* c */ a FROM t;", "dbfc8aa9ef14b12f5b3eff811061521e9b550"
+                                     "151246a54185b6ad7033500c670"),
+        ("SELECT '--not a comment' FROM t", "5efa433f06485afd085656a9ed6958"
+                                            "185787c9e88f608de5dac764147894"
+                                            "f05d"),
+        ("  SELECT\n a,\tb FROM t ; ", "6cc5166de9f24b20eee47af6877f6bc19082"
+                                       "ef12c8badae6368415922a9ae52a"),
+        ("SELECT 'a/*b' -- x\n FROM t", "3afd32e90d88f451dd377b9ab44cea12ff5"
+                                        "727ac7d43fc6bfe6723488699f527"),
+    ])
+    def test_fingerprints_are_pinned(self, sql, digest):
+        # Plan-cache keys must not move: texts with and without comment
+        # markers (the marker-free ones skip the comment scanner).
+        assert fingerprint_sql(sql) == digest
+
 
 class TestPlanCache:
     def test_miss_then_hit(self):

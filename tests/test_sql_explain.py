@@ -108,3 +108,34 @@ def test_window_under_limit_shows_its_demand():
                 f"select distinct a, {window} limit 100",
                 f"select a, {window}"):
         assert "[first" not in explain(sql), sql
+
+
+def test_q19_shows_implied_filters_under_both_scans():
+    # q19's OR reads lineitem and part. The planner factors out the
+    # conjuncts every branch shares and derives one implied filter per
+    # side; the OR itself still runs above the join.
+    from repro.sql import Catalog
+    from repro.tpch import QUERIES, tpch_tables
+
+    catalog = Catalog(dict(tpch_tables(0.002, 2022)))
+    lines = explain(QUERIES["q19"], catalog=catalog).split("\n")
+
+    def indent(line):
+        return len(line) - len(line.lstrip())
+
+    join = next(i for i, line in enumerate(lines) if "HashJoin" in line)
+    above = lines[join - 1]
+    assert above.strip().startswith("Filter (") and " or " in above
+    assert "[implied]" not in above
+    implied = [i for i, line in enumerate(lines) if "[implied]" in line]
+    assert len(implied) == 2
+    for i, table in zip(implied, ("lineitem", "part")):
+        assert indent(lines[i]) == indent(lines[join]) + 2  # join inputs
+        scan = next(line for line in lines[i + 1:] if "Scan" in line)
+        assert f"Scan {table}" in scan
+    assert "l.l_quantity between 1 and 11" in lines[implied[0]]
+    assert "p.p_brand = 'Brand#12'" in lines[implied[1]]
+    assert "l.l_quantity" not in lines[implied[1]]
+    # the conjuncts every branch shares are a plain filter on lineitem
+    assert any("l.l_shipmode in ('AIR', 'REG AIR')" in line
+               and "[implied]" not in line for line in lines[join:])

@@ -154,9 +154,8 @@ class TestTreeShape:
         assert star.names is None and star.project.columns is None
 
 
-class TestPushdownLegality:
-    """Where a conjunct may sink, and that sinking changes no result:
-    each statement also runs as the plan read off the text — nested
+class _AsWritten:
+    """Each statement also runs as the plan read off the text — nested
     loops, WHERE on top — and must return the same rows in the same
     order."""
 
@@ -191,6 +190,10 @@ class TestPushdownLegality:
         root = plan.plan_statement(parse(sql), catalog).root
         assert isinstance(root, plan.ProjectNode)
         return root.input, rows
+
+
+class TestPushdownLegality(_AsWritten):
+    """Where a conjunct may sink, and that sinking changes no result."""
 
     def test_where_on_the_null_supplying_side_stays_above(self, small):
         # b.z > 0 must see the NULL-extended rows (and reject them).
@@ -254,6 +257,103 @@ class TestPushdownLegality:
         assert join.condition is None
         assert rows == [(1, None), (2, None), (2, None), (3, None),
                         (None, None)]
+
+
+def _implied_scan(node):
+    """(qualifier, implied predicate text) of a join input whose top is
+    an implied filter over a scan."""
+    assert isinstance(node, plan.FilterNode) and node.implied
+    assert isinstance(node.input, plan.ScanNode)
+    return node.input.qualifier, _expr(node.predicate)
+
+
+class TestOrFactoring(_AsWritten):
+    """OR factoring and implied predicates change no result."""
+
+    def test_common_conjuncts_become_the_join_key(self, small):
+        join, rows = self._join_under_project(
+            "select a.x, b.z from a join b "
+            "on (a.x = b.x and a.y > 4) or (b.z < 1 and a.x = b.x)", small)
+        assert isinstance(join, plan.HashJoinNode)
+        assert _key_text(join) == [("a.x", "b.x")]
+        assert _expr(join.residual) == "((a.y > 4) or (b.z < 1))"
+        assert rows == [(2, 0), (2, 0), (2, 6)]
+
+    def test_an_or_across_sides_implies_a_filter_on_each(self, small):
+        node, rows = self._join_under_project(
+            "select a.x, b.z from a join b on a.x = b.x "
+            "where (a.y > 4 and b.z > 0) or (a.y < 1 and b.z < 1)", small)
+        # the OR itself stays above the join
+        assert _expr(node.predicate) == \
+            "(((a.y > 4) and (b.z > 0)) or ((a.y < 1) and (b.z < 1)))"
+        assert not node.implied
+        join = node.input
+        assert _implied_scan(join.left) == \
+            ("a", "((a.y > 4) or (a.y < 1))")
+        assert _implied_scan(join.right) == \
+            ("b", "((b.z > 0) or (b.z < 1))")
+        assert rows == [(2, 0), (2, 6)]
+
+    def test_no_implied_filter_when_a_branch_has_no_own_conjunct(self,
+                                                                 small):
+        node, _rows = self._join_under_project(
+            "select a.x from a join b on a.x = b.x "
+            "where (a.y > 4 and b.z > 0) or a.y < b.z", small)
+        join = node.input
+        assert isinstance(join.left, plan.ScanNode)
+        assert isinstance(join.right, plan.ScanNode)
+
+    def test_absorption_sinks_the_common_part(self, small):
+        join, rows = self._join_under_project(
+            "select a.x, b.z from a join b on a.x = b.x "
+            "where a.y > 4 or (a.y > 4 and b.z > 5)", small)
+        assert isinstance(join, plan.HashJoinNode)
+        assert _filtered_scan(join.left) == ("a", "(a.y > 4)")
+        assert rows == [(2, 0), (2, 6)]
+
+    def test_left_join_where_implies_only_the_preserved_side(self, small):
+        # b.z IS NULL holds on the NULL-extended rows: filtering b first
+        # would NULL-extend a row whose matches the OR rejects.
+        node, rows = self._join_under_project(
+            "select a.x, a.y, b.z from a left join b on a.x = b.x "
+            "where (a.y > 4 and b.z is null) or (a.y < 2 and b.z > 0)",
+            small)
+        join = node.input
+        assert _implied_scan(join.left) == \
+            ("a", "((a.y > 4) or (a.y < 2))")
+        assert isinstance(join.right, plan.ScanNode)
+        assert rows == [(1, 5, None), (2, 0, 6), (3, 1, 1)]
+
+    def test_left_join_on_implies_only_the_null_supplying_side(self,
+                                                                small):
+        join, rows = self._join_under_project(
+            "select a.x, a.y, b.z from a left join b on a.x = b.x "
+            "and ((a.y > 4 and b.z > 5) or (a.y < 2 and b.z < 2))", small)
+        assert isinstance(join.left, plan.ScanNode)
+        assert _implied_scan(join.right) == \
+            ("b", "((b.z > 5) or (b.z < 2))")
+        assert rows == [(1, 5, None), (2, 0, 0), (2, 7, 6), (3, 1, 1),
+                        (None, 4, None)]
+
+    def test_subqueries_are_not_factored(self, small):
+        node, _rows = self._join_under_project(
+            "select a.x from a join b on a.x = b.x "
+            "where (a.y > 0 and b.z > (select min(z) from b)) "
+            "or (a.y > 0 and b.z < 0)", small)
+        assert isinstance(node, plan.FilterNode)
+        assert " or " in _expr(node.predicate)
+        assert isinstance(node.input.left, plan.ScanNode)
+
+    def test_literals_are_compared_by_type(self):
+        # 1, 1.0 and TRUE are equal as dataclasses but are different
+        # conjuncts: nothing is common here.
+        where = parse("select 1 from t where (x = 1 and y) or (x = 1.0 "
+                      "and z) or (x = true and w)").where
+        assert plan._factored(where) == [where]
+        same = parse("select 1 from t where (x = 1 and y) or "
+                     "(z and x = 1)").where
+        assert [_expr(c) for c in plan._factored(same)] == \
+            ["(x = 1)", "(y or z)"]
 
 
 class TestOneTree:
