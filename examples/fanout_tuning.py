@@ -5,8 +5,10 @@ Reproduces the Section 5.1 / 6.6 reasoning in miniature: sweep a few
 build+probe times next to the closed-form memory model, and show why the
 paper settles on f = k = 32 — not the fastest cell, but a fraction of
 the memory of the fastest one. The last column is the layout this
-package builds instead (an exact bridge count per position, f - 1 bytes
-per entry and level), whose memory grows with f rather than f / k.
+package builds instead (level 0, a top-level count table and an exact
+bridge count per position: an int32 per entry, level and child column
+at k = 1, about f - 1 bytes per entry and level above), whose memory
+grows with f rather than f / k.
 
 Run with::
 
@@ -33,7 +35,7 @@ def sweep(n: int = 20_000, queries: int = 4_000) -> None:
     print(f"{'f':>4} {'k':>5} {'build+probe':>12} {'model GB @100M':>15} "
           f"{'live GB @100M':>14}")
     results = {}
-    for fanout, sampling in [(2, 32), (8, 8), (16, 4), (32, 32),
+    for fanout, sampling in [(2, 1), (2, 32), (8, 8), (16, 4), (32, 32),
                              (64, 64)]:
         start = time.perf_counter()
         tree = MergeSortTree(keys, fanout=fanout, sample_every=sampling)

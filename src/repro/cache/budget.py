@@ -2,12 +2,14 @@
 
 The paper's Section 5.1 / 6.6 memory model prices a merge sort tree at
 ``ceil(log_f n) * n`` level entries plus ``n * f / k`` cascading pointers
-per bridged level. The live bridges differ: ``f - 1`` uint8 offsets per
-position plus an int anchor every ``k`` positions, per bridged level.
+per bridged level. The live trees differ: they keep level 0 and the top
+level's key counts, not the levels between, and a bridge is ``f - 1``
+int counts per position at ``k = 1`` (uint8 offsets plus an int anchor
+every ``k`` positions at ``k > 1``), per bridged level.
 :func:`structure_breakdown` measures the live arrays of every index
-structure the window evaluators build — tree levels, cascading bridges
-(anchors and offsets) and prefix-aggregate annotations separately — so
-the cache can charge real bytes, not estimates, against its budget.
+structure the window evaluators build — key arrays, cascading bridges
+and prefix-aggregate annotations separately — so the cache can charge
+real bytes, not estimates, against its budget.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import numpy as np
 class StructureSizeBreakdown:
     """Measured bytes of one index structure, by component."""
 
-    levels: int = 0       # sorted level / key arrays
-    pointers: int = 0     # fractional-cascading bridges (anchors + offsets)
+    levels: int = 0       # key arrays: level 0, top-level key counts
+    pointers: int = 0     # fractional-cascading bridges (and anchors)
     prefixes: int = 0     # per-position prefix-aggregate annotations
     other: int = 0        # auxiliary storage (position lists, span tables)
 
@@ -49,6 +51,8 @@ def _ndarray_bytes(array: Any) -> int:
 
 def _levels_breakdown(tree_levels) -> StructureSizeBreakdown:
     levels = sum(_ndarray_bytes(keys) for keys in tree_levels.keys)
+    if tree_levels.top is not None:
+        levels += _ndarray_bytes(tree_levels.top.table)
     pointers = sum(_ndarray_bytes(bridge) for bridge
                    in tree_levels.anchors + tree_levels.bridges)
     prefixes = sum(_ndarray_bytes(prefix)
@@ -81,7 +85,8 @@ def structure_breakdown(structure: Any) -> StructureSizeBreakdown:
     if isinstance(structure, DenseRankIndex):
         out = StructureSizeBreakdown(levels=sum(
             _ndarray_bytes(keys) for keys in (
-                structure.prev, structure.sorted_keys, structure.sorted_prev)))
+                structure.prev, structure.key_counts.table,
+                structure.prev_counts.table)))
         for tree in structure.trees():
             out = out + _levels_breakdown(tree)
         return out

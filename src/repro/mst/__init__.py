@@ -1,9 +1,11 @@
 """Merge sort trees (Section 4 of the paper).
 
-The merge sort tree (MST) is a static index over an integer key array: it
-retains every intermediate sorted-run level of a bottom-up, fanout-``f``
-merge sort. Three query kinds run in O(log n) each (with fractional
-cascading) against the finished tree:
+The merge sort tree (MST) is a static index over an integer key array:
+the intermediate sorted-run levels of a bottom-up, fanout-``f`` merge
+sort, of which it keeps the input level, the top level's key counts and
+each level's fractional-cascading bridge — enough to descend through
+every level without storing its keys. Three query kinds run in O(log n)
+each against the finished tree:
 
 * :meth:`MergeSortTree.count` — two-dimensional range counting, the core
   of framed COUNT DISTINCT and the rank family (Sections 4.2 and 4.4);

@@ -1,6 +1,6 @@
 """Construction of merge sort tree levels.
 
-Two build paths produce bit-identical levels:
+Two build paths produce bit-identical trees:
 
 * :func:`build_levels_scalar` — a faithful bottom-up, fanout-``f``
   multiway merge (Section 5.2 describes the parallel variant). It is the
@@ -13,17 +13,22 @@ Two build paths produce bit-identical levels:
   finds those sorted runs and only merges them. This is the fast path
   for large inputs.
 
-Both give every level above the input its *cascading bridge*, and can
-add prefix aggregate annotations:
+A tree keeps level 0's keys and not the sorted levels above it: every
+query reads level 0 (select, navigation, distinct) and the top level's
+key counts (:class:`KeyCounts`), and descends through the bridges, so
+the levels in between are only built, never read. What is kept:
 
 * *cascading bridges* (Section 4.2, "fractional cascading"): for every
   position ``p`` of a level, how many of the level's first ``p`` entries
   came from child runs ``0..c`` of their slab, for each of the ``f - 1``
   columns ``c < f - 1``. A lower bound inside a parent run is thereby
   translated into the lower bound inside every child run with O(1)
-  lookups, so only the top level is ever binary-searched. The counts are
-  stored as one int anchor every ``sample_every`` positions plus a uint8
-  offset per position (about 1 byte per entry and column).
+  lookups. At the paper's ``k = 1`` (:data:`DEFAULT_SAMPLE_EVERY`) the
+  bridge is those counts, read with one gather; at ``k > 1`` it is one
+  int anchor every ``k`` positions plus a uint8 offset per position
+  (about 1 byte per entry and column), read with two.
+* the *top-level key counts*: the number of keys below any threshold, in
+  O(1) — the bound every descent starts from.
 * *prefix aggregate annotations* (Section 4.3): for every position, the
   aggregate of the payload values from the start of its sorted run.
 
@@ -41,26 +46,77 @@ import numpy as np
 from repro.mst.aggregates import AggregateSpec
 from repro.mst.decompose import num_levels
 
-#: Default bridge anchor spacing ``k``. Offsets from an anchor are uint8,
-#: so ``k`` can be at most 256; it must be a power of two.
-DEFAULT_SAMPLE_EVERY = 256
+#: Default bridge sampling ``k``: the paper's ``k = 1``, where a bridge
+#: is one cumulative count per position. Offsets from an anchor are
+#: uint8, so ``k`` can be at most 256; it must be a power of two.
+DEFAULT_SAMPLE_EVERY = 1
+
+#: Largest key span, in multiples of ``n + 1``, that :class:`KeyCounts`
+#: answers from a table; wider keys keep their sorted array.
+TABLE_SPAN_FACTOR = 4
+
+
+@dataclass(frozen=True)
+class KeyCounts:
+    """How many of a key array's entries lie below a threshold.
+
+    Dense keys (a span of at most ``TABLE_SPAN_FACTOR * (n + 1)``, which
+    every key the window evaluators build has: positions, ranks,
+    previous-occurrence indices) are a count table: ``table[t - low]``
+    keys lie below ``t``, one gather per threshold. The table spans
+    ``max(span, n) + 1`` entries, so keys spanning at most ``n`` give
+    exactly ``n + 1``. Sparser keys, which only the public
+    :class:`~repro.mst.tree.MergeSortTree` API can bring, keep the sorted
+    keys in ``table`` (``low`` is None) and binary-search them.
+    """
+
+    table: np.ndarray
+    low: Optional[int]
+
+    @classmethod
+    def of(cls, keys: np.ndarray) -> "KeyCounts":
+        n = len(keys)
+        dtype = choose_index_dtype(n + 1)
+        if n == 0:
+            return cls(np.zeros(1, dtype=dtype), 0)
+        low, high = int(keys.min()), int(keys.max())
+        span = high - low + 1
+        if span > TABLE_SPAN_FACTOR * (n + 1):
+            return cls(np.sort(keys), None)
+        width = max(span, n)
+        table = np.zeros(width + 1, dtype=dtype)
+        shifted = keys.astype(np.int64)
+        shifted -= low
+        np.cumsum(np.bincount(shifted, minlength=width), out=table[1:])
+        return cls(table, low)
+
+    def below(self, threshold: Any) -> np.ndarray:
+        """Per threshold: the keys strictly below it."""
+        if self.low is None:
+            return np.searchsorted(self.table, threshold, side="left")
+        at = np.clip(np.asarray(threshold, dtype=np.int64), self.low,
+                     self.low + len(self.table) - 1)
+        at -= self.low
+        return self.table[at]
 
 
 @dataclass
 class TreeLevels:
-    """The materialised levels of a merge sort tree.
+    """The stored arrays of a merge sort tree.
 
-    ``keys[0]`` is the input array; ``keys[i]`` is sorted within runs of
-    ``fanout**i``. For ``i >= 1`` the bridge of level ``i`` is the pair
-    ``anchors[i]`` (shape ``(fanout - 1, ceil((n + 1) / sample_every))``)
-    and ``bridges[i]`` (uint8, shape ``(fanout - 1, n + 1)``); see
-    :meth:`consumed`. Both are ``None`` at level 0. A bridges-only tree
-    (the :class:`~repro.rangetree.DenseRankIndex` layout) has empty
-    ``keys`` and answers only :meth:`consumed` and :meth:`child_prefix`.
-    ``agg_prefix[i]`` holds
-    per-position running prefix aggregates within each run of level
-    ``i``: a numeric array from the spec's ``prefix_numpy`` kernel, or an
-    object array of states.
+    ``keys`` is ``[level 0]``, the input array (empty in a bridges-only
+    tree, the :class:`~repro.rangetree.DenseRankIndex` layout, which
+    answers only :meth:`consumed` and :meth:`child_prefix`); the sorted
+    levels above it are not kept. For ``i >= 1`` the bridge of level
+    ``i`` is ``bridges[i]``, shape ``(fanout - 1, n + 1)``: at ``k = 1``
+    the counts themselves (``anchors[i]`` is None), at ``k > 1`` uint8
+    offsets from ``anchors[i]`` (shape ``(fanout - 1, ceil((n + 1) /
+    sample_every))``); see :meth:`consumed`. Both are ``None`` at level
+    0. ``top`` counts the keys below a threshold (None in a
+    bridges-only tree). ``agg_prefix[i]`` holds per-position running
+    prefix aggregates within each run of level ``i``: a numeric array
+    from the spec's ``prefix_numpy`` kernel, or an object array of
+    states.
     """
 
     fanout: int
@@ -69,6 +125,7 @@ class TreeLevels:
     anchors: List[Optional[np.ndarray]] = field(default_factory=list)
     bridges: List[Optional[np.ndarray]] = field(default_factory=list)
     agg_prefix: List[Any] = field(default_factory=list)
+    top: Optional[KeyCounts] = None
 
     @property
     def n(self) -> int:
@@ -78,7 +135,7 @@ class TreeLevels:
     @property
     def height(self) -> int:
         """Number of levels, including the level-0 input."""
-        return len(self.keys)
+        return len(self.bridges)
 
     def run_length(self, level: int) -> int:
         """Sorted-run length at ``level`` (= fanout ** level)."""
@@ -89,13 +146,17 @@ class TreeLevels:
         positions, ``0 <= pos <= n``) came from child runs ``0..column``
         of their slab. ``pos`` may be an int or an int64 array, and
         ``column`` an int or an array of one column per position."""
+        bridge = self.bridges[level]
+        if self.sample_every == 1:
+            # The bridge is the count: one gather. A row first, then a
+            # 1-d gather, is numpy's fast path for a scalar column.
+            return bridge[column, pos] if np.ndim(column) \
+                else bridge[column][pos]
         shift = self.sample_every.bit_length() - 1
         if np.ndim(column):
-            return (self.anchors[level][column, pos >> shift]
-                    + self.bridges[level][column, pos])
-        # Row, then gather: numpy's fast path for a 1-d integer index.
-        return (self.anchors[level][column][pos >> shift]
-                + self.bridges[level][column][pos])
+            return self.anchors[level][column, pos >> shift] \
+                + bridge[column, pos]
+        return self.anchors[level][column][pos >> shift] + bridge[column][pos]
 
     def child_prefix(self, level: int, column: Any, start: Any,
                      bound: Any) -> Any:
@@ -104,7 +165,7 @@ class TreeLevels:
 
         Every slab before ``start`` is full and gave ``fanout**(level-1)``
         entries to each child, hence the ``start // fanout`` term."""
-        before = start // self.fanout
+        before = start >> 1 if self.fanout == 2 else start // self.fanout
         if np.ndim(column) or column:
             before = before * (column + 1)
         return self.consumed(level, column, start + bound) - before
@@ -157,13 +218,21 @@ def _permuted_prefix(spec: AggregateSpec, payload: Any, order: Optional[np.ndarr
 
 def _bridge_from_sources(slab_offsets: np.ndarray, child_len: int,
                          fanout: int, sample_every: int
-                         ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(anchors, offsets)`` of a level whose entry ``j`` came from
-    offset ``slab_offsets[j]`` of its slab below: the entries before
-    ``p`` from children ``0..c`` are ``anchors[c, p // k] + offsets[c,
-    p]``. Per anchor block in uint8: a block's running sum of
+                         ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+    """``(anchors, bridge)`` of a level whose entry ``j`` came from
+    offset ``slab_offsets[j]`` of its slab below (see
+    :meth:`TreeLevels.consumed`). At ``k = 1`` the bridge is the running
+    count of entries from children ``0..c``, and there are no anchors.
+    At ``k > 1`` the count before ``p`` is ``anchors[c, p // k] +
+    bridge[c, p]``: per anchor block in uint8, a block's running sum of
     ``taken`` less its first element (its wrap-around cancels)."""
     columns, width = fanout - 1, len(slab_offsets) + 1
+    if sample_every == 1:
+        counts = np.zeros((columns, width), dtype=choose_index_dtype(width))
+        for c in range(columns):
+            np.cumsum(slab_offsets < (c + 1) * child_len,
+                      dtype=counts.dtype, out=counts[c, 1:])
+        return None, counts
     padded = -(-width // sample_every) * sample_every
     taken = np.zeros((columns, padded), dtype=np.uint8)
     for c in range(columns):
@@ -215,10 +284,10 @@ def _merge_orders(keys: np.ndarray, fanout: int, height: int
 
 def _bridged_merges(keys: np.ndarray, fanout: int, height: int,
                     sample_every: int
-                    ) -> Iterator[Tuple[int, np.ndarray, np.ndarray,
-                                        np.ndarray]]:
+                    ) -> Iterator[Tuple[int, np.ndarray,
+                                        Optional[np.ndarray], np.ndarray]]:
     """:func:`_merge_orders` with each level's bridge:
-    ``(level, step_order, anchors, offsets)``."""
+    ``(level, step_order, anchors, bridge)``."""
     for level, step_order in _merge_orders(keys, fanout, height):
         parent_len = fanout ** level
         # step_order[j] lies in j's slab: its offset there says which
@@ -233,7 +302,8 @@ def _bridged_merges(keys: np.ndarray, fanout: int, height: int,
 def _new_levels(keys: Any, fanout: int, sample_every: int,
                 aggregate: Optional[AggregateSpec], payload: Any
                 ) -> TreeLevels:
-    """Level 0 of a tree: the input keys and their own annotation."""
+    """Level 0 of a tree: the input keys, their top-level counts and
+    their own annotation."""
     check_sample_every(sample_every)
     base = _prepare_keys(keys)
     n = len(base)
@@ -243,6 +313,7 @@ def _new_levels(keys: Any, fanout: int, sample_every: int,
     levels.keys.append(base.astype(dtype, copy=True))
     levels.anchors.append(None)
     levels.bridges.append(None)
+    levels.top = KeyCounts.of(levels.keys[0])
     if aggregate is not None:
         if payload is None:
             raise ValueError("aggregate annotation requires a payload array")
@@ -255,16 +326,14 @@ def build_levels_numpy(keys: Any, fanout: int = 2,
                        sample_every: int = DEFAULT_SAMPLE_EVERY,
                        aggregate: Optional[AggregateSpec] = None,
                        payload: Any = None) -> TreeLevels:
-    """Build all levels, each one stable merge of the level below
-    (:func:`_merge_orders`) with its bridge."""
+    """Build every level's bridge, each level one stable merge of the
+    level below (:func:`_merge_orders`); the merged keys live only as
+    the sort codes of the next merge."""
     levels = _new_levels(keys, fanout, sample_every, aggregate, payload)
     n = levels.n
     order: Optional[np.ndarray] = None
-    current = levels.keys[0]
     for level, step_order, anchors, bridge in _bridged_merges(
-            current, fanout, num_levels(n, fanout), sample_every):
-        current = current[step_order]
-        levels.keys.append(current)
+            levels.keys[0], fanout, num_levels(n, fanout), sample_every):
         levels.anchors.append(anchors)
         levels.bridges.append(bridge)
         if aggregate is not None:
@@ -280,10 +349,11 @@ def build_levels_scalar(keys: Any, fanout: int = 2,
                         payload: Any = None) -> TreeLevels:
     """Reference bottom-up multiway merge build.
 
-    Produces levels identical to :func:`build_levels_numpy`; kept separate
-    because it mirrors the paper's merge-based construction (the bridges
-    fall out of the merge by "persisting the input iterators", Section 4.2)
-    and because the tests cross-validate the two.
+    Produces a tree identical to :func:`build_levels_numpy`; kept
+    separate because it mirrors the paper's merge-based construction
+    (the bridges fall out of the merge by "persisting the input
+    iterators", Section 4.2) and because the tests cross-validate the
+    two. Each merged level lives until the next one is merged from it.
     """
     levels = _new_levels(keys, fanout, sample_every, aggregate, payload)
     n = levels.n
@@ -319,7 +389,6 @@ def build_levels_scalar(keys: Any, fanout: int = 2,
                 out_order[out_pos] = order[heads[best]]
                 source[out_pos] = heads[best] - slab_start
                 heads[best] += 1
-        levels.keys.append(out)
         anchors, bridge = _bridge_from_sources(source, child_len, fanout,
                                                sample_every)
         levels.anchors.append(anchors)

@@ -10,14 +10,19 @@ over ``n`` entries as::
 reproduces the paper's Section 6.6 numbers: 12.4 GB for ``f=16, k=4`` and
 4.4 GB for ``f=k=32`` at 100 million elements.
 
-The trees this package builds store exact per-position bridges instead
-(:func:`live_tree_bytes`): about 1 byte per entry and level at ``f = 2``,
-but ``f - 1`` bytes at larger fanouts.
+The trees this package builds keep a different layout
+(:func:`live_tree_bytes`): level 0, the top level's key counts and one
+bridge per level above the input, but no sorted level in between. At
+the default ``k = 1`` a bridge is ``f - 1`` int counts per position;
+at ``k > 1`` it is ``f - 1`` uint8 offsets per position plus an int
+anchor every ``k`` positions — unlike the paper's sampled pointer rows,
+the offsets grow with ``f``, not with ``f / k``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.mst.build import choose_index_dtype
 from repro.mst.decompose import num_levels
@@ -76,30 +81,48 @@ class MemoryModel:
                 f"at {self.element_bytes} B/element")
 
 
-def live_tree_bytes(n: int, fanout: int, sample_every: int,
-                    key_bytes: int = 4) -> int:
-    """Bytes of the layout :mod:`repro.mst.build` materialises: every
-    level's keys (level 0 included), and on each level above it a bridge
-    of ``f - 1`` uint8 offsets per position (``n + 1`` of them) plus one
-    int32 anchor per ``k`` positions. Unlike the paper's sampled pointer
-    rows, the offsets grow with ``f``, not with ``f / k``."""
-    height = num_levels(n, fanout)
+def _bridge_bytes(n: int, fanout: int, sample_every: int) -> int:
+    """Bytes of one level's bridge (:func:`repro.mst.build._bridge_from_sources`):
+    ``f - 1`` rows of ``n + 1`` int counts at ``k = 1``, of ``n + 1``
+    uint8 offsets plus ``ceil((n + 1) / k)`` int anchors otherwise."""
     width = n + 1
-    bridge = (fanout - 1) * (width + -(-width // sample_every) * 4)
-    return height * n * key_bytes + (height - 1) * bridge
+    index_bytes = choose_index_dtype(width).itemsize
+    if sample_every == 1:
+        return (fanout - 1) * width * index_bytes
+    return (fanout - 1) * (width + -(-width // sample_every) * index_bytes)
+
+
+def _key_counts_bytes(n: int) -> int:
+    """Bytes of the top-level key counts of ``n`` keys spanning at most
+    ``n`` values (:class:`repro.mst.build.KeyCounts`): ``n + 1`` ints."""
+    return (n + 1) * choose_index_dtype(n + 1).itemsize
+
+
+def live_tree_bytes(n: int, fanout: int, sample_every: int,
+                    key_bytes: int = 4,
+                    table_bytes: Optional[int] = None) -> int:
+    """Bytes of the layout :mod:`repro.mst.build` materialises: level
+    0's keys, the top-level key counts (``table_bytes``; by default
+    those of keys spanning at most ``n`` values, as every key the
+    window evaluators build does) and one bridge per level above the
+    input (:func:`_bridge_bytes`)."""
+    height = num_levels(n, fanout)
+    if table_bytes is None:
+        table_bytes = _key_counts_bytes(n)
+    return (n * key_bytes + table_bytes
+            + (height - 1) * _bridge_bytes(n, fanout, sample_every))
 
 
 def dense_rank_index_bytes(n: int, fanout: int, sample_every: int) -> int:
     """Bytes of a :class:`~repro.rangetree.DenseRankIndex` over ``n``
-    keys: sorted int64 keys, ``prev`` in input and sorted order, and
-    ``2H + H(H + 1)/2`` bridges as in :func:`live_tree_bytes` for ``H``
-    levels above the input (outer, prev, and ``L`` per inner tree)."""
+    dense rank keys: ``prev`` in input order, the key counts of the
+    rank keys and of ``prev``, and ``2H + H(H + 1)/2`` bridges as in
+    :func:`live_tree_bytes` for ``H`` levels above the input (outer,
+    prev, and ``L`` per inner tree)."""
     above = num_levels(n, fanout) - 1
-    width = n + 1
-    anchor_bytes = choose_index_dtype(width).itemsize
-    bridge = (fanout - 1) * (width + -(-width // sample_every) * anchor_bytes)
-    keys = n * (8 + 2 * choose_index_dtype(n).itemsize)
-    return keys + (2 * above + above * (above + 1) // 2) * bridge
+    keys = n * choose_index_dtype(n).itemsize + 2 * _key_counts_bytes(n)
+    return keys + (2 * above + above * (above + 1) // 2) \
+        * _bridge_bytes(n, fanout, sample_every)
 
 
 def measured_vs_model(tree) -> dict:
@@ -107,15 +130,19 @@ def measured_vs_model(tree) -> dict:
     prediction (``model_bytes``) and the paper's closed form plus the
     retained level 0 (``paper_bytes``).
 
-    The two forms part at the bridges: the paper prices ``f / k``
-    pointers per entry and level, the live layout about ``f - 1`` bytes
-    (see :func:`live_tree_bytes`), so ``paper_ratio`` grows with ``f``.
+    The two forms part twice: the live tree keeps no sorted level
+    between level 0 and the top, and its bridges cost ``f - 1`` ints
+    per entry and level at ``k = 1``, about ``f - 1`` bytes at ``k >
+    1`` (see :func:`live_tree_bytes`), against the paper's ``f / k``
+    pointers. So ``paper_ratio`` is well below 1 at ``f = 2`` and grows
+    with ``f``.
     """
-    key_bytes = tree.levels.keys[0].itemsize
+    levels = tree.levels
     predicted = live_tree_bytes(tree.n, tree.fanout, tree.sample_every,
-                                key_bytes=key_bytes)
+                                key_bytes=levels.keys[0].itemsize,
+                                table_bytes=levels.top.table.nbytes)
     paper = MemoryModel(tree.n, tree.fanout, tree.sample_every).bytes \
-        + tree.n * key_bytes
+        + tree.n * levels.keys[0].itemsize
     measured = tree.memory_bytes()
     return {
         "measured_bytes": measured,

@@ -15,9 +15,9 @@ Terminology used throughout:
 * **key ranges** — half-open intervals of key values; ``None`` bounds
   mean unbounded.
 
-Every query is O(log n) with fractional cascading: one binary search on
-the top level, then every child-run bound comes from the level's bridge
-(see :mod:`repro.mst.build`). The methods here are one-row calls into
+Every query is O(log n) with fractional cascading: one lookup in the top
+level's key counts, then every child-run bound comes from the level's
+bridge (see :mod:`repro.mst.build`). The methods here are one-row calls into
 the batched kernels of :mod:`repro.mst.vectorized`, the one query path
 the window operator runs too.
 """
@@ -29,7 +29,12 @@ from typing import Any, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.mst.aggregates import AggregateSpec
-from repro.mst.build import DEFAULT_SAMPLE_EVERY, TreeLevels, build_levels_numpy
+from repro.mst.build import (
+    DEFAULT_SAMPLE_EVERY,
+    KeyCounts,
+    TreeLevels,
+    build_levels_numpy,
+)
 from repro.mst.vectorized import (
     batched_aggregate,
     batched_count,
@@ -72,8 +77,10 @@ class MergeSortTree:
         Merge fanout ``f`` (Section 5.1; the paper's default is 32, the
         numpy-vectorised window paths prefer 2).
     sample_every:
-        Bridge anchor spacing ``k`` (a power of two, at most 256): one
-        int anchor per ``k`` positions, a uint8 offset per position.
+        Bridge sampling ``k`` (a power of two, at most 256). The default
+        ``k = 1`` stores one int count per position and column, read
+        with one gather; ``k > 1`` one int anchor per ``k`` positions
+        plus a uint8 offset per position, read with two.
     aggregate / payload:
         Annotate every level with per-run prefix aggregate states of
         ``payload`` (Section 4.3) to enable :meth:`aggregate`.
@@ -106,10 +113,12 @@ class MergeSortTree:
         return self.levels.height
 
     def memory_bytes(self) -> int:
-        """Actual bytes held by level arrays, bridges and annotations
-        (an object-state annotation counts its pointer slots)."""
-        arrays = (self.levels.keys + self.levels.anchors
-                  + self.levels.bridges + self.levels.agg_prefix)
+        """Actual bytes held by level 0, the top-level key counts, the
+        bridges and the annotations (an object-state annotation counts
+        its pointer slots)."""
+        levels = self.levels
+        arrays = (levels.keys + [levels.top.table] + levels.anchors
+                  + levels.bridges + levels.agg_prefix)
         return sum(a.nbytes for a in arrays if a is not None)
 
     # ------------------------------------------------------------------
@@ -190,65 +199,66 @@ class MergeSortTree:
         every count/select/aggregate wrong.
         Raises ``ValueError`` naming the first violated invariant.
 
-        Checked: equal level lengths; run-sortedness of every level;
-        multiset equality between the input level and the fully sorted
-        top level; every level above the input has a cascading bridge
-        (the queries need it), and it decodes to the stable merge of
-        its level's child runs; prefix-aggregate annotation shape and
-        (where the aggregate's semantics pin it down) monotonicity.
+        The tree keeps only level 0, so every level above it is rebuilt
+        from the level below through its bridge. Checked: every level
+        above level 0 has a cascading bridge of the right shape (the
+        queries need it) whose counts are
+        cumulative child counts; the level it decodes to is sorted
+        within its runs and is the stable merge of its child runs; the
+        top level is the sorted input, and the top-level key counts
+        count it; prefix-aggregate annotation shape and (where the
+        aggregate's semantics pin it down) monotonicity.
         """
         levels = self.levels
         n = levels.n
         if n == 0:
             return
         positions = np.arange(n, dtype=np.int64)
-        for level, keys in enumerate(levels.keys):
-            if len(keys) != n:
-                raise ValueError(
-                    f"level {level} has {len(keys)} entries, expected {n}")
-            if level == 0 or n < 2:
-                continue
-            run = levels.run_length(level)
-            interior = (positions[1:] % run) != 0
-            descending = keys[1:] < keys[:-1]
-            if bool(np.any(interior & descending)):
-                where = int(np.flatnonzero(interior & descending)[0]) + 1
-                raise ValueError(
-                    f"level {level} not sorted within its runs of {run} "
-                    f"(first violation at position {where})")
-        if levels.height > 1:
-            top = levels.keys[-1]
-            if not np.array_equal(np.sort(levels.keys[0]), top):
-                raise ValueError(
-                    "top level is not a permutation of the input level")
+        keys = levels.keys[0]
         for level in range(1, levels.height):
-            self._check_bridge(level, positions)
+            keys = self._decode_level(level, keys, positions)
+        if levels.height > 1 and not np.array_equal(np.sort(levels.keys[0]),
+                                                    keys):
+            raise ValueError(
+                "top level is not a permutation of the input level")
+        want = KeyCounts.of(levels.keys[0])
+        top = levels.top
+        if top is None or top.low != want.low or \
+                not np.array_equal(top.table, want.table):
+            raise ValueError(
+                "top-level key counts do not count the input level")
         self._check_agg_prefix(positions)
 
-    def _check_bridge(self, level: int, positions: np.ndarray) -> None:
-        """The bridge must describe the stable merge of the level's child
-        runs: decoding it gives every entry's source child, and that
-        child's next entry must be the entry itself."""
+    def _decode_level(self, level: int, below: np.ndarray,
+                      positions: np.ndarray) -> np.ndarray:
+        """Level ``level`` rebuilt from the level ``below`` it through
+        its bridge. The bridge must describe the stable merge of the
+        level's child runs: decoding it gives every entry's source
+        child, that child's next entry is the entry, and the entries
+        come out sorted within runs, ties in child order."""
         levels = self.levels
         anchors, bridge = levels.anchors[level], levels.bridges[level]
         n = levels.n
         fanout = self.fanout
         k = levels.sample_every
-        shapes = ((fanout - 1, n + 1), (fanout - 1, -(-(n + 1) // k)))
-        if bridge is None or anchors is None or \
-                (bridge.shape, anchors.shape) != shapes:
+        shape = (fanout - 1, n + 1)
+        anchor_shape = None if k == 1 else (fanout - 1, -(-(n + 1) // k))
+        if bridge is None or bridge.shape != shape or \
+                (anchors is None) != (anchor_shape is None) or \
+                (anchors is not None and anchors.shape != anchor_shape):
             raise ValueError(
                 f"level {level} bridge arrays missing or malformed, "
-                f"expected shapes {shapes}")
+                f"expected shapes {shape} and {anchor_shape}")
         # counts[c + 1, p]: of the first p entries, those from children
         # 0..c; row 0 (none) and row fanout (all) complete the table.
-        counts = np.vstack([
-            np.zeros(n + 1, dtype=np.int64),
-            np.repeat(anchors.astype(np.int64), k, axis=1)[:, :n + 1]
-            + bridge,
-            np.arange(n + 1, dtype=np.int64)])
+        inner = levels.consumed(level, np.arange(fanout - 1)[:, None],
+                                np.arange(n + 1)[None, :])
+        counts = np.vstack([np.zeros(n + 1, dtype=np.int64),
+                            inner.astype(np.int64),
+                            np.arange(n + 1, dtype=np.int64)])
         steps = np.diff(counts, axis=1)
-        if bool(bridge[:, ::k].any()) or bool(counts[:, 0].any()) or \
+        if (k > 1 and bool(bridge[:, ::k].any())) or \
+                bool(counts[:, 0].any()) or \
                 bool((steps[1:] < steps[:-1]).any()) or \
                 not bool(((steps == 0) | (steps == 1)).all()):
             raise ValueError(
@@ -266,14 +276,22 @@ class MergeSortTree:
             raise ValueError(
                 f"level {level} bridge takes more entries than a child "
                 f"run holds")
-        keys = levels.keys[level]
-        equal = keys[1:] == keys[:-1]
-        unstable = (slab[1:] == slab[:-1]) & equal & (source[1:] < source[:-1])
-        if not np.array_equal(levels.keys[level - 1][run_start + taken],
-                              keys) or bool(unstable.any()):
+        keys = below[run_start + taken]
+        interior = (positions[1:] % parent_len) != 0
+        descending = interior & (keys[1:] < keys[:-1])
+        if bool(descending.any()):
+            where = int(np.flatnonzero(descending)[0]) + 1
+            raise ValueError(
+                f"level {level} not sorted within its runs of {parent_len}: "
+                f"its bridge does not decode to a merge (first violation "
+                f"at position {where})")
+        unstable = interior & (keys[1:] == keys[:-1]) & \
+            (source[1:] < source[:-1])
+        if bool(unstable.any()):
             raise ValueError(
                 f"level {level} bridge is not the stable merge of its "
                 f"child runs")
+        return keys
 
     def _check_agg_prefix(self, positions: np.ndarray) -> None:
         levels = self.levels

@@ -3,16 +3,18 @@
 A window operator issues one tree query *per input row*. Instead of
 looping over rows in Python, the functions here process all ``m`` queries
 simultaneously, each step a vectorised pass over all of them (Section
-4.2): one ``np.searchsorted`` per key threshold on the fully sorted top
-level, then, level by level, every query's lower bound inside the child
-run it descends into comes from the level's cascading bridge in O(1)
-gathers — there is no search inside runs. That is O(log n) numpy passes
+4.2): one gather per key threshold from the top level's key counts
+(:class:`~repro.mst.build.KeyCounts`), then, level by level, every
+query's lower bound inside the child run it descends into comes from
+the level's cascading bridge in O(1) gathers — there is no search
+inside runs. That is O(log n) numpy passes
 per batch. They are the tree's only query path:
 :class:`~repro.mst.tree.MergeSortTree`'s methods are one-row calls into
 them.
 
-* :func:`batched_count` descends once per slab-range end and threshold:
-  a count over ``[lo, hi)`` is the difference of two prefix counts.
+* :func:`batched_count` descends once per slab-range end, carrying the
+  bounds of every threshold down the same path: a count over ``[lo,
+  hi)`` is the difference of two prefix counts.
 * :func:`batched_select` descends once, into the child run that holds the
   ``k``-th qualifying entry.
 * :func:`batched_aggregate` follows the two boundary paths of ``[lo, hi)``
@@ -84,14 +86,9 @@ def _path_child(levels: TreeLevels, level: int, start: np.ndarray,
                 bound: np.ndarray, offset: np.ndarray):
     """:func:`_descend` for the path of a slab position at ``offset``
     inside its node, whose child is known up front: two bridge gathers
-    per query whatever the fanout (one at ``f = 2``, where both bounds
-    come from column 0)."""
+    per query whatever the fanout (:func:`_path_prefix` reads one at
+    ``f = 2``)."""
     child_len = levels.fanout ** (level - 1)
-    if levels.fanout == 2:
-        right = offset >= child_len
-        counted = levels.child_prefix(level, 0, start, bound)
-        return (np.where(right, counted, 0), np.where(right, bound, counted),
-                right)
     child = offset // child_len
     last = levels.fanout - 1
     lower = levels.child_prefix(level, np.maximum(child - 1, 0), start,
@@ -107,8 +104,21 @@ def _path_prefix(levels: TreeLevels, level: int, start: np.ndarray,
     """Down the path of slab position ``path`` from the level-``level``
     run at ``start``, whose first ``bound`` entries qualify. Returns
     ``(total, leaf)``: the qualifying entries at slab positions in
-    ``[start, path)``, and 1 where the entry at ``path`` qualifies."""
-    total = np.zeros(len(path), dtype=np.int64)
+    ``[start, path)``, and 1 where the entry at ``path`` qualifies.
+    ``bound`` may stack several bounds per path, ``(bounds, m)``: the
+    path is walked once for all of them."""
+    total = np.zeros(np.shape(bound), dtype=np.int64)
+    if levels.fanout == 2:
+        # A node's start and the path's child are the path's bits: the
+        # run at level ``step`` starts at ``path`` with ``step`` low bits
+        # cleared, and bit ``step - 1`` says right or left.
+        for step in range(level, 0, -1):
+            start = (path >> step) << step
+            counted = levels.child_prefix(step, 0, start, bound)
+            right = ((path >> (step - 1)) & 1).astype(np.bool_)
+            total += np.where(right, counted, 0)
+            bound = np.where(right, bound - counted, counted)
+        return total, bound
     for step in range(level, 0, -1):
         lower, upper, child = _path_child(levels, step, start, bound,
                                           path - start)
@@ -180,15 +190,16 @@ def _descend_all(below, bounds, passes):
 
 
 def _prefix_counts(levels: TreeLevels, x: np.ndarray,
-                   threshold: np.ndarray) -> np.ndarray:
+                   bound: np.ndarray) -> np.ndarray:
     """Per query: entries at slab positions below ``x`` (``0 <= x <= n``)
-    with key below ``threshold``.
+    with key below each threshold, whose top-level bounds are the rows
+    of ``bound`` (shape ``(thresholds, m)``).
 
-    Walks the root-to-leaf path of slab position ``min(x, n - 1)``,
-    adding the entries of the child runs left of the path at each level;
-    the final leaf bound adds the last entry when ``x == n``."""
+    Walks the root-to-leaf path of slab position ``min(x, n - 1)``
+    once, adding the entries of the child runs left of the path at each
+    level for every threshold; the final leaf bound adds the last entry
+    when ``x == n``."""
     n = levels.n
-    bound = np.searchsorted(levels.keys[-1], threshold, side="left")
     total, leaf = _path_prefix(levels, levels.height - 1,
                                np.zeros(len(x), dtype=np.int64), bound,
                                np.minimum(x, n - 1))
@@ -207,21 +218,19 @@ def batched_count(levels: TreeLevels, lo: np.ndarray, hi: np.ndarray,
         return np.zeros(m, dtype=np.int64)
     lo = np.clip(np.asarray(lo, dtype=np.int64), 0, n)
     hi = np.maximum(np.minimum(np.asarray(hi, dtype=np.int64), n), lo)
-    # One descent over every (range end, threshold) pair; a prefix ending
-    # at slab position 0 is empty, so ranges that all start there skip
-    # their lower ends.
+    # One descent per range end, with a (thresholds, m) bound; a prefix
+    # ending at slab position 0 is empty, so ranges that all start there
+    # skip their lower ends.
     ends = [hi, lo] if lo.any() else [hi]
-    pairs = [(end, key_hi) for end in ends]
-    if key_lo is not None:
-        pairs += [(end, key_lo) for end in ends]
-    x = np.concatenate([end for end, _ in pairs])
-    threshold = np.concatenate([np.asarray(key) for _, key in pairs])
-    prefix = np.empty(len(x), dtype=np.int64)
-    for block in _blocks(len(x)):
-        prefix[block] = _prefix_counts(levels, x[block], threshold[block])
-    counts = prefix.reshape(len(pairs), m)
+    keys = [key_hi] if key_lo is None else [key_hi, key_lo]
+    bound = levels.top.below(np.stack([np.asarray(key) for key in keys]))
+    x = np.concatenate(ends)
     if len(ends) == 2:
-        counts = counts[0::2] - counts[1::2]
+        bound = np.concatenate([bound, bound], axis=1)
+    prefix = np.empty((len(keys), len(x)), dtype=np.int64)
+    for block in _blocks(len(x)):
+        prefix[:, block] = _prefix_counts(levels, x[block], bound[:, block])
+    counts = prefix[:, :m] - prefix[:, m:] if len(ends) == 2 else prefix
     return counts[0] - counts[1] if key_lo is not None else counts[0]
 
 
@@ -302,11 +311,11 @@ def _aggregate_block(levels: TreeLevels, lo: np.ndarray, hi: np.ndarray,
     live = lo < hi
     lo = np.where(live, lo, 0)
     hi = np.where(live, hi, 1)
-    bound = np.searchsorted(levels.keys[-1], key_hi, side="left")
+    bound = levels.top.below(key_hi)
     # contributions[level]: (queries, prefix position) of that level's
     # covering runs, in peeling order.
     contributions: List[List[Tuple[np.ndarray, np.ndarray]]] = [
-        [] for _ in levels.keys]
+        [] for _ in levels.bridges]
     for level, runs in _covering_walk([levels], levels.height - 1, lo, hi,
                                       [bound]):
         for take, start, (count,) in runs:
@@ -348,13 +357,24 @@ def _select_block(levels: TreeLevels, k: np.ndarray,
     pieces = len(thresholds) // 2
     top = levels.height - 1
     remaining = k.copy()
-    bound = np.searchsorted(levels.keys[top], thresholds, side="left")
+    bound = levels.top.below(thresholds)
     start = np.zeros(len(k), dtype=np.int64)
 
     def qualifying(counted):
         per_piece = counted[:pieces] - counted[pieces:]
         return per_piece[0] if pieces == 1 else per_piece.sum(axis=0)
 
+    if levels.fanout == 2:
+        for level in range(top, 0, -1):
+            # Left child's entries within the bound; the k-th qualifying
+            # entry lies right of them when there are at most k.
+            counted = levels.child_prefix(level, 0, start, bound)
+            inside = qualifying(counted)
+            right = remaining >= inside
+            remaining -= np.where(right, inside, 0)
+            bound = np.where(right, bound - counted, counted)
+            start += right.astype(np.int64) << (level - 1)
+        return start
     for level in range(top, 0, -1):
         # The k-th qualifying entry lies beyond children 0..c.
         lower, upper, child = _descend(

@@ -11,8 +11,10 @@ same arrays out, the only difference is where the descents ran.
 Serial is the default (:data:`SERIAL_PROBES`) and is a zero-overhead
 pass-through.
 
-:class:`ProcessProbes` is the multicore variant: the tree levels are
-serialized once into the session's shared-memory table arena (workers
+:class:`ProcessProbes` is the multicore variant: the tree's arrays
+(level 0, the top-level key counts, the bridges and any prefix
+aggregates) are serialized once into the session's shared-memory table
+arena (workers
 attach and cache them by token), the per-row probe arrays travel
 through transient shm segments, and row ranges run on the supervised
 process pool with its retry/quarantine ladder — a lost range is
@@ -89,10 +91,11 @@ def probe_range(levels: TreeLevels, op: str, inputs: Dict[str, np.ndarray],
 
 
 def _level_arrays(levels: TreeLevels) -> List[Any]:
-    """Every array of the tree, in :class:`LevelsHandle` order: keys,
-    bridge anchors, bridge offsets, then prefix aggregates."""
-    return (list(levels.keys) + list(levels.anchors) + list(levels.bridges)
-            + list(levels.agg_prefix))
+    """Every array of the tree, in :class:`LevelsHandle` order: level 0,
+    the top-level key counts, bridge anchors, bridges, then prefix
+    aggregates."""
+    return (list(levels.keys) + [levels.top.table] + list(levels.anchors)
+            + list(levels.bridges) + list(levels.agg_prefix))
 
 
 def _shareable_levels(levels: TreeLevels) -> bool:
@@ -157,16 +160,18 @@ class ProcessProbes(ProbeKernels):
         entry = self._lease.get(("levels", token), build)
         if entry is None:
             return None
-        height = len(levels.keys)
+        height = levels.height
         specs = entry.specs
         return LevelsHandle(
             token=token,
             fanout=levels.fanout,
             sample_every=levels.sample_every,
-            keys=specs[:height],
-            anchors=specs[height:2 * height],
-            bridges=specs[2 * height:3 * height],
-            agg_prefix=specs[3 * height:])
+            keys=specs[:1],
+            top=specs[1],
+            top_low=levels.top.low,
+            anchors=specs[2:2 + height],
+            bridges=specs[2 + height:2 + 2 * height],
+            agg_prefix=specs[2 + 2 * height:])
 
     # -- the fan -------------------------------------------------------
     def _fan(self, levels: TreeLevels, op: str,

@@ -73,6 +73,9 @@ class LevelsHandle:
     anchors: Tuple[Optional[ShmArraySpec], ...]
     bridges: Tuple[Optional[ShmArraySpec], ...]
     agg_prefix: Tuple[Optional[ShmArraySpec], ...]
+    #: The top-level key counts (:class:`~repro.mst.build.KeyCounts`).
+    top: Optional[ShmArraySpec] = None
+    top_low: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,7 @@ def _attached_levels(handle: LevelsHandle) -> Any:
     if cached is not None:
         _LEVELS_CACHE.move_to_end(handle.token)
         return cached[0]
-    from repro.mst.build import TreeLevels
+    from repro.mst.build import KeyCounts, TreeLevels
 
     segments: List[Any] = []
 
@@ -134,12 +137,15 @@ def _attached_levels(handle: LevelsHandle) -> Any:
         return [None if s is None else _attach_readonly(s, segments)
                 for s in specs]
 
+    (top,) = attach([handle.top])
     levels = TreeLevels(fanout=handle.fanout,
                         sample_every=handle.sample_every,
                         keys=attach(handle.keys),
                         anchors=attach(handle.anchors),
                         bridges=attach(handle.bridges),
-                        agg_prefix=attach(handle.agg_prefix))
+                        agg_prefix=attach(handle.agg_prefix),
+                        top=None if top is None
+                        else KeyCounts(top, handle.top_low))
     _LEVELS_CACHE[handle.token] = (levels, segments)
     while len(_LEVELS_CACHE) > _LEVELS_CACHE_MAX:
         _, (_, old_segments) = _LEVELS_CACHE.popitem(last=False)

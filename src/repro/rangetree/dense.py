@@ -6,20 +6,25 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.mst.build import (DEFAULT_SAMPLE_EVERY, TreeLevels,
-                             _bridged_merges, choose_index_dtype)
+from repro.mst.build import (KeyCounts, TreeLevels, _bridged_merges,
+                             choose_index_dtype)
 from repro.mst.decompose import num_levels
 from repro.mst.vectorized import _blocks, _covering_walk, _path_prefix
 from repro.preprocess.occurrences import previous_occurrence
+
+#: Bridge sampling of every tree of the index. Its ``2H + H(H + 1)/2``
+#: bridges stay at ``k = 256`` (about 1 byte per entry and column): at
+#: ``k = 1`` they would take four.
+SAMPLE_EVERY = 256
 
 
 def _bridges(values: np.ndarray, fanout: int, height: int) -> TreeLevels:
     """The bridges of the first ``height`` levels of a merge sort tree
     over ``values``, without its keys."""
-    tree = TreeLevels(fanout=fanout, sample_every=DEFAULT_SAMPLE_EVERY,
+    tree = TreeLevels(fanout=fanout, sample_every=SAMPLE_EVERY,
                       anchors=[None], bridges=[None])
     for _, _, anchors, offsets in _bridged_merges(
-            values, fanout, height, DEFAULT_SAMPLE_EVERY):
+            values, fanout, height, SAMPLE_EVERY):
         tree.anchors.append(anchors)
         tree.bridges.append(offsets)
     return tree
@@ -35,8 +40,8 @@ class DenseRankIndex:
 
     (``prev[j] < a``: j is its key class's first occurrence in the
     frame). Over frame positions: an *outer* tree over the rank keys and
-    a *prev* tree over ``prev``, which keep their top level's keys
-    (``sorted_keys``, ``sorted_prev``) and their bridges; and per outer
+    a *prev* tree over ``prev``, which keep their top level's key counts
+    (``key_counts``, ``prev_counts``) and their bridges; and per outer
     level ``L`` an *inner* tree over ``prev`` in that level's key order,
     ``L + 1`` levels tall, which keeps only its bridges.
 
@@ -56,15 +61,15 @@ class DenseRankIndex:
         prev = previous_occurrence(keys)
         #: Previous occurrence of every key, in the input order.
         self.prev = prev.astype(choose_index_dtype(self.n))
-        self.sorted_keys = np.sort(keys)
-        self.sorted_prev = np.sort(self.prev)
+        self.key_counts = KeyCounts.of(keys)
+        self.prev_counts = KeyCounts.of(prev)
         self.prev_tree = _bridges(prev, fanout, height)
         self.outer = _bridges(keys, fanout, 1)
         self.inner: List[TreeLevels] = [_bridges(prev, fanout, 1)]
         # One merge pass over the rank keys: the outer bridges, and every
         # level's key order of ``prev``, its inner tree's input.
         for level, order, anchors, offsets in _bridged_merges(
-                keys, fanout, height, DEFAULT_SAMPLE_EVERY):
+                keys, fanout, height, SAMPLE_EVERY):
             self.outer.anchors.append(anchors)
             self.outer.bridges.append(offsets)
             prev = prev[order]
@@ -103,8 +108,7 @@ class DenseRankIndex:
         live = lo < hi
         lo = np.where(live, lo, 0)
         hi = np.where(live, hi, 1)
-        bounds = [np.searchsorted(self.sorted_keys, key, side="left"),
-                  np.searchsorted(self.sorted_prev, lo, side="left")]
+        bounds = [self.key_counts.below(key), self.prev_counts.below(lo)]
         count = np.zeros(len(lo), dtype=np.int64)
         for level, runs in _covering_walk([self.outer, self.prev_tree],
                                           self.height - 1, lo, hi, bounds):
@@ -135,7 +139,7 @@ class DenseRankIndex:
         np.add.at(count, rows, found)
 
     def memory_bytes(self) -> int:
-        arrays = [self.prev, self.sorted_keys, self.sorted_prev]
+        arrays = [self.prev, self.key_counts.table, self.prev_counts.table]
         for tree in self.trees():
             arrays += [a for a in tree.anchors + tree.bridges if a is not None]
         return sum(a.nbytes for a in arrays)

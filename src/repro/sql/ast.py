@@ -283,6 +283,49 @@ def _scan_fields(node: Any) -> Tuple[List[Expr], List[SelectStmt]]:
     return exprs, stmts
 
 
+@lru_cache(maxsize=None)
+def _all_field_names(cls: type) -> Tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def shape(node: Any) -> Any:
+    """A key equal for structurally equal expressions. Literals compare
+    by type too: the dataclasses' own ``==`` holds ``Literal(1) ==
+    Literal(1.0) == Literal(True)``, and those evaluate differently."""
+    if isinstance(node, Literal):
+        return (Literal, type(node.value), node.value)
+    if isinstance(node, tuple):
+        return tuple(shape(item) for item in node)
+    if dataclasses.is_dataclass(node):
+        return (type(node),) + tuple(shape(getattr(node, name))
+                                     for name in _all_field_names(type(node)))
+    return (type(node), node)
+
+
+class Exact:
+    """``node`` as a dict or set key that tells apart what ``==``
+    conflates: it hashes like ``node`` and compares by :func:`shape`
+    only when ``==`` already holds between two distinct nodes, so a
+    lookup costs what one keyed by ``node`` itself costs, and only a
+    match between equal copies pays for the shapes."""
+
+    __slots__ = ("node", "_hash")
+
+    def __init__(self, node: Any) -> None:
+        self.node = node
+        self._hash = hash(node)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Exact):
+            return NotImplemented
+        return self.node is other.node or (
+            self.node == other.node and
+            shape(self.node) == shape(other.node))
+
+
 def children(node: Any) -> List[Expr]:
     """The expressions immediately inside ``node``, in field order.
 

@@ -543,9 +543,7 @@ def _eval_scalar_function(expr: ast.FuncCall, relation: Relation,
                       DataType.INT64)
     if name == "round":
         values = np.asarray(args[0].values, dtype=np.float64)
-        digits = 0
-        if len(args) > 1:
-            digits = int(np.asarray(args[1].values)[0])
+        digits = _round_scale(expr.args[1]) if len(expr.args) > 1 else 0
         return Vector(np.round(values, digits), args[0].validity.copy(),
                       DataType.FLOAT64)
     if name == "coalesce":
@@ -579,6 +577,19 @@ def _eval_scalar_function(expr: ast.FuncCall, relation: Relation,
         years = dates.astype("datetime64[Y]").astype(np.int64) + 1970
         return Vector(years, args[0].validity.copy(), DataType.INT64)
     raise SqlAnalysisError(f"unknown function {expr.name!r}")
+
+
+def _round_scale(arg: ast.Expr) -> int:
+    """``round``'s scale, read off its literal (so zero input rows need
+    no value of it): a number, or a negated one."""
+    sign = 1
+    if isinstance(arg, ast.UnaryOp) and arg.op == "-":
+        sign, arg = -1, arg.operand
+    if isinstance(arg, ast.Literal) and \
+            isinstance(arg.value, (int, float)) and \
+            not isinstance(arg.value, bool):
+        return sign * int(arg.value)
+    raise SqlAnalysisError("round's scale must be a numeric constant")
 
 
 def _expect_args(expr: ast.FuncCall, args: List[Vector], count: int) -> None:

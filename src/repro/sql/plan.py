@@ -45,7 +45,6 @@ one way: AST → plan → executor.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, replace
 from typing import (
     Any,
@@ -273,20 +272,6 @@ def classify_join(join: ast.Join, left: Scope, right: Scope) -> JoinPlan:
 # ----------------------------------------------------------------------
 # OR factoring and implied predicates
 # ----------------------------------------------------------------------
-def _shape(node: Any) -> Any:
-    """A key equal for structurally equal expressions. Literals compare
-    by type too: the dataclasses' own ``==`` holds ``Literal(1) ==
-    Literal(1.0) == Literal(True)``, and those evaluate differently."""
-    if isinstance(node, ast.Literal):
-        return (ast.Literal, type(node.value), node.value)
-    if isinstance(node, tuple):
-        return tuple(_shape(item) for item in node)
-    if dataclasses.is_dataclass(node):
-        return (type(node),) + tuple(_shape(getattr(node, f.name))
-                                     for f in dataclasses.fields(node))
-    return (type(node), node)
-
-
 def _factored(conjunct: ast.Expr) -> List[ast.Expr]:
     """``conjunct`` as conjuncts with the OR's common part pulled out:
     ``(a AND x) OR (a AND y)`` is ``a``, ``x OR y``, and ``a OR (a AND
@@ -295,7 +280,8 @@ def _factored(conjunct: ast.Expr) -> List[ast.Expr]:
     disjuncts = _split_disjuncts(conjunct)
     if len(disjuncts) < 2:
         return [conjunct]
-    terms = [[(_shape(c), c) for c in split_conjuncts(d)] for d in disjuncts]
+    terms = [[(ast.shape(c), c) for c in split_conjuncts(d)]
+             for d in disjuncts]
     common_keys = set.intersection(*({key for key, _ in t} for t in terms))
     if not common_keys:
         return [conjunct]
@@ -544,14 +530,18 @@ def _is_window(expr: ast.Expr) -> bool:
 def _find(exprs: Sequence[ast.Expr],
           wanted: Callable[[ast.Expr], bool]) -> List[ast.Expr]:
     """The distinct outermost sub-expressions satisfying ``wanted``, in
-    first-appearance order. Window functions are not looked into (their
-    arguments belong to the window operator), subquery bodies are
+    first-appearance order, told apart by :class:`ast.Exact` (``sum(x + 1)``
+    and ``sum(x + 1.0)`` are two). Window functions are not looked into
+    (their arguments belong to the window operator), subquery bodies are
     separate statements."""
     out: List[ast.Expr] = []
+    seen = set()
 
     def visit(node: ast.Expr) -> None:
         if wanted(node):
-            if node not in out:
+            key = ast.Exact(node)
+            if key not in seen:
+                seen.add(key)
                 out.append(node)
         elif not isinstance(node, ast.WindowFunc):
             for child in ast.children(node):
@@ -563,11 +553,14 @@ def _find(exprs: Sequence[ast.Expr],
 
 
 def _substitute(expr: ast.Expr,
-                mapping: Mapping[ast.Expr, ast.Expr]) -> ast.Expr:
+                mapping: Mapping[ast.Exact, ast.Expr]) -> ast.Expr:
+    """``expr`` with every sub-expression that is (by :class:`ast.Exact`)
+    a key of ``mapping`` replaced by its value."""
     if not mapping:
         return expr
-    if expr in mapping:
-        return mapping[expr]
+    replaced = mapping.get(ast.Exact(expr))
+    if replaced is not None:
+        return replaced
     return ast.map_children(expr, lambda e: _substitute(e, mapping))
 
 
@@ -601,7 +594,8 @@ def plan_statement(stmt: ast.SelectStmt, catalog: Optional[Catalog],
 
     exprs = [item.expr for item in stmt.items]
     order = [s.expr for s in stmt.order_by]
-    mapping: Dict[ast.Expr, ast.Expr] = {}
+    # Keyed by ast.Exact: literals that differ only in type stay apart.
+    mapping: Dict[ast.Exact, ast.Expr] = {}
     having = [] if stmt.having is None else [stmt.having]
     calls = _find(exprs + order, _is_window)
     if stmt.group_by or _find(exprs + having, _is_aggregate):
@@ -610,8 +604,8 @@ def plan_statement(stmt: ast.SelectStmt, catalog: Optional[Catalog],
                 "window functions combined with GROUP BY are not supported")
         aggregates = _find(exprs + having + order, _is_aggregate)
         for i, key in enumerate(stmt.group_by):
-            mapping[key] = ast.ColumnRef(f"__group_{i}")
-        mapping.update((agg, ast.ColumnRef(f"__agg_{i}"))
+            mapping[ast.Exact(key)] = ast.ColumnRef(f"__group_{i}")
+        mapping.update((ast.Exact(agg), ast.ColumnRef(f"__agg_{i}"))
                        for i, agg in enumerate(aggregates))
         node = AggregateNode(
             node, tuple(planned(e) for e in stmt.group_by),
@@ -628,7 +622,7 @@ def plan_statement(stmt: ast.SelectStmt, catalog: Optional[Catalog],
                     raise SqlAnalysisError(
                         f"unknown window name {window!r}")
                 window = named[window.lower()]
-            mapping[call] = ast.ColumnRef(f"__wout_{i}")
+            mapping[ast.Exact(call)] = ast.ColumnRef(f"__wout_{i}")
             resolved.append((replace(call, func=planned(call.func)),
                              ast.map_children(window, planned)))
         demand = None if stmt.distinct or stmt.order_by else stmt.limit

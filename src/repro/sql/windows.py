@@ -52,23 +52,25 @@ class WindowBuilder:
         self.relation = relation
         self.ctx = ctx
         self.columns: List[Tuple[str, Vector]] = []
-        self._cache: Dict[ast.Expr, str] = {}
+        self._cache: Dict[ast.Exact, str] = {}
 
     def _column_for(self, expr: ast.Expr) -> str:
-        if expr in self._cache:
-            return self._cache[expr]
+        # ``x + 1`` and ``x + 1.0`` are two columns.
+        key = ast.Exact(expr)
+        if key in self._cache:
+            return self._cache[key]
         if isinstance(expr, ast.ColumnRef):
             index = self.relation.resolve(expr.name, expr.table)
             if index is not None:
                 # reuse the physical column directly
                 name = f"__in_{len(self.columns)}"
                 self.columns.append((name, self.relation.column(index)))
-                self._cache[expr] = name
+                self._cache[key] = name
                 return name
         vector = evaluate(expr, self.relation, self.ctx)
         name = f"__in_{len(self.columns)}"
         self.columns.append((name, vector))
-        self._cache[expr] = name
+        self._cache[key] = name
         return name
 
     def _order_items(self,

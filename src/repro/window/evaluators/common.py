@@ -171,6 +171,32 @@ class CallInput:
         _, positions = self.part.probes.select(levels, k, key_lo, key_hi)
         return self.kept_rows[positions]
 
+    def in_frame_order(self) -> bool:
+        """Whether the function order is the window ORDER BY the group
+        is sorted by (or there is none): a stable sort then keeps every
+        row in place, so the kept permutation is the identity."""
+        def spelled(items):
+            return [(item.column, item.descending,
+                     item.resolved_nulls_last()) for item in items]
+        order_by = self.call.order_by
+        return not order_by or \
+            spelled(order_by) == spelled(self.part.window_order)
+
+    def frame_select(self, k: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """:meth:`select` when :meth:`in_frame_order` holds, with no
+        tree: the pieces are ascending and disjoint, so the ``k``-th
+        kept row of a frame lies ``k`` minus the sizes before it into
+        one."""
+        at = np.zeros(len(rows), dtype=np.int64)
+        before = np.zeros(len(rows), dtype=np.int64)
+        for lo, hi in self.pieces_f:
+            lo, hi = lo[rows], hi[rows]
+            size = np.maximum(hi - lo, 0)
+            inside = (k >= before) & (k < before + size)
+            at = np.where(inside, lo + k - before, at)
+            before += size
+        return self.kept_rows[at]
+
     def hole_only(self, prev: np.ndarray,
                   admit: Optional[Callable[[np.ndarray, np.ndarray],
                                            np.ndarray]] = None

@@ -16,7 +16,7 @@ no tree is built.
 from __future__ import annotations
 
 import datetime
-from typing import Any, List
+from typing import Any, List, Tuple
 
 import numpy as np
 
@@ -42,47 +42,29 @@ def _default(call: WindowCall) -> Any:
     return call.default
 
 
-def _in_frame_order(call: WindowCall, part: PartitionView) -> bool:
-    """Whether the function order is the window ORDER BY the group is
-    sorted by (or there is none): a stable sort then keeps every row in
-    place."""
-    def spelled(items):
-        return [(item.column, item.descending, item.resolved_nulls_last())
-                for item in items]
-    return not call.order_by or \
-        spelled(call.order_by) == spelled(part.window_order)
-
-
 def _function_positions(inputs: CallInput, tree: MergeSortTree,
-                        sort_columns: List[SortColumn]) -> np.ndarray:
+                        sort_columns: List[SortColumn]
+                        ) -> Tuple[np.ndarray, np.ndarray]:
     """Per answered row: the kept rows sorting strictly before it in
-    function order (stable, so ties go by group position)."""
+    function order (stable, so ties go by group position) — its slab
+    position in the tree. And the answered rows in that order, the
+    order whose descents walk the tree's paths left to right."""
     rows = inputs.part.rows
+    perm = tree.levels.keys[0]
     if inputs.keep.all():
         # Every row is kept: that is the row's place in the kept
-        # permutation the tree was built from.
-        return inverse_permutation(tree.levels.keys[0])[rows]
-    n = inputs.part.n
-    full_order = stable_argsort(sort_columns, n)
-    kept_prefix = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(inputs.keep[full_order], out=kept_prefix[1:])
-    return kept_prefix[inverse_permutation(full_order)[rows]]
-
-
-def _piece_select(inputs: CallInput, k: np.ndarray,
-                  rows: np.ndarray) -> np.ndarray:
-    """For each of ``rows``: the filtered position of the ``k``-th kept
-    row of its frame in frame order — the pieces are ascending and
-    disjoint, so it lies ``k`` minus the sizes before it into one."""
-    out = np.zeros(len(rows), dtype=np.int64)
-    before = np.zeros(len(rows), dtype=np.int64)
-    for lo, hi in inputs.pieces_f:
-        lo, hi = lo[rows], hi[rows]
-        size = np.maximum(hi - lo, 0)
-        inside = (k >= before) & (k < before + size)
-        out = np.where(inside, lo + k - before, out)
-        before += size
-    return out
+        # permutation the tree was built from, and when every row is
+        # answered the permutation itself lists them in that order.
+        own_slab = inverse_permutation(perm)[rows]
+        if len(rows) == inputs.part.n:
+            return own_slab, perm.astype(np.int64)
+    else:
+        n = inputs.part.n
+        full_order = stable_argsort(sort_columns, n)
+        kept_prefix = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(inputs.keep[full_order], out=kept_prefix[1:])
+        own_slab = kept_prefix[inverse_permutation(full_order)[rows]]
+    return own_slab, np.argsort(own_slab, kind="stable")
 
 
 def evaluate(call: WindowCall, part: PartitionView) -> Result:
@@ -90,7 +72,9 @@ def evaluate(call: WindowCall, part: PartitionView) -> Result:
     if call.algorithm == "naive":
         return _evaluate_naive(call, part, inputs)
 
-    in_frame_order = _in_frame_order(call, part)
+    in_frame_order = inputs.in_frame_order()
+    # The answered rows in the order their probes run; None: as they are.
+    order = None
     if in_frame_order:
         # Function order is frame order, so the kept permutation is the
         # identity and both probes reduce to arithmetic on the pieces:
@@ -108,26 +92,31 @@ def evaluate(call: WindowCall, part: PartitionView) -> Result:
             extra=inputs.function_order_signature())
         # Step 1: the row's insertion position among kept rows in
         # function order, a slab-prefix count on the permutation tree.
-        own_slab = _function_positions(inputs, tree, sort_columns)
-        rank0 = np.zeros(len(own_slab), dtype=np.int64)
+        # The rows probe in slab order, so consecutive descents share
+        # their paths and every level's gathers stay local.
+        own_slab, order = _function_positions(inputs, tree, sort_columns)
+        own_slab = own_slab[order]
+        zeros = np.zeros(len(order), dtype=np.int64)
+        rank0 = np.zeros(len(order), dtype=np.int64)
         for lo, hi in inputs.pieces_f:
-            rank0 += part.probes.count(tree.levels,
-                                       np.zeros(len(own_slab),
-                                                dtype=np.int64),
-                                       own_slab, key_hi=hi, key_lo=lo)
+            rank0 += part.probes.count(tree.levels, zeros, own_slab,
+                                       key_hi=hi[order], key_lo=lo[order])
 
     # Step 2: apply the offset.
     signed = call.offset if call.function == "lead" else -call.offset
     targets = rank0 + signed
     counts = frame_sizes(inputs.pieces_f)
-    idx = np.flatnonzero((targets >= 0) & (targets < counts))
+    if order is not None:
+        counts = counts[order]
+    found = np.flatnonzero((targets >= 0) & (targets < counts))
+    idx = found if order is None else order[found]
 
     # Steps 3 + 4: select and read the argument (or the default).
     values, validity = inputs.argument()
     if in_frame_order:
-        at = inputs.kept_rows[_piece_select(inputs, targets[idx], idx)]
+        at = inputs.frame_select(targets[found], idx)
     else:
-        at = inputs.select(tree.levels, targets[idx], idx)
+        at = inputs.select(tree.levels, targets[found], idx)
     default = _default(call)
     out = np.full(len(part.rows), 0 if default is None else default,
                   dtype=result_dtype(call, part))

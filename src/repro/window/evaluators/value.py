@@ -5,7 +5,10 @@ Value functions are the k-th-qualifying selects of the percentile
 machinery with fixed k: 0 for FIRST_VALUE, size-1 for LAST_VALUE, n-1
 (or size-n with FROM LAST) for NTH_VALUE. The function-level ORDER BY
 defaults to the frame order, which recovers the classic SQL semantics;
-IGNORE NULLS drops NULL argument rows before the tree is built.
+IGNORE NULLS drops NULL argument rows before the tree is built. In
+frame order the kept permutation is the identity, and the select is
+arithmetic on the frame's pieces with no tree
+(:meth:`~repro.window.evaluators.common.CallInput.frame_select`).
 """
 
 from __future__ import annotations
@@ -46,15 +49,19 @@ def evaluate(call: WindowCall, part: PartitionView) -> Result:
     if call.algorithm == "naive":
         return _evaluate_naive(call, part, inputs, ks)
 
-    tree = inputs.structure(
-        "mst:perm",
-        lambda: MergeSortTree(
-            inputs.kept_permutation(inputs.function_sort_columns()),
-            fanout=_TREE_FANOUT),
-        extra=inputs.function_order_signature())
     values, validity = inputs.argument()
     idx = np.flatnonzero((ks >= 0) & (ks < counts))
-    at = inputs.select(tree.levels, ks[idx], idx)
+    if inputs.in_frame_order():
+        # The kept permutation is the identity: no tree.
+        at = inputs.frame_select(ks[idx], idx)
+    else:
+        tree = inputs.structure(
+            "mst:perm",
+            lambda: MergeSortTree(
+                inputs.kept_permutation(inputs.function_sort_columns()),
+                fanout=_TREE_FANOUT),
+            extra=inputs.function_order_signature())
+        at = inputs.select(tree.levels, ks[idx], idx)
     out = np.zeros(len(part.rows), dtype=values.dtype)
     valid = np.zeros(len(part.rows), dtype=np.bool_)
     out[idx] = values[at]

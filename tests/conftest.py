@@ -38,8 +38,20 @@ def window_table():
 
 # ----------------------------------------------------------------------
 # lock-step oracles for the cascaded kernels: they read each level's
-# keys, never its bridges
+# keys, recomputed from level 0, never its bridges
 # ----------------------------------------------------------------------
+def level_keys(levels):
+    """Every level's keys of the tree ``levels``, recomputed from level
+    0 alone: level ``L`` is each aligned run of ``fanout**L`` entries of
+    level 0 sorted stably by (key, position). A tree keeps only level 0,
+    and this never reads its bridges."""
+    keys = np.asarray(levels.keys[0])
+    positions = np.arange(len(keys))
+    return [keys[np.lexsort((positions, keys,
+                             positions // levels.fanout ** level))]
+            for level in range(levels.height)]
+
+
 def covering_runs(fanout, height, lo, hi):
     """Yield ``(level, run_start, run_stop, mask)`` batches that cover
     every query's ``[lo, hi)`` (``0 <= lo``, ``hi <= n``) with whole,
@@ -100,9 +112,10 @@ def lockstep_count(levels, lo, hi, key_hi, key_lo=None):
     ``[key_lo, key_hi)`` (``key_lo`` omitted: unbounded below), one
     binary search per covering run."""
     total = np.zeros(len(lo), dtype=np.int64)
+    sorted_levels = level_keys(levels)
     for level, run_lo, run_hi, mask in covering_runs(
             levels.fanout, levels.height, lo, hi):
-        keys = levels.keys[level]
+        keys = sorted_levels[level]
         idx = np.flatnonzero(mask)
         start, stop = run_lo[idx], run_hi[idx]
         upper = lockstep_lower_bound(keys, start, stop, key_hi[idx])

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import level_keys
 from repro.mst.aggregates import MAX, MIN, SUM
 from repro.mst.build import (
+    DEFAULT_SAMPLE_EVERY,
     _bridge_from_sources,
     _bridged_merges,
     _new_levels,
@@ -22,23 +24,53 @@ generated = settings(deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
 
 
+def _decoded_levels(levels):
+    """Every level of the tree rebuilt through its bridges, one entry at
+    a time: position ``p`` of level ``L`` took the next entry of the
+    child whose count rises between ``p`` and ``p + 1``."""
+    fanout, n = levels.fanout, levels.n
+    out = [np.asarray(levels.keys[0])]
+    for level in range(1, levels.height):
+        below = out[-1]
+        child_len = fanout ** (level - 1)
+        keys = np.empty_like(below)
+        for p in range(n):
+            slab = p - p % (child_len * fanout)
+
+            def counts(pos):
+                return [0] + [int(levels.consumed(level, c, pos))
+                              for c in range(fanout - 1)] + [pos]
+            before, after = counts(p), counts(p + 1)
+            child = next(c for c in range(fanout)
+                         if after[c + 1] - after[c] > before[c + 1] - before[c])
+            taken = before[child + 1] - before[child] - slab // fanout
+            keys[p] = below[slab + child * child_len + taken]
+        out.append(keys)
+    return out
+
+
 def _assert_levels_valid(levels, keys):
+    """The bridges decode to the levels recomputed from the input alone
+    (``level_keys``: each run sorted stably), whose runs are sorted and
+    whose top is the sorted input; the top-level counts count it."""
     n = len(keys)
     assert np.array_equal(levels.keys[0], keys)
-    for level in range(levels.height):
-        arr = levels.keys[level]
-        assert len(arr) == n
+    recomputed = level_keys(levels)
+    decoded = _decoded_levels(levels)
+    assert len(recomputed) == len(decoded) == levels.height
+    for level, (ours, theirs) in enumerate(zip(decoded, recomputed)):
+        assert np.array_equal(ours, theirs), level
         run = levels.fanout ** level
         for start in range(0, n, run):
-            stop = min(start + run, n)
-            segment = arr[start:stop]
+            segment = theirs[start:min(start + run, n)]
             assert np.all(segment[:-1] <= segment[1:]), \
-                f"run [{start},{stop}) at level {level} not sorted"
-        # each level is a permutation of the input
-        assert sorted(arr.tolist()) == sorted(keys.tolist())
-    # top level fully sorted
-    top = levels.keys[-1]
-    assert np.all(top[:-1] <= top[1:])
+                f"run at {start} of level {level} not sorted"
+    top = recomputed[-1]
+    assert top.tolist() == sorted(keys.tolist())
+    thresholds = np.arange(int(keys.min(initial=0)) - 2,
+                           int(keys.max(initial=0)) + 3)
+    assert np.array_equal(levels.top.below(thresholds),
+                          np.searchsorted(top, thresholds))
 
 
 @pytest.mark.parametrize("builder", [build_levels_numpy, build_levels_scalar])
@@ -64,12 +96,16 @@ def test_builders_produce_identical_levels_and_bridges(rng):
         for k in (1, 4, 16, 256):
             a = build_levels_numpy(keys, fanout=fanout, sample_every=k)
             b = build_levels_scalar(keys, fanout=fanout, sample_every=k)
-            for la, lb in zip(a.keys, b.keys):
-                assert np.array_equal(la, lb)
+            assert len(a.keys) == len(b.keys) == 1
+            assert np.array_equal(a.keys[0], b.keys[0])
+            assert np.array_equal(a.top.table, b.top.table)
             for ours, theirs in ((a.anchors, b.anchors),
                                  (a.bridges, b.bridges)):
                 assert ours[0] is None and theirs[0] is None
                 for ba, bb in zip(ours[1:], theirs[1:]):
+                    if k == 1 and ours is a.anchors:
+                        assert ba is None and bb is None
+                        continue
                     assert ba.dtype == bb.dtype
                     assert np.array_equal(ba, bb)
 
@@ -86,13 +122,19 @@ def test_bridges_are_consumed_counts(rng):
 
 def _check_consumed_counts(levels):
     fanout, k = levels.fanout, levels.sample_every
+    recomputed = level_keys(levels)
     for level in range(1, levels.height):
         child_len = fanout ** (level - 1)
         parent_len = child_len * fanout
         anchors, bridge = levels.anchors[level], levels.bridges[level]
-        assert bridge.dtype == np.uint8
         assert bridge.shape == (fanout - 1, levels.n + 1)
-        assert anchors.shape == (fanout - 1, -(-(levels.n + 1) // k))
+        if k == 1:
+            # The bridge is the count; there is no anchor.
+            assert bridge.dtype == choose_index_dtype(levels.n + 1)
+            assert anchors is None
+        else:
+            assert bridge.dtype == np.uint8
+            assert anchors.shape == (fanout - 1, -(-(levels.n + 1) // k))
         taken = [0] * fanout
         for slab_start in range(0, levels.n, parent_len):
             slab_stop = min(slab_start + parent_len, levels.n)
@@ -101,7 +143,7 @@ def _check_consumed_counts(levels):
             for c in range(fanout):
                 lo = slab_start + c * child_len
                 hi = min(lo + child_len, slab_stop)
-                children.append(list(levels.keys[level - 1][lo:hi])
+                children.append(list(recomputed[level - 1][lo:hi])
                                 if lo < hi else [])
             heads = [0] * fanout
             for out_pos in range(slab_start, slab_stop + 1):
@@ -109,8 +151,9 @@ def _check_consumed_counts(levels):
                     want = sum(taken[:c + 1])
                     assert levels.consumed(level, c, out_pos) == want, \
                         (level, out_pos, c)
-                    assert anchors[c, out_pos // k] + bridge[c, out_pos] \
-                        == want
+                    stored = bridge[c, out_pos] if k == 1 else \
+                        anchors[c, out_pos // k] + bridge[c, out_pos]
+                    assert stored == want
                 if out_pos == slab_stop:
                     break
                 best = min(
@@ -171,7 +214,11 @@ def test_keys_far_below_zero_keep_their_values():
     levels = build_levels_numpy(keys)
     assert levels.keys[0].dtype == np.int64
     assert levels.keys[0].tolist() == keys.tolist()
-    assert levels.keys[-1].tolist() == sorted(keys.tolist())
+    # Keys this sparse keep their sorted top level and search it.
+    assert levels.top.low is None
+    assert levels.top.table.tolist() == sorted(keys.tolist())
+    assert levels.top.below(np.array([-(2 ** 40), 1, 2 ** 41])).tolist() \
+        == [0, 3, 4]
 
 
 # ----------------------------------------------------------------------
@@ -194,7 +241,6 @@ def _lexsort_levels(keys, fanout, sample_every, aggregate=None,
         step_order = np.lexsort((current, slabs))
         current = current[step_order]
         order = step_order if order is None else order[step_order]
-        levels.keys.append(current)
         anchors, bridge = _bridge_from_sources(
             step_order - slabs * parent_len, child_len, fanout,
             sample_every)
@@ -209,6 +255,9 @@ def _lexsort_levels(keys, fanout, sample_every, aggregate=None,
 def _assert_same_bits(ours, theirs):
     assert (ours.fanout, ours.sample_every) == \
         (theirs.fanout, theirs.sample_every)
+    assert ours.top.low == theirs.top.low
+    assert ours.top.table.dtype == theirs.top.table.dtype
+    assert ours.top.table.tobytes() == theirs.top.table.tobytes()
     for field in ("keys", "anchors", "bridges", "agg_prefix"):
         mine, other = getattr(ours, field), getattr(theirs, field)
         assert len(mine) == len(other), field
@@ -274,7 +323,8 @@ def test_prefix_annotations_match_lexsort_and_scalar(keys, fanout, spec,
     payload[rng.random(n) < 0.1] = -0.0
     ours = build_levels_numpy(keys, fanout=fanout, aggregate=spec,
                               payload=payload)
-    _assert_same_bits(ours, _lexsort_levels(keys, fanout, 256, spec,
+    _assert_same_bits(ours, _lexsort_levels(keys, fanout,
+                                            DEFAULT_SAMPLE_EVERY, spec,
                                             payload))
     _assert_same_bits(ours, build_levels_scalar(
         keys, fanout=fanout, aggregate=spec, payload=payload))
@@ -286,7 +336,7 @@ def test_codes_overflow_path_matches_lexsort(fanout, rng):
     keys = rng.choice(np.array([-(2 ** 62), 0, 2 ** 62]), size=97) \
         + rng.integers(0, 3, size=97)
     _assert_same_bits(build_levels_numpy(keys, fanout=fanout),
-                      _lexsort_levels(keys, fanout, 256))
+                      _lexsort_levels(keys, fanout, DEFAULT_SAMPLE_EVERY))
 
 
 @pytest.mark.parametrize("fanout", [2, 3, 4])
@@ -294,7 +344,7 @@ def test_height_caps_the_levels(fanout, rng):
     """The merges of a capped height (the DENSE_RANK index's inner
     trees) are the full tree's lower levels and bridges."""
     keys = rng.integers(0, 20, size=70)
-    full = build_levels_numpy(keys, fanout=fanout)
+    full = build_levels_numpy(keys, fanout=fanout, sample_every=256)
     for height in range(1, full.height + 1):
         capped = list(_bridged_merges(keys, fanout, height, 256))
         assert [level for level, *_ in capped] == list(range(1, height))

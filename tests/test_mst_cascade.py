@@ -4,10 +4,11 @@ replaced.
 ``lockstep_count`` and ``_lockstep_*`` below are the batched count /
 select / aggregate the package shipped before the kernels read the
 cascading bridges: they peel each query's covering runs bottom-up and
-binary-search inside every run, all queries in lock step. The peel and
-the in-run search are ``covering_runs`` and ``lockstep_lower_bound`` in
-``conftest.py``. They read no bridge, so they are an independent
-reference for the cascaded descent. Results must be equal array for
+binary-search inside every run, all queries in lock step. The peel, the
+in-run search and the levels they search (each run of level 0 sorted
+stably) are ``covering_runs``, ``lockstep_lower_bound`` and
+``level_keys`` in ``conftest.py``. They read no bridge and no top-level
+count, so they are an independent reference for the cascaded descent. Results must be equal array for
 array — float bits included, since the aggregate adds its runs'
 contributions in the peel's order.
 """
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import covering_runs, lockstep_count
+from conftest import covering_runs, level_keys, lockstep_count
 from conftest import lockstep_lower_bound as _lockstep_lower_bound
 from repro.mst import MAX, MIN, SUM, MergeSortTree
 from repro.mst.vectorized import (
@@ -44,12 +45,13 @@ _IDENTITY = {"sum": 0.0, "min": np.inf, "max": -np.inf}
 
 def _lockstep_aggregate(levels, lo, hi, key_hi, kind):
     total = np.full(len(lo), _IDENTITY[kind], dtype=np.float64)
+    sorted_levels = level_keys(levels)
     for level, run_lo, run_hi, mask in covering_runs(
             levels.fanout, levels.height, lo, hi):
         prefix = np.asarray(levels.agg_prefix[level])
         idx = np.flatnonzero(mask)
         start = run_lo[idx]
-        bound = _lockstep_lower_bound(levels.keys[level], start,
+        bound = _lockstep_lower_bound(sorted_levels[level], start,
                                       run_hi[idx], key_hi[idx])
         has = bound > start
         contrib = prefix[np.where(has, bound - 1, 0)]
@@ -69,8 +71,9 @@ def _lockstep_select(levels, k, key_lo, key_hi):
     key_lo = np.atleast_2d(key_lo)
     key_hi = np.maximum(np.atleast_2d(key_hi), key_lo)
     slab_start = np.zeros(m, dtype=np.int64)
+    sorted_levels = level_keys(levels)
     for level in range(levels.height - 1, 0, -1):
-        keys = levels.keys[level - 1]
+        keys = sorted_levels[level - 1]
         child_len = fanout ** (level - 1)
         decided = np.zeros(m, dtype=np.bool_)
         for c in range(fanout - 1):
@@ -237,8 +240,9 @@ def test_check_invariants_rejects_one_corrupted_bridge_entry(fanout, k):
     tree.check_invariants()
     for _ in range(25):
         level = int(rng.integers(1, tree.height))
-        arrays = tree.levels.bridges if rng.random() < 0.8 \
-            else tree.levels.anchors
+        # At k = 1 the bridge is the count and there is no anchor.
+        arrays = tree.levels.anchors if k > 1 and rng.random() >= 0.8 \
+            else tree.levels.bridges
         array = arrays[level]
         column = int(rng.integers(0, fanout - 1))
         at = int(rng.integers(0, array.shape[1]))

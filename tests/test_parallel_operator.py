@@ -157,7 +157,9 @@ def test_unpartitioned_group_is_intra_and_identical():
 
 
 @pytest.mark.parametrize("call,exclusion", [
-    (WindowCall("nth_value", ["x"], nth=3), FrameExclusion.CURRENT_ROW),
+    # A function ORDER BY: in frame order nth_value needs no tree.
+    (WindowCall("nth_value", ["x"], nth=3, order_by=(OrderItem("y"),)),
+     FrameExclusion.CURRENT_ROW),
     (WindowCall("lead", ["y"], order_by=(OrderItem("y"),)),
      FrameExclusion.NO_OTHERS),
 ])

@@ -6,12 +6,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cache import structure_breakdown
-from repro.mst.build import DEFAULT_SAMPLE_EVERY
+from repro.mst.build import choose_index_dtype
 from repro.mst.decompose import num_levels
 from repro.mst.stats import dense_rank_index_bytes
 from repro.mst.vectorized import BLOCK_ROWS
 from repro.preprocess.occurrences import previous_occurrence
 from repro.rangetree import DenseRankIndex
+from repro.rangetree.dense import SAMPLE_EVERY
 
 
 def _oracle_distinct_below(keys, lo, hi, threshold):
@@ -81,13 +82,16 @@ class TestDenseRankIndex:
     @pytest.mark.parametrize("fanout", [2, 3, 4])
     @pytest.mark.parametrize("n", [0, 1, 2, 9, 27, 64, 100, 60_000])
     def test_memory_bytes_predicted_exactly(self, fanout, n, rng):
-        """``dense_rank_index_bytes`` needs only (n, f, k): keys count as
-        levels, every anchor and offset as pointers."""
-        index = DenseRankIndex(rng.integers(0, 50, size=n), fanout=fanout)
+        """``dense_rank_index_bytes`` needs only (n, f, k) for dense rank
+        keys, the index's input: ``prev`` and the two key-count tables
+        count as levels, every anchor and offset as pointers."""
+        keys = np.unique(rng.integers(0, 50, size=n), return_inverse=True)[1]
+        index = DenseRankIndex(keys, fanout=fanout)
         breakdown = structure_breakdown(index)
-        assert dense_rank_index_bytes(n, fanout, DEFAULT_SAMPLE_EVERY) == \
+        assert dense_rank_index_bytes(n, fanout, SAMPLE_EVERY) == \
             index.memory_bytes() == breakdown.total
-        assert breakdown.levels == n * (8 + 2 * index.prev.itemsize)
+        assert breakdown.levels == n * index.prev.itemsize + \
+            2 * (n + 1) * choose_index_dtype(n + 1).itemsize
         assert breakdown.prefixes == breakdown.other == 0
 
     @pytest.mark.parametrize("fanout", [2, 3, 4])
@@ -104,7 +108,12 @@ class TestDenseRankIndex:
             [level + 1 for level in range(height)]
         assert not any(tree.keys for tree in index.trees())
         assert np.array_equal(index.prev, previous_occurrence(keys))
-        assert np.array_equal(index.sorted_keys, np.sort(keys))
+        thresholds = np.arange(-2, 9)
+        assert np.array_equal(index.key_counts.below(thresholds),
+                              np.searchsorted(np.sort(keys), thresholds))
+        assert np.array_equal(
+            index.prev_counts.below(thresholds),
+            np.searchsorted(np.sort(index.prev), thresholds))
 
     @pytest.mark.parametrize("fanout", [2, 3, 4])
     def test_frames_that_are_one_aligned_outer_run(self, fanout, rng):

@@ -6,7 +6,7 @@ import datetime
 import pytest
 
 from repro.errors import SqlAnalysisError
-from repro.sql import Catalog, execute
+from repro.sql import Catalog, ast, execute
 from repro.table import DataType, Table
 
 
@@ -61,6 +61,73 @@ class TestScalarFunctions:
     def test_round_default_digits(self, catalog):
         out = execute("select round(f) from t where i = 3", catalog)
         assert out.row(0) == (2.0,)
+
+    def test_round_over_zero_rows(self, catalog):
+        """The scale comes from the literal, not from the (empty) rows."""
+        out = execute("select round(f, 2), round(f, -1) from t "
+                      "where i > 100", catalog)
+        assert out.num_rows == 0
+        assert [c.dtype for c in out.columns] == [DataType.FLOAT64] * 2
+        out = execute("select round(f, -1) from t where i = 3", catalog)
+        assert out.row(0) == (0.0,)
+
+    def test_round_scale_must_be_a_constant(self, catalog):
+        with pytest.raises(SqlAnalysisError, match="scale"):
+            execute("select round(f, i) from t", catalog)
+        with pytest.raises(SqlAnalysisError, match="scale"):
+            execute("select round(f, i) from t where i > 100", catalog)
+
+
+class TestLiteralTypesKeepTheirOwnColumns:
+    """Expressions that differ only in a literal's type (``1``, ``1.0``,
+    ``TRUE``) are different expressions: the planner gives each its own
+    output column."""
+
+    def test_aggregates(self, catalog):
+        out = execute("select sum(i + 1) as a, sum(i + 1.0) as b from t",
+                      catalog)
+        assert out.row(0) == (9, 9.0)
+        assert [c.dtype for c in out.columns] == \
+            [DataType.INT64, DataType.FLOAT64]
+
+    def test_window_calls(self, catalog):
+        out = execute("select sum(i + 1) over w as a, "
+                      "sum(i + 1.0) over w as b from t "
+                      "window w as (order by i nulls first) order by i",
+                      catalog)
+        assert [c.dtype for c in out.columns] == \
+            [DataType.INT64, DataType.FLOAT64]
+        assert out.column("a").to_list() == [2, 5, 9, None]
+        assert out.column("b").to_list() == [2.0, 5.0, 9.0, None]
+
+    def test_true_against_one(self, catalog):
+        out = execute("select min(1) as a, min(true) as b from t", catalog)
+        assert out.row(0) == (1, True)
+        assert [c.dtype for c in out.columns] == \
+            [DataType.INT64, DataType.BOOL]
+        out = execute("select first_value(1) over w as a, "
+                      "first_value(true) over w as b from t "
+                      "window w as (order by i)", catalog)
+        assert [c.dtype for c in out.columns] == \
+            [DataType.INT64, DataType.BOOL]
+        assert out.row(0) == (1, True)
+
+    def test_exact_key_tells_literal_types_apart(self):
+        keys = {ast.Exact(ast.Literal(v)): type(v).__name__
+                for v in (1, 1.0, True)}
+        assert len(keys) == 3
+        # A separately built equal copy finds its entry.
+        assert keys[ast.Exact(ast.Literal(1.0))] == "float"
+        sum_x = ast.FuncCall("sum", (ast.ColumnRef("x"),))
+        assert ast.Exact(sum_x) == \
+            ast.Exact(ast.FuncCall("sum", (ast.ColumnRef("x"),)))
+
+    def test_equal_copies_share_one_column(self, catalog):
+        out = execute("select sum(i + 1.0) as a from t "
+                      "having sum(i + 1.0) > 0 order by sum(i + 1.0)",
+                      catalog)
+        assert out.row(0) == (9.0,)
+        assert [c.dtype for c in out.columns] == [DataType.FLOAT64]
 
 
 class TestEdgeCases:

@@ -87,12 +87,20 @@ def test_healthy_structures_pass():
 
 
 def test_corrupt_mst_is_rejected_naming_the_level():
+    # A tree keeps level 0, its bridges and the top-level key counts;
+    # one corrupted entry in any of them is caught, by level.
     tree = _mst()
-    # Break the top level's sortedness/permutation invariant: one key
-    # silently off by one.
-    tree.levels.keys[-1][0] = tree.levels.keys[-1][1] + 1
-    with pytest.raises(ValueError, match=f"level {tree.height - 1} "
-                                         "not sorted"):
+    # One input key silently off: its bridges no longer merge it.
+    tree.levels.keys[0][0] = tree.levels.keys[0][1] + 1
+    with pytest.raises(ValueError, match="level 1 not sorted"):
+        tree.check_invariants()
+    tree = _mst()
+    tree.levels.bridges[2][1, 40] += 1
+    with pytest.raises(ValueError, match="level 2 bridge"):
+        tree.check_invariants()
+    tree = _mst()
+    tree.levels.top.table[10] += 1
+    with pytest.raises(ValueError, match="top-level key counts"):
         tree.check_invariants()
 
 
