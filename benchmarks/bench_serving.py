@@ -110,7 +110,7 @@ def test_serving_load(rows):
     # ------------------------------------------------------------------
     # Stage 1: p50/p99 vs concurrent clients, ample gateway.
     # ------------------------------------------------------------------
-    config = SessionConfig(max_concurrent=8, max_queue=32, workers=1)
+    config = SessionConfig(max_concurrent=8, max_queue=32)
     session = Session(Catalog({"lineitem": lineitem(rows)}),
                       config=config)
     service = QueryService(session, own_session=True)
@@ -142,7 +142,7 @@ def test_serving_load(rows):
     # batch while the service sheds the rest.
     # ------------------------------------------------------------------
     config = SessionConfig(max_concurrent=1, max_queue=1,
-                           queue_timeout=0.05, workers=1)
+                           queue_timeout=0.05)
     session = Session(Catalog({"lineitem": lineitem(rows)}),
                       config=config)
     tenants = TenantRegistry(

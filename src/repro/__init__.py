@@ -37,7 +37,6 @@ or, below SQL, against the window operator directly::
 from repro.errors import (
     ExecutionError,
     FrameError,
-    ParallelExecutionError,
     ReproError,
     SchemaError,
     SqlAnalysisError,
@@ -92,7 +91,6 @@ __all__ = [
     "MemoryModel",
     "MergeSortTree",
     "MetricsRegistry",
-    "ParallelExecutionError",
     "QueryOptions",
     "QueryResult",
     "QueryStats",

@@ -16,8 +16,11 @@ model is calibrated so the merge sort tree's simulated peak matches the
 paper's ~9.5 M tuples/s on the 20-core machine, making relative shapes
 (crossovers, plateaus) directly comparable to Figures 10-12. DESIGN.md
 documents this substitution. Nothing on the query path imports this
-module; measured multicore numbers come from the real process pool of
-:mod:`repro.parallel`.
+module, and the engine has no multicore executor to measure against:
+window groups evaluate serially, because a process pool fanning their
+probes measured slower than serial on a 2-core machine (×1.20–1.28
+warm). These modelled figures are the reproduction's only account of
+the paper's parallel claims.
 
 Operation counts follow the algorithms' published complexities
 (Table 1), decomposed into a perfectly-parallel build portion and

@@ -7,8 +7,6 @@ still being able to distinguish the individual failure modes.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 
 class ReproError(Exception):
     """Base class for all errors raised by this library.
@@ -67,13 +65,24 @@ class SqlError(ReproError):
 
 
 class SqlSyntaxError(SqlError):
-    """The SQL text could not be tokenized or parsed."""
+    """The SQL text could not be tokenized or parsed; ``position`` is
+    the character offset of the fault (-1 when unknown)."""
 
     code = "SQL_SYNTAX"
 
     def __init__(self, message: str, position: int = -1) -> None:
         super().__init__(message)
         self.position = position
+
+    def locate(self, sql: str) -> "SqlSyntaxError":
+        """Append ``at line L, column C`` (both 1-based) for
+        ``position`` in ``sql`` to the message; returns ``self``."""
+        if 0 <= self.position <= len(sql):
+            line = sql.count("\n", 0, self.position) + 1
+            column = self.position - sql.rfind("\n", 0, self.position)
+            self.args = (f"{self.args[0]} at line {line}, "
+                         f"column {column}",)
+        return self
 
 
 class SqlAnalysisError(SqlError):
@@ -103,68 +112,6 @@ class ExecutionError(ReproError):
     """A runtime failure while executing a query plan."""
 
     code = "EXECUTION"
-
-
-class ParallelExecutionError(ExecutionError):
-    """A worker task failed on the worker pool.
-
-    Carries the failing ``[lo, hi)`` task slice and chains the original
-    worker exception as ``__cause__``. When several workers failed before
-    the pool could be drained, ``failures`` lists every collected
-    per-slice error (the primary one included); otherwise it holds just
-    the primary error.
-
-    ``failures`` is always *flat*: when pools nest (a scheduler morsel
-    task that itself fanned probes over a pool), any entry that is
-    itself a multi-failure ``ParallelExecutionError`` is expanded into
-    its per-slice leaf errors rather than kept as a wrapper around a
-    list — one exception, one flat list of worker failures."""
-
-    code = "PARALLEL_EXECUTION"
-
-    def __init__(self, lo: int, hi: int, cause: BaseException,
-                 failures: "Optional[List[ParallelExecutionError]]" = None
-                 ) -> None:
-        flat = flatten_parallel_failures(failures) if failures else None
-        extra = ""
-        if flat is not None and len(flat) > 1:
-            extra = f" (+{len(flat) - 1} more worker failure(s))"
-        super().__init__(
-            f"worker failed on task slice [{lo}, {hi}): "
-            f"{type(cause).__name__}: {cause}{extra}")
-        self.lo = lo
-        self.hi = hi
-        self.failures: List[BaseException] = flat if flat else [self]
-
-
-def flatten_parallel_failures(
-        failures: "List[BaseException]") -> "List[BaseException]":
-    """Flatten nested :class:`ParallelExecutionError` failure lists.
-
-    Wrapper errors (a multi-failure error whose ``failures`` holds other
-    errors) contribute their leaves; leaf errors (``failures == [self]``)
-    and non-parallel exceptions pass through. Duplicates arising from a
-    leaf being both a primary and a list member are dropped, preserving
-    first-seen order."""
-    flat: "List[BaseException]" = []
-    seen = set()
-
-    def add(exc: BaseException) -> None:
-        if isinstance(exc, ParallelExecutionError):
-            for inner in exc.failures:
-                if inner is exc:
-                    if id(inner) not in seen:
-                        seen.add(id(inner))
-                        flat.append(inner)
-                else:
-                    add(inner)
-        elif id(exc) not in seen:
-            seen.add(id(exc))
-            flat.append(exc)
-
-    for exc in failures:
-        add(exc)
-    return flat
 
 
 class ResilienceError(ExecutionError):
@@ -268,10 +215,9 @@ class CircuitOpenError(ResilienceError):
     """A circuit breaker is open for the named resource.
 
     Raised *instead of* attempting the protected operation (a structure
-    build, a dispatch to the worker pool) after repeated failures
-    tripped the breaker. Callers treat it like the underlying failure
-    it stands in for: structure builds degrade to the baseline
-    evaluator, window groups run serial instead of on the pool.
+    build) after repeated failures tripped the breaker. Callers treat
+    it like the underlying failure it stands in for: the build degrades
+    to the baseline evaluator.
     """
 
     code = "CIRCUIT_OPEN"
@@ -282,20 +228,6 @@ class CircuitOpenError(ResilienceError):
             f"(retry after {retry_after:.3g}s)")
         self.resource = resource
         self.retry_after = retry_after
-
-
-class WorkerPoolError(ResilienceError):
-    """The supervised process worker pool is broken.
-
-    Raised by :class:`~repro.parallel.procpool.ProcessPool` when its
-    spawn budget is exhausted with no live workers and work still
-    pending (workers keep dying faster than the bounded
-    restart-with-backoff can replace them), or when a closed pool is
-    asked to run. The window operator treats it as a degradation
-    signal — record against the ``worker.pool`` circuit breaker, fall
-    back to the serial kernels — not a query failure."""
-
-    code = "WORKER_POOL"
 
 
 class VerificationError(ResilienceError):

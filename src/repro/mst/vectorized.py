@@ -234,7 +234,7 @@ def batched_count(levels: TreeLevels, lo: np.ndarray, hi: np.ndarray,
     return counts[0] - counts[1] if key_lo is not None else counts[0]
 
 
-#: The built-in aggregates by name, as the probe workers receive them.
+#: The built-in aggregates by name.
 _BUILTIN = {spec.name: spec for spec in (SUM, COUNT, MIN, MAX)}
 
 #: Ufunc and empty-input value of the aggregates with numeric prefixes.
@@ -262,12 +262,6 @@ def _combiner(levels: TreeLevels, kind: Union[str, AggregateSpec]):
     return combine, identity, np.result_type(prefix_dtype, identity)
 
 
-def aggregate_dtype(levels: TreeLevels,
-                    kind: Union[str, AggregateSpec]) -> np.dtype:
-    """The dtype :func:`batched_aggregate` returns for ``levels``."""
-    return _combiner(levels, kind)[2]
-
-
 def batched_aggregate(levels: TreeLevels, lo: np.ndarray, hi: np.ndarray,
                       key_hi: np.ndarray,
                       kind: Union[str, AggregateSpec]) -> np.ndarray:
@@ -276,8 +270,8 @@ def batched_aggregate(levels: TreeLevels, lo: np.ndarray, hi: np.ndarray,
     vectorised). States are not finalized.
 
     ``kind`` is the tree's :class:`~repro.mst.aggregates.AggregateSpec`,
-    or the name of a built-in one (``sum``, ``count``, ``min``, ``max``),
-    as the probe workers receive it. Numeric prefixes combine with the
+    or the name of a built-in one (``sum``, ``count``, ``min``,
+    ``max``). Numeric prefixes combine with the
     aggregate's ufunc into the prefix dtype (float64 for ``min`` /
     ``max``); an empty input gives 0, or ``±inf`` for ``min``/``max``,
     which callers map back to NULL. Object prefixes (AVG, UDAFs) combine

@@ -8,7 +8,7 @@ Sessions keep one :class:`MetricsRegistry` fed from two directions:
 * **pull** — collector callbacks registered with
   :meth:`MetricsRegistry.add_collector` run at scrape time and mirror
   the live component stats (cache bytes / hit ratio, breaker states,
-  gateway occupancy, scheduler decisions) into gauges and counters, so
+  gateway occupancy, memory ledger) into gauges and counters, so
   the scrape always reflects the current session state without the
   components knowing the registry exists.
 

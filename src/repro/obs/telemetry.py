@@ -1,20 +1,20 @@
-"""Per-query scalar telemetry: cache, queue and scheduler counts.
+"""Per-query scalar telemetry: cache and queue counts.
 
 Where :mod:`repro.obs.trace` records *when* things happened,
 :class:`QueryTelemetry` records *how many* — cheap enough to stay on
 even when tracing is off. One instance rides on every
-:class:`~repro.resilience.context.ExecutionContext`; the cache store,
-gateway and scheduler increment it through
-``current_context().telemetry``, and
-:class:`~repro.sql.result.QueryStats` snapshots it when the query
-returns. Counters take a small lock because morsel tasks on pool
-threads share the query's context.
+:class:`~repro.resilience.context.ExecutionContext`; the cache store
+and the gateway increment it through ``current_context().telemetry``,
+and :class:`~repro.sql.result.QueryStats` snapshots it when the query
+returns. Counters take a small lock because the ambient context (and
+so its telemetry) is shared by every thread that runs outside a
+query.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 __all__ = ["QueryTelemetry"]
 
@@ -23,7 +23,7 @@ class QueryTelemetry:
     """Thread-safe per-query counters (see module docstring)."""
 
     __slots__ = ("_lock", "cache_hits", "cache_misses", "structure_builds",
-                 "queue_wait_seconds", "morsels", "strategies")
+                 "queue_wait_seconds")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -31,9 +31,6 @@ class QueryTelemetry:
         self.cache_misses = 0
         self.structure_builds = 0
         self.queue_wait_seconds = 0.0
-        self.morsels = 0
-        #: Per window group, the scheduler strategy chosen (in order).
-        self.strategies: List[str] = []
 
     # ------------------------------------------------------------------
     # increments (called from the instrumented layers)
@@ -54,14 +51,6 @@ class QueryTelemetry:
         with self._lock:
             self.queue_wait_seconds += max(float(seconds), 0.0)
 
-    def add_morsels(self, count: int) -> None:
-        with self._lock:
-            self.morsels += int(count)
-
-    def record_strategy(self, strategy: str) -> None:
-        with self._lock:
-            self.strategies.append(strategy)
-
     # ------------------------------------------------------------------
     # export
     # ------------------------------------------------------------------
@@ -78,6 +67,4 @@ class QueryTelemetry:
                 "structure_builds": self.structure_builds,
                 "structure_reuses": self.cache_hits,
                 "queue_wait_seconds": self.queue_wait_seconds,
-                "morsels": self.morsels,
-                "strategies": list(self.strategies),
             }

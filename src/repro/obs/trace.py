@@ -4,10 +4,9 @@ A :class:`Tracer` travels on the query's
 :class:`~repro.resilience.context.ExecutionContext` and records one
 :class:`Span` per instrumented phase — ``gateway.wait``, ``parse``,
 ``plan``, ``partition``, ``window.group``, ``structure.build`` /
-``structure.reuse`` (per cache key), ``probe`` (per evaluator call),
-``worker.pool`` — each carrying
-wall-clock start/duration, the recording thread, and free-form
-attributes (row counts, byte counts, cache keys, strategies).
+``structure.reuse`` (per cache key), ``probe`` (per evaluator call) —
+each carrying wall-clock start/duration, the recording thread, and
+free-form attributes (row counts, byte counts, cache keys).
 
 Design constraints, in order:
 
@@ -16,7 +15,7 @@ Design constraints, in order:
   paths guard with ``if tracer.enabled`` so a disabled query pays one
   attribute test per instrumentation point — the same discipline as
   :meth:`~repro.resilience.context.ExecutionContext.checkpoint`.
-* **Thread-correct.** Spans opened on a pool worker (morsel tasks)
+* **Thread-correct.** Spans opened on another thread (a serving pool thread)
   carry that worker's thread ordinal and attach to the span that was
   current on the *submitting* thread when a parent is supplied, or to
   the root otherwise. Parenting state is thread-local; the span tree

@@ -1,15 +1,14 @@
-"""Per-resource circuit breakers around structure builds and the worker pool.
+"""Per-resource circuit breakers around structure builds.
 
 A long-lived serving process under concurrent traffic must not let a
 failing backend (a full disk, a poisoned build path) drag every query
 through the same slow failure: after ``failure_threshold`` consecutive
 failures a :class:`CircuitBreaker` *trips* and subsequent calls fail
 fast with a typed :class:`~repro.errors.CircuitOpenError` instead of
-attempting the operation. Because every protected resource has a
+attempting the operation. Because the protected resource has a
 degraded alternative — structure builds fall back to the baseline
-evaluators, window groups run serial instead of on a broken worker
-pool — an open breaker reroutes work, it never fails a query on its
-own.
+evaluators — an open breaker reroutes work, it never fails a query on
+its own.
 
 State machine (the classic three states):
 
@@ -204,9 +203,9 @@ class CircuitBreaker:
 class BreakerRegistry:
     """The session's breakers, one per protected resource, lazily made.
 
-    The wired resources are ``structure.build`` (matching the
-    fault-injection site of the same name) and ``worker.pool``;
-    :meth:`get` creates others on demand with the registry's defaults
+    The wired resource is ``structure.build`` (matching the
+    fault-injection site of the same name); :meth:`get` creates others
+    on demand with the registry's defaults
     so new seams need no registration step.
     """
 

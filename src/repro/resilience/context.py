@@ -5,7 +5,7 @@ the process: every query runs under an :class:`ExecutionContext` that
 carries a deadline (on a pluggable, simulatable clock), a cooperative
 :class:`CancellationToken`, per-query :class:`ResourceLimits` and a
 :class:`~repro.resilience.faults.FaultInjector`. The executor, the
-window operator, every evaluator loop and every thread-pool worker call
+window operator and every evaluator loop call
 :meth:`ExecutionContext.checkpoint` at batch boundaries; an expired
 deadline or a set token surfaces as a typed
 :class:`~repro.errors.QueryTimeoutError` /
@@ -120,11 +120,6 @@ class HealthCounters:
     breaker_short_circuits: int = 0  # calls rejected by an open breaker
     verifications: int = 0          # shadow checks run
     verification_failures: int = 0  # checks that found divergence
-    worker_crashes: int = 0         # pool workers that died or hung
-    worker_restarts: int = 0        # pool workers respawned
-    morsel_retries: int = 0         # morsels re-queued after a crash
-    morsels_quarantined: int = 0    # morsels handed to the degraded path
-    arena_evictions: int = 0        # shm-arena entries evicted (pressure)
     downgrades: List[str] = field(default_factory=list)
 
     def merge(self, other: "HealthCounters") -> None:
@@ -140,11 +135,6 @@ class HealthCounters:
         self.breaker_short_circuits += other.breaker_short_circuits
         self.verifications += other.verifications
         self.verification_failures += other.verification_failures
-        self.worker_crashes += other.worker_crashes
-        self.worker_restarts += other.worker_restarts
-        self.morsel_retries += other.morsel_retries
-        self.morsels_quarantined += other.morsels_quarantined
-        self.arena_evictions += other.arena_evictions
         for entry in other.downgrades:
             if entry not in self.downgrades:
                 self.downgrades.append(entry)
@@ -161,9 +151,7 @@ class HealthCounters:
                     or self.fallbacks or self.faults
                     or self.limit_hits or self.shed or self.breaker_trips
                     or self.breaker_short_circuits
-                    or self.verification_failures
-                    or self.worker_crashes or self.morsel_retries
-                    or self.morsels_quarantined or self.arena_evictions)
+                    or self.verification_failures)
 
     def render(self) -> List[str]:
         """Human-readable lines for ``EXPLAIN`` / session stats."""
@@ -184,15 +172,6 @@ class HealthCounters:
             lines.append(
                 f"verifications={self.verifications} "
                 f"verification_failures={self.verification_failures}")
-        if self.worker_crashes or self.worker_restarts \
-                or self.morsel_retries or self.morsels_quarantined:
-            lines.append(
-                f"worker_crashes={self.worker_crashes} "
-                f"worker_restarts={self.worker_restarts} "
-                f"morsel_retries={self.morsel_retries} "
-                f"morsels_quarantined={self.morsels_quarantined}")
-        if self.arena_evictions:
-            lines.append(f"arena_evictions={self.arena_evictions}")
         for entry in self.downgrades:
             lines.append(f"fallback: {entry}")
         return lines
@@ -243,7 +222,7 @@ class ExecutionContext:
         #: the shared no-op :data:`~repro.obs.trace.NULL_TRACER` when
         #: tracing is off, so hot paths guard with ``tracer.enabled``.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Per-query scalar counters (cache, queue, scheduler);
+        #: Per-query scalar counters (cache, queue);
         #: always live — cheap enough to never turn off.
         self.telemetry = QueryTelemetry()
         self._refresh_armed()

@@ -2,8 +2,8 @@
 
 Failure handling is only trustworthy when the failures themselves are
 reproducible: this module lets tests (and chaos-style benchmarks) arm
-named *sites* in the execution stack — structure builds, parallel
-workers, admission, memory reservations — with an exact schedule of
+named *sites* in the execution stack — structure builds, admission,
+memory reservations, joins, CTEs — with an exact schedule of
 exceptions. A site fires on specific call numbers, so a test can say
 "the first two structure builds fail, the third succeeds" and get the
 same run every time.
@@ -12,8 +12,6 @@ Sites currently wired into the engine:
 
 * ``structure.build`` — around every index-structure build routed
   through :meth:`repro.window.evaluators.common.CallInput.structure`;
-* ``parallel.morsel`` — before every morsel or probe-range task the
-  :class:`~repro.parallel.procpool.ProcessPool` dispatches;
 * ``gateway.admit``  — on every admission attempt at the
   :class:`~repro.resilience.gateway.QueryGateway`;
 * ``circuit.probe``  — on every half-open probe a
@@ -21,17 +19,6 @@ Sites currently wired into the engine:
   can fail the recovery path deterministically;
 * ``memory.reserve`` — on every byte-reservation attempt at the
   :class:`~repro.resilience.memory.MemoryGovernor`;
-* ``worker.spawn``   — before every process-pool worker spawn attempt
-  (:class:`~repro.parallel.procpool.ProcessPool`), so restart budgets
-  and the pool-broken degradation can be exercised deterministically;
-* ``worker.heartbeat`` — on every watchdog liveness check of a busy
-  pool worker; an injected fault is treated as a dead heartbeat (the
-  worker is killed and its task retried);
-* ``worker.retry``   — before a morsel lost to a worker crash is
-  re-queued; an injected fault quarantines the morsel instead;
-* ``shm.attach``     — before every shared-memory segment creation in
-  :class:`~repro.parallel.shm.ShmArena`, so shared-memory setup can be
-  failed like a full ``/dev/shm``;
 * ``join.build``     — before every hash join in the SQL executor
   (fired by the plan driver as it enters the node), so a join nested
   under other joins unwinds their reservations under injected failure;
@@ -57,12 +44,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
-
-
-def _default_exception(site: str) -> Exception:
-    if site.startswith("shm."):
-        return OSError(f"injected I/O fault at {site!r}")
-    return RuntimeError(f"injected fault at {site!r}")
 
 
 @dataclass
@@ -133,7 +114,8 @@ class FaultInjector:
                 return
             plan.fired += 1
             factory = plan.exception
-        raise factory() if factory is not None else _default_exception(site)
+        raise factory() if factory is not None \
+            else RuntimeError(f"injected fault at {site!r}")
 
     def fired(self, site: str) -> int:
         """How many times ``site`` has actually raised."""
@@ -152,9 +134,8 @@ class FaultInjector:
 NO_FAULTS = FaultInjector()
 
 _KNOWN_SITES = frozenset({
-    "structure.build", "parallel.morsel", "gateway.admit",
-    "circuit.probe", "memory.reserve", "worker.spawn", "worker.heartbeat",
-    "worker.retry", "shm.attach", "join.build", "cte.materialize",
+    "structure.build", "gateway.admit", "circuit.probe",
+    "memory.reserve", "join.build", "cte.materialize",
 })
 
 

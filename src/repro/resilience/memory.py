@@ -22,12 +22,7 @@ hope, and one oversized window query could OOM a multi-tenant process.
 * **guards** — a single structure larger than the whole session budget
   raises :class:`~repro.errors.MemoryPressureError` from the build
   guard, which rides the existing ``FALLBACK_ERRORS`` ladder down to
-  the naive evaluator instead of failing the query;
-* **headroom advice** — the window scheduler asks
-  :meth:`exceeds_headroom` whether a group's estimated working set fits
-  the current headroom and runs the group serial, in memory, when it
-  does not — no inputs or second result buffer copied into shared
-  memory for worker processes.
+  the naive evaluator instead of failing the query.
 
 A budget moves nothing to disk: an evicted index structure is dropped
 from the structure cache and rebuilt on its next use, which costs less
@@ -37,7 +32,6 @@ The degradation ladder under pressure, best outcome first::
 
     fits in budget        -> run in memory (fast paths, cached trees)
     cache over budget     -> evict LRU trees; rebuild on next use
-    group exceeds headroom-> serial, in memory
     structure > budget    -> naive evaluators
     batch reservation wait
       expires             -> shed with MemoryPressureError (503)
@@ -196,7 +190,6 @@ class MemoryGovernor:
         self._peak = 0
         self._by_tag: Dict[str, int] = {}
         self._stats = MemoryStats(budget_bytes=budget_bytes)
-        self._reclaimers: List[Any] = []
 
     # ------------------------------------------------------------------
     # ledger state
@@ -275,10 +268,6 @@ class MemoryGovernor:
         deadline = clock.monotonic() + budget
         waited = False
         while True:
-            # Reclaimable bytes (e.g. unpinned shm-arena entries) are
-            # evicted before a batch query waits or is shed: cached
-            # warm-start state is always worth less than admitting work.
-            self._try_reclaim(nbytes)
             with self._lock:
                 if self._used + nbytes <= self.budget:
                     self._grant_locked(nbytes, tag)
@@ -332,34 +321,6 @@ class MemoryGovernor:
                 self._by_tag.pop(tag, None)
             self._stats.releases += 1
 
-    def add_reclaimer(self, fn: Any) -> None:
-        """Register ``fn(shortfall_bytes) -> freed_bytes``.
-
-        Reclaimers are components holding evictable bytes (the shm
-        table arena); hard reservations call them — oldest registration
-        first — before parking or shedding, so a session sheds queries
-        only once nothing cheaper is left to give back."""
-        with self._lock:
-            self._reclaimers.append(fn)
-
-    def _try_reclaim(self, nbytes: int) -> int:
-        with self._lock:
-            if self.budget is None or not self._reclaimers:
-                return 0
-            shortfall = self._used + nbytes - self.budget
-            reclaimers = list(self._reclaimers)
-        if shortfall <= 0:
-            return 0
-        freed = 0
-        for fn in reclaimers:
-            try:
-                freed += int(fn(shortfall - freed) or 0)
-            except Exception:  # pragma: no cover - reclaimer bug
-                pass
-            if freed >= shortfall:
-                break
-        return freed
-
     # ------------------------------------------------------------------
     # charges (caches — never refused, they evict to repay)
     # ------------------------------------------------------------------
@@ -386,7 +347,7 @@ class MemoryGovernor:
                 self._by_tag.pop(tag, None)
 
     # ------------------------------------------------------------------
-    # guards and advice
+    # guards
     # ------------------------------------------------------------------
     def guard_structure(self, kind: str, nbytes: int) -> None:
         """Refuse a single structure larger than the whole budget.
@@ -404,12 +365,6 @@ class MemoryGovernor:
             f"structure {kind!r} of {nbytes:,} bytes exceeds the "
             f"session memory budget of {self.budget:,} bytes",
             requested=nbytes, available=self.budget)
-
-    def exceeds_headroom(self, estimated_bytes: int) -> bool:
-        """Whether a window group of ``estimated_bytes`` working set is
-        larger than the current headroom (never, without a budget)."""
-        available = self.available()
-        return available is not None and estimated_bytes > available
 
     def note_pressure(self) -> None:
         """Record one pressure event from a component that degraded."""

@@ -1,8 +1,8 @@
 """``repro.serve`` — a multi-tenant asyncio query service.
 
 The network front for the engine's existing below-the-wire machinery:
-priority admission with shedding, deadlines/cancellation, morsel
-parallelism, Prometheus exposition, and the typed
+priority admission with shedding, deadlines/cancellation, Prometheus
+exposition, and the typed
 ``SessionConfig``/``QueryResult`` API. Stdlib asyncio only — no new
 runtime dependencies.
 

@@ -2,7 +2,9 @@
 
 Engine configuration comes from ``REPRO_*`` environment variables via
 :meth:`~repro.sql.config.SessionConfig.from_env` (budget, gateway
-sizing, workers, tracing...); serving knobs are flags. Without
+sizing, tracing...); serving knobs are flags. Window groups evaluate
+serially on the service's pool threads, so concurrency comes from the
+gateway admitting several queries at once. Without
 ``--tenants`` every tenant runs under the default policy; the JSON
 file maps tenant ids to policies::
 

@@ -201,7 +201,6 @@ class QueryService:
         breakers = self.session.breakers.snapshots()
         open_breakers = [b.name for b in breakers if b.state == "open"]
         status = "degraded" if open_breakers else "ok"
-        arena = self.session.parallel.arena_stats()
         return {
             "status": status,
             "gateway": {
@@ -216,8 +215,6 @@ class QueryService:
             "tenants": [t.to_dict() for t in self.tenants.stats()],
             "plan_cache": self.session.plan_cache.stats().to_dict(),
             "memory": self.session.memory.stats().to_dict(),
-            "workers": to_jsonable(self.session.parallel.worker_stats()),
-            "arena": arena.to_dict() if arena is not None else None,
         }
 
     # ------------------------------------------------------------------

@@ -3,7 +3,7 @@
 :class:`SessionConfig` gathers what used to be 16 loose
 :class:`~repro.sql.session.Session` keyword arguments — cache sizing,
 guardrail defaults, gateway admission, breaker tuning, verification
-sampling, worker count — plus the observability switches, into one
+sampling — plus the observability switches, into one
 frozen dataclass that validates at construction. A bad combination
 (negative timeout, unknown priority, a shadow-verification rate
 outside [0, 1]) raises :class:`~repro.errors.ConfigurationError` before any
@@ -91,14 +91,6 @@ class SessionConfig:
     * gateway: ``max_concurrent``, ``max_queue``, ``queue_timeout``;
     * breakers: ``breaker_threshold``, ``breaker_reset``;
     * verification: ``verify_rate``, ``verify_seed``;
-    * parallelism: ``workers`` (``None`` → ``REPRO_WORKERS``, 1 when
-      unset; 1 is serial, 2 or more fan large groups' probes over
-      that many supervised child processes, degrading per group to
-      serial) and ``arena_bytes`` (byte budget of the
-      session-lifetime shared-memory table arena that warm-starts
-      repeat queries on the worker processes; ``None`` →
-      ``REPRO_ARENA_BYTES``, unlimited when unset, ``0`` caches
-      nothing);
     * testing: ``faults``, ``clock``;
     * observability: ``trace`` (``None`` → ``REPRO_TRACE``), ``metrics``,
       ``trace_max_spans``.
@@ -118,8 +110,6 @@ class SessionConfig:
     breaker_reset: float = 30.0
     verify_rate: float = 0.0
     verify_seed: int = 0
-    workers: Optional[int] = None
-    arena_bytes: Optional[int] = None
     trace: Optional[bool] = None
     metrics: bool = True
     trace_max_spans: int = 10_000
@@ -152,10 +142,6 @@ class SessionConfig:
         _require(0.0 <= self.verify_rate <= 1.0,
                  f"verify_rate must be within [0, 1], "
                  f"got {self.verify_rate}")
-        _require(self.workers is None or self.workers >= 1,
-                 f"workers must be >= 1, got {self.workers}")
-        _require(self.arena_bytes is None or self.arena_bytes >= 0,
-                 f"arena_bytes must be >= 0, got {self.arena_bytes}")
         _require(self.trace_max_spans >= 1,
                  f"trace_max_spans must be >= 1, "
                  f"got {self.trace_max_spans}")
@@ -170,8 +156,8 @@ class SessionConfig:
         ``REPRO_MAX_CONCURRENT``, ``REPRO_MAX_QUEUE``,
         ``REPRO_QUEUE_TIMEOUT``, ``REPRO_BREAKER_THRESHOLD``,
         ``REPRO_BREAKER_RESET``,
-        ``REPRO_VERIFY_RATE``, ``REPRO_VERIFY_SEED``, ``REPRO_WORKERS``,
-        ``REPRO_ARENA_BYTES``, ``REPRO_TRACE``, ``REPRO_METRICS``. Unset
+        ``REPRO_VERIFY_RATE``, ``REPRO_VERIFY_SEED``, ``REPRO_TRACE``,
+        ``REPRO_METRICS``. Unset
         variables keep their defaults; explicit ``**overrides`` win
         over the environment.
         """
@@ -193,8 +179,6 @@ class SessionConfig:
         put("breaker_reset", _env_float(env, "REPRO_BREAKER_RESET"))
         put("verify_rate", _env_float(env, "REPRO_VERIFY_RATE"))
         put("verify_seed", _env_int(env, "REPRO_VERIFY_SEED"))
-        put("workers", _env_int(env, "REPRO_WORKERS"))
-        put("arena_bytes", _env_int(env, "REPRO_ARENA_BYTES"))
         put("trace", _env_bool(env, "REPRO_TRACE"))
         put("metrics", _env_bool(env, "REPRO_METRICS"))
         values.update(overrides)
@@ -208,8 +192,7 @@ def resolve_memory_budget(config: "SessionConfig") -> Optional[int]:
     """The effective memory budget for a session.
 
     An explicit ``memory_budget_bytes`` wins; unset, it falls back to
-    the ``REPRO_MEMORY_BUDGET`` environment variable (mirroring how
-    ``workers=None`` defers to ``REPRO_WORKERS``), so a CI leg can put
+    the ``REPRO_MEMORY_BUDGET`` environment variable, so a CI leg can put
     the whole suite under a tight budget without touching every test."""
     if config.memory_budget_bytes is not None:
         return config.memory_budget_bytes

@@ -59,8 +59,7 @@ from repro.window.operator import WindowOperator
 # ----------------------------------------------------------------------
 def execute(sql_or_ast: Union[str, ast.SelectStmt], catalog: Catalog,
             cache: Any = None,
-            context: Optional[ExecutionContext] = None,
-            parallel: Any = None) -> Table:
+            context: Optional[ExecutionContext] = None) -> Table:
     """Execute a SELECT statement and return the result table.
 
     ``cache`` is an optional :class:`repro.cache.StructureCache`; window
@@ -68,27 +67,21 @@ def execute(sql_or_ast: Union[str, ast.SelectStmt], catalog: Catalog,
     unchanged data reuse their trees (see
     :class:`~repro.sql.session.Session`).
 
-    ``parallel`` is an optional
-    :class:`~repro.parallel.scheduler.WindowScheduler` governing
-    morsel-driven window evaluation; without one the process-wide
-    default (sized by ``REPRO_WORKERS``, serial when unset) is used.
-
     ``context`` is an optional
     :class:`~repro.resilience.context.ExecutionContext` carrying the
     query's deadline, cancellation token, resource limits and fault
     injector. It is installed as the calling thread's active context for
     the duration of the query, so every layer below — the plan driver,
-    the window operator, evaluator loops, thread-pool workers —
+    the window operator, evaluator loops —
     checkpoints against it without parameter plumbing. Without one, the
     query runs under the current (usually ambient, unarmed) context.
     """
-    return execute_plan(sql_or_ast, catalog, cache, context, parallel)[0]
+    return execute_plan(sql_or_ast, catalog, cache, context)[0]
 
 
 def execute_plan(sql_or_ast: Union[str, ast.SelectStmt], catalog: Catalog,
                  cache: Any = None,
-                 context: Optional[ExecutionContext] = None,
-                 parallel: Any = None
+                 context: Optional[ExecutionContext] = None
                  ) -> Tuple[Table, plan.StatementPlan, Dict[int, Any]]:
     """:func:`execute`, also returning the plan that ran and, when the
     query was traced, each plan node's span (keyed by ``id(node)``)."""
@@ -102,22 +95,21 @@ def execute_plan(sql_or_ast: Union[str, ast.SelectStmt], catalog: Catalog,
     try:
         if context is None:
             return _plan_and_run(sql_or_ast, catalog, cache,
-                                 current_context(), parallel)
+                                 current_context())
         with activate(context):
             context.checkpoint()
-            return _plan_and_run(sql_or_ast, catalog, cache, context,
-                                 parallel)
+            return _plan_and_run(sql_or_ast, catalog, cache, context)
     finally:
         if own_tracer is not None:
             own_tracer.finish()
 
 
 def _plan_and_run(sql_or_ast: Union[str, ast.SelectStmt], catalog: Catalog,
-                  cache: Any, exec_ctx: ExecutionContext, parallel: Any
+                  cache: Any, exec_ctx: ExecutionContext
                   ) -> Tuple[Table, plan.StatementPlan, Dict[int, Any]]:
     stmt = _parse_traced(sql_or_ast, exec_ctx)
     statement = plan.plan_statement(stmt, catalog)
-    ctx = Context(catalog, exec_ctx, cache, parallel)
+    ctx = Context(catalog, exec_ctx, cache)
     relation = run_statement(statement, ctx)
     return (_relation_to_table(relation, statement.names), statement,
             ctx.actuals)
@@ -436,8 +428,7 @@ def _window(node: plan.WindowNode, ctx: Context) -> Relation:
     if node.rows is not None:
         demand = np.arange(min(node.rows, relation.n), dtype=np.int64)
         relation = relation.take(demand)
-    operator = WindowOperator(table, cache=ctx.cache, parallel=ctx.parallel,
-                              rows=demand)
+    operator = WindowOperator(table, cache=ctx.cache, rows=demand)
     for call, spec in calls:
         operator.add(call, spec)
     result = operator.run()

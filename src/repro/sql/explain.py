@@ -22,7 +22,7 @@ from repro.sql.parser import parse
 def explain(sql_or_ast: Union[str, ast.SelectStmt],
             cache: Any = None, health: Any = None,
             gateway: Any = None, breakers: Any = None,
-            parallel: Any = None, analysis: Any = None,
+            analysis: Any = None,
             plan_cache: Any = None, memory: Any = None,
             catalog: Any = None) -> str:
     """Render the execution plan of a SELECT statement as a tree.
@@ -47,20 +47,13 @@ def explain(sql_or_ast: Union[str, ast.SelectStmt],
     traffic, so admission behaviour and breaker states under concurrent
     load are observable next to the plan.
 
-    ``parallel`` (a :class:`~repro.parallel.scheduler.WindowScheduler`)
-    adds a ``Parallelism`` section — worker count and, per recently
-    scheduled window group, the chosen strategy (serial /
-    intra-partition, the probe fan), morsel count, and the reason a
-    group stayed serial — so the scheduler's real decisions are
-    inspectable, not just its configuration.
-
     ``analysis`` (a :class:`~repro.sql.result.QueryResult` from an
     actual execution, as produced by ``Session.explain(sql,
     analyze=True)``) turns the rendering into EXPLAIN ANALYZE: plan
     nodes are annotated with that execution's actual row counts and
     wall times, and an ``Execution (actual)`` section summarises the
-    per-phase timings, cache build/reuse counts and scheduler decisions
-    recorded by the query's trace.
+    per-phase timings and cache build/reuse counts recorded by the
+    query's trace.
 
     ``catalog`` (a :class:`~repro.sql.catalog.Catalog`) plans the
     statement against real table scopes, so equi-keyed inner/left
@@ -113,14 +106,6 @@ def explain(sql_or_ast: Union[str, ast.SelectStmt],
         # golden EXPLAIN outputs of ordinary queries stay unchanged.
         if stats.eventful:
             lines.append("Memory")
-            for line in stats.render():
-                lines.append("  " + line)
-    if parallel is not None:
-        stats = parallel.stats()
-        # A workers=1 scheduler never parallelises anything; omit the
-        # section rather than print a page of "serial — workers=1".
-        if stats.workers > 1:
-            lines.append("Parallelism")
             for line in stats.render():
                 lines.append("  " + line)
     if analysis is not None:

@@ -260,7 +260,6 @@ class Context:
     catalog: Catalog
     exec: ExecutionContext
     cache: Any = None  # optional repro.cache.StructureCache
-    parallel: Any = None  # optional repro.parallel.scheduler.WindowScheduler
     ctes: Dict[str, Relation] = field(default_factory=dict)
     outer: Optional[OuterRow] = None
     actuals: Dict[int, Any] = field(default_factory=dict)

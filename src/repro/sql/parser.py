@@ -10,11 +10,15 @@ from repro.sql.lexer import Token, parse_date, parse_interval, tokenize
 
 
 def parse(sql: str) -> ast.SelectStmt:
-    """Parse one SELECT statement."""
-    parser = _Parser(tokenize(sql))
-    stmt = parser.parse_select()
-    parser.accept_symbol(";")
-    parser.expect_end()
+    """Parse one SELECT statement. A :class:`SqlSyntaxError` from the
+    lexer or the parser says where in ``sql`` it arose."""
+    try:
+        parser = _Parser(tokenize(sql))
+        stmt = parser.parse_select()
+        parser.accept_symbol(";")
+        parser.expect_end()
+    except SqlSyntaxError as exc:
+        raise exc.locate(sql)
     return stmt
 
 

@@ -564,6 +564,64 @@ def _substitute(expr: ast.Expr,
     return ast.map_children(expr, lambda e: _substitute(e, mapping))
 
 
+def _spellings(key: ast.Expr, scope: Optional[Scope]) -> List[ast.Expr]:
+    """``key`` and, for a column ``scope`` resolves unambiguously both
+    bare and qualified, its other spelling: ``GROUP BY x`` also groups
+    ``t.x``, and ``GROUP BY t.x`` also ``x``."""
+    out = [key]
+    if isinstance(key, ast.ColumnRef) and scope is not None \
+            and scope.matches(key.name, key.table) == 1:
+        qualifier = next(qual for qual, col in scope.bindings
+                         if col == key.name
+                         and key.table in (None, qual))
+        if scope.matches(key.name, None) == 1 and qualifier is not None:
+            other = ast.ColumnRef(key.name,
+                                  None if key.table else qualifier)
+            out.append(other)
+    return out
+
+
+def _check_grouped(exprs: Sequence[ast.Expr],
+                   mapping: Mapping[ast.Exact, ast.Expr],
+                   scope: Scope) -> None:
+    """Reject a grouped statement's SELECT item or HAVING clause that
+    reads an input column outside every GROUP BY key and aggregate
+    (the ``mapping`` keys), naming the outermost such sub-expression:
+    ``y`` in ``SELECT y, count(*) ... GROUP BY x``, ``x + 1`` in
+    ``SELECT x + 1 ... GROUP BY x + 1.0``. Names ``scope`` (the
+    grouping's input) does not resolve are left to evaluation: an
+    outer row's column, or an unknown one."""
+
+    def visit(node: ast.Expr) -> Tuple[bool, Optional[ast.Expr]]:
+        """(whether ``node`` holds a key or an aggregate, the outermost
+        offending sub-expression or None)"""
+        if ast.Exact(node) in mapping or isinstance(node, ast.WindowFunc):
+            return True, None
+        if isinstance(node, ast.ColumnRef):
+            scope.check(node.name, node.table)
+            return False, (node if scope.resolves(node.name, node.table)
+                           else None)
+        held, found = False, None
+        for child in ast.children(node):
+            child_held, child_found = visit(child)
+            held |= child_held
+            found = found or child_found
+        return held, (found if held or found is None else node)
+
+    for expr in exprs:
+        if isinstance(expr, ast.Star):
+            continue
+        found = visit(expr)[1]
+        if found is not None:
+            from repro.sql.explain import _expr
+            text = _expr(found)
+            if isinstance(found, ast.BinaryOp):
+                text = text[1:-1]
+            raise SqlAnalysisError(
+                f"{text!r} must appear in GROUP BY or be used in an "
+                f"aggregate function")
+
+
 def plan_statement(stmt: ast.SelectStmt, catalog: Optional[Catalog],
                    ctes: Optional[Mapping[str, Sequence[str]]] = None
                    ) -> StatementPlan:
@@ -604,9 +662,13 @@ def plan_statement(stmt: ast.SelectStmt, catalog: Optional[Catalog],
                 "window functions combined with GROUP BY are not supported")
         aggregates = _find(exprs + having + order, _is_aggregate)
         for i, key in enumerate(stmt.group_by):
-            mapping[ast.Exact(key)] = ast.ColumnRef(f"__group_{i}")
+            for spelling in _spellings(key, scope):
+                mapping.setdefault(ast.Exact(spelling),
+                                   ast.ColumnRef(f"__group_{i}"))
         mapping.update((ast.Exact(agg), ast.ColumnRef(f"__agg_{i}"))
                        for i, agg in enumerate(aggregates))
+        if scope is not None:
+            _check_grouped(exprs + having, mapping, scope)
         node = AggregateNode(
             node, tuple(planned(e) for e in stmt.group_by),
             tuple(planned(a) for a in aggregates), planned(stmt.having),

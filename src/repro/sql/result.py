@@ -3,7 +3,7 @@
 ``Session.execute`` returns a :class:`QueryResult`: the result
 :class:`~repro.table.table.Table` plus a per-query
 :class:`QueryStats` (guardrail health delta, cache counts,
-queue wait, scheduler strategies), the span tree when the query ran
+queue wait), the span tree when the query ran
 under tracing, and :meth:`QueryResult.explain` for the annotated plan.
 
 The wrapper is deliberately transparent: iteration, length, equality,
@@ -32,7 +32,7 @@ class QueryStats:
 
     __slots__ = ("elapsed_seconds", "priority", "health", "cache_hits",
                  "cache_misses", "structure_builds", "structure_reuses",
-                 "queue_wait_seconds", "morsels", "strategies", "outcome")
+                 "queue_wait_seconds", "outcome")
 
     def __init__(self, elapsed_seconds: float, priority: str,
                  health: Any, telemetry: Dict[str, Any],
@@ -48,20 +48,10 @@ class QueryStats:
         self.structure_builds = telemetry.get("structure_builds", 0)
         self.structure_reuses = telemetry.get("structure_reuses", 0)
         self.queue_wait_seconds = telemetry.get("queue_wait_seconds", 0.0)
-        self.morsels = telemetry.get("morsels", 0)
-        #: Scheduler strategy per window group, in evaluation order.
-        self.strategies: List[str] = list(telemetry.get("strategies", ()))
-
-    @property
-    def parallel_strategy(self) -> Optional[str]:
-        """The dominant scheduler strategy (last group wins), or
-        ``None`` when the query evaluated no window groups."""
-        return self.strategies[-1] if self.strategies else None
 
     def to_dict(self) -> Dict[str, Any]:
         out = {name: getattr(self, name) for name in self.__slots__
                if name != "health"}
-        out["strategies"] = list(self.strategies)
         out["health"] = (self.health.render()
                          if hasattr(self.health, "render") else [])
         return out
@@ -75,9 +65,6 @@ class QueryStats:
             f"reused={self.structure_reuses} "
             f"cache hits={self.cache_hits} misses={self.cache_misses}",
         ]
-        if self.strategies:
-            lines.append(f"parallel: strategies={','.join(self.strategies)} "
-                         f"morsels={self.morsels}")
         if getattr(self.health, "eventful", False):
             for entry in self.health.render():
                 lines.append("health: " + entry)

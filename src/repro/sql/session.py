@@ -1,8 +1,8 @@
 """Sessions: the long-lived serving object around the executor.
 
 A :class:`Session` owns the structure cache, the plan cache, the
-admission gateway, the breakers, the memory governor and the window
-scheduler, and runs every query under its own
+admission gateway, the breakers and the memory governor, and runs every
+query under its own
 :class:`~repro.resilience.context.ExecutionContext`;
 :class:`PreparedStatement` is a parsed, parameter-validated statement
 bound to one.
@@ -107,22 +107,15 @@ class Session:
     arrivals beyond that are shed with a typed
     :class:`~repro.errors.QueryRejectedError`. A session-wide
     :class:`~repro.resilience.circuit.BreakerRegistry` protects
-    structure builds and the worker pool: after ``breaker_threshold``
-    consecutive failures the resource fails fast for ``breaker_reset``
-    seconds (degrading to the naive evaluators / serial groups) before
-    a half-open probe tests recovery. ``verify_rate`` enables
+    structure builds: after ``breaker_threshold`` consecutive failures
+    they fail fast for ``breaker_reset`` seconds (degrading to the
+    naive evaluators) before a half-open probe tests recovery. ``verify_rate`` enables
     sampled shadow verification: that fraction of (call, partition)
     evaluations is re-answered by the naive oracle and any divergence
     raises :class:`~repro.errors.VerificationError`.
 
-    ``workers`` sizes the session's window worker pool (default: the
-    ``REPRO_WORKERS`` environment variable, serial when unset): 1 is
-    serial, 2 or more are supervised child processes over shared-memory
-    columns. All admitted queries share one
-    :class:`~repro.parallel.scheduler.WindowScheduler`, so the total
-    number of workers stays at ``workers`` even with ``max_concurrent``
-    queries in flight — concurrency and parallelism compose without
-    oversubscribing the machine.
+    Window groups evaluate serially on the query's thread; concurrency
+    comes from the gateway admitting up to ``max_concurrent`` queries.
 
     Observability: every query can run under a per-query span tracer
     (``SessionConfig.trace`` / ``QueryOptions.trace`` /
@@ -135,8 +128,7 @@ class Session:
     ::
 
         config = SessionConfig(budget_bytes=64 << 20, timeout=5.0,
-                               max_concurrent=8, workers=4,
-                               verify_rate=0.05)
+                               max_concurrent=8, verify_rate=0.05)
         session = Session(catalog, config=config)
         session.execute(sql)   # cold: builds trees
         session.execute(sql, options=QueryOptions(priority="batch"))
@@ -147,7 +139,6 @@ class Session:
     def __init__(self, catalog: Catalog,
                  config: Optional[SessionConfig] = None) -> None:
         from repro.cache.store import StructureCache
-        from repro.parallel.scheduler import WindowScheduler
         from repro.resilience.circuit import BreakerRegistry
         from repro.resilience.gateway import QueryGateway
 
@@ -158,8 +149,8 @@ class Session:
         #: Session-wide byte ledger (see repro.resilience.memory):
         #: query reservations, structure-cache and plan-cache bytes all
         #: charge one budget, and pressure triggers eviction (trees
-        #: are dropped and rebuilt on next use), serial groups or typed
-        #: shedding instead of unbounded growth.
+        #: are dropped and rebuilt on next use) or typed shedding
+        #: instead of unbounded growth.
         from repro.resilience.memory import MemoryGovernor
         from repro.sql.config import resolve_memory_budget
         self.memory = MemoryGovernor(resolve_memory_budget(config),
@@ -187,12 +178,6 @@ class Session:
         from repro.sql.plancache import PlanCache
         self.plan_cache = PlanCache(budget_bytes=config.plan_cache_bytes,
                                     governor=self.memory)
-        #: One scheduler (and worker pool) per session: every admitted
-        #: query shares it, so total workers stay bounded at
-        #: ``workers`` no matter how large ``max_concurrent`` is.
-        self.parallel = WindowScheduler(workers=config.workers,
-                                        arena_bytes=config.arena_bytes,
-                                        governor=self.memory)
         self.health = HealthCounters()
         self._health_lock = threading.Lock()
         #: Tracing default for queries that don't override it per call:
@@ -292,8 +277,7 @@ class Session:
                 ctx=context)
             with self.gateway.admit(context, priority=options.priority):
                 table, plan, actuals = execute_plan(
-                    stmt, self.catalog, cache=self.cache, context=context,
-                    parallel=self.parallel)
+                    stmt, self.catalog, cache=self.cache, context=context)
             outcome = "ok"
         except QueryRejectedError:
             outcome = "shed"
@@ -394,7 +378,7 @@ class Session:
         from repro.sql.explain import explain as _explain
         return _explain(sql_or_ast, cache=self.cache, health=self.health,
                         gateway=self.gateway, breakers=self.breakers,
-                        parallel=self.parallel, analysis=analysis,
+                        analysis=analysis,
                         plan_cache=self.plan_cache, memory=self.memory,
                         catalog=self.catalog)
 
@@ -414,7 +398,7 @@ class Session:
         # Everything else is pulled at scrape time: each component
         # declares its own rows next to the stats they are read from.
         components = (self.cache, self.plan_cache, self.gateway,
-                      self.breakers, self.memory, self.parallel)
+                      self.breakers, self.memory)
         families = {
             name: getattr(m, kind)(name, help_text, labelnames)
             for component in components
@@ -446,9 +430,9 @@ class Session:
     def register_table(self, name: str, table: Table) -> None:
         """Register (or replace) a catalog table for this session.
 
-        Cached structures and arena entries are content-keyed, so a
-        replaced table can never produce a stale hit; its entries age
-        out under their LRU budgets."""
+        Cached structures are content-keyed, so a replaced table can
+        never produce a stale hit; its entries age out under the LRU
+        budget."""
         self.catalog.register(name, table)
 
     # ------------------------------------------------------------------
@@ -488,7 +472,6 @@ class Session:
 
     def close(self) -> None:
         self.cache.close()
-        self.parallel.close()
 
     def __enter__(self) -> "Session":
         return self

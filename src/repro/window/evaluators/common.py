@@ -9,6 +9,7 @@ from typing import (Any, Callable, Iterator, List, Optional, Sequence, Tuple,
 import numpy as np
 
 from repro.mst.build import TreeLevels
+from repro.mst.vectorized import batched_select
 from repro.preprocess.permutation import permutation_array
 from repro.preprocess.remap import IndexRemap
 from repro.resilience.context import current_context
@@ -168,7 +169,7 @@ class CallInput:
         key_hi = np.stack([hi[rows] for _, hi in self.pieces_f])
         # Slab order is function order; the selected entry's key is its
         # filtered frame position.
-        _, positions = self.part.probes.select(levels, k, key_lo, key_hi)
+        _, positions = batched_select(levels, k, key_lo, key_hi)
         return self.kept_rows[positions]
 
     def in_frame_order(self) -> bool:

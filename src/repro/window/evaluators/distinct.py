@@ -26,7 +26,7 @@ from repro.baselines.naive import (
 from repro.errors import WindowFunctionError
 from repro.mst.aggregates import SUM, AggregateSpec
 from repro.mst.tree import MergeSortTree
-from repro.mst.vectorized import batched_aggregate
+from repro.mst.vectorized import batched_aggregate, batched_count
 from repro.preprocess.occurrences import (
     previous_occurrence,
     previous_occurrence_by_hash,
@@ -113,7 +113,7 @@ def _probe_distinct(tree: MergeSortTree, inputs: CallInput) -> np.ndarray:
     exactly ``lo``."""
     lo = np.clip(inputs.start_f, 0, inputs.n_kept)
     hi = np.maximum(np.minimum(inputs.end_f, inputs.n_kept), lo)
-    return inputs.part.probes.count(
+    return batched_count(
         tree.levels, np.zeros(len(lo), dtype=np.int64), hi,
         key_hi=lo + 1).astype(np.int64) - lo
 
@@ -133,7 +133,7 @@ def _sum_avg_distinct(call: WindowCall, inputs: CallInput) -> Arrays:
     summed = payload if finite.all() else np.where(finite, payload, 0.0)
     tree = _build_tree(inputs, aggregate=SUM, payload=summed,
                        cache_kind="mst:distinct:sum")
-    sums = inputs.part.probes.aggregate(
+    sums = batched_aggregate(
         tree.levels, inputs.start_f, inputs.end_f,
         key_hi=inputs.start_f + 1, kind="sum")
     counts = _probe_distinct(tree, inputs)
@@ -174,7 +174,6 @@ def _udaf_distinct(call: WindowCall, part: PartitionView,
     values = inputs.kept_values(call.args[0])
     tree = _build_tree(inputs, aggregate=spec, payload=values)
     valid = _probe_distinct(tree, inputs) > 0
-    # Serial: a UDAF's states cannot be shipped to the probe workers.
     states = batched_aggregate(tree.levels, inputs.start_f[valid],
                                inputs.end_f[valid],
                                inputs.start_f[valid] + 1, spec)

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.baselines.naive import frame_rows
 from repro.mst.tree import MergeSortTree
+from repro.mst.vectorized import batched_count
 from repro.preprocess.permutation import inverse_permutation
 from repro.sortutil import SortColumn, normalized_key, stable_argsort
 from repro.table.column import date_to_ordinal
@@ -99,8 +100,8 @@ def evaluate(call: WindowCall, part: PartitionView) -> Result:
         zeros = np.zeros(len(order), dtype=np.int64)
         rank0 = np.zeros(len(order), dtype=np.int64)
         for lo, hi in inputs.pieces_f:
-            rank0 += part.probes.count(tree.levels, zeros, own_slab,
-                                       key_hi=hi[order], key_lo=lo[order])
+            rank0 += batched_count(tree.levels, zeros, own_slab,
+                                   key_hi=hi[order], key_lo=lo[order])
 
     # Step 2: apply the offset.
     signed = call.offset if call.function == "lead" else -call.offset

@@ -17,6 +17,7 @@ import numpy as np
 from repro.baselines.naive import naive_dense_rank, naive_rank
 from repro.errors import WindowFunctionError
 from repro.mst.tree import MergeSortTree
+from repro.mst.vectorized import batched_count
 from repro.preprocess.rankkeys import dense_rank_keys, row_number_keys
 from repro.rangetree.dense import DenseRankIndex
 from repro.window.bounds import frame_sizes
@@ -58,8 +59,7 @@ def evaluate(call: WindowCall, part: PartitionView) -> Result:
     def count_below(threshold: np.ndarray) -> np.ndarray:
         total = np.zeros(len(own), dtype=np.int64)
         for lo, hi in inputs.pieces_f:
-            total += part.probes.count(tree.levels, lo, hi,
-                                       key_hi=threshold)
+            total += batched_count(tree.levels, lo, hi, key_hi=threshold)
         return total
 
     if name in ("rank", "row_number"):

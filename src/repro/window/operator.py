@@ -24,14 +24,10 @@ demanded: there is one evaluation path. Answering k rows of a built
 tree costs k probes (PAPER.md §1), so a LIMIT 100 over 20 000 rows
 probes 100 frames, not 20 000.
 
-A :class:`~repro.parallel.scheduler.WindowScheduler` (Section 5) sizes
-the group by its answered rows and picks one of two paths: serial, or
-the probe fan — structures build once on the query thread and the
-per-row probe batches fan out over the session's supervised process
-pool (:class:`~repro.parallel.probes.ProcessProbes`). Either way the
-group scatters each call's values into precomputed output positions, so
-results are bit-identical to serial execution regardless of completion
-order.
+A group runs on the query thread: each call's probes go straight to
+the batched kernels of :mod:`repro.mst.vectorized`, and its values
+scatter into precomputed output positions. Concurrency comes from the
+gateway admitting several queries at once, not from inside a group.
 
 The group's sort (:class:`~repro.window.partition.GroupOrder`) is the
 first entry the group takes from the session's structure cache, keyed
@@ -39,14 +35,6 @@ by the content of its PARTITION BY / ORDER BY columns
 (:func:`~repro.cache.fingerprint.window_group_key`); every structure
 is keyed on that prefix plus the content of the columns it reads. A
 warm repeat query skips the argsort, the run detection and every build.
-
-Degradation is per group: an open ``worker.pool`` breaker runs the
-group on the serial kernels, and a pool that breaks mid-group (or a
-shared-memory failure while mapping a tree) finishes on them — so a
-dying worker fleet costs throughput, never answers. With a pool, the
-fanned trees' levels live in the session-lifetime
-:class:`~repro.parallel.arena.TableArena`, and a warm repeat query's
-workers attach them zero-copy.
 """
 
 from __future__ import annotations
@@ -55,16 +43,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import CircuitOpenError, FrameError
-from repro.obs import NULL_SPAN
-from repro.parallel.probes import SERIAL_PROBES, ProbeKernels
-from repro.parallel.scheduler import (
-    SERIAL,
-    WindowScheduler,
-    default_scheduler,
-)
+from repro.errors import FrameError
 from repro.resilience.context import current_context
-from repro.resilience.guard import breaker_allow, breaker_failure
 from repro.sortutil import SortColumn
 from repro.table.column import Column, infer_dtype
 from repro.table.schema import Field, Schema
@@ -95,13 +75,9 @@ class WindowOperator:
     """
 
     def __init__(self, table: Table, cache: Any = None,
-                 parallel: Optional[WindowScheduler] = None,
                  rows: Optional[Sequence[int]] = None) -> None:
         self.table = table
         self.cache = cache  # optional repro.cache.StructureCache
-        #: Scheduler choosing serial or the probe fan; None falls back
-        #: to the process-wide default (sized by ``REPRO_WORKERS``).
-        self.parallel = parallel
         #: The row demand: ascending, distinct input positions the
         #: consumer keeps (None = every row). Only these rows are
         #: answered, and they alone make up the output.
@@ -128,7 +104,6 @@ class WindowOperator:
         for spec, calls in self._groups:
             results = _evaluate_group(self.table, spec, calls,
                                       cache=self.cache,
-                                      parallel=self.parallel,
                                       demand=self.rows)
             for call, column in zip(calls, results):
                 name = _unique_name(call.output_name,
@@ -140,10 +115,9 @@ class WindowOperator:
 
 
 def window_query(table: Table, calls: Sequence[WindowCall],
-                 spec: WindowSpec, cache: Any = None,
-                 parallel: Optional[WindowScheduler] = None) -> Table:
+                 spec: WindowSpec, cache: Any = None) -> Table:
     """One-shot convenience: evaluate ``calls`` over one window spec."""
-    operator = WindowOperator(table, cache=cache, parallel=parallel)
+    operator = WindowOperator(table, cache=cache)
     for call in calls:
         operator.add(call, spec)
     return operator.run()
@@ -155,28 +129,8 @@ def window_query(table: Table, calls: Sequence[WindowCall],
 def _evaluate_group(table: Table, spec: WindowSpec,
                     calls: Sequence[WindowCall],
                     cache: Any = None,
-                    parallel: Optional[WindowScheduler] = None,
                     demand: Optional[np.ndarray] = None
                     ) -> List[Column]:
-    scheduler = parallel if parallel is not None else default_scheduler()
-    # The arena lease spans the whole group: every tree's levels it
-    # shares stay pinned — and therefore mapped — until the last
-    # scatter.
-    lease = (scheduler.table_arena().lease()
-             if scheduler.process_enabled else None)
-    try:
-        return _evaluate_group_inner(table, spec, calls, cache,
-                                     scheduler, lease, demand)
-    finally:
-        if lease is not None:
-            lease.release()
-
-
-def _evaluate_group_inner(table: Table, spec: WindowSpec,
-                          calls: Sequence[WindowCall],
-                          cache: Any, scheduler: WindowScheduler,
-                          lease: Any, demand: Optional[np.ndarray]
-                          ) -> List[Column]:
     n = table.num_rows
     ctx = current_context()
     tracer = ctx.tracer
@@ -213,30 +167,17 @@ def _evaluate_group_inner(table: Table, spec: WindowSpec,
                 targets = slots[answer]
             partition_span.annotate(partitions=partitions)
 
-        # The scheduler sizes the work by the rows answered, not the
-        # rows partitioned: a LIMIT 100 group is a serial group.
-        decision = scheduler.choose(len(targets), len(calls))
-        group_span = tracer.span(
-            "window.group", strategy=decision.strategy,
-            executor=decision.executor, partitions=partitions, rows=n,
-            calls=len(calls), answered=len(targets),
-            morsels=decision.morsels) if tracer.enabled else NULL_SPAN
-        with group_span:
-            probes = SERIAL_PROBES
-            if decision.strategy != SERIAL:
-                probes = _fan_probes(ctx, scheduler, decision, lease)
+        with tracer.span("window.group", partitions=partitions, rows=n,
+                         calls=len(calls), answered=len(targets)):
             column_data = {name: _column_data(table, name)
                            for name in view_columns(spec, calls)
                            if name in table.schema}
             view = _build_view(column_data, order, spec,
                                sort.partition_ids, sort.peer_ids,
-                               structures=acquirer, probes=probes,
-                               answer=answer)
+                               structures=acquirer, answer=answer)
             columns = [_scatter(table, call, targets,
                                 *evaluate_call(call, view))
                        for call in calls]
-            if probes is not SERIAL_PROBES:
-                _settle_probe_fan(ctx, scheduler, decision, probes)
     finally:
         # Cache pins are acquired under the store lock and released
         # here, so failure or cancellation never leaves a pin behind.
@@ -267,69 +208,6 @@ def _scatter(table: Table, call: WindowCall, targets: np.ndarray,
 
 
 # ----------------------------------------------------------------------
-# the probe fan (supervised process pool)
-# ----------------------------------------------------------------------
-def _downgrade(ctx: Any, scheduler: WindowScheduler, decision: Any,
-               reason: str) -> ProbeKernels:
-    """Run one group on the serial kernels, recording why; returns
-    them."""
-    ctx.record_fallback(reason)
-    decision.executor = SERIAL
-    decision.reason = (f"{decision.reason}; {reason}"
-                       if decision.reason else reason)
-    scheduler.note_degraded_group()
-    return SERIAL_PROBES
-
-
-def _fan_probes(ctx: Any, scheduler: WindowScheduler, decision: Any,
-                lease: Any) -> ProbeKernels:
-    """The probe kernels of a probe-fan group: the pool's, or the
-    serial ones after a downgrade in place when the ``worker.pool``
-    breaker is open."""
-    breaker = ctx.breaker("worker.pool")
-    try:
-        breaker_allow(ctx, breaker)
-    except CircuitOpenError:
-        return _downgrade(ctx, scheduler, decision,
-                          "worker.pool breaker open")
-    return scheduler.process_probes(decision, lease)
-
-
-def _settle_probe_fan(ctx: Any, scheduler: WindowScheduler,
-                      decision: Any, probes: Any) -> None:
-    """Account a probe-fan group after its calls evaluated — possibly
-    with mid-group degradation to the serial kernels, which ``probes``
-    records."""
-    breaker = ctx.breaker("worker.pool")
-    notes = []
-    if probes.broken_reason is not None:
-        # Mid-group pool loss: batches fanned before the failure kept
-        # their results, the rest ran on the serial kernels — the
-        # output is whole either way, so record the degradation rather
-        # than re-running anything.
-        breaker_failure(ctx, breaker)
-        ctx.record_fallback(probes.broken_reason)
-        scheduler.note_degraded_group()
-        notes.append(probes.broken_reason)
-    elif probes.fallback_reason is not None:
-        # Structural: these tree levels cannot map into shared memory.
-        # Routine, so no fallback health counter — but a group where
-        # *nothing* fanned still counts degraded for the scheduler
-        # stats.
-        if probes.fanned == 0:
-            scheduler.note_degraded_group()
-        notes.append(probes.fallback_reason)
-    if probes.fanned:
-        if breaker is not None and probes.broken_reason is None:
-            breaker.record_success()
-        scheduler.note_process_group()
-    if notes:
-        extra = "; ".join(notes)
-        decision.reason = (f"{decision.reason}; {extra}"
-                           if decision.reason else extra)
-
-
-# ----------------------------------------------------------------------
 # the group view
 # ----------------------------------------------------------------------
 def _column_data(table: Table, name: str) -> Tuple[Any, np.ndarray]:
@@ -348,7 +226,6 @@ def _build_view(column_data: Dict[str, Tuple[Any, np.ndarray]],
                 partition_ids: Optional[np.ndarray],
                 peer_ids: np.ndarray,
                 structures: Any = None,
-                probes: ProbeKernels = SERIAL_PROBES,
                 answer: Optional[np.ndarray] = None) -> PartitionView:
     """The group — input rows in window ``order`` — as one view that
     answers the group positions ``answer`` (None = every row).
@@ -388,7 +265,7 @@ def _build_view(column_data: Dict[str, Tuple[Any, np.ndarray]],
         pieces = [(lo[answer], hi[answer]) for lo, hi in pieces]
     return PartitionView(columns, n, start, end, pieces, peers,
                          frame.exclusion, window_order=spec.order_by,
-                         structures=structures, probes=probes, rows=answer,
+                         structures=structures, rows=answer,
                          partition_ids=partition_ids)
 
 

@@ -8,7 +8,6 @@ from typing import (Any, Dict, List, NamedTuple, Optional, Sequence, Set,
 import numpy as np
 
 from repro.errors import WindowFunctionError
-from repro.parallel.probes import SERIAL_PROBES, ProbeKernels
 from repro.sortutil import (SortColumn, equal_runs, normalized_key,
                             sort_with_runs)
 from repro.window.bounds import PeerGroups
@@ -95,7 +94,6 @@ class PartitionView:
                  peers: PeerGroups, exclusion: FrameExclusion,
                  window_order: Sequence[OrderItem] = (),
                  structures: Any = None,
-                 probes: ProbeKernels = SERIAL_PROBES,
                  rows: Optional[np.ndarray] = None,
                  partition_ids: Optional[np.ndarray] = None) -> None:
         self.columns = columns
@@ -112,10 +110,6 @@ class PartitionView:
         #: Optional repro.cache.StructureAcquirer; evaluators route index
         #: builds through it (None = always build inline).
         self.structures = structures
-        #: Probe kernels (serial or process-fanned); evaluators call
-        #: ``probes.count/select/aggregate`` instead of the batched
-        #: kernels directly so the scheduler controls fan-out.
-        self.probes = probes
 
     @property
     def has_exclusion(self) -> bool:

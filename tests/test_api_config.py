@@ -39,7 +39,7 @@ class TestSessionConfig:
         ({"breaker_reset": 0}, "breaker_reset"),
         ({"verify_rate": 1.5}, "verify_rate"),
         ({"verify_rate": -0.1}, "verify_rate"),
-        ({"workers": 0}, "workers"),
+        ({"memory_budget_bytes": 0}, "memory_budget_bytes"),
         ({"trace_max_spans": 0}, "trace_max_spans"),
     ])
     def test_invalid_combinations_fail_at_construction(self, kwargs,
@@ -52,15 +52,15 @@ class TestSessionConfig:
             SessionConfig(timeout=-1)
 
     def test_replace_derives_a_variant(self):
-        base = SessionConfig(workers=2)
+        base = SessionConfig(max_concurrent=2)
         derived = base.replace(verify_rate=0.5)
-        assert derived.workers == 2
+        assert derived.max_concurrent == 2
         assert derived.verify_rate == 0.5
         assert base.verify_rate == 0.0
 
     def test_frozen(self):
         with pytest.raises(Exception):
-            SessionConfig().workers = 3
+            SessionConfig().max_concurrent = 3
 
 
 class TestFromEnv:
@@ -70,7 +70,7 @@ class TestFromEnv:
             "REPRO_TIMEOUT": "2.5",
             "REPRO_MAX_CONCURRENT": "8",
             "REPRO_VERIFY_RATE": "0.25",
-            "REPRO_WORKERS": "4",
+            "REPRO_MAX_QUEUE": "4",
             "REPRO_TRACE": "1",
             "REPRO_METRICS": "off",
         })
@@ -78,7 +78,7 @@ class TestFromEnv:
         assert config.timeout == 2.5
         assert config.max_concurrent == 8
         assert config.verify_rate == 0.25
-        assert config.workers == 4
+        assert config.max_queue == 4
         assert config.trace is True
         assert config.metrics is False
 
@@ -87,9 +87,9 @@ class TestFromEnv:
         assert config == SessionConfig()
 
     def test_overrides_win_over_the_environment(self):
-        config = SessionConfig.from_env(env={"REPRO_WORKERS": "4"},
-                                        workers=2)
-        assert config.workers == 2
+        config = SessionConfig.from_env(env={"REPRO_MAX_QUEUE": "4"},
+                                        max_queue=2)
+        assert config.max_queue == 2
 
     @pytest.mark.parametrize("env", [
         {"REPRO_BUDGET_BYTES": "a lot"},
@@ -102,8 +102,8 @@ class TestFromEnv:
             SessionConfig.from_env(env=env)
 
     def test_validation_still_applies(self):
-        with pytest.raises(ConfigurationError, match="workers"):
-            SessionConfig.from_env(env={"REPRO_WORKERS": "0"})
+        with pytest.raises(ConfigurationError, match="max_concurrent"):
+            SessionConfig.from_env(env={"REPRO_MAX_CONCURRENT": "0"})
 
 
 class TestQueryOptions:
@@ -128,28 +128,22 @@ class TestSessionConstruction:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with Session(_catalog(),
-                         config=SessionConfig(workers=2)) as session:
-                assert session.config.workers == 2
+                         config=SessionConfig(max_concurrent=2)) as session:
+                assert session.config.max_concurrent == 2
 
     def test_loose_kwargs_are_a_type_error(self):
-        with pytest.raises(TypeError, match="workers"):
-            Session(_catalog(), workers=2)
+        with pytest.raises(TypeError, match="max_concurrent"):
+            Session(_catalog(), max_concurrent=2)
 
     def test_unknown_kwarg_is_a_type_error(self):
         with pytest.raises(TypeError, match="num_threads"):
             Session(_catalog(), num_threads=4)
 
-    def test_unparseable_workers_env_is_a_typed_error(self, monkeypatch):
-        # Parsed like REPRO_MEMORY_BUDGET, not silently run serial.
-        monkeypatch.setenv("REPRO_WORKERS", "two")
-        with pytest.raises(ConfigurationError, match="REPRO_WORKERS"):
-            Session(_catalog())
-
-    def test_unparseable_arena_bytes_env_is_a_typed_error(self,
-                                                          monkeypatch):
-        # Not a silently unbounded arena.
-        monkeypatch.setenv("REPRO_ARENA_BYTES", "lots")
-        with pytest.raises(ConfigurationError, match="REPRO_ARENA_BYTES"):
+    def test_unparseable_memory_budget_env_is_a_typed_error(
+            self, monkeypatch):
+        # Not a silently unbudgeted session.
+        monkeypatch.setenv("REPRO_MEMORY_BUDGET", "lots")
+        with pytest.raises(ConfigurationError, match="REPRO_MEMORY_BUDGET"):
             Session(_catalog())
 
 

@@ -166,7 +166,7 @@ def test_registry_lazily_creates_and_caches():
     a = registry.get("structure.build")
     assert registry.get("structure.build") is a
     assert a.failure_threshold == 2
-    assert registry.get("worker.pool") is not a
+    assert registry.get("join.build") is not a
 
 
 def test_registry_render_skips_untouched_breakers():

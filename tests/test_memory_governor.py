@@ -139,15 +139,6 @@ class TestLedger:
         # Rides the existing FALLBACK_ERRORS ladder and wire mapping.
         assert issubclass(MemoryPressureError, ResourceLimitError)
 
-    def test_exceeds_headroom(self):
-        gov = MemoryGovernor(budget_bytes=1000)
-        assert not gov.exceeds_headroom(1000)
-        assert gov.exceeds_headroom(1001)
-        with gov.reserve(600):
-            assert not gov.exceeds_headroom(400)
-            assert gov.exceeds_headroom(401)
-        assert not MemoryGovernor().exceeds_headroom(1 << 40)
-
     def test_table_bytes_counts_columns_and_validity(self):
         table = make_window_table(64)
         nbytes = table_bytes(table)
@@ -273,17 +264,13 @@ HEADROOM_SQL_NTH = """
 """
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("sql", [HEADROOM_SQL, HEADROOM_SQL_NULLS,
                                  HEADROOM_SQL_NTH],
                          ids=["plain", "nulls", "nth"])
-def test_group_over_headroom_runs_serial_in_memory(sql, workers,
-                                                    monkeypatch):
+def test_group_over_headroom_runs_serial_in_memory(sql, monkeypatch):
     """A 64 KiB budget is consumed by the query's own reservation, so
-    the group's working set exceeds the headroom: the group runs
-    serial, in memory, with results identical to an unbudgeted run.
-    20 000 rows clear the cost threshold, so at
-    ``workers=2`` only the headroom check keeps the group serial.
+    the group's working set exceeds the headroom: the group runs in
+    memory, with results identical to an unbudgeted run.
 
     The budget also refuses every tree larger than 64 KiB (naive rung);
     the unbudgeted run caps structures at the same size, so both take
@@ -291,21 +278,15 @@ def test_group_over_headroom_runs_serial_in_memory(sql, workers,
     monkeypatch.delenv("REPRO_MEMORY_BUDGET", raising=False)
     catalog = Catalog({"t": make_window_table(20_000)})
     oracle = Session(catalog, config=SessionConfig(
-        workers=1, limits=ResourceLimits(max_structure_bytes=64 << 10)))
+        limits=ResourceLimits(max_structure_bytes=64 << 10)))
     try:
         expected = oracle.execute(sql).table
     finally:
         oracle.close()
     session = Session(catalog, config=SessionConfig(
-        memory_budget_bytes=64 << 10, workers=workers))
+        memory_budget_bytes=64 << 10))
     try:
-        result = session.execute(sql)
-        assert result == expected
-        assert result.stats.strategies == ["serial"]
-        if workers == 2:
-            decision = session.parallel.stats().decisions[-1]
-            assert decision.strategy == "serial"
-            assert decision.reason == "exceeds memory headroom"
+        assert session.execute(sql) == expected
     finally:
         session.close()
 

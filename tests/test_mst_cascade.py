@@ -26,8 +26,6 @@ from repro.mst.vectorized import (
     batched_count,
     batched_select,
 )
-from repro.parallel.probes import ProcessProbes
-from repro.parallel.scheduler import WindowScheduler
 
 # No max_examples: the count comes from the active Hypothesis profile.
 generated = settings(deadline=None,
@@ -254,32 +252,3 @@ def test_check_invariants_rejects_one_corrupted_bridge_entry(fanout, k):
         finally:
             array[column, at] = original
     tree.check_invariants()
-
-
-def test_process_fan_ships_the_bridges(rng):
-    """The probe fan serialises keys, anchors, bridges and prefixes into
-    the arena; workers rebuild the tree and return the serial arrays."""
-    n = 500
-    keys = rng.integers(0, 60, size=n)
-    tree = MergeSortTree(keys, fanout=2, aggregate=SUM,
-                         payload=rng.normal(size=n))
-    lo, hi = _ranges(rng, n, 300)
-    key_hi = _thresholds(rng, keys, 300)
-    with WindowScheduler(workers=2) as scheduler:
-        for op, serial in [
-                ("count", batched_count(tree.levels, lo, hi, key_hi)),
-                ("aggregate",
-                 batched_aggregate(tree.levels, lo, hi, key_hi, "sum"))]:
-            lease = scheduler.table_arena().lease()
-            try:
-                probes = ProcessProbes(scheduler, lease, task_size=64,
-                                       min_rows=1)
-                if op == "count":
-                    fanned = probes.count(tree.levels, lo, hi, key_hi)
-                else:
-                    fanned = probes.aggregate(tree.levels, lo, hi, key_hi,
-                                              "sum")
-            finally:
-                lease.release()
-            assert probes.fanned == 1, (op, probes.broken_reason)
-            _same_bits(fanned, serial)

@@ -8,19 +8,11 @@ from hypothesis import strategies as st
 from conftest import covering_runs
 from conftest import lockstep_lower_bound as _lower_bound_in_runs
 from repro.mst import SUM, MergeSortTree, make_udaf
-from repro.parallel.probes import ProcessProbes
-from repro.parallel.scheduler import WindowScheduler
 from repro.mst.vectorized import (
     batched_aggregate,
     batched_count,
     batched_select,
 )
-
-
-@pytest.fixture(scope="module")
-def process_scheduler():
-    with WindowScheduler(workers=2) as scheduler:
-        yield scheduler
 
 
 class TestBatchedLowerBound:
@@ -105,11 +97,10 @@ class TestBatchedSelect:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), fanout=st.integers(2, 4),
            pieces=st.integers(1, 3), n=st.integers(1, 90))
-    def test_pieces_agree_with_scalar(self, process_scheduler, data,
-                                      fanout, pieces, n):
+    def test_pieces_agree_with_scalar(self, data, fanout, pieces, n):
         """Select over a set of <= 3 disjoint key ranges per query (an
         EXCLUDE frame) == brute force, empty and inverted pieces
-        included — serially and fanned over a live pool."""
+        included."""
         seed = data.draw(st.integers(0, 2 ** 31))
         rng = np.random.default_rng(seed)
         perm = rng.permutation(n)
@@ -131,16 +122,6 @@ class TestBatchedSelect:
                          for a, b in zip(key_lo[:, i], key_hi[:, i]))
             slab = np.flatnonzero(inside)[k[i]]
             assert (int(slabs[i]), int(keys[i])) == (slab, perm[slab])
-        lease = process_scheduler.table_arena().lease()
-        try:
-            probes = ProcessProbes(process_scheduler, lease, task_size=16,
-                                   min_rows=1)
-            fanned = probes.select(tree.levels, k, key_lo, key_hi)
-        finally:
-            lease.release()
-        assert probes.fanned == (1 if len(queries) else 0)
-        assert [a.tolist() for a in fanned] == [slabs.tolist(),
-                                                keys.tolist()]
 
 
 class TestBatchedAggregate:

@@ -71,14 +71,14 @@ class TestThreading:
             anchor = tracer.current()
 
             def work():
-                with tracer.span("parallel.morsel", parent=anchor):
+                with tracer.span("task", parent=anchor):
                     pass
 
             thread = threading.Thread(target=work)
             thread.start()
             thread.join()
         root = tracer.finish()
-        assert group.children[0].name == "parallel.morsel"
+        assert group.children[0].name == "task"
         # First-seen thread ordinals: main thread is t0, the worker t1.
         assert root.thread == 0
         assert group.children[0].thread == 1
@@ -87,14 +87,14 @@ class TestThreading:
         tracer = Tracer(clock=SimulatedClock())
 
         def work():
-            with tracer.span("parallel.morsel"):
+            with tracer.span("task"):
                 pass
 
         thread = threading.Thread(target=work)
         thread.start()
         thread.join()
         root = tracer.finish()
-        assert [c.name for c in root.children] == ["parallel.morsel"]
+        assert [c.name for c in root.children] == ["task"]
 
 
 class TestBounds:

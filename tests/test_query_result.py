@@ -56,9 +56,6 @@ class TestStats:
         assert stats.elapsed_seconds >= 0.0
         assert stats.structure_builds >= 1
         assert stats.cache_misses >= 1
-        assert stats.strategies  # one window group was scheduled
-        assert stats.parallel_strategy in (
-            "serial", "intra-partition")
 
     def test_cache_reuse_shows_up_on_the_second_run(self, session):
         session.execute(SQL)
@@ -204,4 +201,4 @@ class TestWireSerialization:
         stats = json.loads(json.dumps(result.to_dict(),
                                       allow_nan=False))["stats"]
         assert stats["outcome"] == "ok"
-        assert isinstance(stats["strategies"], list)
+        assert stats["structure_builds"] >= 1

@@ -164,14 +164,14 @@ def test_activate_is_thread_local_and_restores():
 # fault injector
 # ----------------------------------------------------------------------
 def test_fault_plan_schedule_after_and_times():
-    faults = FaultInjector().plan("shm.attach", times=2, after=1)
-    faults.fire("shm.attach")  # call 1: before the window
-    for _ in range(2):         # calls 2, 3: inside the window
-        with pytest.raises(OSError):
-            faults.fire("shm.attach")
-    faults.fire("shm.attach")  # call 4: window exhausted
-    assert faults.calls("shm.attach") == 4
-    assert faults.fired("shm.attach") == 2
+    faults = FaultInjector().plan("memory.reserve", times=2, after=1)
+    faults.fire("memory.reserve")  # call 1: before the window
+    for _ in range(2):             # calls 2, 3: inside the window
+        with pytest.raises(RuntimeError):
+            faults.fire("memory.reserve")
+    faults.fire("memory.reserve")  # call 4: window exhausted
+    assert faults.calls("memory.reserve") == 4
+    assert faults.fired("memory.reserve") == 2
 
 
 def test_fault_plan_forever_and_clear():
@@ -185,18 +185,18 @@ def test_fault_plan_forever_and_clear():
 
 
 def test_fault_custom_exception_and_no_faults_singleton():
-    faults = FaultInjector().plan("parallel.morsel",
+    faults = FaultInjector().plan("join.build",
                                   exception=lambda: ValueError("boom"))
     with pytest.raises(ValueError):
-        faults.fire("parallel.morsel")
+        faults.fire("join.build")
     NO_FAULTS.fire("anything")  # the shared disabled injector never fires
 
 
 def test_context_fire_counts_health():
-    ctx = ExecutionContext(faults=FaultInjector().plan("shm.attach"))
-    with pytest.raises(OSError):
-        ctx.fire("shm.attach")
-    ctx.fire("shm.attach")  # plan exhausted
+    ctx = ExecutionContext(faults=FaultInjector().plan("gateway.admit"))
+    with pytest.raises(RuntimeError):
+        ctx.fire("gateway.admit")
+    ctx.fire("gateway.admit")  # plan exhausted
     assert ctx.health.faults == 1
 
 

@@ -13,7 +13,10 @@ import pytest
 
 from conftest import assert_columns_equal, make_window_table
 from repro import Catalog, Session, SessionConfig
+from repro.cache.store import StructureCache
+from repro.errors import QueryCancelledError
 from repro.resilience import (
+    CancellationToken,
     ExecutionContext,
     FaultInjector,
     ResourceLimits,
@@ -138,3 +141,67 @@ def test_intermittent_build_fault_single_downgrade():
     degraded, health = _run(CALLS["count_distinct"], faults=faults)
     assert_columns_equal(degraded, healthy)
     assert health.fallbacks == faults.fired("structure.build") == 1
+
+
+# ----------------------------------------------------------------------
+# a query stopped inside a window group
+# ----------------------------------------------------------------------
+GROUP_SQL = """
+    select g, count(distinct x) over w as uniq,
+           percentile_disc(0.5, order by x) over w as med,
+           rank(order by y desc) over w as rnk
+    from t
+    window w as (partition by g order by o
+                 rows between 20 preceding and current row)
+"""
+
+
+def _cancel_at_second_build(token):
+    """Faults that cancel ``token`` as the group's second structure
+    build starts: the group's sort and first tree are pinned in the
+    cache by then, and the next checkpoint stops the query."""
+    def cancel_and_fail():
+        token.cancel()
+        return RuntimeError("injected mid-group cancel")
+
+    return FaultInjector().plan("structure.build", times=1, after=1,
+                                exception=cancel_and_fail)
+
+
+def test_cancellation_mid_group_leaves_no_pins():
+    token = CancellationToken()
+    spec = WindowSpec(partition_by=("g",), order_by=(OrderItem("o"),),
+                      frame=FrameSpec.rows(preceding(20), current_row()))
+    calls = [WindowCall(**CALLS[name])
+             for name in ("count_distinct", "percentile_disc", "rank")]
+    with StructureCache() as cache:
+        ctx = ExecutionContext(token=token,
+                               faults=_cancel_at_second_build(token))
+        with activate(ctx):
+            with pytest.raises(QueryCancelledError):
+                window_query(TABLE, calls, spec, cache=cache)
+        stats = cache.stats()
+        assert stats.entries >= 2  # the sort and the first tree
+        assert stats.pinned_entries == 0
+        # The cached entries stay usable: a fresh context answers the
+        # same as a query that never shared the cache.
+        assert (window_query(TABLE, calls, spec, cache=cache).to_rows()
+                == window_query(TABLE, calls, spec).to_rows())
+
+
+def test_mid_group_fault_surfaces_typed_then_session_recovers():
+    catalog = Catalog({"t": TABLE})
+    with Session(catalog) as healthy_session:
+        expected = healthy_session.execute(GROUP_SQL).to_rows()
+    token = CancellationToken()
+    with Session(catalog, config=SessionConfig(
+                 faults=_cancel_at_second_build(token))) as session:
+        with pytest.raises(QueryCancelledError):
+            session.execute(GROUP_SQL, token=token)
+        assert session.health_stats().cancellations == 1
+        assert session.cache_stats().pinned_entries == 0
+        # The same session answers the next query, from the entries the
+        # cancelled one left cached plus fresh builds.
+        again = session.execute(GROUP_SQL)
+        assert again.to_rows() == expected
+        assert again.stats.structure_reuses >= 1

@@ -84,6 +84,31 @@ class TestNegativeParses:
             session.execute(
                 "SELECT a FROM t WHERE a IN (SELECT a, v FROM w)")
 
+    def test_ungrouped_column_names_the_column(self, session):
+        with pytest.raises(SqlAnalysisError,
+                           match="'b' must appear in GROUP BY"):
+            session.execute("SELECT b, count(*) FROM t GROUP BY a")
+
+    def test_ungrouped_expression_names_the_expression(self, session):
+        # a + 1 is not the key a + 1.0: literals of different types
+        # group apart.
+        with pytest.raises(SqlAnalysisError,
+                           match=r"'a \+ 1' must appear in GROUP BY"):
+            session.execute(
+                "SELECT a + 1, count(*) FROM t GROUP BY a + 1.0")
+
+    def test_unknown_column_in_grouped_select_stays_unknown(self, session):
+        with pytest.raises(SqlAnalysisError, match="unknown column 'z'"):
+            session.execute("SELECT z, count(*) FROM t GROUP BY a")
+
+
+def test_group_by_key_matches_its_other_spelling(session):
+    want = [(1, 1), (2, 1), (3, 1), (4, 1)]
+    assert session.execute(
+        "SELECT t.a, count(*) FROM t GROUP BY a ORDER BY 1").to_rows() == want
+    assert session.execute(
+        "SELECT a, count(*) FROM t GROUP BY t.a ORDER BY 1").to_rows() == want
+
 
 class TestPreparedStatements:
     def test_positional_roundtrip_and_cache(self, session):

@@ -52,6 +52,17 @@ class TestBasics:
         with pytest.raises(SqlSyntaxError):
             parse("select 1 limit x")
 
+    def test_errors_say_where(self):
+        # WHER reads as t's alias, so x is the first token that cannot
+        # continue the statement.
+        with pytest.raises(SqlSyntaxError,
+                           match="near 'x' at line 2, column 17$") as info:
+            parse("SELECT a,\n  b FROM t WHER x = 1")
+        assert info.value.position == 26
+        with pytest.raises(SqlSyntaxError,
+                           match="'#' at line 3, column 12$"):
+            parse("SELECT a\n FROM t\n WHERE b = #")
+
 
 class TestExpressions:
     def test_precedence(self):

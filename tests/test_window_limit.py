@@ -13,14 +13,12 @@ Run longer with ``--hypothesis-profile=long``.
 import dataclasses
 import math
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Catalog, Session, SessionConfig, execute
 from repro.mst.aggregates import make_udaf
-from repro.parallel.scheduler import INTRA_PARTITION, WindowScheduler
 from repro.resilience import ResourceLimits
 from repro.resilience.context import current_context
 from repro.sql import plan
@@ -175,9 +173,9 @@ OPERATOR_FRAMES = [
 ]
 
 
-def _answer(table, calls, spec, rows, parallel=None):
+def _answer(table, calls, spec, rows):
     """``calls`` evaluated at the demanded ``rows`` only."""
-    operator = WindowOperator(table, parallel=parallel, rows=rows)
+    operator = WindowOperator(table, rows=rows)
     for call in calls:
         operator.add(call, spec)
     return operator.run()
@@ -232,40 +230,6 @@ def test_one_large_and_many_single_row_partitions(large, singles,
     rows = sorted(rnd.sample(range(n), rnd.randint(0, n)))
     got = _answer(table, OPERATOR_CALLS, spec, rows)
     assert got.to_rows() == full.take(rows).to_rows()
-
-
-def _forced_scheduler():
-    """Two workers, with thresholds low enough that a small demand
-    still takes the probe fan."""
-    return WindowScheduler(workers=2, min_parallel_ops=0.0,
-                           min_intra_rows=64, task_size=256)
-
-
-@pytest.mark.parametrize("partitions,strategy",
-                         [(1, INTRA_PARTITION), (400, INTRA_PARTITION)])
-def test_process_pool_answers_the_same_rows(partitions, strategy):
-    rng = np.random.default_rng(partitions)
-    n = 1500
-    table = Table.from_dict({
-        "g": (DataType.INT64, rng.integers(0, partitions, n).tolist()),
-        "o": (DataType.INT64, rng.integers(0, 40, n).tolist()),
-        "x": (DataType.INT64, rng.integers(0, 9, n).tolist()),
-        "y": (DataType.INT64, rng.integers(0, 12, n).tolist()),
-        "f": (DataType.BOOL, (rng.random(n) < 0.8).tolist()),
-    })
-    calls = OPERATOR_CALLS[2:] + [
-        WindowCall("percentile_disc", ("x",), fraction=0.5)]
-    spec = WindowSpec(partition_by=("g",), order_by=(OrderItem("o"),),
-                      frame=FrameSpec.rows(preceding(9), following(3)))
-    demand = np.flatnonzero(rng.random(n) < 0.4)
-    want = window_query(table, calls, spec).take(demand).to_rows()
-    with _forced_scheduler() as scheduler:
-        got = _answer(table, calls, spec, demand,
-                      parallel=scheduler).to_rows()
-        decision = scheduler.stats().decisions[-1]
-    assert decision.strategy == strategy
-    assert decision.rows == len(demand)
-    assert got == want
 
 
 # ----------------------------------------------------------------------
