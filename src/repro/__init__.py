@@ -4,9 +4,10 @@ A complete reproduction of "Efficient Evaluation of Arbitrarily-Framed
 Holistic SQL Aggregates and Window Functions" (SIGMOD 2022): merge sort
 trees with fractional cascading, the full framed window-function zoo
 (DISTINCT aggregates, rank functions, percentiles, value functions,
-LEAD/LAG, DENSE_RANK via range trees), the competing algorithms from the
-paper's evaluation, a SQL front end exposing the proposed syntax
-extensions, and the benchmark harness regenerating every figure.
+LEAD/LAG, DENSE_RANK via presence tables or range trees), the competing
+algorithms from the paper's evaluation, a SQL front end exposing the
+proposed syntax extensions, and the benchmark harness regenerating
+every figure.
 
 Quick start (see also ``examples/quickstart.py``)::
 

@@ -64,14 +64,14 @@ def _levels_breakdown(tree_levels) -> StructureSizeBreakdown:
 def structure_breakdown(structure: Any) -> StructureSizeBreakdown:
     """Component-wise byte accounting for any cacheable index structure.
 
-    Dispatches on type: merge sort trees, segment trees, the DENSE_RANK
-    range tree, the range-mode index, a group's sort and per-row key
-    arrays all get exact array sums;
+    Dispatches on type: merge sort trees, segment trees, both DENSE_RANK
+    layouts (presence table and range tree), the range-mode index, a
+    group's sort and per-row key arrays all get exact array sums;
     unknown objects fall back to a ``sys.getsizeof`` floor.
     """
     from repro.mst.tree import MergeSortTree
     from repro.rangemode.index import RangeModeIndex
-    from repro.rangetree.dense import DenseRankIndex
+    from repro.rangetree.dense import PresenceTable, RangeTree
     from repro.segtree.tree import SegmentTree
     from repro.window.partition import GroupOrder
 
@@ -82,7 +82,10 @@ def structure_breakdown(structure: Any) -> StructureSizeBreakdown:
             _ndarray_bytes(ids) for ids in structure))
     if isinstance(structure, MergeSortTree):
         return _levels_breakdown(structure.levels)
-    if isinstance(structure, DenseRankIndex):
+    if isinstance(structure, PresenceTable):
+        return StructureSizeBreakdown(levels=sum(
+            _ndarray_bytes(a) for a in (structure.prev, structure.words)))
+    if isinstance(structure, RangeTree):
         out = StructureSizeBreakdown(levels=sum(
             _ndarray_bytes(keys) for keys in (
                 structure.prev, structure.key_counts.table,

@@ -105,7 +105,7 @@ class TreeLevels:
     """The stored arrays of a merge sort tree.
 
     ``keys`` is ``[level 0]``, the input array (empty in a bridges-only
-    tree, the :class:`~repro.rangetree.DenseRankIndex` layout, which
+    tree, the :class:`~repro.rangetree.dense.RangeTree` layout, which
     answers only :meth:`consumed` and :meth:`child_prefix`); the sorted
     levels above it are not kept. For ``i >= 1`` the bridge of level
     ``i`` is ``bridges[i]``, shape ``(fanout - 1, n + 1)``: at ``k = 1``

@@ -113,8 +113,8 @@ def live_tree_bytes(n: int, fanout: int, sample_every: int,
             + (height - 1) * _bridge_bytes(n, fanout, sample_every))
 
 
-def dense_rank_index_bytes(n: int, fanout: int, sample_every: int) -> int:
-    """Bytes of a :class:`~repro.rangetree.DenseRankIndex` over ``n``
+def range_tree_bytes(n: int, fanout: int, sample_every: int) -> int:
+    """Bytes of a :class:`~repro.rangetree.dense.RangeTree` over ``n``
     dense rank keys: ``prev`` in input order, the key counts of the
     rank keys and of ``prev``, and ``2H + H(H + 1)/2`` bridges as in
     :func:`live_tree_bytes` for ``H`` levels above the input (outer,
@@ -123,6 +123,21 @@ def dense_rank_index_bytes(n: int, fanout: int, sample_every: int) -> int:
     keys = n * choose_index_dtype(n).itemsize + 2 * _key_counts_bytes(n)
     return keys + (2 * above + above * (above + 1) // 2) \
         * _bridge_bytes(n, fanout, sample_every)
+
+
+def dense_rank_index_bytes(n: int, classes: int, fanout: int,
+                           sample_every: int) -> int:
+    """Bytes of a :class:`~repro.rangetree.DenseRankIndex` over ``n``
+    dense rank keys in ``[0, classes)``: at most ``WORD_BITS`` classes
+    take a presence table (``prev`` in input order and its words, each
+    of :func:`~repro.rangetree.dense.presence_dtype`), more take the
+    range tree (:func:`range_tree_bytes`)."""
+    from repro.rangetree.dense import (WORD_BITS, presence_dtype,
+                                       presence_words)
+    if classes > WORD_BITS:
+        return range_tree_bytes(n, fanout, sample_every)
+    return n * choose_index_dtype(n).itemsize \
+        + presence_words(n) * presence_dtype(classes).itemsize
 
 
 def measured_vs_model(tree) -> dict:

@@ -1,4 +1,4 @@
-"""The layered index behind framed DENSE_RANK."""
+"""The index behind framed DENSE_RANK: a presence table or a range tree."""
 
 from __future__ import annotations
 
@@ -17,6 +17,14 @@ from repro.preprocess.occurrences import previous_occurrence
 #: ``k = 1`` they would take four.
 SAMPLE_EVERY = 256
 
+#: Rank key classes one presence word holds: the width of ``uint64``.
+WORD_BITS = 64
+
+#: ``_BELOW[K]``: the bits of the classes below ``K``, for ``K`` in ``[0,
+#: WORD_BITS]``. A shift by ``WORD_BITS`` is undefined in numpy.
+_BELOW = np.array([(1 << k) - 1 for k in range(WORD_BITS + 1)],
+                  dtype=np.uint64)
+
 
 def _bridges(values: np.ndarray, fanout: int, height: int) -> TreeLevels:
     """The bridges of the first ``height`` levels of a merge sort tree
@@ -30,6 +38,19 @@ def _bridges(values: np.ndarray, fanout: int, height: int) -> TreeLevels:
     return tree
 
 
+def presence_dtype(classes: int) -> np.dtype:
+    """The smallest unsigned dtype with a bit per class of
+    ``[0, classes)``."""
+    return np.min_scalar_type((1 << classes) - 1)
+
+
+def presence_words(n: int) -> int:
+    """Words of a presence table over ``n`` rows: level ``t`` of
+    ``floor(log2 n) + 1`` levels holds ``n + 1 - 2^t``."""
+    levels = n.bit_length()
+    return levels * (n + 1) - ((1 << levels) - 1)
+
+
 class DenseRankIndex:
     """Counts distinct rank-key classes below a threshold in a frame.
 
@@ -39,8 +60,104 @@ class DenseRankIndex:
         1 + #{j in [a, b) : keys[j] < keys[i] and prev[j] < a}
 
     (``prev[j] < a``: j is its key class's first occurrence in the
-    frame). Over frame positions: an *outer* tree over the rank keys and
-    a *prev* tree over ``prev``, which keep their top level's key counts
+    frame). ``DenseRankIndex(keys)`` picks its layout from the keys:
+    a :class:`PresenceTable` when every key lies in ``[0, WORD_BITS)``,
+    else a :class:`RangeTree`. Both keep ``prev`` (previous occurrence
+    of every key, in input order), which the EXCLUDE correction reads.
+    """
+
+    n: int
+    prev: np.ndarray
+
+    def __new__(cls, keys: Sequence[int],
+                fanout: int = 2) -> "DenseRankIndex":
+        if cls is DenseRankIndex:
+            keys = np.asarray(keys)
+            in_word = not len(keys) or (
+                keys.min() >= 0 and keys.max() < WORD_BITS)
+            cls = PresenceTable if in_word else RangeTree
+        return super().__new__(cls)
+
+    def batched_dense_rank(self, lo: np.ndarray, hi: np.ndarray,
+                           keys: np.ndarray) -> np.ndarray:
+        """DENSE_RANK of every row at once: row ``i`` has rank key
+        ``keys[i]`` and frame ``[lo[i], hi[i])``. An empty or inverted
+        frame ranks 1."""
+        m = len(lo)
+        total = np.ones(m, dtype=np.int64)  # dense rank starts at 1
+        if self.n == 0 or m == 0:
+            return total
+        lo = np.clip(np.asarray(lo, dtype=np.int64), 0, self.n)
+        hi = np.clip(np.asarray(hi, dtype=np.int64), 0, self.n)
+        keys = np.asarray(keys, dtype=np.int64)
+        for block in _blocks(m):
+            lo_b, hi_b = lo[block], hi[block]
+            live = lo_b < hi_b
+            total[block] += self._count_block(
+                live, np.where(live, lo_b, 0), np.where(live, hi_b, 1),
+                keys[block])
+        return total
+
+    def _count_block(self, live: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                     key: np.ndarray) -> np.ndarray:
+        """#{j in [lo, hi) : keys[j] < key, prev[j] < lo} for one block,
+        0 where ``live`` is false (there ``[lo, hi)`` is ``[0, 1)``)."""
+        raise NotImplementedError
+
+    def memory_bytes(self) -> int:
+        raise NotImplementedError
+
+
+class PresenceTable(DenseRankIndex):
+    """The classes present in every power-of-two run of rows, one bit
+    per class: a sparse table over a word-wide OR.
+
+    Level ``t`` holds, at ``i``, the OR of ``1 << keys[j]`` over ``j``
+    in ``[i, i + 2^t)``; all levels lie in one flat array ``words``.
+    OR is idempotent, so a frame ``[a, b)`` with ``t = floor(log2(b -
+    a))`` is the OR of two overlapping runs, ``[a, a + 2^t)`` and ``[b
+    - 2^t, b)``, and its classes below ``K`` are that word's bits below
+    ``K``: two gathers, an OR, a mask and a popcount per row, and no
+    ``prev`` read. Built in ``O(n log n)`` ORs of words as wide as the
+    classes need (:func:`presence_dtype`).
+    """
+
+    def __init__(self, keys: Sequence[int], fanout: int = 2) -> None:
+        """``fanout`` is the range tree's; the table has none."""
+        keys = np.asarray(keys, dtype=np.int64)
+        self.n = n = len(keys)
+        self.prev = previous_occurrence(keys).astype(choose_index_dtype(n))
+        dtype = presence_dtype(int(keys.max()) + 1 if n else 0)
+        self.words = np.empty(presence_words(n), dtype=dtype)
+        np.left_shift(dtype.type(1), keys.astype(dtype),
+                      out=self.words[:n])
+        start, width = 0, n  # level 0
+        for t in range(1, n.bit_length()):
+            below = self.words[start:start + width]
+            start, width = start + width, n + 1 - (1 << t)
+            np.bitwise_or(below[:width], below[1 << (t - 1):],
+                          out=self.words[start:start + width])
+
+    def _count_block(self, live: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                     key: np.ndarray) -> np.ndarray:
+        t = np.frexp(hi - lo)[1] - 1  # floor(log2(hi - lo)), exact
+        span = np.left_shift(1, t, dtype=np.int64)
+        start = t * (self.n + 1) - (span - 1)  # where level t begins
+        word = self.words[start + lo] | self.words[start + hi - span]
+        below = _BELOW[np.where(live, np.clip(key, 0, WORD_BITS), 0)]
+        # Narrowed to the word, a mask past its width wraps to all ones.
+        word &= below.astype(word.dtype, copy=False)
+        return np.bitwise_count(word)
+
+    def memory_bytes(self) -> int:
+        return self.prev.nbytes + self.words.nbytes
+
+
+class RangeTree(DenseRankIndex):
+    """The Section 4.4 range tree, for rank keys of any span.
+
+    Over frame positions: an *outer* tree over the rank keys and a
+    *prev* tree over ``prev``, which keep their top level's key counts
     (``key_counts``, ``prev_counts``) and their bridges; and per outer
     level ``L`` an *inner* tree over ``prev`` in that level's key order,
     ``L + 1`` levels tall, which keeps only its bridges.
@@ -84,30 +201,9 @@ class DenseRankIndex:
         """Every bridged tree: outer, prev, then the inner trees."""
         return [self.outer, self.prev_tree] + self.inner
 
-    def batched_dense_rank(self, lo: np.ndarray, hi: np.ndarray,
-                           keys: np.ndarray) -> np.ndarray:
-        """DENSE_RANK of every row at once: row ``i`` has rank key
-        ``keys[i]`` and frame ``[lo[i], hi[i])``. An empty or inverted
-        frame ranks 1."""
-        m = len(lo)
-        total = np.ones(m, dtype=np.int64)  # dense rank starts at 1
-        if self.n == 0 or m == 0:
-            return total
-        lo = np.clip(np.asarray(lo, dtype=np.int64), 0, self.n)
-        hi = np.clip(np.asarray(hi, dtype=np.int64), 0, self.n)
-        keys = np.asarray(keys, dtype=np.int64)
-        for block in _blocks(m):
-            total[block] += self._count_block(lo[block], hi[block],
-                                              keys[block])
-        return total
-
-    def _count_block(self, lo: np.ndarray, hi: np.ndarray,
+    def _count_block(self, live: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                      key: np.ndarray) -> np.ndarray:
-        """#{j in [lo, hi) : keys[j] < key, prev[j] < lo} for one block:
-        ``p`` and ``q`` walk down the outer and prev trees together."""
-        live = lo < hi
-        lo = np.where(live, lo, 0)
-        hi = np.where(live, hi, 1)
+        """``p`` and ``q`` walk down the outer and prev trees together."""
         bounds = [self.key_counts.below(key), self.prev_counts.below(lo)]
         count = np.zeros(len(lo), dtype=np.int64)
         for level, runs in _covering_walk([self.outer, self.prev_tree],

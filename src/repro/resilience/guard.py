@@ -121,7 +121,7 @@ def fallback_call(call: Any) -> Optional[Any]:
 
     Every family implements ``algorithm="naive"``, so the fallback is
     total: each family's ``mst`` path (merge sort tree, segment tree,
-    range tree or range-mode index) degrades to the naive per-frame
+    DENSE_RANK index or range-mode index) degrades to the naive per-frame
     recomputation.
     """
     if call.algorithm == "naive":

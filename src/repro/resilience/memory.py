@@ -212,13 +212,6 @@ class MemoryGovernor:
         with self._lock:
             return self._used > self.budget
 
-    def available(self) -> Optional[int]:
-        """Headroom in bytes (None = unlimited, floor 0)."""
-        if self.budget is None:
-            return None
-        with self._lock:
-            return max(self.budget - self._used, 0)
-
     # ------------------------------------------------------------------
     # reservations (queries)
     # ------------------------------------------------------------------
@@ -365,11 +358,6 @@ class MemoryGovernor:
             f"structure {kind!r} of {nbytes:,} bytes exceeds the "
             f"session memory budget of {self.budget:,} bytes",
             requested=nbytes, available=self.budget)
-
-    def note_pressure(self) -> None:
-        """Record one pressure event from a component that degraded."""
-        with self._lock:
-            self._stats.pressure_events += 1
 
     # ------------------------------------------------------------------
     # introspection

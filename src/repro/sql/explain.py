@@ -199,30 +199,37 @@ def render(plan: logical_plan.StatementPlan, analysis: Any = None) -> str:
             parts = [f"rows={rows}", f"time={_ms(span.duration)}"]
         return f" (actual: {', '.join(parts)})"
 
-    def statement(sub: logical_plan.StatementPlan, depth: int) -> None:
-        for cte in sub.ctes:
-            emit(depth, f"CTE {cte.name}{suffix(cte)}:")
-            statement(cte.plan, depth + 1)
-        visit(sub.root, depth)
-
     def emit(depth: int, text: str) -> None:
         lines.append("  " * depth + text)
 
-    def visit(node: Any, depth: int) -> None:
-        if isinstance(node, logical_plan.SubqueryNode):
-            emit(depth, f"Subquery AS {node.alias}{suffix(node)}:")
-            statement(node.plan, depth + 1)
-            return
-        emit(depth, _label(node) + suffix(node))
-        if isinstance(node, logical_plan.AggregateNode) \
-                and node.having is not None:
-            depth += 1
-            emit(depth, f"Having ({_expr(node.having)})")
-        for child in node.inputs:
-            visit(child, depth + 1)
-
-    statement(plan, 0)
+    _render_statement(plan, 0, emit, suffix)
     return "\n".join(lines)
+
+
+# The recursion lives in module functions, not in closures of ``render``:
+# closures that call each other form a reference cycle, which would keep
+# ``analysis`` (a result, and through it its session) alive until a
+# cyclic collection.
+def _render_statement(sub: logical_plan.StatementPlan, depth: int,
+                      emit: Any, suffix: Any) -> None:
+    for cte in sub.ctes:
+        emit(depth, f"CTE {cte.name}{suffix(cte)}:")
+        _render_statement(cte.plan, depth + 1, emit, suffix)
+    _render_node(sub.root, depth, emit, suffix)
+
+
+def _render_node(node: Any, depth: int, emit: Any, suffix: Any) -> None:
+    if isinstance(node, logical_plan.SubqueryNode):
+        emit(depth, f"Subquery AS {node.alias}{suffix(node)}:")
+        _render_statement(node.plan, depth + 1, emit, suffix)
+        return
+    emit(depth, _label(node) + suffix(node))
+    if isinstance(node, logical_plan.AggregateNode) \
+            and node.having is not None:
+        depth += 1
+        emit(depth, f"Having ({_expr(node.having)})")
+    for child in node.inputs:
+        _render_node(child, depth + 1, emit, suffix)
 
 
 def _label(node: Any) -> str:

@@ -54,6 +54,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -581,15 +582,25 @@ def _spellings(key: ast.Expr, scope: Optional[Scope]) -> List[ast.Expr]:
     return out
 
 
+def _reads_output(key: ast.Expr, selected: Set[str]) -> bool:
+    """Whether an ORDER BY key is a SELECT position or a bare name among
+    the ``selected`` output names, which ``executor._sort`` reads off
+    the SELECT list instead of evaluating against the input."""
+    if isinstance(key, ast.Literal):
+        return isinstance(key.value, int)
+    return (isinstance(key, ast.ColumnRef) and key.table is None
+            and key.name.lower() in selected)
+
+
 def _check_grouped(exprs: Sequence[ast.Expr],
                    mapping: Mapping[ast.Exact, ast.Expr],
                    scope: Scope) -> None:
-    """Reject a grouped statement's SELECT item or HAVING clause that
-    reads an input column outside every GROUP BY key and aggregate
-    (the ``mapping`` keys), naming the outermost such sub-expression:
-    ``y`` in ``SELECT y, count(*) ... GROUP BY x``, ``x + 1`` in
-    ``SELECT x + 1 ... GROUP BY x + 1.0``. Names ``scope`` (the
-    grouping's input) does not resolve are left to evaluation: an
+    """Reject a grouped statement's SELECT item, HAVING clause or ORDER
+    BY key that reads an input column outside every GROUP BY key and
+    aggregate (the ``mapping`` keys), naming the outermost such
+    sub-expression: ``y`` in ``SELECT y, count(*) ... GROUP BY x``,
+    ``x + 1`` in ``SELECT x + 1 ... GROUP BY x + 1.0``. Names ``scope``
+    (the grouping's input) does not resolve are left to evaluation: an
     outer row's column, or an unknown one."""
 
     def visit(node: ast.Expr) -> Tuple[bool, Optional[ast.Expr]]:
@@ -668,7 +679,12 @@ def plan_statement(stmt: ast.SelectStmt, catalog: Optional[Catalog],
         mapping.update((ast.Exact(agg), ast.ColumnRef(f"__agg_{i}"))
                        for i, agg in enumerate(aggregates))
         if scope is not None:
-            _check_grouped(exprs + having, mapping, scope)
+            selected = {(item.alias or _derive_name(item.expr)).lower()
+                        for item in stmt.items
+                        if not isinstance(item.expr, ast.Star)}
+            _check_grouped(exprs + having + [
+                key for key in order if not _reads_output(key, selected)],
+                mapping, scope)
         node = AggregateNode(
             node, tuple(planned(e) for e in stmt.group_by),
             tuple(planned(a) for a in aggregates), planned(stmt.having),

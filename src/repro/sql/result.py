@@ -141,7 +141,7 @@ class QueryResult:
         plus actual per-phase timings and counts from this execution."""
         if self._explainer is None:
             return "(no plan captured for this query)"
-        return self._explainer()
+        return self._explainer(analysis=self)
 
     def render_trace(self, max_children: Optional[int] = 8) -> str:
         """The span tree as an indented text tree ('' when untraced)."""

@@ -10,6 +10,7 @@ bound to one.
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -310,8 +311,9 @@ class Session:
         result = QueryResult(table, stats,
                              trace=tracer.root if tracer else None,
                              plan=plan, actuals=actuals)
-        result._explainer = lambda: self._explain_text(plan,
-                                                       analysis=result)
+        # No reference back to ``result``: a dropped result is freed at
+        # once, without waiting for a cyclic collection.
+        result._explainer = functools.partial(self._explain_text, plan)
         return result
 
     def _parse(self, sql_or_ast: Union[str, ast.SelectStmt],

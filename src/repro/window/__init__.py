@@ -8,7 +8,7 @@ composable with arbitrary window frames:
   ``MIN``, ``MAX``, ``AVG``, user-defined),
 * framed rank functions (``RANK(ORDER BY ...) OVER (...)``,
   ``ROW_NUMBER``, ``PERCENT_RANK``, ``CUME_DIST``, ``NTILE``,
-  ``DENSE_RANK`` via range trees),
+  ``DENSE_RANK`` via presence tables or range trees),
 * framed percentiles (``PERCENTILE_DISC`` / ``PERCENTILE_CONT`` /
   ``MEDIAN`` with their own ORDER BY),
 * framed value functions (``FIRST_VALUE``, ``LAST_VALUE``, ``NTH_VALUE``

@@ -4,8 +4,9 @@ The rank of a row is the number of frame rows comparing strictly smaller
 under the function-level ORDER BY, plus one — a range count over the
 dense integer rank keys of Figure 8. ROW_NUMBER disambiguates ties by
 frame position; PERCENT_RANK and CUME_DIST are scaled variants; NTILE
-derives from ROW_NUMBER and the frame size; DENSE_RANK needs the
-Section 4.4 range tree.
+derives from ROW_NUMBER and the frame size; DENSE_RANK counts distinct
+key classes, on a presence table over at most 64 classes and on the
+Section 4.4 range tree over more.
 """
 
 from __future__ import annotations

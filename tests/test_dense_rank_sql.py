@@ -1,11 +1,12 @@
-"""Framed ``dense_rank`` in SQL: the range tree against the naive rung.
+"""Framed ``dense_rank`` in SQL: the index against the naive rung.
 
 ``ResourceLimits(max_structure_bytes=1)`` refuses every index structure,
 so the same statement runs ``naive_dense_rank`` in a second session;
 both must return equal rows. The statements cover ROWS, RANGE and
 GROUPS frames, every EXCLUDE clause, FILTER, PARTITION BY, NULL order
-and rank keys, ascending and descending rank keys. Run longer with
-``--hypothesis-profile=long``.
+and rank keys, ascending and descending rank keys, over few rank
+classes (the presence table) and over more than 64 (the range tree).
+Run longer with ``--hypothesis-profile=long``.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -34,11 +35,18 @@ def _bound(bound, start):
 
 @st.composite
 def statements(draw):
-    n = draw(st.integers(0, 40))
+    if draw(st.booleans()):  # at most 64 rank classes
+        n = draw(st.integers(0, 40))
+        k = [draw(st.none() | st.integers(0, 5)) for _ in range(n)]
+    else:  # more than 64 rank classes: the range tree, under a FILTER too
+        n = draw(st.integers(90, 120))
+        k = draw(st.permutations(range(n)))
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=8)):
+            k[i] = draw(st.none() | st.integers(0, n))
     rows = {
         "g": [draw(st.integers(0, 2)) for _ in range(n)],
         "o": [draw(st.none() | st.integers(0, 6)) for _ in range(n)],
-        "k": [draw(st.none() | st.integers(0, 5)) for _ in range(n)],
+        "k": k,
         "f": [draw(st.sampled_from([True, True, False, None]))
               for _ in range(n)],
     }

@@ -1,5 +1,8 @@
 """QueryResult: transparent table delegation plus execution record."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sql import Catalog, QueryResult, Session, SessionConfig, execute
@@ -119,6 +122,39 @@ class TestTrace:
         result = QR(session.execute(SQL).table,
                     session.execute(SQL).stats)
         assert "no plan captured" in result.explain()
+
+
+class TestLifetime:
+    """A result and its session own no reference cycle: with the cyclic
+    collector off, dropping the last reference frees them at once."""
+
+    @pytest.fixture(autouse=True)
+    def _no_cyclic_gc(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            yield
+        finally:
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("how", ["plain", "traced", "prepared"])
+    def test_dropped_result_and_session_are_freed_at_once(self, how):
+        session = Session(_catalog(), config=SessionConfig())
+        if how == "prepared":
+            prepared = session.prepare("SELECT g, v FROM t WHERE v > $1")
+            result = prepared.execute([2])
+            del prepared
+        else:
+            result = session.execute(SQL, trace=how == "traced")
+        assert "Project" in result.explain()  # works while it lives
+        dropped = weakref.ref(result)
+        del result
+        assert dropped() is None
+        closed = weakref.ref(session)
+        session.close()
+        del session
+        assert closed() is None
 
 
 class TestModuleExecuteCompatibility:

@@ -1,18 +1,20 @@
-"""Range tree for framed DENSE_RANK (Section 4.4)."""
+"""The framed DENSE_RANK index (Section 4.4): presence table and range
+tree."""
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cache import structure_breakdown
 from repro.mst.build import choose_index_dtype
 from repro.mst.decompose import num_levels
-from repro.mst.stats import dense_rank_index_bytes
+from repro.mst.stats import dense_rank_index_bytes, range_tree_bytes
 from repro.mst.vectorized import BLOCK_ROWS
 from repro.preprocess.occurrences import previous_occurrence
 from repro.rangetree import DenseRankIndex
-from repro.rangetree.dense import SAMPLE_EVERY
+from repro.rangetree.dense import (SAMPLE_EVERY, WORD_BITS, PresenceTable,
+                                   RangeTree)
 
 
 def _oracle_distinct_below(keys, lo, hi, threshold):
@@ -32,7 +34,7 @@ class TestDenseRankIndex:
     def test_distinct_below_random(self, fanout, rng):
         n = 90
         keys = rng.integers(0, 12, size=n)
-        index = DenseRankIndex(keys, fanout=fanout)
+        index = RangeTree(keys, fanout=fanout)
         bounds = np.sort(rng.integers(0, n + 1, size=(2, 120)), axis=0)
         thresholds = rng.integers(0, 13, size=120)
         got = index.batched_dense_rank(bounds[0], bounds[1], thresholds)
@@ -76,23 +78,47 @@ class TestDenseRankIndex:
 
     @pytest.mark.parametrize("fanout", [2, 3, 4])
     def test_memory_bytes_is_the_structure_breakdown(self, fanout, rng):
-        index = DenseRankIndex(rng.integers(0, 9, size=83), fanout=fanout)
-        assert structure_breakdown(index).total == index.memory_bytes()
+        for classes, layout in ((9, PresenceTable), (100, RangeTree)):
+            keys = rng.integers(0, classes, size=83)
+            keys[0] = classes - 1
+            index = DenseRankIndex(keys, fanout=fanout)
+            assert isinstance(index, layout)
+            assert structure_breakdown(index).total == index.memory_bytes()
 
     @pytest.mark.parametrize("fanout", [2, 3, 4])
     @pytest.mark.parametrize("n", [0, 1, 2, 9, 27, 64, 100, 60_000])
     def test_memory_bytes_predicted_exactly(self, fanout, n, rng):
-        """``dense_rank_index_bytes`` needs only (n, f, k) for dense rank
-        keys, the index's input: ``prev`` and the two key-count tables
+        """``range_tree_bytes`` needs only (n, f, k) for dense rank keys,
+        the range tree's input: ``prev`` and the two key-count tables
         count as levels, every anchor and offset as pointers."""
         keys = np.unique(rng.integers(0, 50, size=n), return_inverse=True)[1]
-        index = DenseRankIndex(keys, fanout=fanout)
+        index = RangeTree(keys, fanout=fanout)
         breakdown = structure_breakdown(index)
-        assert dense_rank_index_bytes(n, fanout, SAMPLE_EVERY) == \
+        assert range_tree_bytes(n, fanout, SAMPLE_EVERY) == \
             index.memory_bytes() == breakdown.total
         assert breakdown.levels == n * index.prev.itemsize + \
             2 * (n + 1) * choose_index_dtype(n + 1).itemsize
         assert breakdown.prefixes == breakdown.other == 0
+
+    @pytest.mark.parametrize("classes", [1, 8, 9, 16, 17, 32, 33, 64, 65,
+                                         1_000])
+    @pytest.mark.parametrize("n", [0, 100, 60_000])
+    def test_index_bytes_predicted_exactly(self, classes, n, rng):
+        """``dense_rank_index_bytes`` takes the class count: at most
+        ``WORD_BITS`` classes are a presence table of words as wide as
+        the classes need, more the range tree."""
+        span = min(n, classes)  # dense rank keys span at most n classes
+        keys = rng.permutation(np.arange(n) % classes)
+        index = DenseRankIndex(keys)
+        table = span <= WORD_BITS
+        assert isinstance(index, PresenceTable if table else RangeTree)
+        breakdown = structure_breakdown(index)
+        assert dense_rank_index_bytes(n, span, 2, SAMPLE_EVERY) == \
+            index.memory_bytes() == breakdown.total
+        assert (breakdown.levels == breakdown.total) == table
+        if table:  # the narrowest of 8, 16, 32 and 64 bits that holds them
+            bits = next(b for b in (8, 16, 32, 64) if span <= b)
+            assert index.words.itemsize * 8 == bits
 
     @pytest.mark.parametrize("fanout", [2, 3, 4])
     @pytest.mark.parametrize("n", [0, 1, 2, 9, 27, 64, 100])
@@ -100,7 +126,7 @@ class TestDenseRankIndex:
         """Outer and prev trees are full height, the inner tree of outer
         level L has L + 1 levels, and none of them keeps its keys."""
         keys = rng.integers(0, 6, size=n)
-        index = DenseRankIndex(keys, fanout=fanout)
+        index = RangeTree(keys, fanout=fanout)
         height = num_levels(n, fanout)
         assert index.height == height
         assert len(index.prev_tree.bridges) == height
@@ -122,7 +148,7 @@ class TestDenseRankIndex:
         reads its inner tree's level L, the top level included."""
         n = fanout ** 4
         keys = rng.integers(0, 7, size=n)
-        index = DenseRankIndex(keys, fanout=fanout)
+        index = RangeTree(keys, fanout=fanout)
         thresholds = np.arange(9)
         for level in range(index.height):
             run = fanout ** level
@@ -140,8 +166,7 @@ class TestDenseRankIndex:
     def test_hypothesis(self, keys, a, b, t, fanout):
         n = len(keys)
         lo, hi = sorted((a % (n + 1), b % (n + 1)))
-        index = DenseRankIndex(np.asarray(keys, dtype=np.int64),
-                               fanout=fanout)
+        index = RangeTree(np.asarray(keys, dtype=np.int64), fanout=fanout)
         assert _distinct_below(index, lo, hi, t) == \
             _oracle_distinct_below(keys, lo, hi, t)
 
@@ -168,7 +193,7 @@ class TestBatchedDenseRank:
     def test_fanouts(self, fanout, rng):
         n = 120
         keys = rng.integers(0, 8, size=n)
-        index = DenseRankIndex(keys, fanout=fanout)
+        index = RangeTree(keys, fanout=fanout)
         lo = np.maximum(np.arange(n) - 13, 0)
         hi = np.arange(n) + 1
         got = index.batched_dense_rank(lo, hi, keys)
@@ -197,39 +222,62 @@ def _brute_force_ranks(keys, lo, hi, thresholds):
     return 1 + (first & (below != none)).sum(axis=1)
 
 
+def _layouts(keys, fanout):
+    """The index ``keys`` select, and the range tree over them too when
+    they select the presence table."""
+    index = DenseRankIndex(keys, fanout=fanout)
+    assert isinstance(index, PresenceTable if max(keys, default=0) <
+                      WORD_BITS else RangeTree)
+    if isinstance(index, RangeTree):
+        return [index]
+    return [index, RangeTree(keys, fanout=fanout)]
+
+
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(fanout=st.sampled_from([2, 3, 4]), exponent=st.integers(0, 4),
-       shift=st.sampled_from([-1, 0, 1]), classes=st.integers(1, 12),
+       shift=st.sampled_from([-1, 0, 1]), classes=st.integers(1, 130),
        seed=st.integers(0, 2 ** 32 - 1))
+@example(fanout=2, exponent=4, shift=1, classes=9, seed=4)
+@example(fanout=2, exponent=4, shift=1, classes=17, seed=5)
+@example(fanout=2, exponent=4, shift=1, classes=33, seed=6)
+@example(fanout=4, exponent=4, shift=0, classes=63, seed=1)
+@example(fanout=4, exponent=4, shift=0, classes=64, seed=2)
+@example(fanout=4, exponent=4, shift=0, classes=65, seed=3)
 def test_batched_dense_rank_against_brute_force(fanout, exponent, shift,
                                                 classes, seed):
     """n on, just below and just above a power of the fanout; random,
     empty, inverted and whole-array frames; thresholds inside the key
-    domain and below and above it."""
+    domain and below and above it. Up to ``WORD_BITS`` classes, the
+    presence table and the range tree over the same keys both answer;
+    the examples put the top class on the first bit of a wider word and
+    on either side of ``WORD_BITS``."""
     n = max(fanout ** exponent + shift, 0)
     rng = np.random.default_rng(seed)
     keys = rng.integers(0, classes, size=n)
+    keys[:1] = classes - 1  # the keys span every class
     m = 60
     lo = rng.integers(0, n + 1, size=m)
     hi = rng.integers(0, n + 1, size=m)  # about half of them inverted
     lo[:4], hi[:4] = 0, n
     hi[4:8] = lo[4:8]
     thresholds = rng.integers(-2, classes + 2, size=m)
-    thresholds[:2] = -1, classes
-    index = DenseRankIndex(keys, fanout=fanout)
-    got = index.batched_dense_rank(lo, hi, thresholds)
-    assert got.tolist() == _brute_force_ranks(keys, lo, hi,
-                                              thresholds).tolist()
+    thresholds[:4] = -1, classes, WORD_BITS, WORD_BITS + 1
+    want = _brute_force_ranks(keys, lo, hi, thresholds).tolist()
+    for index in _layouts(keys, fanout):
+        assert index.batched_dense_rank(lo, hi, thresholds).tolist() == want
 
 
 def test_more_queries_than_one_block(rng):
-    """Blocks of :data:`BLOCK_ROWS` queries: the last one partial."""
+    """Blocks of :data:`BLOCK_ROWS` queries: the last one partial; both
+    layouts over 40 classes, the range tree over 100."""
     n = 3_000
-    keys = rng.integers(0, 40, size=n)
     m = BLOCK_ROWS + 1_000
     lo = rng.integers(0, n + 1, size=m)
-    hi = np.minimum(lo + rng.integers(0, 120, size=m), n)
-    thresholds = rng.integers(-1, 42, size=m)
-    got = DenseRankIndex(keys).batched_dense_rank(lo, hi, thresholds)
-    assert got.tolist() == _brute_force_ranks(keys, lo, hi,
-                                              thresholds).tolist()
+    hi = np.minimum(lo + rng.integers(-5, 120, size=m), n)
+    for classes in (40, 100):
+        keys = rng.integers(0, classes, size=n)
+        thresholds = rng.integers(-2, classes + 2, size=m)
+        want = _brute_force_ranks(keys, lo, hi, thresholds).tolist()
+        for index in _layouts(keys, 2):
+            assert index.batched_dense_rank(lo, hi,
+                                            thresholds).tolist() == want

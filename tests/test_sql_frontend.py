@@ -97,6 +97,11 @@ class TestNegativeParses:
             session.execute(
                 "SELECT a + 1, count(*) FROM t GROUP BY a + 1.0")
 
+    def test_ungrouped_order_by_key_names_the_column(self, session):
+        with pytest.raises(SqlAnalysisError,
+                           match="'d' must appear in GROUP BY"):
+            session.execute("SELECT a, count(*) FROM t GROUP BY a ORDER BY d")
+
     def test_unknown_column_in_grouped_select_stays_unknown(self, session):
         with pytest.raises(SqlAnalysisError, match="unknown column 'z'"):
             session.execute("SELECT z, count(*) FROM t GROUP BY a")
