@@ -65,13 +65,15 @@ def structure_breakdown(structure: Any) -> StructureSizeBreakdown:
     """Component-wise byte accounting for any cacheable index structure.
 
     Dispatches on type: merge sort trees, segment trees, both DENSE_RANK
-    layouts (presence table and range tree), the range-mode index, a
+    layouts (presence table and range tree), the DISTINCT presence table
+    (words as levels, class sums as prefixes), the range-mode index, a
     group's sort and per-row key arrays all get exact array sums;
     unknown objects fall back to a ``sys.getsizeof`` floor.
     """
     from repro.mst.tree import MergeSortTree
     from repro.rangemode.index import RangeModeIndex
-    from repro.rangetree.dense import PresenceTable, RangeTree
+    from repro.rangetree.dense import (DistinctTable, PresenceTable,
+                                       RangeTree)
     from repro.segtree.tree import SegmentTree
     from repro.window.partition import GroupOrder
 
@@ -85,6 +87,10 @@ def structure_breakdown(structure: Any) -> StructureSizeBreakdown:
     if isinstance(structure, PresenceTable):
         return StructureSizeBreakdown(levels=sum(
             _ndarray_bytes(a) for a in (structure.prev, structure.words)))
+    if isinstance(structure, DistinctTable):
+        return StructureSizeBreakdown(
+            levels=_ndarray_bytes(structure.words),
+            prefixes=_ndarray_bytes(structure.sums))
     if isinstance(structure, RangeTree):
         out = StructureSizeBreakdown(levels=sum(
             _ndarray_bytes(keys) for keys in (

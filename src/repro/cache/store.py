@@ -248,6 +248,23 @@ def _key_digest(key: Tuple) -> str:
                            digest_size=4).hexdigest()
 
 
+#: Cache kinds whose builder chooses between a presence table and a tree
+#: from its input: DISTINCT aggregates and DENSE_RANK.
+_LAYOUT_KINDS = frozenset({"mst:distinct", "mst:distinct:sum",
+                           "rangetree:dense"})
+
+
+def annotate_layout(span: Any, kind: str, structure: Any) -> None:
+    """Name on ``span``, the ``structure.build`` span that built
+    ``structure``, the layout its builder chose: ``layout=table`` for a
+    presence table, ``layout=tree`` otherwise. Other kinds have one
+    layout and get no attribute."""
+    if kind in _LAYOUT_KINDS:
+        from repro.rangetree.dense import PresenceWords
+        span.annotate(layout="table" if isinstance(structure, PresenceWords)
+                      else "tree")
+
+
 class StructureAcquirer:
     """Per-group handle the operator and the evaluators use to obtain
     the group's sort and structures.
@@ -298,8 +315,10 @@ class StructureAcquirer:
             def traced_builder() -> Any:
                 built[0] = True
                 with tracer.span("structure.build", kind=kind,
-                                 key=digest):
-                    return inner()
+                                 key=digest) as span:
+                    structure = inner()
+                    annotate_layout(span, kind, structure)
+                    return structure
 
             builder = traced_builder
             structure = self._cache.acquire(key, builder, pin=True)

@@ -140,6 +140,16 @@ def dense_rank_index_bytes(n: int, classes: int, fanout: int,
         + presence_words(n) * presence_dtype(classes).itemsize
 
 
+def distinct_table_bytes(n: int, classes: int) -> int:
+    """Bytes of a :class:`~repro.rangetree.dense.DistinctTable` over
+    ``n`` kept values of ``classes`` integer classes: its presence words,
+    each of :func:`~repro.rangetree.dense.presence_dtype`, and the int64
+    byte table of class sums, 256 entries per byte of a word."""
+    from repro.rangetree.dense import presence_dtype, presence_words
+    width = presence_dtype(classes).itemsize
+    return presence_words(n) * width + width * 256 * 8
+
+
 def measured_vs_model(tree) -> dict:
     """Compare a live tree's measured bytes against the live layout's
     prediction (``model_bytes``) and the paper's closed form plus the

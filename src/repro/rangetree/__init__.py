@@ -18,6 +18,11 @@ over the previous occurrences in that key order, as tall as one outer
 run. Every tree is cascaded: a probe searches two top levels once, then
 only follows bridges. Space and query time are O(n (log n)^2), the
 bounds the paper states for the range tree.
+
+The presence words also serve SUM/AVG(DISTINCT) over at most 64 integer
+classes: a :class:`~repro.rangetree.dense.DistinctTable` ORs a frame's
+pieces into one word, counts its bits and sums its classes through a
+byte table.
 """
 
 from repro.rangetree.dense import DenseRankIndex

@@ -1,8 +1,10 @@
-"""The index behind framed DENSE_RANK: a presence table or a range tree."""
+"""The indexes that count distinct classes in a frame: behind framed
+DENSE_RANK a presence table or a range tree, behind DISTINCT sums over
+few integer classes a presence table with class sums."""
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +26,14 @@ WORD_BITS = 64
 #: WORD_BITS]``. A shift by ``WORD_BITS`` is undefined in numpy.
 _BELOW = np.array([(1 << k) - 1 for k in range(WORD_BITS + 1)],
                   dtype=np.uint64)
+
+#: A :class:`DistinctTable` sums classes whose absolute values sum to at
+#: most this: float64's largest run of exact integers ends here.
+EXACT_SUM = 1 << 53
+
+#: ``_BYTE_BITS[k, v]``: bit ``k`` of the byte ``v``.
+_BYTE_BITS = (np.arange(256, dtype=np.int64)
+              >> np.arange(8, dtype=np.int64)[:, None]) & 1
 
 
 def _bridges(values: np.ndarray, fanout: int, height: int) -> TreeLevels:
@@ -108,29 +118,25 @@ class DenseRankIndex:
         raise NotImplementedError
 
 
-class PresenceTable(DenseRankIndex):
+class PresenceWords:
     """The classes present in every power-of-two run of rows, one bit
     per class: a sparse table over a word-wide OR.
 
-    Level ``t`` holds, at ``i``, the OR of ``1 << keys[j]`` over ``j``
-    in ``[i, i + 2^t)``; all levels lie in one flat array ``words``.
-    OR is idempotent, so a frame ``[a, b)`` with ``t = floor(log2(b -
-    a))`` is the OR of two overlapping runs, ``[a, a + 2^t)`` and ``[b
-    - 2^t, b)``, and its classes below ``K`` are that word's bits below
-    ``K``: two gathers, an OR, a mask and a popcount per row, and no
-    ``prev`` read. Built in ``O(n log n)`` ORs of words as wide as the
+    Level ``t`` holds, at ``i``, the OR of ``1 << ids[j]`` over ``j`` in
+    ``[i, i + 2^t)``; all levels lie in one flat array ``words``. OR is
+    idempotent, so the classes of a frame ``[a, b)`` with ``t =
+    floor(log2(b - a))`` are the OR of two overlapping runs, ``[a, a +
+    2^t)`` and ``[b - 2^t, b)`` (:meth:`frame_word`): two gathers and an
+    OR per row. Built in ``O(n log n)`` ORs of words as wide as the
     classes need (:func:`presence_dtype`).
     """
 
-    def __init__(self, keys: Sequence[int], fanout: int = 2) -> None:
-        """``fanout`` is the range tree's; the table has none."""
-        keys = np.asarray(keys, dtype=np.int64)
-        self.n = n = len(keys)
-        self.prev = previous_occurrence(keys).astype(choose_index_dtype(n))
-        dtype = presence_dtype(int(keys.max()) + 1 if n else 0)
+    def __init__(self, ids: np.ndarray, classes: int) -> None:
+        """``ids[j]`` is row j's class, in ``[0, classes)``."""
+        self.n = n = len(ids)
+        dtype = presence_dtype(classes)
         self.words = np.empty(presence_words(n), dtype=dtype)
-        np.left_shift(dtype.type(1), keys.astype(dtype),
-                      out=self.words[:n])
+        np.left_shift(dtype.type(1), ids.astype(dtype), out=self.words[:n])
         start, width = 0, n  # level 0
         for t in range(1, n.bit_length()):
             below = self.words[start:start + width]
@@ -138,12 +144,31 @@ class PresenceTable(DenseRankIndex):
             np.bitwise_or(below[:width], below[1 << (t - 1):],
                           out=self.words[start:start + width])
 
-    def _count_block(self, live: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                     key: np.ndarray) -> np.ndarray:
+    def frame_word(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """The classes of every frame ``[lo, hi)`` as one word each; the
+        frames must be non-empty and inside ``[0, n]``."""
         t = np.frexp(hi - lo)[1] - 1  # floor(log2(hi - lo)), exact
         span = np.left_shift(1, t, dtype=np.int64)
         start = t * (self.n + 1) - (span - 1)  # where level t begins
-        word = self.words[start + lo] | self.words[start + hi - span]
+        return self.words[start + lo] | self.words[start + hi - span]
+
+
+class PresenceTable(PresenceWords, DenseRankIndex):
+    """DENSE_RANK over at most ``WORD_BITS`` rank classes: the rank keys
+    are the class ids of a :class:`PresenceWords`. A row's classes below
+    ``K`` are its frame word's bits below ``K``: a mask and a popcount,
+    and no ``prev`` read."""
+
+    def __init__(self, keys: Sequence[int], fanout: int = 2) -> None:
+        """``fanout`` is the range tree's; the table has none."""
+        keys = np.asarray(keys, dtype=np.int64)
+        n = len(keys)
+        super().__init__(keys, int(keys.max()) + 1 if n else 0)
+        self.prev = previous_occurrence(keys).astype(choose_index_dtype(n))
+
+    def _count_block(self, live: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                     key: np.ndarray) -> np.ndarray:
+        word = self.frame_word(lo, hi)
         below = _BELOW[np.where(live, np.clip(key, 0, WORD_BITS), 0)]
         # Narrowed to the word, a mask past its width wraps to all ones.
         word &= below.astype(word.dtype, copy=False)
@@ -151,6 +176,66 @@ class PresenceTable(DenseRankIndex):
 
     def memory_bytes(self) -> int:
         return self.prev.nbytes + self.words.nbytes
+
+
+class DistinctTable(PresenceWords):
+    """DISTINCT SUM (and its count) over at most ``WORD_BITS`` integer
+    classes.
+
+    ``ids[j]`` is kept row j's class, an index into ``values``, the
+    ascending class values. A frame's class set is the OR of its
+    pieces' :meth:`~PresenceWords.frame_word`: the exact union, so an
+    EXCLUDE frame needs no hole correction. Its distinct count is that
+    word's popcount; its distinct sum adds one entry of ``sums`` per
+    byte of the word, where ``sums[b, v]`` is the sum of the classes
+    ``8b + k`` for the set bits ``k`` of ``v``.
+
+    Sums are int64 and exact. The caller keeps ``sum(|values|)`` within
+    :data:`EXACT_SUM`, where every partial sum in any order is an exact
+    float64 too, so the merge sort tree's float sums are these, bit for
+    bit.
+    """
+
+    def __init__(self, ids: np.ndarray, values: np.ndarray) -> None:
+        super().__init__(ids, len(values))
+        width = self.words.dtype.itemsize
+        padded = np.zeros(8 * width, dtype=np.int64)
+        padded[:len(values)] = values
+        self.sums = padded.reshape(width, 8) @ _BYTE_BITS
+
+    def count_and_sum(self, pieces: Sequence[Tuple[np.ndarray, np.ndarray]]
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per row: the distinct classes over its frame ``pieces`` (one
+        ``(lo, hi)`` array pair per piece, bounds in ``[0, n]``; an
+        empty or inverted piece adds nothing) and their sum."""
+        m = len(pieces[0][0])
+        counts = np.zeros(m, dtype=np.int64)
+        sums = np.zeros(m, dtype=np.int64)
+        if self.n == 0 or m == 0:
+            return counts, sums
+        for block in _blocks(m):
+            word = np.zeros(len(counts[block]), dtype=self.words.dtype)
+            for lo, hi in pieces:
+                lo_b, hi_b = lo[block], hi[block]
+                live = lo_b < hi_b
+                np.bitwise_or(word, self.frame_word(
+                    np.where(live, lo_b, 0), np.where(live, hi_b, 1)),
+                    out=word, where=live)
+            counts[block] = np.bitwise_count(word)
+            sums[block] = self._sum_words(word)
+        return counts, sums
+
+    def _sum_words(self, word: np.ndarray) -> np.ndarray:
+        """The class sum of every word: one ``sums`` entry per byte."""
+        octets = word.astype(word.dtype.newbyteorder("<"), copy=False) \
+            .view(np.uint8).reshape(-1, len(self.sums))
+        total = self.sums[0][octets[:, 0]]
+        for b in range(1, len(self.sums)):
+            total += self.sums[b][octets[:, b]]
+        return total
+
+    def memory_bytes(self) -> int:
+        return self.words.nbytes + self.sums.nbytes
 
 
 class RangeTree(DenseRankIndex):

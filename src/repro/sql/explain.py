@@ -146,8 +146,8 @@ def _execution_section(analysis: Any) -> List[str]:
     reuses = len(root.find_all("structure.reuse"))
     builds = root.find_all("structure.build")
     for span in builds:
-        key = span.attrs.get("key")
-        suffix = f" key={key}" if key is not None else ""
+        suffix = "".join(f" {name}={span.attrs[name]}"
+                         for name in ("key", "layout") if name in span.attrs)
         lines.append(f"  structure.build {span.attrs.get('kind', '?')}"
                      f"{suffix} {_ms(span.duration)}")
     if reuses:

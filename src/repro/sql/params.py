@@ -101,73 +101,85 @@ def _infer_stmt(stmt: ast.SelectStmt, catalog: Catalog,
         types = _typed_bindings(stmt.from_, catalog, local_ctes)
     except SqlAnalysisError:
         types = []
-
-    def type_of(expr: ast.Expr) -> Optional[str]:
-        if isinstance(expr, ast.ColumnRef):
-            name = expr.name.lower()
-            qualifier = expr.table.lower() if expr.table else None
-            found = None
-            for qual, col, dtype in types:
-                if col != name:
-                    continue
-                if qualifier is not None and qual != qualifier:
-                    continue
-                if found is not None and found != dtype:
-                    return None
-                found = dtype
-            return found
-        if isinstance(expr, ast.Literal):
-            return _literal_type(expr.value)
-        if isinstance(expr, ast.IntervalLiteral):
-            return "int64"
-        if isinstance(expr, ast.CastExpr):
-            return _CAST_TYPES.get(expr.type_name.lower())
-        return None
-
-    def record(param: ast.Parameter, dtype: Optional[str]) -> None:
-        if dtype is not None and out.get(param.key) is None:
-            out[param.key] = dtype
-
-    def visit(node: ast.Expr) -> None:
-        if isinstance(node, ast.BinaryOp) and node.op in (
-                "=", "<>", "<", "<=", ">", ">=", "+", "-", "*", "/", "%"):
-            if isinstance(node.left, ast.Parameter):
-                record(node.left, type_of(node.right))
-            if isinstance(node.right, ast.Parameter):
-                record(node.right, type_of(node.left))
-        elif isinstance(node, ast.BetweenExpr):
-            anchor = type_of(node.expr)
-            for side in (node.low, node.high):
-                if isinstance(side, ast.Parameter):
-                    record(side, anchor)
-            if isinstance(node.expr, ast.Parameter):
-                low = type_of(node.low)
-                record(node.expr, low if low is not None
-                       else type_of(node.high))
-        elif isinstance(node, ast.InExpr):
-            anchor = type_of(node.expr)
-            for item in node.items:
-                if isinstance(item, ast.Parameter):
-                    record(item, anchor)
-        elif isinstance(node, ast.LikeExpr):
-            if isinstance(node.pattern, ast.Parameter):
-                record(node.pattern, "string")
-            if isinstance(node.expr, ast.Parameter):
-                record(node.expr, "string")
-        for child in ast.children(node):
-            visit(child)
-        for sub in ast.statements(node):
-            _infer_stmt(sub, catalog, local_ctes, out)
-
     for expr in ast.children(stmt):
-        visit(expr)
+        _infer_expr(expr, types, catalog, local_ctes, out)
     for sub in derived_tables(stmt):
         _infer_stmt(sub, catalog, local_ctes, out)
 
 
+_Bindings = List[Tuple[Optional[str], str, Optional[str]]]
+
+
+def _type_of(expr: ast.Expr, types: _Bindings) -> Optional[str]:
+    """The type ``expr`` gives a parameter compared against it, from the
+    FROM clause's ``types`` (:func:`_typed_bindings`), or None."""
+    if isinstance(expr, ast.ColumnRef):
+        name = expr.name.lower()
+        qualifier = expr.table.lower() if expr.table else None
+        found = None
+        for qual, col, dtype in types:
+            if col != name:
+                continue
+            if qualifier is not None and qual != qualifier:
+                continue
+            if found is not None and found != dtype:
+                return None
+            found = dtype
+        return found
+    if isinstance(expr, ast.Literal):
+        return _literal_type(expr.value)
+    if isinstance(expr, ast.IntervalLiteral):
+        return "int64"
+    if isinstance(expr, ast.CastExpr):
+        return _CAST_TYPES.get(expr.type_name.lower())
+    return None
+
+
+def _record(out: Dict[ParamKey, Optional[str]], param: ast.Parameter,
+            dtype: Optional[str]) -> None:
+    """Type ``param``'s slot as ``dtype`` unless it is typed already."""
+    if dtype is not None and out.get(param.key) is None:
+        out[param.key] = dtype
+
+
+def _infer_expr(node: ast.Expr, types: _Bindings, catalog: Catalog,
+                ctes: Dict[str, Sequence[str]],
+                out: Dict[ParamKey, Optional[str]]) -> None:
+    """Type every parameter in ``node`` (nested statements included)
+    from what it is compared against."""
+    if isinstance(node, ast.BinaryOp) and node.op in (
+            "=", "<>", "<", "<=", ">", ">=", "+", "-", "*", "/", "%"):
+        if isinstance(node.left, ast.Parameter):
+            _record(out, node.left, _type_of(node.right, types))
+        if isinstance(node.right, ast.Parameter):
+            _record(out, node.right, _type_of(node.left, types))
+    elif isinstance(node, ast.BetweenExpr):
+        anchor = _type_of(node.expr, types)
+        for side in (node.low, node.high):
+            if isinstance(side, ast.Parameter):
+                _record(out, side, anchor)
+        if isinstance(node.expr, ast.Parameter):
+            low = _type_of(node.low, types)
+            _record(out, node.expr, low if low is not None
+                    else _type_of(node.high, types))
+    elif isinstance(node, ast.InExpr):
+        anchor = _type_of(node.expr, types)
+        for item in node.items:
+            if isinstance(item, ast.Parameter):
+                _record(out, item, anchor)
+    elif isinstance(node, ast.LikeExpr):
+        if isinstance(node.pattern, ast.Parameter):
+            _record(out, node.pattern, "string")
+        if isinstance(node.expr, ast.Parameter):
+            _record(out, node.expr, "string")
+    for child in ast.children(node):
+        _infer_expr(child, types, catalog, ctes, out)
+    for sub in ast.statements(node):
+        _infer_stmt(sub, catalog, ctes, out)
+
+
 def _typed_bindings(from_: Optional[ast.TableExpr], catalog: Catalog,
-                    ctes: Mapping[str, Sequence[str]]
-                    ) -> List[Tuple[Optional[str], str, Optional[str]]]:
+                    ctes: Mapping[str, Sequence[str]]) -> _Bindings:
     """(qualifier, column, dtype-or-None) triples for a FROM clause."""
     if from_ is None:
         return []
@@ -241,13 +253,21 @@ def bind_parameters(stmt: ast.SelectStmt,
     literal.  Unknown keys in ``values`` are ignored (callers validate
     arity); an unbound placeholder is left in place and rejected by
     the executor."""
+    return _Binder(values).bind_stmt(stmt)
 
-    def bind(node: ast.Expr) -> ast.Expr:
-        if isinstance(node, ast.Parameter) and node.key in values:
-            return ast.Literal(values[node.key])
-        return ast.map_children(node, bind, bind_stmt)
 
-    def bind_stmt(sub: ast.SelectStmt) -> ast.SelectStmt:
-        return ast.map_children(sub, bind, bind_stmt)
+class _Binder:
+    """:func:`bind_parameters`' rewrite, as bound methods: a nested
+    function that recursed through its own name would be a reference
+    cycle left behind by every execution."""
 
-    return bind_stmt(stmt)
+    def __init__(self, values: Mapping[ParamKey, Any]) -> None:
+        self.values = values
+
+    def bind(self, node: ast.Expr) -> ast.Expr:
+        if isinstance(node, ast.Parameter) and node.key in self.values:
+            return ast.Literal(self.values[node.key])
+        return ast.map_children(node, self.bind, self.bind_stmt)
+
+    def bind_stmt(self, sub: ast.SelectStmt) -> ast.SelectStmt:
+        return ast.map_children(sub, self.bind, self.bind_stmt)

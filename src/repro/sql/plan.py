@@ -202,35 +202,29 @@ _COMPLEX_NODES = (ast.ScalarSubquery, ast.ExistsExpr, ast.WindowFunc,
                   ast.Parameter)
 
 
+def _add_sides(node: ast.Expr, left: Scope, right: Scope,
+               sides: set) -> bool:
+    """Add to ``sides`` the inputs ``node`` reads; False (and stop) at a
+    subquery, window, parameter or outer/unknown reference."""
+    if isinstance(node, _COMPLEX_NODES):
+        return False
+    if isinstance(node, ast.ColumnRef):
+        in_left = left.resolves(node.name, node.table)
+        in_right = right.resolves(node.name, node.table)
+        if in_left:
+            sides.add("left")
+        if in_right:
+            sides.add("right")
+        return in_left or in_right
+    return all(_add_sides(child, left, right, sides)
+               for child in ast.children(node))
+
+
 def _side_of(expr: ast.Expr, left: Scope, right: Scope) -> str:
     """Which input an expression reads: 'left' | 'right' | 'const' |
     'both' | 'other' (unresolvable / subquery / parameter)."""
-    sides = set()
-    complex_ = [False]
-
-    def visit(node: ast.Expr) -> None:
-        if complex_[0]:
-            return
-        if isinstance(node, _COMPLEX_NODES):
-            complex_[0] = True
-            return
-        if isinstance(node, ast.ColumnRef):
-            in_left = left.resolves(node.name, node.table)
-            in_right = right.resolves(node.name, node.table)
-            if in_left and in_right:
-                sides.update(("left", "right"))
-            elif in_left:
-                sides.add("left")
-            elif in_right:
-                sides.add("right")
-            else:
-                complex_[0] = True  # outer/unknown reference
-            return
-        for child in ast.children(node):
-            visit(child)
-
-    visit(expr)
-    if complex_[0]:
+    sides: set = set()
+    if not _add_sides(expr, left, right, sides):
         return "other"
     if sides == {"left"}:
         return "left"
@@ -536,21 +530,24 @@ def _find(exprs: Sequence[ast.Expr],
     (their arguments belong to the window operator), subquery bodies are
     separate statements."""
     out: List[ast.Expr] = []
-    seen = set()
-
-    def visit(node: ast.Expr) -> None:
-        if wanted(node):
-            key = ast.Exact(node)
-            if key not in seen:
-                seen.add(key)
-                out.append(node)
-        elif not isinstance(node, ast.WindowFunc):
-            for child in ast.children(node):
-                visit(child)
-
+    seen: set = set()
     for expr in exprs:
-        visit(expr)
+        _find_in(expr, wanted, seen, out)
     return out
+
+
+def _find_in(node: ast.Expr, wanted: Callable[[ast.Expr], bool],
+             seen: set, out: List[ast.Expr]) -> None:
+    """:func:`_find` below one expression, appending to ``out`` what
+    ``seen`` does not hold yet."""
+    if wanted(node):
+        key = ast.Exact(node)
+        if key not in seen:
+            seen.add(key)
+            out.append(node)
+    elif not isinstance(node, ast.WindowFunc):
+        for child in ast.children(node):
+            _find_in(child, wanted, seen, out)
 
 
 def _substitute(expr: ast.Expr,
@@ -602,27 +599,10 @@ def _check_grouped(exprs: Sequence[ast.Expr],
     ``x + 1`` in ``SELECT x + 1 ... GROUP BY x + 1.0``. Names ``scope``
     (the grouping's input) does not resolve are left to evaluation: an
     outer row's column, or an unknown one."""
-
-    def visit(node: ast.Expr) -> Tuple[bool, Optional[ast.Expr]]:
-        """(whether ``node`` holds a key or an aggregate, the outermost
-        offending sub-expression or None)"""
-        if ast.Exact(node) in mapping or isinstance(node, ast.WindowFunc):
-            return True, None
-        if isinstance(node, ast.ColumnRef):
-            scope.check(node.name, node.table)
-            return False, (node if scope.resolves(node.name, node.table)
-                           else None)
-        held, found = False, None
-        for child in ast.children(node):
-            child_held, child_found = visit(child)
-            held |= child_held
-            found = found or child_found
-        return held, (found if held or found is None else node)
-
     for expr in exprs:
         if isinstance(expr, ast.Star):
             continue
-        found = visit(expr)[1]
+        found = _ungrouped(expr, mapping, scope)[1]
         if found is not None:
             from repro.sql.explain import _expr
             text = _expr(found)
@@ -631,6 +611,24 @@ def _check_grouped(exprs: Sequence[ast.Expr],
             raise SqlAnalysisError(
                 f"{text!r} must appear in GROUP BY or be used in an "
                 f"aggregate function")
+
+
+def _ungrouped(node: ast.Expr, mapping: Mapping[ast.Exact, ast.Expr],
+               scope: Scope) -> Tuple[bool, Optional[ast.Expr]]:
+    """For :func:`_check_grouped`: whether ``node`` holds a key or an
+    aggregate, and its outermost offending sub-expression or None."""
+    if ast.Exact(node) in mapping or isinstance(node, ast.WindowFunc):
+        return True, None
+    if isinstance(node, ast.ColumnRef):
+        scope.check(node.name, node.table)
+        return False, (node if scope.resolves(node.name, node.table)
+                       else None)
+    held, found = False, None
+    for child in ast.children(node):
+        child_held, child_found = _ungrouped(child, mapping, scope)
+        held |= child_held
+        found = found or child_found
+    return held, (found if held or found is None else node)
 
 
 def plan_statement(stmt: ast.SelectStmt, catalog: Optional[Catalog],
@@ -881,22 +879,26 @@ def _free_refs(stmt: ast.SelectStmt, catalog: Catalog,
         # analysis has nothing more to add.
         return
     chain = [local] + enclosing
-
-    def visit(node: ast.Expr) -> None:
-        if isinstance(node, ast.ColumnRef):
-            if not any(scope.resolves(node.name, node.table)
-                       for scope in chain):
-                out.append(node)
-            return
-        for child in ast.children(node):
-            visit(child)
-        for sub in ast.statements(node):
-            _free_refs(sub, catalog, local_ctes, chain, out)
-
     for expr in ast.children(stmt):
-        visit(expr)
+        _free_refs_in(expr, catalog, local_ctes, chain, out)
     for sub in derived_tables(stmt):
         _free_refs(sub, catalog, local_ctes, enclosing, out)
+
+
+def _free_refs_in(node: ast.Expr, catalog: Catalog,
+                  ctes: Dict[str, Sequence[str]], chain: List[Scope],
+                  out: List[ast.ColumnRef]) -> None:
+    """:func:`_free_refs` below one expression of a statement whose
+    scopes, innermost first, are ``chain``."""
+    if isinstance(node, ast.ColumnRef):
+        if not any(scope.resolves(node.name, node.table)
+                   for scope in chain):
+            out.append(node)
+        return
+    for child in ast.children(node):
+        _free_refs_in(child, catalog, ctes, chain, out)
+    for sub in ast.statements(node):
+        _free_refs(sub, catalog, ctes, chain, out)
 
 
 def check_in_subquery(node: ast.InSubquery, catalog: Catalog,

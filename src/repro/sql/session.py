@@ -50,6 +50,15 @@ from repro.table.table import Table
 _QUERY_OVERHEAD_BYTES = 64 << 10
 
 
+def _scanned(from_: Optional[ast.TableExpr], names: set) -> None:
+    """Add to ``names`` the lowercased catalog names ``from_`` scans."""
+    if isinstance(from_, ast.NamedTable):
+        names.add(from_.name.lower())
+    elif isinstance(from_, ast.Join):
+        _scanned(from_.left, names)
+        _scanned(from_.right, names)
+
+
 def _estimate_query_bytes(stmt: ast.SelectStmt, catalog: Catalog) -> int:
     """An admission-time working-set estimate for one statement.
 
@@ -64,17 +73,9 @@ def _estimate_query_bytes(stmt: ast.SelectStmt, catalog: Catalog) -> int:
     from repro.resilience.memory import table_bytes
 
     names: set = set()
-
-    def scanned(from_: Optional[ast.TableExpr]) -> None:
-        if isinstance(from_, ast.NamedTable):
-            names.add(from_.name.lower())
-        elif isinstance(from_, ast.Join):
-            scanned(from_.left)
-            scanned(from_.right)
-
     for node in ast.walk(stmt):
         if isinstance(node, ast.SelectStmt):
-            scanned(node.from_)
+            _scanned(node.from_, names)
     total = sum(table_bytes(catalog.lookup(name))
                 for name in names if name in catalog)
     return total * 2 + _QUERY_OVERHEAD_BYTES

@@ -8,6 +8,7 @@ from typing import (Any, Callable, Iterator, List, Optional, Sequence, Tuple,
 
 import numpy as np
 
+from repro.cache.store import annotate_layout
 from repro.mst.build import TreeLevels
 from repro.mst.vectorized import batched_select
 from repro.preprocess.permutation import permutation_array
@@ -344,8 +345,10 @@ class CallInput:
             if tracer.enabled:
                 # Cacheless build: still worth a timed span (keyless —
                 # there is no cache key without an acquirer).
-                with tracer.span("structure.build", kind=kind):
-                    return guarded()
+                with tracer.span("structure.build", kind=kind) as span:
+                    structure = guarded()
+                    annotate_layout(span, kind, structure)
+                    return structure
             return guarded()
         filter_where = self.call.filter_where
         column_key = acquirer.column_key

@@ -11,11 +11,20 @@ would overcount. We instead count over the full continuous frame and
 subtract the values that occur *only* inside the holes — one array pass
 over every row's gaps between frame pieces
 (:meth:`~repro.window.evaluators.common.CallInput.hole_only`).
+
+``SUM``/``AVG`` over an integer argument with at most ``WORD_BITS``
+classes among the kept values, whose absolute values sum to at most
+``EXACT_SUM`` (2^53), take a :class:`~repro.rangetree.dense.DistinctTable`
+instead: a frame's class set is one word, the OR over its pieces, so
+EXCLUDE needs no correction there, and the tree's float sums would be
+exact integers, the same numbers as the table's int64 sums.
+``COUNT(DISTINCT)`` always takes the tree, which is the smaller of the
+two.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -31,6 +40,7 @@ from repro.preprocess.occurrences import (
     previous_occurrence,
     previous_occurrence_by_hash,
 )
+from repro.rangetree.dense import EXACT_SUM, WORD_BITS, DistinctTable
 from repro.window.calls import WindowCall
 from repro.window.evaluators import aggregates as plain_aggregates
 from repro.window.evaluators.common import (Arrays, CallInput, Result,
@@ -59,32 +69,43 @@ def evaluate(call: WindowCall, part: PartitionView) -> Result:
     raise WindowFunctionError(f"unsupported distinct aggregate {name!r}")
 
 
-def _build_tree(inputs: CallInput, aggregate: AggregateSpec = None,
-                payload: Any = None, cache_kind: str = None) -> MergeSortTree:
+def _kept_values(inputs: CallInput) -> Tuple[Any, np.ndarray]:
+    """The kept argument values (zeros for ``count(*)``) and their
+    previous occurrences."""
+    values = inputs.kept_values(inputs.call.args[0]) if inputs.call.args \
+        else np.zeros(inputs.n_kept, dtype=np.int64)
+    if isinstance(values, np.ndarray):
+        return values, previous_occurrence(values)
+    # Non-integer payloads (strings, ...) use the Section 6.7
+    # hash-sorting formulation of Algorithm 1.
+    return values, previous_occurrence_by_hash(values)
+
+
+def _class_table(values: Any, prev: np.ndarray) -> Optional[DistinctTable]:
+    """A :class:`DistinctTable` over integer ``values`` with at most
+    ``WORD_BITS`` classes whose absolute values sum to at most
+    ``EXACT_SUM``; None when the tree must answer. ``prev < 0`` marks
+    each class's first occurrence, so both bounds are checked before
+    anything sorts ``values``."""
+    if not isinstance(values, np.ndarray) or values.dtype.kind != "i":
+        return None
+    first = values[prev < 0]
+    if len(first) > WORD_BITS \
+            or sum(abs(v) for v in first.tolist()) > EXACT_SUM:
+        return None
+    classes, ids = np.unique(values, return_inverse=True)
+    return DistinctTable(ids, classes)
+
+
+def _build_tree(prev: np.ndarray, aggregate: AggregateSpec = None,
+                payload: Any = None) -> MergeSortTree:
     """Tree over shifted previous-occurrence indices of the kept values.
 
     Keys are ``prev + 1`` so the "-" sentinel becomes 0 (the Section 5.1
     packing); a frame threshold ``prev < lo`` becomes ``key < lo + 1``.
-
-    ``cache_kind`` names the structure in the cache key; None bypasses
-    the cache (UDAF trees carry non-reusable aggregate specs).
     """
-
-    def build() -> MergeSortTree:
-        values = inputs.kept_values(inputs.call.args[0]) if inputs.call.args \
-            else np.zeros(inputs.n_kept, dtype=np.int64)
-        if isinstance(values, np.ndarray):
-            prev = previous_occurrence(values)
-        else:
-            # Non-integer payloads (strings, ...) use the Section 6.7
-            # hash-sorting formulation of Algorithm 1.
-            prev = previous_occurrence_by_hash(values)
-        return MergeSortTree(prev + 1, fanout=_TREE_FANOUT,
-                             aggregate=aggregate, payload=payload)
-
-    if cache_kind is None:
-        return build()
-    return inputs.structure(cache_kind, build)
+    return MergeSortTree(prev + 1, fanout=_TREE_FANOUT,
+                         aggregate=aggregate, payload=payload)
 
 
 def _subtract_hole_only(tree: MergeSortTree, inputs: CallInput,
@@ -119,27 +140,53 @@ def _probe_distinct(tree: MergeSortTree, inputs: CallInput) -> np.ndarray:
 
 
 def _count_distinct(call: WindowCall, inputs: CallInput) -> Arrays:
-    tree = _build_tree(inputs, cache_kind="mst:distinct")
+    tree = inputs.structure("mst:distinct",
+                            lambda: _build_tree(_kept_values(inputs)[1]))
     counts = _probe_distinct(tree, inputs)
     _subtract_hole_only(tree, inputs, counts)
     return counts, None
 
 
-def _sum_avg_distinct(call: WindowCall, inputs: CallInput) -> Arrays:
-    payload = np.asarray(inputs.kept_values(call.args[0]), dtype=np.float64)
+def _finite_payload(values: Any) -> Tuple[np.ndarray, np.ndarray]:
+    """The argument as float64, and the same with NaN and ±inf as 0.0:
+    a hole correction could not subtract them back out, so they are
+    applied per frame at the end."""
+    payload = np.asarray(values, dtype=np.float64)
     finite = np.isfinite(payload)
-    # NaN and ±inf enter the sums as 0.0 — a hole correction could not
-    # subtract them back out — and are applied per frame at the end.
-    summed = payload if finite.all() else np.where(finite, payload, 0.0)
-    tree = _build_tree(inputs, aggregate=SUM, payload=summed,
-                       cache_kind="mst:distinct:sum")
-    sums = batched_aggregate(
-        tree.levels, inputs.start_f, inputs.end_f,
-        key_hi=inputs.start_f + 1, kind="sum")
-    counts = _probe_distinct(tree, inputs)
-    _subtract_hole_only(tree, inputs, counts, sums, summed)
-    if summed is not payload:
-        _apply_non_finite(inputs, payload, sums)
+    return payload, payload if finite.all() else np.where(finite, payload,
+                                                          0.0)
+
+
+def _sum_index(inputs: CallInput) -> Union[DistinctTable, MergeSortTree]:
+    """The call's cached DISTINCT sum index: the :class:`DistinctTable`
+    when :func:`_class_table` admits the kept values, else the merge
+    sort tree of :func:`_build_tree` annotated with their sum."""
+
+    def build() -> Union[DistinctTable, MergeSortTree]:
+        values, prev = _kept_values(inputs)
+        table = _class_table(values, prev)
+        if table is not None:
+            return table
+        return _build_tree(prev, aggregate=SUM,
+                           payload=_finite_payload(values)[1])
+
+    return inputs.structure("mst:distinct:sum", build)
+
+
+def _sum_avg_distinct(call: WindowCall, inputs: CallInput) -> Arrays:
+    index = _sum_index(inputs)
+    if isinstance(index, DistinctTable):
+        counts, sums = index.count_and_sum(inputs.pieces_f)
+    else:
+        payload, summed = _finite_payload(
+            inputs.kept_values(call.args[0]))
+        sums = batched_aggregate(
+            index.levels, inputs.start_f, inputs.end_f,
+            key_hi=inputs.start_f + 1, kind="sum")
+        counts = _probe_distinct(index, inputs)
+        _subtract_hole_only(index, inputs, counts, sums, summed)
+        if summed is not payload:
+            _apply_non_finite(inputs, payload, sums)
     valid = counts > 0
     if call.function == "avg":
         return nullable(sums / np.maximum(counts, 1), valid)
@@ -171,8 +218,8 @@ def _udaf_distinct(call: WindowCall, part: PartitionView,
         # No inverse function may be assumed for a UDAF; recompute
         # excluded frames naively (documented fallback).
         return _evaluate_naive(call, part, inputs)
-    values = inputs.kept_values(call.args[0])
-    tree = _build_tree(inputs, aggregate=spec, payload=values)
+    values, prev = _kept_values(inputs)
+    tree = _build_tree(prev, aggregate=spec, payload=values)
     valid = _probe_distinct(tree, inputs) > 0
     states = batched_aggregate(tree.levels, inputs.start_f[valid],
                                inputs.end_f[valid],

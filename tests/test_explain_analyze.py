@@ -84,6 +84,34 @@ class TestExplainAnalyze:
             text = session.explain(SQL)
         assert "actual" not in text
 
+    def test_structure_builds_name_their_layout(self):
+        """DISTINCT and DENSE_RANK indexes name the layout they built:
+        for DENSE_RANK and DISTINCT sums the presence table over at most
+        64 integer classes, the tree over more (or over floats); for
+        ``count(DISTINCT)`` always the tree."""
+        n = 70
+        table = Table.from_dict({
+            "o": (DataType.INT64, list(range(n))),
+            "few": (DataType.INT64, [i % 3 for i in range(n)]),
+            "many": (DataType.INT64, list(range(n))),
+            "real": (DataType.FLOAT64, [i % 3 / 2 for i in range(n)]),
+        })
+        over = "OVER (ORDER BY o ROWS BETWEEN 5 PRECEDING AND CURRENT ROW)"
+        cases = {
+            f"count(DISTINCT few) {over}": ("mst:distinct", "tree"),
+            f"sum(DISTINCT few) {over}": ("mst:distinct:sum", "table"),
+            f"sum(DISTINCT many) {over}": ("mst:distinct:sum", "tree"),
+            f"avg(DISTINCT real) {over}": ("mst:distinct:sum", "tree"),
+            f"dense_rank(ORDER BY few) {over}": ("rangetree:dense", "table"),
+            f"dense_rank(ORDER BY many) {over}": ("rangetree:dense", "tree"),
+        }
+        for call, (kind, layout) in cases.items():
+            with Session(Catalog({"t": table})) as session:
+                text = session.explain(f"SELECT {call} FROM t", analyze=True)
+            (line,) = [line for line in text.splitlines()
+                       if f"structure.build {kind} " in line]
+            assert f" layout={layout} " in line, (call, line)
+
     def test_analyze_executes_through_the_gateway(self):
         with Session(_catalog()) as session:
             before = session.gateway.stats().admitted

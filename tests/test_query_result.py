@@ -156,6 +156,34 @@ class TestLifetime:
         del session
         assert closed() is None
 
+    @pytest.mark.parametrize("sql", [
+        "SELECT g, v FROM t WHERE v > 2",
+        "SELECT g, count(*) FROM t GROUP BY g HAVING count(*) > 1 "
+        "ORDER BY g",
+        "SELECT g, v FROM t WHERE v > $1 AND g IN "
+        "(SELECT g FROM t WHERE v BETWEEN $1 AND 9)",
+    ], ids=["plain", "grouped", "prepared"])
+    def test_a_statement_leaves_no_cyclic_garbage(self, sql):
+        """Planning, parameter typing and binding recurse through module
+        functions: a nested function that recursed through its own name
+        would be a function <-> cell cycle left by every statement."""
+        with Session(_catalog(), config=SessionConfig()) as session:
+            gc.collect()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            try:
+                if "$1" in sql:
+                    session.prepare(sql).execute([2])
+                else:
+                    session.execute(sql)
+                gc.collect()
+                functions = [getattr(o, "__qualname__", o)
+                             for o in gc.garbage
+                             if type(o).__name__ == "function"]
+            finally:
+                gc.set_debug(0)
+                gc.garbage.clear()
+        assert functions == []
+
 
 class TestModuleExecuteCompatibility:
     def test_module_execute_still_returns_a_table(self):

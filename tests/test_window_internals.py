@@ -261,7 +261,7 @@ def test_distinct_probe_equals_the_two_ended_count(inputs):
     """``count(DISTINCT)`` descends only the upper frame end: over
     ``[0, hi)`` the entries before ``lo`` all have ``prev < lo``, so
     subtracting ``lo`` equals the two-ended count over ``[lo, hi)``."""
-    tree = distinct._build_tree(inputs)
+    tree = distinct._build_tree(distinct._kept_values(inputs)[1])
     two_ended = batched_count(tree.levels, inputs.start_f, inputs.end_f,
                               key_hi=inputs.start_f + 1)
     assert distinct._probe_distinct(tree, inputs).tolist() == \
