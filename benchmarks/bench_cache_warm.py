@@ -19,6 +19,7 @@ from repro.bench.harness import (
     scaled,
 )
 from repro.cache import StructureCache, structure_bytes
+from repro.resilience.memory import MemoryGovernor
 from repro.tpch import lineitem
 from repro.window import (
     FrameSpec,
@@ -98,7 +99,8 @@ def test_eviction_under_tight_budget(table):
          "bytes_in_use"])
     for fraction in (None, 1.0, 0.5, 0.1):
         budget = None if fraction is None else int(working_set * fraction)
-        cache = StructureCache(budget_bytes=budget)
+        # No session: the ledger holds only this cache's trees.
+        cache = StructureCache(MemoryGovernor(budget))
         window_query(table, calls, spec, cache=cache)  # populate
         populated = cache.stats().misses
         seconds, _ = measure_with_memory(

@@ -17,8 +17,8 @@ This package provides that reuse as a first-class subsystem:
   ORDER BY column fingerprints, entry kind, the entry's own input
   column fingerprints and configuration)``;
 * :mod:`repro.cache.budget` — per-structure byte accounting (tree
-  levels, cascading bridges, prefix-aggregate arrays) against a
-  configurable global memory budget;
+  levels, cascading bridges, prefix-aggregate arrays), charged to the
+  session's memory governor;
 * :mod:`repro.cache.store` — a thread-safe LRU :class:`StructureCache`
   with pinning and hit/miss/eviction counters, so cached trees can be
   shared read-only by concurrent queries; an evicted tree is dropped
@@ -30,7 +30,6 @@ it, and :class:`repro.sql.session.Session` owns one cache per session.
 """
 
 from repro.cache.budget import (
-    MemoryBudget,
     StructureSizeBreakdown,
     structure_breakdown,
     structure_bytes,
@@ -44,7 +43,6 @@ from repro.cache.store import CacheStats, StructureAcquirer, StructureCache
 
 __all__ = [
     "CacheStats",
-    "MemoryBudget",
     "StructureAcquirer",
     "StructureCache",
     "StructureSizeBreakdown",

@@ -1,4 +1,4 @@
-"""Per-structure byte accounting against a global memory budget.
+"""Per-structure byte accounting: what the session ledger charges.
 
 The paper's Section 5.1 / 6.6 memory model prices a merge sort tree at
 ``ceil(log_f n) * n`` level entries plus ``n * f / k`` cascading pointers
@@ -8,8 +8,9 @@ int counts per position at ``k = 1`` (uint8 offsets plus an int anchor
 every ``k`` positions at ``k > 1``), per bridged level.
 :func:`structure_breakdown` measures the live arrays of every index
 structure the window evaluators build — key arrays, cascading bridges
-and prefix-aggregate annotations separately — so the cache can charge
-real bytes, not estimates, against its budget.
+and prefix-aggregate annotations separately — so the structure cache
+charges real bytes, not estimates, to the session's
+:class:`~repro.resilience.memory.MemoryGovernor`.
 """
 
 from __future__ import annotations
@@ -114,42 +115,3 @@ def structure_bytes(structure: Any) -> int:
     """Total measured bytes of one index structure."""
     return structure_breakdown(structure).total
 
-
-class MemoryBudget:
-    """Byte accounting against an optional global limit.
-
-    Not thread-safe on its own; the owning
-    :class:`~repro.cache.store.StructureCache` serialises access under
-    its lock.
-    """
-
-    def __init__(self, total_bytes: int = None) -> None:
-        if total_bytes is not None and total_bytes < 0:
-            raise ValueError("memory budget must be non-negative")
-        self.total = total_bytes
-        self.used = 0
-
-    @property
-    def unlimited(self) -> bool:
-        return self.total is None
-
-    @property
-    def over_budget(self) -> bool:
-        return self.total is not None and self.used > self.total
-
-    def remaining(self) -> float:
-        if self.total is None:
-            return float("inf")
-        return self.total - self.used
-
-    def charge(self, nbytes: int) -> None:
-        self.used += int(nbytes)
-
-    def release(self, nbytes: int) -> None:
-        self.used -= int(nbytes)
-        if self.used < 0:  # pragma: no cover - accounting bug guard
-            raise AssertionError("memory budget released below zero")
-
-    def __repr__(self) -> str:
-        limit = "unlimited" if self.total is None else f"{self.total:,}"
-        return f"MemoryBudget(used={self.used:,}, total={limit})"

@@ -1,14 +1,15 @@
-"""Thread-safe LRU structure store with pinning and a byte budget.
+"""Thread-safe LRU structure store with pinning, on the session ledger.
 
 The cache maps canonical keys (built by :mod:`repro.cache.fingerprint`
 plus a structure kind and per-call configuration) to live index
 structures. Entries are charged real measured bytes (via
-:mod:`repro.cache.budget`) against an optional global budget; when the
-budget is exceeded the least-recently-used *unpinned* entries are
-evicted — dropped, so the next acquire of that key rebuilds the
-structure through its builder and counts a miss. (Writing a tree to
-disk and reading it back costs several times its build, so an evicted
-tree is never kept anywhere.)
+:mod:`repro.cache.budget`) to a
+:class:`~repro.resilience.memory.MemoryGovernor` under the
+``structure_cache`` tag; while that ledger is over its budget the
+least-recently-used *unpinned* entries are evicted — dropped, so the
+next acquire of that key rebuilds the structure through its builder and
+counts a miss. (Writing a tree to disk and reading it back costs
+several times its build, so an evicted tree is never kept anywhere.)
 
 Pinning exists because the window operator probes a group's
 structures many times between acquire and release — possibly while
@@ -26,8 +27,12 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
 
-from repro.cache.budget import MemoryBudget, structure_bytes
+from repro.cache.budget import structure_bytes
 from repro.resilience.context import current_context
+from repro.resilience.memory import MemoryGovernor
+
+#: The ledger tag this cache's bytes are held under.
+TAG = "structure_cache"
 
 
 @dataclass
@@ -37,20 +42,17 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    bytes_in_use: int = 0
-    budget_bytes: Optional[int] = None
+    bytes_in_use: int = 0     # the ledger's structure_cache tag
     entries: int = 0
     pinned_entries: int = 0   # entries with pins > 0 (0 when quiescent)
 
     def render(self) -> List[str]:
         """Human-readable lines for ``EXPLAIN`` output."""
-        budget = ("unlimited" if self.budget_bytes is None
-                  else f"{self.budget_bytes:,} B")
         return [
             f"hits={self.hits} misses={self.misses} "
             f"evictions={self.evictions}",
             f"entries={self.entries} ({self.pinned_entries} pinned) "
-            f"bytes={self.bytes_in_use:,} budget={budget}",
+            f"bytes={self.bytes_in_use:,}",
         ]
 
 
@@ -58,27 +60,25 @@ class CacheStats:
 class _CacheEntry:
     key: Tuple
     structure: Any
-    nbytes: int             # charged against the budget
+    nbytes: int             # charged to the ledger
     pins: int = 0
 
 
 class StructureCache:
     """LRU cache of window index structures.
 
-    ``budget_bytes=None`` means unlimited (never evicts).
+    Its bytes live in ``governor``'s ledger (a fresh unlimited
+    :class:`~repro.resilience.memory.MemoryGovernor` when None, which
+    never evicts); unpinned entries are evicted LRU-first while that
+    ledger is over its budget.
     """
 
-    def __init__(self, budget_bytes: Optional[int] = None,
-                 governor=None) -> None:
+    def __init__(self, governor: Optional[MemoryGovernor] = None) -> None:
         self._lock = threading.RLock()
         self._entries: "OrderedDict[Tuple, _CacheEntry]" = OrderedDict()
-        self._budget = MemoryBudget(budget_bytes)
-        #: Session MemoryGovernor (optional). Every byte charged against
-        #: the private budget is mirrored into the session ledger under
-        #: the ``structure_cache`` tag, and session-wide pressure drives
-        #: eviction exactly like the private budget does.
-        self._governor = governor
-        self._stats = CacheStats(budget_bytes=budget_bytes)
+        self._governor = (governor if governor is not None
+                          else MemoryGovernor())
+        self._stats = CacheStats()
 
     # ------------------------------------------------------------------
     # acquire / release
@@ -110,7 +110,7 @@ class StructureCache:
             entry = _CacheEntry(key=key, structure=structure, nbytes=nbytes,
                                 pins=1 if pin else 0)
             self._entries[key] = entry
-            self._charge(nbytes)
+            self._governor.charge(nbytes, TAG)
             self._stats.misses += 1
             current_context().telemetry.count_cache_miss()
             self._evict_to_budget()
@@ -144,32 +144,13 @@ class StructureCache:
             return len(self._entries)
 
     # ------------------------------------------------------------------
-    # byte accounting
-    # ------------------------------------------------------------------
-    def _charge(self, nbytes: int) -> None:
-        self._budget.charge(nbytes)
-        if self._governor is not None:
-            self._governor.charge(nbytes, tag="structure_cache")
-
-    def _release(self, nbytes: int) -> None:
-        self._budget.release(nbytes)
-        if self._governor is not None:
-            self._governor.release(nbytes, tag="structure_cache")
-
-    # ------------------------------------------------------------------
     # eviction
     # ------------------------------------------------------------------
-    def _over_any_budget(self) -> bool:
-        if self._budget.over_budget:
-            return True
-        gov = self._governor
-        # Session-wide pressure (queries reserving bytes elsewhere)
-        # evicts cached structures too: the cache is the session's most
-        # reclaimable memory.
-        return gov is not None and gov.limited and gov.over_budget
-
     def _evict_to_budget(self) -> None:
-        while self._over_any_budget():
+        # Any session pressure (query reservations, cached plans)
+        # evicts cached structures: the cache is the session's most
+        # reclaimable memory.
+        while self._governor.over_budget:
             victim = self._lru_victim()
             if victim is None:
                 return  # everything left is pinned
@@ -183,7 +164,7 @@ class StructureCache:
 
     def _evict(self, entry: _CacheEntry) -> None:
         self._stats.evictions += 1
-        self._release(entry.nbytes)
+        self._governor.release(entry.nbytes, TAG)
         del self._entries[entry.key]
 
     # ------------------------------------------------------------------
@@ -197,8 +178,7 @@ class StructureCache:
                 hits=self._stats.hits,
                 misses=self._stats.misses,
                 evictions=self._stats.evictions,
-                bytes_in_use=self._budget.used,
-                budget_bytes=self._budget.total,
+                bytes_in_use=self._governor.held(TAG),
                 entries=len(self._entries),
                 pinned_entries=pinned,
             )
@@ -227,7 +207,7 @@ class StructureCache:
         """Drop every entry, including pinned ones."""
         with self._lock:
             for entry in self._entries.values():
-                self._release(entry.nbytes)
+                self._governor.release(entry.nbytes, TAG)
             self._entries.clear()
 
     def close(self) -> None:

@@ -1,10 +1,9 @@
 """The session-wide memory governor: one byte ledger for everything.
 
 Deadlines, breakers and the admission gateway govern *time* and
-*concurrency*; until now nothing governed *bytes* — the structure cache
-and plan cache each ran a private budget, query intermediates ran on
-hope, and one oversized window query could OOM a multi-tenant process.
-:class:`MemoryGovernor` closes that gap with a single session ledger:
+*concurrency*; the governor governs *bytes*. It is the session's only
+byte ledger and ``memory_budget_bytes`` (``REPRO_MEMORY_BUDGET``) its
+only budget:
 
 * **reservations** — the executor estimates a query's working set from
   the tables it scans and reserves those bytes *before* gateway
@@ -15,10 +14,11 @@ hope, and one oversized window query could OOM a multi-tenant process.
   are shed with a typed :class:`~repro.errors.MemoryPressureError`
   (HTTP 503 + ``Retry-After`` on the wire) when the wait budget
   expires;
-* **charges** — the structure cache and plan cache mirror every byte
-  they hold into the ledger (tagged, so the breakdown is visible in
-  ``EXPLAIN`` / ``/v1/healthz``), and evict while the *session* is
-  over budget, not just their private budgets;
+* **charges** — the structure cache and plan cache keep their bytes in
+  the ledger and nowhere else (tagged ``structure_cache`` /
+  ``plan_cache``, so the breakdown is visible in ``EXPLAIN`` /
+  ``/v1/healthz``), and evict LRU entries while the session is over
+  budget;
 * **guards** — a single structure larger than the whole session budget
   raises :class:`~repro.errors.MemoryPressureError` from the build
   guard, which rides the existing ``FALLBACK_ERRORS`` ladder down to
@@ -43,7 +43,9 @@ completes waits instantly in tests).
 
 The governor never *enforces* at the allocator level — CPython cannot —
 it keeps an honest ledger of the measured/estimated bytes the engine
-knows about and makes eviction/shedding decisions from it.
+knows about and makes eviction/shedding decisions from it. Releasing
+more bytes under a tag than the tag holds is an accounting bug and
+raises instead of being clamped away.
 """
 
 from __future__ import annotations
@@ -182,10 +184,12 @@ class MemoryGovernor:
 
     def __init__(self, budget_bytes: Optional[int] = None,
                  clock: Any = None) -> None:
+        if budget_bytes is not None and budget_bytes < 0:
+            raise ValueError("memory budget must be non-negative")
         self.budget = budget_bytes
         self._clock = clock
         self._lock = threading.Lock()
-        self._used = 0        # reservations + mirrored cache charges
+        self._used = 0        # reservations + cache charges
         self._reserved = 0    # the reservation share of _used
         self._peak = 0
         self._by_tag: Dict[str, int] = {}
@@ -206,11 +210,16 @@ class MemoryGovernor:
     @property
     def over_budget(self) -> bool:
         """Whether the session ledger exceeds its budget (drives cache
-        eviction beyond the caches' private budgets)."""
+        eviction). Unbudgeted, it answers without taking the lock."""
         if self.budget is None:
             return False
         with self._lock:
             return self._used > self.budget
+
+    def held(self, tag: str) -> int:
+        """Bytes the ledger holds under ``tag``."""
+        with self._lock:
+            return self._by_tag.get(tag, 0)
 
     # ------------------------------------------------------------------
     # reservations (queries)
@@ -296,48 +305,53 @@ class MemoryGovernor:
             return self._grant_locked(nbytes, tag)
 
     def _grant_locked(self, nbytes: int, tag: str) -> bool:
-        self._used += nbytes
+        self._charge_locked(nbytes, tag)
         self._reserved += nbytes
-        self._by_tag[tag] = self._by_tag.get(tag, 0) + nbytes
-        self._peak = max(self._peak, self._used)
         self._stats.reservations += 1
         return self.budget is not None and self._used > self.budget
 
+    def _charge_locked(self, nbytes: int, tag: str) -> None:
+        self._used += nbytes
+        self._by_tag[tag] = self._by_tag.get(tag, 0) + nbytes
+        self._peak = max(self._peak, self._used)
+
     def _release_reservation(self, nbytes: int, tag: str) -> None:
         with self._lock:
-            self._used = max(self._used - nbytes, 0)
-            self._reserved = max(self._reserved - nbytes, 0)
-            held = self._by_tag.get(tag, 0) - nbytes
-            if held > 0:
-                self._by_tag[tag] = held
-            else:
-                self._by_tag.pop(tag, None)
+            self._release_locked(nbytes, tag)
+            self._reserved -= nbytes
             self._stats.releases += 1
+
+    def _release_locked(self, nbytes: int, tag: str) -> None:
+        held = self._by_tag.get(tag, 0)
+        if nbytes > held:
+            raise AssertionError(
+                f"memory ledger: releasing {nbytes:,} bytes of {tag!r}, "
+                f"which holds {held:,}")
+        self._used -= nbytes
+        if nbytes < held:
+            self._by_tag[tag] = held - nbytes
+        else:
+            self._by_tag.pop(tag, None)
 
     # ------------------------------------------------------------------
     # charges (caches — never refused, they evict to repay)
     # ------------------------------------------------------------------
     def charge(self, nbytes: int, tag: str) -> None:
-        """Mirror ``nbytes`` held by a component into the ledger."""
+        """Charge ``nbytes`` held by a component to the ledger."""
         nbytes = int(nbytes)
         if nbytes <= 0:
             return
         with self._lock:
-            self._used += nbytes
-            self._by_tag[tag] = self._by_tag.get(tag, 0) + nbytes
-            self._peak = max(self._peak, self._used)
+            self._charge_locked(nbytes, tag)
 
     def release(self, nbytes: int, tag: str) -> None:
+        """Return ``nbytes`` charged under ``tag``; more than the tag
+        holds raises ``AssertionError``."""
         nbytes = int(nbytes)
         if nbytes <= 0:
             return
         with self._lock:
-            self._used = max(self._used - nbytes, 0)
-            held = self._by_tag.get(tag, 0) - nbytes
-            if held > 0:
-                self._by_tag[tag] = held
-            else:
-                self._by_tag.pop(tag, None)
+            self._release_locked(nbytes, tag)
 
     # ------------------------------------------------------------------
     # guards

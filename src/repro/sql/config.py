@@ -1,8 +1,8 @@
 """Typed, validated session and query configuration.
 
-:class:`SessionConfig` gathers what used to be 16 loose
-:class:`~repro.sql.session.Session` keyword arguments — cache sizing,
-guardrail defaults, gateway admission, breaker tuning, verification
+:class:`SessionConfig` gathers what used to be loose
+:class:`~repro.sql.session.Session` keyword arguments — the memory
+budget, guardrail defaults, gateway admission, breaker tuning, verification
 sampling — plus the observability switches, into one
 frozen dataclass that validates at construction. A bad combination
 (negative timeout, unknown priority, a shadow-verification rate
@@ -80,24 +80,20 @@ class SessionConfig:
 
     Field groups mirror the subsystems they configure:
 
-    * cache: ``budget_bytes`` (an evicted structure is dropped and
-      rebuilt on next use);
-    * plan cache: ``plan_cache_bytes`` (LRU budget for parsed
-      statements; ``0`` disables, ``None`` is unlimited);
-    * memory governor: ``memory_budget_bytes`` (session-wide byte
-      ledger; ``None`` → ``REPRO_MEMORY_BUDGET``, unlimited when
-      unset);
+    * memory governor: ``memory_budget_bytes``, the session's only
+      byte budget (``None`` → ``REPRO_MEMORY_BUDGET``, unlimited when
+      unset). Query reservations, cached structures and cached plans
+      share its ledger; over it, both caches evict LRU entries (an
+      evicted structure is dropped and rebuilt on next use);
     * guardrail defaults: ``timeout``, ``limits``;
     * gateway: ``max_concurrent``, ``max_queue``, ``queue_timeout``;
     * breakers: ``breaker_threshold``, ``breaker_reset``;
     * verification: ``verify_rate``, ``verify_seed``;
     * testing: ``faults``, ``clock``;
-    * observability: ``trace`` (``None`` → ``REPRO_TRACE``), ``metrics``,
-      ``trace_max_spans``.
+    * observability: ``trace`` (``None`` → ``REPRO_TRACE``),
+      ``metrics``.
     """
 
-    budget_bytes: Optional[int] = None
-    plan_cache_bytes: Optional[int] = 8 << 20
     memory_budget_bytes: Optional[int] = None
     timeout: Optional[float] = None
     limits: Optional[Any] = None  # ResourceLimits
@@ -112,15 +108,8 @@ class SessionConfig:
     verify_seed: int = 0
     trace: Optional[bool] = None
     metrics: bool = True
-    trace_max_spans: int = 10_000
 
     def __post_init__(self) -> None:
-        _require(self.budget_bytes is None or self.budget_bytes >= 0,
-                 f"budget_bytes must be >= 0, got {self.budget_bytes}")
-        _require(self.plan_cache_bytes is None
-                 or self.plan_cache_bytes >= 0,
-                 f"plan_cache_bytes must be >= 0, "
-                 f"got {self.plan_cache_bytes}")
         _require(self.memory_budget_bytes is None
                  or self.memory_budget_bytes > 0,
                  f"memory_budget_bytes must be > 0, "
@@ -142,17 +131,13 @@ class SessionConfig:
         _require(0.0 <= self.verify_rate <= 1.0,
                  f"verify_rate must be within [0, 1], "
                  f"got {self.verify_rate}")
-        _require(self.trace_max_spans >= 1,
-                 f"trace_max_spans must be >= 1, "
-                 f"got {self.trace_max_spans}")
 
     @classmethod
     def from_env(cls, env: Optional[Mapping[str, str]] = None,
                  **overrides: Any) -> "SessionConfig":
         """Build a config from ``REPRO_*`` environment variables.
 
-        Recognised: ``REPRO_BUDGET_BYTES``, ``REPRO_PLAN_CACHE_BYTES``,
-        ``REPRO_MEMORY_BUDGET``, ``REPRO_TIMEOUT``,
+        Recognised: ``REPRO_MEMORY_BUDGET``, ``REPRO_TIMEOUT``,
         ``REPRO_MAX_CONCURRENT``, ``REPRO_MAX_QUEUE``,
         ``REPRO_QUEUE_TIMEOUT``, ``REPRO_BREAKER_THRESHOLD``,
         ``REPRO_BREAKER_RESET``,
@@ -168,8 +153,6 @@ class SessionConfig:
             if value is not None:
                 values[key] = value
 
-        put("budget_bytes", _env_int(env, "REPRO_BUDGET_BYTES"))
-        put("plan_cache_bytes", _env_int(env, "REPRO_PLAN_CACHE_BYTES"))
         put("memory_budget_bytes", _env_int(env, "REPRO_MEMORY_BUDGET"))
         put("timeout", _env_float(env, "REPRO_TIMEOUT"))
         put("max_concurrent", _env_int(env, "REPRO_MAX_CONCURRENT"))

@@ -17,10 +17,13 @@ level up:
   case-folding would conflate string literals (``'A'`` vs ``'a'``),
   so differently-cased duplicates simply miss. Two texts with equal
   keys therefore always parse to the same AST;
-* **byte-budgeted LRU** — entries are charged a measured recursive
-  size of their AST against ``budget_bytes`` and the least-recently-
-  used entries are evicted beyond it (plans are pure parse products,
-  so an evicted one is simply re-parsed on its next use);
+* **LRU on the session ledger** — entries are charged a measured
+  recursive size of their AST to the session's
+  :class:`~repro.resilience.memory.MemoryGovernor` under the
+  ``plan_cache`` tag, and the least-recently-used entries are evicted
+  while the session is over its budget or the plans hold more than
+  :data:`PLAN_CACHE_CAP_BYTES` (plans are pure parse products, so an
+  evicted one is simply re-parsed on its next use);
 * **observable** — hit/miss/eviction counters surface in ``EXPLAIN``
   (PlanCache section) and the session ``MetricsRegistry``
   (``repro_plan_cache_*``).
@@ -39,11 +42,20 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-__all__ = ["PlanCache", "PlanCacheStats", "normalize_sql", "plan_bytes"]
+from repro.resilience.memory import MemoryGovernor
 
-#: Default plan-cache budget: generous for ASTs (a parsed analytics
-#: statement measures a few tens of KiB), tiny next to data structures.
-DEFAULT_PLAN_CACHE_BYTES = 8 << 20
+__all__ = ["PLAN_CACHE_CAP_BYTES", "PlanCache", "PlanCacheStats",
+           "normalize_sql", "plan_bytes"]
+
+#: The most bytes of plans a cache holds, with or without a session
+#: budget: ``repro.serve`` parses arbitrary client SQL, and an
+#: unbudgeted cache would grow with every distinct text (DESIGN.md §10).
+#: Generous for ASTs (a parsed analytics statement measures a few tens
+#: of KiB), tiny next to data structures.
+PLAN_CACHE_CAP_BYTES = 8 << 20
+
+#: The ledger tag this cache's bytes are held under.
+TAG = "plan_cache"
 
 
 def _strip_comments(sql: str) -> str:
@@ -147,8 +159,7 @@ class PlanCacheStats:
     misses: int = 0
     evictions: int = 0
     entries: int = 0
-    bytes_in_use: int = 0
-    budget_bytes: Optional[int] = None
+    bytes_in_use: int = 0     # the ledger's plan_cache tag
 
     @property
     def hit_ratio(self) -> float:
@@ -159,12 +170,10 @@ class PlanCacheStats:
         # No byte figures here: sizes come from sys.getsizeof, which
         # differs across interpreter versions, and this text feeds the
         # EXPLAIN golden files. Bytes stay in to_dict() and /metrics.
-        budget = ("unlimited" if self.budget_bytes is None
-                  else f"{self.budget_bytes:,} B")
         return [
             f"hits={self.hits} misses={self.misses} "
             f"evictions={self.evictions} hit_ratio={self.hit_ratio:.3f}",
-            f"entries={self.entries} budget={budget}",
+            f"entries={self.entries}",
         ]
 
     def to_dict(self) -> Dict[str, Any]:
@@ -172,46 +181,24 @@ class PlanCacheStats:
             "hits": self.hits, "misses": self.misses,
             "evictions": self.evictions, "entries": self.entries,
             "bytes_in_use": self.bytes_in_use,
-            "budget_bytes": self.budget_bytes,
             "hit_ratio": self.hit_ratio,
         }
 
 
 class PlanCache:
-    """Byte-budgeted LRU of parsed statements (see module docstring).
+    """LRU of parsed statements on ``governor``'s ledger (a fresh
+    unlimited :class:`~repro.resilience.memory.MemoryGovernor` when
+    None), capped at :data:`PLAN_CACHE_CAP_BYTES`; see the module
+    docstring."""
 
-    ``budget_bytes=None`` means unlimited; ``budget_bytes=0`` disables
-    caching entirely (every lookup misses, nothing is stored) — the
-    switch :class:`~repro.sql.config.SessionConfig` uses to turn the
-    feature off without a second code path in the executor.
-    """
-
-    def __init__(self,
-                 budget_bytes: Optional[int] = DEFAULT_PLAN_CACHE_BYTES,
-                 governor=None) -> None:
+    def __init__(self, governor: Optional[MemoryGovernor] = None) -> None:
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, Tuple[Any, int]]" = OrderedDict()
-        self._budget = budget_bytes
-        #: Session MemoryGovernor (optional): cached-plan bytes are
-        #: mirrored into the session ledger under the ``plan_cache``
-        #: tag, and session pressure evicts plans like budget pressure.
-        self._governor = governor
-        self._bytes = 0
+        self._governor = (governor if governor is not None
+                          else MemoryGovernor())
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-
-    def _ledger_charge(self, nbytes: int) -> None:
-        if self._governor is not None:
-            self._governor.charge(nbytes, tag="plan_cache")
-
-    def _ledger_release(self, nbytes: int) -> None:
-        if self._governor is not None:
-            self._governor.release(nbytes, tag="plan_cache")
-
-    @property
-    def enabled(self) -> bool:
-        return self._budget is None or self._budget > 0
 
     # ------------------------------------------------------------------
     # lookup
@@ -222,10 +209,6 @@ class PlanCache:
         Returns ``(plan, hit)`` so callers can trace the outcome.
         Parsing runs outside the lock; parse errors propagate and cache
         nothing."""
-        if not self.enabled:
-            with self._lock:
-                self._misses += 1
-            return parse(sql), False
         key = fingerprint_sql(sql)
         with self._lock:
             entry = self._entries.get(key)
@@ -242,26 +225,24 @@ class PlanCache:
                 # the incumbent (it is already shared), refresh recency.
                 self._entries.move_to_end(key)
                 return self._entries[key][0], True
-            if self._budget is not None and nbytes > self._budget:
+            budget = self._governor.budget
+            if nbytes > PLAN_CACHE_CAP_BYTES or (
+                    budget is not None and nbytes > budget):
                 return plan, False  # would evict everything; don't store
             self._entries[key] = (plan, nbytes)
-            self._bytes += nbytes
-            self._ledger_charge(nbytes)
-            self._evict_over_budget()
+            self._governor.charge(nbytes, TAG)
+            self._evict()
         return plan, False
 
-    def _over_any_budget(self) -> bool:
-        if self._budget is not None and self._bytes > self._budget:
-            return True
-        gov = self._governor
-        return gov is not None and gov.limited and gov.over_budget
-
-    def _evict_over_budget(self) -> None:
-        """Drop LRU entries until within budget (lock held)."""
-        while self._over_any_budget() and self._entries:
+    def _evict(self) -> None:
+        """Drop LRU entries while the session is over its budget or the
+        plans exceed the cap (lock held)."""
+        governor = self._governor
+        while self._entries and (
+                governor.over_budget
+                or governor.held(TAG) > PLAN_CACHE_CAP_BYTES):
             _, (_, nbytes) = self._entries.popitem(last=False)
-            self._bytes -= nbytes
-            self._ledger_release(nbytes)
+            governor.release(nbytes, TAG)
             self._evictions += 1
 
     # ------------------------------------------------------------------
@@ -271,14 +252,14 @@ class PlanCache:
         """Forget one statement, or everything when ``sql`` is None."""
         with self._lock:
             if sql is None:
+                self._governor.release(
+                    sum(nbytes for _, nbytes in self._entries.values()),
+                    TAG)
                 self._entries.clear()
-                self._ledger_release(self._bytes)
-                self._bytes = 0
                 return
             entry = self._entries.pop(fingerprint_sql(sql), None)
             if entry is not None:
-                self._bytes -= entry[1]
-                self._ledger_release(entry[1])
+                self._governor.release(entry[1], TAG)
 
     def __len__(self) -> int:
         with self._lock:
@@ -289,7 +270,7 @@ class PlanCache:
             return PlanCacheStats(
                 hits=self._hits, misses=self._misses,
                 evictions=self._evictions, entries=len(self._entries),
-                bytes_in_use=self._bytes, budget_bytes=self._budget)
+                bytes_in_use=self._governor.held(TAG))
 
     def metric_rows(self) -> List[Tuple]:
         """Prometheus rows in :meth:`StructureCache.metric_rows` form."""
@@ -302,7 +283,7 @@ class PlanCache:
              "Plan cache misses (statement parsed).",
              "counter", (), [((), s.misses)]),
             ("repro_plan_cache_evictions_total",
-             "Plans evicted by the byte budget.",
+             "Plans evicted by memory pressure or the cap.",
              "counter", (), [((), s.evictions)]),
             ("repro_plan_cache_entries", "Cached parsed statements.",
              "gauge", (), [((), s.entries)]),

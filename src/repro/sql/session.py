@@ -86,10 +86,12 @@ class Session:
 
     The serving pattern the cache targets: one long-lived session, many
     queries against slowly-changing tables. Every structure built by a
-    window evaluator is kept (up to ``budget_bytes``; beyond it the
-    least-recently-used trees are dropped and rebuilt on next use) and
-    reused whenever a later query needs the same structure over the
-    same data.
+    window evaluator is kept and reused whenever a later query needs
+    the same structure over the same data. Its bytes, the cached
+    plans' and the running queries' reservations share one ledger,
+    :attr:`memory`; while that is over ``memory_budget_bytes`` the
+    least-recently-used trees and plans are dropped (a tree is rebuilt
+    on its next use).
 
     Each query runs under its own
     :class:`~repro.resilience.context.ExecutionContext`. ``timeout`` and
@@ -129,7 +131,7 @@ class Session:
 
     ::
 
-        config = SessionConfig(budget_bytes=64 << 20, timeout=5.0,
+        config = SessionConfig(memory_budget_bytes=64 << 20, timeout=5.0,
                                max_concurrent=8, verify_rate=0.05)
         session = Session(catalog, config=config)
         session.execute(sql)   # cold: builds trees
@@ -148,7 +150,7 @@ class Session:
             config = SessionConfig()
         self.config = config
         self.catalog = catalog
-        #: Session-wide byte ledger (see repro.resilience.memory):
+        #: The session's one byte ledger (see repro.resilience.memory):
         #: query reservations, structure-cache and plan-cache bytes all
         #: charge one budget, and pressure triggers eviction (trees
         #: are dropped and rebuilt on next use) or typed shedding
@@ -157,8 +159,7 @@ class Session:
         from repro.sql.config import resolve_memory_budget
         self.memory = MemoryGovernor(resolve_memory_budget(config),
                                      clock=config.clock)
-        self.cache = StructureCache(budget_bytes=config.budget_bytes,
-                                    governor=self.memory)
+        self.cache = StructureCache(governor=self.memory)
         self.default_timeout = config.timeout
         self.default_limits = config.limits
         self.faults = config.faults
@@ -175,11 +176,9 @@ class Session:
         self.verify_seed = config.verify_seed
         #: Prepared-statement cache: normalized-SQL fingerprint →
         #: parsed AST, shared by execute/explain whenever SQL text (not
-        #: a pre-parsed AST) is submitted. ``plan_cache_bytes=0``
-        #: disables it.
+        #: a pre-parsed AST) is submitted.
         from repro.sql.plancache import PlanCache
-        self.plan_cache = PlanCache(budget_bytes=config.plan_cache_bytes,
-                                    governor=self.memory)
+        self.plan_cache = PlanCache(governor=self.memory)
         self.health = HealthCounters()
         self._health_lock = threading.Lock()
         #: Tracing default for queries that don't override it per call:
@@ -235,9 +234,7 @@ class Session:
              params: Optional[Dict[Any, Any]] = None) -> QueryResult:
         trace_on = (options.trace if options.trace is not None
                     else self.trace_default)
-        tracer = Tracer(clock=self.clock,
-                        max_spans=self.config.trace_max_spans) \
-            if trace_on else None
+        tracer = Tracer(clock=self.clock) if trace_on else None
         context = ExecutionContext(
             timeout=(options.timeout if options.timeout is not None
                      else self.default_timeout),
@@ -474,7 +471,10 @@ class Session:
         return self.health
 
     def close(self) -> None:
+        """Drop every cached structure and plan; the session stays
+        usable and rebuilds them on demand."""
         self.cache.close()
+        self.plan_cache.invalidate()
 
     def __enter__(self) -> "Session":
         return self

@@ -72,6 +72,13 @@ def partition_extents(partition_ids: Optional[np.ndarray], n: int
     return np.repeat(starts, sizes), np.repeat(stops, sizes)
 
 
+def _saturated(offsets: np.ndarray) -> np.ndarray:
+    """ROWS / GROUPS offsets as int64, each at most the row count: a
+    larger offset reaches past its partition's edge all the same, and
+    the clamp keeps ``position ± offset`` from wrapping."""
+    return np.minimum(offsets, len(offsets)).astype(np.int64, copy=False)
+
+
 def _rows_positions(bound_type: BoundType, offsets: Optional[np.ndarray],
                     first: np.ndarray, last: np.ndarray,
                     is_end: bool) -> np.ndarray:
@@ -84,7 +91,7 @@ def _rows_positions(bound_type: BoundType, offsets: Optional[np.ndarray],
         return last
     if bound_type is BoundType.CURRENT_ROW:
         return i + shift
-    off = offsets.astype(np.int64)
+    off = _saturated(offsets)
     if bound_type is BoundType.PRECEDING:
         return i - off + shift
     return i + off + shift  # FOLLOWING
@@ -149,9 +156,9 @@ def _groups_positions(bound_type: BoundType, offsets: Optional[np.ndarray],
     if bound_type is BoundType.CURRENT_ROW:
         target = g
     elif bound_type is BoundType.PRECEDING:
-        target = g - offsets.astype(np.int64)
+        target = g - _saturated(offsets)
     else:
-        target = g + offsets.astype(np.int64)
+        target = g + _saturated(offsets)
     # A target before the partition's first peer group or past its last
     # one clips to the partition's edge.
     g_first, g_last = g[first], g[last - 1]

@@ -74,8 +74,11 @@ def evaluate(call: WindowCall, part: PartitionView) -> Result:
                         sizes > 0)
     if name == "ntile":
         row_numbers = count_below(own)  # 0-based
+        # More buckets than frame rows puts one row in each: clamp
+        # before multiplying so ``row * buckets`` cannot wrap.
+        buckets = np.minimum(call.buckets, sizes)
         return nullable(
-            (row_numbers * call.buckets) // np.maximum(sizes, 1) + 1,
+            (row_numbers * buckets) // np.maximum(sizes, 1) + 1,
             sizes > 0)
     raise WindowFunctionError(f"unsupported rank function {name!r}")
 
@@ -116,9 +119,9 @@ def _evaluate_naive(name: str, call: WindowCall, part: PartitionView,
                 for i in range(len(rows))]
     if name == "ntile":
         ranks = naive_rank(keys, inputs.keep, part.pieces, "strict", rows)
-        buckets = call.buckets
         return [None if sizes[i] == 0
-                else int(((ranks[i] - 1) * buckets) // sizes[i]) + 1
+                else int(((ranks[i] - 1) * min(call.buckets, int(sizes[i])))
+                         // sizes[i]) + 1
                 for i in range(len(rows))]
     raise WindowFunctionError(f"unsupported rank function {name!r}")
 

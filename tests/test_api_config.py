@@ -29,7 +29,7 @@ class TestSessionConfig:
         assert config.trace is None
 
     @pytest.mark.parametrize("kwargs,message", [
-        ({"budget_bytes": -1}, "budget_bytes"),
+        ({"memory_budget_bytes": -1}, "budget_bytes"),
         ({"timeout": 0}, "timeout"),
         ({"timeout": -2.5}, "timeout"),
         ({"max_concurrent": 0}, "max_concurrent"),
@@ -40,7 +40,6 @@ class TestSessionConfig:
         ({"verify_rate": 1.5}, "verify_rate"),
         ({"verify_rate": -0.1}, "verify_rate"),
         ({"memory_budget_bytes": 0}, "memory_budget_bytes"),
-        ({"trace_max_spans": 0}, "trace_max_spans"),
     ])
     def test_invalid_combinations_fail_at_construction(self, kwargs,
                                                        message):
@@ -66,7 +65,7 @@ class TestSessionConfig:
 class TestFromEnv:
     def test_reads_repro_variables(self):
         config = SessionConfig.from_env(env={
-            "REPRO_BUDGET_BYTES": "4096",
+            "REPRO_MEMORY_BUDGET": "4096",
             "REPRO_TIMEOUT": "2.5",
             "REPRO_MAX_CONCURRENT": "8",
             "REPRO_VERIFY_RATE": "0.25",
@@ -74,7 +73,7 @@ class TestFromEnv:
             "REPRO_TRACE": "1",
             "REPRO_METRICS": "off",
         })
-        assert config.budget_bytes == 4096
+        assert config.memory_budget_bytes == 4096
         assert config.timeout == 2.5
         assert config.max_concurrent == 8
         assert config.verify_rate == 0.25
@@ -83,7 +82,7 @@ class TestFromEnv:
         assert config.metrics is False
 
     def test_unset_and_blank_keep_defaults(self):
-        config = SessionConfig.from_env(env={"REPRO_BUDGET_BYTES": ""})
+        config = SessionConfig.from_env(env={"REPRO_MEMORY_BUDGET": ""})
         assert config == SessionConfig()
 
     def test_overrides_win_over_the_environment(self):
@@ -92,7 +91,7 @@ class TestFromEnv:
         assert config.max_queue == 2
 
     @pytest.mark.parametrize("env", [
-        {"REPRO_BUDGET_BYTES": "a lot"},
+        {"REPRO_MEMORY_BUDGET": "a lot"},
         {"REPRO_TIMEOUT": "soon"},
         {"REPRO_TRACE": "maybe"},
     ])

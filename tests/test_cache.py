@@ -1,4 +1,4 @@
-"""Unit tests for the structure cache: fingerprints, budget, store."""
+"""Unit tests for the structure cache: fingerprints, ledger, store."""
 
 import threading
 
@@ -7,7 +7,6 @@ import pytest
 
 from conftest import make_window_table
 from repro.cache.budget import (
-    MemoryBudget,
     StructureSizeBreakdown,
     structure_breakdown,
     structure_bytes,
@@ -20,6 +19,7 @@ from repro.cache.fingerprint import (
 from repro.cache.store import StructureAcquirer, StructureCache
 from repro.mst.aggregates import SUM
 from repro.mst.tree import MergeSortTree
+from repro.resilience.memory import MemoryGovernor
 from repro.segtree.tree import SegmentTree
 from repro.table import Column, DataType, Table
 from repro.window.frame import (
@@ -144,26 +144,38 @@ def test_window_group_key_stable_across_equal_tables():
 # budget
 # ----------------------------------------------------------------------
 def test_memory_budget_accounting():
-    budget = MemoryBudget(100)
-    assert not budget.over_budget and budget.remaining() == 100
-    budget.charge(60)
-    budget.charge(60)
-    assert budget.over_budget and budget.remaining() == -20
-    budget.release(60)
-    assert not budget.over_budget and budget.used == 60
+    # The cache keeps no byte counter: each entry is charged to the
+    # ledger's structure_cache tag and released when it leaves.
+    governor = MemoryGovernor()
+    with StructureCache(governor) as cache:
+        a = cache.acquire(("a",), _tree_builder(64, 1))
+        b = cache.acquire(("b",), _tree_builder(64, 2))
+        both = structure_bytes(a) + structure_bytes(b)
+        assert governor.held("structure_cache") == both
+        assert cache.stats().bytes_in_use == both
+        governor.budget = both - 1  # over budget, but both are pinned
+        cache.release(("a",))       # "a" is evictable now
+        assert ("a",) not in cache
+        assert governor.held("structure_cache") == structure_bytes(b)
+        assert cache.stats().bytes_in_use == structure_bytes(b)
+        assert not governor.over_budget
+    assert governor.held("structure_cache") == 0
 
 
 def test_memory_budget_unlimited():
-    budget = MemoryBudget(None)
-    budget.charge(1 << 40)
-    assert budget.unlimited
-    assert not budget.over_budget
-    assert budget.remaining() == float("inf")
+    # Without a governor the cache builds an unlimited one: it never
+    # evicts.
+    with StructureCache() as cache:
+        for seed in range(4):
+            cache.acquire((seed,), _tree_builder(256, seed), pin=False)
+        stats = cache.stats()
+        assert stats.entries == 4 and stats.evictions == 0
+        assert stats.bytes_in_use > 0
 
 
 def test_memory_budget_rejects_negative():
     with pytest.raises(ValueError):
-        MemoryBudget(-1)
+        MemoryGovernor(-1)
 
 
 def test_structure_breakdown_mst_components(rng):
@@ -232,7 +244,7 @@ def test_cache_distinct_keys_are_independent():
 
 
 def test_cache_lru_eviction_order():
-    with StructureCache(budget_bytes=0) as cache:
+    with StructureCache(MemoryGovernor(0)) as cache:
         # Budget 0: each release immediately evicts the LRU entry.
         cache.acquire(("a",), _tree_builder(64, 1))
         cache.acquire(("b",), _tree_builder(64, 2))
@@ -253,7 +265,7 @@ def test_cache_evicted_entry_rebuilds_as_a_miss():
         builds.append(1)
         return MergeSortTree(np.arange(64), fanout=2)
 
-    with StructureCache(budget_bytes=0) as cache:
+    with StructureCache(MemoryGovernor(0)) as cache:
         first = cache.acquire(("k",), builder, pin=False)
         assert ("k",) not in cache  # dropped, nothing kept anywhere
         second = cache.acquire(("k",), builder, pin=False)
@@ -266,19 +278,20 @@ def test_cache_evicted_entry_rebuilds_as_a_miss():
 
 
 def test_cache_hit_refreshes_lru_position():
-    with StructureCache() as cache:
+    governor = MemoryGovernor()
+    with StructureCache(governor) as cache:
         cache.acquire(("a",), _tree_builder(64, 1), pin=False)
         cache.acquire(("b",), _tree_builder(64, 2), pin=False)
         cache.acquire(("a",), _tree_builder(64, 1), pin=False)  # refresh a
-        # Shrink the budget below one tree: the true LRU ("b") must go
-        # first. Simulate by forcing eviction through the internal hook.
-        cache._budget.total = cache.stats().bytes_in_use - 1
+        # Shrink the budget below both trees: the true LRU ("b") must
+        # go first. Force eviction through the internal hook.
+        governor.budget = cache.stats().bytes_in_use - 1
         cache._evict_to_budget()
         assert ("a",) in cache and ("b",) not in cache
 
 
 def test_cache_pinning_blocks_eviction():
-    with StructureCache(budget_bytes=0) as cache:
+    with StructureCache(MemoryGovernor(0)) as cache:
         cache.acquire(("pinned",), _tree_builder(64, 1))  # pin=True
         cache.acquire(("loose",), _tree_builder(64, 2), pin=False)
         assert ("pinned",) in cache
@@ -311,12 +324,15 @@ def test_cache_stats_snapshot_is_detached():
 
 
 def test_cache_stats_render_lines():
-    with StructureCache(budget_bytes=1 << 20) as cache:
+    governor = MemoryGovernor(1 << 20)
+    with StructureCache(governor) as cache:
         cache.acquire(("a",), _tree_builder(64, 1))
         lines = cache.stats().render()
         assert len(lines) == 2
         assert "hits=0 misses=1" in lines[0]
-        assert "budget=1,048,576 B" in lines[1]
+        # The budget is the ledger's; the cache reports its bytes.
+        held = governor.held("structure_cache")
+        assert lines[1].endswith(f"bytes={held:,}")
 
 
 def test_cache_concurrent_acquire_builds_exactly_once():
@@ -362,7 +378,7 @@ def test_acquirer_without_cache_calls_builder_every_time():
 
 
 def test_acquirer_composes_keys_and_releases_pins():
-    with StructureCache(budget_bytes=0) as cache:
+    with StructureCache(MemoryGovernor(0)) as cache:
         acquirer = StructureAcquirer(cache, ("w", "fp", 0), None)
         acquirer.acquire("mst:perm", (("x",), None),
                          _tree_builder(64, 1))

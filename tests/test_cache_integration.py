@@ -134,11 +134,18 @@ def test_window_query_cold_warm_direct_api():
 # tiny budget: evict, rebuild on next use, identical results
 # ----------------------------------------------------------------------
 def test_tiny_budget_spills_and_reloads_identically():
-    """A 2 KiB budget evicts; nothing spills, so the evicted trees are
-    rebuilt on the next pass and the results stay identical."""
+    """A tight session budget evicts; nothing spills, so the evicted
+    trees are rebuilt on the next pass and the results stay identical.
+
+    The ledger holds the query's reservation (2 x scanned bytes + 64
+    KiB: ~79 KiB here), the cached plan (~5 KiB) and the trees (7
+    entries, ~37 KiB, the largest ~8 KiB). 100 KiB is above reservation
+    + plan + largest tree, so no tree is refused to the naive rung, and
+    below reservation + plan + all trees, so the cache must evict."""
     catalog = Catalog({"t": make_window_table(200)})
     uncached = execute(SQL, catalog)
-    with Session(catalog, config=SessionConfig(budget_bytes=2048)) as session:
+    config = SessionConfig(memory_budget_bytes=100 << 10)
+    with Session(catalog, config=config) as session:
         first = session.execute(SQL)
         cold_misses = session.cache_stats().misses
         second = session.execute(SQL)
@@ -151,10 +158,17 @@ def test_tiny_budget_spills_and_reloads_identically():
 
 
 def test_tiny_budget_without_spill_still_correct():
-    """A zero budget holds nothing once the query has released its pins."""
+    """A budget the query's own reservation fills holds nothing once the
+    query has released its pins.
+
+    32 KiB is below the reservation (2 x scanned bytes + 64 KiB: ~73
+    KiB here), so the ledger is over budget whenever a pin is
+    released, and above the largest tree (~4 KiB), so every tree is
+    built and cached rather than refused to the naive rung."""
     catalog = Catalog({"t": make_window_table(120)})
     uncached = execute(SQL, catalog)
-    with Session(catalog, config=SessionConfig(budget_bytes=0)) as session:
+    config = SessionConfig(memory_budget_bytes=32 << 10)
+    with Session(catalog, config=config) as session:
         result = session.execute(SQL)
         stats = session.cache_stats()
         assert stats.evictions > 0
@@ -173,7 +187,7 @@ def test_explain_exposes_cache_stats():
         assert "StructureCache" in plan
         stats = session.cache_stats()
         assert f"hits={stats.hits} misses={stats.misses}" in plan
-        assert "budget=unlimited" in plan
+        assert f"bytes={stats.bytes_in_use:,}" in plan
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,8 @@ from conftest import make_window_table
 from repro import Catalog, Session, SessionConfig
 from repro.errors import ResilienceError
 from repro.resilience import CLOSED, FaultInjector
+from repro.sql.parser import parse
+from repro.sql.session import _estimate_query_bytes
 
 SEED = int(os.environ.get("CHAOS_SEED", "0"))
 
@@ -127,8 +129,16 @@ def test_soak_under_seeded_fault_storm_returns_no_wrong_results():
     catalog = Catalog({"t": make_window_table(n=200, seed=5)})
     expected = _expected(catalog)
     faults = _schedule(SEED)
+    # Every worker reserves its query's bytes (2 x scanned bytes + 64
+    # KiB) before gateway admission, so up to WORKERS reservations
+    # share the ledger with the cached plans (~8 KiB) and trees (~32
+    # KiB). Room for all of them plus 64 KiB means a batch (hard)
+    # reservation never waits out its deadline: nothing is shed.
+    reservation = _estimate_query_bytes(parse(QUERIES[0]), catalog)
     with Session(catalog, config=SessionConfig(
-                 faults=faults, budget_bytes=200_000, max_concurrent=4,
+                 faults=faults,
+                 memory_budget_bytes=WORKERS * reservation + (64 << 10),
+                 max_concurrent=4,
                  max_queue=64, breaker_threshold=3, breaker_reset=0.05,
                  verify_rate=0.1, verify_seed=SEED)) as session:
         problems = _soak(session, expected, workers=WORKERS, rounds=3)

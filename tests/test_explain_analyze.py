@@ -25,8 +25,11 @@ def _catalog():
 
 def _session():
     # A simulated clock renders every duration as 0.000ms, which makes
-    # the ANALYZE rendering byte-stable.
-    config = SessionConfig(budget_bytes=1 << 20, clock=SimulatedClock())
+    # the ANALYZE rendering byte-stable. No budget: a budgeted session
+    # adds a Memory section whose ledger holds the plan cache's bytes,
+    # and those come from sys.getsizeof, which differs across Python
+    # versions.
+    config = SessionConfig(clock=SimulatedClock())
     return Session(_catalog(), config=config)
 
 

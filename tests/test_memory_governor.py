@@ -76,6 +76,21 @@ class TestLedger:
         gov.release(1000, tag="structure_cache")
         assert gov.stats().by_tag == {"plan_cache": 500}
 
+    def test_over_release_raises(self):
+        # An accounting bug surfaces instead of being clamped to zero.
+        gov = MemoryGovernor()
+        gov.charge(100, tag="plan_cache")
+        with pytest.raises(AssertionError, match="holds 100"):
+            gov.release(101, tag="plan_cache")
+        with pytest.raises(AssertionError, match="holds 0"):
+            gov.release(1, tag="structure_cache")
+        res = gov.reserve(50, tag="query")
+        gov.release(50, tag="query")  # a charge release of a reservation
+        with pytest.raises(AssertionError):
+            res.release()
+        assert gov.stats().by_tag == {"plan_cache": 100}
+        assert gov.used == 100
+
     def test_soft_overcommit_records_pressure(self):
         gov = MemoryGovernor(budget_bytes=1000)
         with gov.reserve(5000, hard=False):
@@ -217,6 +232,20 @@ class TestSessionIntegration:
         assert "budget=67,108,864 B" in plan
         session.close()
 
+    def test_explain_memory_section_holds_both_caches(self):
+        session = Session(_catalog(), config=SessionConfig(
+            memory_budget_bytes=64 << 20))
+        session.execute(WINDOW_SQL)
+        plan = session.explain(WINDOW_SQL)
+        held = session.memory.stats().by_tag
+        assert held["structure_cache"] == \
+            session.cache_stats().bytes_in_use > 0
+        assert held["plan_cache"] == \
+            session.plan_cache.stats().bytes_in_use > 0
+        assert (f"held: plan_cache={held['plan_cache']:,}B "
+                f"structure_cache={held['structure_cache']:,}B") in plan
+        session.close()
+
     def test_explain_quiet_without_budget(self, monkeypatch):
         # The CI soak leg budgets every session via the environment;
         # this test is about the *unbudgeted* rendering, so pin it.
@@ -235,6 +264,50 @@ class TestSessionIntegration:
         assert "repro_memory_reservations_total" in text
         assert "repro_memory_peak_bytes" in text
         session.close()
+
+
+#: Distinct texts and structures for the one-ledger test below.
+LEDGER_SQL = [
+    f"select g, {call} over (partition by g order by o rows between "
+    f"{back} preceding and current row) as v from t"
+    for back in (3, 9)
+    for call in ("sum(x)", "count(distinct x)", "rank(order by y)",
+                 "percentile_disc(0.5, order by x)")]
+
+
+def test_one_budget_evicts_structures_and_plans(monkeypatch):
+    """One ``memory_budget_bytes`` bounds both caches through one ledger.
+
+    8 KiB is below each query's reservation (2 x scanned bytes + 64
+    KiB), so every tree is evicted once its pins are released, and
+    below the eight cached plans (~2 KiB each), so inserting a plan
+    evicts older ones; it is above the largest tree (~4 KiB) and one
+    plan, so nothing is refused to the naive rung or kept out of the
+    plan cache. Results are bit-identical to an unbudgeted session."""
+    monkeypatch.delenv("REPRO_MEMORY_BUDGET", raising=False)
+    catalog = _catalog()
+    with Session(catalog) as oracle:
+        expected = [oracle.execute(sql) for sql in LEDGER_SQL]
+        held = oracle.memory.stats().by_tag
+        assert held["structure_cache"] == \
+            oracle.cache_stats().bytes_in_use > 0
+    session = Session(catalog, config=SessionConfig(
+        memory_budget_bytes=8 << 10))
+    for _ in range(2):
+        for sql, want in zip(LEDGER_SQL, expected):
+            assert session.execute(sql) == want
+            held = session.memory.stats().by_tag
+            assert held.get("structure_cache", 0) == \
+                session.cache_stats().bytes_in_use
+            assert held.get("plan_cache", 0) == \
+                session.plan_cache.stats().bytes_in_use
+    assert session.cache_stats().evictions > 0
+    assert session.plan_cache.stats().evictions > 0
+    assert session.memory.stats().structure_denials == 0
+    session.close()
+    assert session.memory.stats().by_tag == {}
+    assert session.cache_stats().bytes_in_use == 0
+    assert session.plan_cache.stats().bytes_in_use == 0
 
 
 #: No NULLs in ``o`` / ``y``: every result row is valid.
@@ -298,9 +371,14 @@ def test_healthz_reports_memory_ledger():
         memory_budget_bytes=32 << 20))
     service = QueryService(session, own_session=True)
     try:
+        session.execute(WINDOW_SQL)
         health = asyncio.run(service.healthz())
         assert health["memory"]["budget_bytes"] == 32 << 20
         assert "used_bytes" in health["memory"]
+        # One ledger: each cache's bytes are its tag's.
+        assert health["memory"]["by_tag"] == {
+            "plan_cache": health["plan_cache"]["bytes_in_use"],
+            "structure_cache": session.cache_stats().bytes_in_use}
     finally:
         service.close()
 

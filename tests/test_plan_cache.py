@@ -4,10 +4,11 @@ import json
 
 import pytest
 
+from repro.resilience.memory import MemoryGovernor
 from repro.sql import Catalog, Session, SessionConfig
 from repro.sql.parser import parse
 from repro.sql.plancache import (
-    DEFAULT_PLAN_CACHE_BYTES,
+    PLAN_CACHE_CAP_BYTES,
     PlanCache,
     fingerprint_sql,
     normalize_sql,
@@ -115,12 +116,14 @@ class TestPlanCache:
     def test_lru_eviction_under_byte_budget(self):
         statements = [f"SELECT g, v + {i} AS x FROM t" for i in range(4)]
         probe = plan_bytes(parse(statements[0]))
-        cache = PlanCache(budget_bytes=int(probe * 2.5))
+        governor = MemoryGovernor(int(probe * 2.5))
+        cache = PlanCache(governor)
         for sql in statements:
             cache.get_or_parse(sql, parse)
         stats = cache.stats()
         assert stats.evictions > 0
-        assert stats.bytes_in_use <= stats.budget_bytes
+        assert stats.bytes_in_use <= governor.budget
+        assert stats.bytes_in_use == governor.held("plan_cache")
         assert len(cache) == stats.entries < len(statements)
         # Least-recently-used entries left first: the newest survives.
         _, hit = cache.get_or_parse(statements[-1], parse)
@@ -128,7 +131,7 @@ class TestPlanCache:
 
     def test_hit_refreshes_recency(self):
         probe = plan_bytes(parse("SELECT g FROM t"))
-        cache = PlanCache(budget_bytes=int(probe * 2.5))
+        cache = PlanCache(MemoryGovernor(int(probe * 2.5)))
         cache.get_or_parse("SELECT g FROM t", parse)
         cache.get_or_parse("SELECT v FROM t", parse)
         cache.get_or_parse("SELECT g FROM t", parse)  # refresh
@@ -137,15 +140,14 @@ class TestPlanCache:
         assert hit
 
     def test_oversize_plan_is_not_stored(self):
-        cache = PlanCache(budget_bytes=16)
+        cache = PlanCache(MemoryGovernor(16))
         _, hit1 = cache.get_or_parse(SQL, parse)
         _, hit2 = cache.get_or_parse(SQL, parse)
         assert (hit1, hit2) == (False, False)
         assert len(cache) == 0
 
     def test_budget_zero_disables(self):
-        cache = PlanCache(budget_bytes=0)
-        assert not cache.enabled
+        cache = PlanCache(MemoryGovernor(0))
         _, hit = cache.get_or_parse(SQL, parse)
         _, hit2 = cache.get_or_parse(SQL, parse)
         assert not hit and not hit2
@@ -167,7 +169,22 @@ class TestPlanCache:
         assert any("hits" in line for line in stats.render())
         payload = json.loads(json.dumps(stats.to_dict()))
         assert payload["misses"] == 1
-        assert payload["budget_bytes"] == DEFAULT_PLAN_CACHE_BYTES
+        assert 0 < payload["bytes_in_use"] <= PLAN_CACHE_CAP_BYTES
+
+    def test_cap_binds_without_a_budget(self, monkeypatch):
+        # An unbudgeted ledger still holds at most the cap of plans.
+        statements = [f"SELECT g, v + {i} AS x FROM t" for i in range(4)]
+        probe = plan_bytes(parse(statements[0]))
+        monkeypatch.setattr("repro.sql.plancache.PLAN_CACHE_CAP_BYTES",
+                            int(probe * 2.5))
+        governor = MemoryGovernor()
+        cache = PlanCache(governor)
+        for sql in statements:
+            cache.get_or_parse(sql, parse)
+        stats = cache.stats()
+        assert stats.evictions > 0 and len(cache) < len(statements)
+        assert stats.bytes_in_use == governor.held("plan_cache")
+        assert stats.bytes_in_use <= int(probe * 2.5)
 
 
 class TestSessionIntegration:
@@ -194,13 +211,16 @@ class TestSessionIntegration:
             plan = session.explain(SQL)
             assert "PlanCache" in plan
 
-    def test_plan_cache_bytes_zero_disables_in_session(self):
-        config = SessionConfig(plan_cache_bytes=0)
+    def test_tiny_memory_budget_keeps_no_plans_in_session(self):
+        # A budget smaller than one plan stores none: every execution
+        # parses again.
+        config = SessionConfig(memory_budget_bytes=16)
         with Session(_catalog(), config=config) as session:
             session.execute(SQL)
             session.execute(SQL)
             stats = session.plan_cache.stats()
             assert stats.hits == 0
+            assert stats.entries == 0
 
     def test_traced_query_annotates_cache_outcome(self):
         with Session(_catalog()) as session:
@@ -247,4 +267,4 @@ class TestSessionIntegration:
     def test_config_rejects_negative_budget(self):
         from repro.errors import ConfigurationError
         with pytest.raises(ConfigurationError):
-            SessionConfig(plan_cache_bytes=-1)
+            SessionConfig(memory_budget_bytes=-1)

@@ -327,7 +327,9 @@ class TestOps:
         assert out["status"] == "ok"
         assert out["gateway"]["max_concurrent"] >= 1
         assert out["open_breakers"] == []
-        assert out["plan_cache"]["budget_bytes"] > 0
+        # One ledger: the plan cache's bytes are the memory tag's.
+        assert (out["memory"]["by_tag"].get("plan_cache", 0)
+                == out["plan_cache"]["bytes_in_use"])
         tenants = {t["tenant"] for t in out["tenants"]}
         assert "anonymous" in tenants
         assert set(out) == {"status", "gateway", "breakers",
