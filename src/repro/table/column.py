@@ -160,6 +160,11 @@ class Column:
             col._data = data.tolist()
         else:
             col._data = np.asarray(data, dtype=dtype.numpy_dtype)
+            if col._data.dtype is not dtype.numpy_dtype:
+                # An equal but distinct dtype instance (an unpickled
+                # array's, say) sends np.add.at and friends off their
+                # fast loops; a view restores the canonical one.
+                col._data = col._data.view(dtype.numpy_dtype)
         if valid is None:
             col._valid = np.ones(len(col._data), dtype=np.bool_)
         else:

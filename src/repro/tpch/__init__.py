@@ -11,13 +11,6 @@ the substitution note.
 All generators are seeded and reproducible.
 """
 
-from repro.tpch.dbgen import (
-    LINEITEM_COLUMNS,
-    ORDERS_COLUMNS,
-    load_lineitem,
-    load_orders,
-    load_tbl,
-)
 from repro.tpch.generator import (
     TPCH_END_DATE,
     TPCH_START_DATE,
@@ -32,17 +25,12 @@ from repro.tpch.tables import tpch_catalog, tpch_tables
 
 __all__ = [
     "BLOCKED",
-    "LINEITEM_COLUMNS",
-    "ORDERS_COLUMNS",
     "QUERIES",
     "REFERENCE",
     "TPCH_END_DATE",
     "TPCH_START_DATE",
     "lineitem",
     "lineitem_arrays",
-    "load_lineitem",
-    "load_orders",
-    "load_tbl",
     "orders",
     "tpcc_results",
     "tpch_catalog",

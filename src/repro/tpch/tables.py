@@ -12,12 +12,11 @@ depend on: ``p_name`` built from the spec's colour words (Q9 filters
 (Q13), ``s_comment`` with ``Customer … Complaints`` (Q16), priorities,
 segments, ship modes and brands drawn from the spec vocabularies.
 
-dbgen itself is not redistributable, so values are drawn from seeded
-numpy generators rather than dbgen's RNG streams: *row values* differ
-from dbgen output, but the schema shapes match
-:mod:`repro.tpch.dbgen` (`LINEITEM_COLUMNS` / `ORDERS_COLUMNS`) and
-the distributions match the spec closely enough for every adapted
-query in :mod:`repro.tpch.queries` to return non-trivial results.
+Values are drawn from a seeded numpy generator, not from the spec's
+own generator: *row values* differ from the official data, but the
+columns are the spec's and the distributions match it closely enough
+for every adapted query in :mod:`repro.tpch.queries` to return
+non-trivial results.
 
 Everything is deterministic in ``(scale_factor, seed)`` and cached, so
 the engine under test and the pure-Python reference implementation
@@ -28,14 +27,16 @@ from __future__ import annotations
 
 import datetime
 from functools import lru_cache
-from typing import Dict, List
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
 from repro.sql.catalog import Catalog
-from repro.table.column import DataType
+from repro.table.column import Column, DataType
+from repro.table.schema import Field, Schema
 from repro.table.table import Table
-from repro.tpch.generator import TPCH_END_DATE, TPCH_START_DATE
+from repro.tpch.generator import (TPCH_END_DATE, TPCH_START_DATE,
+                                  _retail_price)
 
 __all__ = ["tpch_tables", "tpch_catalog", "CURRENT_DATE"]
 
@@ -94,26 +95,141 @@ _NOISE_WORDS = [
 ]
 
 
-def _retail_price(partkey: int) -> float:
-    """The spec's p_retailprice formula, in dollars."""
-    return (90000 + (partkey // 10) % 20001 + 100 * (partkey % 1000)) \
-        / 100.0
+_WORDS = np.array(_NOISE_WORDS, dtype=object)
+_DIGITS = np.array([str(d) for d in range(10)], dtype=object)
+#: o_orderstatus by (no line open, every line open, some open).
+_STATUS = np.array(["F", "O", "P"], dtype=object)
+#: l_returnflag by the line's coin when received, else "N".
+_FLAGS = np.array(["A", "R", "N"], dtype=object)
+_LOW32 = np.uint64(0xFFFFFFFF)
+#: Orders laid out per call of :func:`bounded_draws` in the lineitem
+#: pass (~52 draws an order): keeps its uint64 temporaries ~2 MB each.
+_ORDERS_PER_BATCH = 4096
 
 
-def _phone(rng: np.random.Generator, nationkey: int) -> str:
-    a, b, c = rng.integers(100, 1000, size=3)
-    return f"{10 + nationkey}-{a}-{b}-{c}"
+def bounded_draws(rng: np.random.Generator, ranges) -> np.ndarray:
+    """``rng.integers(0, r, size=1)`` for each ``r`` of ``ranges`` (all
+    in ``[2, 2**32]``), in order, as one uint64 array — the same values,
+    and ``rng`` left in the same state, as those calls one by one.
+
+    ``Generator.integers`` takes such a range from one word of the bit
+    generator's uint32 stream (PCG64 keeps the unused half of each
+    64-bit output for the next 32-bit draw, so the stream runs on
+    across calls): the value is ``(word * r) >> 32`` (Lemire's method)
+    unless the product's low 32 bits fall below ``(2**32 - r) % r``;
+    then the word is rejected and the next one tried. Here one call
+    draws a word per range and the same rule is applied to all of them;
+    each (rare) rejection moves the later ranges one word on and draws
+    one more word. DESIGN.md §13 says on which numpy versions this is
+    checked.
+    """
+    r = np.asarray(ranges, dtype=np.uint64)
+    threshold = (np.uint64(1 << 32) - r) % r
+    words = rng.integers(0, 1 << 32, size=len(r), dtype=np.uint64)
+    values = np.empty(len(r), dtype=np.uint64)
+    done = 0
+    while True:
+        product = words * r[done:]
+        rejected = np.flatnonzero((product & _LOW32) < threshold[done:])
+        stop = int(rejected[0]) if len(rejected) else len(product)
+        values[done:done + stop] = product[:stop] >> np.uint64(32)
+        if not len(rejected):
+            return values
+        done += stop
+        words = np.concatenate([words[stop + 1:], rng.integers(
+            0, 1 << 32, size=1, dtype=np.uint64)])
 
 
-def _comment(rng: np.random.Generator, words: int = 4) -> str:
-    picks = rng.integers(0, len(_NOISE_WORDS), size=words)
-    return " ".join(_NOISE_WORDS[i] for i in picks)
+def _lineitem_draws(rng: np.random.Generator, nlines: np.ndarray,
+                    npart: int) -> np.ndarray:
+    """Every bounded draw of the lineitem lines, as a (13, lines) int64
+    array in line order.
+
+    An order of ``n`` lines draws, in this order, ``n`` values each of
+    part key, supplier slot, quantity, discount, tax, ship / commit /
+    receipt day offsets, ship instruction, ship mode and return-flag
+    coin, then two comment words per line. Rows 0–10 of the result are
+    those eleven columns and rows 11–12 the comment words; each batch
+    of orders is one :func:`bounded_draws` call over that slot layout.
+    """
+    low = np.array([1, 0, 1, 0, 0, 1, 30, 1, 0, 0, 0, 0, 0])
+    high = np.array([npart + 1, 4, 51, 11, 9, 122, 91, 31,
+                     len(_INSTRUCTIONS), len(_MODES), 2, len(_WORDS),
+                     len(_WORDS)])
+    width = len(low)
+    # Slot of row c for line j of an order of n lines whose draws start
+    # at slot s: s + a[c] * n + b[c] * j + e[c].
+    a = np.array([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 11])[:, None]
+    b = np.array([1] * 11 + [2, 2])[:, None]
+    e = np.array([0] * 12 + [1])[:, None]
+    draws = np.empty((width, int(nlines.sum())), dtype=np.int64)
+    done = 0
+    for first in range(0, len(nlines), _ORDERS_PER_BATCH):
+        n = nlines[first:first + _ORDERS_PER_BATCH]
+        order_start = np.repeat(np.cumsum(n) - n, n)
+        n = np.repeat(n, n)
+        j = np.arange(len(n)) - order_start
+        slots = width * order_start + a * n + b * j + e
+        ranges = np.empty(slots.size, dtype=np.uint64)
+        ranges[slots] = (high - low)[:, None]
+        values = bounded_draws(rng, ranges)[slots].astype(np.int64)
+        draws[:, done:done + len(n)] = values + low[:, None]
+        done += len(n)
+    return draws
 
 
-def _partsupp_suppliers(partkey: int, nsupp: int) -> List[int]:
-    """The spec's four suppliers of a part (4.2.3, PS_SUPPKEY)."""
-    return [(partkey + i * (nsupp // 4 + (partkey - 1) // nsupp))
-            % nsupp + 1 for i in range(4)]
+def _strings(values) -> np.ndarray:
+    return np.array(values, dtype=object)
+
+
+def _cat(*parts) -> np.ndarray:
+    """Element-wise concatenation of string object arrays and ``str``."""
+    out = parts[0]
+    for part in parts[1:]:
+        out = out + part
+    return out
+
+
+def _words(rng: np.random.Generator, n: int, words: int) -> np.ndarray:
+    """An (n, words) object array of noise words, from one draw."""
+    return _WORDS[rng.integers(0, len(_WORDS), size=(n, words))]
+
+
+def _join(words: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D array of ``str`` joined with single spaces."""
+    out = words[:, 0]
+    for k in range(1, words.shape[1]):
+        out = out + " " + words[:, k]
+    return out
+
+
+def _comments(rng: np.random.Generator, n: int,
+              words: int = 4) -> np.ndarray:
+    """``n`` comments of ``words`` noise words each."""
+    return _join(_words(rng, n, words))
+
+
+def _phones(rng: np.random.Generator, nations: np.ndarray) -> np.ndarray:
+    """A phone number per nation key, its groups from one (n, 3) draw."""
+    groups = rng.integers(100, 1000, size=(len(nations), 3)).tolist()
+    return _strings([f"{10 + n}-{a}-{b}-{c}"
+                     for n, (a, b, c) in zip(nations.tolist(), groups)])
+
+
+def _suppliers(partkey: np.ndarray, which: np.ndarray,
+               nsupp: int) -> np.ndarray:
+    """Supplier ``which`` (0–3) of each part (spec 4.2.3, PS_SUPPKEY)."""
+    return (partkey + which * (nsupp // 4 + (partkey - 1) // nsupp)) \
+        % nsupp + 1
+
+
+def _table(name: str, columns: Dict[str, Tuple[DataType, Any]]) -> Table:
+    """A table of whole columns — numeric arrays and ``str`` object
+    arrays — wrapped without per-value checks."""
+    schema = Schema(Field(col, dtype) for col, (dtype, _) in columns.items())
+    return Table.from_columns(
+        schema, [Column.from_numpy(dtype, values)
+                 for dtype, values in columns.values()], name=name)
 
 
 @lru_cache(maxsize=4)
@@ -122,8 +238,11 @@ def tpch_tables(scale_factor: float = 0.01,
     """All eight TPC-H tables, FK-consistent, keyed by table name.
 
     Cached on ``(scale_factor, seed)`` — callers share Table objects
-    and must not mutate them. SF 0.01 generates ~60k lineitem rows in
-    about a second.
+    and must not mutate them. Every column comes from batched draws in
+    the order the original row-by-row generator made them, so the
+    tables are that generator's bit for bit (``tests/tpch_rowwise.py``
+    keeps it as the oracle). SF 0.01 (~60k lineitem rows) takes about
+    0.1 s, SF 0.1 about a second.
     """
     rng = np.random.default_rng(seed)
     nsupp = max(int(10_000 * scale_factor), 12)
@@ -135,232 +254,180 @@ def tpch_tables(scale_factor: float = 0.01,
     end = (TPCH_END_DATE - epoch).days
 
     tables: Dict[str, Table] = {}
-    tables["region"] = Table.from_dict({
-        "r_regionkey": (DataType.INT64, list(range(len(_REGIONS)))),
-        "r_name": (DataType.STRING, list(_REGIONS)),
-        "r_comment": (DataType.STRING,
-                      [_comment(rng) for _ in _REGIONS]),
-    }, name="region")
-    tables["nation"] = Table.from_dict({
-        "n_nationkey": (DataType.INT64, list(range(len(_NATIONS)))),
-        "n_name": (DataType.STRING, [n for n, _ in _NATIONS]),
-        "n_regionkey": (DataType.INT64, [r for _, r in _NATIONS]),
-        "n_comment": (DataType.STRING,
-                      [_comment(rng) for _ in _NATIONS]),
-    }, name="nation")
+    tables["region"] = _table("region", {
+        "r_regionkey": (DataType.INT64, np.arange(len(_REGIONS))),
+        "r_name": (DataType.STRING, _strings(_REGIONS)),
+        "r_comment": (DataType.STRING, _comments(rng, len(_REGIONS))),
+    })
+    tables["nation"] = _table("nation", {
+        "n_nationkey": (DataType.INT64, np.arange(len(_NATIONS))),
+        "n_name": (DataType.STRING, _strings([n for n, _ in _NATIONS])),
+        "n_regionkey": (DataType.INT64, np.array([r for _, r in _NATIONS])),
+        "n_comment": (DataType.STRING, _comments(rng, len(_NATIONS))),
+    })
 
     # supplier — a deterministic handful of comments carry the
     # "Customer ... Complaints" marker Q16 anti-joins on.
     s_nation = rng.integers(0, len(_NATIONS), size=nsupp)
     s_acctbal = np.round(rng.uniform(-999.99, 9999.99, size=nsupp), 2)
-    s_comments = [_comment(rng, 5) for _ in range(nsupp)]
-    for i in range(0, nsupp, max(nsupp // 5, 1)):
-        s_comments[i] = (f"{_comment(rng, 2)} Customer "
-                         f"{_comment(rng, 1)} Complaints")
-    tables["supplier"] = Table.from_dict({
-        "s_suppkey": (DataType.INT64, list(range(1, nsupp + 1))),
-        "s_name": (DataType.STRING,
-                   [f"Supplier#{i:09d}" for i in range(1, nsupp + 1)]),
-        "s_address": (DataType.STRING,
-                      [_comment(rng, 2) for _ in range(nsupp)]),
-        "s_nationkey": (DataType.INT64, s_nation.tolist()),
-        "s_phone": (DataType.STRING,
-                    [_phone(rng, int(n)) for n in s_nation]),
-        "s_acctbal": (DataType.FLOAT64, s_acctbal.tolist()),
-        "s_comment": (DataType.STRING, s_comments),
-    }, name="supplier")
+    s_comment = _comments(rng, nsupp, 5)
+    marked = np.arange(0, nsupp, max(nsupp // 5, 1))
+    words = _words(rng, len(marked), 3)
+    s_comment[marked] = _cat(_join(words[:, :2]), " Customer ",
+                             words[:, 2], " Complaints")
+    s_address = _comments(rng, nsupp, 2)
+    s_phone = _phones(rng, s_nation)
+    tables["supplier"] = _table("supplier", {
+        "s_suppkey": (DataType.INT64, np.arange(1, nsupp + 1)),
+        "s_name": (DataType.STRING, _strings(
+            [f"Supplier#{i:09d}" for i in range(1, nsupp + 1)])),
+        "s_address": (DataType.STRING, s_address),
+        "s_nationkey": (DataType.INT64, s_nation),
+        "s_phone": (DataType.STRING, s_phone),
+        "s_acctbal": (DataType.FLOAT64, s_acctbal),
+        "s_comment": (DataType.STRING, s_comment),
+    })
 
     c_nation = rng.integers(0, len(_NATIONS), size=ncust)
     c_segment = rng.integers(0, len(_SEGMENTS), size=ncust)
-    tables["customer"] = Table.from_dict({
-        "c_custkey": (DataType.INT64, list(range(1, ncust + 1))),
-        "c_name": (DataType.STRING,
-                   [f"Customer#{i:09d}" for i in range(1, ncust + 1)]),
-        "c_address": (DataType.STRING,
-                      [_comment(rng, 2) for _ in range(ncust)]),
-        "c_nationkey": (DataType.INT64, c_nation.tolist()),
-        "c_phone": (DataType.STRING,
-                    [_phone(rng, int(n)) for n in c_nation]),
-        "c_acctbal": (DataType.FLOAT64, np.round(
-            rng.uniform(-999.99, 9999.99, size=ncust), 2).tolist()),
-        "c_mktsegment": (DataType.STRING,
-                         [_SEGMENTS[i] for i in c_segment]),
-        "c_comment": (DataType.STRING,
-                      [_comment(rng, 5) for _ in range(ncust)]),
-    }, name="customer")
+    c_address = _comments(rng, ncust, 2)
+    c_phone = _phones(rng, c_nation)
+    c_acctbal = np.round(rng.uniform(-999.99, 9999.99, size=ncust), 2)
+    tables["customer"] = _table("customer", {
+        "c_custkey": (DataType.INT64, np.arange(1, ncust + 1)),
+        "c_name": (DataType.STRING, _strings(
+            [f"Customer#{i:09d}" for i in range(1, ncust + 1)])),
+        "c_address": (DataType.STRING, c_address),
+        "c_nationkey": (DataType.INT64, c_nation),
+        "c_phone": (DataType.STRING, c_phone),
+        "c_acctbal": (DataType.FLOAT64, c_acctbal),
+        "c_mktsegment": (DataType.STRING, _strings(_SEGMENTS)[c_segment]),
+        "c_comment": (DataType.STRING, _comments(rng, ncust, 5)),
+    })
 
     # part — names are five colour words (Q9: LIKE '%green%'), brands
     # tie into manufacturers the way the spec prescribes.
-    p_mfgr_idx = rng.integers(1, 6, size=npart)
-    p_brand_idx = rng.integers(1, 6, size=npart)
-    p_names = []
-    for _ in range(npart):
-        picks = rng.choice(len(_COLORS), size=5, replace=False)
-        p_names.append(" ".join(_COLORS[i] for i in picks))
-    p_types = [
-        f"{_TYPE_S1[a]} {_TYPE_S2[b]} {_TYPE_S3[c]}"
-        for a, b, c in zip(rng.integers(0, len(_TYPE_S1), size=npart),
-                           rng.integers(0, len(_TYPE_S2), size=npart),
-                           rng.integers(0, len(_TYPE_S3), size=npart))]
-    p_containers = [
-        f"{_CONTAINER_S1[a]} {_CONTAINER_S2[b]}"
-        for a, b in zip(rng.integers(0, len(_CONTAINER_S1), size=npart),
-                        rng.integers(0, len(_CONTAINER_S2), size=npart))]
-    tables["part"] = Table.from_dict({
-        "p_partkey": (DataType.INT64, list(range(1, npart + 1))),
-        "p_name": (DataType.STRING, p_names),
-        "p_mfgr": (DataType.STRING,
-                   [f"Manufacturer#{i}" for i in p_mfgr_idx]),
-        "p_brand": (DataType.STRING,
-                    [f"Brand#{m}{b}" for m, b in zip(p_mfgr_idx,
-                                                     p_brand_idx)]),
-        "p_type": (DataType.STRING, p_types),
-        "p_size": (DataType.INT64,
-                   rng.integers(1, 51, size=npart).tolist()),
-        "p_container": (DataType.STRING, p_containers),
-        "p_retailprice": (DataType.FLOAT64,
-                          [_retail_price(k)
-                           for k in range(1, npart + 1)]),
-        "p_comment": (DataType.STRING,
-                      [_comment(rng, 3) for _ in range(npart)]),
-    }, name="part")
+    p_mfgr = _DIGITS[rng.integers(1, 6, size=npart)]
+    p_brand = _DIGITS[rng.integers(1, 6, size=npart)]
+    # choice(replace=False) is not batched: one call per part.
+    colours = _strings(_COLORS)[np.array(
+        [rng.choice(len(_COLORS), size=5, replace=False)
+         for _ in range(npart)])]
+    type1 = _strings(_TYPE_S1)[rng.integers(0, len(_TYPE_S1), size=npart)]
+    type2 = _strings(_TYPE_S2)[rng.integers(0, len(_TYPE_S2), size=npart)]
+    type3 = _strings(_TYPE_S3)[rng.integers(0, len(_TYPE_S3), size=npart)]
+    size1 = _strings(_CONTAINER_S1)[
+        rng.integers(0, len(_CONTAINER_S1), size=npart)]
+    size2 = _strings(_CONTAINER_S2)[
+        rng.integers(0, len(_CONTAINER_S2), size=npart)]
+    p_size = rng.integers(1, 51, size=npart)
+    partkeys = np.arange(1, npart + 1)
+    tables["part"] = _table("part", {
+        "p_partkey": (DataType.INT64, partkeys),
+        "p_name": (DataType.STRING, _join(colours)),
+        "p_mfgr": (DataType.STRING, _cat("Manufacturer#", p_mfgr)),
+        "p_brand": (DataType.STRING, _cat("Brand#", p_mfgr, p_brand)),
+        "p_type": (DataType.STRING, _cat(type1, " ", type2, " ", type3)),
+        "p_size": (DataType.INT64, p_size),
+        "p_container": (DataType.STRING, _cat(size1, " ", size2)),
+        "p_retailprice": (DataType.FLOAT64, _retail_price(partkeys)),
+        "p_comment": (DataType.STRING, _comments(rng, npart, 3)),
+    })
 
-    ps_part: List[int] = []
-    ps_supp: List[int] = []
-    for partkey in range(1, npart + 1):
-        for suppkey in _partsupp_suppliers(partkey, nsupp):
-            ps_part.append(partkey)
-            ps_supp.append(suppkey)
-    npartsupp = len(ps_part)
-    tables["partsupp"] = Table.from_dict({
-        "ps_partkey": (DataType.INT64, ps_part),
-        "ps_suppkey": (DataType.INT64, ps_supp),
+    ps_partkey = np.repeat(partkeys, 4)
+    npartsupp = len(ps_partkey)
+    tables["partsupp"] = _table("partsupp", {
+        "ps_partkey": (DataType.INT64, ps_partkey),
+        "ps_suppkey": (DataType.INT64, _suppliers(
+            ps_partkey, np.tile(np.arange(4), npart), nsupp)),
         "ps_availqty": (DataType.INT64, rng.integers(
-            1, 10_000, size=npartsupp).tolist()),
+            1, 10_000, size=npartsupp)),
         "ps_supplycost": (DataType.FLOAT64, np.round(
-            rng.uniform(1.0, 1000.0, size=npartsupp), 2).tolist()),
-        "ps_comment": (DataType.STRING,
-                       [_comment(rng, 4) for _ in range(npartsupp)]),
-    }, name="partsupp")
+            rng.uniform(1.0, 1000.0, size=npartsupp), 2)),
+        "ps_comment": (DataType.STRING, _comments(rng, npartsupp, 4)),
+    })
 
     # orders + lineitem, generated together so o_orderstatus and
     # o_totalprice are consistent with the order's lines.
     o_custkey = rng.integers(1, ncust + 1, size=norders)
     o_orderdate = rng.integers(start, end - 151, size=norders)
     o_priority = rng.integers(0, len(_PRIORITIES), size=norders)
-    o_clerk = rng.integers(1, max(norders // 15, 2), size=norders)
-    o_comments = [_comment(rng, 4) for _ in range(norders)]
+    nclerks = max(norders // 15, 2)
+    o_clerk = rng.integers(1, nclerks, size=norders)
+    o_comment = _comments(rng, norders, 4)
     # ~5% of comments match Q13's '%special%requests%' exclusion.
-    for i in rng.choice(norders, size=max(norders // 20, 1),
-                        replace=False):
-        o_comments[i] = (f"{_comment(rng, 1)} special "
-                         f"{_comment(rng, 1)} requests")
-    lines_per_order = rng.integers(1, 8, size=norders)
+    special = rng.choice(norders, size=max(norders // 20, 1),
+                         replace=False)
+    words = _words(rng, len(special), 2)
+    o_comment[special] = _cat(words[:, 0], " special ", words[:, 1],
+                              " requests")
+    nlines = rng.integers(1, 8, size=norders)
 
-    l_cols: Dict[str, list] = {name: [] for name in (
-        "l_orderkey", "l_partkey", "l_suppkey", "l_linenumber",
-        "l_quantity", "l_extendedprice", "l_discount", "l_tax",
-        "l_returnflag", "l_linestatus", "l_shipdate", "l_commitdate",
-        "l_receiptdate", "l_shipinstruct", "l_shipmode", "l_comment")}
-    o_status: List[str] = []
-    o_totalprice: List[float] = []
+    (partkey, which, quantity, discount, tax, shipdays, commitdays,
+     receiptdays, instruction, mode, coin, word1, word2) = \
+        _lineitem_draws(rng, nlines, npart)
+    partkey = partkey.copy()  # as a row view it would keep all 13 alive
+    first = np.cumsum(nlines) - nlines
+    order = np.repeat(np.arange(norders), nlines)
     current = (CURRENT_DATE - epoch).days
-    retail = [0.0] + [_retail_price(k) for k in range(1, npart + 1)]
-    for oi in range(norders):
-        orderkey = oi + 1
-        nlines = int(lines_per_order[oi])
-        odate = int(o_orderdate[oi])
-        partkeys = rng.integers(1, npart + 1, size=nlines)
-        which_supp = rng.integers(0, 4, size=nlines)
-        quantities = rng.integers(1, 51, size=nlines)
-        discounts = np.round(rng.integers(0, 11, size=nlines) / 100.0, 2)
-        taxes = np.round(rng.integers(0, 9, size=nlines) / 100.0, 2)
-        shipdays = rng.integers(1, 122, size=nlines)
-        commitdays = rng.integers(30, 91, size=nlines)
-        receiptdays = rng.integers(1, 31, size=nlines)
-        instr = rng.integers(0, len(_INSTRUCTIONS), size=nlines)
-        modes = rng.integers(0, len(_MODES), size=nlines)
-        flag_coin = rng.integers(0, 2, size=nlines)
-        total = 0.0
-        statuses = []
-        for li in range(nlines):
-            partkey = int(partkeys[li])
-            suppkey = _partsupp_suppliers(partkey, nsupp)[
-                int(which_supp[li])]
-            qty = float(quantities[li])
-            price = round(qty * retail[partkey], 2)
-            discount = float(discounts[li])
-            tax = float(taxes[li])
-            shipdate = odate + int(shipdays[li])
-            receiptdate = shipdate + int(receiptdays[li])
-            linestatus = "O" if shipdate > current else "F"
-            if receiptdate <= current:
-                returnflag = "R" if flag_coin[li] else "A"
-            else:
-                returnflag = "N"
-            l_cols["l_orderkey"].append(orderkey)
-            l_cols["l_partkey"].append(partkey)
-            l_cols["l_suppkey"].append(suppkey)
-            l_cols["l_linenumber"].append(li + 1)
-            l_cols["l_quantity"].append(qty)
-            l_cols["l_extendedprice"].append(price)
-            l_cols["l_discount"].append(discount)
-            l_cols["l_tax"].append(tax)
-            l_cols["l_returnflag"].append(returnflag)
-            l_cols["l_linestatus"].append(linestatus)
-            l_cols["l_shipdate"].append(epoch + datetime.timedelta(
-                days=shipdate))
-            l_cols["l_commitdate"].append(epoch + datetime.timedelta(
-                days=odate + int(commitdays[li])))
-            l_cols["l_receiptdate"].append(epoch + datetime.timedelta(
-                days=receiptdate))
-            l_cols["l_shipinstruct"].append(_INSTRUCTIONS[instr[li]])
-            l_cols["l_shipmode"].append(_MODES[modes[li]])
-            l_cols["l_comment"].append(_comment(rng, 2))
-            total += price * (1 + tax) * (1 - discount)
-            statuses.append(linestatus)
-        if all(s == "F" for s in statuses):
-            o_status.append("F")
-        elif all(s == "O" for s in statuses):
-            o_status.append("O")
-        else:
-            o_status.append("P")
-        o_totalprice.append(round(total, 2))
+    quantity = quantity.astype(np.float64)
+    # qty * (k / 100) lies a few ulps from a whole number of cents, so
+    # np.round and Python's round both give the double nearest it.
+    price = np.round(quantity * _retail_price(partkey), 2)
+    discount = np.round(discount / 100.0, 2)
+    tax = np.round(tax / 100.0, 2)
+    orderdate = o_orderdate[order]
+    shipdate = orderdate + shipdays
+    receiptdate = shipdate + receiptdays
+    shipped = shipdate <= current  # l_linestatus "F", else "O"
 
-    tables["orders"] = Table.from_dict({
-        "o_orderkey": (DataType.INT64, list(range(1, norders + 1))),
-        "o_custkey": (DataType.INT64, o_custkey.tolist()),
-        "o_orderstatus": (DataType.STRING, o_status),
-        "o_totalprice": (DataType.FLOAT64, o_totalprice),
-        "o_orderdate": (DataType.DATE,
-                        [epoch + datetime.timedelta(days=int(d))
-                         for d in o_orderdate]),
+    # An order's total folds its lines left to right, as a Python loop
+    # over them would; only that total goes through Python's round.
+    term = price * (1 + tax) * (1 - discount)
+    total = np.zeros(norders)
+    for j in range(int(nlines.max())):
+        has = nlines > j
+        total[has] += term[first[has] + j]
+    nshipped = np.add.reduceat(shipped.astype(np.int64), first)
+    status = np.where(nshipped == nlines, 0, np.where(nshipped == 0, 1, 2))
+
+    tables["orders"] = _table("orders", {
+        "o_orderkey": (DataType.INT64, np.arange(1, norders + 1)),
+        "o_custkey": (DataType.INT64, o_custkey),
+        "o_orderstatus": (DataType.STRING, _STATUS[status]),
+        "o_totalprice": (DataType.FLOAT64, np.array(
+            [round(t, 2) for t in total.tolist()])),
+        "o_orderdate": (DataType.DATE, o_orderdate),
         "o_orderpriority": (DataType.STRING,
-                            [_PRIORITIES[i] for i in o_priority]),
-        "o_clerk": (DataType.STRING,
-                    [f"Clerk#{int(c):09d}" for c in o_clerk]),
-        "o_shippriority": (DataType.INT64, [0] * norders),
-        "o_comment": (DataType.STRING, o_comments),
-    }, name="orders")
-    tables["lineitem"] = Table.from_dict({
-        "l_orderkey": (DataType.INT64, l_cols["l_orderkey"]),
-        "l_partkey": (DataType.INT64, l_cols["l_partkey"]),
-        "l_suppkey": (DataType.INT64, l_cols["l_suppkey"]),
-        "l_linenumber": (DataType.INT64, l_cols["l_linenumber"]),
-        "l_quantity": (DataType.FLOAT64, l_cols["l_quantity"]),
-        "l_extendedprice": (DataType.FLOAT64,
-                            l_cols["l_extendedprice"]),
-        "l_discount": (DataType.FLOAT64, l_cols["l_discount"]),
-        "l_tax": (DataType.FLOAT64, l_cols["l_tax"]),
-        "l_returnflag": (DataType.STRING, l_cols["l_returnflag"]),
-        "l_linestatus": (DataType.STRING, l_cols["l_linestatus"]),
-        "l_shipdate": (DataType.DATE, l_cols["l_shipdate"]),
-        "l_commitdate": (DataType.DATE, l_cols["l_commitdate"]),
-        "l_receiptdate": (DataType.DATE, l_cols["l_receiptdate"]),
-        "l_shipinstruct": (DataType.STRING, l_cols["l_shipinstruct"]),
-        "l_shipmode": (DataType.STRING, l_cols["l_shipmode"]),
-        "l_comment": (DataType.STRING, l_cols["l_comment"]),
-    }, name="lineitem")
+                            _strings(_PRIORITIES)[o_priority]),
+        "o_clerk": (DataType.STRING, _strings(
+            [f"Clerk#{c:09d}" for c in range(nclerks)])[o_clerk]),
+        "o_shippriority": (DataType.INT64, np.zeros(norders, np.int64)),
+        "o_comment": (DataType.STRING, o_comment),
+    })
+    tables["lineitem"] = _table("lineitem", {
+        "l_orderkey": (DataType.INT64, order + 1),
+        "l_partkey": (DataType.INT64, partkey),
+        "l_suppkey": (DataType.INT64, _suppliers(partkey, which, nsupp)),
+        "l_linenumber": (DataType.INT64,
+                         np.arange(len(order)) - first[order] + 1),
+        "l_quantity": (DataType.FLOAT64, quantity),
+        "l_extendedprice": (DataType.FLOAT64, price),
+        "l_discount": (DataType.FLOAT64, discount),
+        "l_tax": (DataType.FLOAT64, tax),
+        "l_returnflag": (DataType.STRING, _FLAGS[
+            np.where(receiptdate <= current, coin, 2)]),
+        "l_linestatus": (DataType.STRING,
+                         _STATUS[np.where(shipped, 0, 1)]),
+        "l_shipdate": (DataType.DATE, shipdate),
+        "l_commitdate": (DataType.DATE, orderdate + commitdays),
+        "l_receiptdate": (DataType.DATE, receiptdate),
+        "l_shipinstruct": (DataType.STRING,
+                           _strings(_INSTRUCTIONS)[instruction]),
+        "l_shipmode": (DataType.STRING, _strings(_MODES)[mode]),
+        "l_comment": (DataType.STRING,
+                      _cat(_WORDS[word1], " ", _WORDS[word2])),
+    })
     return tables
 
 

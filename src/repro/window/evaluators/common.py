@@ -124,12 +124,14 @@ class CallInput:
         self.keep = keep_mask(call, part, skip_null_arg)
         self.remap = IndexRemap(self.keep)
         self.kept_rows = np.flatnonzero(self.keep)
-        self.pieces_f: List[RangePair] = [
-            (self.remap.bounds_array_to_filtered(lo),
-             self.remap.bounds_array_to_filtered(hi))
-            for lo, hi in part.pieces]
         self.start_f = self.remap.bounds_array_to_filtered(part.start)
         self.end_f = self.remap.bounds_array_to_filtered(part.end)
+        # Without EXCLUDE the one piece is the frame (start, end).
+        self.pieces_f: List[RangePair] = [(self.start_f, self.end_f)] \
+            if len(part.pieces) == 1 else [
+                (self.remap.bounds_array_to_filtered(lo),
+                 self.remap.bounds_array_to_filtered(hi))
+                for lo, hi in part.pieces]
 
     @property
     def answered(self) -> int:

@@ -1,12 +1,13 @@
 """Columnar table substrate: columns, schemas, tables, CSV."""
 
 import datetime
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.errors import SchemaError, TypeMismatchError
-from repro.table import Column, DataType, Schema, Table
+from repro.table import Column, DataType, Field, Schema, Table
 from repro.table.column import date_to_ordinal, ordinal_to_date
 from repro.table.csvio import read_csv, write_csv
 
@@ -53,6 +54,30 @@ class TestColumn:
         with pytest.raises(TypeMismatchError):
             Column.from_numpy(DataType.INT64, np.arange(3),
                               valid=np.array([True]))
+
+    def test_from_numpy_takes_the_canonical_dtype(self):
+        """An unpickled array's dtype equals float64 but is another
+        instance; the column must hold the canonical one, and sum the
+        same under GROUP BY."""
+        from repro.sql import Catalog, execute
+        rng = np.random.default_rng(7)
+        values = rng.random(500)
+        unpickled = pickle.loads(pickle.dumps(values))
+        assert unpickled.dtype is not np.dtype(np.float64)
+        col = Column.from_numpy(DataType.FLOAT64, unpickled)
+        assert col.raw().dtype is np.dtype(np.float64)
+        groups = Column.from_numpy(DataType.INT64,
+                                   rng.integers(0, 7, size=500))
+        schema = Schema([Field("g", DataType.INT64),
+                         Field("x", DataType.FLOAT64)])
+        sql = "SELECT g, sum(x) FROM t GROUP BY g ORDER BY g"
+
+        def grouped_sums(x):
+            table = Table.from_columns(schema, [groups, x], name="t")
+            return execute(sql, Catalog({"t": table})).to_rows()
+
+        assert grouped_sums(col) == grouped_sums(
+            Column.from_numpy(DataType.FLOAT64, values))
 
     def test_take(self):
         col = Column(DataType.STRING, ["a", None, "c"])

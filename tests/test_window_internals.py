@@ -70,6 +70,31 @@ class TestCallInput:
         assert frame_sizes(inputs.pieces_f).tolist() == [3] * 5
         assert list(inputs.kept_values("x")) == [1, 3, 5]
 
+    def test_one_piece_frame_is_remapped_once(self, monkeypatch):
+        """Without EXCLUDE the one piece is (start, end): two remaps, not
+        four. With EXCLUDE every piece is remapped as well."""
+        from repro.preprocess.remap import IndexRemap
+        calls = []
+        remap = IndexRemap.bounds_array_to_filtered
+
+        def counting(self, bounds):
+            calls.append(bounds)
+            return remap(self, bounds)
+
+        monkeypatch.setattr(IndexRemap, "bounds_array_to_filtered",
+                            counting)
+        columns = {"x": (np.arange(4), np.array([True, False, True, True]))}
+        call = WC("count", ("x",))
+        inputs = CallInput(call, _partition(columns, 4), skip_null_arg=True)
+        assert len(calls) == 2
+        assert inputs.pieces_f == [(inputs.start_f, inputs.end_f)]
+        assert frame_sizes(inputs.pieces_f).tolist() == [3] * 4
+        calls.clear()
+        part = _partition(columns, 4, exclusion=FrameExclusion.CURRENT_ROW)
+        inputs = CallInput(call, part, skip_null_arg=True)
+        assert len(calls) == 2 + 2 * len(part.pieces)
+        assert frame_sizes(inputs.pieces_f).tolist() == [2, 3, 2, 2]
+
     def test_row_pieces_skip_empty(self):
         columns = {"x": (np.arange(3), np.ones(3, dtype=np.bool_))}
         part = _partition(columns, 3,
