@@ -19,7 +19,7 @@ from conftest import emit
 from repro.bench.harness import BenchSeries, measure, save_series_json, scaled
 from repro.cache import StructureCache
 from repro.obs import Tracer
-from repro.resilience import BreakerRegistry, ExecutionContext, activate
+from repro.resilience import ExecutionContext, activate
 from repro.tpch import lineitem
 from repro.window import (
     FrameSpec,
@@ -64,7 +64,7 @@ def test_observability_overhead(table):
         def run():
             window_query(table, calls, spec, cache=cache)
 
-        disabled_ctx = ExecutionContext(breakers=BreakerRegistry())
+        disabled_ctx = ExecutionContext()
 
         def run_disabled():
             with activate(disabled_ctx):
@@ -81,8 +81,7 @@ def test_observability_overhead(table):
         disabled = statistics.median(guarded)
 
         tracer = Tracer(max_spans=1_000_000)
-        traced_ctx = ExecutionContext(breakers=BreakerRegistry(),
-                                      tracer=tracer)
+        traced_ctx = ExecutionContext(tracer=tracer)
         with activate(traced_ctx):
             traced = measure(run, repeats=3, warmup=True)
         tracer.finish()

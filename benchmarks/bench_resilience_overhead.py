@@ -2,8 +2,7 @@
 
 The guardrails are designed to be free when idle: with ``verify_rate=0``
 the shadow-verification gate is a single attribute test per evaluated
-call, a closed circuit breaker is one lock round-trip per protected
-operation, and gateway admission with a free slot is one lock
+call, and gateway admission with a free slot is one lock
 round-trip per query. This benchmark measures the warm-serving path
 (structures cached, probe-only) three ways — no guardrails, guardrails
 armed with verification off, and 100% shadow verification — and asserts
@@ -15,7 +14,7 @@ import pytest
 from conftest import emit
 from repro.bench.harness import BenchSeries, measure, scaled
 from repro.cache import StructureCache
-from repro.resilience import BreakerRegistry, ExecutionContext, activate
+from repro.resilience import ExecutionContext, activate
 from repro.tpch import lineitem
 from repro.window import (
     FrameSpec,
@@ -48,7 +47,7 @@ def _plan():
 
 
 def test_resilience_overhead_when_idle(table):
-    """verify_rate=0 + closed breakers vs no guardrails at all."""
+    """A guarded context with verify_rate=0 vs no guardrails at all."""
     calls, spec = _plan()
     n = table.num_rows
     with StructureCache() as cache:
@@ -59,8 +58,7 @@ def test_resilience_overhead_when_idle(table):
 
         baseline = measure(run, repeats=5, warmup=True)
 
-        guarded_ctx = ExecutionContext(verify_rate=0.0,
-                                       breakers=BreakerRegistry())
+        guarded_ctx = ExecutionContext(verify_rate=0.0)
         with activate(guarded_ctx):
             guarded = measure(run, repeats=5, warmup=True)
 
@@ -72,11 +70,11 @@ def test_resilience_overhead_when_idle(table):
         f"Resilience overhead — warm window query (n = {n})",
         ["configuration", "seconds", "vs_baseline"])
     series.add("no guardrails", baseline, 1.0)
-    series.add("breakers + verify_rate=0", guarded, guarded / baseline)
+    series.add("guarded, verify_rate=0", guarded, guarded / baseline)
     series.add("shadow verify 100%", shadow, shadow / baseline)
     series.meta["verifications"] = shadow_ctx.health.verifications
     series.note("verify_rate=0 must be free: the gate is one attribute "
-                "test per call, a closed breaker one lock round-trip")
+                "test per call")
     emit(series)
 
     assert guarded_ctx.health.verifications == 0

@@ -211,25 +211,6 @@ class TenantQuotaError(QueryRejectedError):
         self.tenant = tenant
 
 
-class CircuitOpenError(ResilienceError):
-    """A circuit breaker is open for the named resource.
-
-    Raised *instead of* attempting the protected operation (a structure
-    build) after repeated failures tripped the breaker. Callers treat
-    it like the underlying failure it stands in for: the build degrades
-    to the baseline evaluator.
-    """
-
-    code = "CIRCUIT_OPEN"
-
-    def __init__(self, resource: str, retry_after: float = 0.0) -> None:
-        super().__init__(
-            f"circuit breaker for {resource!r} is open "
-            f"(retry after {retry_after:.3g}s)")
-        self.resource = resource
-        self.retry_after = retry_after
-
-
 class VerificationError(ResilienceError):
     """A result failed self-verification.
 

@@ -4,8 +4,8 @@ injection and graceful degradation.
 The fast path of this engine is the paper's merge-sort-tree evaluator;
 this package is what makes the slow and broken paths survivable in a
 long-lived serving process: per-query deadlines and cooperative
-cancellation checked at batch boundaries, resource ceilings, circuit
-breakers, transparent fallback to the baseline evaluators,
+cancellation checked at batch boundaries, resource ceilings,
+transparent fallback to the baseline evaluators,
 and a deterministic fault-injection harness that makes all of it
 testable. See DESIGN.md ("Resilience layer") for the full model.
 """
@@ -22,14 +22,6 @@ from repro.resilience.context import (
     activate,
     current_context,
 )
-from repro.resilience.circuit import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    BreakerRegistry,
-    BreakerStats,
-    CircuitBreaker,
-)
 from repro.resilience.faults import NO_FAULTS, FaultInjector
 from repro.resilience.gateway import PRIORITIES, GatewayStats, QueryGateway
 from repro.resilience.guard import (
@@ -44,20 +36,14 @@ from repro.resilience.verify import (
 
 __all__ = [
     "AMBIENT",
-    "BreakerRegistry",
-    "BreakerStats",
-    "CLOSED",
     "CancellationToken",
-    "CircuitBreaker",
     "ExecutionContext",
     "FALLBACK_ERRORS",
     "FaultInjector",
     "GatewayStats",
-    "HALF_OPEN",
     "HealthCounters",
     "NO_FAULTS",
     "NO_LIMITS",
-    "OPEN",
     "PRIORITIES",
     "QueryGateway",
     "ResourceLimits",

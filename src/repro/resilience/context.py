@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, List, Optional
 
 from repro.errors import (
+    ConfigurationError,
     QueryCancelledError,
     QueryTimeoutError,
     ResourceLimitError,
@@ -116,8 +117,6 @@ class HealthCounters:
     admitted: int = 0         # queries admitted through the gateway
     queue_waits: int = 0      # admissions that had to park in a queue
     shed: int = 0             # gateway rejections (queue full / timed out)
-    breaker_trips: int = 0          # circuit breakers tripped open
-    breaker_short_circuits: int = 0  # calls rejected by an open breaker
     verifications: int = 0          # shadow checks run
     verification_failures: int = 0  # checks that found divergence
     downgrades: List[str] = field(default_factory=list)
@@ -131,8 +130,6 @@ class HealthCounters:
         self.admitted += other.admitted
         self.queue_waits += other.queue_waits
         self.shed += other.shed
-        self.breaker_trips += other.breaker_trips
-        self.breaker_short_circuits += other.breaker_short_circuits
         self.verifications += other.verifications
         self.verification_failures += other.verification_failures
         for entry in other.downgrades:
@@ -149,8 +146,7 @@ class HealthCounters:
         """
         return bool(self.timeouts or self.cancellations
                     or self.fallbacks or self.faults
-                    or self.limit_hits or self.shed or self.breaker_trips
-                    or self.breaker_short_circuits
+                    or self.limit_hits or self.shed
                     or self.verification_failures)
 
     def render(self) -> List[str]:
@@ -164,10 +160,6 @@ class HealthCounters:
             lines.append(
                 f"admitted={self.admitted} queue_waits={self.queue_waits} "
                 f"shed={self.shed}")
-        if self.breaker_trips or self.breaker_short_circuits:
-            lines.append(
-                f"breaker_trips={self.breaker_trips} "
-                f"breaker_short_circuits={self.breaker_short_circuits}")
         if self.verifications or self.verification_failures:
             lines.append(
                 f"verifications={self.verifications} "
@@ -190,7 +182,6 @@ class ExecutionContext:
                  limits: Optional[ResourceLimits] = None,
                  faults: Optional[FaultInjector] = None,
                  clock: Optional[SystemClock] = None,
-                 breakers=None,
                  verify_rate: float = 0.0,
                  verify_seed: int = 0,
                  tracer=None,
@@ -202,16 +193,13 @@ class ExecutionContext:
         self.token = token
         self.limits = limits if limits is not None else NO_LIMITS
         self.faults = faults if faults is not None else NO_FAULTS
-        #: Session-wide circuit breakers (a
-        #: :class:`~repro.resilience.circuit.BreakerRegistry`), or None
-        #: when the query runs unprotected.
-        self.breakers = breakers
         #: Session-wide byte ledger (a
         #: :class:`~repro.resilience.memory.MemoryGovernor`), or None
         #: when the query runs ungoverned. The build guard enforces it.
         self.memory = memory
         if not 0.0 <= verify_rate <= 1.0:
-            raise ValueError("verify_rate must be in [0, 1]")
+            raise ConfigurationError(
+                f"verify_rate must be within [0, 1], got {verify_rate}")
         #: Fraction of evaluator calls shadow-verified against the naive
         #: oracle (0 disables; the disabled path is one attribute test).
         self.verify_rate = verify_rate
@@ -299,14 +287,8 @@ class ExecutionContext:
             self.health.downgrades.append(description)
 
     # ------------------------------------------------------------------
-    # circuit breakers and verification
+    # verification
     # ------------------------------------------------------------------
-    def breaker(self, name: str):
-        """The session's breaker for ``name``, or None when unwired."""
-        if self.breakers is None:
-            return None
-        return self.breakers.get(name)
-
     def shadow_sample(self) -> bool:
         """Deterministically decide whether to shadow-verify this call.
 

@@ -14,9 +14,6 @@ Sites currently wired into the engine:
   through :meth:`repro.window.evaluators.common.CallInput.structure`;
 * ``gateway.admit``  — on every admission attempt at the
   :class:`~repro.resilience.gateway.QueryGateway`;
-* ``circuit.probe``  — on every half-open probe a
-  :class:`~repro.resilience.circuit.CircuitBreaker` admits, so tests
-  can fail the recovery path deterministically;
 * ``memory.reserve`` — on every byte-reservation attempt at the
   :class:`~repro.resilience.memory.MemoryGovernor`;
 * ``join.build``     — before every hash join in the SQL executor
@@ -134,8 +131,8 @@ class FaultInjector:
 NO_FAULTS = FaultInjector()
 
 _KNOWN_SITES = frozenset({
-    "structure.build", "gateway.admit", "circuit.probe",
-    "memory.reserve", "join.build", "cte.materialize",
+    "structure.build", "gateway.admit", "memory.reserve",
+    "join.build", "cte.materialize",
 })
 
 

@@ -1,6 +1,6 @@
 """The session-wide memory governor: one byte ledger for everything.
 
-Deadlines, breakers and the admission gateway govern *time* and
+Deadlines and the admission gateway govern *time* and
 *concurrency*; the governor governs *bytes*. It is the session's only
 byte ledger and ``memory_budget_bytes`` (``REPRO_MEMORY_BUDGET``) its
 only budget:

@@ -9,10 +9,10 @@ QueryService`:
 * ``POST /v1/explain``  — the plan (``{"analyze": true}`` executes);
 * ``GET  /v1/tables``   — catalog table schemas;
 * ``GET  /v1/metrics``  — Prometheus text exposition;
-* ``GET  /v1/healthz``  — gateway/breaker/tenant state.
+* ``GET  /v1/healthz``  — gateway/tenant/cache/memory state.
 
 Connections are keep-alive; engine exceptions become typed JSON errors
-via :mod:`repro.serve.wire` (429 shed / 503 breaker / 408 timeout...),
+via :mod:`repro.serve.wire` (429 shed / 503 memory pressure / 408 timeout...),
 so an overloaded server answers fast instead of stacking latency.
 
 :class:`ServerThread` hosts a server (and its event loop) on a

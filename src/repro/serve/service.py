@@ -1,7 +1,7 @@
 """The tenant-aware query service the HTTP server fronts.
 
 :class:`QueryService` binds together one engine
-:class:`~repro.sql.session.Session` (gateway, breakers, caches,
+:class:`~repro.sql.session.Session` (gateway, caches,
 metrics), a :class:`~repro.serve.tenants.TenantRegistry`, and a
 dedicated :class:`~concurrent.futures.ThreadPoolExecutor`. The engine
 is synchronous, GIL-bound numpy work; every query runs on the executor
@@ -40,7 +40,6 @@ from repro.serve.wire import (
     parse_json_body,
 )
 from repro.sql import QueryOptions, Session
-from repro.wire import to_jsonable
 
 __all__ = ["QueryService"]
 
@@ -196,13 +195,11 @@ class QueryService:
         return self.session.metrics_text()
 
     async def healthz(self) -> Dict[str, Any]:
-        """``GET /v1/healthz`` — breaker/gateway/tenant state."""
+        """``GET /v1/healthz`` — liveness plus gateway, tenant, plan
+        cache and memory state."""
         gateway = self.session.gateway.stats()
-        breakers = self.session.breakers.snapshots()
-        open_breakers = [b.name for b in breakers if b.state == "open"]
-        status = "degraded" if open_breakers else "ok"
         return {
-            "status": status,
+            "status": "ok",
             "gateway": {
                 "max_concurrent": gateway.max_concurrent,
                 "active": gateway.active,
@@ -210,8 +207,6 @@ class QueryService:
                 "admitted": gateway.admitted,
                 "shed": gateway.shed,
             },
-            "breakers": [to_jsonable(vars(b)) for b in breakers],
-            "open_breakers": open_breakers,
             "tenants": [t.to_dict() for t in self.tenants.stats()],
             "plan_cache": self.session.plan_cache.stats().to_dict(),
             "memory": self.session.memory.stats().to_dict(),

@@ -9,7 +9,6 @@ exception               status  meaning on the wire
 QueryRejectedError      429     shed — back off and retry
 TenantRateLimitError    429     per-tenant token bucket empty
 TenantQuotaError        429     per-tenant concurrency quota full
-CircuitOpenError        503     dependency failing — retry later
 MemoryPressureError     503     memory governor shed — retry later
 QueryTimeoutError       408     deadline expired mid-query
 QueryCancelledError     499     request abandoned (nginx idiom)
@@ -31,7 +30,6 @@ import json
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import (
-    CircuitOpenError,
     ConfigurationError,
     MemoryPressureError,
     ParameterBindingError,
@@ -49,7 +47,6 @@ __all__ = ["error_response", "json_body", "status_for"]
 _STATUS_BY_TYPE: Tuple[Tuple[type, int], ...] = (
     # Order matters: most-derived first.
     (QueryRejectedError, 429),
-    (CircuitOpenError, 503),
     (MemoryPressureError, 503),
     (QueryTimeoutError, 408),
     (QueryCancelledError, 499),

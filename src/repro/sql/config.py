@@ -2,7 +2,7 @@
 
 :class:`SessionConfig` gathers what used to be loose
 :class:`~repro.sql.session.Session` keyword arguments — the memory
-budget, guardrail defaults, gateway admission, breaker tuning, verification
+budget, guardrail defaults, gateway admission, verification
 sampling — plus the observability switches, into one
 frozen dataclass that validates at construction. A bad combination
 (negative timeout, unknown priority, a shadow-verification rate
@@ -87,7 +87,6 @@ class SessionConfig:
       evicted structure is dropped and rebuilt on next use);
     * guardrail defaults: ``timeout``, ``limits``;
     * gateway: ``max_concurrent``, ``max_queue``, ``queue_timeout``;
-    * breakers: ``breaker_threshold``, ``breaker_reset``;
     * verification: ``verify_rate``, ``verify_seed``;
     * testing: ``faults``, ``clock``;
     * observability: ``trace`` (``None`` → ``REPRO_TRACE``),
@@ -102,8 +101,6 @@ class SessionConfig:
     max_concurrent: int = 4
     max_queue: int = 16
     queue_timeout: Optional[float] = None
-    breaker_threshold: int = 5
-    breaker_reset: float = 30.0
     verify_rate: float = 0.0
     verify_seed: int = 0
     trace: Optional[bool] = None
@@ -122,12 +119,6 @@ class SessionConfig:
                  f"max_queue must be >= 0, got {self.max_queue}")
         _require(self.queue_timeout is None or self.queue_timeout >= 0,
                  f"queue_timeout must be >= 0, got {self.queue_timeout}")
-        _require(self.breaker_threshold >= 1,
-                 f"breaker_threshold must be >= 1, "
-                 f"got {self.breaker_threshold}")
-        _require(self.breaker_reset > 0,
-                 f"breaker_reset must be > 0 seconds, "
-                 f"got {self.breaker_reset}")
         _require(0.0 <= self.verify_rate <= 1.0,
                  f"verify_rate must be within [0, 1], "
                  f"got {self.verify_rate}")
@@ -139,8 +130,7 @@ class SessionConfig:
 
         Recognised: ``REPRO_MEMORY_BUDGET``, ``REPRO_TIMEOUT``,
         ``REPRO_MAX_CONCURRENT``, ``REPRO_MAX_QUEUE``,
-        ``REPRO_QUEUE_TIMEOUT``, ``REPRO_BREAKER_THRESHOLD``,
-        ``REPRO_BREAKER_RESET``,
+        ``REPRO_QUEUE_TIMEOUT``,
         ``REPRO_VERIFY_RATE``, ``REPRO_VERIFY_SEED``, ``REPRO_TRACE``,
         ``REPRO_METRICS``. Unset
         variables keep their defaults; explicit ``**overrides`` win
@@ -158,8 +148,6 @@ class SessionConfig:
         put("max_concurrent", _env_int(env, "REPRO_MAX_CONCURRENT"))
         put("max_queue", _env_int(env, "REPRO_MAX_QUEUE"))
         put("queue_timeout", _env_float(env, "REPRO_QUEUE_TIMEOUT"))
-        put("breaker_threshold", _env_int(env, "REPRO_BREAKER_THRESHOLD"))
-        put("breaker_reset", _env_float(env, "REPRO_BREAKER_RESET"))
         put("verify_rate", _env_float(env, "REPRO_VERIFY_RATE"))
         put("verify_seed", _env_int(env, "REPRO_VERIFY_SEED"))
         put("trace", _env_bool(env, "REPRO_TRACE"))

@@ -21,8 +21,7 @@ from repro.sql.parser import parse
 
 def explain(sql_or_ast: Union[str, ast.SelectStmt],
             cache: Any = None, health: Any = None,
-            gateway: Any = None, breakers: Any = None,
-            analysis: Any = None,
+            gateway: Any = None, analysis: Any = None,
             plan_cache: Any = None, memory: Any = None,
             catalog: Any = None) -> str:
     """Render the execution plan of a SELECT statement as a tree.
@@ -35,17 +34,16 @@ def explain(sql_or_ast: Union[str, ast.SelectStmt],
     ``health`` is an optional
     :class:`~repro.resilience.context.HealthCounters`; when any
     guardrail event has been recorded (timeout, cancellation,
-    evaluator fallback, injected fault, limit hit, shed query, breaker
-    trip, verification failure) a ``Resilience``
+    evaluator fallback, injected fault, limit hit, shed query,
+    verification failure) a ``Resilience``
     section lists the counters and each recorded evaluator downgrade —
     so a query that silently degraded to a baseline evaluator is still
     visible after the fact.
 
-    ``gateway`` (a :class:`~repro.resilience.gateway.QueryGateway`) and
-    ``breakers`` (a :class:`~repro.resilience.circuit.BreakerRegistry`)
-    add ``Gateway`` / ``Breakers`` sections once they have seen any
-    traffic, so admission behaviour and breaker states under concurrent
-    load are observable next to the plan.
+    ``gateway`` (a :class:`~repro.resilience.gateway.QueryGateway`)
+    adds a ``Gateway`` section once it has seen any traffic, so
+    admission behaviour under concurrent load is observable next to the
+    plan.
 
     ``analysis`` (a :class:`~repro.sql.result.QueryResult` from an
     actual execution, as produced by ``Session.explain(sql,
@@ -89,12 +87,6 @@ def explain(sql_or_ast: Union[str, ast.SelectStmt],
         if stats.admitted or stats.shed or stats.active:
             lines.append("Gateway")
             for line in stats.render():
-                lines.append("  " + line)
-    if breakers is not None:
-        breaker_lines = breakers.render()
-        if breaker_lines:
-            lines.append("Breakers")
-            for line in breaker_lines:
                 lines.append("  " + line)
     if health is not None and (health.eventful or health.downgrades):
         lines.append("Resilience")

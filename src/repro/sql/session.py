@@ -1,7 +1,7 @@
 """Sessions: the long-lived serving object around the executor.
 
 A :class:`Session` owns the structure cache, the plan cache, the
-admission gateway, the breakers and the memory governor, and runs every
+admission gateway and the memory governor, and runs every
 query under its own
 :class:`~repro.resilience.context.ExecutionContext`;
 :class:`PreparedStatement` is a parsed, parameter-validated statement
@@ -100,8 +100,8 @@ class Session:
     deterministic testing (simulated deadlines, injected failures).
     Guardrail telemetry accumulates across queries in
     :meth:`health_stats` and renders in :meth:`explain` — a query that
-    timed out, tripped a breaker or degraded to a baseline evaluator
-    leaves a visible trace.
+    timed out or degraded to a baseline evaluator leaves a visible
+    trace.
 
     Concurrency is governed by a session-wide
     :class:`~repro.resilience.gateway.QueryGateway`: at most
@@ -109,11 +109,9 @@ class Session:
     per-priority FIFO queues (``execute(priority=...)``,
     ``interactive`` before ``batch``) bounded at ``max_queue``, and
     arrivals beyond that are shed with a typed
-    :class:`~repro.errors.QueryRejectedError`. A session-wide
-    :class:`~repro.resilience.circuit.BreakerRegistry` protects
-    structure builds: after ``breaker_threshold`` consecutive failures
-    they fail fast for ``breaker_reset`` seconds (degrading to the
-    naive evaluators) before a half-open probe tests recovery. ``verify_rate`` enables
+    :class:`~repro.errors.QueryRejectedError`. A structure build that
+    fails degrades only its own call to the naive evaluator; the next
+    call builds again. ``verify_rate`` enables
     sampled shadow verification: that fraction of (call, partition)
     evaluations is re-answered by the naive oracle and any divergence
     raises :class:`~repro.errors.VerificationError`.
@@ -143,7 +141,6 @@ class Session:
     def __init__(self, catalog: Catalog,
                  config: Optional[SessionConfig] = None) -> None:
         from repro.cache.store import StructureCache
-        from repro.resilience.circuit import BreakerRegistry
         from repro.resilience.gateway import QueryGateway
 
         if config is None:
@@ -168,10 +165,6 @@ class Session:
                                     max_queue=config.max_queue,
                                     queue_timeout=config.queue_timeout,
                                     clock=config.clock)
-        self.breakers = BreakerRegistry(
-            failure_threshold=config.breaker_threshold,
-            reset_timeout=config.breaker_reset,
-            clock=config.clock)
         self.verify_rate = config.verify_rate
         self.verify_seed = config.verify_seed
         #: Prepared-statement cache: normalized-SQL fingerprint →
@@ -243,7 +236,6 @@ class Session:
                     else self.default_limits),
             faults=self.faults,
             clock=self.clock,
-            breakers=self.breakers,
             verify_rate=self.verify_rate,
             verify_seed=self.verify_seed,
             tracer=tracer,
@@ -333,6 +325,8 @@ class Session:
         if self.metrics is None:
             return
         self._m_queries.inc(outcome=outcome)
+        if context.health.fallbacks:
+            self._m_fallbacks.inc(context.health.fallbacks)
         self._m_latency.observe(elapsed)
         self._m_queue_wait.observe(context.telemetry.queue_wait_seconds)
 
@@ -362,7 +356,6 @@ class Session:
             timeout=self.default_timeout,
             limits=self.default_limits,
             clock=self.clock,
-            breakers=self.breakers,
             memory=self.memory)
         try:
             with self.gateway.admit(context, priority=priority):
@@ -377,8 +370,7 @@ class Session:
                       analysis: Optional[QueryResult] = None) -> str:
         from repro.sql.explain import explain as _explain
         return _explain(sql_or_ast, cache=self.cache, health=self.health,
-                        gateway=self.gateway, breakers=self.breakers,
-                        analysis=analysis,
+                        gateway=self.gateway, analysis=analysis,
                         plan_cache=self.plan_cache, memory=self.memory,
                         catalog=self.catalog)
 
@@ -390,6 +382,12 @@ class Session:
         self._m_queries = m.counter(
             "repro_queries_total", "Queries finished, by outcome.",
             ["outcome"])
+        self._m_fallbacks = m.counter(
+            "repro_fallbacks_total",
+            "Evaluator calls degraded to the naive baseline.")
+        # Exported at 0 from the start, so a healthy session's scrape
+        # shows it; only a query that degraded a call touches it.
+        self._m_fallbacks.inc(0)
         self._m_latency = m.histogram(
             "repro_query_seconds", "Query wall-clock latency in seconds.")
         self._m_queue_wait = m.histogram(
@@ -398,7 +396,7 @@ class Session:
         # Everything else is pulled at scrape time: each component
         # declares its own rows next to the stats they are read from.
         components = (self.cache, self.plan_cache, self.gateway,
-                      self.breakers, self.memory)
+                      self.memory)
         families = {
             name: getattr(m, kind)(name, help_text, labelnames)
             for component in components

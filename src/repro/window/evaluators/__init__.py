@@ -38,11 +38,10 @@ def evaluate_call(call: WindowCall, part: PartitionView) -> Arrays:
     :func:`~repro.window.operator.window_query`, direct operator use)
     gets it: when the ``mst`` path fails with a
     :data:`~repro.resilience.guard.FALLBACK_ERRORS` condition — a
-    structure build error, a resource-limit hit, a ``MemoryError``, or
-    an open ``structure.build`` circuit breaker — the call is retried
-    once on the ``naive`` path and the downgrade is recorded in the
-    active context's health counters. Timeouts and cancellations
-    always propagate.
+    structure build error, a resource-limit hit or a ``MemoryError`` —
+    the call is retried once on the ``naive`` path and the downgrade is
+    recorded in the active context's health counters. Timeouts and
+    cancellations always propagate.
 
     When the context's ``verify_rate`` is nonzero, a deterministic
     sample of call evaluations is *shadow-verified*: the

@@ -23,7 +23,6 @@ class TestSessionConfig:
         config = SessionConfig()
         assert config.max_concurrent == 4
         assert config.max_queue == 16
-        assert config.breaker_threshold == 5
         assert config.verify_rate == 0.0
         assert config.metrics is True
         assert config.trace is None
@@ -35,8 +34,8 @@ class TestSessionConfig:
         ({"max_concurrent": 0}, "max_concurrent"),
         ({"max_queue": -1}, "max_queue"),
         ({"queue_timeout": -0.1}, "queue_timeout"),
-        ({"breaker_threshold": 0}, "breaker_threshold"),
-        ({"breaker_reset": 0}, "breaker_reset"),
+        ({"timeout": float("nan")}, "timeout"),
+        ({"verify_rate": float("nan")}, "verify_rate"),
         ({"verify_rate": 1.5}, "verify_rate"),
         ({"verify_rate": -0.1}, "verify_rate"),
         ({"memory_budget_bytes": 0}, "memory_budget_bytes"),

@@ -66,7 +66,6 @@ def test_every_error_class_has_a_stable_code():
 
 def test_codes_cover_the_serving_status_map():
     from repro.errors import (
-        CircuitOpenError,
         ConfigurationError,
         QueryCancelledError,
         QueryRejectedError,
@@ -77,7 +76,6 @@ def test_codes_cover_the_serving_status_map():
     )
 
     assert QueryRejectedError.code == "QUERY_REJECTED"
-    assert CircuitOpenError.code == "CIRCUIT_OPEN"
     assert QueryTimeoutError.code == "QUERY_TIMEOUT"
     assert QueryCancelledError.code == "QUERY_CANCELLED"
     assert ResourceLimitError.code == "RESOURCE_LIMIT"

@@ -4,10 +4,9 @@ The acceptance property: with every index-structure build forced to
 fail, queries must still complete — transparently downgraded to the
 baseline evaluators — with results identical to the healthy run, the
 downgrades visible in the health counters, and the session fully usable
-afterwards.
+afterwards. A failed build degrades only its own call: the next call
+builds again, with no timer to wait out.
 """
-
-import time
 
 import pytest
 
@@ -104,26 +103,23 @@ def test_session_survives_fault_storm_and_recovers():
     with Session(catalog) as healthy_session:
         expected = healthy_session.execute(sql)
 
-    # The storm trips the structure.build circuit breaker; a tiny reset
-    # timeout lets the healed session recover within the test instead
-    # of failing fast for the default 30s window.
     faults = FaultInjector().plan("structure.build", times=-1)
-    with Session(catalog, config=SessionConfig(
-                 faults=faults, breaker_reset=0.001)) as session:
+    with Session(catalog, config=SessionConfig(faults=faults)) as session:
         degraded = session.execute(sql)
         for name in expected.schema.names():
             assert_columns_equal(degraded.column(name).to_list(),
                                  expected.column(name).to_list())
         assert session.health_stats().fallbacks > 0
 
-        # Heal the faults: the same session must return to the indexed
+        # Heal the faults: the very next query returns to the indexed
         # path (structures build and the cache records misses/hits).
         faults.clear()
-        time.sleep(0.01)  # let the breaker's reset timeout elapse
         recovered = session.execute(sql)
         for name in expected.schema.names():
             assert_columns_equal(recovered.column(name).to_list(),
                                  expected.column(name).to_list())
+        assert recovered.stats.health.fallbacks == 0
+        assert recovered.stats.structure_builds >= 1
         before = session.cache_stats().misses
         assert before > 0
         again = session.execute(sql)
@@ -141,6 +137,36 @@ def test_intermittent_build_fault_single_downgrade():
     degraded, health = _run(CALLS["count_distinct"], faults=faults)
     assert_columns_equal(degraded, healthy)
     assert health.fallbacks == faults.fired("structure.build") == 1
+
+
+@pytest.mark.parametrize("error", [MemoryError, RuntimeError])
+def test_faulted_builds_degrade_only_their_own_call(error):
+    """Five queries whose one build fails each degrade their own call
+    to naive and still return the healthy answer; the sixth,
+    fault-free query builds its tree again. ``MemoryError`` passes the
+    guard unconverted, ``RuntimeError`` (a builder bug) becomes a
+    ``StructureBuildError``: neither changes how later calls run."""
+    catalog = Catalog({"t": make_window_table(150)})
+    sql = """
+        select o, percentile_disc(0.5, order by x) over (
+            order by o rows between 10 preceding and current row) as med
+        from t
+    """
+    with Session(catalog) as healthy:
+        expected = healthy.execute(sql).column("med").to_list()
+    # One tree per query, so the five faults land in five queries.
+    faults = FaultInjector().plan("structure.build", times=5,
+                                  exception=error)
+    with Session(catalog, config=SessionConfig(faults=faults)) as session:
+        results = [session.execute(sql) for _ in range(6)]
+        assert faults.fired("structure.build") == 5
+        for result in results:
+            assert result.column("med").to_list() == expected
+        for result in results[:5]:
+            assert result.stats.health.fallbacks == 1
+        sixth = results[5].stats
+        assert sixth.health.fallbacks == 0 and sixth.health.downgrades == []
+        assert sixth.structure_builds >= 1
 
 
 # ----------------------------------------------------------------------

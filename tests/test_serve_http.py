@@ -1,14 +1,17 @@
 """End-to-end HTTP tests for ``repro.serve`` over real sockets."""
 
+import contextlib
 import datetime
 import json
 import threading
+import time
 from http.client import HTTPConnection
 
 import pytest
 
 import repro.serve.server
 import repro.serve.service
+from repro.resilience import FaultInjector
 from repro.serve import (
     QueryService,
     ServerThread,
@@ -326,14 +329,12 @@ class TestOps:
         assert status == 200
         assert out["status"] == "ok"
         assert out["gateway"]["max_concurrent"] >= 1
-        assert out["open_breakers"] == []
         # One ledger: the plan cache's bytes are the memory tag's.
         assert (out["memory"]["by_tag"].get("plan_cache", 0)
                 == out["plan_cache"]["bytes_in_use"])
         tenants = {t["tenant"] for t in out["tenants"]}
         assert "anonymous" in tenants
-        assert set(out) == {"status", "gateway", "breakers",
-                            "open_breakers", "tenants", "plan_cache",
+        assert set(out) == {"status", "gateway", "tenants", "plan_cache",
                             "memory"}
 
     def test_keep_alive_reuses_connection(self, server):
@@ -356,6 +357,107 @@ class TestOps:
             headers={"Connection": "close"})
         assert status == 200
         assert headers["Connection"] == "close"
+
+
+def _scraped(server, name):
+    """The value of the unlabelled series ``name`` in a /v1/metrics
+    scrape."""
+    _, _, body = _request(server, "GET", "/v1/metrics")
+    for line in body.decode("utf-8").splitlines():
+        if line.startswith(name + " "):
+            return float(line.rsplit(" ", 1)[1])
+    raise AssertionError(f"{name} missing from the scrape")
+
+
+def _wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out waiting"
+        time.sleep(0.001)
+
+
+class TestDegradation:
+    def test_fallbacks_counter_counts_degraded_calls(self):
+        faults = FaultInjector()
+        session = Session(_catalog(), config=SessionConfig(faults=faults))
+        service = QueryService(session, own_session=True)
+        try:
+            with ServerThread(service) as handle:
+                status, healthy = _json(handle, "POST", "/v1/execute",
+                                        {"sql": SQL})
+                assert status == 200
+                assert _scraped(handle, "repro_fallbacks_total") == 0
+                # A call that builds a new tree, with its build faulted:
+                # it degrades to naive and still answers.
+                faults.plan("structure.build", times=1)
+                status, out = _json(handle, "POST", "/v1/execute", {
+                    "sql": "SELECT g, count(DISTINCT v) OVER (PARTITION "
+                           "BY g ORDER BY v ROWS BETWEEN 1 PRECEDING AND "
+                           "CURRENT ROW) AS c FROM t"})
+                assert status == 200
+                assert out["rows"] == [[1, 2], [1, 1], [2, 2], [2, 1],
+                                       [2, 2]]
+                assert faults.fired("structure.build") == 1
+                assert _scraped(handle, "repro_fallbacks_total") == 1
+                _, health = _json(handle, "GET", "/v1/healthz")
+                assert health["status"] == "ok"
+        finally:
+            service.close()
+
+
+class TestAdmission:
+    def test_interactive_tenant_admitted_before_queued_batch_tenant(
+            self, monkeypatch):
+        """With the gateway's one slot held, an ``etl`` (batch) request
+        queues first and a ``dash`` (interactive) request after it: on
+        release, ``dash`` is admitted first."""
+        session = Session(_catalog(), config=SessionConfig(
+            max_concurrent=1, max_queue=4))
+        tenants = TenantRegistry(
+            policies={"dash": TenantPolicy(priority="interactive"),
+                      "etl": TenantPolicy(priority="batch")},
+            clock=session.clock)
+        service = QueryService(session, tenants=tenants, own_session=True)
+        gateway = session.gateway
+        admit = gateway.admit
+        admitted = []
+
+        @contextlib.contextmanager
+        def recording_admit(context=None, priority="interactive"):
+            with admit(context, priority=priority):
+                admitted.append(priority)
+                yield
+
+        responses = {}
+
+        def client(tenant):
+            responses[tenant] = _json(handle, "POST", "/v1/execute",
+                                      {"sql": SQL},
+                                      {"x-repro-tenant": tenant})
+
+        try:
+            with ServerThread(service) as handle:
+                with admit():
+                    monkeypatch.setattr(gateway, "admit", recording_admit)
+                    etl = threading.Thread(target=client, args=("etl",))
+                    etl.start()
+                    _wait_until(lambda: gateway.stats().queued_now.get(
+                        "batch"))
+                    dash = threading.Thread(target=client,
+                                            args=("dash",))
+                    dash.start()
+                    _wait_until(lambda: gateway.stats().queued_now.get(
+                        "interactive"))
+                for thread in (etl, dash):
+                    thread.join(timeout=30)
+        finally:
+            service.close()
+        assert admitted == ["interactive", "batch"]
+        for tenant, priority in (("dash", "interactive"),
+                                 ("etl", "batch")):
+            status, out = responses[tenant]
+            assert status == 200
+            assert (out["tenant"], out["priority"]) == (tenant, priority)
 
 
 class TestMetricsRace:

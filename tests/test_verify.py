@@ -150,8 +150,9 @@ def test_shadow_sample_rate_bounds():
     assert not any(ctx.shadow_sample() for _ in range(100))
     ctx = ExecutionContext(verify_rate=1.0)
     assert all(ctx.shadow_sample() for _ in range(100))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         ExecutionContext(verify_rate=1.5)
+    assert info.value.code == "INVALID_CONFIG"
     with pytest.raises(ValueError):
         ExecutionContext(verify_rate=-0.1)
 
